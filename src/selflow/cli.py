@@ -233,7 +233,7 @@ def cmd_selftest() -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="selflow", description=__doc__)
     parser.add_argument("--threads", type=int, default=1,
-                        help="cap on parallel paths (ensemble/sweep)")
+                        help="cap on parallel path groups (ensemble only; sweep runs in series)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("simulate", "ensemble", "sweep"):
         p = sub.add_parser(name)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import operators as ops
 from .grids import Grid
-from .projection import PROJ_TOL, leray_project
+from .projection import PROJ_TOL, leray_project, solenoidal_norm_sq
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
@@ -191,14 +191,9 @@ class NoiseOperatorS:
         self._has_additive = bool(np.any(self.additive))
         self.decay = self.sigma0 * np.arange(1, n_modes + 1, dtype=float) ** (-self.q)
 
-    def _pre_projection(self, u: np.ndarray) -> np.ndarray:
-        # (N, 2, nx, ny) stack of psi_i u + g_i, scaled mode by mode
-        stack = self.shapes[:, None, :, :] * u[None, :, :, :] + self.additive
-        return self.decay[:, None, None, None] * stack
-
     def mode_fields(self, u: np.ndarray) -> np.ndarray:
         """All S(u)(e_i), shape (N, 2, nx, ny), each divergence-free."""
-        stack = self._pre_projection(u)
+        stack = self.decay[:, None, None, None] * (self.shapes[:, None, :, :] * u + self.additive)
         out = np.empty_like(stack)
         for i in range(self.n_modes):
             out[i], _ = leray_project(stack[i], self.grid, tol=self.proj_tol)
@@ -228,25 +223,22 @@ class NoiseOperatorS:
         """Squared Hilbert-Schmidt norm sum_i ||S(u)(e_i)||^2.
 
         Accepts a batched velocity (..., 2, nx, ny) and returns per-path
-        values with the leading axes preserved.
+        values with the leading axes preserved.  Periodic grids take each
+        mode's norm by Parseval (:func:`solenoidal_norm_sq`) without
+        building the projected field; bounded grids project each mode.
         """
-        if u.ndim == 3 and self.grid.periodic:
-            # one batched spectral projection across all modes
-            from .projection import _project_periodic_fft
-
-            proj, _ = _project_periodic_fft(self._pre_projection(u), self.grid,
-                                            need_pressure=False)
-            return float(np.sum(proj * proj * self.grid.quad_weights()))
-        if u.ndim == 3:
-            proj = self.mode_fields(u)
-            return float(np.sum(proj * proj * self.grid.quad_weights()))
-        # batched paths: loop modes, project each mode across the batch
         total = 0.0
         for i in range(self.n_modes):
-            v = self.decay[i] * (self.shapes[i] * u + self.additive[i])
-            proj, _ = leray_project(v, self.grid, tol=self.proj_tol, need_pressure=False)
-            total = total + ops.pair_vec(proj, proj, self.grid)
-        return total
+            v = self.shapes[i] * u
+            if self._has_additive:
+                v += self.additive[i]
+            v *= self.decay[i]
+            if self.grid.periodic:
+                total = total + solenoidal_norm_sq(v, self.grid)
+            else:
+                proj, _ = leray_project(v, self.grid, tol=self.proj_tol, need_pressure=False)
+                total = total + ops.pair_vec(proj, proj, self.grid)
+        return float(total) if u.ndim == 3 else total
 
     def linear_growth_constant(self) -> float:
         """C with hs_norm_sq(u) <= C (1 + ||u||^2) for every u."""

@@ -9,7 +9,9 @@ O(h^2) divergence floor.
 
 Periodic grids get two interchangeable solvers for the same linear system:
 a direct spectral solve with modified wavenumbers (default, exact) and
-matrix-free conjugate gradients (the cross-check route).  Bounded (no-slip)
+matrix-free conjugate gradients (the cross-check route);
+:func:`solenoidal_norm_sq` evaluates ||P v||^2 by Parseval without building
+P v.  Bounded (no-slip)
 grids solve the interior system with a homogeneous-Neumann pressure closure
 via sparse least squares; only the interior divergence is controllable there
 because the boundary rows use one-sided stencils.
@@ -65,6 +67,43 @@ def _project_periodic_fft(
     u = np.fft.irfft2(uhat, s=(grid.nx, grid.ny), axes=(-2, -1))
     p = np.fft.irfft2(phat, s=(grid.nx, grid.ny), axes=(-2, -1)) if need_pressure else None
     return u, p
+
+
+def _solenoidal_weights(grid: Grid) -> np.ndarray:
+    """Parseval weights on the rfft2 half spectrum: hx hy / (nx ny) / |s|^2,
+    doubled for every column but 0 and the Nyquist column (whose conjugate
+    partners rfft2 omits), and 0 where |s| = 0 (modes P leaves alone)."""
+    key = "solenoidal_weights"
+    if key not in grid._cache:
+        s1, s2 = _modified_wavenumbers(grid)
+        denom = s1 * s1 + s2 * s2
+        count = np.full(grid.ny // 2 + 1, 2.0)
+        count[0] = 1.0
+        if grid.ny % 2 == 0:
+            count[-1] = 1.0
+        scale = grid.hx * grid.hy / (grid.nx * grid.ny)
+        with np.errstate(divide="ignore"):
+            w = np.where(denom > 0.0, scale * count / denom, 0.0)
+        grid._cache[key] = w
+    return grid._cache[key]
+
+
+def solenoidal_norm_sq(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """||P v||^2 per lane for v of shape (..., 2, nx, ny) on a periodic grid.
+
+    P is an orthogonal projector whose complement is the gradient part
+    s (s . v^)/|s|^2, and the central divergence of v has transform
+    i s . v^, so by Parseval ||P v||^2 = ||v||^2 - sum_k |div_h v^(k)|^2/|s|^2.
+    One forward transform of a scalar field replaces the projection; the
+    result is clamped at 0 against cancellation on near-gradient fields.
+    """
+    if not grid.periodic:
+        raise ValueError("solenoidal_norm_sq needs a periodic grid")
+    dhat = np.fft.rfft2(divergence(v, grid, "periodic"), axes=(-2, -1))
+    grad_part = np.sum((dhat.real**2 + dhat.imag**2) * _solenoidal_weights(grid), axis=(-2, -1))
+    # rectangle rule: every node weighs hx hy
+    full = grid.hx * grid.hy * np.sum(v * v, axis=(-3, -2, -1))
+    return np.maximum(full - grad_part, 0.0)
 
 
 def _wide_laplacian_periodic(p: np.ndarray, grid: Grid) -> np.ndarray:

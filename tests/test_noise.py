@@ -131,6 +131,40 @@ class TestNoiseOperator:
         singles = np.array([noise32.hs_norm_sq(u[m]) for m in range(4)])
         assert np.allclose(batched, singles, rtol=1e-12)
 
+    @pytest.mark.parametrize("bounded", [False, True], ids=["periodic", "bounded"])
+    @pytest.mark.parametrize("seeded", [False, True], ids=["multiplicative", "additive"])
+    def test_hs_matches_explicit_projection(self, grid32, grid_bounded, rng, bounded, seeded):
+        grid = grid_bounded if bounded else grid32
+        n = 8
+        additive = rng.standard_normal((n, 2, 32, 32)) if seeded else None
+        S = NoiseOperatorS(grid, n_modes=n, sigma0=0.3, additive=additive)
+        u = rng.standard_normal((4, 2, 32, 32))
+
+        def explicit(ul):
+            total = 0.0
+            for i in range(n):
+                v = S.decay[i] * (S.shapes[i] * ul + S.additive[i])
+                pv, _ = leray_project(v, grid)
+                total = total + ops.pair_vec(pv, pv, grid)
+            return total
+
+        want = explicit(u)
+        batched = S.hs_norm_sq(u)
+        assert batched.shape == (4,)
+        assert np.max(np.abs(batched - want) / want) <= 1e-12
+        single = S.hs_norm_sq(u[1])
+        assert isinstance(single, float)
+        assert abs(single - want[1]) <= 1e-12 * want[1]
+
+    def test_hs_any_shapes(self, grid32, rng):
+        # the Parseval route does not rely on the default cos.cos shapes
+        shapes = rng.uniform(-1.0, 1.0, (3, 32, 32))
+        S = NoiseOperatorS(grid32, n_modes=3, sigma0=0.7, shapes=shapes)
+        u = rng.standard_normal((2, 32, 32))
+        fields = S.mode_fields(u)
+        want = float(np.sum(ops.pair_vec(fields, fields, grid32)))
+        assert abs(S.hs_norm_sq(u) - want) <= 1e-12 * want
+
     def test_mode_fields_divergence_free(self, grid32, noise32, rng):
         fields = noise32.mode_fields(rng.standard_normal((2, 32, 32)))
         for i in range(8):

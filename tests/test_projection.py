@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from selflow import operators as ops
+from selflow.grids import Grid
 from selflow.projection import (
     ProjectionError,
     interior_divergence_max,
     leray_project,
+    solenoidal_norm_sq,
 )
 
 
@@ -60,6 +62,43 @@ class TestPeriodic:
         for m in range(3):
             um, _ = leray_project(v[m], grid32)
             assert np.array_equal(ub[m], um)
+
+
+# even square, odd (no Nyquist column), and non-square with ly != 1
+parseval_grids = pytest.mark.parametrize(
+    "grid", [Grid(32, 32), Grid(33, 31), Grid(32, 48, ly=1.7)],
+    ids=["32x32", "33x31", "32x48-ly1.7"])
+
+
+class TestSolenoidalNormSq:
+    """||P v||^2 by Parseval against the norm of the projected field."""
+
+    @parseval_grids
+    def test_matches_explicit_projection(self, grid, rng):
+        v = rng.standard_normal((3, 2, grid.nx, grid.ny))
+        assert ops.norm_linf(ops.divergence(v, grid, "periodic")) > 1.0
+        pv, _ = leray_project(v, grid, need_pressure=False)
+        explicit = ops.pair_vec(pv, pv, grid)
+        batched = solenoidal_norm_sq(v, grid)
+        assert batched.shape == (3,)
+        assert np.max(np.abs(batched - explicit) / explicit) <= 1e-12
+        single = solenoidal_norm_sq(v[0], grid)
+        assert abs(single - explicit[0]) <= 1e-12 * explicit[0]
+
+    @parseval_grids
+    def test_gradient_field_is_zero_never_negative(self, grid, rng):
+        X, Y = grid.meshgrid()
+        phi = np.sin(2 * np.pi * X / grid.lx + 0.3) * np.cos(4 * np.pi * Y / grid.ly)
+        phis = np.stack([phi, rng.standard_normal((grid.nx, grid.ny))])
+        v = ops.gradient(phis, grid, "periodic")
+        vals = solenoidal_norm_sq(v, grid)
+        full = ops.pair_vec(v, v, grid)
+        assert np.all(vals >= 0.0)
+        assert np.all(vals <= 1e-12 * full)
+
+    def test_bounded_grid_rejected(self, grid_bounded):
+        with pytest.raises(ValueError):
+            solenoidal_norm_sq(np.zeros((2, 32, 32)), grid_bounded)
 
 
 class TestBounded:
