@@ -102,6 +102,20 @@ class TestSweep:
         assert cauchy[0].startswith("eps_hi,eps_lo")
         assert len(cauchy) == 2
 
+    def test_bounded_grid(self, tmp_path, monkeypatch):
+        # the bounded projection controls only the interior divergence, which
+        # is what the sweep's velocity test functions are checked against
+        out = out_env(tmp_path, monkeypatch)
+        cfg = (TINY.replace("16x16", "32x32") + "sim.bc = bounded\n"
+               "sweep.eps = 0.3,0.15\nensemble.paths = 1\ntrack.budget = false\n")
+        assert main(["sweep", write_cfg(tmp_path, cfg)]) == 0
+        run = next(out.iterdir())
+        sweep = (run / "sweep.csv").read_text().splitlines()
+        assert sweep[0].startswith("path,eps,t,penalty,dev_norm,defect_count")
+        assert len(sweep) > 1
+        cauchy = (run / "cauchy.csv").read_text().splitlines()
+        assert len(cauchy) == 2
+
 
 class TestDiagnose:
     def test_constant_director_all_zero_report(self, tmp_path, capsys):
@@ -124,6 +138,12 @@ class TestDiagnose:
         assert main(["diagnose", str(snap), "--defects"]) == 0
         out = capsys.readouterr().out
         assert "defects: count = 1" in out
+        centers = [l for l in out.splitlines() if l.startswith("defects: center,")]
+        assert len(centers) == 1
+        for line in centers:
+            x, y, energy = (float(v) for v in line.split(",")[1:])
+            assert abs(x - 0.5) <= 2 * grid.hx and abs(y - 0.5) <= 2 * grid.hy
+            assert energy > 0
 
     def test_pairings(self, tmp_path, capsys):
         grid = Grid(32, 32)

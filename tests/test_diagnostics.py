@@ -3,6 +3,9 @@ multiplier residuals, defect detection, and the coupled sweep."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from selflow import operators as ops
 from selflow.diagnostics import (
@@ -370,6 +373,153 @@ class TestDefects:
         rep = defect_detect(d, grid_bounded, 0.2, 8 * grid_bounded.hx,
                             10 * total, bc="neumann")
         assert rep.count == 0
+
+
+def per_center_defect_detect(d, grid, eps, r, delta0_sq, bc=None, stride=2):
+    """Reference: the per-center scan that defined defect_detect, one
+    distance field, mask and full-grid sum per center."""
+    from selflow.diagnostics import _energy_density, _wrapped_dist_sq
+
+    if bc is None:
+        bc = grid.bc_director
+    e_w = _energy_density(d, grid, eps, bc) * grid.quad_weights()
+    xs = grid.x
+    ys = grid.y
+
+    hits = []
+    for i in range(0, grid.nx, stride):
+        for j in range(0, grid.ny, stride):
+            x0, y0 = xs[i], ys[j]
+            if not grid.periodic and not grid.contains_ball(x0, y0, r, margin_cells=0):
+                continue
+            mask = _wrapped_dist_sq(grid, x0, y0) <= r**2
+            energy = float(np.sum(e_w * mask))
+            if energy > delta0_sq:
+                hits.append((energy, x0, y0))
+
+    hits.sort(key=lambda t: (-t[0], t[1], t[2]))
+    centers = []
+    for energy, x0, y0 in hits:
+        clash = False
+        for cx, cy, _ in centers:
+            dx, dy = x0 - cx, y0 - cy
+            if grid.periodic:
+                dx -= grid.lx * round(dx / grid.lx)
+                dy -= grid.ly * round(dy / grid.ly)
+            if dx * dx + dy * dy <= (2.0 * r) ** 2:
+                clash = True
+                break
+        if not clash:
+            centers.append((x0, y0, energy))
+    return centers
+
+
+def mean_ball_energy(d, grid, eps, r):
+    """Total relaxation energy times the ball's area fraction: the average
+    local energy over scan centers, so fractions of it give mixed hit sets."""
+    from selflow.diagnostics import _energy_density
+
+    e = _energy_density(d, grid, eps, grid.bc_director)
+    return float(np.sum(e * grid.quad_weights())) * np.pi * r**2 / grid.area
+
+
+def scan_fields(grid):
+    # the noisy director is off the sphere, so the penalty term counts too
+    rng = np.random.default_rng(7)
+    return {
+        "smooth": smooth_unit_director(grid, 0.4),
+        "vortex": vortex_director(grid, 0.37 * grid.lx, 0.61 * grid.ly, 2 * grid.hx),
+        "noisy": smooth_unit_director(grid, 0.4) + 0.3 * rng.standard_normal((3, grid.nx, grid.ny)),
+    }
+
+
+SCAN_GRIDS = {
+    "periodic64": Grid(64, 64),
+    "periodic48x40": Grid(48, 40, ly=1.3),
+    "periodic33x31": Grid(33, 31, lx=1.7),
+    "bounded32": Grid(32, 32, bc_velocity="noslip", bc_director="neumann"),
+    "bounded41x37": Grid(41, 37, bc_velocity="noslip", bc_director="neumann"),
+}
+
+
+class TestDefectScanEquivalence:
+    """The cached, vectorized scan reproduces the per-center definition
+    bit for bit: counts, centers, energies and the suppression order."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(SCAN_GRIDS))
+    def test_equals_per_center_scan(self, name, stride):
+        grid = SCAN_GRIDS[name]
+        r = 8 * max(grid.hx, grid.hy)
+        for d in scan_fields(grid).values():
+            base = mean_ball_energy(d, grid, 0.2, r)
+            for q in (0.5, 0.8, 1.0):
+                thr = q * base
+                rep = defect_detect(d, grid, 0.2, r, thr, stride=stride)
+                assert rep.centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=stride)
+                assert rep.r == r and rep.delta0_sq == thr
+
+    def test_symmetric_ties_keep_their_order(self):
+        # exact energy ties of the symmetric smooth director: a sum over the
+        # in-ball nodes only reorders them and merges 4 centers into 2
+        grid = Grid(48, 40, ly=1.3)
+        r = 8 * max(grid.hx, grid.hy)
+        d = smooth_unit_director(grid, 0.4)
+        thr = 0.8 * mean_ball_energy(d, grid, 0.2, r)
+        rep = defect_detect(d, grid, 0.2, r, thr, stride=3)
+        assert rep.count == 4
+        assert rep.centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=3)
+
+    def test_centers_are_plain_floats(self):
+        grid = SCAN_GRIDS["periodic48x40"]
+        d = scan_fields(grid)["vortex"]
+        rep = defect_detect(d, grid, 0.2, 8 * grid.hy, 0.0)
+        assert rep.count > 0
+        assert all(type(v) is float for c in rep.centers for v in c)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        coeffs=arrays(np.float64, (2, 3, 3), elements=st.floats(-0.6, 0.6)),
+        q=st.floats(0.3, 1.5),
+        stride=st.integers(1, 3),
+        bounded=st.booleans(),
+    )
+    def test_random_smooth_director(self, coeffs, q, stride, bounded):
+        grid = (Grid(20, 18, bc_velocity="noslip", bc_director="neumann") if bounded
+                else Grid(20, 18, lx=1.2))
+        X, Y = grid.meshgrid()
+        k = 2 * np.pi * np.arange(3)
+        modes = (np.cos(k[:, None, None, None] * X / grid.lx + 0.3)
+                 * np.cos(k[None, :, None, None] * Y / grid.ly + 0.7))  # (3, 3, nx, ny)
+        v1, v2 = np.einsum("ckl,klxy->cxy", coeffs, modes)
+        norm = np.sqrt(v1**2 + v2**2 + 1.0)
+        d = np.stack([v1 / norm, v2 / norm, 1.0 / norm])
+        r = 4 * max(grid.hx, grid.hy)
+        thr = q * mean_ball_energy(d, grid, 0.2, r)
+        rep = defect_detect(d, grid, 0.2, r, thr, stride=stride)
+        assert rep.centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=stride)
+
+    def test_masks_built_once_per_grid_radius_and_stride(self, monkeypatch):
+        import selflow.diagnostics as dg
+
+        builds = []
+        real = dg._wrapped_dist_sq
+
+        def counting(grid, x0, y0):
+            builds.append((x0, y0))
+            return real(grid, x0, y0)
+
+        monkeypatch.setattr(dg, "_wrapped_dist_sq", counting)
+        grid = Grid(32, 32)
+        d = smooth_unit_director(grid, 0.4)
+        r = 8 * grid.hx
+        first = defect_detect(d, grid, 0.2, r, 0.0, stride=2)
+        assert len(builds) == 16 * 16
+        again = defect_detect(smooth_unit_director(grid, 0.2), grid, 0.1, r, 0.0, stride=2)
+        assert len(builds) == 16 * 16
+        assert first.count > 0 and again.count > 0
+        defect_detect(d, grid, 0.2, r, 0.0, stride=3)
+        assert len(builds) == 16 * 16 + 11 * 11
 
 
 class TestEpsilonSweep:

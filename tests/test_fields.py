@@ -46,6 +46,18 @@ class TestTestFunction:
         with pytest.raises(GridError):
             fl.TestFunction(bad)
 
+    def test_bounded_checks_interior_divergence(self, grid_bounded):
+        # wall rows use one-sided stencils the bounded projection does not
+        # control; the interior divergence is what must vanish
+        tf = fl.solenoidal_test_function(grid_bounded, 1, 1)
+        wall = np.max(np.abs(fl.divergence(tf.field).values))
+        assert wall > 1.0
+        X, Y = grid_bounded.meshgrid()
+        bad = fl.Field(grid_bounded, np.stack([np.sin(np.pi * X) * np.sin(np.pi * Y), 0 * Y]),
+                       "noslip")
+        with pytest.raises(GridError):
+            fl.TestFunction(bad)
+
     def test_solenoidal_factory(self, grid32):
         tf = fl.solenoidal_test_function(grid32, 1, 2)
         div = fl.divergence(tf.field)
