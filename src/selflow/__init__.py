@@ -15,14 +15,12 @@ from .dynamics import (
     penalty_density,
     stability_dt,
     step_coupled,
-    step_director,
-    step_velocity,
     strat_correction,
     ericksen_stress_div,
 )
 from .noise import MagneticField, NoiseOperatorS, WienerDriver, k2_norm, split_seed
 from .projection import ProjectionError, leray_project
-from .pathrun import EnergyRecord, PathResult, PathSeries, energy_record, simulate_path
+from .pathrun import PathResult, PathSeries, simulate_path
 from .diagnostics import (
     DefectReport,
     PohozaevReport,

@@ -90,7 +90,7 @@ def _write_series_csv(path: Path, series, extra_cols: dict | None = None) -> Non
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    result = run_path(cfg, cfg.seed, track_invariants=cfg.track_invariants)
+    result = run_path(cfg, cfg.seed)
     run_dir = _make_run_dir(cfg, "simulate")
     _write_manifest(run_dir, cfg, [cfg.seed])
     grid = result.state.grid
@@ -107,7 +107,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
             fh.write("# director weak form uses -f_eps(d) for the |grad d|^2 d term at finite eps\n")
             fh.write("test_function,residual\n")
             for name, val in {**ru, **rd}.items():
-                fh.write(f"{name},{val!r}\n")
+                fh.write(f"{name},{float(val)!r}\n")
+    if result.invariants is not None:
+        inv = result.invariants
+        with open(run_dir / "invariants.csv", "w", encoding="utf-8") as fh:
+            fh.write("max_divergence,max_adv_ratio\n")
+            fh.write(f"{inv.max_divergence!r},{inv.max_adv_ratio!r}\n")
     print(f"simulate: wrote {run_dir}")
     return EXIT_OK
 

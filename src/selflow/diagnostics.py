@@ -8,6 +8,7 @@ paths elsewhere.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,11 +18,9 @@ from .dynamics import Params, gl_force, penalty_density, strat_correction
 from .fields import TestFunction
 from .grids import Grid
 from .noise import MagneticField, NoiseOperatorS, WienerDriver
-from .pathrun import EnergyRecord, PathSeries, energy_record, simulate_path
+from .pathrun import PathSeries, simulate_path
 
 __all__ = [
-    "EnergyRecord",
-    "energy_record",
     "energy_budget_residual",
     "budget_residual_series",
     "triple_product_defects",
@@ -117,7 +116,7 @@ def sphere_generator_drift(d: np.ndarray, h: np.ndarray, xi2: float = 1.0) -> np
 # ---------------------------------------------------------------------------
 
 def traceless_stress(d: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
-    """Traceless elastic stress, shape (2, 2, nx, ny):
+    """Traceless elastic stress, shape (..., 2, 2, nx, ny):
 
         0.5 * [[|d1 d|^2 - |d2 d|^2,  2 <d1 d, d2 d>],
                [2 <d1 d, d2 d>,       |d2 d|^2 - |d1 d|^2]]
@@ -125,10 +124,11 @@ def traceless_stress(d: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
     The (1,1) entry is stored as the negation of the (0,0) entry, so the
     pointwise trace is exactly zero.
     """
-    g = ops.gradient(d, grid, bc)  # (3, 2, nx, ny)
-    t00 = 0.5 * (ops.dot3(g[:, 0], g[:, 0]) - ops.dot3(g[:, 1], g[:, 1]))
-    t01 = ops.dot3(g[:, 0], g[:, 1])
-    return np.stack([np.stack([t00, t01]), np.stack([t01, -t00])])
+    g = ops.gradient(d, grid, bc)  # (..., 3, 2, nx, ny)
+    gx, gy = g[..., 0, :, :], g[..., 1, :, :]
+    t00 = 0.5 * (ops.dot3(gx, gx) - ops.dot3(gy, gy))
+    t01 = ops.dot3(gx, gy)
+    return np.stack([np.stack([t00, t01], axis=-3), np.stack([t01, -t00], axis=-3)], axis=-4)
 
 
 def stress_pairing(d: np.ndarray, grid: Grid, bc_d: str, phi: TestFunction) -> float:
@@ -159,70 +159,66 @@ class WeakFormTracker:
         self.params = params
         self.u_tests = list(u_tests)
         self.d_tests = list(d_tests)
-        self._u_pre = []
-        for tf in self.u_tests:
-            f = tf.field
-            self._u_pre.append(
-                (
-                    f.values,
-                    ops.gradient(f.values, grid, f.bc),
-                    ops.laplacian(f.values, grid, f.bc),
-                )
-            )
-        self._d_pre = []
-        for tf in self.d_tests:
-            f = tf.field
-            self._d_pre.append(
-                (
-                    f.values,
-                    ops.gradient(f.values, grid, f.bc),
-                    ops.laplacian(f.values, grid, f.bc),
-                )
-            )
+        self._u_pre = [self._precompute(tf.field) for tf in self.u_tests]
+        self._d_pre = [self._precompute(tf.field) for tf in self.d_tests]
         self._w = grid.quad_weights()
-        self.initialized = False
+
+    def _precompute(self, f):
+        """(values, gradient, Laplacian) of one static test field."""
+        return f.values, ops.gradient(f.values, self.grid, f.bc), ops.laplacian(f.values, self.grid, f.bc)
 
     def initialize(self, u0: np.ndarray, d0: np.ndarray) -> None:
-        self.pair_u0 = [ops.inner(u0, p[0], self.grid) for p in self._u_pre]
-        self.pair_d0 = [ops.inner(d0, p[0], self.grid) for p in self._d_pre]
-        self.acc_u = np.zeros(len(self.u_tests))
-        self.acc_d = np.zeros(len(self.d_tests))
-        self.initialized = True
+        """Start from (u0, d0); a leading path axis makes every pairing and
+        accumulator per path."""
+        lanes = u0.shape[:-3]
+        self.pair_u0 = [ops.pair_vec(u0, p[0], self.grid) for p in self._u_pre]
+        self.pair_d0 = [ops.pair_vec(d0, p[0], self.grid) for p in self._d_pre]
+        self.acc_u = np.zeros((len(self.u_tests),) + lanes)
+        self.acc_d = np.zeros((len(self.d_tests),) + lanes)
+
+    def lane(self, i: int) -> "WeakFormTracker":
+        """The tracker of path ``i`` alone (shares the test-function data)."""
+        out = copy.copy(self)
+        out.pair_u0 = [v[i] for v in self.pair_u0]
+        out.pair_d0 = [v[i] for v in self.pair_d0]
+        out.acc_u, out.acc_d = self.acc_u[:, i], self.acc_d[:, i]
+        return out
 
     def accumulate(self, u, d, noise_u, dxh, dxhxh, f, dt, dW2) -> None:
         p = self.params
         w = self._w
+        g = self.grid
+        axes = (-4, -3, -2, -1)
         if self.u_tests:
             # the traceless stress of the current d, shared across tests
-            T = traceless_stress(d, self.grid, self.grid.bc_director)
+            T = traceless_stress(d, g, g.bc_director)
+        uu = u[..., :, None, :, :] * u[..., None, :, :, :]
         for k, (phi, gphi, lphi) in enumerate(self._u_pre):
-            adv = np.sum(u[:, None] * u[None, :] * gphi * w)
-            visc = p.mu * ops.inner(u, lphi, self.grid)
-            stress = p.lam * np.sum(T * gphi * w)
+            adv = np.sum(uu * gphi * w, axis=axes)
+            visc = p.mu * ops.pair_vec(u, lphi, g)
+            stress = p.lam * np.sum(T * gphi * w, axis=axes)
             self.acc_u[k] += dt * (adv + visc + stress)
             if noise_u is not None:
-                self.acc_u[k] += ops.inner(phi, noise_u, self.grid)
+                self.acc_u[k] += ops.pair_vec(phi, noise_u, g)
+        du = d[..., :, None, :, :] * u[..., None, :, :, :]
         for k, (psi, gpsi, lpsi) in enumerate(self._d_pre):
-            adv = np.sum(d[:, None] * u[None, :] * gpsi * w)
-            lap = p.gamma * ops.inner(d, lpsi, self.grid)
-            pen = p.gamma * ops.inner(-f, psi, self.grid)
-            strat = 0.5 * p.xi2**2 * ops.inner(dxhxh, psi, self.grid)
+            adv = np.sum(du * gpsi * w, axis=axes)
+            lap = p.gamma * ops.pair_vec(d, lpsi, g)
+            pen = p.gamma * ops.pair_vec(-f, psi, g)
+            strat = 0.5 * p.xi2**2 * ops.pair_vec(dxhxh, psi, g)
             self.acc_d[k] += dt * (adv + lap + pen + strat)
-            self.acc_d[k] += p.xi2 * ops.inner(dxh, psi, self.grid) * dW2
+            self.acc_d[k] += p.xi2 * ops.pair_vec(dxh, psi, g) * dW2
 
-    def residual_u(self, u_now: np.ndarray) -> dict[str, float]:
-        out = {}
-        for k, tf in enumerate(self.u_tests):
-            now = ops.inner(u_now, self._u_pre[k][0], self.grid)
-            out[tf.name] = now - self.pair_u0[k] - float(self.acc_u[k])
-        return out
+    def residual_u(self, u_now: np.ndarray) -> dict:
+        return self._residual(self.u_tests, self._u_pre, self.pair_u0, self.acc_u, u_now)
 
-    def residual_d(self, d_now: np.ndarray) -> dict[str, float]:
-        out = {}
-        for k, tf in enumerate(self.d_tests):
-            now = ops.inner(d_now, self._d_pre[k][0], self.grid)
-            out[tf.name] = now - self.pair_d0[k] - float(self.acc_d[k])
-        return out
+    def residual_d(self, d_now: np.ndarray) -> dict:
+        return self._residual(self.d_tests, self._d_pre, self.pair_d0, self.acc_d, d_now)
+
+    def _residual(self, tests, pre, pair0, acc, now) -> dict:
+        """{test name: <now, test> - <start, test> - accumulated pairings}."""
+        return {tf.name: ops.pair_vec(now, pre[k][0], self.grid) - pair0[k] - acc[k]
+                for k, tf in enumerate(tests)}
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,14 @@ left-endpoint time integrals that the energy-budget diagnostic consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import operators as ops
 from .grids import Grid
-from .noise import MagneticField, NoiseOperatorS, WienerDriver
-from .projection import PROJ_TOL, leray_project
+from .noise import MagneticField, NoiseOperatorS
+from .projection import PROJ_TOL, interior_divergence_max, leray_project
 
 STRESS_FORMS = ("reduced", "divergence")
 
@@ -82,9 +82,6 @@ class Params:
         if self.stress_form not in STRESS_FORMS:
             raise ValueError(f"stress_form must be one of {STRESS_FORMS}")
 
-    def with_dt(self, dt: float) -> "Params":
-        return replace(self, dt=dt)
-
 
 def stability_dt(eps: float, grid: Grid, mu: float, gamma: float, umax: float = 0.0) -> float:
     """Explicit-step time-step cap.
@@ -121,13 +118,12 @@ class Ledgers:
     int_hs: float = 0.0        # sum dt * 0.5 xi1^2 ||S(u_n)||_HS^2
     int_strat: float = 0.0     # sum dt * 0.5 (<grad d, grad((dxh)xh)> + ||grad(dxh)||^2)
 
-    def copy(self) -> "Ledgers":
-        return Ledgers(**vars(self))
-
 
 @dataclass
 class SimState:
-    """One path of the coupled system: fields, clock, and ledgers."""
+    """Paths of the coupled system: fields, clock, and ledgers.  The fields
+    may carry a leading path axis, and the ledgers then hold one value per
+    path."""
 
     grid: Grid
     t: float
@@ -186,42 +182,6 @@ def ericksen_stress_div(d: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
     return np.stack(cols, axis=-3)
 
 
-def stress_force(
-    d: np.ndarray, grid: Grid, bc: str, form: str = "reduced", lap_d: np.ndarray | None = None
-) -> np.ndarray:
-    """Force entering the momentum equation for -lam * (this).
-
-    'reduced' evaluates sum_c (lap d_c) grad d_c, equal to the full tensor
-    divergence up to grad(|grad d|^2/2), which the projection removes.
-    """
-    if form == "divergence":
-        return ericksen_stress_div(d, grid, bc)
-    if lap_d is None:
-        lap_d = ops.laplacian(d, grid, bc)
-    g = ops.gradient(d, grid, bc)
-    return np.sum(lap_d[..., :, None, :, :] * g, axis=-4)
-
-
-def step_director(state: SimState, params: Params, h: MagneticField, dW2: float,
-                  d_bc_values: np.ndarray | None = None) -> np.ndarray:
-    """One explicit director update from the time-n fields; returns d+."""
-    grid, d, u = state.grid, state.d, state.u
-    bc = state.bc_d()
-    tau = ops.laplacian(d, grid, bc) - gl_force(d, params.eps)
-    dxh = ops.cross(d, h.values)
-    drift = (
-        -ops.advect(u, d, grid, bc)
-        + params.gamma * tau
-        + 0.5 * params.xi2**2 * ops.cross(dxh, h.values)
-    )
-    d_new = d + params.dt * drift + params.xi2 * dxh * dW2
-    if bc == "dirichlet" and d_bc_values is not None:
-        _pin_boundary(d_new, d_bc_values)
-    if not np.all(np.isfinite(d_new)):
-        raise BlowUpError(state.step, state.t)
-    return d_new
-
-
 def _pin_boundary(a: np.ndarray, ref: np.ndarray) -> None:
     a[..., 0, :] = ref[..., 0, :]
     a[..., -1, :] = ref[..., -1, :]
@@ -229,36 +189,13 @@ def _pin_boundary(a: np.ndarray, ref: np.ndarray) -> None:
     a[..., :, -1] = ref[..., :, -1]
 
 
-def step_velocity(
-    state: SimState, params: Params, S: NoiseOperatorS, dB: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One explicit velocity update plus projection; returns (u+, pressure)."""
-    grid, u, d = state.grid, state.u, state.d
-    bc_u, bc_d = state.bc_u(), state.bc_d()
-    drift = (
-        -ops.advect_skew(u, u, grid, bc_u)
-        + params.mu * ops.laplacian(u, grid, bc_u)
-        - params.lam * stress_force(d, grid, bc_d, params.stress_form)
-    )
-    v = u + params.dt * drift
-    if params.xi1 != 0.0:
-        # unprojected mode mix; the step projection makes it S(u) dW1
-        v = v + params.xi1 * S.mix_increments(u, dB)
-    u_new, p = leray_project(v, grid, tol=params.proj_tol,
-                             maxiter=params.proj_maxiter or None)
-    if not np.all(np.isfinite(u_new)):
-        raise BlowUpError(state.step, state.t)
-    return u_new, p
-
-
 def step_coupled(
     state: SimState,
     params: Params,
-    driver: WienerDriver | None,
     S: NoiseOperatorS,
     h: MagneticField,
+    normals: np.ndarray,
     *,
-    normals: np.ndarray | None = None,
     track_budget: bool = False,
     weak_tracker=None,
     invariant_sink=None,
@@ -266,23 +203,19 @@ def step_coupled(
 ) -> SimState:
     """Advance the coupled state by one step (mutates and returns ``state``).
 
-    Both updates read the time-n fields.  ``normals`` optionally prescribes
-    this step's standard normals (for path-coupled refinement studies and
-    batched runs); otherwise the driver is sampled.  State arrays may carry
-    a leading path axis, in which case the ledgers accumulate per path.
-    ``weak_tracker`` and ``invariant_sink`` receive the per-step pairings
-    when supplied.
+    Both updates read the time-n fields.  ``normals`` holds this step's N+1
+    standard normals (N velocity modes, then the director motion), one row
+    per path.  State arrays may carry a leading path axis, in which case the
+    ledgers accumulate per path.  ``weak_tracker`` and ``invariant_sink``
+    receive the per-step pairings when supplied.
     """
     grid, dt = state.grid, params.dt
     u, d = state.u, state.d
     bc_u, bc_d = state.bc_u(), state.bc_d()
 
-    if normals is None:
-        normals = driver.sample_normals()
-    n_modes = driver.n_modes if driver is not None else S.n_modes
     root = np.sqrt(dt)
-    dB = root * normals[..., :n_modes]
-    dW2 = root * normals[..., n_modes]
+    dB = root * normals[..., :S.n_modes]
+    dW2 = root * normals[..., S.n_modes]
 
     # time-n director pieces; the central gradient of d is shared between
     # the advection term and the reduced stress force
@@ -327,7 +260,8 @@ def step_coupled(
     if weak_tracker is not None:
         weak_tracker.accumulate(u, d, noise_u, dxh, dxhxh, f, dt, dW2)
     if invariant_sink is not None:
-        invariant_sink.record_advection(ops.inner(adv_u, u, grid), ops.norm_l2(u, grid))
+        invariant_sink.record_advection(ops.pair_vec(adv_u, u, grid),
+                                        np.sqrt(ops.pair_vec(u, u, grid)))
 
     # updates
     d_new = d + dt * (-adv_d + params.gamma * tau + 0.5 * params.xi2**2 * dxhxh)
@@ -346,10 +280,7 @@ def step_coupled(
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(d_new))):
         raise BlowUpError(state.step, state.t)
     if invariant_sink is not None:
-        div = ops.divergence(u_new, grid, bc_u)
-        if not grid.periodic:
-            div = div[1:-1, 1:-1]
-        invariant_sink.record_divergence(ops.norm_linf(div))
+        invariant_sink.record_divergence(interior_divergence_max(u_new, grid))
 
     state.u, state.d = u_new, d_new
     state.t += dt

@@ -79,25 +79,28 @@ class EnsembleResult:
     seeds: list[int]
 
 
-def run_path(config: RunConfig, seed: int, *, track_invariants: bool = False,
-             weak_tracker: WeakFormTracker | None = None,
-             normals_table: np.ndarray | None = None,
-             checkpoint_hook=None) -> PathResult:
-    """One path, fully determined by (config, seed)."""
+def _build(config: RunConfig):
+    """(grid, u0, d0, params, S, h) of a config."""
     grid = build_grid(config)
     u0 = build_initial_u(config, grid)
     d0 = build_initial_d(config, grid)
     params = build_params(config, grid, umax=float(np.max(np.abs(u0))))
-    S = build_noise_operator(config, grid)
-    h = build_magnetic_field(config, grid)
-    driver = WienerDriver(seed, config.modes)
+    return grid, u0, d0, params, build_noise_operator(config, grid), build_magnetic_field(config, grid)
+
+
+def run_path(config: RunConfig, seed: int, *,
+             weak_tracker: WeakFormTracker | None = None,
+             normals_table: np.ndarray | None = None,
+             checkpoint_hook=None) -> PathResult:
+    """One path, fully determined by (config, seed)."""
+    grid, u0, d0, params, S, h = _build(config)
     if weak_tracker is None and config.track_weak:
         weak_tracker = default_weak_tracker(grid, params)
     return simulate_path(
-        grid, params, u0, d0, S, h, driver,
+        grid, params, u0, d0, S, h, WienerDriver(seed, config.modes),
         checkpoint_every=config.checkpoint_every,
         track_budget=config.track_budget,
-        track_invariants=track_invariants or config.track_invariants,
+        track_invariants=config.track_invariants,
         weak_tracker=weak_tracker,
         normals_table=normals_table,
         checkpoint_hook=checkpoint_hook,
@@ -125,43 +128,28 @@ def run_ensemble(spec: EnsembleSpec, config: RunConfig,
     """Independent paths with derived seeds, merged into EnsembleStats.
 
     Paths are grouped into fixed index-contiguous batches that advance in
-    lockstep (vectorized over a leading path axis).  ``order`` permutes only
-    the execution order of those work units (a reproducibility probe);
-    results are stored by path index, so the output does not depend on it.
-    Bounded grids fall back to one path per work unit.
+    lockstep (vectorized over a leading path axis); every lane is
+    bit-identical to :func:`run_path` with its seed, whatever the batch size.
+    ``order`` permutes only the execution order of those work units (a
+    reproducibility probe); results are stored by path index, so the output
+    does not depend on it.
     """
-    cfg_paths = RunConfig(**{**vars(config)})
-    cfg_paths.checkpoint_every = spec.checkpoint_every
-    cfg_paths.track_budget = spec.track_budget
-
     n = spec.n_paths
     seeds = [spec.path_seed(i) for i in range(n)]
     results: list[PathSeries | None] = [None] * n
-
-    grid = build_grid(cfg_paths)
-    if not grid.periodic:
-        batch_size = 1
     groups = [list(range(a, min(a + batch_size, n))) for a in range(0, n, batch_size)]
-
-    u0 = build_initial_u(cfg_paths, grid)
-    d0 = build_initial_d(cfg_paths, grid)
-    params = build_params(cfg_paths, grid, umax=float(np.max(np.abs(u0))))
-    S = build_noise_operator(cfg_paths, grid)
-    h = build_magnetic_field(cfg_paths, grid)
+    grid, u0, d0, params, S, h = _build(config)
 
     def work(g: int) -> None:
         idx = groups[g]
-        if len(idx) == 1 and not grid.periodic:
-            results[idx[0]] = run_path(cfg_paths, seeds[idx[0]]).series
-            return
-        drivers = [WienerDriver(seeds[i], cfg_paths.modes) for i in idx]
-        series = simulate_batch(
+        drivers = [WienerDriver(seeds[i], config.modes) for i in idx]
+        batch = simulate_batch(
             grid, params, u0, d0, S, h, drivers,
             checkpoint_every=spec.checkpoint_every,
             track_budget=spec.track_budget,
         )
-        for i, s in zip(idx, series):
-            results[i] = s
+        for i, res in zip(idx, batch):
+            results[i] = res.series
 
     group_order = list(range(len(groups))) if order is None else list(order)
     if spec.threads > 1:
@@ -171,7 +159,7 @@ def run_ensemble(spec: EnsembleSpec, config: RunConfig,
         for g in group_order:
             work(g)
 
-    series = [s for s in results]  # index order regardless of execution order
+    series = list(results)  # index order regardless of execution order
     return EnsembleResult(stats=reduce_stats(series, spec), series=series, seeds=seeds)
 
 
@@ -219,12 +207,7 @@ def coupled_sweep(spec: EnsembleSpec, config: RunConfig,
     pairing Cauchy differences averaged across paths."""
     if eps_list is None:
         eps_list = parse_eps_list(config.sweep_eps)
-    grid = build_grid(config)
-    u0 = build_initial_u(config, grid)
-    d0 = build_initial_d(config, grid)
-    params = build_params(config, grid, umax=float(np.max(np.abs(u0))))
-    S = build_noise_operator(config, grid)
-    h = build_magnetic_field(config, grid)
+    grid, u0, d0, params, S, h = _build(config)
     phis = default_sweep_test_functions(grid)
 
     per_path = []

@@ -150,6 +150,15 @@ def default_mode_shapes(grid: Grid, n_modes: int) -> np.ndarray:
     return np.cos(ax[:, None, None] * X) * np.cos(ay[:, None, None] * Y)
 
 
+def _mode_sum(wts: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_i wts[..., i] * stack[i], accumulated in index order."""
+    w = wts.reshape(wts.shape[:-1] + (1,) * (stack.ndim - 1) + wts.shape[-1:])
+    out = w[..., 0] * stack[0]
+    for i in range(1, len(stack)):
+        out += w[..., i] * stack[i]
+    return out
+
+
 class NoiseOperatorS:
     """Diagonal Hilbert-Schmidt noise operator, immutable and shareable.
 
@@ -204,14 +213,18 @@ class NoiseOperatorS:
 
         By linearity, projecting this once equals summing the projected
         modes; the coupled stepper folds it into its own projection.
+
+        The modes are accumulated one at a time in index order rather than
+        contracted by BLAS, whose rounding depends on the number of leading
+        lanes; so each lane of a batch mixes bit-identically to a lone path.
         """
         dB = np.asarray(dB)
         if dB.shape[-1] != self.n_modes:
             raise ValueError(f"expected {self.n_modes} increments, got {dB.shape[-1]}")
         wts = self.decay * dB
-        mix = np.tensordot(wts, self.shapes, axes=(-1, 0))[..., None, :, :] * u
+        mix = _mode_sum(wts, self.shapes)[..., None, :, :] * u
         if self._has_additive:
-            mix = mix + np.tensordot(wts, self.additive, axes=(-1, 0))
+            mix = mix + _mode_sum(wts, self.additive)
         return mix
 
     def apply_increments(self, u: np.ndarray, dB: np.ndarray) -> np.ndarray:

@@ -133,36 +133,22 @@ def _link_weights(grid: Grid, axis: int) -> np.ndarray:
     return np.outer(w_tr, np.full(n_long, h))
 
 
-def _links_product_sum(a: np.ndarray, b: np.ndarray, grid: Grid, axes) -> np.ndarray:
+def dirichlet_form_vec(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
+    """Discrete Dirichlet form <grad a, grad b> built from forward links, of
+    vector fields (..., k, nx, ny): reduced over the trailing component and
+    space axes only (leading path axes survive).
+
+    Chosen so that <laplacian(f), g> == -dirichlet_form_vec(f, g) exactly
+    in periodic mode, in bounded-neumann mode, and for fields vanishing on
+    the boundary; the step-by-step energy budget then closes without
+    spatial leakage.
+    """
     total = 0.0
     for axis in (0, 1):
         la = _forward_links(a, grid, axis, grid.periodic)
         lb = _forward_links(b, grid, axis, grid.periodic)
-        w = _link_weights(grid, axis)
-        total = total + np.sum(la * lb * w, axis=axes)
+        total = total + np.sum(la * lb * _link_weights(grid, axis), axis=(-3, -2, -1))
     return total
-
-
-def dirichlet_form(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
-    """Discrete Dirichlet form <grad a, grad b> built from forward links.
-
-    Chosen so that inner(laplacian(f), g) == -dirichlet_form(f, g) exactly in
-    periodic mode, in bounded-neumann mode, and for fields vanishing on the
-    boundary; the step-by-step energy budget then closes without spatial
-    leakage.  Vector components are summed.
-    """
-    return float(_links_product_sum(a, b, grid, axes=None))
-
-
-def dirichlet_form_vec(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
-    """Dirichlet form of vector fields (..., k, nx, ny), reduced over the
-    trailing component and space axes only (leading path axes survive)."""
-    return _links_product_sum(a, b, grid, axes=(-3, -2, -1))
-
-
-def grad_norm_sq(a: np.ndarray, grid: Grid) -> float:
-    """Integral of |grad a|^2 (the Laplacian's Dirichlet form)."""
-    return dirichlet_form(a, a, grid)
 
 
 def pair_vec(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
@@ -175,28 +161,18 @@ def pair_scalar(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
     return np.sum(a * b * grid.quad_weights(), axis=(-2, -1))
 
 
-def advect(u: np.ndarray, f: np.ndarray, grid: Grid, bc_f: str) -> np.ndarray:
-    """Plain advection (u . grad) f with central differences.
-
-    ``f`` must carry a component axis: (..., k, nx, ny); ``u`` is
-    (..., 2, nx, ny).
-    """
-    u0 = u[..., 0:1, :, :]
-    u1 = u[..., 1:2, :, :]
-    return u0 * deriv(f, grid, 0, bc_f) + u1 * deriv(f, grid, 1, bc_f)
-
-
 def advect_skew(u: np.ndarray, f: np.ndarray, grid: Grid, bc_f: str) -> np.ndarray:
-    """Skew-symmetric advection 0.5*[u . grad f + div(u f)].
+    """Skew-symmetric advection 0.5*[u . grad f + div(u f)] with central
+    differences; ``f`` is (..., k, nx, ny) and ``u`` is (..., 2, nx, ny).
 
     With central differences and rectangle quadrature the associated
     trilinear form is exactly antisymmetric in periodic mode, so
     <advect_skew(u, f), f> vanishes to rounding regardless of div u.
     """
-    conv = advect(u, f, grid, bc_f)
-    dive = deriv(u[..., 0:1, :, :] * f, grid, 0, bc_f) + deriv(
-        u[..., 1:2, :, :] * f, grid, 1, bc_f
-    )
+    u0 = u[..., 0:1, :, :]
+    u1 = u[..., 1:2, :, :]
+    conv = u0 * deriv(f, grid, 0, bc_f) + u1 * deriv(f, grid, 1, bc_f)
+    dive = deriv(u0 * f, grid, 0, bc_f) + deriv(u1 * f, grid, 1, bc_f)
     return 0.5 * (conv + dive)
 
 

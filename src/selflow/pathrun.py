@@ -1,11 +1,10 @@
 """Drive paths from t = 0 to T, emitting checkpoint records.
 
-Two runners share one stepping core: :func:`simulate_path` advances a single
-path (with optional weak-form tracking and per-step invariant monitors), and
-:func:`simulate_batch` advances many independent paths at once as one
-leading-axis array state, which is how ensembles stay affordable in pure
-numpy.  Everything downstream (budget residuals, ensembles, sweeps) consumes
-the :class:`PathSeries` produced here.
+One runner, :func:`simulate_batch`, advances any number of independent
+paths in lockstep as one leading-axis array state, which is how ensembles
+stay affordable in pure numpy; :func:`simulate_path` is its one-lane case.
+Everything downstream (budget residuals, ensembles, sweeps) consumes the
+:class:`PathSeries` produced here.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import numpy as np
 
 from . import operators as ops
 from .dynamics import (
+    Ledgers,
     Params,
     SimState,
     check_stability,
@@ -24,6 +24,9 @@ from .dynamics import (
     step_coupled,
 )
 from .noise import MagneticField, NoiseOperatorS, WienerDriver
+
+# rows of standard normals drawn from each driver at a time
+RNG_CHUNK = 256
 
 RECORD_FIELDS = (
     "t",
@@ -46,39 +49,16 @@ RECORD_FIELDS = (
 )
 
 
-@dataclass
-class EnergyRecord:
-    """Energy decomposition and budget terms at one instant.
-
-    ``hs`` carries its 0.5 xi1^2 prefactor; ``strat_drift`` is the bare
-    0.5 (<grad d, grad((d x h) x h)> + ||grad(d x h)||^2) without constants.
-    The int_* entries are the running left-endpoint time integrals
-    accumulated by the stepper.
-    """
-
-    t: float
-    kinetic: float
-    dirichlet: float
-    penalty: float
-    total: float
-    dissipation_u: float
-    dissipation_d: float
-    hs: float
-    strat_drift: float
-    ledger1: float
-    ledger2: float
-    int_diss_u: float = 0.0
-    int_diss_d: float = 0.0
-    int_hs: float = 0.0
-    int_strat: float = 0.0
-    max_abs_d: float = 0.0
-    dev_norm: float = 0.0
-
-
 def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
                    h: MagneticField) -> dict:
     """Every energy-identity term at the current state; batch-transparent
-    (per-path values when the state carries a leading path axis)."""
+    (per-path values when the state carries a leading path axis, and the
+    clock and untouched ledgers shared as scalars).
+
+    ``hs`` carries its 0.5 xi1^2 prefactor; ``strat_drift`` is the bare
+    0.5 (<grad d, grad((d x h) x h)> + ||grad(d x h)||^2).  The int_*
+    entries are the stepper's running left-endpoint time integrals.
+    """
     grid, u, d = state.grid, state.u, state.d
     kinetic = 0.5 * ops.pair_vec(u, u, grid)
     dirichlet = 0.5 * ops.dirichlet_form_vec(d, d, grid)
@@ -92,7 +72,6 @@ def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
     )
     dev_sq = ops.dot3(d, d) - 1.0
     led = state.ledgers
-    shape = np.shape(kinetic)
     return {
         "t": state.t,
         "kinetic": kinetic,
@@ -103,36 +82,39 @@ def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
         "dissipation_d": ops.pair_vec(tau, tau, grid),
         "hs": hs,
         "strat_drift": strat,
-        "ledger1": led.noise_u + np.zeros(shape),
-        "ledger2": led.noise_d + np.zeros(shape),
-        "int_diss_u": led.int_diss_u + np.zeros(shape),
-        "int_diss_d": led.int_diss_d + np.zeros(shape),
-        "int_hs": led.int_hs + np.zeros(shape),
-        "int_strat": led.int_strat + np.zeros(shape),
+        "ledger1": led.noise_u,
+        "ledger2": led.noise_d,
+        "int_diss_u": led.int_diss_u,
+        "int_diss_d": led.int_diss_d,
+        "int_hs": led.int_hs,
+        "int_strat": led.int_strat,
         "max_abs_d": np.sqrt(np.max(ops.dot3(d, d), axis=(-2, -1))),
         "dev_norm": np.sqrt(np.maximum(ops.pair_scalar(dev_sq, dev_sq, grid), 0.0)),
     }
 
 
-def energy_record(state: SimState, params: Params, S: NoiseOperatorS,
-                  h: MagneticField) -> EnergyRecord:
-    """Pure single-path evaluation of every energy-identity term."""
-    cols = record_columns(state, params, S, h)
-    return EnergyRecord(**{k: float(v) for k, v in cols.items()})
+def _at(value, lane: int) -> float:
+    """Lane ``lane`` of a per-path value, or the value shared by all paths."""
+    return float(value[lane]) if np.ndim(value) else float(value)
 
 
 @dataclass
 class InvariantSink:
-    """Per-step monitors: worst divergence and advection-pairing defect."""
+    """Per-step monitors, per path: worst divergence and advection-pairing
+    defect."""
 
-    max_divergence: float = 0.0
-    max_adv_ratio: float = 0.0
+    max_divergence: float | np.ndarray = 0.0
+    max_adv_ratio: float | np.ndarray = 0.0
 
-    def record_advection(self, pairing: float, u_norm: float) -> None:
-        self.max_adv_ratio = max(self.max_adv_ratio, abs(pairing) / (1.0 + u_norm**3))
+    def record_advection(self, pairing, u_norm) -> None:
+        self.max_adv_ratio = np.maximum(self.max_adv_ratio,
+                                        np.abs(pairing) / (1.0 + u_norm**3))
 
-    def record_divergence(self, div_inf: float) -> None:
-        self.max_divergence = max(self.max_divergence, div_inf)
+    def record_divergence(self, div_inf) -> None:
+        self.max_divergence = np.maximum(self.max_divergence, div_inf)
+
+    def lane(self, i: int) -> "InvariantSink":
+        return InvariantSink(_at(self.max_divergence, i), _at(self.max_adv_ratio, i))
 
 
 @dataclass
@@ -164,73 +146,22 @@ class PathResult:
     weak_tracker: object | None = None
 
 
-def _resolve_steps(params: Params, n_steps: int | None) -> int:
-    if n_steps is None:
-        n_steps = max(1, int(round(params.T / params.dt)))
-    return n_steps
+def _normal_rows(drivers: list[WienerDriver], n_steps: int, table: np.ndarray | None):
+    """Each step's (lanes, N+1) standard normals: the rows of ``table``, or
+    every driver's stream read RNG_CHUNK rows at a time."""
+    if table is not None:
+        if table.shape[0] < n_steps:
+            raise ValueError(f"normals_table has {table.shape[0]} rows for {n_steps} steps")
+        yield from table[:n_steps]
+        return
+    for base in range(0, n_steps, RNG_CHUNK):
+        size = min(RNG_CHUNK, n_steps - base)
+        yield from np.stack([drv.normal_table(size) for drv in drivers], axis=1)
 
 
-def simulate_path(
-    grid,
-    params: Params,
-    u0: np.ndarray,
-    d0: np.ndarray,
-    S: NoiseOperatorS,
-    h: MagneticField,
-    driver: WienerDriver,
-    *,
-    checkpoint_every: int = 50,
-    n_steps: int | None = None,
-    track_budget: bool = True,
-    track_invariants: bool = False,
-    weak_tracker=None,
-    normals_table: np.ndarray | None = None,
-    checkpoint_hook=None,
-) -> PathResult:
-    """Step one path to T and collect checkpoint records.
-
-    Raises the stepper's stability / blow-up errors with the failing time
-    attached.  Deterministic in (inputs, driver seed).
-    """
-    n_steps = _resolve_steps(params, n_steps)
-    check_stability(params, grid, umax=float(np.max(np.abs(u0))))
-    state = SimState.initial(grid, u0, d0)
-    if weak_tracker is not None:
-        weak_tracker.initialize(u0, d0)
-    sink = InvariantSink() if track_invariants else None
-    d_bc = d0 if grid.bc_director == "dirichlet" else None
-
-    rows: list[EnergyRecord] = []
-    extras: dict[str, list] = {}
-
-    def emit():
-        rows.append(energy_record(state, params, S, h))
-        if checkpoint_hook is not None:
-            for key, val in checkpoint_hook(state).items():
-                extras.setdefault(key, []).append(val)
-
-    emit()
-    for step in range(n_steps):
-        normals = None if normals_table is None else normals_table[step]
-        step_coupled(
-            state,
-            params,
-            driver,
-            S,
-            h,
-            normals=normals,
-            track_budget=track_budget,
-            weak_tracker=weak_tracker,
-            invariant_sink=sink,
-            d_bc_values=d_bc,
-        )
-        if (step + 1) % checkpoint_every == 0 or step + 1 == n_steps:
-            emit()
-
-    columns = {name: np.array([getattr(r, name) for r in rows]) for name in RECORD_FIELDS}
-    for key, vals in extras.items():
-        columns[key] = np.array(vals)
-    return PathResult(PathSeries(columns), state, driver.seed, sink, weak_tracker)
+def _lane_state(state: SimState, i: int) -> SimState:
+    led = Ledgers(**{k: _at(v, i) for k, v in vars(state.ledgers).items()})
+    return SimState(state.grid, state.t, state.u[i], state.d[i], state.step, led)
 
 
 def simulate_batch(
@@ -244,48 +175,85 @@ def simulate_batch(
     *,
     checkpoint_every: int = 50,
     n_steps: int | None = None,
-    track_budget: bool = False,
-    rng_chunk: int = 256,
-) -> list[PathSeries]:
-    """Advance len(drivers) independent paths in lockstep as one batched
-    state (leading path axis).  Each path consumes its own driver stream
-    exactly as the single-path runner would, so lane m reproduces
-    simulate_path with drivers[m] up to floating-point associativity of the
-    batched kernels (bit-identical in practice; asserted in the tests).
+    track_budget: bool = True,
+    track_invariants: bool = False,
+    weak_tracker=None,
+    normals_table: np.ndarray | None = None,
+    checkpoint_hook=None,
+) -> list[PathResult]:
+    """Advance len(drivers) independent paths from (u0, d0) in lockstep as
+    one batched state (leading path axis) and collect checkpoint records.
+
+    Each path reads its own driver stream, RNG_CHUNK rows at a time, and no
+    kernel mixes lanes, so lane m is bit-identical to a lone run with
+    drivers[m].  ``normals_table`` (n_steps, len(drivers), N+1) replaces
+    the drivers' streams.  ``weak_tracker`` accumulates per lane, and
+    ``checkpoint_hook(state)`` is called once per lane with that lane's
+    state; its dict values become extra columns.  Raises the stepper's
+    stability / blow-up errors.
     """
-    n_steps = _resolve_steps(params, n_steps)
+    if n_steps is None:
+        n_steps = max(1, int(round(params.T / params.dt)))
     m = len(drivers)
     check_stability(params, grid, umax=float(np.max(np.abs(u0))))
-    u = np.broadcast_to(u0, (m,) + u0.shape).copy()
-    d = np.broadcast_to(d0, (m,) + d0.shape).copy()
-    state = SimState(grid, 0.0, u, d)
+    state = SimState.initial(grid, np.broadcast_to(u0, (m,) + u0.shape),
+                             np.broadcast_to(d0, (m,) + d0.shape))
+    if weak_tracker is not None:
+        weak_tracker.initialize(state.u, state.d)
+    sink = InvariantSink() if track_invariants else None
     d_bc = d0 if grid.bc_director == "dirichlet" else None
 
-    rows: list[dict] = [record_columns(state, params, S, h)]
-    chunk: np.ndarray | None = None
-    chunk_base = 0
-    for step in range(n_steps):
-        if chunk is None or step - chunk_base >= chunk.shape[0]:
-            chunk_base = step
-            size = min(rng_chunk, n_steps - step)
-            chunk = np.stack([drv.normal_table(size) for drv in drivers], axis=1)
-        normals = chunk[step - chunk_base]  # (m, N+1)
+    rows: list[dict] = []
+    extras: list[dict[str, list]] = [{} for _ in range(m)]
+
+    def emit():
+        rows.append(record_columns(state, params, S, h))
+        if checkpoint_hook is not None:
+            for lane in range(m):
+                for key, val in checkpoint_hook(_lane_state(state, lane)).items():
+                    extras[lane].setdefault(key, []).append(val)
+
+    emit()
+    for step, normals in enumerate(_normal_rows(drivers, n_steps, normals_table)):
         step_coupled(
-            state, params, None, S, h,
-            normals=normals,
+            state, params, S, h, normals,
             track_budget=track_budget,
+            weak_tracker=weak_tracker,
+            invariant_sink=sink,
             d_bc_values=d_bc,
         )
         if (step + 1) % checkpoint_every == 0 or step + 1 == n_steps:
-            rows.append(record_columns(state, params, S, h))
+            emit()
 
     out = []
-    for lane in range(m):
-        columns = {}
-        for name in RECORD_FIELDS:
-            vals = [row[name] for row in rows]
-            columns[name] = np.array(
-                [v[lane] if np.ndim(v) else v for v in vals], dtype=float
-            )
-        out.append(PathSeries(columns))
+    for lane, drv in enumerate(drivers):
+        columns = {name: np.array([_at(row[name], lane) for row in rows])
+                   for name in RECORD_FIELDS}
+        columns.update({key: np.array(vals) for key, vals in extras[lane].items()})
+        out.append(PathResult(
+            PathSeries(columns), _lane_state(state, lane), drv.seed,
+            None if sink is None else sink.lane(lane),
+            None if weak_tracker is None else weak_tracker.lane(lane),
+        ))
     return out
+
+
+def simulate_path(
+    grid,
+    params: Params,
+    u0: np.ndarray,
+    d0: np.ndarray,
+    S: NoiseOperatorS,
+    h: MagneticField,
+    driver: WienerDriver,
+    *,
+    normals_table: np.ndarray | None = None,
+    **options,
+) -> PathResult:
+    """One path: a one-lane :func:`simulate_batch`, unwrapped.  A
+    ``normals_table`` is (n_steps, N+1); the other options are the batch
+    runner's."""
+    if normals_table is not None:
+        normals_table = normals_table[:, None, :]
+    return simulate_batch(grid, params, u0, d0, S, h, [driver],
+                          normals_table=normals_table, **options)[0]

@@ -188,11 +188,14 @@ def _bounded_solver(grid: Grid):
     return grid._cache[key]
 
 
-def interior_divergence_max(u: np.ndarray, grid: Grid) -> float:
+def interior_divergence_max(u: np.ndarray, grid: Grid):
+    """Largest |central divergence| of u (..., 2, nx, ny) per path, over
+    every node on periodic grids and over the interior nodes otherwise
+    (the only ones the bounded projection controls)."""
     d = divergence(u, grid, "periodic" if grid.periodic else "none")
-    if grid.periodic:
-        return norm_linf(d)
-    return norm_linf(d[1:-1, 1:-1])
+    if not grid.periodic:
+        d = d[..., 1:-1, 1:-1]
+    return np.max(np.abs(d), axis=(-2, -1))
 
 
 def _project_bounded(

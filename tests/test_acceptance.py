@@ -155,7 +155,7 @@ def test_criterion_04_sphere_conservation_in_law():
         state = SimState.initial(grid, np.zeros((2, 4, 4)), d0)
         driver = WienerDriver(7000 + p, 1)
         for _ in range(int(round(T / dt))):
-            step_coupled(state, params, driver, S, h)
+            step_coupled(state, params, S, h, driver.sample_normals())
         finals[p] = float(ops.dot3(state.d, state.d)[0, 0]) - 1.0
     se = finals.std(ddof=1) / np.sqrt(M)
     tol = max(3.0 * se, 2.0 * dt * T * (params.xi2 * h.max_abs) ** 4)

@@ -77,6 +77,23 @@ class TestSimulate:
         assert len(weak) >= 4
 
 
+    def test_invariants_artifact(self, tmp_path, monkeypatch):
+        out = out_env(tmp_path, monkeypatch)
+        cfg = TINY + "sim.bc = bounded\ntrack.invariants = true\n"
+        assert main(["simulate", write_cfg(tmp_path, cfg)]) == 0
+        run = next(out.iterdir())
+        lines = (run / "invariants.csv").read_text().splitlines()
+        assert lines[0] == "max_divergence,max_adv_ratio"
+        div, adv = (float(v) for v in lines[1].split(","))
+        assert 0.0 <= div <= 1e-10
+        assert np.isfinite(adv)
+
+    def test_no_invariants_artifact_by_default(self, tmp_path, monkeypatch):
+        out = out_env(tmp_path, monkeypatch)
+        assert main(["simulate", write_cfg(tmp_path, TINY)]) == 0
+        assert not (next(out.iterdir()) / "invariants.csv").exists()
+
+
 class TestEnsemble:
     def test_summary_and_paths(self, tmp_path, monkeypatch):
         out = out_env(tmp_path, monkeypatch)

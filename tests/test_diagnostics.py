@@ -75,20 +75,20 @@ def asym_director(grid):
 class TestEnergyRecord:
     def test_rest_state_all_zero(self, grid32, noise32, h_const):
         from selflow.dynamics import SimState
-        from selflow.pathrun import energy_record
+        from selflow.pathrun import record_columns
 
         params = Params(eps=0.5, dt=1e-4, T=1.0)
         state = SimState.initial(grid32, np.zeros((2, 32, 32)),
                                  constant_director(grid32, (0, 0, 1)))
-        rec = energy_record(state, params, noise32, h_const)
-        assert rec.kinetic == 0.0
-        assert rec.dirichlet == 0.0
-        assert rec.penalty <= 1e-14
-        assert rec.dissipation_u == 0.0
-        assert rec.dissipation_d <= 1e-12
+        rec = record_columns(state, params, noise32, h_const)
+        assert rec["kinetic"] == 0.0
+        assert rec["dirichlet"] == 0.0
+        assert rec["penalty"] <= 1e-14
+        assert rec["dissipation_u"] == 0.0
+        assert rec["dissipation_d"] <= 1e-12
         # d || e3, h || e3: the whole stochastic-drift block vanishes
-        assert abs(rec.strat_drift) <= 1e-14
-        assert rec.hs == 0.0  # u = 0 and additive seeds are zero
+        assert abs(rec["strat_drift"]) <= 1e-14
+        assert rec["hs"] == 0.0  # u = 0 and additive seeds are zero
 
     def test_planar_wave_dirichlet_energy(self):
         for n in (32, 64):
@@ -96,17 +96,17 @@ class TestEnergyRecord:
             X, _ = grid.meshgrid()
             k = 2 * np.pi
             d = np.stack([np.cos(k * X), np.sin(k * X), np.zeros_like(X)])
-            val = 0.5 * ops.dirichlet_form(d, d, grid)
+            val = 0.5 * ops.dirichlet_form_vec(d, d, grid)
             assert abs(val - 2 * np.pi**2) <= 30 * grid.hx**2 * 4 * np.pi**2
 
     def test_penalty_of_zero_director(self, grid32, noise32, h_const):
         from selflow.dynamics import SimState
-        from selflow.pathrun import energy_record
+        from selflow.pathrun import record_columns
 
         params = Params(eps=1.0, dt=1e-4, T=1.0)
         state = SimState.initial(grid32, np.zeros((2, 32, 32)), np.zeros((3, 32, 32)))
-        rec = energy_record(state, params, noise32, h_const)
-        assert abs(rec.penalty - 0.25) <= 1e-12
+        rec = record_columns(state, params, noise32, h_const)
+        assert abs(rec["penalty"] - 0.25) <= 1e-12
 
 
 class TestEnergyBudget:

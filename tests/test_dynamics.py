@@ -15,10 +15,7 @@ from selflow.dynamics import (
     penalty_density,
     stability_dt,
     step_coupled,
-    step_director,
-    step_velocity,
     strat_correction,
-    stress_force,
 )
 from selflow.fields import solenoidal_test_function
 from selflow.grids import Grid
@@ -137,17 +134,20 @@ class TestEricksenStress:
             errs.append(abs(lhs - rhs))
         assert errs[0] <= 1e-10 or errs[1] < errs[0] / 2
 
-    def test_reduced_equals_divergence_up_to_gradient(self, grid32, rng):
+    def test_reduced_equals_divergence_up_to_gradient(self, grid32):
         # the two stress forms differ by a near-gradient: after projection
-        # they agree to O(h^2)
-        from selflow.projection import leray_project
-
+        # they agree to O(h^2).  From rest with dt = lam = 1 and no noise,
+        # one step gives u+ = -P(stress force).
+        S = NoiseOperatorS(grid32, n_modes=1, sigma0=0.0)
+        h = MagneticField.constant(grid32, (0.0, 0.0, 0.0))
         d = smooth_unit_director(grid32, 0.5)
-        f1 = stress_force(d, grid32, "periodic", "reduced")
-        f2 = stress_force(d, grid32, "periodic", "divergence")
-        p1, _ = leray_project(f1, grid32)
-        p2, _ = leray_project(f2, grid32)
-        assert ops.norm_l2(p1 - p2, grid32) <= 30 * grid32.hx**2
+        outs = []
+        for form in ("reduced", "divergence"):
+            params = Params(eps=0.5, xi1=0.0, xi2=0.0, dt=1.0, T=1.0, stress_form=form)
+            state = SimState.initial(grid32, np.zeros((2, 32, 32)), d)
+            step_coupled(state, params, S, h, np.zeros(2))
+            outs.append(state.u)
+        assert ops.norm_l2(outs[0] - outs[1], grid32) <= 30 * grid32.hx**2
 
 
 def _setup(grid, eps=0.2, xi1=1.0, xi2=1.0, dt=None, T=0.01, sigma0=0.3, h3=0.5):
@@ -159,23 +159,30 @@ def _setup(grid, eps=0.2, xi1=1.0, xi2=1.0, dt=None, T=0.01, sigma0=0.3, h3=0.5)
     return params, S, h
 
 
+def _step_from(grid, params, S, h, u0, d0, normals=None):
+    """One step_coupled from (u0, d0); zero normals unless given."""
+    state = SimState.initial(grid, u0, d0)
+    if normals is None:
+        normals = np.zeros(S.n_modes + 1)
+    return step_coupled(state, params, S, h, normals)
+
+
 class TestStepDirector:
     def test_stationary_unit_constant(self, grid32):
         params, S, h = _setup(grid32, xi2=0.0)
-        state = SimState.initial(grid32, np.zeros((2, 32, 32)),
-                                 constant_director(grid32, (0.6, 0.0, 0.8)))
-        d_new = step_director(state, params, h, 0.0)
-        assert np.max(np.abs(d_new - state.d)) <= 1e-14
+        d0 = constant_director(grid32, (0.6, 0.0, 0.8))
+        state = _step_from(grid32, params, S, h, np.zeros((2, 32, 32)), d0)
+        assert np.max(np.abs(state.d - d0)) <= 1e-14
 
     def test_pure_relaxation_step_value(self, grid32):
         # single explicit step: d = (2,0,0), eps=1, gamma=1, dt=0.01 -> 1.94
         params = Params(eps=1.0, xi1=0.0, xi2=0.0, dt=0.01, T=1.0)
+        S = NoiseOperatorS(grid32, n_modes=1, sigma0=0.0)
         h = MagneticField.constant(grid32, (0.0, 0.0, 0.0))
-        state = SimState.initial(grid32, np.zeros((2, 32, 32)),
-                                 constant_director(grid32, (2.0, 0.0, 0.0)))
-        d_new = step_director(state, params, h, 0.0)
-        assert np.allclose(d_new[0], 1.94, atol=1e-12)
-        assert np.max(np.abs(d_new[1:])) == 0.0
+        state = _step_from(grid32, params, S, h, np.zeros((2, 32, 32)),
+                           constant_director(grid32, (2.0, 0.0, 0.0)))
+        assert np.allclose(state.d[0], 1.94, atol=1e-12)
+        assert np.max(np.abs(state.d[1:])) == 0.0
 
     def test_generator_drift_of_sphere_functional(self, grid32):
         # drift of |d|^2/2 for constant unit d, u = 0, xi2 = 1: exact zero
@@ -190,10 +197,9 @@ class TestStepDirector:
 class TestStepVelocity:
     def test_rest_state_stays(self, grid32):
         params, S, h = _setup(grid32, xi1=0.0)
-        state = SimState.initial(grid32, np.zeros((2, 32, 32)),
-                                 constant_director(grid32, (0, 0, 1)))
-        u_new, p = step_velocity(state, params, S, np.zeros(4))
-        assert np.max(np.abs(u_new)) <= 1e-14
+        state = _step_from(grid32, params, S, h, np.zeros((2, 32, 32)),
+                           constant_director(grid32, (0, 0, 1)))
+        assert np.max(np.abs(state.u)) <= 1e-14
 
     def test_taylor_green_decay(self):
         # kinetic energy decays at rate 2 mu kappa^2 within 2%
@@ -209,10 +215,9 @@ class TestStepVelocity:
         rate = taylor_green_rate(grid, 1, mu)
         T = 1.2 / rate
         n = int(round(T / dt))
-        driver = WienerDriver(0, 1)
         e0 = 0.5 * ops.inner(u0, u0, grid)
         for _ in range(n):
-            step_coupled(state, params, driver, S, h)
+            step_coupled(state, params, S, h, np.zeros(2))
         e1 = 0.5 * ops.inner(state.u, state.u, grid)
         expected = e0 * np.exp(-rate * n * dt)
         assert abs(e1 - expected) / expected <= 0.02
@@ -221,9 +226,9 @@ class TestStepVelocity:
         params, S, h = _setup(grid32)
         u0, _ = __import__("selflow.projection", fromlist=["leray_project"]).leray_project(
             rng.standard_normal((2, 32, 32)) * 0.1, grid32)
-        state = SimState.initial(grid32, u0, smooth_unit_director(grid32))
-        u_new, _ = step_velocity(state, params, S, rng.standard_normal(4) * 0.01)
-        div = ops.divergence(u_new, grid32, "periodic")
+        state = _step_from(grid32, params, S, h, u0, smooth_unit_director(grid32),
+                           rng.standard_normal(5) * 0.01 / np.sqrt(params.dt))
+        div = ops.divergence(state.u, grid32, "periodic")
         assert ops.norm_linf(div) <= 1e-10
 
 
@@ -234,7 +239,7 @@ class TestStepCoupled:
                                  smooth_unit_director(grid32))
         driver = WienerDriver(0, 4)
         for _ in range(5):
-            step_coupled(state, params, driver, S, h)
+            step_coupled(state, params, S, h, driver.sample_normals())
         assert state.ledgers.noise_u == 0.0
         assert float(np.abs(state.ledgers.noise_d)) == 0.0
 
@@ -246,7 +251,7 @@ class TestStepCoupled:
                                      smooth_unit_director(grid32))
             driver = WienerDriver(99, 4)
             for _ in range(10):
-                step_coupled(state, params, driver, S, h)
+                step_coupled(state, params, S, h, driver.sample_normals())
             outs.append((state.u.copy(), state.d.copy()))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert np.array_equal(outs[0][1], outs[1][1])
@@ -285,7 +290,7 @@ class TestStepCoupled:
         driver = WienerDriver(0, 2)
         with pytest.raises(BlowUpError), np.errstate(over="ignore", invalid="ignore"):
             for _ in range(400):
-                step_coupled(state, params, driver, S, h)
+                step_coupled(state, params, S, h, driver.sample_normals())
 
 
 class TestBoundedModes:
@@ -313,6 +318,20 @@ class TestBoundedModes:
         total = res.state.d
         assert np.all(np.isfinite(total))
 
+    def test_bounded_invariant_monitors(self):
+        # the per-step divergence monitor reads the interior of every lane
+        grid = Grid(16, 16, bc_velocity="noslip", bc_director="neumann")
+        dt = stability_dt(0.5, grid, 1.0, 1.0)
+        params = Params(eps=0.5, dt=dt, T=20 * dt)
+        S = NoiseOperatorS(grid, n_modes=4, sigma0=0.3)
+        h = MagneticField.constant(grid, (0, 0, 0.5))
+        res = simulate_path(grid, params, np.zeros((2, 16, 16)),
+                            smooth_unit_director(grid, 0.3), S, h,
+                            WienerDriver(3, 4), checkpoint_every=10,
+                            track_invariants=True)
+        assert 0.0 < res.invariants.max_divergence <= 1e-10
+        assert np.isfinite(res.invariants.max_adv_ratio)
+
     def test_dirichlet_director_pinned(self):
         from selflow.pathrun import simulate_path
         from selflow.initial import smooth_unit_director as sud
@@ -335,7 +354,7 @@ class TestBoundedModes:
 class TestTransportCancellation:
     def test_penalty_transport_second_order(self):
         # In the continuum <(u.grad)d, f_eps(d)> = <u, grad F_eps(d)> = 0
-        # for div u = 0, with F_eps the penalty density.  advect uses
+        # for div u = 0, with F_eps the penalty density.  (u.grad)d uses
         # central differences, whose chain rule is off by O(h^2):
         # D_h F(d) != F'(d) D_h d.  u is discretely divergence-free, so
         # sum u . D_h F(d) vanishes by summation by parts and the pairing is
@@ -365,8 +384,9 @@ class TestTransportCancellation:
             d2_mixed = d2 + 0.2 * np.sin(4 * np.pi * Y)
             for out, d in ((controls, np.stack([d1, d2, d3])),
                            (vals, np.stack([d1, d2_mixed, d3]))):
-                pair = ops.inner(ops.advect(u, d, grid, "periodic"),
-                                 gl_force(d, 0.5), grid)
+                g = ops.gradient(d, grid, "periodic")
+                adv = u[0:1] * g[:, 0] + u[1:2] * g[:, 1]  # as in step_coupled
+                pair = ops.inner(adv, gl_force(d, 0.5), grid)
                 out.append(abs(pair))
             hs.append(grid.hx)
         assert max(controls) < 1e-15

@@ -2,15 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selflow.config import RunConfig
+from selflow.dynamics import Params, stability_dt
 from selflow.ensemble import (
     EnsembleSpec,
     coupled_sweep,
     run_ensemble,
     run_path,
 )
-from selflow.noise import split_seed
+from selflow.grids import Grid
+from selflow.initial import smooth_unit_director, taylor_green
+from selflow.noise import MagneticField, NoiseOperatorS, WienerDriver, split_seed
+from selflow.pathrun import simulate_batch, simulate_path
+from selflow.projection import leray_project
 
 
 def small_config(**kw):
@@ -92,14 +99,18 @@ class TestRunEnsemble:
             assert np.array_equal(a.stats.max[k], b.stats.max[k])
 
     def test_batched_matches_per_path(self):
-        cfg = small_config(T=0.01)
-        spec = EnsembleSpec(n_paths=3, base_seed=21, checkpoint_every=20)
-        batched = run_ensemble(spec, cfg, batch_size=3)
-        for i, seed in enumerate(batched.seeds):
-            single = run_path(cfg, seed).series
-            for k in ("total", "ledger1", "kinetic"):
-                assert np.allclose(batched.series[i].columns[k],
-                                   single.columns[k], rtol=1e-10, atol=1e-13)
+        # every lane equals its lone path bit for bit, whatever the batch
+        for bc in ("periodic", "bounded"):
+            cfg = small_config(T=0.01, bc=bc, track_budget=True)
+            spec = EnsembleSpec(n_paths=5, base_seed=21, checkpoint_every=20,
+                                track_budget=True)
+            singles = [run_path(cfg, spec.path_seed(i)).series for i in range(5)]
+            for batch_size in (1, 3, 5):
+                batched = run_ensemble(spec, cfg, batch_size=batch_size)
+                for lane, single in zip(batched.series, singles):
+                    assert lane.columns.keys() == single.columns.keys()
+                    for k in single.columns:
+                        assert np.array_equal(lane.columns[k], single.columns[k]), (bc, batch_size, k)
 
     def test_sup_monotone_in_time(self):
         cfg = small_config(T=0.02)
@@ -109,6 +120,29 @@ class TestRunEnsemble:
             tot = s.columns["total"]
             running = np.maximum.accumulate(tot)
             assert running[-1] >= running[len(tot) // 2]
+
+
+@settings(max_examples=8, deadline=None)
+@given(lanes=st.integers(1, 6), bounded=st.booleans(), budget=st.booleans(),
+       seed=st.integers(0, 2**31))
+def test_batch_lanes_equal_lone_paths(lanes, bounded, budget, seed):
+    grid = Grid(16, 16, bc_velocity="noslip", bc_director="neumann") if bounded else Grid(16, 16)
+    dt = stability_dt(0.3, grid, 1.0, 1.0)
+    params = Params(eps=0.3, dt=dt, T=6 * dt)
+    S = NoiseOperatorS(grid, n_modes=4, sigma0=0.3)
+    h = MagneticField.wave(grid, (0.2, 0.2, 0.5))
+    u0, _ = leray_project(taylor_green(grid, 1, 0.2), grid)
+    d0 = smooth_unit_director(grid, 0.4)
+    seeds = [split_seed(seed, i) for i in range(lanes)]
+    opts = dict(checkpoint_every=3, track_budget=budget)
+    batch = simulate_batch(grid, params, u0, d0, S, h,
+                           [WienerDriver(s, 4) for s in seeds], **opts)
+    for s, res in zip(seeds, batch):
+        lone = simulate_path(grid, params, u0, d0, S, h, WienerDriver(s, 4), **opts)
+        for k, col in lone.series.columns.items():
+            assert np.array_equal(res.series.columns[k], col), k
+        assert np.array_equal(res.state.u, lone.state.u)
+        assert np.array_equal(res.state.d, lone.state.d)
 
 
 class TestCoupledSweep:

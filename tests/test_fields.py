@@ -26,7 +26,7 @@ class TestField:
         lap = fl.laplacian(f)
         # exact against the forward-link Dirichlet form, O(h^2) against the
         # central-gradient energy
-        exact = fl.inner_product(lap, f) + ops.dirichlet_form(f.values, f.values, grid32)
+        exact = fl.inner_product(lap, f) + ops.dirichlet_form_vec(f.values[None], f.values[None], grid32)
         assert abs(exact) <= 1e-10
         central = fl.inner_product(lap, f) + fl.inner_product(g, g)
         assert abs(central) <= 250 * grid32.hx**2

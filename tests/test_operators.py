@@ -160,7 +160,7 @@ class TestDiscreteIdentities:
             else:
                 bc = "neumann"
         lhs = ops.inner(ops.laplacian(f, grid, bc), g, grid)
-        rhs = -ops.dirichlet_form(f, g, grid)
+        rhs = -ops.dirichlet_form_vec(f[None], g[None], grid)
         assert abs(lhs - rhs) <= 1e-11 * (1 + abs(lhs))
 
     def test_skew_advection_pairing_vanishes(self, grid32, rng):

@@ -117,6 +117,16 @@ class TestBounded:
         u, _ = leray_project(v, grid_bounded)
         assert interior_divergence_max(u, grid_bounded) <= 1e-10
 
+    def test_interior_divergence_per_lane(self, grid_bounded, rng):
+        # the interior slice keeps the lane axis: lane 0 carries the peak
+        v = rng.standard_normal((3, 2, 32, 32))
+        v[1:] *= 1e-3
+        per_lane = interior_divergence_max(v, grid_bounded)
+        assert per_lane.shape == (3,)
+        for m in range(3):
+            assert per_lane[m] == interior_divergence_max(v[m], grid_bounded)
+        assert np.argmax(per_lane) == 0
+
     def test_zero_mean_pressure(self, grid_bounded, rng):
         _, p = leray_project(rng.standard_normal((2, 32, 32)), grid_bounded)
         one = np.ones_like(p)
