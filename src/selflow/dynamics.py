@@ -236,6 +236,9 @@ def step_coupled(
         sforce = np.sum(lap_d[..., :, None, :, :] * g_d, axis=-4)
     else:
         sforce = ericksen_stress_div(d, grid, bc_d)
+    # done with; freed before the ledgers so the peak memory of a many-lane
+    # step stays lower
+    del lap_d, g_d
     if params.xi1 != 0.0:
         # unprojected mode mix; folded into the step projection below.
         # Pairings against divergence-free fields (u_n, the solenoidal test
