@@ -21,7 +21,7 @@ from . import __version__
 from .config import (
     ConfigError,
     RunConfig,
-    build_grid,
+    build_params,
     canonical_dump,
     config_hash,
     parse_config,
@@ -96,7 +96,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     grid = result.state.grid
     extra = {}
     if cfg.track_budget:
-        extra["budget_residual"] = budget_residual_series(result.series, _params_of(cfg))
+        extra["budget_residual"] = budget_residual_series(result.series, build_params(cfg, grid))
     _write_series_csv(run_dir / "energy.csv", result.series, extra)
     write_snapshot(run_dir / "u_final.fld", Field(grid, result.state.u, "periodic" if grid.periodic else "noslip"))
     write_snapshot(run_dir / "d_final.fld", Field(grid, result.state.d, grid.bc_director))
@@ -115,13 +115,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
             fh.write(f"{inv.max_divergence!r},{inv.max_adv_ratio!r}\n")
     print(f"simulate: wrote {run_dir}")
     return EXIT_OK
-
-
-def _params_of(cfg: RunConfig):
-    from .config import build_params
-
-    grid = build_grid(cfg)
-    return build_params(cfg, grid)
 
 
 def cmd_ensemble(cfg: RunConfig, threads: int) -> int:
@@ -155,13 +148,12 @@ def cmd_ensemble(cfg: RunConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, threads: int) -> int:
+def cmd_sweep(cfg: RunConfig) -> int:
     spec = EnsembleSpec(
         n_paths=cfg.paths,
         base_seed=cfg.seed,
         checkpoint_every=cfg.checkpoint_every,
         track_budget=cfg.track_budget,
-        threads=threads,
     )
     eps_list = parse_eps_list(cfg.sweep_eps)
     result = coupled_sweep(spec, cfg, eps_list)
@@ -272,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "ensemble":
             code = cmd_ensemble(cfg, args.threads)
         else:
-            code = cmd_sweep(cfg, args.threads)
+            code = cmd_sweep(cfg)
         print(f"{args.command}: done in {time.monotonic() - t0:.1f} s")
         return code
     except ConfigError as exc:

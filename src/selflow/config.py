@@ -24,7 +24,7 @@ from .initial import (
     vortex_director,
     zero_velocity,
 )
-from .noise import MagneticField, NoiseOperatorS, WienerDriver
+from .noise import MagneticField, NoiseOperatorS
 
 RUN_MODES = ("simulate", "ensemble", "sweep", "diagnose", "selftest")
 BC_MODES = ("periodic", "bounded", "bounded-dirichlet")
@@ -336,7 +336,3 @@ def build_magnetic_field(cfg: RunConfig, grid: Grid) -> MagneticField:
 def build_noise_operator(cfg: RunConfig, grid: Grid) -> NoiseOperatorS:
     return NoiseOperatorS(grid, n_modes=cfg.modes, sigma0=cfg.sigma0, q=cfg.q,
                           proj_tol=cfg.proj_tol)
-
-
-def build_driver(cfg: RunConfig, seed: int | None = None) -> WienerDriver:
-    return WienerDriver(cfg.seed if seed is None else seed, cfg.modes)

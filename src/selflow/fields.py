@@ -1,4 +1,4 @@
-"""Grid-attached fields, test functions, and snapshot / CSV serialization.
+"""Grid-attached field records, test functions, and snapshot serialization.
 
 The binary snapshot layout is: a 16-byte magic block (the ASCII bytes
 ``SELFLOW-FLD\\0`` zero-padded to 16), little-endian uint32 {k, nx, ny},
@@ -8,12 +8,12 @@ order (component plane, then x row, then y).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators as ops
 from .grids import Grid, GridError
 from .projection import PROJ_TOL, interior_divergence_max, leray_project
 
@@ -29,10 +29,11 @@ class SnapshotError(IOError):
 
 @dataclass
 class Field:
-    """Values sampled on a grid with a boundary-condition mode.
+    """Values sampled on a grid with a boundary-condition mode: the record
+    that snapshots and test functions carry.
 
     ``values`` has shape (nx, ny) for scalars and (k, nx, ny) for k-vectors.
-    ``bc`` selects the boundary closure of the differential operators.
+    ``bc`` names the boundary closure the values are meant for.
     """
 
     grid: Grid
@@ -44,69 +45,6 @@ class Field:
         self.k = self.grid.check_values(self.values)
         if self.bc not in _BC_CODES:
             raise GridError(f"unknown boundary mode {self.bc!r}")
-
-    @classmethod
-    def zeros(cls, grid: Grid, k: int, bc: str) -> "Field":
-        return cls(grid, np.zeros(grid.shape_of(k)), bc)
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn, k: int, bc: str) -> "Field":
-        """Sample fn(X, Y) -> array of shape (k, nx, ny) or (nx, ny)."""
-        X, Y = grid.meshgrid()
-        return cls(grid, np.asarray(fn(X, Y), dtype=float), bc)
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), self.bc)
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
-    def _like(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values, self.bc)
-
-
-def _same_grid(f: Field, g: Field) -> None:
-    if f.grid is not g.grid and (f.grid.nx, f.grid.ny, f.grid.lx, f.grid.ly) != (
-        g.grid.nx,
-        g.grid.ny,
-        g.grid.lx,
-        g.grid.ly,
-    ):
-        raise GridError("fields live on different grids")
-
-
-def gradient(f: Field) -> Field:
-    """Gradient field: scalar -> (2, nx, ny), k-vector -> (k, 2, nx, ny)."""
-    return Field(f.grid, ops.gradient(f.values, f.grid, f.bc), f.bc)
-
-
-def divergence(f: Field) -> Field:
-    if f.k != 2:
-        raise GridError("divergence needs a 2-vector field")
-    return Field(f.grid, ops.divergence(f.values, f.grid, f.bc), f.bc)
-
-
-def laplacian(f: Field) -> Field:
-    return f._like(ops.laplacian(f.values, f.grid, f.bc))
-
-
-def inner_product(f: Field, g: Field) -> float:
-    _same_grid(f, g)
-    if f.values.shape != g.values.shape:
-        raise GridError(f"shape mismatch {f.values.shape} vs {g.values.shape}")
-    return ops.inner(f.values, g.values, f.grid)
-
-
-def norm_l2(f: Field) -> float:
-    return ops.norm_l2(f.values, f.grid)
-
-
-def project(f: Field, tol: float = PROJ_TOL, method: str = "auto") -> tuple[Field, Field]:
-    """Leray projection of a velocity field; returns (divergence-free u, pressure p)."""
-    if f.k != 2:
-        raise GridError("projection needs a 2-vector field")
-    u, p = leray_project(f.values, f.grid, tol=tol, method=method)
-    return f._like(u), Field(f.grid, p, "neumann" if not f.grid.periodic else "periodic")
 
 
 @dataclass
@@ -178,13 +116,20 @@ def read_snapshot(path, lx: float = 1.0, ly: float = 1.0) -> Field:
         magic = fh.read(16)
         if magic != MAGIC:
             raise SnapshotError(f"bad magic in {path}")
-        k, nx, ny = struct.unpack("<III", fh.read(12))
-        (bc_code,) = struct.unpack("<B", fh.read(1))
+        header = fh.read(13)
+        if len(header) != 13:
+            raise SnapshotError("truncated snapshot header")
+        k, nx, ny, bc_code = struct.unpack("<IIIB", header)
         if bc_code not in _BC_NAMES:
             raise SnapshotError(f"unknown bc code {bc_code}")
-        raw = fh.read(8 * k * nx * ny)
-        if len(raw) != 8 * k * nx * ny:
+        if k not in (1, 2, 3):
+            raise SnapshotError(f"snapshot holds {k} components, expected 1, 2 or 3")
+        # checked before reading, so a crafted header cannot force the
+        # allocation of a payload the file does not hold
+        size = 8 * k * nx * ny
+        if size > os.fstat(fh.fileno()).st_size - fh.tell():
             raise SnapshotError("truncated snapshot payload")
+        raw = fh.read(size)
     vals = np.frombuffer(raw, dtype="<f8").reshape(k, nx, ny).astype(float)
     bc = _BC_NAMES[bc_code]
     periodic = bc == "periodic"
@@ -194,12 +139,3 @@ def read_snapshot(path, lx: float = 1.0, ly: float = 1.0) -> Field:
         bc_director="periodic" if periodic else "neumann",
     )
     return Field(grid, vals[0] if k == 1 else vals, bc)
-
-
-def write_csv(path, f: Field) -> None:
-    vals = f.values if f.values.ndim == 3 else f.values[None, :, :]
-    k = vals.shape[0]
-    X, Y = f.grid.meshgrid()
-    header = "x,y," + ",".join(f"c{i}" for i in range(k))
-    cols = [X.ravel(), Y.ravel()] + [vals[i].ravel() for i in range(k)]
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")

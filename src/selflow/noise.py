@@ -43,8 +43,8 @@ def split_seed(base_seed: int, index: int) -> int:
 class WienerDriver:
     """Increment source for the N velocity modes and the director motion.
 
-    One driver owns one path.  Each step draws N+1 standard normals from a
-    Philox stream keyed by the seed; increments are the normals scaled by
+    One driver owns one path: a Philox stream keyed by the seed, read as
+    rows of N+1 standard normals.  Increments are the normals scaled by
     sqrt(dt), so the stream position is dt-independent and two runs with the
     same (seed, n_modes) see bit-identical noise regardless of grid or eps.
     """
@@ -55,27 +55,12 @@ class WienerDriver:
         self.seed = int(seed)
         self.n_modes = int(n_modes)
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
-        self.step = 0
-
-    def sample_normals(self) -> np.ndarray:
-        """Next row of N+1 standard normals; advances the stream."""
-        z = self._gen.standard_normal(self.n_modes + 1)
-        self.step += 1
-        return z
-
-    def sample_increments(self, dt: float) -> tuple[np.ndarray, float]:
-        """Wiener increments ({dB_i}, dW2) for one step of size dt."""
-        if dt < 0:
-            raise ValueError("dt must be nonnegative")
-        z = self.sample_normals() * np.sqrt(dt)
-        return z[: self.n_modes], float(z[self.n_modes])
 
     def normal_table(self, n_steps: int) -> np.ndarray:
-        """(n_steps, N+1) standard normals; used to couple dt refinements
-        by pairwise summation on one Brownian path."""
-        z = self._gen.standard_normal((n_steps, self.n_modes + 1))
-        self.step += n_steps
-        return z
+        """The next (n_steps, N+1) standard normals of the stream.  Reads
+        continue one another, so the rows do not depend on how they are
+        chunked."""
+        return self._gen.standard_normal((n_steps, self.n_modes + 1))
 
 
 def coarsen_normals(table: np.ndarray, factor: int) -> np.ndarray:
@@ -125,10 +110,6 @@ class MagneticField:
     @property
     def max_abs(self) -> float:
         return float(np.max(np.linalg.norm(self.values, axis=0)))
-
-    def check_bounded(self, bound: float = 1e6) -> bool:
-        g = ops.gradient(self.values, self.grid, "neumann" if not self.grid.periodic else "periodic")
-        return bool(np.all(np.isfinite(self.values)) and ops.norm_linf(g) < bound)
 
 
 def default_mode_shapes(grid: Grid, n_modes: int) -> np.ndarray:
@@ -200,14 +181,6 @@ class NoiseOperatorS:
         self._has_additive = bool(np.any(self.additive))
         self.decay = self.sigma0 * np.arange(1, n_modes + 1, dtype=float) ** (-self.q)
 
-    def mode_fields(self, u: np.ndarray) -> np.ndarray:
-        """All S(u)(e_i), shape (N, 2, nx, ny), each divergence-free."""
-        stack = self.decay[:, None, None, None] * (self.shapes[:, None, :, :] * u + self.additive)
-        out = np.empty_like(stack)
-        for i in range(self.n_modes):
-            out[i], _ = leray_project(stack[i], self.grid, tol=self.proj_tol)
-        return out
-
     def mix_increments(self, u: np.ndarray, dB: np.ndarray) -> np.ndarray:
         """Mode sum sum_i dB_i sigma0 i^{-q} (psi_i u + g_i) BEFORE projection.
 
@@ -226,11 +199,6 @@ class NoiseOperatorS:
         if self._has_additive:
             mix = mix + _mode_sum(wts, self.additive)
         return mix
-
-    def apply_increments(self, u: np.ndarray, dB: np.ndarray) -> np.ndarray:
-        """sum_i S(u)(e_i) dB_i, divergence-free within the projection tol."""
-        out, _ = leray_project(self.mix_increments(u, dB), self.grid, tol=self.proj_tol)
-        return out
 
     def hs_norm_sq(self, u: np.ndarray):
         """Squared Hilbert-Schmidt norm sum_i ||S(u)(e_i)||^2.
@@ -262,11 +230,6 @@ class NoiseOperatorS:
         return 2.0 * max(shape_part, add_part, 1e-300)
 
 
-def apply_noise_d(d: np.ndarray, h: np.ndarray, dW2: float) -> np.ndarray:
-    """Director noise increment (d x h) dW2, pointwise."""
-    return ops.cross(d, h) * dW2
-
-
 def k2_norm(coeffs) -> float:
     """Norm of a coefficient sequence in the enlarged space K2:
     sqrt(sum_i c_i^2 / i^2), i starting at 1."""
@@ -275,10 +238,3 @@ def k2_norm(coeffs) -> float:
         return 0.0
     i = np.arange(1, c.size + 1, dtype=float)
     return float(np.sqrt(np.sum((c / i) ** 2)))
-
-
-def k2_truncation_tail(n_modes: int) -> float:
-    """K2 norm of the dropped tail of a unit-coefficient sequence:
-    sqrt(pi^2/6 - sum_{i<=N} 1/i^2).  Quantifies the mode truncation."""
-    head = np.sum(1.0 / np.arange(1, n_modes + 1, dtype=float) ** 2)
-    return float(np.sqrt(max(np.pi**2 / 6.0 - head, 0.0)))

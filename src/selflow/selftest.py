@@ -94,7 +94,7 @@ def run_all(verbose: bool = True) -> int:
                         shapes=np.ones((1, 32, 32)))
     w = rng.standard_normal((2, 32, 32))
     uw, _ = leray_project(w, grid)
-    out = S1.apply_increments(uw, np.array([1.0]))
+    out, _ = leray_project(S1.mix_increments(uw, [1.0]), grid)
     err = ops.norm_l2(out - 0.5 * uw, grid)
     failures += not _check("single-mode noise", err < 1e-10, f"err {err:.2e}", verbose)
     S = NoiseOperatorS(grid, n_modes=6, sigma0=0.7)

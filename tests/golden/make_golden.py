@@ -104,6 +104,8 @@ def run_case(case: str, out: Path) -> Path:
         (run_dir / "stdout.txt").write_text(buf.getvalue(), encoding="utf-8")
         return run_dir
     command, text = CASES[case]
+    final = out / case
+    shutil.rmtree(final, ignore_errors=True)
     work = out / f"{case}.work"
     work.mkdir(parents=True, exist_ok=True)
     cfg = work / "run.cfg"
@@ -121,7 +123,6 @@ def run_case(case: str, out: Path) -> Path:
     if code != 0:
         raise RuntimeError(f"{case}: {command} exited {code}")
     (run_dir,) = (work / "runs").iterdir()
-    final = out / case
     shutil.move(str(run_dir), final)
     shutil.rmtree(work)
     return final

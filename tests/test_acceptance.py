@@ -21,7 +21,7 @@ from selflow.diagnostics import (
     sphere_generator_drift,
     triple_product_defects,
 )
-from selflow.dynamics import Params, SimState, stability_dt, step_coupled
+from selflow.dynamics import Params, stability_dt
 from selflow.ensemble import EnsembleSpec, coupled_sweep, run_ensemble
 from selflow.grids import Grid
 from selflow.initial import (
@@ -32,7 +32,7 @@ from selflow.initial import (
     vortex_director,
 )
 from selflow.noise import MagneticField, NoiseOperatorS, WienerDriver, coarsen_normals
-from selflow.pathrun import simulate_path
+from selflow.pathrun import simulate_batch, simulate_path
 from conftest import fit_order
 
 
@@ -150,13 +150,12 @@ def test_criterion_04_sphere_conservation_in_law():
     dt, T = 1e-3, 0.5
     params = Params(eps=0.2, xi1=0.0, xi2=1.0, dt=dt, T=T, dt_override=True)
     M = 64
-    finals = np.empty(M)
-    for p in range(M):
-        state = SimState.initial(grid, np.zeros((2, 4, 4)), d0)
-        driver = WienerDriver(7000 + p, 1)
-        for _ in range(int(round(T / dt))):
-            step_coupled(state, params, S, h, driver.sample_normals())
-        finals[p] = float(ops.dot3(state.d, state.d)[0, 0]) - 1.0
+    # the M paths run as the lanes of one batch; each lane is bit-identical
+    # to a lone path on its driver
+    lanes = simulate_batch(grid, params, np.zeros((2, 4, 4)), d0, S, h,
+                           [WienerDriver(7000 + p, 1) for p in range(M)],
+                           checkpoint_every=10**9, track_budget=False)
+    finals = np.array([float(ops.dot3(r.state.d, r.state.d)[0, 0]) - 1.0 for r in lanes])
     se = finals.std(ddof=1) / np.sqrt(M)
     tol = max(3.0 * se, 2.0 * dt * T * (params.xi2 * h.max_abs) ** 4)
     assert abs(finals.mean()) <= tol

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: subcommands, exit codes, artifacts."""
 
+import struct
+
 import numpy as np
 
 from selflow.cli import main
-from selflow.fields import Field, write_snapshot
+from selflow.fields import MAGIC, Field, write_snapshot
 from selflow.grids import Grid
 from selflow.initial import constant_director, vortex_director
 
@@ -175,6 +177,16 @@ class TestDiagnose:
         snap = tmp_path / "u.fld"
         write_snapshot(snap, Field(grid, np.zeros((2, 16, 16)), "periodic"))
         assert main(["diagnose", str(snap)]) == 1
+
+    def test_oversized_header_is_io_error(self, tmp_path, capsys):
+        # the header declares a 3 x 2^20 x 2^20 payload the file does not hold
+        snap = tmp_path / "huge.fld"
+        snap.write_bytes(MAGIC + struct.pack("<IIIB", 3, 2**20, 2**20, 0) + bytes(64))
+        assert main(["diagnose", str(snap)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+        cfg = TINY.replace("unit-smooth:0.4", f"file:{snap}")
+        assert main(["simulate", write_cfg(tmp_path, cfg)]) == 3
 
 
 class TestSelftest:

@@ -237,9 +237,8 @@ class TestStepCoupled:
         params, S, h = _setup(grid32, xi1=0.0, xi2=0.0)
         state = SimState.initial(grid32, taylor_green(grid32, 1, 0.1),
                                  smooth_unit_director(grid32))
-        driver = WienerDriver(0, 4)
-        for _ in range(5):
-            step_coupled(state, params, S, h, driver.sample_normals())
+        for normals in WienerDriver(0, 4).normal_table(5):
+            step_coupled(state, params, S, h, normals)
         assert state.ledgers.noise_u == 0.0
         assert float(np.abs(state.ledgers.noise_d)) == 0.0
 
@@ -249,9 +248,8 @@ class TestStepCoupled:
         for _ in range(2):
             state = SimState.initial(grid32, taylor_green(grid32, 1, 0.1),
                                      smooth_unit_director(grid32))
-            driver = WienerDriver(99, 4)
-            for _ in range(10):
-                step_coupled(state, params, S, h, driver.sample_normals())
+            for normals in WienerDriver(99, 4).normal_table(10):
+                step_coupled(state, params, S, h, normals)
             outs.append((state.u.copy(), state.d.copy()))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert np.array_equal(outs[0][1], outs[1][1])
@@ -287,10 +285,9 @@ class TestStepCoupled:
         h = MagneticField.constant(grid32, (0, 0, 0))
         state = SimState.initial(grid32, taylor_green(grid32, 1, 1.0),
                                  smooth_unit_director(grid32))
-        driver = WienerDriver(0, 2)
         with pytest.raises(BlowUpError), np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(400):
-                step_coupled(state, params, S, h, driver.sample_normals())
+            for normals in WienerDriver(0, 2).normal_table(400):
+                step_coupled(state, params, S, h, normals)
 
 
 class TestBoundedModes:
@@ -420,6 +417,11 @@ class TestStabilityDt:
         with pytest.raises(StabilityError):
             simulate_path(grid32, params, np.zeros((2, 32, 32)),
                           smooth_unit_director(grid32), S, h, WienerDriver(0, 4))
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_nonpositive_dt_rejected(self, dt):
+        with pytest.raises(ValueError):
+            Params(eps=0.2, dt=dt, T=1.0)
 
 
 class TestMaximumPrinciple:

@@ -1,4 +1,4 @@
-"""Field wrappers, test functions, and snapshot / CSV serialization."""
+"""Field records, test functions, and snapshot serialization."""
 
 import struct
 
@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from selflow import fields as fl
+from selflow import operators as ops
 from selflow.grids import GridError
+
+
+def write_header(path, k, nx, ny, payload=b"\x00" * 64):
+    """A periodic snapshot header declaring (k, nx, ny), then ``payload``."""
+    path.write_bytes(fl.MAGIC + struct.pack("<IIIB", k, nx, ny, 0) + payload)
 
 
 class TestField:
@@ -17,26 +23,17 @@ class TestField:
             fl.Field(grid32, np.zeros((5, 32, 32)))
 
     def test_ops_roundtrip(self, grid32):
-        from selflow import operators as ops
-
         X, Y = grid32.meshgrid()
-        f = fl.Field(grid32, np.sin(2 * np.pi * X) * np.cos(2 * np.pi * Y))
-        g = fl.gradient(f)
-        assert g.values.shape == (2, 32, 32)
-        lap = fl.laplacian(f)
+        f = np.sin(2 * np.pi * X) * np.cos(2 * np.pi * Y)
+        g = ops.gradient(f, grid32, "periodic")
+        assert g.shape == (2, 32, 32)
+        lap = ops.laplacian(f, grid32, "periodic")
         # exact against the forward-link Dirichlet form, O(h^2) against the
         # central-gradient energy
-        exact = fl.inner_product(lap, f) + ops.dirichlet_form_vec(f.values[None], f.values[None], grid32)
+        exact = ops.inner(lap, f, grid32) + ops.dirichlet_form_vec(f[None], f[None], grid32)
         assert abs(exact) <= 1e-10
-        central = fl.inner_product(lap, f) + fl.inner_product(g, g)
+        central = ops.inner(lap, f, grid32) + ops.inner(g, g, grid32)
         assert abs(central) <= 250 * grid32.hx**2
-
-    def test_project_wrapper(self, grid32, rng):
-        v = fl.Field(grid32, rng.standard_normal((2, 32, 32)))
-        u, p = fl.project(v)
-        div = fl.divergence(u)
-        assert np.max(np.abs(div.values)) <= 1e-10
-        assert p.values.shape == (32, 32)
 
 
 class TestTestFunction:
@@ -50,7 +47,7 @@ class TestTestFunction:
         # wall rows use one-sided stencils the bounded projection does not
         # control; the interior divergence is what must vanish
         tf = fl.solenoidal_test_function(grid_bounded, 1, 1)
-        wall = np.max(np.abs(fl.divergence(tf.field).values))
+        wall = np.max(np.abs(ops.divergence(tf.field.values, grid_bounded, tf.field.bc)))
         assert wall > 1.0
         X, Y = grid_bounded.meshgrid()
         bad = fl.Field(grid_bounded, np.stack([np.sin(np.pi * X) * np.sin(np.pi * Y), 0 * Y]),
@@ -60,8 +57,8 @@ class TestTestFunction:
 
     def test_solenoidal_factory(self, grid32):
         tf = fl.solenoidal_test_function(grid32, 1, 2)
-        div = fl.divergence(tf.field)
-        assert np.max(np.abs(div.values)) <= 1e-10
+        div = ops.divergence(tf.field.values, grid32, tf.field.bc)
+        assert np.max(np.abs(div)) <= 1e-10
 
     def test_director_test_function_shape(self, grid32):
         tf = fl.director_test_function(grid32, component=2)
@@ -108,12 +105,25 @@ class TestSnapshot:
         with pytest.raises(fl.SnapshotError):
             fl.read_snapshot(path)
 
+    # A header declaring more values than the file holds is rejected before
+    # the payload is read, so these tests allocate nothing of its size.
+    def test_oversized_header_rejected(self, tmp_path):
+        path = tmp_path / "huge.fld"
+        write_header(path, 3, 2**20, 2**20)
+        with pytest.raises(fl.SnapshotError, match="truncated"):
+            fl.read_snapshot(path)
 
-class TestCsv:
-    def test_header_and_shape(self, grid32, tmp_path, rng):
-        f = fl.Field(grid32, rng.standard_normal((2, 32, 32)))
-        path = tmp_path / "f.csv"
-        fl.write_csv(path, f)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,y,c0,c1"
-        assert len(lines) == 1 + 32 * 32
+    @pytest.mark.parametrize("k", [0, 4, 2**31])
+    def test_component_count_checked(self, tmp_path, k):
+        path = tmp_path / "k.fld"
+        write_header(path, k, 8, 8)
+        with pytest.raises(fl.SnapshotError, match="components"):
+            fl.read_snapshot(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "h.fld"
+        write_header(path, 3, 8, 8)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(fl.SnapshotError, match="header"):
+            fl.read_snapshot(path)
+

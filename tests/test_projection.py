@@ -30,6 +30,7 @@ class TestPeriodic:
         v = rng.standard_normal((2, 32, 32))
         u, p = leray_project(v, grid32, method="cg", tol=1e-12)
         assert ops.norm_linf(ops.divergence(u, grid32, "periodic")) <= 1e-10
+        assert p.shape == (32, 32)
         assert abs(p.mean()) <= 1e-12
 
     def test_fft_and_cg_agree(self, grid32, rng):
