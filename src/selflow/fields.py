@@ -124,6 +124,8 @@ def read_snapshot(path, lx: float = 1.0, ly: float = 1.0) -> Field:
             raise SnapshotError(f"unknown bc code {bc_code}")
         if k not in (1, 2, 3):
             raise SnapshotError(f"snapshot holds {k} components, expected 1, 2 or 3")
+        if nx < 4 or ny < 4:
+            raise SnapshotError(f"snapshot grid {nx}x{ny} is below 4x4")
         # checked before reading, so a crafted header cannot force the
         # allocation of a payload the file does not hold
         size = 8 * k * nx * ny

@@ -13,8 +13,10 @@ matrix-free conjugate gradients (the cross-check route);
 :func:`solenoidal_norm_sq` evaluates ||P v||^2 by Parseval without building
 P v.  Bounded (no-slip)
 grids solve the interior system with a homogeneous-Neumann pressure closure
-via sparse least squares; only the interior divergence is controllable there
-because the boundary rows use one-sided stencils.
+as a minimum-norm solve through the factorized Gram matrix A A^T, with
+iterative refinement, over all leading axes of the field at once; only the
+interior divergence is controllable there because the boundary rows use
+one-sided stencils.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import Grid
-from .operators import deriv, divergence, inner, norm_linf
+from .operators import deriv, divergence, norm_linf
 
 PROJ_TOL = 1e-10
 
@@ -169,8 +171,7 @@ def _bounded_solver(grid: Grid):
     """Cached pieces of the bounded projection.
 
     The map A takes pressures on all nodes to the central divergence (at
-    interior nodes) of the interior-supported correction grad p.  A is onto
-    (verified by rank at build time for small grids, structural otherwise),
+    interior nodes) of the interior-supported correction grad p.  A is onto,
     so the minimum-norm pressure solves A A^T y = b exactly; A A^T is SPD
     and factorized once per grid.
     """
@@ -184,7 +185,7 @@ def _bounded_solver(grid: Grid):
         ).tocsr()
         gram = (A @ A.T).tocsc()
         lu = spla.splu(gram)
-        grid._cache[key] = (A, lu)
+        grid._cache[key] = (A, A.T, lu)
     return grid._cache[key]
 
 
@@ -199,32 +200,43 @@ def interior_divergence_max(u: np.ndarray, grid: Grid):
 
 
 def _project_bounded(
-    v: np.ndarray, grid: Grid, tol: float, maxiter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    A, lu = _bounded_solver(grid)
-    u = v.copy()
-    u[:, 0, :] = u[:, -1, :] = 0.0
-    u[:, :, 0] = u[:, :, -1] = 0.0
-    b0 = divergence(u, grid, "none")[1:-1, 1:-1].ravel()
+    v: np.ndarray, grid: Grid, tol: float, need_pressure: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Project every leading axis of v (..., 2, nx, ny) in one pass: one
+    batched divergence, then each refinement round is one multi-column
+    Gram solve; a column stops refining exactly when it would alone."""
+    A, At, lu = _bounded_solver(grid)
+    nx, ny = grid.nx, grid.ny
+    lead = v.shape[:-3]
+    u = v.reshape(-1, 2, nx, ny).copy()
+    u[..., 0, :] = u[..., -1, :] = 0.0
+    u[..., :, 0] = u[..., :, -1] = 0.0
+    # (n_interior, k), Fortran order: one column per lane
+    b0 = divergence(u, grid, "none")[:, 1:-1, 1:-1].reshape(u.shape[0], -1).T
 
     # minimum-norm pressure via the Gram factorization, with iterative
     # refinement to wash out the squared conditioning of A A^T
-    p_flat = np.zeros(grid.nx * grid.ny)
-    r = b0.copy()
+    p_flat = np.zeros((nx * ny, u.shape[0]), order="F")
+    r = b0.copy(order="F")
     for _ in range(4):
-        if norm_linf(r.reshape(grid.nx - 2, grid.ny - 2)) <= 0.01 * tol:
+        active = np.max(np.abs(r), axis=0) > 0.01 * tol
+        if not active.any():
             break
-        p_flat += A.T @ lu.solve(r)
-        r = b0 - A @ p_flat
+        cols = np.flatnonzero(active)
+        p_flat[:, cols] += At @ lu.solve(r[:, cols])
+        r[:, cols] = b0[:, cols] - A @ p_flat[:, cols]
 
-    p = p_flat.reshape(grid.nx, grid.ny)
-    u[0, 1:-1, 1:-1] -= (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * grid.hx)
-    u[1, 1:-1, 1:-1] -= (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * grid.hy)
+    p = p_flat.T.reshape(-1, nx, ny)
+    u[:, 0, 1:-1, 1:-1] -= (p[:, 2:, 1:-1] - p[:, :-2, 1:-1]) / (2.0 * grid.hx)
+    u[:, 1, 1:-1, 1:-1] -= (p[:, 1:-1, 2:] - p[:, 1:-1, :-2]) / (2.0 * grid.hy)
     achieved = interior_divergence_max(u, grid)
-    if achieved > tol:
-        raise ProjectionError("bounded pressure solve stalled", achieved)
-    p = p - inner(p, np.ones_like(p), grid) / grid.area
-    return u, p
+    if np.any(achieved > tol):
+        raise ProjectionError("bounded pressure solve stalled", float(np.max(achieved)))
+    u = u.reshape(v.shape)
+    if not need_pressure:
+        return u, None
+    p = p - np.sum(p * grid.quad_weights(), axis=(-2, -1))[:, None, None] / grid.area
+    return u, p.reshape(lead + (nx, ny))
 
 
 def leray_project(
@@ -237,10 +249,16 @@ def leray_project(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Project v onto the divergence-free space; returns (u, p), u = v - grad p.
 
+    v has shape (..., 2, nx, ny); every leading axis is projected on its
+    own and kept in u, and p has shape (..., nx, ny).  Periodic grids and
+    bounded grids both take all leading axes in one call; the CG route
+    (``method='cg'``) takes a single field.
     ``method``: 'auto' (spectral on periodic grids), 'fft', or 'cg'.
-    ``need_pressure=False`` skips reconstructing p (stepping hot path).
+    ``maxiter`` bounds the CG iterations only.
+    ``need_pressure=False`` skips reconstructing p and returns None for it
+    (stepping hot path).
     Raises :class:`ProjectionError` with the achieved residual if the solver
-    cannot reach ``tol``.
+    cannot reach ``tol``; on a batch it carries the worst lane's residual.
     """
     if not np.all(np.isfinite(v)):
         raise ValueError("leray_project: input contains non-finite values")
@@ -253,7 +271,4 @@ def leray_project(
         if method == "cg":
             return _project_periodic_cg(v, grid, tol, maxiter)
         raise ValueError(f"unknown projection method {method!r}")
-    if v.ndim > 3:
-        lanes = [_project_bounded(v[m], grid, tol, maxiter) for m in range(v.shape[0])]
-        return np.stack([u for u, _ in lanes]), np.stack([p for _, p in lanes])
-    return _project_bounded(v, grid, tol, maxiter)
+    return _project_bounded(v, grid, tol, need_pressure=need_pressure)

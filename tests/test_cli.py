@@ -188,6 +188,14 @@ class TestDiagnose:
         cfg = TINY.replace("unit-smooth:0.4", f"file:{snap}")
         assert main(["simulate", write_cfg(tmp_path, cfg)]) == 3
 
+    def test_tiny_grid_header_is_io_error(self, tmp_path, capsys):
+        # a 2 x 2 grid with its full payload: the header is what is wrong
+        snap = tmp_path / "tiny.fld"
+        snap.write_bytes(MAGIC + struct.pack("<IIIB", 3, 2, 2, 0) + bytes(8 * 3 * 2 * 2))
+        assert main(["diagnose", str(snap)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+
 
 class TestSelftest:
     def test_exit_zero(self, capsys):

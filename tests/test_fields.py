@@ -120,6 +120,13 @@ class TestSnapshot:
         with pytest.raises(fl.SnapshotError, match="components"):
             fl.read_snapshot(path)
 
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (0, 8), (8, 3)])
+    def test_grid_below_minimum_rejected(self, tmp_path, nx, ny):
+        path = tmp_path / "g.fld"
+        write_header(path, 3, nx, ny)
+        with pytest.raises(fl.SnapshotError, match="below 4x4"):
+            fl.read_snapshot(path)
+
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "h.fld"
         write_header(path, 3, 8, 8)

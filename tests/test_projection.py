@@ -132,3 +132,69 @@ class TestBounded:
         _, p = leray_project(rng.standard_normal((2, 32, 32)), grid_bounded)
         one = np.ones_like(p)
         assert abs(ops.inner(p, one, grid_bounded)) <= 1e-10
+
+
+bounded_grids = pytest.mark.parametrize(
+    "grid",
+    [Grid(32, 32, bc_velocity="noslip", bc_director="neumann"),
+     Grid(24, 20, bc_velocity="noslip", bc_director="dirichlet")],
+    ids=["noslip-neumann-32x32", "noslip-dirichlet-24x20"])
+
+
+class _CountingLU:
+    """Stands in for the cached factorization and counts its solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
+class TestBoundedBatch:
+    """All leading axes of a bounded field go through one pass."""
+
+    @bounded_grids
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["3", "2x3"])
+    def test_batched_equals_single_lanes(self, grid, lead, rng):
+        v = rng.standard_normal(lead + (2, grid.nx, grid.ny))
+        v *= rng.uniform(0.1, 10.0, size=lead + (1, 1, 1))
+        ub, pb = leray_project(v, grid)
+        assert ub.shape == v.shape
+        assert pb.shape == lead + (grid.nx, grid.ny)
+        for idx in np.ndindex(*lead):
+            um, pm = leray_project(v[idx], grid)
+            assert np.array_equal(ub[idx], um)
+            assert np.array_equal(pb[idx], pm)
+
+    def test_no_pressure_when_not_needed(self, grid_bounded, rng):
+        v = rng.standard_normal((3, 2, 32, 32))
+        u, p = leray_project(v, grid_bounded, need_pressure=False)
+        assert p is None
+        assert np.array_equal(u, leray_project(v, grid_bounded)[0])
+
+    def test_failure_carries_worst_lane(self, grid_bounded, rng):
+        v = rng.standard_normal((3, 2, 32, 32))
+        v[1] *= 10.0
+        lone = []
+        for m in range(3):
+            with pytest.raises(ProjectionError) as err:
+                leray_project(v[m], grid_bounded, tol=1e-30)
+            lone.append(err.value.achieved)
+        with pytest.raises(ProjectionError) as err:
+            leray_project(v, grid_bounded, tol=1e-30)
+        assert err.value.achieved == max(lone)
+
+    def test_one_solve_per_refinement_round(self, rng):
+        # a per-lane loop would make at least one solve per lane (8 here)
+        grid = Grid(32, 32, bc_velocity="noslip", bc_director="neumann")
+        v = rng.standard_normal((8, 2, 32, 32))
+        leray_project(v[0], grid)
+        A, At, lu = grid._cache["leray_bounded"]
+        counting = _CountingLU(lu)
+        grid._cache["leray_bounded"] = (A, At, counting)
+        u, _ = leray_project(v, grid, need_pressure=False)
+        assert 1 <= counting.solves <= 4
+        assert np.max(interior_divergence_max(u, grid)) <= 1e-10
