@@ -28,7 +28,6 @@ from .diagnostics import (
     WeakFormTracker,
     defect_detect,
     energy_budget_residual,
-    epsilon_sweep,
     gronwall_bound_check,
     local_energy,
     pohozaev_residual,

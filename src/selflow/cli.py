@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -59,11 +61,32 @@ def _load_config(path: str) -> RunConfig:
         return parse_config(fh.read())
 
 
-def _make_run_dir(cfg: RunConfig, tag: str) -> Path:
-    base = os.environ.get("SELFLOW_OUT", cfg.out_dir)
-    run_dir = Path(base) / f"{tag}-{config_hash(cfg)}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir
+@contextmanager
+def _run_dir(cfg: RunConfig, tag: str):
+    """Directory to write a run's artifacts into.
+
+    The artifacts go into a temporary sibling of ``<out>/<tag>-<hash>``,
+    which is renamed into place once the block completes; a run directory
+    left by an earlier run of the same config is replaced only then.  On
+    any failure the temporary directory is removed, so no partial run
+    directory is left behind.
+    """
+    base = Path(os.environ.get("SELFLOW_OUT", cfg.out_dir))
+    final = base / f"{tag}-{config_hash(cfg)}"
+    tmp, old = (base / f".{final.name}.{kind}{os.getpid()}" for kind in ("tmp", "old"))
+    base.mkdir(parents=True, exist_ok=True)
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir()
+    try:
+        yield tmp
+        if final.exists():
+            final.rename(old)
+        tmp.rename(final)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
+    print(f"{tag}: wrote {final}")
 
 
 def _write_manifest(run_dir: Path, cfg: RunConfig, seeds: list[int], extra: dict | None = None) -> None:
@@ -91,29 +114,28 @@ def _write_series_csv(path: Path, series, extra_cols: dict | None = None) -> Non
 
 def cmd_simulate(cfg: RunConfig) -> int:
     result = run_path(cfg, cfg.seed)
-    run_dir = _make_run_dir(cfg, "simulate")
-    _write_manifest(run_dir, cfg, [cfg.seed])
-    grid = result.state.grid
-    extra = {}
-    if cfg.track_budget:
-        extra["budget_residual"] = budget_residual_series(result.series, build_params(cfg, grid))
-    _write_series_csv(run_dir / "energy.csv", result.series, extra)
-    write_snapshot(run_dir / "u_final.fld", Field(grid, result.state.u, "periodic" if grid.periodic else "noslip"))
-    write_snapshot(run_dir / "d_final.fld", Field(grid, result.state.d, grid.bc_director))
-    if result.weak_tracker is not None:
-        ru = result.weak_tracker.residual_u(result.state.u)
-        rd = result.weak_tracker.residual_d(result.state.d)
-        with open(run_dir / "weak.csv", "w", encoding="utf-8") as fh:
-            fh.write("# director weak form uses -f_eps(d) for the |grad d|^2 d term at finite eps\n")
-            fh.write("test_function,residual\n")
-            for name, val in {**ru, **rd}.items():
-                fh.write(f"{name},{float(val)!r}\n")
-    if result.invariants is not None:
-        inv = result.invariants
-        with open(run_dir / "invariants.csv", "w", encoding="utf-8") as fh:
-            fh.write("max_divergence,max_adv_ratio\n")
-            fh.write(f"{inv.max_divergence!r},{inv.max_adv_ratio!r}\n")
-    print(f"simulate: wrote {run_dir}")
+    with _run_dir(cfg, "simulate") as run_dir:
+        _write_manifest(run_dir, cfg, [cfg.seed])
+        grid = result.state.grid
+        extra = {}
+        if cfg.track_budget:
+            extra["budget_residual"] = budget_residual_series(result.series, build_params(cfg, grid))
+        _write_series_csv(run_dir / "energy.csv", result.series, extra)
+        write_snapshot(run_dir / "u_final.fld", Field(grid, result.state.u, "periodic" if grid.periodic else "noslip"))
+        write_snapshot(run_dir / "d_final.fld", Field(grid, result.state.d, grid.bc_director))
+        if result.weak_tracker is not None:
+            ru = result.weak_tracker.residual_u(result.state.u)
+            rd = result.weak_tracker.residual_d(result.state.d)
+            with open(run_dir / "weak.csv", "w", encoding="utf-8") as fh:
+                fh.write("# director weak form uses -f_eps(d) for the |grad d|^2 d term at finite eps\n")
+                fh.write("test_function,residual\n")
+                for name, val in {**ru, **rd}.items():
+                    fh.write(f"{name},{float(val)!r}\n")
+        if result.invariants is not None:
+            inv = result.invariants
+            with open(run_dir / "invariants.csv", "w", encoding="utf-8") as fh:
+                fh.write("max_divergence,max_adv_ratio\n")
+                fh.write(f"{inv.max_divergence!r},{inv.max_adv_ratio!r}\n")
     return EXIT_OK
 
 
@@ -126,60 +148,59 @@ def cmd_ensemble(cfg: RunConfig, threads: int) -> int:
         threads=threads,
     )
     result = run_ensemble(spec, cfg)
-    run_dir = _make_run_dir(cfg, "ensemble")
-    _write_manifest(run_dir, cfg, result.seeds, {"paths": cfg.paths})
-    stats = result.stats
-    names = sorted(stats.mean)
-    header = ["t"] + [f"{n}_{s}" for n in names for s in ("mean", "se", "min", "max")]
-    cols = [stats.times]
-    for n in names:
-        cols += [stats.mean[n], stats.se[n], stats.min[n], stats.max[n]]
-    np.savetxt(run_dir / "ensemble.csv", np.column_stack(cols),
-               delimiter=",", header=",".join(header), comments="")
-    paths_dir = run_dir / "paths"
-    paths_dir.mkdir(exist_ok=True)
-    for i, series in enumerate(result.series):
-        _write_series_csv(paths_dir / f"path_{i:03d}.csv", series)
-    m1, ci1 = stats.ledger_ci("ledger1")
-    m2, ci2 = stats.ledger_ci("ledger2")
-    print(f"ensemble: {cfg.paths} paths, ledger1 = {m1:.3e} (3se {ci1:.3e}), "
-          f"ledger2 = {m2:.3e} (3se {ci2:.3e})")
-    print(f"ensemble: wrote {run_dir}")
+    with _run_dir(cfg, "ensemble") as run_dir:
+        _write_manifest(run_dir, cfg, result.seeds, {"paths": cfg.paths})
+        stats = result.stats
+        names = sorted(stats.mean)
+        header = ["t"] + [f"{n}_{s}" for n in names for s in ("mean", "se", "min", "max")]
+        cols = [stats.times]
+        for n in names:
+            cols += [stats.mean[n], stats.se[n], stats.min[n], stats.max[n]]
+        np.savetxt(run_dir / "ensemble.csv", np.column_stack(cols),
+                   delimiter=",", header=",".join(header), comments="")
+        paths_dir = run_dir / "paths"
+        paths_dir.mkdir(exist_ok=True)
+        for i, series in enumerate(result.series):
+            _write_series_csv(paths_dir / f"path_{i:03d}.csv", series)
+        m1, ci1 = stats.ledger_ci("ledger1")
+        m2, ci2 = stats.ledger_ci("ledger2")
+        print(f"ensemble: {cfg.paths} paths, ledger1 = {m1:.3e} (3se {ci1:.3e}), "
+              f"ledger2 = {m2:.3e} (3se {ci2:.3e})")
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig, threads: int) -> int:
     spec = EnsembleSpec(
         n_paths=cfg.paths,
         base_seed=cfg.seed,
         checkpoint_every=cfg.checkpoint_every,
         track_budget=cfg.track_budget,
+        threads=threads,
     )
     eps_list = parse_eps_list(cfg.sweep_eps)
     result = coupled_sweep(spec, cfg, eps_list)
-    run_dir = _make_run_dir(cfg, "sweep")
-    _write_manifest(run_dir, cfg, [spec.path_seed(i) for i in range(cfg.paths)],
-                    {"eps_list": cfg.sweep_eps})
-    first = result.per_path[0]
-    with open(run_dir / "sweep.csv", "w", encoding="utf-8") as fh:
-        head = "path,eps,t,penalty,dev_norm,defect_count," + ",".join(
-            f"pairing_{n}" for n in result.phi_names
-        )
-        fh.write(head + "\n")
-        for p, sweep in enumerate(result.per_path):
-            for a, eps in enumerate(sweep.eps_list):
-                for c, t in enumerate(sweep.times):
-                    row = [p, eps, t, sweep.penalty[a, c], sweep.dev_norm[a, c],
-                           sweep.defect_count[a, c]] + list(sweep.pairings[a, c])
-                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    with open(run_dir / "cauchy.csv", "w", encoding="utf-8") as fh:
-        fh.write("eps_hi,eps_lo," + ",".join(result.phi_names) + "\n")
-        for gap in range(result.cauchy_mean.shape[0]):
-            row = [eps_list[gap], eps_list[gap + 1]] + list(result.cauchy_mean[gap])
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    print(f"sweep: eps {eps_list}, sup penalty per eps "
-          f"{[float(s) for s in first.sup_penalty]}")
-    print(f"sweep: wrote {run_dir}")
+    with _run_dir(cfg, "sweep") as run_dir:
+        _write_manifest(run_dir, cfg, [spec.path_seed(i) for i in range(cfg.paths)],
+                        {"eps_list": cfg.sweep_eps})
+        first = result.per_path[0]
+        with open(run_dir / "sweep.csv", "w", encoding="utf-8") as fh:
+            head = "path,eps,t,penalty,dev_norm,defect_count," + ",".join(
+                f"pairing_{n}" for n in result.phi_names
+            )
+            fh.write(head + "\n")
+            for p, sweep in enumerate(result.per_path):
+                for a, eps in enumerate(sweep.eps_list):
+                    for c, t in enumerate(sweep.times):
+                        row = [p, eps, t, sweep.penalty[a, c], sweep.dev_norm[a, c],
+                               sweep.defect_count[a, c]] + list(sweep.pairings[a, c])
+                        fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        with open(run_dir / "cauchy.csv", "w", encoding="utf-8") as fh:
+            fh.write("eps_hi,eps_lo," + ",".join(result.phi_names) + "\n")
+            for gap in range(result.cauchy_mean.shape[0]):
+                row = [eps_list[gap], eps_list[gap + 1]] + list(result.cauchy_mean[gap])
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        print(f"sweep: eps {eps_list}, sup penalty per eps "
+              f"{[float(s) for s in first.sup_penalty]}")
     return EXIT_OK
 
 
@@ -230,7 +251,8 @@ def cmd_selftest() -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="selflow", description=__doc__)
     parser.add_argument("--threads", type=int, default=1,
-                        help="cap on parallel path groups (ensemble only; sweep runs in series)")
+                        help="cap on lane groups (16 paths each) run in parallel by "
+                             "ensemble and sweep")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("simulate", "ensemble", "sweep"):
         p = sub.add_parser(name)
@@ -264,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "ensemble":
             code = cmd_ensemble(cfg, args.threads)
         else:
-            code = cmd_sweep(cfg)
+            code = cmd_sweep(cfg, args.threads)
         print(f"{args.command}: done in {time.monotonic() - t0:.1f} s")
         return code
     except ConfigError as exc:

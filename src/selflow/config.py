@@ -200,6 +200,8 @@ def validate(cfg: RunConfig) -> list[tuple[str, str]]:
         out.append(("bc", f"sim.bc: must be one of {BC_MODES}"))
     if cfg.mode not in RUN_MODES:
         out.append(("mode", f"run.mode: must be one of {RUN_MODES}"))
+    if cfg.proj_maxiter < 0:
+        out.append(("proj_maxiter", "proj.maxiter: must be nonnegative (0 = automatic)"))
     if cfg.modes < 1:
         out.append(("modes", "noise.modes: must be >= 1"))
     if cfg.paths < 1:
@@ -223,6 +225,8 @@ def validate(cfg: RunConfig) -> list[tuple[str, str]]:
         }[attr]
         if kind not in allowed:
             out.append((attr, f"{key}: unknown form {kind!r} (allowed: {allowed})"))
+        elif kind == "file" and not getattr(cfg, attr).partition(":")[2]:
+            out.append((attr, f"{key}: file form needs a path (file:PATH)"))
     return out
 
 
@@ -271,7 +275,6 @@ def build_params(cfg: RunConfig, grid: Grid, umax: float = 0.0) -> Params:
         T=cfg.T,
         stress_form=cfg.stress_form,
         proj_tol=cfg.proj_tol,
-        proj_maxiter=cfg.proj_maxiter,
         dt_override=cfg.dt_override,
     )
 

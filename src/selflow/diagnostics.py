@@ -1,9 +1,10 @@
 """Verifiable identities: energy budget, pointwise algebra, multiplier
 (Pohozaev-type) residuals, defect detection, stress pairings, weak-form
-residuals, and the coupled relaxation-parameter sweep.
+residuals, and the per-path record of the coupled relaxation-parameter
+sweep.
 
-All diagnostics are pure functions of their inputs; ensembles reduce over
-paths elsewhere.
+All diagnostics are pure functions of their inputs; runs, ensembles and
+the sweep itself are orchestrated in :mod:`selflow.ensemble`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from . import operators as ops
 from .dynamics import Params, gl_force, penalty_density, strat_correction
 from .fields import TestFunction
 from .grids import Grid
-from .noise import MagneticField, NoiseOperatorS, WienerDriver
-from .pathrun import PathSeries, simulate_path
+from .noise import MagneticField, NoiseOperatorS
+# simulate_path is unused here; perfbench's tracer test still looks up this alias
+from .pathrun import PathSeries, simulate_path  # noqa: F401
 
 __all__ = [
     "energy_budget_residual",
@@ -36,7 +38,6 @@ __all__ = [
     "defect_detect",
     "default_defect_threshold",
     "SweepResult",
-    "epsilon_sweep",
     "GronwallReport",
     "gronwall_bound_check",
 ]
@@ -131,12 +132,14 @@ def traceless_stress(d: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
     return np.stack([np.stack([t00, t01], axis=-3), np.stack([t01, -t00], axis=-3)], axis=-4)
 
 
-def stress_pairing(d: np.ndarray, grid: Grid, bc_d: str, phi: TestFunction) -> float:
-    """<traceless stress(d), grad phi> by quadrature."""
+def stress_pairing(d: np.ndarray, grid: Grid, bc_d: str, phi: TestFunction):
+    """<traceless stress(d), grad phi> by quadrature: a float for one
+    director, one value per path when ``d`` carries leading path axes."""
     T = traceless_stress(d, grid, bc_d)
     pf = phi.field
     gphi = ops.gradient(pf.values, grid, pf.bc)  # (2, 2, nx, ny), [i, j] = d_j phi_i
-    return float(np.sum(T * gphi * grid.quad_weights()))
+    pairing = np.sum(T * gphi * grid.quad_weights(), axis=(-4, -3, -2, -1))
+    return float(pairing) if pairing.ndim == 0 else pairing
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +526,7 @@ def default_defect_threshold(grid: Grid, eps: float, r: float | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# coupled relaxation-parameter sweep
+# coupled relaxation-parameter sweep record
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -545,77 +548,6 @@ class SweepResult:
         shape (n_eps - 1, n_phi)."""
         p = self.pairings[:, i_check, :]
         return np.abs(np.diff(p, axis=0))
-
-
-def epsilon_sweep(
-    grid: Grid,
-    params: Params,
-    eps_list,
-    seed: int,
-    S: NoiseOperatorS,
-    h: MagneticField,
-    u0: np.ndarray,
-    d0: np.ndarray,
-    phis: list[TestFunction],
-    *,
-    checkpoint_every: int = 50,
-    defect_r: float | None = None,
-    delta0_sq: float | None = None,
-    track_budget: bool = False,
-) -> SweepResult:
-    """Run the system once per eps on one shared Wiener path (same seed and
-    dt for every eps, so the realizations are coupled), recording stress
-    pairings, penalty mass, sphere deviation and defect counts."""
-    eps_list = list(eps_list)
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
-    if defect_r is None:
-        defect_r = 8.0 * max(grid.hx, grid.hy)
-    if delta0_sq is None:
-        delta0_sq = default_defect_threshold(grid, eps_list[0], defect_r)
-
-    all_series = []
-    for eps in eps_list:
-        p_eps = Params(**{**vars(params), "eps": eps})
-        driver = WienerDriver(seed, S.n_modes)
-
-        def hook(state):
-            pair = {
-                f"pairing_{tf.name}": stress_pairing(state.d, grid, grid.bc_director, tf)
-                for tf in phis
-            }
-            rep = defect_detect(state.d, grid, p_eps.eps, defect_r, delta0_sq)
-            pair["defect_count"] = float(rep.count)
-            return pair
-
-        res = simulate_path(
-            grid, p_eps, u0, d0, S, h, driver,
-            checkpoint_every=checkpoint_every,
-            track_budget=track_budget,
-            checkpoint_hook=hook,
-        )
-        all_series.append(res.series)
-
-    times = all_series[0].columns["t"]
-    n_check = len(times)
-    n_phi = len(phis)
-    penalty = np.stack([s.columns["penalty"] for s in all_series])
-    dev = np.stack([s.columns["dev_norm"] for s in all_series])
-    defects = np.stack([s.columns["defect_count"] for s in all_series])
-    pairings = np.empty((len(eps_list), n_check, n_phi))
-    for a, s in enumerate(all_series):
-        for k, tf in enumerate(phis):
-            pairings[a, :, k] = s.columns[f"pairing_{tf.name}"]
-    return SweepResult(
-        eps_list=eps_list,
-        times=times,
-        phi_names=[tf.name for tf in phis],
-        penalty=penalty,
-        dev_norm=dev,
-        defect_count=defects,
-        pairings=pairings,
-        sup_penalty=penalty.max(axis=1),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ class Params:
     T: float = 0.5
     stress_form: str = "reduced"
     proj_tol: float = PROJ_TOL
-    proj_maxiter: int = 0
     dt_override: bool = False
 
     def __post_init__(self):
@@ -77,8 +76,6 @@ class Params:
                 raise ValueError(f"{name} must be nonnegative")
         if self.dt <= 0 or self.T <= 0:
             raise ValueError("dt and T must be positive")
-        if self.proj_maxiter < 0:
-            raise ValueError("proj_maxiter must be nonnegative (0 = automatic)")
         if self.stress_form not in STRESS_FORMS:
             raise ValueError(f"stress_form must be one of {STRESS_FORMS}")
 
@@ -276,9 +273,7 @@ def step_coupled(
     v = u + dt * (-adv_u + params.mu * lap_u - params.lam * sforce)
     if noise_u is not None:
         v = v + noise_u
-    u_new, _ = leray_project(v, grid, tol=params.proj_tol,
-                             maxiter=params.proj_maxiter or None,
-                             need_pressure=False)
+    u_new, _ = leray_project(v, grid, tol=params.proj_tol, need_pressure=False)
 
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(d_new))):
         raise BlowUpError(state.step, state.t)

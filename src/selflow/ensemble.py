@@ -2,15 +2,16 @@
 coupled relaxation-parameter sweep averaged over paths.
 
 Per-path seeds derive from the base seed through a splitmix64 mix of the
-path index.  Results are collected into arrays indexed by path, then
-reduced in index order, so the statistics are bit-identical no matter in
-which order (or on how many threads) the paths actually executed.
+path index.  Ensembles and sweeps run their paths through one grouped lane
+runner; results are collected into arrays indexed by path, then reduced in
+index order, so the statistics are bit-identical no matter in which order
+(or on how many threads) the paths actually executed.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +25,13 @@ from .config import (
     build_params,
     parse_eps_list,
 )
-from .diagnostics import SweepResult, WeakFormTracker, epsilon_sweep
+from .diagnostics import (
+    SweepResult,
+    WeakFormTracker,
+    default_defect_threshold,
+    defect_detect,
+    stress_pairing,
+)
 from .fields import TestFunction, director_test_function, solenoidal_test_function
 from .noise import WienerDriver, split_seed
 from .pathrun import PathResult, PathSeries, simulate_batch, simulate_path
@@ -123,43 +130,51 @@ def default_sweep_test_functions(grid) -> list[TestFunction]:
     ]
 
 
-def run_ensemble(spec: EnsembleSpec, config: RunConfig,
-                 order: list[int] | None = None, batch_size: int = 16) -> EnsembleResult:
-    """Independent paths with derived seeds, merged into EnsembleStats.
+def _run_lanes(spec: EnsembleSpec, grid, params, u0, d0, S, h, *,
+               order: list[int] | None = None, batch_size: int = 16,
+               checkpoint_hook=None) -> list[PathSeries]:
+    """Every path of ``spec`` as one lane of :func:`simulate_batch`.
 
     Paths are grouped into fixed index-contiguous batches that advance in
-    lockstep (vectorized over a leading path axis); every lane is
-    bit-identical to :func:`run_path` with its seed, whatever the batch size.
-    ``order`` permutes only the execution order of those work units (a
-    reproducibility probe); results are stored by path index, so the output
-    does not depend on it.
+    lockstep (vectorized over a leading path axis), up to ``spec.threads``
+    batches at a time; every lane is bit-identical to a lone path with its
+    seed, whatever the batch size.  ``order`` permutes only the execution
+    order of those work units (a reproducibility probe); results are stored
+    by path index, so the output does not depend on it.
     """
     n = spec.n_paths
-    seeds = [spec.path_seed(i) for i in range(n)]
-    results: list[PathSeries | None] = [None] * n
-    groups = [list(range(a, min(a + batch_size, n))) for a in range(0, n, batch_size)]
-    grid, u0, d0, params, S, h = _build(config)
+    series: list[PathSeries | None] = [None] * n
+    starts = range(0, n, batch_size)
 
     def work(g: int) -> None:
-        idx = groups[g]
-        drivers = [WienerDriver(seeds[i], config.modes) for i in idx]
+        idx = range(starts[g], min(starts[g] + batch_size, n))
+        drivers = [WienerDriver(spec.path_seed(i), S.n_modes) for i in idx]
         batch = simulate_batch(
             grid, params, u0, d0, S, h, drivers,
             checkpoint_every=spec.checkpoint_every,
             track_budget=spec.track_budget,
+            checkpoint_hook=checkpoint_hook,
         )
-        for i, res in zip(idx, batch):
-            results[i] = res.series
+        series[idx.start:idx.stop] = [res.series for res in batch]
 
-    group_order = list(range(len(groups))) if order is None else list(order)
+    group_order = list(range(len(starts))) if order is None else list(order)
     if spec.threads > 1:
         with ThreadPoolExecutor(max_workers=spec.threads) as ex:
             list(ex.map(work, group_order))
     else:
         for g in group_order:
             work(g)
+    return series
 
-    series = list(results)  # index order regardless of execution order
+
+def run_ensemble(spec: EnsembleSpec, config: RunConfig,
+                 order: list[int] | None = None, batch_size: int = 16) -> EnsembleResult:
+    """Independent paths with derived seeds, merged into EnsembleStats; each
+    path is bit-identical to :func:`run_path` with its seed (see
+    :func:`_run_lanes` for the grouping and ``order``)."""
+    grid, u0, d0, params, S, h = _build(config)
+    series = _run_lanes(spec, grid, params, u0, d0, S, h, order=order, batch_size=batch_size)
+    seeds = [spec.path_seed(i) for i in range(spec.n_paths)]
     return EnsembleResult(stats=reduce_stats(series, spec), series=series, seeds=seeds)
 
 
@@ -203,24 +218,56 @@ class CoupledSweepResult:
 
 def coupled_sweep(spec: EnsembleSpec, config: RunConfig,
                   eps_list: list[float] | None = None) -> CoupledSweepResult:
-    """Per-path coupled sweeps (one shared Wiener path per sweep), with the
-    pairing Cauchy differences averaged across paths."""
+    """Coupled relaxation-parameter sweep with the pairing Cauchy differences
+    averaged across paths.
+
+    Each eps runs every path of ``spec`` as a batched ensemble; a path reads
+    the same Wiener stream (same seed and dt) at every eps, so its
+    realizations are coupled.  Every checkpoint records the stress pairings,
+    penalty mass, sphere deviation and defect count of each path.
+    """
     if eps_list is None:
         eps_list = parse_eps_list(config.sweep_eps)
+    eps_list = list(eps_list)
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_list must be strictly decreasing")
     grid, u0, d0, params, S, h = _build(config)
     phis = default_sweep_test_functions(grid)
+    names = [tf.name for tf in phis]
+    defect_r = 8.0 * max(grid.hx, grid.hy)
+    delta0_sq = default_defect_threshold(grid, eps_list[0], defect_r)
 
-    per_path = []
-    for i in range(spec.n_paths):
-        res = epsilon_sweep(
-            grid, params, eps_list, spec.path_seed(i), S, h, u0, d0, phis,
-            checkpoint_every=spec.checkpoint_every,
-            track_budget=spec.track_budget,
+    runs = []  # runs[a][p]: series of path p at eps_list[a]
+    for eps in eps_list:
+        def hook(state, eps=eps):
+            row = {f"pairing_{tf.name}": stress_pairing(state.d, grid, grid.bc_director, tf)
+                   for tf in phis}
+            row["defect_count"] = np.array(
+                [float(defect_detect(d, grid, eps, defect_r, delta0_sq).count) for d in state.d])
+            return row
+
+        runs.append(_run_lanes(spec, grid, replace(params, eps=eps), u0, d0, S, h,
+                               checkpoint_hook=hook))
+
+    def across_eps(p: int, name: str) -> np.ndarray:  # (n_eps, n_check)
+        return np.stack([run[p].columns[name] for run in runs])
+
+    per_path = [
+        SweepResult(
+            eps_list=eps_list,
+            times=runs[0][p].columns["t"],
+            phi_names=names,
+            penalty=across_eps(p, "penalty"),
+            dev_norm=across_eps(p, "dev_norm"),
+            defect_count=across_eps(p, "defect_count"),
+            pairings=np.stack([across_eps(p, f"pairing_{n}") for n in names], axis=-1),
+            sup_penalty=across_eps(p, "penalty").max(axis=1),
         )
-        per_path.append(res)
+        for p in range(spec.n_paths)
+    ]
     if len(eps_list) < 2:
         empty = np.zeros((0, len(phis)))
-        return CoupledSweepResult(eps_list, [p.name for p in phis], per_path, empty, empty)
+        return CoupledSweepResult(eps_list, names, per_path, empty, empty)
     stack = np.stack([r.cauchy() for r in per_path])  # (M, n_eps-1, n_phi)
     mean = stack.mean(axis=0)
     se = (
@@ -228,4 +275,4 @@ def coupled_sweep(spec: EnsembleSpec, config: RunConfig,
         if spec.n_paths > 1
         else np.zeros_like(mean)
     )
-    return CoupledSweepResult(eps_list, [p.name for p in phis], per_path, mean, se)
+    return CoupledSweepResult(eps_list, names, per_path, mean, se)

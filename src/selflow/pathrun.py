@@ -188,9 +188,9 @@ def simulate_batch(
     kernel mixes lanes, so lane m is bit-identical to a lone run with
     drivers[m].  ``normals_table`` (n_steps, len(drivers), N+1) replaces
     the drivers' streams.  ``weak_tracker`` accumulates per lane, and
-    ``checkpoint_hook(state)`` is called once per lane with that lane's
-    state; its dict values become extra columns.  Raises the stepper's
-    stability / blow-up errors.
+    ``checkpoint_hook(state)`` is called at every checkpoint with the
+    batched state; its dict of per-lane values becomes extra columns.
+    Raises the stepper's stability / blow-up errors.
     """
     if n_steps is None:
         n_steps = max(1, int(round(params.T / params.dt)))
@@ -204,14 +204,11 @@ def simulate_batch(
     d_bc = d0 if grid.bc_director == "dirichlet" else None
 
     rows: list[dict] = []
-    extras: list[dict[str, list]] = [{} for _ in range(m)]
 
     def emit():
         rows.append(record_columns(state, params, S, h))
         if checkpoint_hook is not None:
-            for lane in range(m):
-                for key, val in checkpoint_hook(_lane_state(state, lane)).items():
-                    extras[lane].setdefault(key, []).append(val)
+            rows[-1].update(checkpoint_hook(state))
 
     emit()
     for step, normals in enumerate(_normal_rows(drivers, n_steps, normals_table)):
@@ -227,9 +224,7 @@ def simulate_batch(
 
     out = []
     for lane, drv in enumerate(drivers):
-        columns = {name: np.array([_at(row[name], lane) for row in rows])
-                   for name in RECORD_FIELDS}
-        columns.update({key: np.array(vals) for key, vals in extras[lane].items()})
+        columns = {name: np.array([_at(row[name], lane) for row in rows]) for name in rows[0]}
         out.append(PathResult(
             PathSeries(columns), _lane_state(state, lane), drv.seed,
             None if sink is None else sink.lane(lane),

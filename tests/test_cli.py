@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: subcommands, exit codes, artifacts."""
 
+import os
 import struct
+from unittest import mock
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selflow.cli import main
+from selflow.config import SCHEMA
 from selflow.fields import MAGIC, Field, write_snapshot
 from selflow.grids import Grid
 from selflow.initial import constant_director, vortex_director
@@ -58,6 +63,29 @@ class TestSimulate:
         code = main(["simulate", write_cfg(tmp_path, "sim.eps = -4\n")])
         assert code == 1
         assert not out.exists()
+
+    def test_failed_write_leaves_no_run_dir(self, tmp_path, monkeypatch, capsys):
+        import selflow.cli as cli
+
+        def refuse(path, field):
+            raise OSError(f"cannot write {path}")
+
+        out = out_env(tmp_path, monkeypatch)
+        monkeypatch.setattr(cli, "write_snapshot", refuse)
+        assert main(["simulate", write_cfg(tmp_path, TINY)]) == 3
+        assert "i/o error" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_rerun_replaces_run_dir(self, tmp_path, monkeypatch):
+        out = out_env(tmp_path, monkeypatch)
+        cfg = write_cfg(tmp_path, TINY)
+        assert main(["simulate", cfg]) == 0
+        run = next(out.iterdir())
+        (run / "stale.txt").write_text("left by an earlier run\n")
+        assert main(["simulate", cfg]) == 0
+        assert list(out.iterdir()) == [run]
+        assert sorted(p.name for p in run.iterdir()) == [
+            "config.cfg", "d_final.fld", "energy.csv", "manifest.txt", "u_final.fld"]
 
     def test_missing_config_is_io_error(self, tmp_path, monkeypatch):
         out_env(tmp_path, monkeypatch)
@@ -203,3 +231,64 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 10
+
+
+# one fault per fuzzed config, applied to TINY: a bad value replaces the
+# key's line (or is added), an unknown key, a repeated key or a line
+# without '=' is added
+_TINY = dict(line.split(" = ") for line in TINY.strip().splitlines())
+_POSITIVE = ["sim.lx", "sim.ly", "sim.eps", "sim.mu", "sim.lambda", "sim.gamma", "sim.T",
+             "noise.sigma0", "noise.q", "proj.tol"]
+_NUMERIC = _POSITIVE + ["noise.seed", "noise.modes", "noise.xi1", "noise.xi2",
+                        "proj.maxiter", "ensemble.paths", "out.checkpoint_every"]
+# the words each key accepts that the fuzz alphabet can spell
+_VALID_WORDS = {
+    "sim.bc": {"periodic", "bounded"},
+    "run.mode": {"simulate", "ensemble", "sweep", "diagnose", "selftest"},
+    "sim.stress_form": {"reduced", "divergence"},
+    "track.budget": {"true", "false", "yes", "no", "on", "off"},
+    "init.d": {"const", "vortex"},
+    "field.h": {"const", "wave"},
+}
+_words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_.", min_size=1, max_size=12)
+
+
+def _is_float(word):
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+def _render(cfg):
+    return [f"{k} = {v}" for k, v in cfg.items()]
+
+
+def _fault():
+    bad_value = st.one_of(
+        st.tuples(st.sampled_from(_NUMERIC), _words.filter(lambda w: not _is_float(w))),
+        st.tuples(st.sampled_from(_POSITIVE),
+                  st.floats(max_value=0.0, allow_nan=False).map(repr)),
+        st.tuples(st.sampled_from(["proj.maxiter", "noise.modes", "ensemble.paths",
+                                   "out.checkpoint_every"]), st.integers(max_value=-1).map(str)),
+        st.sampled_from(sorted(_VALID_WORDS)).flatmap(
+            lambda k: st.tuples(st.just(k), _words.filter(lambda w: w not in _VALID_WORDS[k]))),
+    )
+    extra_lines = st.one_of(
+        _words.filter(lambda k: k not in SCHEMA).map(lambda k: [f"{k} = 1"]),
+        st.sampled_from(sorted(SCHEMA)).map(lambda k: [f"{k} = 1", f"{k} = 1"]),
+        _words.map(lambda w: [w]),
+    )
+    return st.one_of(bad_value.map(lambda kv: _render({**_TINY, kv[0]: kv[1]})),
+                     extra_lines.map(lambda extra: _render(_TINY) + extra))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=_fault(), command=st.sampled_from(["simulate", "ensemble", "sweep"]))
+def test_fuzzed_config_exits_1_and_writes_nothing(tmp_path_factory, lines, command):
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = write_cfg(root, "\n".join(lines) + "\n")
+    with mock.patch.dict(os.environ, {"SELFLOW_OUT": str(root / "out")}):
+        assert main([command, cfg]) == 1, lines
+    assert not (root / "out").exists()

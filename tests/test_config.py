@@ -58,6 +58,18 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config("sweep.eps = 0.1,0.2\n")
 
+    def test_negative_proj_maxiter_names_key_and_line(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("sim.T = 1.0\nproj.maxiter = -1\n")
+        assert any("proj.maxiter" in msg and ln == 2 for ln, msg in err.value.problems)
+
+    @pytest.mark.parametrize("key", ["init.u", "init.d", "field.h"])
+    @pytest.mark.parametrize("spec", ["file", "file:"])
+    def test_file_form_needs_path(self, key, spec):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"sim.T = 1.0\n{key} = {spec}\n")
+        assert err.value.problems == [(2, f"{key}: file form needs a path (file:PATH)")]
+
 
 class TestCanonical:
     def test_roundtrip_defaults(self):

@@ -15,7 +15,6 @@ from selflow.diagnostics import (
     default_defect_threshold,
     defect_detect,
     energy_budget_residual,
-    epsilon_sweep,
     gronwall_bound_check,
     local_energy,
     pohozaev_residual,
@@ -24,7 +23,9 @@ from selflow.diagnostics import (
     traceless_stress,
     triple_product_defects,
 )
+from selflow.config import RunConfig
 from selflow.dynamics import Params, stability_dt
+from selflow.ensemble import EnsembleSpec, coupled_sweep
 from selflow.fields import director_test_function, solenoidal_test_function
 from selflow.grids import Grid
 from selflow.initial import (
@@ -206,6 +207,20 @@ class TestStressPairing:
                     + T[1, 1] * gphi[1, 1]) * grid32.quad_weights())
         )
         assert abs(val - direct) <= 1e-12 * (1 + abs(val))
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_batched_equals_per_lane(self, rng, bounded):
+        # the sweep pairs every lane of a batch at once; each lane must be
+        # the one-director value bit for bit
+        grid = (Grid(32, 32, bc_velocity="noslip", bc_director="neumann") if bounded
+                else Grid(33, 31, lx=1.7))
+        d = rng.standard_normal((5, 3, grid.nx, grid.ny))
+        for phi in (solenoidal_test_function(grid, 1, 1), solenoidal_test_function(grid, 2, 1)):
+            batched = stress_pairing(d, grid, grid.bc_director, phi)
+            lanes = [stress_pairing(lane, grid, grid.bc_director, phi) for lane in d]
+            assert batched.shape == (5,)
+            assert all(type(v) is float for v in lanes)
+            assert np.array_equal(batched, lanes)
 
 
 class TestWeakResiduals:
@@ -524,17 +539,11 @@ class TestDefectScanEquivalence:
 
 class TestEpsilonSweep:
     def _sweep(self, seed=0, eps_list=(0.3, 0.15), T=0.01, n=16):
-        grid = Grid(n, n)
-        S = NoiseOperatorS(grid, n_modes=4, sigma0=0.3)
-        h = MagneticField.constant(grid, (0, 0, 0.5))
-        dt = stability_dt(min(eps_list), grid, 1, 1)
-        params = Params(eps=eps_list[0], dt=dt, T=T)
-        phis = [solenoidal_test_function(grid, 1, 1, name="a"),
-                solenoidal_test_function(grid, 2, 1, name="b")]
-        return epsilon_sweep(grid, params, eps_list, seed, S, h,
-                             taylor_green(grid, 1, 0.2),
-                             smooth_unit_director(grid, 0.4), phis,
-                             checkpoint_every=50)
+        cfg = RunConfig(grid=f"{n}x{n}", eps=eps_list[0], T=T, dt="auto", modes=4,
+                        sigma0=0.3, h_spec="const:0,0,0.5", init_u="taylor-green:1,0.2",
+                        init_d="unit-smooth:0.4", track_budget=False)
+        spec = EnsembleSpec(n_paths=1, base_seed=seed, checkpoint_every=50)
+        return coupled_sweep(spec, cfg, list(eps_list)).per_path[0]
 
     def test_deterministic_same_seed(self):
         r1 = self._sweep(seed=4)
@@ -545,7 +554,7 @@ class TestEpsilonSweep:
     def test_shapes_and_cauchy(self):
         r = self._sweep(eps_list=(0.4, 0.2, 0.1))
         assert r.pairings.shape[0] == 3
-        assert r.cauchy().shape == (2, 2)
+        assert r.cauchy().shape == (2, 3)
         assert r.sup_penalty.shape == (3,)
 
     def test_eps_list_must_decrease(self):

@@ -1,15 +1,27 @@
 """Ensemble orchestration: seeding, statistics, reproducibility, sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selflow.config import RunConfig
+from selflow.config import (
+    RunConfig,
+    build_grid,
+    build_initial_d,
+    build_initial_u,
+    build_magnetic_field,
+    build_noise_operator,
+    build_params,
+)
+from selflow.diagnostics import default_defect_threshold, defect_detect, stress_pairing
 from selflow.dynamics import Params, stability_dt
 from selflow.ensemble import (
     EnsembleSpec,
     coupled_sweep,
+    default_sweep_test_functions,
     run_ensemble,
     run_path,
 )
@@ -146,27 +158,62 @@ def test_batch_lanes_equal_lone_paths(lanes, bounded, budget, seed):
 
 
 class TestCoupledSweep:
-    def test_single_path_reduces_to_epsilon_sweep(self):
-        from selflow.config import (build_grid, build_initial_d, build_initial_u,
-                                    build_magnetic_field, build_noise_operator,
-                                    build_params)
-        from selflow.diagnostics import epsilon_sweep
-        from selflow.ensemble import default_sweep_test_functions
+    @pytest.mark.parametrize("init_d", ["vortex:0.4,0.55,0.05", "const:0.3,0,0.7"])
+    @pytest.mark.parametrize("n_paths", [1, 3, 17])
+    def test_matches_serial_oracle(self, n_paths, init_d):
+        # the batched sweep equals a serial loop of lone paths, one per
+        # (path, eps), with the observables taken on each lane's own state;
+        # 17 paths split into lane groups of 16 + 1.  The off-sphere
+        # director's defect count depends on eps (0 at 0.3, nonzero at 0.1)
+        cfg = small_config(T=0.005, init_d=init_d, h_spec="wave:0.2,0.2,0.5",
+                           checkpoint_every=4)
+        eps_list = [0.3, 0.1]
+        spec = EnsembleSpec(n_paths=n_paths, base_seed=13, checkpoint_every=4)
+        res = coupled_sweep(spec, cfg, eps_list)
 
-        cfg = small_config(T=0.005)
-        spec = EnsembleSpec(n_paths=1, base_seed=13, checkpoint_every=20)
-        res = coupled_sweep(spec, cfg, [0.3, 0.15])
         grid = build_grid(cfg)
         u0 = build_initial_u(cfg, grid)
         d0 = build_initial_d(cfg, grid)
         params = build_params(cfg, grid, umax=float(np.max(np.abs(u0))))
-        direct = epsilon_sweep(grid, params, [0.3, 0.15], spec.path_seed(0),
-                               build_noise_operator(cfg, grid),
-                               build_magnetic_field(cfg, grid), u0, d0,
-                               default_sweep_test_functions(grid),
-                               checkpoint_every=20)
-        assert np.array_equal(res.per_path[0].pairings, direct.pairings)
-        assert np.array_equal(res.cauchy_mean, res.per_path[0].cauchy())
+        S, h = build_noise_operator(cfg, grid), build_magnetic_field(cfg, grid)
+        phis = default_sweep_test_functions(grid)
+        r = 8.0 * max(grid.hx, grid.hy)
+        threshold = default_defect_threshold(grid, eps_list[0], r)
+        assert len(res.per_path) == n_paths
+        for p, sweep in enumerate(res.per_path):
+            penalty, dev, counts, pairings = [], [], [], []
+            for eps in eps_list:
+                rows = []
+
+                def observe(state, eps=eps):
+                    d = state.d[0]
+                    rows.append([stress_pairing(d, grid, grid.bc_director, tf) for tf in phis]
+                                + [float(defect_detect(d, grid, eps, r, threshold).count)])
+                    return {}
+
+                lone = simulate_path(grid, replace(params, eps=eps), u0, d0, S, h,
+                                     WienerDriver(spec.path_seed(p), cfg.modes),
+                                     checkpoint_every=4, track_budget=False,
+                                     checkpoint_hook=observe)
+                rows = np.array(rows)
+                pairings.append(rows[:, :-1])
+                counts.append(rows[:, -1])
+                penalty.append(lone.series.columns["penalty"])
+                dev.append(lone.series.columns["dev_norm"])
+            assert sweep.eps_list == eps_list
+            assert sweep.phi_names == [tf.name for tf in phis]
+            assert np.array_equal(sweep.times, lone.series.columns["t"])
+            assert np.array_equal(sweep.penalty, np.array(penalty))
+            assert np.array_equal(sweep.dev_norm, np.array(dev))
+            assert np.array_equal(sweep.defect_count, np.array(counts))
+            assert np.array_equal(sweep.pairings, np.array(pairings))
+            assert np.array_equal(sweep.sup_penalty, np.array(penalty).max(axis=1))
+            assert sweep.defect_count[-1].max() > 0
+        cauchy = np.stack([sweep.cauchy() for sweep in res.per_path])
+        assert np.array_equal(res.cauchy_mean, cauchy.mean(axis=0))
+        se = (cauchy.std(axis=0, ddof=1) / np.sqrt(n_paths) if n_paths > 1
+              else np.zeros_like(res.cauchy_mean))
+        assert np.array_equal(res.cauchy_se, se)
 
     def test_single_eps_empty_cauchy(self):
         cfg = small_config(T=0.005)

@@ -3,6 +3,8 @@ budget relies on."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selflow import operators as ops
 from selflow.grids import Grid, GridError
@@ -161,6 +163,43 @@ class TestDiscreteIdentities:
                 bc = "neumann"
         lhs = ops.inner(ops.laplacian(f, grid, bc), g, grid)
         rhs = -ops.dirichlet_form_vec(f[None], g[None], grid)
+        assert abs(lhs - rhs) <= 1e-11 * (1 + abs(lhs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(["periodic", "neumann", "zero-boundary"]),
+           nx=st.integers(6, 33), ny=st.integers(6, 33), lx=st.floats(0.5, 2.0),
+           k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_dirichlet_form_matches_laplacian_on_smooth_fields(self, mode, nx, ny, lx, k, seed):
+        # the contract the step-by-step budget rests on, for random
+        # low-mode (k, nx, ny) fields; modes are periodic on the torus and
+        # sines that vanish on the walls otherwise, with the wall nodes set
+        # to exactly 0 in zero-boundary mode
+        rng = np.random.default_rng(seed)
+        if mode == "periodic":
+            grid, bc = Grid(nx, ny, lx=lx), "periodic"
+        else:
+            grid = Grid(nx, ny, lx=lx, bc_velocity="noslip", bc_director="neumann")
+            bc = "neumann" if mode == "neumann" else "none"
+        X, Y = grid.meshgrid()
+
+        def smooth():
+            out = np.zeros((k, nx, ny))
+            for p in range(1, 4):
+                for q in range(1, 4):
+                    a, ph = rng.standard_normal((k, 1, 1)), rng.uniform(0, 2 * np.pi, (k, 1, 1))
+                    if mode == "periodic":
+                        out += a * np.cos(2 * np.pi * (p * X / grid.lx + q * Y / grid.ly) + ph)
+                    elif mode == "neumann":
+                        out += a * np.cos(p * np.pi * X / grid.lx + ph) * np.cos(q * np.pi * Y / grid.ly)
+                    else:
+                        out += a * np.sin(p * np.pi * X / grid.lx) * np.sin(q * np.pi * Y / grid.ly)
+            if mode == "zero-boundary":
+                out[..., 0, :] = out[..., -1, :] = out[..., :, 0] = out[..., :, -1] = 0.0
+            return out
+
+        f, g = smooth(), smooth()
+        lhs = ops.inner(ops.laplacian(f, grid, bc), g, grid)
+        rhs = -ops.dirichlet_form_vec(f, g, grid)
         assert abs(lhs - rhs) <= 1e-11 * (1 + abs(lhs))
 
     def test_skew_advection_pairing_vanishes(self, grid32, rng):
