@@ -33,7 +33,7 @@ from .diagnostics import (
     pohozaev_residual,
     stress_pairing,
 )
-from .ensemble import EnsembleSpec, EnsembleStats, coupled_sweep, run_ensemble, run_path
+from .ensemble import EnsembleStats, coupled_sweep, run_ensemble, run_path
 from .config import ConfigError, RunConfig, canonical_dump, parse_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

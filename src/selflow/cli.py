@@ -27,7 +27,6 @@ from .config import (
     canonical_dump,
     config_hash,
     parse_config,
-    parse_eps_list,
 )
 from .diagnostics import (
     budget_residual_series,
@@ -36,13 +35,7 @@ from .diagnostics import (
     pohozaev_residual,
 )
 from .dynamics import BlowUpError, StabilityError
-from .ensemble import (
-    EnsembleSpec,
-    coupled_sweep,
-    default_sweep_test_functions,
-    run_ensemble,
-    run_path,
-)
+from .ensemble import coupled_sweep, default_sweep_test_functions, run_ensemble, run_path
 from .fields import SnapshotError, read_snapshot, write_snapshot, Field
 from .grids import GridError
 from .pathrun import RECORD_FIELDS
@@ -140,14 +133,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_ensemble(cfg: RunConfig, threads: int) -> int:
-    spec = EnsembleSpec(
-        n_paths=cfg.paths,
-        base_seed=cfg.seed,
-        checkpoint_every=cfg.checkpoint_every,
-        track_budget=cfg.track_budget,
-        threads=threads,
-    )
-    result = run_ensemble(spec, cfg)
+    result = run_ensemble(cfg, threads)
     with _run_dir(cfg, "ensemble") as run_dir:
         _write_manifest(run_dir, cfg, result.seeds, {"paths": cfg.paths})
         stats = result.stats
@@ -170,18 +156,9 @@ def cmd_ensemble(cfg: RunConfig, threads: int) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, threads: int) -> int:
-    spec = EnsembleSpec(
-        n_paths=cfg.paths,
-        base_seed=cfg.seed,
-        checkpoint_every=cfg.checkpoint_every,
-        track_budget=cfg.track_budget,
-        threads=threads,
-    )
-    eps_list = parse_eps_list(cfg.sweep_eps)
-    result = coupled_sweep(spec, cfg, eps_list)
+    result = coupled_sweep(cfg, threads)
     with _run_dir(cfg, "sweep") as run_dir:
-        _write_manifest(run_dir, cfg, [spec.path_seed(i) for i in range(cfg.paths)],
-                        {"eps_list": cfg.sweep_eps})
+        _write_manifest(run_dir, cfg, result.seeds, {"eps_list": cfg.sweep_eps})
         first = result.per_path[0]
         with open(run_dir / "sweep.csv", "w", encoding="utf-8") as fh:
             head = "path,eps,t,penalty,dev_norm,defect_count," + ",".join(
@@ -197,9 +174,9 @@ def cmd_sweep(cfg: RunConfig, threads: int) -> int:
         with open(run_dir / "cauchy.csv", "w", encoding="utf-8") as fh:
             fh.write("eps_hi,eps_lo," + ",".join(result.phi_names) + "\n")
             for gap in range(result.cauchy_mean.shape[0]):
-                row = [eps_list[gap], eps_list[gap + 1]] + list(result.cauchy_mean[gap])
+                row = result.eps_list[gap:gap + 2] + list(result.cauchy_mean[gap])
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        print(f"sweep: eps {eps_list}, sup penalty per eps "
+        print(f"sweep: eps {result.eps_list}, sup penalty per eps "
               f"{[float(s) for s in first.sup_penalty]}")
     return EXIT_OK
 
@@ -248,11 +225,18 @@ def cmd_selftest() -> int:
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 
 
+def _thread_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="selflow", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on lane groups (16 paths each) run in parallel by "
-                             "ensemble and sweep")
+    parser.add_argument("--threads", type=_thread_count, default=1,
+                        help="cap (N >= 1) on lane groups (16 paths each) run in "
+                             "parallel by ensemble and sweep")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("simulate", "ensemble", "sweep"):
         p = sub.add_parser(name)

@@ -211,27 +211,54 @@ def validate(cfg: RunConfig) -> list[tuple[str, str]]:
     if cfg.stress_form not in ("reduced", "divergence"):
         out.append(("stress_form", "sim.stress_form: must be 'reduced' or 'divergence'"))
     try:
-        eps_list = parse_eps_list(cfg.sweep_eps)
-        if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-            out.append(("sweep_eps", "sweep.eps: must be strictly decreasing"))
-    except ValueError:
-        out.append(("sweep_eps", f"sweep.eps: bad list {cfg.sweep_eps!r}"))
-    for attr, key in (("init_u", "init.u"), ("init_d", "init.d"), ("h_spec", "field.h")):
-        kind = getattr(cfg, attr).split(":", 1)[0]
-        allowed = {
-            "init_u": ("zero", "taylor-green", "file"),
-            "init_d": ("const", "vortex", "unit-smooth", "unit-mixed", "file"),
-            "h_spec": ("const", "wave", "file"),
-        }[attr]
-        if kind not in allowed:
-            out.append((attr, f"{key}: unknown form {kind!r} (allowed: {allowed})"))
-        elif kind == "file" and not getattr(cfg, attr).partition(":")[2]:
-            out.append((attr, f"{key}: file form needs a path (file:PATH)"))
+        parse_eps_list(cfg.sweep_eps)
+    except ValueError as exc:
+        out.append(("sweep_eps", f"sweep.eps: {exc}"))
+    for attr in SPEC_FORMS:
+        try:
+            spec_args(cfg, attr)
+        except ValueError as exc:
+            out.append((attr, f"{_ATTR_TO_KEY[attr]}: {exc}"))
     return out
 
 
 def parse_eps_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    """The relaxation parameters of ``sweep.eps``: a comma-separated, strictly
+    decreasing list of positive numbers; raises ValueError otherwise."""
+    eps = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not eps or not eps[-1] > 0 or any(not a > b for a, b in zip(eps, eps[1:])):
+        raise ValueError(f"must be a strictly decreasing list of positive numbers, got {text!r}")
+    return eps
+
+
+# spec attribute -> form -> converters of its arguments and the argument
+# counts it accepts (0 = builder defaults); the file form takes a path
+SPEC_FORMS = {
+    "init_u": {"zero": ((), (0,)), "taylor-green": ((int, float), (0, 1, 2)), "file": None},
+    "init_d": {"const": ((float,) * 3, (0, 3)), "vortex": ((float,) * 3, (0, 1, 2, 3)),
+               "unit-smooth": ((float,), (0, 1)), "unit-mixed": ((float,), (0, 1)),
+               "file": None},
+    "h_spec": {"const": ((float,) * 3, (0, 3)), "wave": ((float,) * 3, (0, 3)), "file": None},
+}
+
+
+def spec_args(cfg: RunConfig, attr: str) -> tuple[str, list]:
+    """(form, converted arguments) of the ``form[:a,b,...]`` spec held in
+    ``attr``; raises ValueError when the form, the argument count or a
+    number is wrong."""
+    kind, colon, rest = getattr(cfg, attr).partition(":")
+    forms = SPEC_FORMS[attr]
+    if kind not in forms:
+        raise ValueError(f"unknown form {kind!r} (allowed: {tuple(forms)})")
+    if forms[kind] is None:
+        if not rest:
+            raise ValueError("file form needs a path (file:PATH)")
+        return kind, [rest]
+    converters, counts = forms[kind]
+    args = rest.split(",") if colon else []
+    if len(args) not in counts:
+        raise ValueError(f"{kind} takes {' or '.join(map(str, counts))} arguments, got {len(args)}")
+    return kind, [conv(a) for conv, a in zip(converters, args)]
 
 
 def canonical_dump(cfg: RunConfig) -> str:
@@ -279,61 +306,37 @@ def build_params(cfg: RunConfig, grid: Grid, umax: float = 0.0) -> Params:
     )
 
 
-def _split_args(spec: str) -> list[str]:
-    return spec.split(":", 1)[1].split(",") if ":" in spec else []
-
-
 def build_initial_u(cfg: RunConfig, grid: Grid) -> np.ndarray:
-    kind = cfg.init_u.split(":", 1)[0]
+    kind, args = spec_args(cfg, "init_u")
     if kind == "zero":
         return zero_velocity(grid)
     if kind == "taylor-green":
-        args = _split_args(cfg.init_u)
-        k = int(args[0]) if args else 1
-        amp = float(args[1]) if len(args) > 1 else 0.1
+        k, amp = args + [1, 0.1][len(args):]
         return taylor_green(grid, k=k, amp=amp)
-    if kind == "file":
-        f = read_snapshot(cfg.init_u.split(":", 1)[1], cfg.lx, cfg.ly)
-        return f.values
-    raise ConfigError([(0, f"init.u: unknown form {cfg.init_u!r}")])
+    return read_snapshot(args[0], cfg.lx, cfg.ly).values
 
 
 def build_initial_d(cfg: RunConfig, grid: Grid) -> np.ndarray:
-    kind = cfg.init_d.split(":", 1)[0]
-    args = _split_args(cfg.init_d)
+    kind, args = spec_args(cfg, "init_d")
     if kind == "const":
-        vec = tuple(float(a) for a in args) if args else (0.0, 0.0, 1.0)
-        return constant_director(grid, vec)
+        return constant_director(grid, tuple(args) or (0.0, 0.0, 1.0))
     if kind == "vortex":
-        x0 = float(args[0]) if args else 0.5 * grid.lx
-        y0 = float(args[1]) if len(args) > 1 else 0.5 * grid.ly
-        core = float(args[2]) if len(args) > 2 else 3.0 * max(grid.hx, grid.hy)
-        return vortex_director(grid, x0, y0, core)
+        defaults = [0.5 * grid.lx, 0.5 * grid.ly, 3.0 * max(grid.hx, grid.hy)]
+        return vortex_director(grid, *(args + defaults[len(args):]))
     if kind == "unit-smooth":
-        amp = float(args[0]) if args else 0.4
-        return smooth_unit_director(grid, amp=amp)
+        return smooth_unit_director(grid, amp=args[0] if args else 0.4)
     if kind == "unit-mixed":
-        amp = float(args[0]) if args else 0.4
-        return mixed_unit_director(grid, amp=amp)
-    if kind == "file":
-        return read_snapshot(cfg.init_d.split(":", 1)[1], cfg.lx, cfg.ly).values
-    raise ConfigError([(0, f"init.d: unknown form {cfg.init_d!r}")])
+        return mixed_unit_director(grid, amp=args[0] if args else 0.4)
+    return read_snapshot(args[0], cfg.lx, cfg.ly).values
 
 
 def build_magnetic_field(cfg: RunConfig, grid: Grid) -> MagneticField:
-    kind = cfg.h_spec.split(":", 1)[0]
+    kind, args = spec_args(cfg, "h_spec")
     if kind == "const":
-        args = _split_args(cfg.h_spec)
-        vec = tuple(float(a) for a in args) if args else (0.0, 0.0, 0.5)
-        return MagneticField.constant(grid, vec)
+        return MagneticField.constant(grid, tuple(args) or (0.0, 0.0, 0.5))
     if kind == "wave":
-        args = _split_args(cfg.h_spec)
-        vec = tuple(float(a) for a in args) if args else (0.2, 0.2, 0.5)
-        return MagneticField.wave(grid, vec)
-    if kind == "file":
-        f = read_snapshot(cfg.h_spec.split(":", 1)[1], cfg.lx, cfg.ly)
-        return MagneticField(grid, f.values, descriptor=cfg.h_spec)
-    raise ConfigError([(0, f"field.h: unknown form {cfg.h_spec!r}")])
+        return MagneticField.wave(grid, tuple(args) or (0.2, 0.2, 0.5))
+    return MagneticField(grid, read_snapshot(args[0], cfg.lx, cfg.ly).values, descriptor=cfg.h_spec)
 
 
 def build_noise_operator(cfg: RunConfig, grid: Grid) -> NoiseOperatorS:

@@ -1,11 +1,13 @@
 """Monte-Carlo orchestration: independent paths, merged statistics, and the
 coupled relaxation-parameter sweep averaged over paths.
 
-Per-path seeds derive from the base seed through a splitmix64 mix of the
-path index.  Ensembles and sweeps run their paths through one grouped lane
-runner; results are collected into arrays indexed by path, then reduced in
-index order, so the statistics are bit-identical no matter in which order
-(or on how many threads) the paths actually executed.
+A :class:`RunConfig` describes the whole run: ``ensemble.paths`` paths,
+seeded from ``noise.seed``, recorded every ``out.checkpoint_every`` steps.
+Path i reads the stream of ``split_seed(noise.seed, i)``.  Ensembles and
+sweeps run their paths through one grouped lane runner; results are
+collected into arrays indexed by path, then reduced in index order, so the
+statistics are bit-identical no matter in which order (or on how many
+threads) the paths actually executed.
 """
 
 from __future__ import annotations
@@ -38,24 +40,6 @@ from .pathrun import PathResult, PathSeries, simulate_batch, simulate_path
 
 STAT_FIELDS = ("kinetic", "dirichlet", "penalty", "total", "ledger1", "ledger2",
                "dev_norm", "max_abs_d")
-
-
-@dataclass
-class EnsembleSpec:
-    """How many paths, how they are seeded, and what gets tracked."""
-
-    n_paths: int
-    base_seed: int = 0
-    checkpoint_every: int = 50
-    track_budget: bool = False
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
-
-    def path_seed(self, index: int) -> int:
-        return split_seed(self.base_seed, index)
 
 
 @dataclass
@@ -95,22 +79,15 @@ def _build(config: RunConfig):
     return grid, u0, d0, params, build_noise_operator(config, grid), build_magnetic_field(config, grid)
 
 
-def run_path(config: RunConfig, seed: int, *,
-             weak_tracker: WeakFormTracker | None = None,
-             normals_table: np.ndarray | None = None,
-             checkpoint_hook=None) -> PathResult:
+def run_path(config: RunConfig, seed: int) -> PathResult:
     """One path, fully determined by (config, seed)."""
     grid, u0, d0, params, S, h = _build(config)
-    if weak_tracker is None and config.track_weak:
-        weak_tracker = default_weak_tracker(grid, params)
     return simulate_path(
         grid, params, u0, d0, S, h, WienerDriver(seed, config.modes),
         checkpoint_every=config.checkpoint_every,
         track_budget=config.track_budget,
         track_invariants=config.track_invariants,
-        weak_tracker=weak_tracker,
-        normals_table=normals_table,
-        checkpoint_hook=checkpoint_hook,
+        weak_tracker=default_weak_tracker(grid, params) if config.track_weak else None,
     )
 
 
@@ -130,55 +107,57 @@ def default_sweep_test_functions(grid) -> list[TestFunction]:
     ]
 
 
-def _run_lanes(spec: EnsembleSpec, grid, params, u0, d0, S, h, *,
+def _run_lanes(config: RunConfig, grid, params, u0, d0, S, h, threads: int, *,
                order: list[int] | None = None, batch_size: int = 16,
-               checkpoint_hook=None) -> list[PathSeries]:
-    """Every path of ``spec`` as one lane of :func:`simulate_batch`.
+               checkpoint_hook=None) -> tuple[list[PathSeries], list[int]]:
+    """(series, seeds) of every path of ``config``, each run as one lane of
+    :func:`simulate_batch`.
 
     Paths are grouped into fixed index-contiguous batches that advance in
-    lockstep (vectorized over a leading path axis), up to ``spec.threads``
+    lockstep (vectorized over a leading path axis), up to ``threads``
     batches at a time; every lane is bit-identical to a lone path with its
     seed, whatever the batch size.  ``order`` permutes only the execution
     order of those work units (a reproducibility probe); results are stored
     by path index, so the output does not depend on it.
     """
-    n = spec.n_paths
+    n = config.paths
+    seeds = [split_seed(config.seed, i) for i in range(n)]
     series: list[PathSeries | None] = [None] * n
     starts = range(0, n, batch_size)
 
     def work(g: int) -> None:
         idx = range(starts[g], min(starts[g] + batch_size, n))
-        drivers = [WienerDriver(spec.path_seed(i), S.n_modes) for i in idx]
         batch = simulate_batch(
-            grid, params, u0, d0, S, h, drivers,
-            checkpoint_every=spec.checkpoint_every,
-            track_budget=spec.track_budget,
+            grid, params, u0, d0, S, h, [WienerDriver(seeds[i], S.n_modes) for i in idx],
+            checkpoint_every=config.checkpoint_every,
+            track_budget=config.track_budget,
             checkpoint_hook=checkpoint_hook,
         )
         series[idx.start:idx.stop] = [res.series for res in batch]
 
     group_order = list(range(len(starts))) if order is None else list(order)
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as ex:
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
             list(ex.map(work, group_order))
     else:
         for g in group_order:
             work(g)
-    return series
+    return series, seeds
 
 
-def run_ensemble(spec: EnsembleSpec, config: RunConfig,
+def run_ensemble(config: RunConfig, threads: int = 1, *,
                  order: list[int] | None = None, batch_size: int = 16) -> EnsembleResult:
-    """Independent paths with derived seeds, merged into EnsembleStats; each
-    path is bit-identical to :func:`run_path` with its seed (see
-    :func:`_run_lanes` for the grouping and ``order``)."""
+    """The ``ensemble.paths`` paths of ``config``, merged into EnsembleStats.
+    Path i's checkpoint columns are bit-identical to those of
+    :func:`run_path` with seed ``result.seeds[i]`` (see :func:`_run_lanes`
+    for the grouping, ``threads`` and ``order``)."""
     grid, u0, d0, params, S, h = _build(config)
-    series = _run_lanes(spec, grid, params, u0, d0, S, h, order=order, batch_size=batch_size)
-    seeds = [spec.path_seed(i) for i in range(spec.n_paths)]
-    return EnsembleResult(stats=reduce_stats(series, spec), series=series, seeds=seeds)
+    series, seeds = _run_lanes(config, grid, params, u0, d0, S, h, threads,
+                               order=order, batch_size=batch_size)
+    return EnsembleResult(stats=reduce_stats(series), series=series, seeds=seeds)
 
 
-def reduce_stats(series: list[PathSeries], spec: EnsembleSpec) -> EnsembleStats:
+def reduce_stats(series: list[PathSeries]) -> EnsembleStats:
     times = series[0].columns["t"]
     n = len(series)
     mean, var, se, mn, mx = {}, {}, {}, {}, {}
@@ -214,23 +193,24 @@ class CoupledSweepResult:
     per_path: list[SweepResult]
     cauchy_mean: np.ndarray  # (n_eps-1, n_phi)
     cauchy_se: np.ndarray
+    seeds: list[int]
 
 
-def coupled_sweep(spec: EnsembleSpec, config: RunConfig,
-                  eps_list: list[float] | None = None) -> CoupledSweepResult:
-    """Coupled relaxation-parameter sweep with the pairing Cauchy differences
-    averaged across paths.
+def coupled_sweep(config: RunConfig, threads: int = 1) -> CoupledSweepResult:
+    """Coupled relaxation-parameter sweep over ``sweep.eps`` with the pairing
+    Cauchy differences averaged across paths.
 
-    Each eps runs every path of ``spec`` as a batched ensemble; a path reads
-    the same Wiener stream (same seed and dt) at every eps, so its
-    realizations are coupled.  Every checkpoint records the stress pairings,
-    penalty mass, sphere deviation and defect count of each path.
+    Each eps runs every path of ``config`` as a batched ensemble (see
+    :func:`_run_lanes`); a path reads the same Wiener stream (same seed and
+    dt) at every eps, so its realizations are coupled.  The grid, dt and
+    initial data are built at the smallest eps, so an automatic dt is
+    stable for every eps.  No sweep output reads a ledger, so the paths
+    step with the budget off whatever ``track.budget`` says.  Every
+    checkpoint records the stress pairings, penalty mass, sphere deviation
+    and defect count of each path.
     """
-    if eps_list is None:
-        eps_list = parse_eps_list(config.sweep_eps)
-    eps_list = list(eps_list)
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
+    eps_list = parse_eps_list(config.sweep_eps)
+    config = replace(config, eps=eps_list[-1], track_budget=False)
     grid, u0, d0, params, S, h = _build(config)
     phis = default_sweep_test_functions(grid)
     names = [tf.name for tf in phis]
@@ -246,8 +226,9 @@ def coupled_sweep(spec: EnsembleSpec, config: RunConfig,
                 [float(defect_detect(d, grid, eps, defect_r, delta0_sq).count) for d in state.d])
             return row
 
-        runs.append(_run_lanes(spec, grid, replace(params, eps=eps), u0, d0, S, h,
-                               checkpoint_hook=hook))
+        series, seeds = _run_lanes(config, grid, replace(params, eps=eps), u0, d0, S, h,
+                                   threads, checkpoint_hook=hook)
+        runs.append(series)
 
     def across_eps(p: int, name: str) -> np.ndarray:  # (n_eps, n_check)
         return np.stack([run[p].columns[name] for run in runs])
@@ -263,16 +244,16 @@ def coupled_sweep(spec: EnsembleSpec, config: RunConfig,
             pairings=np.stack([across_eps(p, f"pairing_{n}") for n in names], axis=-1),
             sup_penalty=across_eps(p, "penalty").max(axis=1),
         )
-        for p in range(spec.n_paths)
+        for p in range(config.paths)
     ]
     if len(eps_list) < 2:
         empty = np.zeros((0, len(phis)))
-        return CoupledSweepResult(eps_list, names, per_path, empty, empty)
+        return CoupledSweepResult(eps_list, names, per_path, empty, empty, seeds)
     stack = np.stack([r.cauchy() for r in per_path])  # (M, n_eps-1, n_phi)
     mean = stack.mean(axis=0)
     se = (
-        stack.std(axis=0, ddof=1) / np.sqrt(spec.n_paths)
-        if spec.n_paths > 1
+        stack.std(axis=0, ddof=1) / np.sqrt(config.paths)
+        if config.paths > 1
         else np.zeros_like(mean)
     )
-    return CoupledSweepResult(eps_list, names, per_path, mean, se)
+    return CoupledSweepResult(eps_list, names, per_path, mean, se, seeds)

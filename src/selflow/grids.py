@@ -93,9 +93,6 @@ class Grid:
     def area(self) -> float:
         return self.lx * self.ly
 
-    def shape_of(self, k: int) -> tuple:
-        return (self.nx, self.ny) if k == 1 else (k, self.nx, self.ny)
-
     def check_values(self, values: np.ndarray) -> int:
         """Return the leading component count k of ``values`` (1 for scalars,
         first-axis length for vectors and tensors), or raise GridError."""

@@ -22,7 +22,7 @@ from selflow.diagnostics import (
     triple_product_defects,
 )
 from selflow.dynamics import Params, stability_dt
-from selflow.ensemble import EnsembleSpec, coupled_sweep, run_ensemble
+from selflow.ensemble import coupled_sweep, run_ensemble
 from selflow.grids import Grid
 from selflow.initial import (
     constant_director,
@@ -67,15 +67,14 @@ ENSEMBLE_CFG = RunConfig(
     grid="32x32", eps=0.2, T=0.5, dt="auto", seed=2024, modes=8, sigma0=0.3,
     xi1=1.0, xi2=1.0, h_spec="wave:0.3,0.3,0.5",
     init_u="taylor-green:1,0.2", init_d="unit-mixed:0.4",
-    checkpoint_every=256, track_budget=False,
+    checkpoint_every=256, track_budget=False, paths=64,
 )
 
 
 @pytest.fixture(scope="module")
 def ensemble_64paths():
     """Criterion 3/12 ensemble: M = 64, 32^2, T = 0.5."""
-    spec = EnsembleSpec(n_paths=64, base_seed=2024, checkpoint_every=256)
-    return spec, run_ensemble(spec, ENSEMBLE_CFG)
+    return run_ensemble(ENSEMBLE_CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +124,7 @@ def test_criterion_02_energy_budget_identity():
 
 
 def test_criterion_03_martingale_zero_mean(ensemble_64paths):
-    _, result = ensemble_64paths
+    result = ensemble_64paths
     lines = []
     for name in ("ledger1", "ledger2"):
         mean, ci3 = result.stats.ledger_ci(name)
@@ -232,10 +231,9 @@ def shared_sweep():
         grid="32x32", T=0.1, dt="auto", seed=31, modes=8, sigma0=0.3,
         xi1=1.0, xi2=1.0, h_spec="wave:0.2,0.2,0.4",
         init_u="taylor-green:1,0.2", init_d="unit-mixed:0.4",
-        checkpoint_every=68, track_budget=False, sweep_eps="0.2,0.1,0.05",
+        checkpoint_every=68, track_budget=False, sweep_eps="0.2,0.1,0.05", paths=1,
     )
-    spec = EnsembleSpec(n_paths=1, base_seed=31, checkpoint_every=68)
-    return coupled_sweep(spec, cfg, [0.2, 0.1, 0.05])
+    return coupled_sweep(cfg)
 
 
 def test_criterion_08_penalty_eps_scaling(shared_sweep):
@@ -291,9 +289,9 @@ def test_criterion_11_projection_and_transport(deterministic_run_64):
 
 
 def test_criterion_12_reproducibility(ensemble_64paths):
-    spec, first = ensemble_64paths
+    first = ensemble_64paths
     shuffled_order = [3, 1, 2, 0]  # 64 paths in 4 batches of 16, permuted
-    second = run_ensemble(spec, ENSEMBLE_CFG, order=shuffled_order)
+    second = run_ensemble(ENSEMBLE_CFG, order=shuffled_order)
     for name in first.stats.mean:
         assert np.array_equal(first.stats.mean[name], second.stats.mean[name])
         assert np.array_equal(first.stats.var[name], second.stats.var[name])

@@ -5,6 +5,7 @@ import struct
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,9 @@ init.u = taylor-green:1,0.2
 init.d = unit-smooth:0.4
 out.checkpoint_every = 10
 """
+# a wrong argument count or a non-number in a spec
+BAD_SPECS = [("init.d", "vortex:a,b"), ("init.d", "const:1,2"), ("field.h", "wave:1"),
+             ("init.u", "taylor-green:x")]
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -86,6 +90,13 @@ class TestSimulate:
         assert list(out.iterdir()) == [run]
         assert sorted(p.name for p in run.iterdir()) == [
             "config.cfg", "d_final.fld", "energy.csv", "manifest.txt", "u_final.fld"]
+
+    @pytest.mark.parametrize("key,spec", BAD_SPECS)
+    def test_malformed_spec_names_key_and_line(self, tmp_path, monkeypatch, capsys, key, spec):
+        out = out_env(tmp_path, monkeypatch)
+        assert main(["simulate", write_cfg(tmp_path, f"sim.grid = 8x8\n{key} = {spec}\n")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: line 2: {key}: ")
+        assert not out.exists()
 
     def test_missing_config_is_io_error(self, tmp_path, monkeypatch):
         out_env(tmp_path, monkeypatch)
@@ -162,6 +173,43 @@ class TestSweep:
         assert len(sweep) > 1
         cauchy = (run / "cauchy.csv").read_text().splitlines()
         assert len(cauchy) == 2
+
+    def test_auto_dt_sized_from_smallest_eps(self, tmp_path, monkeypatch):
+        # sim.eps = 0.3 would give dt = h^2/8 = 4.9e-4, past the eps = 0.02
+        # bound 1e-4; sized from 0.02, T = 0.002 is 20 steps, so each eps
+        # has checkpoints at steps 0, 10 and 20
+        out = out_env(tmp_path, monkeypatch)
+        cfg = TINY + "sweep.eps = 0.2,0.02\nensemble.paths = 1\n"
+        assert main(["sweep", write_cfg(tmp_path, cfg)]) == 0
+        run = next(out.iterdir())
+        sweep = (run / "sweep.csv").read_text().splitlines()
+        assert len(sweep) == 1 + 2 * 3
+        assert float(sweep[2].split(",")[2]) == pytest.approx(10 * 1e-4, rel=1e-12)
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_below_one_rejected(self, tmp_path, monkeypatch, threads):
+        out = out_env(tmp_path, monkeypatch)
+        cfg = write_cfg(tmp_path, TINY + "ensemble.paths = 2\n")
+        for command in ("ensemble", "sweep"):
+            assert main(["--threads", threads, command, cfg]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ensemble", "sweep"])
+    def test_pool_output_equals_serial(self, tmp_path, command):
+        # 17 paths form lane groups of 16 + 1, run at once with two threads
+        cfg = write_cfg(tmp_path, TINY + "ensemble.paths = 17\nsweep.eps = 0.3,0.15\n")
+        files = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            with mock.patch.dict(os.environ, {"SELFLOW_OUT": str(out)}):
+                assert main(["--threads", threads, command, cfg]) == 0
+            run = next(out.iterdir())
+            files[threads] = {p.relative_to(run): p.read_bytes()
+                              for p in sorted(run.rglob("*")) if p.is_file()}
+        assert len(files["1"]) == (3 + 17 if command == "ensemble" else 4)
+        assert files["1"] == files["2"]
 
 
 class TestDiagnose:
@@ -250,6 +298,11 @@ _VALID_WORDS = {
     "init.d": {"const", "vortex"},
     "field.h": {"const", "wave"},
 }
+# spec forms with their arguments; one non-number word is too many for a
+# form without arguments, too few for a three-vector and not a number else
+_SPEC_FORMS = {"init.u": ["zero", "taylor-green"],
+               "init.d": ["const", "vortex", "unit-smooth", "unit-mixed"],
+               "field.h": ["const", "wave"]}
 _words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_.", min_size=1, max_size=12)
 
 
@@ -274,6 +327,11 @@ def _fault():
                                    "out.checkpoint_every"]), st.integers(max_value=-1).map(str)),
         st.sampled_from(sorted(_VALID_WORDS)).flatmap(
             lambda k: st.tuples(st.just(k), _words.filter(lambda w: w not in _VALID_WORDS[k]))),
+        st.sampled_from(BAD_SPECS),
+        st.sampled_from(sorted(_SPEC_FORMS)).flatmap(
+            lambda k: st.tuples(st.just(k), st.builds(
+                "{}:{}".format, st.sampled_from(_SPEC_FORMS[k]),
+                _words.filter(lambda w: not _is_float(w))))),
     )
     extra_lines = st.one_of(
         _words.filter(lambda k: k not in SCHEMA).map(lambda k: [f"{k} = 1"]),

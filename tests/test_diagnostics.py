@@ -25,7 +25,7 @@ from selflow.diagnostics import (
 )
 from selflow.config import RunConfig
 from selflow.dynamics import Params, stability_dt
-from selflow.ensemble import EnsembleSpec, coupled_sweep
+from selflow.ensemble import coupled_sweep
 from selflow.fields import director_test_function, solenoidal_test_function
 from selflow.grids import Grid
 from selflow.initial import (
@@ -541,9 +541,9 @@ class TestEpsilonSweep:
     def _sweep(self, seed=0, eps_list=(0.3, 0.15), T=0.01, n=16):
         cfg = RunConfig(grid=f"{n}x{n}", eps=eps_list[0], T=T, dt="auto", modes=4,
                         sigma0=0.3, h_spec="const:0,0,0.5", init_u="taylor-green:1,0.2",
-                        init_d="unit-smooth:0.4", track_budget=False)
-        spec = EnsembleSpec(n_paths=1, base_seed=seed, checkpoint_every=50)
-        return coupled_sweep(spec, cfg, list(eps_list)).per_path[0]
+                        init_d="unit-smooth:0.4", track_budget=False, paths=1, seed=seed,
+                        checkpoint_every=50, sweep_eps=",".join(map(str, eps_list)))
+        return coupled_sweep(cfg).per_path[0]
 
     def test_deterministic_same_seed(self):
         r1 = self._sweep(seed=4)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selflow.config import (
+    ConfigError,
     RunConfig,
     build_grid,
     build_initial_d,
@@ -15,11 +16,11 @@ from selflow.config import (
     build_magnetic_field,
     build_noise_operator,
     build_params,
+    parse_config,
 )
 from selflow.diagnostics import default_defect_threshold, defect_detect, stress_pairing
 from selflow.dynamics import Params, stability_dt
 from selflow.ensemble import (
-    EnsembleSpec,
     coupled_sweep,
     default_sweep_test_functions,
     run_ensemble,
@@ -42,14 +43,14 @@ def small_config(**kw):
 
 class TestSpec:
     def test_path_seeds_distinct(self):
-        spec = EnsembleSpec(n_paths=64, base_seed=3)
-        seeds = [spec.path_seed(i) for i in range(64)]
+        # one step per path: only the seeds are under test
+        seeds = run_ensemble(small_config(paths=64, seed=3, T=1e-6)).seeds
         assert len(set(seeds)) == 64
         assert seeds[0] == split_seed(3, 0)
 
     def test_needs_paths(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec(n_paths=0)
+        with pytest.raises(ConfigError):
+            parse_config("ensemble.paths = 0\n")
 
 
 class TestRunPath:
@@ -76,15 +77,13 @@ class TestRunPath:
 
 class TestRunEnsemble:
     def test_zero_noise_zero_variance(self):
-        cfg = small_config(xi1=0.0, xi2=0.0)
-        spec = EnsembleSpec(n_paths=4, base_seed=5, checkpoint_every=20)
-        res = run_ensemble(spec, cfg)
+        cfg = small_config(xi1=0.0, xi2=0.0, paths=4, seed=5, checkpoint_every=20)
+        res = run_ensemble(cfg)
         assert np.max(res.stats.var["total"]) == 0.0
 
     def test_ledger_means_near_zero(self):
-        cfg = small_config(T=0.02)
-        spec = EnsembleSpec(n_paths=24, base_seed=7, checkpoint_every=40)
-        res = run_ensemble(spec, cfg)
+        cfg = small_config(T=0.02, paths=24, seed=7, checkpoint_every=40)
+        res = run_ensemble(cfg)
         for name in ("ledger1", "ledger2"):
             mean, ci = res.stats.ledger_ci(name)
             assert abs(mean) <= ci + 1e-12
@@ -92,20 +91,17 @@ class TestRunEnsemble:
     def test_se_shrinks_with_more_paths(self):
         # quadrupling the path count should halve the standard error, within
         # the statistical slack band
-        cfg = small_config(T=0.02)
         se = {}
         for m in (8, 32):
-            res = run_ensemble(EnsembleSpec(n_paths=m, base_seed=9,
-                                            checkpoint_every=40), cfg)
+            res = run_ensemble(small_config(T=0.02, paths=m, seed=9, checkpoint_every=40))
             se[m] = res.stats.se["ledger1"][-1]
         ratio = se[32] / se[8]
         assert 0.7 * 0.5 <= ratio <= 1.4 * 0.5
 
     def test_bit_identical_rerun_and_shuffle(self):
-        cfg = small_config(T=0.01)
-        spec = EnsembleSpec(n_paths=8, base_seed=21, checkpoint_every=20)
-        a = run_ensemble(spec, cfg, batch_size=4)
-        b = run_ensemble(spec, cfg, order=[1, 0], batch_size=4)
+        cfg = small_config(T=0.01, paths=8, seed=21, checkpoint_every=20)
+        a = run_ensemble(cfg, batch_size=4)
+        b = run_ensemble(cfg, order=[1, 0], batch_size=4)
         for k in a.stats.mean:
             assert np.array_equal(a.stats.mean[k], b.stats.mean[k])
             assert np.array_equal(a.stats.max[k], b.stats.max[k])
@@ -113,21 +109,31 @@ class TestRunEnsemble:
     def test_batched_matches_per_path(self):
         # every lane equals its lone path bit for bit, whatever the batch
         for bc in ("periodic", "bounded"):
-            cfg = small_config(T=0.01, bc=bc, track_budget=True)
-            spec = EnsembleSpec(n_paths=5, base_seed=21, checkpoint_every=20,
-                                track_budget=True)
-            singles = [run_path(cfg, spec.path_seed(i)).series for i in range(5)]
+            cfg = small_config(T=0.01, bc=bc, track_budget=True, paths=5, seed=21,
+                               checkpoint_every=20)
+            singles = [run_path(cfg, split_seed(21, i)).series for i in range(5)]
             for batch_size in (1, 3, 5):
-                batched = run_ensemble(spec, cfg, batch_size=batch_size)
+                batched = run_ensemble(cfg, batch_size=batch_size)
                 for lane, single in zip(batched.series, singles):
                     assert lane.columns.keys() == single.columns.keys()
                     for k in single.columns:
                         assert np.array_equal(lane.columns[k], single.columns[k]), (bc, batch_size, k)
 
+    def test_default_flags_lane_equals_run_path(self):
+        # the ensemble reads track.budget (default on) from the config, as
+        # run_path does, so each lane carries its lone path's ledgers
+        cfg = RunConfig(grid="16x16", T=0.005, paths=2, seed=11, init_u="taylor-green:1,0.2")
+        res = run_ensemble(cfg)
+        assert res.seeds == [split_seed(11, i) for i in range(2)]
+        for lane, seed in zip(res.series, res.seeds):
+            single = run_path(cfg, seed).series
+            assert lane.columns.keys() == single.columns.keys()
+            for k in single.columns:
+                assert np.array_equal(lane.columns[k], single.columns[k]), k
+        assert res.series[0].columns["int_hs"][-1] > 0.0
+
     def test_sup_monotone_in_time(self):
-        cfg = small_config(T=0.02)
-        res = run_ensemble(EnsembleSpec(n_paths=4, base_seed=2,
-                                        checkpoint_every=10), cfg)
+        res = run_ensemble(small_config(T=0.02, paths=4, seed=2, checkpoint_every=10))
         for s in res.series:
             tot = s.columns["total"]
             running = np.maximum.accumulate(tot)
@@ -165,11 +171,10 @@ class TestCoupledSweep:
         # (path, eps), with the observables taken on each lane's own state;
         # 17 paths split into lane groups of 16 + 1.  The off-sphere
         # director's defect count depends on eps (0 at 0.3, nonzero at 0.1)
-        cfg = small_config(T=0.005, init_d=init_d, h_spec="wave:0.2,0.2,0.5",
-                           checkpoint_every=4)
         eps_list = [0.3, 0.1]
-        spec = EnsembleSpec(n_paths=n_paths, base_seed=13, checkpoint_every=4)
-        res = coupled_sweep(spec, cfg, eps_list)
+        cfg = small_config(T=0.005, init_d=init_d, h_spec="wave:0.2,0.2,0.5",
+                           checkpoint_every=4, paths=n_paths, seed=13, sweep_eps="0.3,0.1")
+        res = coupled_sweep(cfg)
 
         grid = build_grid(cfg)
         u0 = build_initial_u(cfg, grid)
@@ -192,7 +197,7 @@ class TestCoupledSweep:
                     return {}
 
                 lone = simulate_path(grid, replace(params, eps=eps), u0, d0, S, h,
-                                     WienerDriver(spec.path_seed(p), cfg.modes),
+                                     WienerDriver(split_seed(13, p), cfg.modes),
                                      checkpoint_every=4, track_budget=False,
                                      checkpoint_hook=observe)
                 rows = np.array(rows)
@@ -215,8 +220,31 @@ class TestCoupledSweep:
               else np.zeros_like(res.cauchy_mean))
         assert np.array_equal(res.cauchy_se, se)
 
+    def test_budget_flag_ignored(self, monkeypatch):
+        # no sweep output reads a ledger: the sweep steps with the budget off
+        # whatever track.budget says, and its outputs do not depend on it
+        import selflow.pathrun as pathrun
+
+        flags = []
+        real = pathrun.step_coupled
+
+        def spy(*args, track_budget, **kw):
+            flags.append(track_budget)
+            return real(*args, track_budget=track_budget, **kw)
+
+        cfg = small_config(T=0.005, paths=2, sweep_eps="0.3,0.1", checkpoint_every=4)
+        off = coupled_sweep(cfg)
+        monkeypatch.setattr(pathrun, "step_coupled", spy)
+        on = coupled_sweep(replace(cfg, track_budget=True))
+        assert flags and not any(flags)
+        assert on.seeds == off.seeds == [split_seed(11, p) for p in range(2)]
+        assert np.array_equal(on.cauchy_mean, off.cauchy_mean)
+        assert np.array_equal(on.cauchy_se, off.cauchy_se)
+        for a, b in zip(on.per_path, off.per_path):
+            for name in ("times", "penalty", "dev_norm", "defect_count", "pairings"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
     def test_single_eps_empty_cauchy(self):
-        cfg = small_config(T=0.005)
-        spec = EnsembleSpec(n_paths=1, base_seed=13, checkpoint_every=20)
-        res = coupled_sweep(spec, cfg, [0.3])
+        cfg = small_config(T=0.005, paths=1, seed=13, checkpoint_every=20, sweep_eps="0.3")
+        res = coupled_sweep(cfg)
         assert res.cauchy_mean.shape[0] == 0
