@@ -79,6 +79,16 @@ sweep.eps = 0.3,0.2,0.1
 track.budget = false
 out.checkpoint_every = 5
 """),
+    # non-square, non-power-of-two cells: hx*hy is not a power of two, so
+    # a change in how the ledgers apply the quadrature weight shows here
+    "simulate_periodic_odd": ("simulate", _BASE + """\
+sim.grid = 24x20
+sim.lx = 1.3
+sim.ly = 0.9
+sim.T = 0.004
+track.budget = true
+out.checkpoint_every = 5
+"""),
 }
 DIAGNOSE_ARGS = ["--pohozaev", "--defects", "--pairings"]
 ALL_CASES = tuple(CASES) + ("diagnose",)
