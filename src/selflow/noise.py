@@ -21,7 +21,7 @@ import numpy as np
 
 from . import operators as ops
 from .grids import Grid
-from .projection import PROJ_TOL, leray_project, solenoidal_norm_sq
+from .projection import PROJ_TOL, gradient_norm_sq, leray_project
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
@@ -180,6 +180,15 @@ class NoiseOperatorS:
             raise ValueError("additive seeds must have shape (N, 2, nx, ny)")
         self._has_additive = bool(np.any(self.additive))
         self.decay = self.sigma0 * np.arange(1, n_modes + 1, dtype=float) ** (-self.q)
+        if grid.periodic:
+            # sum_i decay_i^2 ||psi_i u + g_i||^2 = hx hy (sum W |u|^2
+            # + 2 sum G . u) + c, with the mode sums folded once here
+            wsq = self.decay**2
+            self._fold_w = np.sum(wsq[:, None, None] * self.shapes**2, axis=0)
+            self._fold_g = np.sum(
+                wsq[:, None, None, None] * self.shapes[:, None] * self.additive, axis=0)
+            self._fold_c = grid.hx * grid.hy * float(
+                np.sum(wsq * np.sum(self.additive**2, axis=(-3, -2, -1))))
 
     def mix_increments(self, u: np.ndarray, dB: np.ndarray) -> np.ndarray:
         """Mode sum sum_i dB_i sigma0 i^{-q} (psi_i u + g_i) BEFORE projection.
@@ -204,21 +213,35 @@ class NoiseOperatorS:
         """Squared Hilbert-Schmidt norm sum_i ||S(u)(e_i)||^2.
 
         Accepts a batched velocity (..., 2, nx, ny) and returns per-path
-        values with the leading axes preserved.  Periodic grids take each
-        mode's norm by Parseval (:func:`solenoidal_norm_sq`) without
-        building the projected field; bounded grids project each mode.
+        values with the leading axes preserved.  Periodic grids take the
+        full norm of the unprojected modes from the folded mode sums, then
+        subtract each mode's gradient part by Parseval
+        (:func:`gradient_norm_sq`), clamping the total at 0; no projected
+        field is built.  Bounded grids project each mode.
         """
-        total = 0.0
+        grid = self.grid
+        if grid.periodic:
+            axes = (-3, -2, -1)
+            sq = u * u
+            sq *= self._fold_w
+            full = np.sum(sq, axis=axes)
+            if self._has_additive:
+                full = full + 2.0 * np.sum(self._fold_g * u, axis=axes)
+            total = grid.hx * grid.hy * full + self._fold_c
+        else:
+            total = 0.0
         for i in range(self.n_modes):
             v = self.shapes[i] * u
             if self._has_additive:
                 v += self.additive[i]
-            v *= self.decay[i]
-            if self.grid.periodic:
-                total = total + solenoidal_norm_sq(v, self.grid)
+            if grid.periodic:
+                total = total - self.decay[i] ** 2 * gradient_norm_sq(v, grid)
             else:
-                proj, _ = leray_project(v, self.grid, tol=self.proj_tol, need_pressure=False)
-                total = total + ops.pair_vec(proj, proj, self.grid)
+                v *= self.decay[i]
+                proj, _ = leray_project(v, grid, tol=self.proj_tol, need_pressure=False)
+                total = total + ops.pair_vec(proj, proj, grid)
+        if grid.periodic:
+            total = np.maximum(total, 0.0)
         return float(total) if u.ndim == 3 else total
 
     def linear_growth_constant(self) -> float:

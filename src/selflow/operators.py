@@ -7,9 +7,12 @@ on the field's boundary mode:
 * ``neumann``   -- reflected ghost values (zero normal derivative),
 * ``dirichlet`` / ``noslip`` / ``none`` -- one-sided second-order stencils.
 
-All operators take the array, the grid and a bc string; the Field wrappers
-in :mod:`selflow.fields` dispatch here.  Arrays are (nx, ny) scalars or
-(k, nx, ny) stacks; x is axis -2, y is axis -1.
+All operators take the array, the grid and a bc string, and act on every
+leading axis at once: arrays are (nx, ny) scalars or (..., k, nx, ny)
+stacks, x is axis -2 and y is axis -1.  Periodic stencils do the
+arithmetic of the ``np.roll`` formulas without the rolled copies, so they
+are bit-identical to them.  The quadrature forms use the grid's rule, a
+constant hx*hy weight on periodic grids.
 """
 
 from __future__ import annotations
@@ -25,6 +28,46 @@ def _step(grid: Grid, axis: int) -> float:
     return grid.hx if axis == 0 else grid.hy
 
 
+def _at(ax: int, idx) -> tuple:
+    """Index ``idx`` along axis ``ax`` (-2 or -1), everything else whole."""
+    return (Ellipsis, idx) if ax == -1 else (Ellipsis, idx, slice(None))
+
+
+def _periodic_stencil(a: np.ndarray, ax: int, combine, divisor: float) -> np.ndarray:
+    """New array whose entries along ``ax`` are combine(out, a[i+1], a[i],
+    a[i-1]) / divisor with wrap-around neighbours; ``combine`` writes into
+    out.
+
+    The bulk is one pass over the merged space axes (a view of ``a`` when
+    they are contiguous, as on every array the package builds), where
+    a[i+1] sits k entries on (k = ny along x, 1 along y).  The two wrap
+    rows are then written on their own; along y they also overwrite the
+    bulk entries whose neighbours crossed a row end."""
+    out = np.empty(a.shape)
+    k = a.shape[-1] if ax == -2 else 1
+    ma, mo = (x.reshape(a.shape[:-2] + (-1,)) for x in (a, out))
+    combine(mo[..., k:-k], ma[..., 2 * k:], ma[..., k:-k], ma[..., :-2 * k])
+    for o, p, c, m in ((0, 1, 0, -1), (-1, 0, -1, -2)):
+        combine(out[_at(ax, o)], a[_at(ax, p)], a[_at(ax, c)], a[_at(ax, m)])
+    out /= divisor
+    return out
+
+
+def _central(out, plus, centre, minus):
+    np.subtract(plus, minus, out=out)
+
+
+def _forward(out, plus, centre, minus):
+    np.subtract(plus, centre, out=out)
+
+
+def _second(out, plus, centre, minus):
+    # (a[i+1] - 2 a[i]) + a[i-1], the order of the roll formula
+    np.multiply(centre, 2.0, out=out)
+    np.subtract(plus, out, out=out)
+    out += minus
+
+
 def deriv(a: np.ndarray, grid: Grid, axis: int, bc: str) -> np.ndarray:
     """First derivative along ``axis`` (0 = x, 1 = y), central differences."""
     if a.shape[-2:] != (grid.nx, grid.ny):
@@ -32,7 +75,7 @@ def deriv(a: np.ndarray, grid: Grid, axis: int, bc: str) -> np.ndarray:
     h = _step(grid, axis)
     ax = -2 + axis
     if bc == "periodic":
-        return (np.roll(a, -1, axis=ax) - np.roll(a, 1, axis=ax)) / (2.0 * h)
+        return _periodic_stencil(a, ax, _central, 2.0 * h)
     out = np.gradient(a, h, axis=ax, edge_order=2)
     if bc == "neumann":
         # reflected ghosts make the normal derivative vanish at the wall
@@ -52,7 +95,7 @@ def _second_diff(a: np.ndarray, grid: Grid, axis: int, bc: str) -> np.ndarray:
     h2 = _step(grid, axis) ** 2
     ax = -2 + axis
     if bc == "periodic":
-        return (np.roll(a, -1, axis=ax) - 2.0 * a + np.roll(a, 1, axis=ax)) / h2
+        return _periodic_stencil(a, ax, _second, h2)
 
     out = np.empty_like(a)
 
@@ -85,17 +128,29 @@ def divergence(v: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
     """Divergence of a 2-vector field (..., 2, nx, ny) -> (..., nx, ny)."""
     if v.ndim < 3 or v.shape[-3] != 2:
         raise GridError(f"divergence expects shape (..., 2, nx, ny), got {v.shape}")
-    return deriv(v[..., 0, :, :], grid, 0, bc) + deriv(v[..., 1, :, :], grid, 1, bc)
+    out = deriv(v[..., 0, :, :], grid, 0, bc)
+    out += deriv(v[..., 1, :, :], grid, 1, bc)
+    return out
 
 
 def laplacian(a: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
     """Five-point Laplacian, component-wise on stacked arrays."""
-    return _second_diff(a, grid, 0, bc) + _second_diff(a, grid, 1, bc)
+    out = _second_diff(a, grid, 0, bc)
+    out += _second_diff(a, grid, 1, bc)
+    return out
+
+
+def _weighted_sum(prod: np.ndarray, grid: Grid, axes: tuple) -> np.ndarray:
+    """Quadrature of ``prod`` over ``axes``: the plain sum times hx*hy on
+    periodic grids (a constant weight), the weighted sum otherwise."""
+    if grid.periodic:
+        return grid.hx * grid.hy * np.sum(prod, axis=axes)
+    return np.sum(prod * grid.quad_weights(), axis=axes)
 
 
 def inner(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
     """L2 inner product over the domain, summing vector components."""
-    return float(np.sum(a * b * grid.quad_weights()))
+    return float(_weighted_sum(a * b, grid, None))
 
 
 def norm_l2(a: np.ndarray, grid: Grid) -> float:
@@ -110,18 +165,12 @@ def _forward_links(a: np.ndarray, grid: Grid, axis: int, periodic: bool) -> np.n
     h = _step(grid, axis)
     ax = -2 + axis
     if periodic:
-        return (np.roll(a, -1, axis=ax) - a) / h
-    s_hi = [slice(None)] * a.ndim
-    s_lo = [slice(None)] * a.ndim
-    s_hi[ax] = slice(1, None)
-    s_lo[ax] = slice(None, -1)
-    return (a[tuple(s_hi)] - a[tuple(s_lo)]) / h
+        return _periodic_stencil(a, ax, _forward, h)
+    return (a[_at(ax, slice(1, None))] - a[_at(ax, slice(None, -1))]) / h
 
 
 def _link_weights(grid: Grid, axis: int) -> np.ndarray:
-    # transverse trapezoid weight x longitudinal h; rectangle rule if periodic
-    if grid.periodic:
-        return np.full((grid.nx, grid.ny), grid.hx * grid.hy)
+    # bounded grids: transverse trapezoid weight x longitudinal h
     n_long = (grid.nx if axis == 0 else grid.ny) - 1
     n_tr = grid.ny if axis == 0 else grid.nx
     w_tr = np.full(n_tr, grid.hy if axis == 0 else grid.hx)
@@ -141,24 +190,31 @@ def dirichlet_form_vec(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
     Chosen so that <laplacian(f), g> == -dirichlet_form_vec(f, g) exactly
     in periodic mode, in bounded-neumann mode, and for fields vanishing on
     the boundary; the step-by-step energy budget then closes without
-    spatial leakage.
+    spatial leakage.  Periodic grids weigh every link by the constant
+    rectangle-rule hx*hy, applied once to each lane's plain sum; the self
+    form ``b is a`` builds its links once.
     """
+    periodic = grid.periodic
     total = 0.0
     for axis in (0, 1):
-        la = _forward_links(a, grid, axis, grid.periodic)
-        lb = _forward_links(b, grid, axis, grid.periodic)
-        total = total + np.sum(la * lb * _link_weights(grid, axis), axis=(-3, -2, -1))
-    return total
+        la = _forward_links(a, grid, axis, periodic)
+        lb = la if b is a else _forward_links(b, grid, axis, periodic)
+        la *= lb
+        if not periodic:
+            la *= _link_weights(grid, axis)
+        total = total + np.sum(la, axis=(-3, -2, -1))
+    return grid.hx * grid.hy * total if periodic else total
 
 
 def pair_vec(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
-    """L2 pairing of vector fields (..., k, nx, ny); leading axes survive."""
-    return np.sum(a * b * grid.quad_weights(), axis=(-3, -2, -1))
+    """L2 pairing of vector fields (..., k, nx, ny); leading axes survive.
+    Periodic grids scale each lane's plain sum by the constant hx*hy."""
+    return _weighted_sum(a * b, grid, (-3, -2, -1))
 
 
 def pair_scalar(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
     """L2 pairing of scalar fields (..., nx, ny); leading axes survive."""
-    return np.sum(a * b * grid.quad_weights(), axis=(-2, -1))
+    return _weighted_sum(a * b, grid, (-2, -1))
 
 
 def advect_skew(u: np.ndarray, f: np.ndarray, grid: Grid, bc_f: str) -> np.ndarray:

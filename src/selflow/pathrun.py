@@ -24,6 +24,7 @@ from .dynamics import (
     step_coupled,
 )
 from .noise import MagneticField, NoiseOperatorS, WienerDriver
+from .projection import ProjectionError, interior_divergence_max
 
 # rows of standard normals drawn from each driver at a time
 RNG_CHUNK = 256
@@ -190,7 +191,9 @@ def simulate_batch(
     the drivers' streams.  ``weak_tracker`` accumulates per lane, and
     ``checkpoint_hook(state)`` is called at every checkpoint with the
     batched state; its dict of per-lane values becomes extra columns.
-    Raises the stepper's stability / blow-up errors.
+    Raises the stepper's stability / blow-up errors, and
+    :class:`ProjectionError` with the worst lane's value when a checkpoint
+    after step 0 finds a divergence above ``params.proj_tol``.
     """
     if n_steps is None:
         n_steps = max(1, int(round(params.T / params.dt)))
@@ -206,6 +209,12 @@ def simulate_batch(
     rows: list[dict] = []
 
     def emit():
+        if state.step:
+            worst = float(np.max(interior_divergence_max(state.u, grid)))
+            if worst > params.proj_tol:
+                raise ProjectionError(
+                    f"divergence exceeds proj.tol = {params.proj_tol:.3e} at step {state.step}",
+                    worst)
         rows.append(record_columns(state, params, S, h))
         if checkpoint_hook is not None:
             rows[-1].update(checkpoint_hook(state))

@@ -10,13 +10,12 @@ O(h^2) divergence floor.
 Periodic grids get two interchangeable solvers for the same linear system:
 a direct spectral solve with modified wavenumbers (default, exact) and
 matrix-free conjugate gradients (the cross-check route);
-:func:`solenoidal_norm_sq` evaluates ||P v||^2 by Parseval without building
-P v.  Bounded (no-slip)
-grids solve the interior system with a homogeneous-Neumann pressure closure
-as a minimum-norm solve through the factorized Gram matrix A A^T, with
-iterative refinement, over all leading axes of the field at once; only the
-interior divergence is controllable there because the boundary rows use
-one-sided stencils.
+:func:`gradient_norm_sq` evaluates ||(I - P) v||^2 by Parseval without
+building P v.  Bounded (no-slip) grids solve the interior system with a
+homogeneous-Neumann pressure closure as a minimum-norm solve through the
+factorized Gram matrix A A^T, with iterative refinement, over all leading
+axes of the field at once; only the interior divergence is controllable
+there because the boundary rows use one-sided stencils.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import Grid
-from .operators import deriv, divergence, norm_linf
+from .operators import deriv, divergence, norm_linf, pair_vec
 
 PROJ_TOL = 1e-10
 
@@ -74,7 +73,9 @@ def _project_periodic_fft(
 def _solenoidal_weights(grid: Grid) -> np.ndarray:
     """Parseval weights on the rfft2 half spectrum: hx hy / (nx ny) / |s|^2,
     doubled for every column but 0 and the Nyquist column (whose conjugate
-    partners rfft2 omits), and 0 where |s| = 0 (modes P leaves alone)."""
+    partners rfft2 omits), and 0 where |s| = 0 (modes P leaves alone).
+    Each weight is repeated for the real and the imaginary part, so the
+    array lines up with the float view of a spectrum."""
     key = "solenoidal_weights"
     if key not in grid._cache:
         s1, s2 = _modified_wavenumbers(grid)
@@ -86,26 +87,37 @@ def _solenoidal_weights(grid: Grid) -> np.ndarray:
         scale = grid.hx * grid.hy / (grid.nx * grid.ny)
         with np.errstate(divide="ignore"):
             w = np.where(denom > 0.0, scale * count / denom, 0.0)
-        grid._cache[key] = w
+        grid._cache[key] = np.repeat(w, 2, axis=-1)
     return grid._cache[key]
+
+
+def gradient_norm_sq(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """||(I - P) v||^2 per lane for v of shape (..., 2, nx, ny) on a
+    periodic grid: the norm of the gradient part of v.
+
+    The complement of P is the gradient part s (s . v^)/|s|^2, and the
+    central divergence of v has transform i s . v^, so by Parseval the
+    norm is sum_k |div_h v^(k)|^2 / |s|^2: one forward transform of a
+    scalar field, squared in place on its float view.
+    """
+    if not grid.periodic:
+        raise ValueError("gradient_norm_sq needs a periodic grid")
+    dhat = np.fft.rfft2(divergence(v, grid, "periodic"), axes=(-2, -1))
+    sq = dhat.view(np.float64)
+    np.square(sq, out=sq)
+    sq *= _solenoidal_weights(grid)
+    return np.sum(sq, axis=(-2, -1))
 
 
 def solenoidal_norm_sq(v: np.ndarray, grid: Grid) -> np.ndarray:
     """||P v||^2 per lane for v of shape (..., 2, nx, ny) on a periodic grid.
 
-    P is an orthogonal projector whose complement is the gradient part
-    s (s . v^)/|s|^2, and the central divergence of v has transform
-    i s . v^, so by Parseval ||P v||^2 = ||v||^2 - sum_k |div_h v^(k)|^2/|s|^2.
-    One forward transform of a scalar field replaces the projection; the
-    result is clamped at 0 against cancellation on near-gradient fields.
+    P is an orthogonal projector, so ||P v||^2 = ||v||^2 - ||(I - P) v||^2
+    (:func:`gradient_norm_sq`); no projected field is built.  The result is
+    clamped at 0 against cancellation on near-gradient fields.
     """
-    if not grid.periodic:
-        raise ValueError("solenoidal_norm_sq needs a periodic grid")
-    dhat = np.fft.rfft2(divergence(v, grid, "periodic"), axes=(-2, -1))
-    grad_part = np.sum((dhat.real**2 + dhat.imag**2) * _solenoidal_weights(grid), axis=(-2, -1))
-    # rectangle rule: every node weighs hx hy
-    full = grid.hx * grid.hy * np.sum(v * v, axis=(-3, -2, -1))
-    return np.maximum(full - grad_part, 0.0)
+    grad_part = gradient_norm_sq(v, grid)
+    return np.maximum(pair_vec(v, v, grid) - grad_part, 0.0)
 
 
 def _wide_laplacian_periodic(p: np.ndarray, grid: Grid) -> np.ndarray:

@@ -107,6 +107,15 @@ class TestSimulate:
         cfg = TINY + "sim.dt = 1.0\n"
         assert main(["simulate", write_cfg(tmp_path, cfg)]) == 2
 
+    def test_periodic_proj_tol_enforced(self, tmp_path, monkeypatch, capsys):
+        # the spectral projection cannot reach 1e-30; the checkpoint check
+        # turns that into a numerical failure before anything is written
+        out = out_env(tmp_path, monkeypatch)
+        assert main(["simulate", write_cfg(tmp_path, TINY + "proj.tol = 1e-30\n")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "proj.tol" in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_weak_tracking_artifact(self, tmp_path, monkeypatch):
         out = out_env(tmp_path, monkeypatch)
         code = main(["simulate", write_cfg(tmp_path, TINY + "track.weak = true\n")])
@@ -350,3 +359,36 @@ def test_fuzzed_config_exits_1_and_writes_nothing(tmp_path_factory, lines, comma
     with mock.patch.dict(os.environ, {"SELFLOW_OUT": str(root / "out")}):
         assert main([command, cfg]) == 1, lines
     assert not (root / "out").exists()
+
+
+# a valid 3 x 8 x 6 periodic director snapshot is MAGIC, the 13-byte header
+# (k, nx, ny, bc code) and 8 * 3 * 8 * 6 payload bytes
+_SNAP_LEN = 16 + 13 + 8 * 3 * 8 * 6
+_snapshot_faults = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, _SNAP_LEN - 1), st.just(0)),
+    st.tuples(st.just("magic"), st.integers(0, 15), st.integers(1, 255)),
+    st.tuples(st.just("header"), st.integers(16, 28), st.integers(1, 255)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fault=_snapshot_faults)
+def test_fuzzed_snapshot_never_raises(tmp_path_factory, fault):
+    root = tmp_path_factory.mktemp("snap")
+    grid = Grid(8, 6)
+    snap = root / "d.fld"
+    write_snapshot(snap, Field(grid, vortex_director(grid, 0.5, 0.5, 0.2), "periodic"))
+    data = bytearray(snap.read_bytes())
+    assert len(data) == _SNAP_LEN
+    kind, pos, flip = fault
+    if kind == "truncate":
+        del data[pos:]
+    else:
+        data[pos] ^= flip
+    snap.write_bytes(bytes(data))
+    code = main(["diagnose", str(snap)])
+    if kind == "header":
+        # a header can still describe a readable field of another shape
+        assert code in (0, 1, 3), fault
+    else:
+        assert code == 3, fault

@@ -13,6 +13,7 @@ from selflow.noise import (
     k2_norm,
     split_seed,
 )
+from selflow.grids import Grid
 from selflow.projection import leray_project
 
 
@@ -179,6 +180,28 @@ class TestNoiseOperator:
         assert hs0 > 0
         C = S.linear_growth_constant()
         assert hs0 <= C
+
+    @pytest.mark.parametrize("seeded", [False, True], ids=["multiplicative", "additive"])
+    def test_hs_folded_norm_on_odd_grid(self, rng, seeded):
+        # non-square, non-power-of-two cells; reference: each mode projected
+        # and weighed with the quadrature-weight array
+        grid = Grid(48, 40, lx=1.3, ly=0.7)
+        n = 8
+        additive = None
+        if seeded:
+            additive, _ = leray_project(rng.standard_normal((n, 2, 48, 40)), grid)
+        S = NoiseOperatorS(grid, n_modes=n, sigma0=0.3, additive=additive)
+        u = rng.standard_normal((5, 2, 48, 40))
+        want = 0.0
+        for i in range(n):
+            pv, _ = leray_project(S.decay[i] * (S.shapes[i] * u + S.additive[i]), grid)
+            want = want + np.sum(pv * pv * grid.quad_weights(), axis=(-3, -2, -1))
+        got = S.hs_norm_sq(u)
+        worst = float(np.max(np.abs(got - want) / want))
+        print(f"\nhs_norm_sq largest relative deviation: {worst:.2e}")
+        assert worst <= 1e-14
+        for m in range(5):
+            assert np.array_equal(S.hs_norm_sq(u[m]), got[m])
 
 
 class TestDirectorNoise:

@@ -218,6 +218,75 @@ class TestDiscreteIdentities:
         assert abs(afg + agf) <= 1e-11 * (1 + abs(afg))
 
 
+# non-square, non-power-of-two periodic grid: hx*hy is not a power of two,
+# so scaling a plain sum by it rounds unlike summing weighted entries
+ODD = Grid(48, 40, lx=1.3, ly=0.7)
+LEADS = [(), (3,), (5, 2)]
+
+
+def _roll_links(a, grid, axis):
+    h = grid.hx if axis == 0 else grid.hy
+    return (np.roll(a, -1, axis=axis - 2) - a) / h
+
+
+class TestPeriodicStencilsMatchRoll:
+    """The periodic stencils are the np.roll formulas, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(lead=st.sampled_from(LEADS), strided=st.booleans(),
+           scale=st.sampled_from([1e-8, 1.0, 1e6]), seed=st.integers(0, 2**32 - 1))
+    def test_array_equal_to_roll(self, lead, strided, scale, seed):
+        rng = np.random.default_rng(seed)
+        shape = lead + (ODD.nx, ODD.ny)
+        if strided:
+            a = scale * rng.standard_normal(lead + (2, ODD.nx, ODD.ny))[..., 0, :, :]
+        else:
+            a = scale * rng.standard_normal(shape)
+        lap = 0.0
+        for axis, h in ((0, ODD.hx), (1, ODD.hy)):
+            up, down = np.roll(a, -1, axis=axis - 2), np.roll(a, 1, axis=axis - 2)
+            got = ops.deriv(a, ODD, axis, "periodic")
+            assert got.shape == shape
+            assert np.array_equal(got, (up - down) / (2.0 * h))
+            assert np.array_equal(ops._forward_links(a, ODD, axis, True),
+                                  _roll_links(a, ODD, axis))
+            lap = lap + (up - 2.0 * a + down) / h**2
+        assert np.array_equal(ops.laplacian(a, ODD, "periodic"), lap)
+
+
+class TestPeriodicLedgerForms:
+    """The periodic quadrature forms scale each lane's plain sum by hx*hy;
+    they agree with the explicit weighted-array sums to rounding, and each
+    lane of a batch is bit-identical to its lone evaluation."""
+
+    def test_match_weighted_arrays_and_lanes(self, rng):
+        a = rng.standard_normal((5, 3, ODD.nx, ODD.ny))
+        b = a + 0.5 * rng.standard_normal(a.shape)
+        w = np.full((ODD.nx, ODD.ny), ODD.hx * ODD.hy)
+        axes = (-3, -2, -1)
+
+        def dirichlet_ref(f, g):
+            return sum(np.sum(_roll_links(f, ODD, ax) * _roll_links(g, ODD, ax) * w, axis=axes)
+                       for ax in (0, 1))
+
+        cases = {
+            "dirichlet self": (lambda f, g: ops.dirichlet_form_vec(f, f, ODD), dirichlet_ref(a, a)),
+            "dirichlet cross": (lambda f, g: ops.dirichlet_form_vec(f, g, ODD), dirichlet_ref(a, b)),
+            "pair_vec": (lambda f, g: ops.pair_vec(f, g, ODD), np.sum(a * b * w, axis=axes)),
+            "pair_scalar": (lambda f, g: ops.pair_scalar(f[..., 0, :, :], g[..., 0, :, :], ODD),
+                            np.sum(a[:, 0] * b[:, 0] * w, axis=(-2, -1))),
+        }
+        worst = {}
+        for name, (form, ref) in cases.items():
+            got = form(a, b)
+            worst[name] = float(np.max(np.abs(got - ref) / np.abs(ref)))
+            for m in range(5):
+                assert np.array_equal(form(a[m], b[m]), got[m]), (name, m)
+        print("\nlargest relative deviation: "
+              + ", ".join(f"{k} {v:.2e}" for k, v in worst.items()))
+        assert max(worst.values()) <= 1e-14, worst
+
+
 class TestVectorAlgebra:
     def test_cross_matches_numpy(self, rng):
         a = rng.standard_normal((3, 5, 5))
