@@ -235,8 +235,9 @@ def _thread_count(text: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="selflow", description=__doc__)
     parser.add_argument("--threads", type=_thread_count, default=1,
-                        help="cap (N >= 1) on lane groups (16 paths each) run in "
-                             "parallel by ensemble and sweep")
+                        help="cap (N >= 1) on lane groups run in parallel by "
+                             "ensemble and sweep; the group width comes from the "
+                             "grid, and results depend on neither N nor the width")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("simulate", "ensemble", "sweep"):
         p = sub.add_parser(name)

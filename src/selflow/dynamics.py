@@ -147,7 +147,9 @@ def gl_force(d: np.ndarray, eps: float) -> np.ndarray:
     if eps <= 0:
         raise ValueError("eps must be positive")
     q = np.sum(d * d, axis=-3, keepdims=True) - 1.0
-    return q * d / eps**2
+    out = q * d
+    out /= eps**2
+    return out
 
 
 def penalty_density(d: np.ndarray, eps: float) -> np.ndarray:
@@ -222,15 +224,18 @@ def step_coupled(
     dxh = ops.cross(d, h.values)
     dxhxh = ops.cross(dxh, h.values)
     g_d = ops.gradient(d, grid, bc_d)  # (..., 3, 2, nx, ny)
-    adv_d = (
-        u[..., 0:1, :, :] * g_d[..., 0, :, :] + u[..., 1:2, :, :] * g_d[..., 1, :, :]
-    )
+    adv_d = u[..., 0:1, :, :] * g_d[..., 0, :, :]
+    adv_d += u[..., 1:2, :, :] * g_d[..., 1, :, :]
 
     # time-n velocity pieces
     adv_u = ops.advect_skew(u, u, grid, bc_u)
     lap_u = ops.laplacian(u, grid, bc_u)
     if params.stress_form == "reduced":
-        sforce = np.sum(lap_d[..., :, None, :, :] * g_d, axis=-4)
+        # sum over c of lap_d[c] grad d[c], added in component order as a
+        # sum over that axis adds
+        sforce = lap_d[..., 0:1, :, :] * g_d[..., 0, :, :, :]
+        for c in (1, 2):
+            sforce += lap_d[..., c:c + 1, :, :] * g_d[..., c, :, :, :]
     else:
         sforce = ericksen_stress_div(d, grid, bc_d)
     # done with; freed before the ledgers so the peak memory of a many-lane
@@ -263,16 +268,26 @@ def step_coupled(
         invariant_sink.record_advection(ops.pair_vec(adv_u, u, grid),
                                         np.sqrt(ops.pair_vec(u, u, grid)))
 
-    # updates
-    d_new = d + dt * (-adv_d + params.gamma * tau + 0.5 * params.xi2**2 * dxhxh)
+    # updates, built in place on the spent time-n terms with the operations
+    # and order of d + dt * (-adv_d + gamma tau + 0.5 xi2^2 dxhxh) and
+    # u + dt * (-adv_u + mu lap_u - lam sforce) + noise_u
+    d_new = np.negative(adv_d, out=adv_d)
+    d_new += params.gamma * tau
+    d_new += 0.5 * params.xi2**2 * dxhxh
+    d_new *= dt
+    d_new += d
     if params.xi2 != 0.0:
         d_new += params.xi2 * dxh * np.asarray(dW2)[..., None, None, None]
     if bc_d == "dirichlet" and d_bc_values is not None:
         _pin_boundary(d_new, d_bc_values)
 
-    v = u + dt * (-adv_u + params.mu * lap_u - params.lam * sforce)
+    v = np.negative(adv_u, out=adv_u)
+    v += params.mu * lap_u
+    v -= params.lam * sforce
+    v *= dt
+    v += u
     if noise_u is not None:
-        v = v + noise_u
+        v += noise_u
     u_new, _ = leray_project(v, grid, tol=params.proj_tol, need_pressure=False)
 
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(d_new))):

@@ -41,6 +41,11 @@ from .pathrun import PathResult, PathSeries, simulate_batch, simulate_path
 STAT_FIELDS = ("kinetic", "dirichlet", "penalty", "total", "ledger1", "ledger2",
                "dev_norm", "max_abs_d")
 
+# Grid nodes per lane group.  A step's temporaries scale with lanes x nodes;
+# at 16384 nodes a director-sized (3-component) temporary is about 0.4 MB,
+# so the working set of a step stays near a 2 MiB L2 cache.
+LANE_NODES = 16384
+
 
 @dataclass
 class EnsembleStats:
@@ -107,20 +112,29 @@ def default_sweep_test_functions(grid) -> list[TestFunction]:
     ]
 
 
+def lane_width(grid) -> int:
+    """Paths per lane group on ``grid``: ``LANE_NODES`` grid nodes, and at
+    least one path."""
+    return max(1, LANE_NODES // (grid.nx * grid.ny))
+
+
 def _run_lanes(config: RunConfig, grid, params, u0, d0, S, h, threads: int, *,
-               order: list[int] | None = None, batch_size: int = 16,
+               order: list[int] | None = None, batch_size: int | None = None,
                checkpoint_hook=None) -> tuple[list[PathSeries], list[int]]:
     """(series, seeds) of every path of ``config``, each run as one lane of
     :func:`simulate_batch`.
 
-    Paths are grouped into fixed index-contiguous batches that advance in
-    lockstep (vectorized over a leading path axis), up to ``threads``
-    batches at a time; every lane is bit-identical to a lone path with its
-    seed, whatever the batch size.  ``order`` permutes only the execution
-    order of those work units (a reproducibility probe); results are stored
-    by path index, so the output does not depend on it.
+    Paths are grouped into index-contiguous batches of ``batch_size`` paths
+    (by default :func:`lane_width` of the grid) that advance in lockstep
+    (vectorized over a leading path axis), up to ``threads`` batches at a
+    time; every lane is bit-identical to a lone path with its seed, whatever
+    the batch size.  ``order`` permutes only the execution order of those
+    work units (a reproducibility probe); results are stored by path index,
+    so the output does not depend on it.
     """
     n = config.paths
+    if batch_size is None:
+        batch_size = lane_width(grid)
     seeds = [split_seed(config.seed, i) for i in range(n)]
     series: list[PathSeries | None] = [None] * n
     starts = range(0, n, batch_size)
@@ -146,7 +160,8 @@ def _run_lanes(config: RunConfig, grid, params, u0, d0, S, h, threads: int, *,
 
 
 def run_ensemble(config: RunConfig, threads: int = 1, *,
-                 order: list[int] | None = None, batch_size: int = 16) -> EnsembleResult:
+                 order: list[int] | None = None,
+                 batch_size: int | None = None) -> EnsembleResult:
     """The ``ensemble.paths`` paths of ``config``, merged into EnsembleStats.
     Path i's checkpoint columns are bit-identical to those of
     :func:`run_path` with seed ``result.seeds[i]`` (see :func:`_run_lanes`

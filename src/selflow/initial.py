@@ -31,13 +31,6 @@ def taylor_green(grid: Grid, k: int = 1, amp: float = 0.1) -> np.ndarray:
     return u
 
 
-def taylor_green_rate(grid: Grid, k: int, mu: float) -> float:
-    """Kinetic-energy decay rate 2 mu kappa^2 of the Taylor-Green solution."""
-    ax = 2.0 * np.pi * k / grid.lx
-    ay = 2.0 * np.pi * k / grid.ly
-    return 2.0 * mu * (ax**2 + ay**2)
-
-
 def constant_director(grid: Grid, vec) -> np.ndarray:
     d = np.empty((3, grid.nx, grid.ny))
     d[0], d[1], d[2] = vec
@@ -61,12 +54,6 @@ def smooth_unit_director(grid: Grid, amp: float = 0.4) -> np.ndarray:
         v2 = amp * np.cos(2.0 * ax * X) * np.cos(ay * Y)
     norm = np.sqrt(v1**2 + v2**2 + 1.0)
     return np.stack([v1 / norm, v2 / norm, 1.0 / norm])
-
-
-def subunit_director(grid: Grid, scale: float = 0.9, amp: float = 0.4) -> np.ndarray:
-    """Smooth director with |d| <= scale < 1 everywhere (maximum-principle
-    fixture)."""
-    return scale * smooth_unit_director(grid, amp=amp)
 
 
 def mixed_unit_director(grid: Grid, amp: float = 0.4) -> np.ndarray:

@@ -33,19 +33,22 @@ def _at(ax: int, idx) -> tuple:
     return (Ellipsis, idx) if ax == -1 else (Ellipsis, idx, slice(None))
 
 
-def _periodic_stencil(a: np.ndarray, ax: int, combine, divisor: float) -> np.ndarray:
-    """New array whose entries along ``ax`` are combine(out, a[i+1], a[i],
-    a[i-1]) / divisor with wrap-around neighbours; ``combine`` writes into
-    out.
+def _periodic_stencil(a: np.ndarray, ax: int, combine, divisor: float,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Array whose entries along ``ax`` are combine(out, a[i+1], a[i],
+    a[i-1]) / divisor with wrap-around neighbours, written into ``out`` (a
+    new array when it is None); ``combine`` writes into its first argument.
 
     The bulk is one pass over the merged space axes (a view of ``a`` when
     they are contiguous, as on every array the package builds), where
     a[i+1] sits k entries on (k = ny along x, 1 along y).  The two wrap
     rows are then written on their own; along y they also overwrite the
     bulk entries whose neighbours crossed a row end."""
-    out = np.empty(a.shape)
+    if out is None:
+        out = np.empty(a.shape)
     k = a.shape[-1] if ax == -2 else 1
-    ma, mo = (x.reshape(a.shape[:-2] + (-1,)) for x in (a, out))
+    merged = a.shape[:-2] + (-1,)
+    ma, mo = a.reshape(merged), out.reshape(merged, copy=False)
     combine(mo[..., k:-k], ma[..., 2 * k:], ma[..., k:-k], ma[..., :-2 * k])
     for o, p, c, m in ((0, 1, 0, -1), (-1, 0, -1, -2)):
         combine(out[_at(ax, o)], a[_at(ax, p)], a[_at(ax, c)], a[_at(ax, m)])
@@ -68,24 +71,29 @@ def _second(out, plus, centre, minus):
     out += minus
 
 
-def deriv(a: np.ndarray, grid: Grid, axis: int, bc: str) -> np.ndarray:
-    """First derivative along ``axis`` (0 = x, 1 = y), central differences."""
+def deriv(a: np.ndarray, grid: Grid, axis: int, bc: str,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """First derivative along ``axis`` (0 = x, 1 = y), central differences;
+    written into ``out`` (a's shape) when it is given."""
     if a.shape[-2:] != (grid.nx, grid.ny):
         raise GridError(f"field shape {a.shape} does not match grid {(grid.nx, grid.ny)}")
     h = _step(grid, axis)
     ax = -2 + axis
     if bc == "periodic":
-        return _periodic_stencil(a, ax, _central, 2.0 * h)
-    out = np.gradient(a, h, axis=ax, edge_order=2)
+        return _periodic_stencil(a, ax, _central, 2.0 * h, out)
+    res = np.gradient(a, h, axis=ax, edge_order=2)
     if bc == "neumann":
         # reflected ghosts make the normal derivative vanish at the wall
         lo = [slice(None)] * a.ndim
         hi = [slice(None)] * a.ndim
         lo[ax], hi[ax] = 0, -1
-        out[tuple(lo)] = 0.0
-        out[tuple(hi)] = 0.0
+        res[tuple(lo)] = 0.0
+        res[tuple(hi)] = 0.0
     elif bc not in _ONESIDED:
         raise GridError(f"unknown boundary mode {bc!r}")
+    if out is None:
+        return res
+    out[...] = res
     return out
 
 
@@ -119,9 +127,10 @@ def _second_diff(a: np.ndarray, grid: Grid, axis: int, bc: str) -> np.ndarray:
 
 def gradient(a: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
     """Gradient: (nx, ny) -> (2, nx, ny); (..., k, nx, ny) -> (..., k, 2, nx, ny)."""
-    dx = deriv(a, grid, 0, bc)
-    dy = deriv(a, grid, 1, bc)
-    return np.stack([dx, dy], axis=-3)
+    out = np.empty(a.shape[:-2] + (2,) + a.shape[-2:])
+    for axis in (0, 1):
+        deriv(a, grid, axis, bc, out=out[..., axis, :, :])
+    return out
 
 
 def divergence(v: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
@@ -227,18 +236,26 @@ def advect_skew(u: np.ndarray, f: np.ndarray, grid: Grid, bc_f: str) -> np.ndarr
     """
     u0 = u[..., 0:1, :, :]
     u1 = u[..., 1:2, :, :]
-    conv = u0 * deriv(f, grid, 0, bc_f) + u1 * deriv(f, grid, 1, bc_f)
-    dive = deriv(u0 * f, grid, 0, bc_f) + deriv(u1 * f, grid, 1, bc_f)
-    return 0.5 * (conv + dive)
+    conv = u0 * deriv(f, grid, 0, bc_f)
+    conv += u1 * deriv(f, grid, 1, bc_f)
+    dive = deriv(u0 * f, grid, 0, bc_f)
+    dive += deriv(u1 * f, grid, 1, bc_f)
+    conv += dive
+    conv *= 0.5
+    return conv
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise cross product of 3-vector fields (..., 3, nx, ny)."""
-    a0, a1, a2 = a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
-    b0, b1, b2 = b[..., 0, :, :], b[..., 1, :, :], b[..., 2, :, :]
-    return np.stack(
-        [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-3
-    )
+    """Pointwise cross product of 3-vector fields (..., 3, nx, ny), each
+    component written into its slot of one result."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    tmp = np.empty(out.shape[:-3] + out.shape[-2:])
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        slot = out[..., i, :, :]
+        np.multiply(a[..., j, :, :], b[..., k, :, :], out=slot)
+        np.multiply(a[..., k, :, :], b[..., j, :, :], out=tmp)
+        slot -= tmp
+    return out
 
 
 def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:

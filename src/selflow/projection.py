@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import Grid
-from .operators import deriv, divergence, norm_linf, pair_vec
+from .operators import deriv, divergence, norm_linf
 
 PROJ_TOL = 1e-10
 
@@ -53,21 +53,45 @@ def _modified_wavenumbers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return grid._cache[key]
 
 
+def _spectral_factors(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s1, s2, 1/|s|^2) lined up with the float view of an rfft2 spectrum:
+    s1 is constant along y, so it keeps its (nx, 1) column; s2 and
+    1/|s|^2 are repeated for the real and the imaginary part, with 1/|s|^2
+    set to 0 where |s| = 0 (modes P leaves alone)."""
+    key = "spectral_factors"
+    if key not in grid._cache:
+        s1, s2 = _modified_wavenumbers(grid)
+        denom = s1 * s1 + s2 * s2
+        with np.errstate(divide="ignore"):
+            inv = np.where(denom > 0.0, 1.0 / denom, 0.0)
+        grid._cache[key] = (s1, np.repeat(s2, 2, axis=-1), np.repeat(inv, 2, axis=-1))
+    return grid._cache[key]
+
+
 def _project_periodic_fft(
     v: np.ndarray, grid: Grid, need_pressure: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    s1, s2 = _modified_wavenumbers(grid)
+    """Spectral solve on the float view of rfft2(v), with no complex
+    temporaries unless the pressure is asked for.  With q = (s . v^)/|s|^2 the divergence i s . v^ gives the
+    pressure p^ = -i q and the correction v^ - s q, so each real and
+    imaginary part is corrected by s times the same part of q."""
+    s1, s2, inv = _spectral_factors(grid)
     vhat = np.fft.rfft2(v, axes=(-2, -1))
-    dhat = 1j * (s1 * vhat[..., 0, :, :] + s2 * vhat[..., 1, :, :])
-    denom = s1 * s1 + s2 * s2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phat = np.where(denom > 0.0, -dhat / denom, 0.0)
-    uhat = vhat
-    uhat[..., 0, :, :] -= 1j * s1 * phat
-    uhat[..., 1, :, :] -= 1j * s2 * phat
-    u = np.fft.irfft2(uhat, s=(grid.nx, grid.ny), axes=(-2, -1))
-    p = np.fft.irfft2(phat, s=(grid.nx, grid.ny), axes=(-2, -1)) if need_pressure else None
-    return u, p
+    flat = vhat.view(np.float64)  # real and imaginary parts side by side
+    v0, v1 = flat[..., 0, :, :], flat[..., 1, :, :]
+    q = s1 * v0
+    tmp = s2 * v1
+    q += tmp
+    q *= inv
+    np.multiply(s1, q, out=tmp)
+    v0 -= tmp
+    np.multiply(s2, q, out=tmp)
+    v1 -= tmp
+    u = np.fft.irfft2(vhat, s=(grid.nx, grid.ny), axes=(-2, -1))
+    if not need_pressure:
+        return u, None
+    phat = -1j * q.view(np.complex128)
+    return u, np.fft.irfft2(phat, s=(grid.nx, grid.ny), axes=(-2, -1))
 
 
 def _solenoidal_weights(grid: Grid) -> np.ndarray:
@@ -107,17 +131,6 @@ def gradient_norm_sq(v: np.ndarray, grid: Grid) -> np.ndarray:
     np.square(sq, out=sq)
     sq *= _solenoidal_weights(grid)
     return np.sum(sq, axis=(-2, -1))
-
-
-def solenoidal_norm_sq(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """||P v||^2 per lane for v of shape (..., 2, nx, ny) on a periodic grid.
-
-    P is an orthogonal projector, so ||P v||^2 = ||v||^2 - ||(I - P) v||^2
-    (:func:`gradient_norm_sq`); no projected field is built.  The result is
-    clamped at 0 against cancellation on near-gradient fields.
-    """
-    grad_part = gradient_norm_sq(v, grid)
-    return np.maximum(pair_vec(v, v, grid) - grad_part, 0.0)
 
 
 def _wide_laplacian_periodic(p: np.ndarray, grid: Grid) -> np.ndarray:

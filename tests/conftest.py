@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from selflow.grids import Grid
+from selflow.initial import smooth_unit_director
 from selflow.noise import MagneticField, NoiseOperatorS
 
 
@@ -35,3 +36,16 @@ def fit_order(errors, hs):
     e = np.log(np.asarray(errors, dtype=float))
     x = np.log(np.asarray(hs, dtype=float))
     return np.polyfit(x, e, 1)[0]
+
+
+def taylor_green_rate(grid: Grid, k: int, mu: float) -> float:
+    """Kinetic-energy decay rate 2 mu kappa^2 of the Taylor-Green solution."""
+    ax = 2.0 * np.pi * k / grid.lx
+    ay = 2.0 * np.pi * k / grid.ly
+    return 2.0 * mu * (ax**2 + ay**2)
+
+
+def subunit_director(grid: Grid, scale: float = 0.9, amp: float = 0.4) -> np.ndarray:
+    """Smooth director with |d| <= scale < 1 everywhere (maximum-principle
+    fixture)."""
+    return scale * smooth_unit_director(grid, amp=amp)

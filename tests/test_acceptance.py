@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from selflow import operators as ops
-from selflow.config import RunConfig
+from selflow.config import RunConfig, build_grid
 from selflow.diagnostics import (
     default_defect_threshold,
     defect_detect,
@@ -22,18 +22,17 @@ from selflow.diagnostics import (
     triple_product_defects,
 )
 from selflow.dynamics import Params, stability_dt
-from selflow.ensemble import coupled_sweep, run_ensemble
+from selflow.ensemble import coupled_sweep, lane_width, run_ensemble
 from selflow.grids import Grid
 from selflow.initial import (
     constant_director,
     smooth_unit_director,
-    subunit_director,
     taylor_green,
     vortex_director,
 )
 from selflow.noise import MagneticField, NoiseOperatorS, WienerDriver, coarsen_normals
 from selflow.pathrun import simulate_batch, simulate_path
-from conftest import fit_order
+from conftest import fit_order, subunit_director
 
 
 def report(criterion: int, detail: str) -> None:
@@ -290,8 +289,10 @@ def test_criterion_11_projection_and_transport(deterministic_run_64):
 
 def test_criterion_12_reproducibility(ensemble_64paths):
     first = ensemble_64paths
-    shuffled_order = [3, 1, 2, 0]  # 64 paths in 4 batches of 16, permuted
-    second = run_ensemble(ENSEMBLE_CFG, order=shuffled_order)
+    # 64 paths in 4 lane groups of 16 at 32^2, permuted and run two at a time
+    assert lane_width(build_grid(ENSEMBLE_CFG)) == 16
+    shuffled_order = [3, 1, 2, 0]
+    second = run_ensemble(ENSEMBLE_CFG, threads=2, order=shuffled_order)
     for name in first.stats.mean:
         assert np.array_equal(first.stats.mean[name], second.stats.mean[name])
         assert np.array_equal(first.stats.var[name], second.stats.var[name])
@@ -300,5 +301,5 @@ def test_criterion_12_reproducibility(ensemble_64paths):
         for k in a.columns:
             assert np.array_equal(a.columns[k], b.columns[k])
     assert first.stats.sup_total_mean == second.stats.sup_total_mean
-    report(12, "identical config rerun with shuffled path execution order is "
-               "bit-identical across every statistic and path series")
+    report(12, "identical config rerun with shuffled path execution order on "
+               "two threads is bit-identical across every statistic and path series")

@@ -207,8 +207,9 @@ class TestThreads:
 
     @pytest.mark.parametrize("command", ["ensemble", "sweep"])
     def test_pool_output_equals_serial(self, tmp_path, command):
-        # 17 paths form lane groups of 16 + 1, run at once with two threads
-        cfg = write_cfg(tmp_path, TINY + "ensemble.paths = 17\nsweep.eps = 0.3,0.15\n")
+        # 17 paths at 32^2 form lane groups of 16 + 1, run at once with two threads
+        cfg = write_cfg(tmp_path, TINY.replace("16x16", "32x32")
+                        + "ensemble.paths = 17\nsweep.eps = 0.3,0.15\n")
         files = {}
         for threads in ("1", "2"):
             out = tmp_path / f"out{threads}"

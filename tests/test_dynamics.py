@@ -23,11 +23,10 @@ from selflow.initial import (
     constant_director,
     smooth_unit_director,
     taylor_green,
-    taylor_green_rate,
 )
 from selflow.noise import MagneticField, NoiseOperatorS, WienerDriver, coarsen_normals
 from selflow.pathrun import simulate_path
-from conftest import fit_order
+from conftest import fit_order, subunit_director, taylor_green_rate
 
 
 class TestGlForce:
@@ -426,8 +425,6 @@ class TestStabilityDt:
 
 class TestMaximumPrinciple:
     def test_deterministic_bound(self, grid32):
-        from selflow.initial import subunit_director
-
         eps = 0.2
         dt = stability_dt(eps, grid32, 1.0, 1.0)
         params = Params(eps=eps, xi1=0.0, xi2=0.0, dt=dt, T=0.05)

@@ -23,6 +23,7 @@ from selflow.dynamics import Params, stability_dt
 from selflow.ensemble import (
     coupled_sweep,
     default_sweep_test_functions,
+    lane_width,
     run_ensemble,
     run_path,
 )
@@ -51,6 +52,15 @@ class TestSpec:
     def test_needs_paths(self):
         with pytest.raises(ConfigError):
             parse_config("ensemble.paths = 0\n")
+
+
+class TestLaneWidth:
+    # 16384 grid nodes per lane group, and never fewer than one path
+    @pytest.mark.parametrize("nx, ny, width", [
+        (16, 16, 64), (32, 32, 16), (64, 64, 4), (48, 40, 8),
+        (128, 128, 1), (129, 131, 1), (4, 5000, 1), (512, 512, 1)])
+    def test_width_from_grid(self, nx, ny, width):
+        assert lane_width(Grid(nx, ny)) == width
 
 
 class TestRunPath:
@@ -108,16 +118,21 @@ class TestRunEnsemble:
 
     def test_batched_matches_per_path(self):
         # every lane equals its lone path bit for bit, whatever the batch
-        for bc in ("periodic", "bounded"):
-            cfg = small_config(T=0.01, bc=bc, track_budget=True, paths=5, seed=21,
-                               checkpoint_every=20)
-            singles = [run_path(cfg, split_seed(21, i)).series for i in range(5)]
-            for batch_size in (1, 3, 5):
+        # (None: the width derived from the grid, 4 lanes at 64^2)
+        cases = [(small_config(T=0.01, bc=bc, track_budget=True, paths=5, seed=21,
+                               checkpoint_every=20), (1, 3, 5))
+                 for bc in ("periodic", "bounded")]
+        cases.append((small_config(grid="64x64", dt=1e-5, T=2e-5, track_budget=True,
+                                   paths=6, seed=21, checkpoint_every=1), (None, 1, 6)))
+        for cfg, batch_sizes in cases:
+            singles = [run_path(cfg, split_seed(21, i)).series for i in range(cfg.paths)]
+            for batch_size in batch_sizes:
                 batched = run_ensemble(cfg, batch_size=batch_size)
-                for lane, single in zip(batched.series, singles):
+                for lane, single in zip(batched.series, singles, strict=True):
                     assert lane.columns.keys() == single.columns.keys()
                     for k in single.columns:
-                        assert np.array_equal(lane.columns[k], single.columns[k]), (bc, batch_size, k)
+                        assert np.array_equal(lane.columns[k], single.columns[k]), \
+                            (cfg.grid, cfg.bc, batch_size, k)
 
     def test_default_flags_lane_equals_run_path(self):
         # the ensemble reads track.budget (default on) from the config, as
