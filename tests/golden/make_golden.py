@@ -89,6 +89,15 @@ sim.T = 0.004
 track.budget = true
 out.checkpoint_every = 5
 """),
+    # rough data on a small grid with 8 modes: psi_7 u reaches the y-Nyquist
+    # column, so the Parseval weight there shows in the HS ledger
+    "simulate_periodic_nyquist": ("simulate", _BASE.replace("modes = 4", "modes = 8")
+                                  .replace("unit-smooth", "unit-mixed") + """\
+sim.grid = 16x16
+sim.T = 0.004
+track.budget = true
+out.checkpoint_every = 5
+"""),
 }
 DIAGNOSE_ARGS = ["--pohozaev", "--defects", "--pairings"]
 ALL_CASES = tuple(CASES) + ("diagnose",)
