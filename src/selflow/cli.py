@@ -192,7 +192,7 @@ def cmd_diagnose(args) -> int:
     if args.pohozaev or not (args.defects or args.pairings):
         did_something = True
         x0, y0 = 0.5 * grid.lx, 0.5 * grid.ly
-        r = args.radius or 0.25 * min(grid.lx, grid.ly)
+        r = 0.25 * min(grid.lx, grid.ly) if args.radius is None else args.radius
         print("pohozaev: choice,boundary_kinetic,bulk_stress,bulk_div,"
               "boundary_energy,rhs,residual")
         for choice in ("radial", "x1", "shear"):
@@ -201,8 +201,8 @@ def cmd_diagnose(args) -> int:
                   f"{rep.bulk_div!r},{rep.boundary_energy!r},{rep.rhs!r},{rep.residual!r}")
     if args.defects:
         did_something = True
-        r = args.radius or 8.0 * max(grid.hx, grid.hy)
-        thr = args.threshold or default_defect_threshold(grid, eps, r)
+        r = 8.0 * max(grid.hx, grid.hy) if args.radius is None else args.radius
+        thr = default_defect_threshold(grid, eps, r) if args.threshold is None else args.threshold
         rep = defect_detect(f.values, grid, eps, r, thr, bc=f.bc)
         print(f"defects: count = {rep.count} (r = {r!r}, delta0_sq = {thr!r})")
         for x, y, energy in rep.centers:
@@ -232,12 +232,20 @@ def _thread_count(text: str) -> int:
     return n
 
 
+def _energy_threshold(text: str) -> float:
+    x = float(text)
+    if not x >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (a squared energy), got {text}")
+    return x
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="selflow", description=__doc__)
     parser.add_argument("--threads", type=_thread_count, default=1,
                         help="cap (N >= 1) on lane groups run in parallel by "
                              "ensemble and sweep; the group width comes from the "
-                             "grid, and results depend on neither N nor the width")
+                             "grid, and results depend on neither N nor the width; "
+                             "bounded grids gain no speed from N > 1")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("simulate", "ensemble", "sweep"):
         p = sub.add_parser(name)
@@ -247,8 +255,12 @@ def main(argv: list[str] | None = None) -> int:
     p_diag.add_argument("--eps", type=float, default=0.2)
     p_diag.add_argument("--lx", type=float, default=1.0)
     p_diag.add_argument("--ly", type=float, default=1.0)
-    p_diag.add_argument("--radius", type=float, default=None)
-    p_diag.add_argument("--threshold", type=float, default=None)
+    p_diag.add_argument("--radius", type=float, default=None,
+                        help="ball radius (> 0); default a quarter of the shorter "
+                             "side for --pohozaev, 8 cells for --defects")
+    p_diag.add_argument("--threshold", type=_energy_threshold, default=None,
+                        help="defect threshold delta0^2 (>= 0); default 0.3 times "
+                             "the energy of a synthetic vortex")
     p_diag.add_argument("--pohozaev", action="store_true")
     p_diag.add_argument("--defects", action="store_true")
     p_diag.add_argument("--pairings", action="store_true")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Params, stability_dt
+from .dynamics import STRESS_FORMS, Params, stability_dt
 from .fields import read_snapshot
 from .grids import Grid
 from .initial import (
@@ -201,15 +201,16 @@ def validate(cfg: RunConfig) -> list[tuple[str, str]]:
     if cfg.mode not in RUN_MODES:
         out.append(("mode", f"run.mode: must be one of {RUN_MODES}"))
     if cfg.proj_maxiter < 0:
-        out.append(("proj_maxiter", "proj.maxiter: must be nonnegative (0 = automatic)"))
+        out.append(("proj_maxiter",
+                    "proj.maxiter: must be nonnegative (kept for old configs; it bounds nothing)"))
     if cfg.modes < 1:
         out.append(("modes", "noise.modes: must be >= 1"))
     if cfg.paths < 1:
         out.append(("paths", "ensemble.paths: must be >= 1"))
     if cfg.checkpoint_every < 1:
         out.append(("checkpoint_every", "out.checkpoint_every: must be >= 1"))
-    if cfg.stress_form not in ("reduced", "divergence"):
-        out.append(("stress_form", "sim.stress_form: must be 'reduced' or 'divergence'"))
+    if cfg.stress_form not in STRESS_FORMS:
+        out.append(("stress_form", f"sim.stress_form: must be one of {STRESS_FORMS}"))
     try:
         parse_eps_list(cfg.sweep_eps)
     except ValueError as exc:

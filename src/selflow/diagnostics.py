@@ -231,6 +231,11 @@ class WeakFormTracker:
 X_CHOICES = ("radial", "x1", "shear")
 
 
+def _check_radius(r: float) -> None:
+    if not r > 0.0:
+        raise ValueError(f"ball radius must be > 0, got {r!r}")
+
+
 def _ball_weights(grid: Grid, center, r: float, sub: int = 8) -> np.ndarray:
     """Inclusion weights of the ball B_r(center) on node-centered cells.
 
@@ -333,6 +338,7 @@ def pohozaev_residual(
     pure discretization defect, decaying at first order or better under
     refinement.
     """
+    _check_radius(r)
     if bc is None:
         bc = grid.bc_director
     x0, y0 = center
@@ -412,6 +418,7 @@ def local_energy(
 ) -> float:
     """Relaxation energy 0.5 |grad d|^2 + F_eps integrated over the discrete
     ball (cell-center inclusion; periodic distance on the torus)."""
+    _check_radius(r)
     if bc is None:
         bc = grid.bc_director
     e = _energy_density(d, grid, eps, bc)
@@ -478,6 +485,7 @@ def defect_detect(
     """Scan a coarse lattice of centers, flag local energies above the
     threshold, and merge overlapping hits by greedy non-maximum suppression
     (deterministic; larger thresholds give subsets)."""
+    _check_radius(r)
     if bc is None:
         bc = grid.bc_director
     e_w = _energy_density(d, grid, eps, bc) * grid.quad_weights()

@@ -288,7 +288,7 @@ def step_coupled(
     v += u
     if noise_u is not None:
         v += noise_u
-    u_new, _ = leray_project(v, grid, tol=params.proj_tol, need_pressure=False)
+    u_new = leray_project(v, grid, tol=params.proj_tol)
 
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(d_new))):
         raise BlowUpError(state.step, state.t)

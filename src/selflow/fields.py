@@ -85,7 +85,7 @@ def solenoidal_test_function(grid: Grid, kx: int = 1, ky: int = 1, name: str = "
         ]
     )
     bc = "periodic" if grid.periodic else "noslip"
-    u, _ = leray_project(phi, grid)
+    u = leray_project(phi, grid)
     return TestFunction(Field(grid, u, bc), name=name or f"stream_{kx}{ky}")
 
 

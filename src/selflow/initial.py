@@ -27,7 +27,7 @@ def taylor_green(grid: Grid, k: int = 1, amp: float = 0.1) -> np.ndarray:
             -amp * (ax / ay) * np.sin(ax * X) * np.cos(ay * Y),
         ]
     )
-    u, _ = leray_project(v, grid)
+    u = leray_project(v, grid)
     return u
 
 

@@ -238,7 +238,7 @@ class NoiseOperatorS:
                 total = total - self.decay[i] ** 2 * gradient_norm_sq(v, grid)
             else:
                 v *= self.decay[i]
-                proj, _ = leray_project(v, grid, tol=self.proj_tol, need_pressure=False)
+                proj = leray_project(v, grid, tol=self.proj_tol)
                 total = total + ops.pair_vec(proj, proj, grid)
         if grid.periodic:
             total = np.maximum(total, 0.0)

@@ -7,15 +7,15 @@ satisfies div u = 0 in the same discrete sense that :func:`divergence`
 measures.  Using the compact 5-point stencil here instead would leave an
 O(h^2) divergence floor.
 
-Periodic grids get two interchangeable solvers for the same linear system:
-a direct spectral solve with modified wavenumbers (default, exact) and
-matrix-free conjugate gradients (the cross-check route);
-:func:`gradient_norm_sq` evaluates ||(I - P) v||^2 by Parseval without
-building P v.  Bounded (no-slip) grids solve the interior system with a
-homogeneous-Neumann pressure closure as a minimum-norm solve through the
-factorized Gram matrix A A^T, with iterative refinement, over all leading
-axes of the field at once; only the interior divergence is controllable
-there because the boundary rows use one-sided stencils.
+:func:`leray_project` returns u alone; no caller needs the pressure.
+Periodic grids solve the system directly and exactly in Fourier space with
+modified wavenumbers, and :func:`gradient_norm_sq` evaluates
+||(I - P) v||^2 by Parseval without building P v.  Bounded (no-slip) grids
+solve the interior system with a homogeneous-Neumann pressure closure as a
+minimum-norm solve through the factorized Gram matrix A A^T, with
+iterative refinement, over all leading axes of the field at once; only the
+interior divergence is controllable there because the boundary rows use
+one-sided stencils.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import Grid
-from .operators import deriv, divergence, norm_linf
+from .operators import divergence
 
 PROJ_TOL = 1e-10
 
@@ -38,44 +38,45 @@ class ProjectionError(RuntimeError):
         self.achieved = achieved
 
 
-def _modified_wavenumbers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    key = "wavenumbers"
+def _spectral_table(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(s1, s2, 1/|s|^2, w) on the rfft2 half spectrum, lined up with the
+    float view of a spectrum: s1 keeps its (nx, 1) column, the others are
+    repeated for the real and the imaginary part.
+
+    s1, s2 are the modified wavenumbers of the central difference, 0 on the
+    Nyquist columns (exact kernel modes).  w are the Parseval weights
+    hx hy / (nx ny) / |s|^2, doubled on every column but 0 and the y-Nyquist
+    column (whose conjugate partners rfft2 omits).  1/|s|^2 and w are 0
+    where |s| = 0 (modes P leaves alone).
+    """
+    key = "spectral"
     if key not in grid._cache:
         mx = np.rint(np.fft.fftfreq(grid.nx) * grid.nx).astype(int)
         my = np.arange(grid.ny // 2 + 1)
         s1 = np.sin(2.0 * np.pi * mx / grid.nx) / grid.hx
         s2 = np.sin(2.0 * np.pi * my / grid.ny) / grid.hy
-        # Nyquist columns are exact kernel modes of the central difference
         s1[np.abs(mx) * 2 == grid.nx] = 0.0
+        count = np.full(grid.ny // 2 + 1, 2.0)
+        count[0] = 1.0
         if grid.ny % 2 == 0:
             s2[-1] = 0.0
-        grid._cache[key] = (s1[:, None], s2[None, :])
-    return grid._cache[key]
-
-
-def _spectral_factors(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(s1, s2, 1/|s|^2) lined up with the float view of an rfft2 spectrum:
-    s1 is constant along y, so it keeps its (nx, 1) column; s2 and
-    1/|s|^2 are repeated for the real and the imaginary part, with 1/|s|^2
-    set to 0 where |s| = 0 (modes P leaves alone)."""
-    key = "spectral_factors"
-    if key not in grid._cache:
-        s1, s2 = _modified_wavenumbers(grid)
+            count[-1] = 1.0
+        s1, s2 = s1[:, None], s2[None, :]
         denom = s1 * s1 + s2 * s2
+        scale = grid.hx * grid.hy / (grid.nx * grid.ny)
         with np.errstate(divide="ignore"):
             inv = np.where(denom > 0.0, 1.0 / denom, 0.0)
-        grid._cache[key] = (s1, np.repeat(s2, 2, axis=-1), np.repeat(inv, 2, axis=-1))
+            w = np.where(denom > 0.0, scale * count / denom, 0.0)
+        grid._cache[key] = (s1,) + tuple(np.repeat(a, 2, axis=-1) for a in (s2, inv, w))
     return grid._cache[key]
 
 
-def _project_periodic_fft(
-    v: np.ndarray, grid: Grid, need_pressure: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _project_periodic_fft(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Spectral solve on the float view of rfft2(v), with no complex
-    temporaries unless the pressure is asked for.  With q = (s . v^)/|s|^2 the divergence i s . v^ gives the
-    pressure p^ = -i q and the correction v^ - s q, so each real and
-    imaginary part is corrected by s times the same part of q."""
-    s1, s2, inv = _spectral_factors(grid)
+    temporaries.  With q = (s . v^)/|s|^2 the correction is v^ - s q, so
+    each real and imaginary part is corrected by s times the same part of
+    q."""
+    s1, s2, inv, _ = _spectral_table(grid)
     vhat = np.fft.rfft2(v, axes=(-2, -1))
     flat = vhat.view(np.float64)  # real and imaginary parts side by side
     v0, v1 = flat[..., 0, :, :], flat[..., 1, :, :]
@@ -87,32 +88,7 @@ def _project_periodic_fft(
     v0 -= tmp
     np.multiply(s2, q, out=tmp)
     v1 -= tmp
-    u = np.fft.irfft2(vhat, s=(grid.nx, grid.ny), axes=(-2, -1))
-    if not need_pressure:
-        return u, None
-    phat = -1j * q.view(np.complex128)
-    return u, np.fft.irfft2(phat, s=(grid.nx, grid.ny), axes=(-2, -1))
-
-
-def _solenoidal_weights(grid: Grid) -> np.ndarray:
-    """Parseval weights on the rfft2 half spectrum: hx hy / (nx ny) / |s|^2,
-    doubled for every column but 0 and the Nyquist column (whose conjugate
-    partners rfft2 omits), and 0 where |s| = 0 (modes P leaves alone).
-    Each weight is repeated for the real and the imaginary part, so the
-    array lines up with the float view of a spectrum."""
-    key = "solenoidal_weights"
-    if key not in grid._cache:
-        s1, s2 = _modified_wavenumbers(grid)
-        denom = s1 * s1 + s2 * s2
-        count = np.full(grid.ny // 2 + 1, 2.0)
-        count[0] = 1.0
-        if grid.ny % 2 == 0:
-            count[-1] = 1.0
-        scale = grid.hx * grid.hy / (grid.nx * grid.ny)
-        with np.errstate(divide="ignore"):
-            w = np.where(denom > 0.0, scale * count / denom, 0.0)
-        grid._cache[key] = np.repeat(w, 2, axis=-1)
-    return grid._cache[key]
+    return np.fft.irfft2(vhat, s=(grid.nx, grid.ny), axes=(-2, -1))
 
 
 def gradient_norm_sq(v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -129,42 +105,8 @@ def gradient_norm_sq(v: np.ndarray, grid: Grid) -> np.ndarray:
     dhat = np.fft.rfft2(divergence(v, grid, "periodic"), axes=(-2, -1))
     sq = dhat.view(np.float64)
     np.square(sq, out=sq)
-    sq *= _solenoidal_weights(grid)
+    sq *= _spectral_table(grid)[3]
     return np.sum(sq, axis=(-2, -1))
-
-
-def _wide_laplacian_periodic(p: np.ndarray, grid: Grid) -> np.ndarray:
-    out = (np.roll(p, -2, axis=-2) - 2.0 * p + np.roll(p, 2, axis=-2)) / (4.0 * grid.hx**2)
-    out += (np.roll(p, -2, axis=-1) - 2.0 * p + np.roll(p, 2, axis=-1)) / (4.0 * grid.hy**2)
-    return out
-
-
-def _project_periodic_cg(
-    v: np.ndarray, grid: Grid, tol: float, maxiter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    b = divergence(v, grid, "periodic")
-    b -= b.mean()
-    # CG on the positive-semidefinite operator -L; the right-hand side is
-    # orthogonal to the (constant + Nyquist) kernel by construction.
-    p = np.zeros_like(b)
-    r = -b.copy()
-    z = r.copy()
-    rs = np.vdot(r, r).real
-    for _ in range(maxiter):
-        if norm_linf(r) <= tol:
-            break
-        az = -_wide_laplacian_periodic(z, grid)
-        alpha = rs / np.vdot(z, az).real
-        p += alpha * z
-        r -= alpha * az
-        rs_new = np.vdot(r, r).real
-        z = r + (rs_new / rs) * z
-        rs = rs_new
-    else:
-        raise ProjectionError("pressure CG did not converge", norm_linf(r))
-    p -= p.mean()
-    gp = np.stack([deriv(p, grid, 0, "periodic"), deriv(p, grid, 1, "periodic")])
-    return v - gp, p
 
 
 def _bounded_1d_blocks(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,15 +166,12 @@ def interior_divergence_max(u: np.ndarray, grid: Grid):
     return np.max(np.abs(d), axis=(-2, -1))
 
 
-def _project_bounded(
-    v: np.ndarray, grid: Grid, tol: float, need_pressure: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _project_bounded(v: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
     """Project every leading axis of v (..., 2, nx, ny) in one pass: one
     batched divergence, then each refinement round is one multi-column
     Gram solve; a column stops refining exactly when it would alone."""
     A, At, lu = _bounded_solver(grid)
     nx, ny = grid.nx, grid.ny
-    lead = v.shape[:-3]
     u = v.reshape(-1, 2, nx, ny).copy()
     u[..., 0, :] = u[..., -1, :] = 0.0
     u[..., :, 0] = u[..., :, -1] = 0.0
@@ -257,43 +196,22 @@ def _project_bounded(
     achieved = interior_divergence_max(u, grid)
     if np.any(achieved > tol):
         raise ProjectionError("bounded pressure solve stalled", float(np.max(achieved)))
-    u = u.reshape(v.shape)
-    if not need_pressure:
-        return u, None
-    p = p - np.sum(p * grid.quad_weights(), axis=(-2, -1))[:, None, None] / grid.area
-    return u, p.reshape(lead + (nx, ny))
+    return u.reshape(v.shape)
 
 
-def leray_project(
-    v: np.ndarray,
-    grid: Grid,
-    tol: float = PROJ_TOL,
-    maxiter: int | None = None,
-    method: str = "auto",
-    need_pressure: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Project v onto the divergence-free space; returns (u, p), u = v - grad p.
+def leray_project(v: np.ndarray, grid: Grid, tol: float = PROJ_TOL) -> np.ndarray:
+    """Project v onto the discretely divergence-free space: u = v - grad p.
 
     v has shape (..., 2, nx, ny); every leading axis is projected on its
-    own and kept in u, and p has shape (..., nx, ny).  Periodic grids and
-    bounded grids both take all leading axes in one call; the CG route
-    (``method='cg'``) takes a single field.
-    ``method``: 'auto' (spectral on periodic grids), 'fft', or 'cg'.
-    ``maxiter`` bounds the CG iterations only.
-    ``need_pressure=False`` skips reconstructing p and returns None for it
-    (stepping hot path).
-    Raises :class:`ProjectionError` with the achieved residual if the solver
-    cannot reach ``tol``; on a batch it carries the worst lane's residual.
+    own and kept in u, on periodic and bounded grids alike.  The periodic
+    solve is direct and exact; ``tol`` bounds the interior divergence that
+    the bounded solve must reach.  Raises :class:`ProjectionError` with the
+    achieved residual if it cannot; on a batch it carries the worst lane's
+    residual.
     """
     if not np.all(np.isfinite(v)):
         raise ValueError("leray_project: input contains non-finite values")
     grid.check_values(v)
-    if maxiter is None:
-        maxiter = 60 * max(grid.nx, grid.ny)
     if grid.periodic:
-        if method in ("auto", "fft"):
-            return _project_periodic_fft(v, grid, need_pressure=need_pressure)
-        if method == "cg":
-            return _project_periodic_cg(v, grid, tol, maxiter)
-        raise ValueError(f"unknown projection method {method!r}")
-    return _project_bounded(v, grid, tol, need_pressure=need_pressure)
+        return _project_periodic_fft(v, grid)
+    return _project_bounded(v, grid, tol)

@@ -53,12 +53,12 @@ def run_all(verbose: bool = True) -> int:
     # projection annihilates gradients, idempotent
     q = np.sin(2 * np.pi * X + 1.0) * np.cos(2 * np.pi * Y)
     gq = ops.gradient(q, grid, "periodic")
-    u, _ = leray_project(gq, grid)
+    u = leray_project(gq, grid)
     failures += not _check("projector annihilates gradients",
                            ops.norm_linf(u) < 1e-12, f"|u| {ops.norm_linf(u):.2e}", verbose)
     v = rng.standard_normal((2, 32, 32))
-    u1, _ = leray_project(v, grid)
-    u2, _ = leray_project(u1, grid)
+    u1 = leray_project(v, grid)
+    u2 = leray_project(u1, grid)
     drift = ops.norm_linf(u2 - u1)
     failures += not _check("projector idempotence", drift < 2e-10,
                            f"drift {drift:.2e}", verbose)
@@ -93,8 +93,8 @@ def run_all(verbose: bool = True) -> int:
     S1 = NoiseOperatorS(grid, n_modes=1, sigma0=0.5, q=1.5,
                         shapes=np.ones((1, 32, 32)))
     w = rng.standard_normal((2, 32, 32))
-    uw, _ = leray_project(w, grid)
-    out, _ = leray_project(S1.mix_increments(uw, [1.0]), grid)
+    uw = leray_project(w, grid)
+    out = leray_project(S1.mix_increments(uw, [1.0]), grid)
     err = ops.norm_l2(out - 0.5 * uw, grid)
     failures += not _check("single-mode noise", err < 1e-10, f"err {err:.2e}", verbose)
     S = NoiseOperatorS(grid, n_modes=6, sigma0=0.7)

@@ -258,6 +258,40 @@ class TestDiagnose:
         out = capsys.readouterr().out
         assert out.count("pairings:") == 3
 
+    @pytest.fixture
+    def vortex_snap(self, tmp_path):
+        grid = Grid(32, 32, bc_velocity="noslip", bc_director="neumann")
+        snap = tmp_path / "vortex.fld"
+        write_snapshot(snap, Field(grid, vortex_director(grid, 0.5, 0.5, 2 * grid.hx),
+                                   "neumann"))
+        return str(snap)
+
+    @pytest.mark.parametrize("flags", [
+        ["--radius", "-0.1"], ["--radius", "0"],
+        ["--defects", "--radius", "-0.05"], ["--defects", "--radius", "0"],
+    ], ids=["pohozaev-negative", "pohozaev-zero", "defects-negative", "defects-zero"])
+    def test_nonpositive_radius_rejected(self, vortex_snap, capsys, flags):
+        # a zero radius is refused, not replaced by the default
+        assert main(["diagnose", vortex_snap] + flags) == 1
+        captured = capsys.readouterr()
+        assert "radius must be > 0" in captured.err
+        assert "pohozaev: radial" not in captured.out and "defects:" not in captured.out
+
+    @pytest.mark.parametrize("value", ["-1", "-0.001", "nan"])
+    def test_negative_threshold_rejected(self, vortex_snap, capsys, value):
+        assert main(["diagnose", vortex_snap, "--defects", "--threshold", value]) == 1
+        assert "defects:" not in capsys.readouterr().out
+
+    def test_zero_threshold_is_used(self, vortex_snap, capsys):
+        assert main(["diagnose", vortex_snap, "--defects"]) == 0
+        default = capsys.readouterr().out
+        assert "delta0_sq = 0.0)" not in default
+        assert main(["diagnose", vortex_snap, "--defects", "--threshold", "0"]) == 0
+        zero = capsys.readouterr().out
+        assert "delta0_sq = 0.0)" in zero
+        count = int(zero.split("count = ")[1].split()[0])
+        assert count >= int(default.split("count = ")[1].split()[0]) >= 1
+
     def test_velocity_snapshot_rejected(self, tmp_path):
         grid = Grid(16, 16)
         snap = tmp_path / "u.fld"

@@ -59,7 +59,7 @@ def asym_velocity(grid, amp=0.2):
             amp * 0.5 * np.cos(2 * np.pi * X) * np.sin(4 * np.pi * Y + 0.2),
         ]
     )
-    u, _ = leray_project(v, grid)
+    u = leray_project(v, grid)
     return u
 
 
@@ -347,6 +347,17 @@ class TestPohozaev:
         d = constant_director(grid_bounded, (0, 0, 1))
         with pytest.raises(GeometryError):
             pohozaev_residual(d, grid_bounded, 0.5, (0.1, 0.5), 0.2, "radial")
+
+
+@pytest.mark.parametrize("r", [0.0, -0.1], ids=["zero", "negative"])
+def test_nonpositive_radius_rejected(grid_bounded, r):
+    d = constant_director(grid_bounded, (0, 0, 1))
+    with pytest.raises(ValueError, match="radius"):
+        pohozaev_residual(d, grid_bounded, 0.5, (0.5, 0.5), r, "radial")
+    with pytest.raises(ValueError, match="radius"):
+        local_energy(d, grid_bounded, 0.5, (0.5, 0.5), r)
+    with pytest.raises(ValueError, match="radius"):
+        defect_detect(d, grid_bounded, 0.5, r, 0.1)
 
 
 class TestDefects:

@@ -26,6 +26,7 @@ from selflow.initial import (
 )
 from selflow.noise import MagneticField, NoiseOperatorS, WienerDriver, coarsen_normals
 from selflow.pathrun import simulate_path
+from selflow.projection import leray_project
 from conftest import fit_order, subunit_director, taylor_green_rate
 
 
@@ -223,8 +224,7 @@ class TestStepVelocity:
 
     def test_noise_step_divergence_free(self, grid32, rng):
         params, S, h = _setup(grid32)
-        u0, _ = __import__("selflow.projection", fromlist=["leray_project"]).leray_project(
-            rng.standard_normal((2, 32, 32)) * 0.1, grid32)
+        u0 = leray_project(rng.standard_normal((2, 32, 32)) * 0.1, grid32)
         state = _step_from(grid32, params, S, h, u0, smooth_unit_director(grid32),
                            rng.standard_normal(5) * 0.01 / np.sqrt(params.dt))
         div = ops.divergence(state.u, grid32, "periodic")
@@ -299,8 +299,7 @@ class TestBoundedModes:
         X, Y = grid.meshgrid()
         u0 = np.stack([np.sin(np.pi * X) * np.sin(np.pi * Y) * 0.2,
                        (X * (1 - X) * Y * (1 - Y)) * 0.4])
-        from selflow.projection import leray_project
-        u0, _ = leray_project(u0, grid)
+        u0 = leray_project(u0, grid)
         dt = stability_dt(0.5, grid, 1.0, 1.0)
         params = Params(eps=0.5, xi1=0.0, xi2=0.0, dt=dt, T=50 * dt)
         S = NoiseOperatorS(grid, n_modes=2, sigma0=0.0)
@@ -365,7 +364,6 @@ class TestTransportCancellation:
         # it stays at rounding on every grid.  The sin(4 pi y) term in d_2
         # is damped by sin(4 pi h) / (4 pi h) instead, which breaks the chain
         # rule at O(h^2).
-        from selflow.projection import leray_project
 
         vals, controls, hs = [], [], []
         for n in (32, 64, 128):
@@ -373,7 +371,7 @@ class TestTransportCancellation:
             X, Y = grid.meshgrid()
             v = np.stack([np.sin(2 * np.pi * Y + 0.4) * 0.3,
                           np.sin(2 * np.pi * X) * 0.2])
-            u, _ = leray_project(v, grid)
+            u = leray_project(v, grid)
             d1 = 0.7 * np.sin(2 * np.pi * X) * np.cos(2 * np.pi * Y)
             d2 = 0.5 * np.cos(2 * np.pi * X + 0.3)
             d3 = 0.6 + 0.2 * np.sin(2 * np.pi * Y)

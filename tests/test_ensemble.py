@@ -164,7 +164,7 @@ def test_batch_lanes_equal_lone_paths(lanes, bounded, budget, seed):
     params = Params(eps=0.3, dt=dt, T=6 * dt)
     S = NoiseOperatorS(grid, n_modes=4, sigma0=0.3)
     h = MagneticField.wave(grid, (0.2, 0.2, 0.5))
-    u0, _ = leray_project(taylor_green(grid, 1, 0.2), grid)
+    u0 = leray_project(taylor_green(grid, 1, 0.2), grid)
     d0 = smooth_unit_director(grid, 0.4)
     seeds = [split_seed(seed, i) for i in range(lanes)]
     opts = dict(checkpoint_every=3, track_budget=budget)

@@ -19,7 +19,7 @@ from selflow.projection import leray_project
 
 def applied(S, u, dB):
     """sum_i S(u)(e_i) dB_i: the mode mix, projected once."""
-    out, _ = leray_project(S.mix_increments(u, dB), S.grid)
+    out = leray_project(S.mix_increments(u, dB), S.grid)
     return out
 
 
@@ -89,7 +89,7 @@ class TestNoiseOperator:
 
     def test_single_mode_identity(self, grid32, rng):
         S1 = NoiseOperatorS(grid32, n_modes=1, sigma0=0.8, shapes=np.ones((1, 32, 32)))
-        u, _ = leray_project(rng.standard_normal((2, 32, 32)), grid32)
+        u = leray_project(rng.standard_normal((2, 32, 32)), grid32)
         out = applied(S1, u, np.array([2.5]))
         assert ops.norm_l2(out - 0.8 * 2.5 * u, grid32) <= 1e-10
 
@@ -106,7 +106,7 @@ class TestNoiseOperator:
 
     def test_hs_single_mode_value(self, grid32, rng):
         S1 = NoiseOperatorS(grid32, n_modes=1, sigma0=0.6, shapes=np.ones((1, 32, 32)))
-        u, _ = leray_project(rng.standard_normal((2, 32, 32)), grid32)
+        u = leray_project(rng.standard_normal((2, 32, 32)), grid32)
         val = S1.hs_norm_sq(u)
         expect = 0.6**2 * ops.inner(u, u, grid32)
         assert abs(val - expect) <= 2e-10 * (1 + expect)
@@ -143,7 +143,7 @@ class TestNoiseOperator:
             total = 0.0
             for i in range(n):
                 v = S.decay[i] * (S.shapes[i] * ul + S.additive[i])
-                pv, _ = leray_project(v, grid)
+                pv = leray_project(v, grid)
                 total = total + ops.pair_vec(pv, pv, grid)
             return total
 
@@ -162,7 +162,7 @@ class TestNoiseOperator:
         u = rng.standard_normal((2, 32, 32))
         want = 0.0
         for i in range(3):
-            pv, _ = leray_project(S.decay[i] * S.shapes[i] * u, grid32)
+            pv = leray_project(S.decay[i] * S.shapes[i] * u, grid32)
             want += ops.pair_vec(pv, pv, grid32)
         assert abs(S.hs_norm_sq(u) - want) <= 1e-12 * want
 
@@ -171,7 +171,7 @@ class TestNoiseOperator:
         # the weighted projected seed sum and the HS norm is positive
         g = np.zeros((2, 2, 32, 32))
         raw = rng.standard_normal((2, 32, 32))
-        g[0], _ = leray_project(raw, grid32)
+        g[0] = leray_project(raw, grid32)
         S = NoiseOperatorS(grid32, n_modes=2, sigma0=0.5, shapes=np.ones((2, 32, 32)),
                            additive=g)
         out = applied(S, np.zeros((2, 32, 32)), np.array([2.0, 0.0]))
@@ -189,12 +189,12 @@ class TestNoiseOperator:
         n = 8
         additive = None
         if seeded:
-            additive, _ = leray_project(rng.standard_normal((n, 2, 48, 40)), grid)
+            additive = leray_project(rng.standard_normal((n, 2, 48, 40)), grid)
         S = NoiseOperatorS(grid, n_modes=n, sigma0=0.3, additive=additive)
         u = rng.standard_normal((5, 2, 48, 40))
         want = 0.0
         for i in range(n):
-            pv, _ = leray_project(S.decay[i] * (S.shapes[i] * u + S.additive[i]), grid)
+            pv = leray_project(S.decay[i] * (S.shapes[i] * u + S.additive[i]), grid)
             want = want + np.sum(pv * pv * grid.quad_weights(), axis=(-3, -2, -1))
         got = S.hs_norm_sq(u)
         worst = float(np.max(np.abs(got - want) / want))

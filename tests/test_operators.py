@@ -205,7 +205,7 @@ class TestDiscreteIdentities:
     def test_skew_advection_pairing_vanishes(self, grid32, rng):
         from selflow.projection import leray_project
 
-        u, _ = leray_project(rng.standard_normal((2, 32, 32)), grid32)
+        u = leray_project(rng.standard_normal((2, 32, 32)), grid32)
         pairing = ops.inner(ops.advect_skew(u, u, grid32, "periodic"), u, grid32)
         assert abs(pairing) <= 1e-12 * (1 + ops.norm_l2(u, grid32) ** 3)
 

@@ -1,4 +1,5 @@
-"""Leray projection: exactness, idempotence, solver routes, failure modes."""
+"""Leray projection: exactness, idempotence, a conjugate-gradient oracle,
+failure modes."""
 
 import numpy as np
 import pytest
@@ -13,43 +14,74 @@ from selflow.projection import (
 )
 
 
+def _wide_laplacian_periodic(p, grid):
+    out = (np.roll(p, -2, axis=-2) - 2.0 * p + np.roll(p, 2, axis=-2)) / (4.0 * grid.hx**2)
+    out += (np.roll(p, -2, axis=-1) - 2.0 * p + np.roll(p, 2, axis=-1)) / (4.0 * grid.hy**2)
+    return out
+
+
+def cg_project(v, grid, tol):
+    """Oracle for the periodic projection of one field: the same wide-Laplacian
+    pressure system solved by matrix-free conjugate gradients."""
+    b = ops.divergence(v, grid, "periodic")
+    b -= b.mean()
+    # CG on the positive-semidefinite operator -L; the right-hand side is
+    # orthogonal to the (constant + Nyquist) kernel by construction.
+    p = np.zeros_like(b)
+    r = -b.copy()
+    z = r.copy()
+    rs = np.vdot(r, r).real
+    for _ in range(60 * max(grid.nx, grid.ny)):
+        if ops.norm_linf(r) <= tol:
+            break
+        az = -_wide_laplacian_periodic(z, grid)
+        alpha = rs / np.vdot(z, az).real
+        p += alpha * z
+        r -= alpha * az
+        rs_new = np.vdot(r, r).real
+        z = r + (rs_new / rs) * z
+        rs = rs_new
+    else:
+        raise AssertionError(f"pressure CG did not converge ({ops.norm_linf(r):.3e})")
+    return v - ops.gradient(p, grid, "periodic")
+
+
 class TestPeriodic:
     def test_divergence_free_input_unchanged(self, grid32):
         X, Y = grid32.meshgrid()
         v = np.stack([np.sin(2 * np.pi * Y), np.zeros_like(Y)])
-        u, _ = leray_project(v, grid32)
+        u = leray_project(v, grid32)
         assert np.max(np.abs(u - v)) <= 1e-10
 
     def test_annihilates_gradients(self, grid32):
         X, Y = grid32.meshgrid()
         q = np.sin(2 * np.pi * X + 0.3) * np.cos(4 * np.pi * Y)
-        u, _ = leray_project(ops.gradient(q, grid32, "periodic"), grid32)
+        u = leray_project(ops.gradient(q, grid32, "periodic"), grid32)
         assert np.max(np.abs(u)) <= 1e-10
 
     def test_random_divergence_below_tolerance(self, grid32, rng):
         v = rng.standard_normal((2, 32, 32))
-        u, p = leray_project(v, grid32, method="cg", tol=1e-12)
+        u = leray_project(v, grid32)
         assert ops.norm_linf(ops.divergence(u, grid32, "periodic")) <= 1e-10
-        assert p.shape == (32, 32)
-        assert abs(p.mean()) <= 1e-12
 
     def test_fft_and_cg_agree(self, grid32, rng):
         v = rng.standard_normal((2, 32, 32))
-        u1, p1 = leray_project(v, grid32, method="fft")
-        u2, p2 = leray_project(v, grid32, method="cg", tol=1e-13)
+        u1 = leray_project(v, grid32)
+        u2 = cg_project(v, grid32, tol=1e-13)
         assert np.max(np.abs(u1 - u2)) <= 1e-10
-        assert np.max(np.abs(p1 - p2)) <= 1e-9
 
     def test_idempotent(self, grid32, rng):
-        u1, _ = leray_project(rng.standard_normal((2, 32, 32)), grid32)
-        u2, _ = leray_project(u1, grid32)
+        u1 = leray_project(rng.standard_normal((2, 32, 32)), grid32)
+        u2 = leray_project(u1, grid32)
         assert np.max(np.abs(u2 - u1)) <= 2e-10
 
-    def test_cg_maxiter_failure_carries_residual(self, grid32, rng):
-        v = rng.standard_normal((2, 32, 32))
-        with pytest.raises(ProjectionError) as err:
-            leray_project(v, grid32, method="cg", tol=1e-14, maxiter=2)
-        assert err.value.achieved > 0
+    def test_one_spectral_cache_entry(self, rng):
+        # the projection and the Parseval norm read one per-grid table
+        grid = Grid(24, 20)
+        v = rng.standard_normal((2, 24, 20))
+        leray_project(v, grid)
+        gradient_norm_sq(v, grid)
+        assert list(grid._cache) == ["spectral"]
 
     def test_nonfinite_rejected(self, grid32):
         v = np.zeros((2, 32, 32))
@@ -59,9 +91,9 @@ class TestPeriodic:
 
     def test_batched_equals_lanewise(self, grid32, rng):
         v = rng.standard_normal((3, 2, 32, 32))
-        ub, _ = leray_project(v, grid32)
+        ub = leray_project(v, grid32)
         for m in range(3):
-            um, _ = leray_project(v[m], grid32)
+            um = leray_project(v[m], grid32)
             assert np.array_equal(ub[m], um)
 
 
@@ -83,7 +115,7 @@ class TestSolenoidalNormSq:
     def test_matches_explicit_projection(self, grid, rng):
         v = rng.standard_normal((3, 2, grid.nx, grid.ny))
         assert ops.norm_linf(ops.divergence(v, grid, "periodic")) > 1.0
-        pv, _ = leray_project(v, grid, need_pressure=False)
+        pv = leray_project(v, grid)
         explicit = ops.pair_vec(pv, pv, grid)
         batched = solenoidal_norm_sq(v, grid)
         assert batched.shape == (3,)
@@ -109,7 +141,7 @@ class TestSolenoidalNormSq:
 class TestBounded:
     def test_interior_divergence_below_tol(self, grid_bounded, rng):
         v = rng.standard_normal((2, 32, 32))
-        u, p = leray_project(v, grid_bounded)
+        u = leray_project(v, grid_bounded)
         assert interior_divergence_max(u, grid_bounded) <= 1e-10
         assert np.max(np.abs(u[:, 0, :])) == 0.0
         assert np.max(np.abs(u[:, :, -1])) == 0.0
@@ -119,7 +151,7 @@ class TestBounded:
         v = np.stack(
             [np.sin(np.pi * X) * np.sin(np.pi * Y), X * (1 - X) * Y * (1 - Y)]
         )
-        u, _ = leray_project(v, grid_bounded)
+        u = leray_project(v, grid_bounded)
         assert interior_divergence_max(u, grid_bounded) <= 1e-10
 
     def test_interior_divergence_per_lane(self, grid_bounded, rng):
@@ -131,11 +163,6 @@ class TestBounded:
         for m in range(3):
             assert per_lane[m] == interior_divergence_max(v[m], grid_bounded)
         assert np.argmax(per_lane) == 0
-
-    def test_zero_mean_pressure(self, grid_bounded, rng):
-        _, p = leray_project(rng.standard_normal((2, 32, 32)), grid_bounded)
-        one = np.ones_like(p)
-        assert abs(ops.inner(p, one, grid_bounded)) <= 1e-10
 
 
 bounded_grids = pytest.mark.parametrize(
@@ -165,19 +192,10 @@ class TestBoundedBatch:
     def test_batched_equals_single_lanes(self, grid, lead, rng):
         v = rng.standard_normal(lead + (2, grid.nx, grid.ny))
         v *= rng.uniform(0.1, 10.0, size=lead + (1, 1, 1))
-        ub, pb = leray_project(v, grid)
+        ub = leray_project(v, grid)
         assert ub.shape == v.shape
-        assert pb.shape == lead + (grid.nx, grid.ny)
         for idx in np.ndindex(*lead):
-            um, pm = leray_project(v[idx], grid)
-            assert np.array_equal(ub[idx], um)
-            assert np.array_equal(pb[idx], pm)
-
-    def test_no_pressure_when_not_needed(self, grid_bounded, rng):
-        v = rng.standard_normal((3, 2, 32, 32))
-        u, p = leray_project(v, grid_bounded, need_pressure=False)
-        assert p is None
-        assert np.array_equal(u, leray_project(v, grid_bounded)[0])
+            assert np.array_equal(ub[idx], leray_project(v[idx], grid))
 
     def test_failure_carries_worst_lane(self, grid_bounded, rng):
         v = rng.standard_normal((3, 2, 32, 32))
@@ -199,6 +217,6 @@ class TestBoundedBatch:
         A, At, lu = grid._cache["leray_bounded"]
         counting = _CountingLU(lu)
         grid._cache["leray_bounded"] = (A, At, counting)
-        u, _ = leray_project(v, grid, need_pressure=False)
+        u = leray_project(v, grid)
         assert 1 <= counting.solves <= 4
         assert np.max(interior_divergence_max(u, grid)) <= 1e-10
