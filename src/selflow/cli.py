@@ -255,12 +255,8 @@ def main(argv: list[str] | None = None) -> int:
     p_diag.add_argument("--eps", type=float, default=0.2)
     p_diag.add_argument("--lx", type=float, default=1.0)
     p_diag.add_argument("--ly", type=float, default=1.0)
-    p_diag.add_argument("--radius", type=float, default=None,
-                        help="ball radius (> 0); default a quarter of the shorter "
-                             "side for --pohozaev, 8 cells for --defects")
-    p_diag.add_argument("--threshold", type=_energy_threshold, default=None,
-                        help="defect threshold delta0^2 (>= 0); default 0.3 times "
-                             "the energy of a synthetic vortex")
+    p_diag.add_argument("--radius", type=float, default=None)
+    p_diag.add_argument("--threshold", type=_energy_threshold, default=None)
     p_diag.add_argument("--pohozaev", action="store_true")
     p_diag.add_argument("--defects", action="store_true")
     p_diag.add_argument("--pairings", action="store_true")
