@@ -15,6 +15,11 @@ Usage (from the repo root)::
 
     PYTHONPATH=src python tests/golden/make_golden.py           # diff summary
     PYTHONPATH=src python tests/golden/make_golden.py --write   # rewrite data/
+    PYTHONPATH=src python tests/golden/make_golden.py --case sweep --write
+
+``--case NAME`` (repeatable) runs, diffs and, with ``--write``, replaces
+only the named cases; every other directory under ``data/`` is left as it
+is.  Without it, ``--write`` re-records the whole of ``data/``.
 
 A change that rewrites the goldens says so, with the diff summary and the
 reason.
@@ -221,13 +226,16 @@ def main_cli(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true",
                         help="rewrite the committed goldens instead of diffing")
+    parser.add_argument("--case", action="append", choices=ALL_CASES, metavar="NAME",
+                        help="run, diff and write only this case (repeatable)")
     args = parser.parse_args(argv)
+    cases = tuple(dict.fromkeys(args.case)) if args.case else ALL_CASES
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        for case in ALL_CASES:
+        for case in cases:
             run_case(case, out)
         worst_all = 0.0
-        for case in ALL_CASES:
+        for case in cases:
             if not (GOLDEN_DIR / case).exists():
                 print(f"{case}: no committed golden")
                 continue
@@ -240,11 +248,13 @@ def main_cli(argv: list[str] | None = None) -> int:
                 if dev > REL_TOL:
                     print(f"  over tolerance: {name}: {col}: {dev:.3e}")
         if args.write:
-            shutil.rmtree(GOLDEN_DIR, ignore_errors=True)
-            shutil.copytree(out, GOLDEN_DIR)
-            print(f"wrote {GOLDEN_DIR}")
+            if not args.case:
+                shutil.rmtree(GOLDEN_DIR, ignore_errors=True)
+            for case in cases:
+                shutil.rmtree(GOLDEN_DIR / case, ignore_errors=True)
+                shutil.copytree(out / case, GOLDEN_DIR / case)
+                print(f"wrote {GOLDEN_DIR / case}")
     return 0 if args.write or worst_all <= REL_TOL else 1
-
 
 if __name__ == "__main__":
     sys.exit(main_cli())

@@ -19,3 +19,40 @@ def test_matches_golden(case, out):
           f"({name}: {col})")
     bad = [f"{n}: {c}: {d:.3e}" for n, c, d in report if d > REL_TOL]
     assert not bad, "\n".join(bad)
+
+
+def test_write_one_case_leaves_the_others(tmp_path, monkeypatch, capsys):
+    """``--case NAME --write`` replaces that case's directory alone."""
+    import shutil
+
+    import make_golden
+
+    data = tmp_path / "data"
+    shutil.copytree(GOLDEN_DIR, data)
+    monkeypatch.setattr(make_golden, "GOLDEN_DIR", data)
+    target = data / "simulate_periodic_nyquist"
+    (target / "energy.csv").write_text("t\n0.0\n", encoding="utf-8")
+    (target / "stale.txt").write_text("stale\n", encoding="utf-8")
+    other = data / "sweep" / "sweep.csv"
+    other.write_text(other.read_text(encoding="utf-8") + "# edited\n", encoding="utf-8")
+    kept = {p: p.read_bytes() for p in data.rglob("*")
+            if p.is_file() and target not in p.parents}
+
+    args = ["--case", "simulate_periodic_nyquist"]
+    assert make_golden.main_cli(args) == 1  # the damaged copy fails the diff
+    assert make_golden.main_cli(args + ["--write"]) == 0
+    assert make_golden.main_cli(args + args) == 0  # repeated names run once
+    printed = capsys.readouterr().out
+    assert "sweep" not in printed and "simulate_periodic:" not in printed
+
+    assert not (target / "stale.txt").exists()
+    assert compare(GOLDEN_DIR / "simulate_periodic_nyquist", target)[0][2] <= REL_TOL
+    assert {p: p.read_bytes() for p in data.rglob("*")
+            if p.is_file() and target not in p.parents} == kept
+
+
+def test_unknown_case_is_refused():
+    import make_golden
+
+    with pytest.raises(SystemExit):
+        make_golden.main_cli(["--case", "no_such_case"])
