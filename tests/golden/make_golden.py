@@ -94,6 +94,17 @@ sim.T = 0.004
 track.budget = true
 out.checkpoint_every = 5
 """),
+    # bounded-dirichlet on a non-square grid with an even interior count in
+    # x: one-sided director stencils, the pinned director wall and the x/y
+    # asymmetry of the bounded stencils and projection
+    "simulate_bounded_dirichlet": ("simulate", _BASE + _TRACKED + """\
+sim.grid = 25x20
+sim.lx = 1.3
+sim.ly = 0.9
+sim.bc = bounded-dirichlet
+sim.T = 0.008
+out.checkpoint_every = 5
+"""),
     # rough data on a small grid with 8 modes: psi_7 u reaches the y-Nyquist
     # column, so the Parseval weight there shows in the HS ledger
     "simulate_periodic_nyquist": ("simulate", _BASE.replace("modes = 4", "modes = 8")
