@@ -11,8 +11,12 @@ All operators take the array, the grid and a bc string, and act on every
 leading axis at once: arrays are (nx, ny) scalars or (..., k, nx, ny)
 stacks, x is axis -2 and y is axis -1.  Periodic stencils do the
 arithmetic of the ``np.roll`` formulas without the rolled copies, so they
-are bit-identical to them.  The quadrature forms use the grid's rule, a
-constant hx*hy weight on periodic grids.
+are bit-identical to them.  The bounded first derivative does the
+arithmetic of numpy's ``gradient(a, h, edge_order=2)`` without calling it:
+the same central quotient inside and the same three-point sums
+(-1.5/h) a0 + (2/h) a1 + (-0.5/h) a2 at the edges, bit for bit.  The
+quadrature forms use the grid's rule, a constant hx*hy weight on periodic
+grids.
 """
 
 from __future__ import annotations
@@ -81,19 +85,25 @@ def deriv(a: np.ndarray, grid: Grid, axis: int, bc: str,
     ax = -2 + axis
     if bc == "periodic":
         return _periodic_stencil(a, ax, _central, 2.0 * h, out)
-    res = np.gradient(a, h, axis=ax, edge_order=2)
-    if bc == "neumann":
-        # reflected ghosts make the normal derivative vanish at the wall
-        lo = [slice(None)] * a.ndim
-        hi = [slice(None)] * a.ndim
-        lo[ax], hi[ax] = 0, -1
-        res[tuple(lo)] = 0.0
-        res[tuple(hi)] = 0.0
-    elif bc not in _ONESIDED:
+    if bc != "neumann" and bc not in _ONESIDED:
         raise GridError(f"unknown boundary mode {bc!r}")
     if out is None:
-        return res
-    out[...] = res
+        out = np.empty(a.shape)
+    inner = out[_at(ax, slice(1, -1))]
+    np.subtract(a[_at(ax, slice(2, None))], a[_at(ax, slice(None, -2))], out=inner)
+    inner /= 2.0 * h
+    if bc == "neumann":
+        # reflected ghosts make the normal derivative vanish at the wall
+        out[_at(ax, 0)] = 0.0
+        out[_at(ax, -1)] = 0.0
+        return out
+    # second-order one-sided edges, summed left to right as numpy's gradient does
+    for o, nodes, coefs in ((0, (0, 1, 2), (-1.5, 2.0, -0.5)),
+                            (-1, (-3, -2, -1), (0.5, -2.0, 1.5))):
+        edge = out[_at(ax, o)]
+        np.multiply(a[_at(ax, nodes[0])], coefs[0] / h, out=edge)
+        for i, c in zip(nodes[1:], coefs[1:]):
+            edge += (c / h) * a[_at(ax, i)]
     return out
 
 
@@ -105,23 +115,20 @@ def _second_diff(a: np.ndarray, grid: Grid, axis: int, bc: str) -> np.ndarray:
     if bc == "periodic":
         return _periodic_stencil(a, ax, _second, h2)
 
-    out = np.empty_like(a)
-
-    def sl(idx):
-        s = [slice(None)] * a.ndim
-        s[ax] = idx
-        return tuple(s)
-
-    out[sl(slice(1, -1))] = (a[sl(slice(2, None))] - 2.0 * a[sl(slice(1, -1))]
-                             + a[sl(slice(None, -2))]) / h2
+    out = np.empty(a.shape)
+    _second(out[_at(ax, slice(1, -1))], a[_at(ax, slice(2, None))],
+            a[_at(ax, slice(1, -1))], a[_at(ax, slice(None, -2))])
+    a0, a1, a2, a3 = (a[_at(ax, i)] for i in (0, 1, 2, 3))
+    b0, b1, b2, b3 = (a[_at(ax, i)] for i in (-1, -2, -3, -4))
     if bc == "neumann":
-        out[sl(0)] = 2.0 * (a[sl(1)] - a[sl(0)]) / h2
-        out[sl(-1)] = 2.0 * (a[sl(-2)] - a[sl(-1)]) / h2
+        out[_at(ax, 0)] = 2.0 * (a1 - a0)
+        out[_at(ax, -1)] = 2.0 * (b1 - b0)
     elif bc in _ONESIDED:
-        out[sl(0)] = (2.0 * a[sl(0)] - 5.0 * a[sl(1)] + 4.0 * a[sl(2)] - a[sl(3)]) / h2
-        out[sl(-1)] = (2.0 * a[sl(-1)] - 5.0 * a[sl(-2)] + 4.0 * a[sl(-3)] - a[sl(-4)]) / h2
+        out[_at(ax, 0)] = 2.0 * a0 - 5.0 * a1 + 4.0 * a2 - a3
+        out[_at(ax, -1)] = 2.0 * b0 - 5.0 * b1 + 4.0 * b2 - b3
     else:
         raise GridError(f"unknown boundary mode {bc!r}")
+    out /= h2
     return out
 
 

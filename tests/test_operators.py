@@ -254,6 +254,79 @@ class TestPeriodicStencilsMatchRoll:
         assert np.array_equal(ops.laplacian(a, ODD, "periodic"), lap)
 
 
+BOUNDED = [Grid(4, 4, lx=0.7, ly=1.1, bc_velocity="noslip", bc_director="neumann"),
+           Grid(24, 20, lx=1.3, ly=0.9, bc_velocity="noslip", bc_director="neumann"),
+           Grid(25, 31, lx=0.8, ly=1.7, bc_velocity="noslip", bc_director="dirichlet")]
+BOUNDED_BCS = ["none", "noslip", "dirichlet", "neumann"]
+
+
+def _slice_second_diff(a, grid, axis, bc):
+    """The bounded second difference as whole-slice expressions."""
+    h2 = (grid.hx if axis == 0 else grid.hy) ** 2
+    a = np.moveaxis(a, axis - 2, 0)
+    out = np.empty_like(a)
+    out[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / h2
+    if bc == "neumann":
+        out[0] = 2.0 * (a[1] - a[0]) / h2
+        out[-1] = 2.0 * (a[-2] - a[-1]) / h2
+    else:
+        out[0] = (2.0 * a[0] - 5.0 * a[1] + 4.0 * a[2] - a[3]) / h2
+        out[-1] = (2.0 * a[-1] - 5.0 * a[-2] + 4.0 * a[-3] - a[-4]) / h2
+    return np.moveaxis(out, 0, axis - 2)
+
+
+class TestBoundedStencilsMatchGradient:
+    """The bounded stencils are numpy's edge_order=2 gradient and the slice
+    formula of the second difference, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=st.sampled_from(BOUNDED), bc=st.sampled_from(BOUNDED_BCS),
+           lead=st.sampled_from(LEADS), strided=st.booleans(), into=st.booleans(),
+           scale=st.sampled_from([1e-8, 1.0, 1e6]), seed=st.integers(0, 2**32 - 1))
+    def test_array_equal_to_gradient(self, grid, bc, lead, strided, into, scale, seed):
+        rng = np.random.default_rng(seed)
+        shape = lead + (grid.nx, grid.ny)
+        if strided:
+            a = scale * rng.standard_normal(lead + (2, grid.nx, grid.ny))[..., 1, :, :]
+        else:
+            a = scale * rng.standard_normal(shape)
+        lap = 0.0
+        for axis, h in ((0, grid.hx), (1, grid.hy)):
+            want = np.gradient(a, h, axis=axis - 2, edge_order=2)
+            if bc == "neumann":
+                want[ops._at(axis - 2, 0)] = 0.0
+                want[ops._at(axis - 2, -1)] = 0.0
+            if into:  # a strided slot, as gradient() passes
+                slots = np.full(lead + (2, grid.nx, grid.ny), np.nan)
+                got = ops.deriv(a, grid, axis, bc, out=slots[..., axis, :, :])
+                assert np.shares_memory(got, slots)
+            else:
+                got = ops.deriv(a, grid, axis, bc)
+            assert got.shape == shape
+            assert np.array_equal(got, want)
+            lap = lap + _slice_second_diff(a, grid, axis, bc)
+        assert np.array_equal(ops.laplacian(a, grid, bc), lap)
+
+    @settings(max_examples=20, deadline=None)
+    @given(grid=st.sampled_from(BOUNDED), lead=st.sampled_from(LEADS),
+           strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_interior_divergence_is_the_sliced_divergence(self, grid, lead, strided, seed):
+        from selflow.projection import _interior_divergence
+
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(lead + (2, grid.nx, grid.ny, 2 if strided else 1))[..., 0]
+        got = _interior_divergence(u, grid)
+        assert got.shape == lead + (grid.nx - 2, grid.ny - 2)
+        assert np.array_equal(got, ops.divergence(u, grid, "none")[..., 1:-1, 1:-1])
+
+    def test_unknown_mode_raises(self):
+        a = np.zeros((BOUNDED[1].nx, BOUNDED[1].ny))
+        with pytest.raises(GridError):
+            ops.deriv(a, BOUNDED[1], 0, "reflect")
+        with pytest.raises(GridError):
+            ops.laplacian(a, BOUNDED[1], "reflect")
+
+
 class TestPeriodicLedgerForms:
     """The periodic quadrature forms scale each lane's plain sum by hx*hy;
     they agree with the explicit weighted-array sums to rounding, and each
