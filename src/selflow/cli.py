@@ -30,6 +30,7 @@ from .config import (
 )
 from .diagnostics import (
     budget_residual_series,
+    default_defect_radius,
     default_defect_threshold,
     defect_detect,
     pohozaev_residual,
@@ -201,7 +202,7 @@ def cmd_diagnose(args) -> int:
                   f"{rep.bulk_div!r},{rep.boundary_energy!r},{rep.rhs!r},{rep.residual!r}")
     if args.defects:
         did_something = True
-        r = 8.0 * max(grid.hx, grid.hy) if args.radius is None else args.radius
+        r = default_defect_radius(grid) if args.radius is None else args.radius
         thr = default_defect_threshold(grid, eps, r) if args.threshold is None else args.threshold
         rep = defect_detect(f.values, grid, eps, r, thr, bc=f.bc)
         print(f"defects: count = {rep.count} (r = {r!r}, delta0_sq = {thr!r})")

@@ -231,9 +231,18 @@ class WeakFormTracker:
 X_CHOICES = ("radial", "x1", "shear")
 
 
-def _check_radius(r: float) -> None:
+def _check_radius(r: float, grid: Grid | None = None) -> None:
+    """Refuse r <= 0 (or NaN) and, given a periodic grid, a radius beyond
+    half the shorter period, where the wrapped ball overlaps itself."""
     if not r > 0.0:
         raise ValueError(f"ball radius must be > 0, got {r!r}")
+    if grid is not None and grid.periodic and r > _half_period(grid):
+        raise ValueError(f"ball radius {r!r} exceeds half the shorter period "
+                         f"{_half_period(grid)!r} of the periodic grid")
+
+
+def _half_period(grid: Grid) -> float:
+    return 0.5 * min(grid.lx, grid.ly)
 
 
 def _ball_weights(grid: Grid, center, r: float, sub: int = 8) -> np.ndarray:
@@ -417,8 +426,9 @@ def local_energy(
     bc: str | None = None,
 ) -> float:
     """Relaxation energy 0.5 |grad d|^2 + F_eps integrated over the discrete
-    ball (cell-center inclusion; periodic distance on the torus)."""
-    _check_radius(r)
+    ball (cell-center inclusion; periodic distance on the torus, where r
+    may reach half the shorter period)."""
+    _check_radius(r, grid)
     if bc is None:
         bc = grid.bc_director
     e = _energy_density(d, grid, eps, bc)
@@ -484,8 +494,9 @@ def defect_detect(
 ) -> DefectReport:
     """Scan a coarse lattice of centers, flag local energies above the
     threshold, and merge overlapping hits by greedy non-maximum suppression
-    (deterministic; larger thresholds give subsets)."""
-    _check_radius(r)
+    (deterministic; larger thresholds give subsets).  On periodic grids r
+    may reach half the shorter period."""
+    _check_radius(r, grid)
     if bc is None:
         bc = grid.bc_director
     e_w = _energy_density(d, grid, eps, bc) * grid.quad_weights()
@@ -519,15 +530,23 @@ def defect_detect(
     return DefectReport(r=r, delta0_sq=delta0_sq, centers=centers)
 
 
+def default_defect_radius(grid: Grid) -> float:
+    """Default defect-scan radius: 8h, capped on periodic grids at half the
+    shorter period (the largest ball that does not overlap itself)."""
+    r = 8.0 * max(grid.hx, grid.hy)
+    return min(r, _half_period(grid)) if grid.periodic else r
+
+
 def default_defect_threshold(grid: Grid, eps: float, r: float | None = None) -> float:
     """Default concentration threshold: 0.3 times the local energy of an
-    isolated synthetic vortex (core two cells wide) on a ball of radius 8h.
-    The threshold scale is a calibration choice, config-overridable."""
+    isolated synthetic vortex (core two cells wide) on a ball of radius r,
+    :func:`default_defect_radius` when it is None.  The threshold scale is
+    a calibration choice, config-overridable."""
     from .initial import vortex_director
 
     h = max(grid.hx, grid.hy)
     if r is None:
-        r = 8.0 * h
+        r = default_defect_radius(grid)
     x0, y0 = 0.5 * grid.lx, 0.5 * grid.ly
     ref = vortex_director(grid, x0, y0, core=2.0 * h)
     return 0.3 * local_energy(ref, grid, eps, (x0, y0), r, bc="neumann")

@@ -30,6 +30,7 @@ from .config import (
 from .diagnostics import (
     SweepResult,
     WeakFormTracker,
+    default_defect_radius,
     default_defect_threshold,
     defect_detect,
     stress_pairing,
@@ -229,7 +230,7 @@ def coupled_sweep(config: RunConfig, threads: int = 1) -> CoupledSweepResult:
     grid, u0, d0, params, S, h = _build(config)
     phis = default_sweep_test_functions(grid)
     names = [tf.name for tf in phis]
-    defect_r = 8.0 * max(grid.hx, grid.hy)
+    defect_r = default_defect_radius(grid)
     delta0_sq = default_defect_threshold(grid, eps_list[0], defect_r)
 
     runs = []  # runs[a][p]: series of path p at eps_list[a]

@@ -183,6 +183,16 @@ class TestSweep:
         cauchy = (run / "cauchy.csv").read_text().splitlines()
         assert len(cauchy) == 2
 
+    def test_small_periodic_grid(self, tmp_path, monkeypatch):
+        # 8h exceeds half the period below 16 nodes; the sweep caps its
+        # defect radius there instead of refusing the run
+        out = out_env(tmp_path, monkeypatch)
+        cfg = (TINY.replace("16x16", "12x12")
+               + "sweep.eps = 0.3,0.15\nensemble.paths = 1\ntrack.budget = false\n")
+        assert main(["sweep", write_cfg(tmp_path, cfg)]) == 0
+        sweep = (next(out.iterdir()) / "sweep.csv").read_text().splitlines()
+        assert len(sweep) > 1
+
     def test_auto_dt_sized_from_smallest_eps(self, tmp_path, monkeypatch):
         # sim.eps = 0.3 would give dt = h^2/8 = 4.9e-4, past the eps = 0.02
         # bound 1e-4; sized from 0.02, T = 0.002 is 20 steps, so each eps
@@ -291,6 +301,30 @@ class TestDiagnose:
         assert "delta0_sq = 0.0)" in zero
         count = int(zero.split("count = ")[1].split()[0])
         assert count >= int(default.split("count = ")[1].split()[0]) >= 1
+
+    @pytest.fixture
+    def periodic_snap(self, tmp_path):
+        def make(n):
+            grid = Grid(n, n)
+            snap = tmp_path / f"periodic{n}.fld"
+            write_snapshot(snap, Field(grid, vortex_director(grid, 0.5, 0.5, 2 * grid.hx),
+                                       "periodic"))
+            return str(snap)
+        return make
+
+    @pytest.mark.parametrize("extra", [[], ["--threshold", "0.1"]],
+                             ids=["default-threshold", "given-threshold"])
+    def test_defect_radius_beyond_half_period_rejected(self, periodic_snap, capsys, extra):
+        # on the torus a ball wider than half the period overlaps itself
+        assert main(["diagnose", periodic_snap(32), "--defects", "--radius", "5"] + extra) == 1
+        captured = capsys.readouterr()
+        assert "half the shorter period" in captured.err
+        assert "defects:" not in captured.out
+
+    def test_default_defect_radius_capped_on_small_periodic_grid(self, periodic_snap, capsys):
+        # 8h = 2/3 on 12^2; the scan uses the half period 0.5 instead
+        assert main(["diagnose", periodic_snap(12), "--defects"]) == 0
+        assert "(r = 0.5," in capsys.readouterr().out
 
     def test_velocity_snapshot_rejected(self, tmp_path):
         grid = Grid(16, 16)

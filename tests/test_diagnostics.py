@@ -12,6 +12,7 @@ from selflow.diagnostics import (
     GeometryError,
     WeakFormTracker,
     budget_residual_series,
+    default_defect_radius,
     default_defect_threshold,
     defect_detect,
     energy_budget_residual,
@@ -358,6 +359,37 @@ def test_nonpositive_radius_rejected(grid_bounded, r):
         local_energy(d, grid_bounded, 0.5, (0.5, 0.5), r)
     with pytest.raises(ValueError, match="radius"):
         defect_detect(d, grid_bounded, 0.5, r, 0.1)
+
+
+class TestPeriodicRadius:
+    """A periodic ball may reach half the shorter period, not beyond."""
+
+    GRID = Grid(32, 24, lx=1.0, ly=0.6)  # half the shorter period: 0.3
+
+    def test_beyond_half_period_rejected(self):
+        d = smooth_unit_director(self.GRID, 0.4)
+        with pytest.raises(ValueError, match="half the shorter period"):
+            local_energy(d, self.GRID, 0.2, (0.5, 0.3), 0.31)
+        with pytest.raises(ValueError, match="half the shorter period"):
+            defect_detect(d, self.GRID, 0.2, 0.31, 0.1)
+        assert local_energy(d, self.GRID, 0.2, (0.5, 0.3), 0.3) > 0.0
+        defect_detect(d, self.GRID, 0.2, 0.3, 0.1)
+
+    def test_bounded_grids_are_not_capped(self, grid_bounded):
+        d = constant_director(grid_bounded, (0, 0, 1))
+        assert local_energy(d, grid_bounded, 0.2, (0.5, 0.5), 0.6) == 0.0
+
+    @pytest.mark.parametrize("grid, r", [
+        (Grid(32, 32), 8 / 32),
+        (Grid(12, 12), 0.5),
+        (Grid(12, 24, ly=2.0), 0.5),
+        (Grid(40, 10, lx=1.3, ly=0.35), 0.175),
+        (Grid(8, 8, bc_velocity="noslip", bc_director="neumann"), 8 / 7),
+    ], ids=["32", "12", "12x24", "40x10", "bounded8"])
+    def test_default_radius(self, grid, r):
+        assert default_defect_radius(grid) == pytest.approx(r, rel=1e-15)
+        if grid.periodic:
+            default_defect_threshold(grid, 0.2)  # the default ball is accepted
 
 
 class TestDefects:
