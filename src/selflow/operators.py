@@ -25,7 +25,7 @@ import numpy as np
 
 from .grids import Grid, GridError
 
-_ONESIDED = ("none", "dirichlet", "noslip")
+_BOUNDED = ("none", "dirichlet", "noslip", "neumann")
 
 
 def _step(grid: Grid, axis: int) -> float:
@@ -85,7 +85,7 @@ def deriv(a: np.ndarray, grid: Grid, axis: int, bc: str,
     ax = -2 + axis
     if bc == "periodic":
         return _periodic_stencil(a, ax, _central, 2.0 * h, out)
-    if bc != "neumann" and bc not in _ONESIDED:
+    if bc not in _BOUNDED:
         raise GridError(f"unknown boundary mode {bc!r}")
     if out is None:
         out = np.empty(a.shape)
@@ -114,20 +114,17 @@ def _second_diff(a: np.ndarray, grid: Grid, axis: int, bc: str) -> np.ndarray:
     ax = -2 + axis
     if bc == "periodic":
         return _periodic_stencil(a, ax, _second, h2)
-
+    if bc not in _BOUNDED:
+        raise GridError(f"unknown boundary mode {bc!r}")
     out = np.empty(a.shape)
     _second(out[_at(ax, slice(1, -1))], a[_at(ax, slice(2, None))],
             a[_at(ax, slice(1, -1))], a[_at(ax, slice(None, -2))])
-    a0, a1, a2, a3 = (a[_at(ax, i)] for i in (0, 1, 2, 3))
-    b0, b1, b2, b3 = (a[_at(ax, i)] for i in (-1, -2, -3, -4))
-    if bc == "neumann":
-        out[_at(ax, 0)] = 2.0 * (a1 - a0)
-        out[_at(ax, -1)] = 2.0 * (b1 - b0)
-    elif bc in _ONESIDED:
-        out[_at(ax, 0)] = 2.0 * a0 - 5.0 * a1 + 4.0 * a2 - a3
-        out[_at(ax, -1)] = 2.0 * b0 - 5.0 * b1 + 4.0 * b2 - b3
-    else:
-        raise GridError(f"unknown boundary mode {bc!r}")
+    for o, nodes in ((0, (0, 1, 2, 3)), (-1, (-1, -2, -3, -4))):
+        e0, e1, e2, e3 = (a[_at(ax, i)] for i in nodes)
+        if bc == "neumann":
+            out[_at(ax, o)] = 2.0 * (e1 - e0)
+        else:
+            out[_at(ax, o)] = 2.0 * e0 - 5.0 * e1 + 4.0 * e2 - e3
     out /= h2
     return out
 

@@ -173,10 +173,7 @@ def interior_divergence_max(u: np.ndarray, grid: Grid):
     """Largest |central divergence| of u (..., 2, nx, ny) per path, over
     every node on periodic grids and over the interior nodes otherwise
     (the only ones the bounded projection controls)."""
-    if grid.periodic:
-        d = divergence(u, grid, "periodic")
-    else:
-        d = _interior_divergence(u, grid)
+    d = divergence(u, grid, "periodic") if grid.periodic else _interior_divergence(u, grid)
     return np.max(np.abs(d), axis=(-2, -1))
 
 
