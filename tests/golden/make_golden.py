@@ -94,8 +94,8 @@ sim.T = 0.004
 track.budget = true
 out.checkpoint_every = 5
 """),
-    # bounded-dirichlet on a non-square grid with an even interior count in
-    # x: one-sided director stencils, the pinned director wall and the x/y
+    # bounded-dirichlet on a non-square domain, nx - 2 odd and ny - 2 even:
+    # one-sided director stencils, the pinned director wall and the x/y
     # asymmetry of the bounded stencils and projection
     "simulate_bounded_dirichlet": ("simulate", _BASE + _TRACKED + """\
 sim.grid = 25x20
