@@ -14,7 +14,9 @@ arithmetic of the ``np.roll`` formulas without the rolled copies, so they
 are bit-identical to them.  The bounded first derivative does the
 arithmetic of numpy's ``gradient(a, h, edge_order=2)`` without calling it:
 the same central quotient inside and the same three-point sums
-(-1.5/h) a0 + (2/h) a1 + (-0.5/h) a2 at the edges, bit for bit.  The
+(-1.5/h) a0 + (2/h) a1 + (-0.5/h) a2 at the edges, bit for bit.
+``interior_divergence`` is the bounded divergence at the interior nodes
+alone, bit for bit the inner rows of ``divergence(v, grid, "none")``.  The
 quadrature forms use the grid's rule, a constant hx*hy weight on periodic
 grids.
 """
@@ -143,6 +145,19 @@ def divergence(v: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
         raise GridError(f"divergence expects shape (..., 2, nx, ny), got {v.shape}")
     out = deriv(v[..., 0, :, :], grid, 0, bc)
     out += deriv(v[..., 1, :, :], grid, 1, bc)
+    return out
+
+
+def interior_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """Central divergence of v (..., 2, nx, ny) at the interior nodes,
+    (..., nx-2, ny-2): divergence(v, grid, "none")[..., 1:-1, 1:-1] bit
+    for bit, without the wall rows."""
+    v0, v1 = v[..., 0, :, :], v[..., 1, :, :]
+    out = v0[..., 2:, 1:-1] - v0[..., :-2, 1:-1]
+    out /= 2.0 * grid.hx
+    dy = v1[..., 1:-1, 2:] - v1[..., 1:-1, :-2]
+    dy /= 2.0 * grid.hy
+    out += dy
     return out
 
 

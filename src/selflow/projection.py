@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import Grid
-from .operators import divergence
+from .operators import divergence, interior_divergence
 
 PROJ_TOL = 1e-10
 
@@ -156,24 +156,11 @@ def _bounded_solver(grid: Grid):
     return grid._cache[key]
 
 
-def _interior_divergence(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """Central divergence of u (..., 2, nx, ny) at the interior nodes,
-    (..., nx-2, ny-2): divergence(u, grid, "none")[..., 1:-1, 1:-1] bit
-    for bit, without the wall rows."""
-    u0, u1 = u[..., 0, :, :], u[..., 1, :, :]
-    d = u0[..., 2:, 1:-1] - u0[..., :-2, 1:-1]
-    d /= 2.0 * grid.hx
-    dy = u1[..., 1:-1, 2:] - u1[..., 1:-1, :-2]
-    dy /= 2.0 * grid.hy
-    d += dy
-    return d
-
-
 def interior_divergence_max(u: np.ndarray, grid: Grid):
     """Largest |central divergence| of u (..., 2, nx, ny) per path, over
     every node on periodic grids and over the interior nodes otherwise
     (the only ones the bounded projection controls)."""
-    d = divergence(u, grid, "periodic") if grid.periodic else _interior_divergence(u, grid)
+    d = divergence(u, grid, "periodic") if grid.periodic else interior_divergence(u, grid)
     return np.max(np.abs(d), axis=(-2, -1))
 
 
@@ -187,7 +174,7 @@ def _project_bounded(v: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
     u[..., 0, :] = u[..., -1, :] = 0.0
     u[..., :, 0] = u[..., :, -1] = 0.0
     # (n_interior, k), Fortran order: one column per lane
-    b0 = _interior_divergence(u, grid).reshape(u.shape[0], -1).T
+    b0 = interior_divergence(u, grid).reshape(u.shape[0], -1).T
 
     # minimum-norm pressure via the Gram factorization, with iterative
     # refinement to wash out the squared conditioning of A A^T
@@ -197,13 +184,10 @@ def _project_bounded(v: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
         active = np.max(np.abs(r), axis=0) > 0.01 * tol
         if not active.any():
             break
-        if active.all():  # plain slices: the same sums, no gathered copies
-            p_flat += At @ lu.solve(r)
-            np.subtract(b0, A @ p_flat, out=r)
-        else:
-            cols = np.flatnonzero(active)
-            p_flat[:, cols] += At @ lu.solve(r[:, cols])
-            r[:, cols] = b0[:, cols] - A @ p_flat[:, cols]
+        # a plain slice while every column refines (views, no gathered copies)
+        cols = slice(None) if active.all() else np.flatnonzero(active)
+        p_flat[:, cols] += At @ lu.solve(r[:, cols])
+        r[:, cols] = b0[:, cols] - A @ p_flat[:, cols]
 
     p = p_flat.T.reshape(-1, nx, ny)
     u[:, 0, 1:-1, 1:-1] -= (p[:, 2:, 1:-1] - p[:, :-2, 1:-1]) / (2.0 * grid.hx)

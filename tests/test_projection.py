@@ -197,6 +197,16 @@ class TestBoundedBatch:
         for idx in np.ndindex(*lead):
             assert np.array_equal(ub[idx], leray_project(v[idx], grid))
 
+    @bounded_grids
+    def test_quiet_lane_equals_single_lanes(self, grid, rng):
+        # a zero lane never refines, so every round gathers the other columns
+        v = rng.standard_normal((4, 2, grid.nx, grid.ny))
+        v[1] = 0.0
+        ub = leray_project(v, grid)
+        assert not np.any(ub[1])
+        for m in range(4):
+            assert np.array_equal(ub[m], leray_project(v[m], grid))
+
     def test_failure_carries_worst_lane(self, grid_bounded, rng):
         v = rng.standard_normal((3, 2, 32, 32))
         v[1] *= 10.0
