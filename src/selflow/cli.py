@@ -34,6 +34,7 @@ from .diagnostics import (
     default_defect_threshold,
     defect_detect,
     pohozaev_residual,
+    stress_pairing,
 )
 from .dynamics import BlowUpError, StabilityError
 from .ensemble import coupled_sweep, default_sweep_test_functions, run_ensemble, run_path
@@ -210,8 +211,6 @@ def cmd_diagnose(args) -> int:
             print(f"defects: center,{x!r},{y!r},{energy!r}")
     if args.pairings:
         did_something = True
-        from .diagnostics import stress_pairing
-
         for tf in default_sweep_test_functions(grid):
             val = stress_pairing(f.values, grid, f.bc, tf)
             print(f"pairings: {tf.name},{val!r}")

@@ -337,7 +337,7 @@ def build_magnetic_field(cfg: RunConfig, grid: Grid) -> MagneticField:
         return MagneticField.constant(grid, tuple(args) or (0.0, 0.0, 0.5))
     if kind == "wave":
         return MagneticField.wave(grid, tuple(args) or (0.2, 0.2, 0.5))
-    return MagneticField(grid, read_snapshot(args[0], cfg.lx, cfg.ly).values, descriptor=cfg.h_spec)
+    return MagneticField(grid, read_snapshot(args[0], cfg.lx, cfg.ly).values)
 
 
 def build_noise_operator(cfg: RunConfig, grid: Grid) -> NoiseOperatorS:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as ops
-from .dynamics import Params, gl_force, penalty_density, strat_correction
+from .dynamics import Params, ericksen_tensor, gl_force, penalty_density, strat_correction
 from .fields import TestFunction
 from .grids import Grid
 from .noise import MagneticField, NoiseOperatorS
@@ -65,30 +65,29 @@ def energy_budget_residual(series: PathSeries, params: Params, i_a: int = 0, i_b
     quadratic variation of the noise.  The ledger2 coefficient follows from
     the chain rule applied to the discrete energy (ledger2 carries a factor
     gamma by its definition); signs are fixed by requiring the zero-noise
-    reduction to balance exactly.
+    reduction to balance exactly.  Read from :func:`budget_residual_series`:
+    the residual over [t_a, t_b] is the difference of those from t = 0.
     """
+    res = budget_residual_series(series, params)
+    return float(res[i_b] - res[i_a])
+
+
+def budget_residual_series(series: PathSeries, params: Params) -> np.ndarray:
+    """Budget residual (see :func:`energy_budget_residual`) from t = 0 to
+    each checkpoint."""
     c = series.columns
-    dE = c["total"][i_b] - c["total"][i_a]
 
     def dacc(name):
-        return c[name][i_b] - c[name][i_a]
+        return c[name] - c[name][0]
 
-    residual = (
-        dE
+    return (
+        dacc("total")
         + params.mu * dacc("int_diss_u")
         + params.lam * params.gamma * dacc("int_diss_d")
         - dacc("int_hs")
         - params.lam * params.xi2**2 * dacc("int_strat")
         - dacc("ledger1")
         + (params.lam * params.xi2 / params.gamma) * dacc("ledger2")
-    )
-    return float(residual)
-
-
-def budget_residual_series(series: PathSeries, params: Params) -> np.ndarray:
-    """Budget residual from t = 0 to each checkpoint."""
-    return np.array(
-        [energy_budget_residual(series, params, 0, i) for i in range(len(series))]
     )
 
 
@@ -122,14 +121,18 @@ def traceless_stress(d: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
         0.5 * [[|d1 d|^2 - |d2 d|^2,  2 <d1 d, d2 d>],
                [2 <d1 d, d2 d>,       |d2 d|^2 - |d1 d|^2]]
 
-    The (1,1) entry is stored as the negation of the (0,0) entry, so the
-    pointwise trace is exactly zero.
+    built from the Ericksen tensor sigma.  The (1,1) entry is stored as the
+    negation of the (0,0) entry, so the pointwise trace is exactly zero.
     """
-    g = ops.gradient(d, grid, bc)  # (..., 3, 2, nx, ny)
-    gx, gy = g[..., 0, :, :], g[..., 1, :, :]
-    t00 = 0.5 * (ops.dot3(gx, gx) - ops.dot3(gy, gy))
-    t01 = ops.dot3(gx, gy)
+    sig = ericksen_tensor(d, grid, bc)
+    t00 = 0.5 * (sig[..., 0, 0, :, :] - sig[..., 1, 1, :, :])
+    t01 = sig[..., 0, 1, :, :]
     return np.stack([np.stack([t00, t01], axis=-3), np.stack([t01, -t00], axis=-3)], axis=-4)
+
+
+def _pair_tensor(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Quadrature pairing of tensor fields: the sum of a * b * w over the last four axes."""
+    return np.sum(a * b * w, axis=(-4, -3, -2, -1))
 
 
 def stress_pairing(d: np.ndarray, grid: Grid, bc_d: str, phi: TestFunction):
@@ -138,7 +141,7 @@ def stress_pairing(d: np.ndarray, grid: Grid, bc_d: str, phi: TestFunction):
     T = traceless_stress(d, grid, bc_d)
     pf = phi.field
     gphi = ops.gradient(pf.values, grid, pf.bc)  # (2, 2, nx, ny), [i, j] = d_j phi_i
-    pairing = np.sum(T * gphi * grid.quad_weights(), axis=(-4, -3, -2, -1))
+    pairing = _pair_tensor(T, gphi, grid.quad_weights())
     return float(pairing) if pairing.ndim == 0 else pairing
 
 
@@ -191,21 +194,20 @@ class WeakFormTracker:
         p = self.params
         w = self._w
         g = self.grid
-        axes = (-4, -3, -2, -1)
         if self.u_tests:
             # the traceless stress of the current d, shared across tests
             T = traceless_stress(d, g, g.bc_director)
         uu = u[..., :, None, :, :] * u[..., None, :, :, :]
         for k, (phi, gphi, lphi) in enumerate(self._u_pre):
-            adv = np.sum(uu * gphi * w, axis=axes)
+            adv = _pair_tensor(uu, gphi, w)
             visc = p.mu * ops.pair_vec(u, lphi, g)
-            stress = p.lam * np.sum(T * gphi * w, axis=axes)
+            stress = p.lam * _pair_tensor(T, gphi, w)
             self.acc_u[k] += dt * (adv + visc + stress)
             if noise_u is not None:
                 self.acc_u[k] += ops.pair_vec(phi, noise_u, g)
         du = d[..., :, None, :, :] * u[..., None, :, :, :]
         for k, (psi, gpsi, lpsi) in enumerate(self._d_pre):
-            adv = np.sum(du * gpsi * w, axis=axes)
+            adv = _pair_tensor(du, gpsi, w)
             lap = p.gamma * ops.pair_vec(d, lpsi, g)
             pen = p.gamma * ops.pair_vec(-f, psi, g)
             strat = 0.5 * p.xi2**2 * ops.pair_vec(dxhxh, psi, g)
@@ -245,6 +247,14 @@ def _half_period(grid: Grid) -> float:
     return 0.5 * min(grid.lx, grid.ly)
 
 
+def _min_image(grid: Grid, dx, dy):
+    """Displacements (dx, dy), wrapped to the nearest image on periodic grids."""
+    if grid.periodic:
+        dx = dx - grid.lx * np.round(dx / grid.lx)
+        dy = dy - grid.ly * np.round(dy / grid.ly)
+    return dx, dy
+
+
 def _ball_weights(grid: Grid, center, r: float, sub: int = 8) -> np.ndarray:
     """Inclusion weights of the ball B_r(center) on node-centered cells.
 
@@ -255,11 +265,7 @@ def _ball_weights(grid: Grid, center, r: float, sub: int = 8) -> np.ndarray:
     """
     x0, y0 = center
     X, Y = grid.meshgrid()
-    dx = X - x0
-    dy = Y - y0
-    if grid.periodic:
-        dx = dx - grid.lx * np.round(dx / grid.lx)
-        dy = dy - grid.ly * np.round(dy / grid.ly)
+    dx, dy = _min_image(grid, X - x0, Y - y0)
     dist = np.hypot(dx, dy)
     half_diag = 0.5 * np.hypot(grid.hx, grid.hy)
     w = (dist <= r).astype(float)
@@ -355,7 +361,7 @@ def pohozaev_residual(
         raise GeometryError(f"ball B_{r}({x0}, {y0}) not inside the domain with margin")
 
     g = ops.gradient(d, grid, bc)  # (3, 2, nx, ny)
-    e_density = 0.5 * np.sum(g * g, axis=(-4, -3)) + penalty_density(d, eps)
+    e_density = _energy_density(d, grid, eps, bc)
     tau = ops.laplacian(d, grid, bc) - gl_force(d, eps)
 
     w = grid.quad_weights() * _ball_weights(grid, (x0, y0), r)
@@ -364,7 +370,7 @@ def pohozaev_residual(
     Xf1, Xf2 = _x_field(choice, X, Y, center)
     xdotgrad = Xf1 * g[:, 0] + Xf2 * g[:, 1]  # (3, nx, ny)
 
-    sigma = np.sum(g[:, :, None, :, :] * g[:, None, :, :, :], axis=0)
+    sigma = ericksen_tensor(d, grid, bc)
     grad_x = {"radial": np.eye(2), "x1": np.array([[1.0, 0.0], [0.0, 0.0]]),
               "shear": np.array([[0.0, 0.0], [1.0, 0.0]])}[choice]
     div_x = float(np.trace(grad_x))
@@ -413,11 +419,7 @@ def _energy_density(d: np.ndarray, grid: Grid, eps: float, bc: str) -> np.ndarra
 
 def _wrapped_dist_sq(grid: Grid, x0: float, y0: float) -> np.ndarray:
     X, Y = grid.meshgrid()
-    dx = X - x0
-    dy = Y - y0
-    if grid.periodic:
-        dx = dx - grid.lx * np.round(dx / grid.lx)
-        dy = dy - grid.ly * np.round(dy / grid.ly)
+    dx, dy = _min_image(grid, X - x0, Y - y0)
     return dx**2 + dy**2
 
 
@@ -518,10 +520,7 @@ def defect_detect(
     for energy, x0, y0 in hits:
         clash = False
         for cx, cy, _ in centers:
-            dx, dy = x0 - cx, y0 - cy
-            if grid.periodic:
-                dx -= grid.lx * round(dx / grid.lx)
-                dy -= grid.ly * round(dy / grid.ly)
+            dx, dy = _min_image(grid, x0 - cx, y0 - cy)
             if dx * dx + dy * dy <= (2.0 * r) ** 2:
                 clash = True
                 break

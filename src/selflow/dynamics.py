@@ -16,10 +16,13 @@ is advected with plain central (u.grad)d, and the default stress force is
 the reduced form sum_c (lap d_c) grad d_c whose pairing with u cancels the
 director advection term exactly; the two forms of the stress differ by a
 discrete near-gradient that the projection absorbs.  The assembled tensor
-divergence remains available as ``stress_form='divergence'``.
+divergence remains available as ``stress_form='divergence'``.  Bounded
+grids leave the budget a spatial floor (their projection is not orthogonal
+in the quadrature inner product), larger with a pinned ``dirichlet`` wall.
 
 Running ledgers accumulate the discrete stochastic integrals and the
-left-endpoint time integrals that the energy-budget diagnostic consumes.
+left-endpoint time integrals that the energy-budget diagnostic consumes,
+from the integrands the checkpoint record uses (:func:`budget_integrands`).
 """
 
 from __future__ import annotations
@@ -164,6 +167,25 @@ def strat_correction(d: np.ndarray, h: np.ndarray, xi2: float = 1.0) -> np.ndarr
     return 0.5 * xi2**2 * ops.cross(ops.cross(d, h), h)
 
 
+def director_terms(d: np.ndarray, h: np.ndarray, grid: Grid, bc: str, eps: float):
+    """Time-n director terms (lap d, f_eps(d), tau = lap d - f_eps(d),
+    d x h, (d x h) x h)."""
+    lap_d = ops.laplacian(d, grid, bc)
+    f = gl_force(d, eps)
+    dxh = ops.cross(d, h)
+    return lap_d, f, lap_d - f, dxh, ops.cross(dxh, h)
+
+
+def budget_integrands(u: np.ndarray, d: np.ndarray, tau: np.ndarray, dxh: np.ndarray,
+                      dxhxh: np.ndarray, grid: Grid, S: NoiseOperatorS, xi1: float):
+    """The four unscaled energy-budget integrands at one state, per path:
+    ||grad u||^2, ||tau||^2, ||S(u)||_HS^2 (0.0 when xi1 = 0, where no
+    noise term needs it) and <grad d, grad((d x h) x h)> + ||grad(d x h)||^2."""
+    hs = S.hs_norm_sq(u) if xi1 != 0.0 else 0.0
+    strat = ops.dirichlet_form_vec(d, dxhxh, grid) + ops.dirichlet_form_vec(dxh, dxh, grid)
+    return ops.dirichlet_form_vec(u, u, grid), ops.pair_vec(tau, tau, grid), hs, strat
+
+
 def ericksen_tensor(d: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
     """Elastic stress tensor sigma_ij = <d_i d, d_j d>, shape (..., 2, 2, nx, ny)."""
     g = ops.gradient(d, grid, bc)  # (..., 3, 2, nx, ny)
@@ -181,13 +203,6 @@ def ericksen_stress_div(d: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
     return np.stack(cols, axis=-3)
 
 
-def _pin_boundary(a: np.ndarray, ref: np.ndarray) -> None:
-    a[..., 0, :] = ref[..., 0, :]
-    a[..., -1, :] = ref[..., -1, :]
-    a[..., :, 0] = ref[..., :, 0]
-    a[..., :, -1] = ref[..., :, -1]
-
-
 def step_coupled(
     state: SimState,
     params: Params,
@@ -198,7 +213,6 @@ def step_coupled(
     track_budget: bool = False,
     weak_tracker=None,
     invariant_sink=None,
-    d_bc_values: np.ndarray | None = None,
 ) -> SimState:
     """Advance the coupled state by one step (mutates and returns ``state``).
 
@@ -206,7 +220,8 @@ def step_coupled(
     standard normals (N velocity modes, then the director motion), one row
     per path.  State arrays may carry a leading path axis, in which case the
     ledgers accumulate per path.  ``weak_tracker`` and ``invariant_sink``
-    receive the per-step pairings when supplied.
+    receive the per-step pairings when supplied.  A ``dirichlet`` director
+    wall keeps its time-n values, which are those of the initial director.
     """
     grid, dt = state.grid, params.dt
     u, d = state.u, state.d
@@ -218,11 +233,7 @@ def step_coupled(
 
     # time-n director pieces; the central gradient of d is shared between
     # the advection term and the reduced stress force
-    lap_d = ops.laplacian(d, grid, bc_d)
-    f = gl_force(d, params.eps)
-    tau = lap_d - f
-    dxh = ops.cross(d, h.values)
-    dxhxh = ops.cross(dxh, h.values)
+    lap_d, f, tau, dxh, dxhxh = director_terms(d, h.values, grid, bc_d, params.eps)
     g_d = ops.gradient(d, grid, bc_d)  # (..., 3, 2, nx, ny)
     adv_d = u[..., 0:1, :, :] * g_d[..., 0, :, :]
     adv_d += u[..., 1:2, :, :] * g_d[..., 1, :, :]
@@ -256,12 +267,11 @@ def step_coupled(
     if params.xi2 != 0.0:
         led.noise_d = led.noise_d + params.gamma * ops.pair_vec(dxh, tau, grid) * dW2
     if track_budget:
-        led.int_diss_u = led.int_diss_u + dt * ops.dirichlet_form_vec(u, u, grid)
-        led.int_diss_d = led.int_diss_d + dt * ops.pair_vec(tau, tau, grid)
-        led.int_hs = led.int_hs + dt * 0.5 * params.xi1**2 * S.hs_norm_sq(u)
-        led.int_strat = led.int_strat + dt * 0.5 * (
-            ops.dirichlet_form_vec(d, dxhxh, grid) + ops.dirichlet_form_vec(dxh, dxh, grid)
-        )
+        diss_u, diss_d, hs, strat = budget_integrands(u, d, tau, dxh, dxhxh, grid, S, params.xi1)
+        led.int_diss_u = led.int_diss_u + dt * diss_u
+        led.int_diss_d = led.int_diss_d + dt * diss_d
+        led.int_hs = led.int_hs + dt * 0.5 * params.xi1**2 * hs
+        led.int_strat = led.int_strat + dt * 0.5 * strat
     if weak_tracker is not None:
         weak_tracker.accumulate(u, d, noise_u, dxh, dxhxh, f, dt, dW2)
     if invariant_sink is not None:
@@ -278,8 +288,9 @@ def step_coupled(
     d_new += d
     if params.xi2 != 0.0:
         d_new += params.xi2 * dxh * np.asarray(dW2)[..., None, None, None]
-    if bc_d == "dirichlet" and d_bc_values is not None:
-        _pin_boundary(d_new, d_bc_values)
+    if bc_d == "dirichlet":
+        for wall in (np.s_[..., 0, :], np.s_[..., -1, :], np.s_[..., :, 0], np.s_[..., :, -1]):
+            d_new[wall] = d[wall]
 
     v = np.negative(adv_u, out=adv_u)
     v += params.mu * lap_u
@@ -288,10 +299,10 @@ def step_coupled(
     v += u
     if noise_u is not None:
         v += noise_u
-    u_new = leray_project(v, grid, tol=params.proj_tol)
-
-    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(d_new))):
+    # checked before the projection, which refuses non-finite input
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d_new))):
         raise BlowUpError(state.step, state.t)
+    u_new = leray_project(v, grid, tol=params.proj_tol)
     if invariant_sink is not None:
         invariant_sink.record_divergence(interior_divergence_max(u_new, grid))
 

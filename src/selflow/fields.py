@@ -59,7 +59,6 @@ class TestFunction:
 
     field: Field
     name: str = ""
-    compact_support: bool = False
 
     def __post_init__(self):
         if self.field.k == 2:

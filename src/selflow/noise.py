@@ -81,13 +81,12 @@ class MagneticField:
 
     grid: Grid
     values: np.ndarray
-    descriptor: str = ""
 
     @classmethod
     def constant(cls, grid: Grid, h: tuple[float, float, float]) -> "MagneticField":
         vals = np.zeros((3, grid.nx, grid.ny))
         vals[0], vals[1], vals[2] = h
-        return cls(grid, vals, descriptor=f"const:{h[0]},{h[1]},{h[2]}")
+        return cls(grid, vals)
 
     @classmethod
     def wave(cls, grid: Grid, amps: tuple[float, float, float]) -> "MagneticField":
@@ -105,7 +104,7 @@ class MagneticField:
                 c * (1.0 + 0.5 * np.sin(ax * X) * np.sin(ay * Y)),
             ]
         )
-        return cls(grid, vals, descriptor=f"wave:{a},{b},{c}")
+        return cls(grid, vals)
 
     @property
     def max_abs(self) -> float:

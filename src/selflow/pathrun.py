@@ -4,7 +4,10 @@ One runner, :func:`simulate_batch`, advances any number of independent
 paths in lockstep as one leading-axis array state, which is how ensembles
 stay affordable in pure numpy; :func:`simulate_path` is its one-lane case.
 Everything downstream (budget residuals, ensembles, sweeps) consumes the
-:class:`PathSeries` produced here.
+:class:`PathSeries` produced here.  The checkpoint record and the stepper's
+ledgers take the energy-budget terms from the same helpers,
+:func:`~selflow.dynamics.director_terms` and
+:func:`~selflow.dynamics.budget_integrands`.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from .dynamics import (
     Ledgers,
     Params,
     SimState,
+    budget_integrands,
     check_stability,
-    gl_force,
+    director_terms,
     penalty_density,
     step_coupled,
 )
@@ -58,19 +62,15 @@ def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
 
     ``hs`` carries its 0.5 xi1^2 prefactor; ``strat_drift`` is the bare
     0.5 (<grad d, grad((d x h) x h)> + ||grad(d x h)||^2).  The int_*
-    entries are the stepper's running left-endpoint time integrals.
+    entries are the stepper's running left-endpoint time integrals, built
+    from the same integrands.
     """
     grid, u, d = state.grid, state.u, state.d
     kinetic = 0.5 * ops.pair_vec(u, u, grid)
     dirichlet = 0.5 * ops.dirichlet_form_vec(d, d, grid)
     pen = ops.pair_scalar(penalty_density(d, params.eps), 1.0, grid)
-    tau = ops.laplacian(d, grid, state.bc_d()) - gl_force(d, params.eps)
-    dxh = ops.cross(d, h.values)
-    dxhxh = ops.cross(dxh, h.values)
-    hs = 0.5 * params.xi1**2 * (S.hs_norm_sq(u) if params.xi1 != 0.0 else 0.0)
-    strat = 0.5 * (
-        ops.dirichlet_form_vec(d, dxhxh, grid) + ops.dirichlet_form_vec(dxh, dxh, grid)
-    )
+    _, _, tau, dxh, dxhxh = director_terms(d, h.values, grid, state.bc_d(), params.eps)
+    diss_u, diss_d, hs, strat = budget_integrands(u, d, tau, dxh, dxhxh, grid, S, params.xi1)
     dev_sq = ops.dot3(d, d) - 1.0
     led = state.ledgers
     return {
@@ -79,10 +79,10 @@ def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
         "dirichlet": dirichlet,
         "penalty": pen,
         "total": kinetic + params.lam * (dirichlet + pen),
-        "dissipation_u": ops.dirichlet_form_vec(u, u, grid),
-        "dissipation_d": ops.pair_vec(tau, tau, grid),
-        "hs": hs,
-        "strat_drift": strat,
+        "dissipation_u": diss_u,
+        "dissipation_d": diss_d,
+        "hs": 0.5 * params.xi1**2 * hs,
+        "strat_drift": 0.5 * strat,
         "ledger1": led.noise_u,
         "ledger2": led.noise_d,
         "int_diss_u": led.int_diss_u,
@@ -125,15 +125,6 @@ class PathSeries:
 
     columns: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def __getattr__(self, name):
-        try:
-            return self.columns[name]
-        except KeyError as exc:
-            raise AttributeError(name) from exc
-
-    def __len__(self):
-        return len(self.columns["t"])
-
     def sup_total(self) -> float:
         return float(np.max(self.columns["total"]))
 
@@ -147,14 +138,9 @@ class PathResult:
     weak_tracker: object | None = None
 
 
-def _normal_rows(drivers: list[WienerDriver], n_steps: int, table: np.ndarray | None):
-    """Each step's (lanes, N+1) standard normals: the rows of ``table``, or
-    every driver's stream read RNG_CHUNK rows at a time."""
-    if table is not None:
-        if table.shape[0] < n_steps:
-            raise ValueError(f"normals_table has {table.shape[0]} rows for {n_steps} steps")
-        yield from table[:n_steps]
-        return
+def _normal_rows(drivers: list[WienerDriver], n_steps: int):
+    """Each step's (lanes, N+1) standard normals, every driver's stream read
+    RNG_CHUNK rows at a time."""
     for base in range(0, n_steps, RNG_CHUNK):
         size = min(RNG_CHUNK, n_steps - base)
         yield from np.stack([drv.normal_table(size) for drv in drivers], axis=1)
@@ -175,7 +161,6 @@ def simulate_batch(
     drivers: list[WienerDriver],
     *,
     checkpoint_every: int = 50,
-    n_steps: int | None = None,
     track_budget: bool = True,
     track_invariants: bool = False,
     weak_tracker=None,
@@ -188,15 +173,19 @@ def simulate_batch(
     Each path reads its own driver stream, RNG_CHUNK rows at a time, and no
     kernel mixes lanes, so lane m is bit-identical to a lone run with
     drivers[m].  ``normals_table`` (n_steps, len(drivers), N+1) replaces
-    the drivers' streams.  ``weak_tracker`` accumulates per lane, and
+    the drivers' streams, one step per row; without it the run takes
+    round(T / dt) steps.  ``weak_tracker`` accumulates per lane, and
     ``checkpoint_hook(state)`` is called at every checkpoint with the
     batched state; its dict of per-lane values becomes extra columns.
     Raises the stepper's stability / blow-up errors, and
     :class:`ProjectionError` with the worst lane's value when a checkpoint
     after step 0 finds a divergence above ``params.proj_tol``.
     """
-    if n_steps is None:
+    if normals_table is None:
         n_steps = max(1, int(round(params.T / params.dt)))
+        normals_rows = _normal_rows(drivers, n_steps)
+    else:
+        n_steps, normals_rows = normals_table.shape[0], normals_table
     m = len(drivers)
     check_stability(params, grid, umax=float(np.max(np.abs(u0))))
     state = SimState.initial(grid, np.broadcast_to(u0, (m,) + u0.shape),
@@ -204,7 +193,6 @@ def simulate_batch(
     if weak_tracker is not None:
         weak_tracker.initialize(state.u, state.d)
     sink = InvariantSink() if track_invariants else None
-    d_bc = d0 if grid.bc_director == "dirichlet" else None
 
     rows: list[dict] = []
 
@@ -220,13 +208,12 @@ def simulate_batch(
             rows[-1].update(checkpoint_hook(state))
 
     emit()
-    for step, normals in enumerate(_normal_rows(drivers, n_steps, normals_table)):
+    for step, normals in enumerate(normals_rows):
         step_coupled(
             state, params, S, h, normals,
             track_budget=track_budget,
             weak_tracker=weak_tracker,
             invariant_sink=sink,
-            d_bc_values=d_bc,
         )
         if (step + 1) % checkpoint_every == 0 or step + 1 == n_steps:
             emit()

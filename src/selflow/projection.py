@@ -21,8 +21,6 @@ one-sided stencils.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grids import Grid
 from .operators import divergence, interior_divergence
@@ -144,6 +142,8 @@ def _bounded_solver(grid: Grid):
     """
     key = "leray_bounded"
     if key not in grid._cache:
+        import scipy.sparse as sp  # bounded grids only: kept off the package import
+        import scipy.sparse.linalg as spla
         Bx, Dx, Sx = _bounded_1d_blocks(grid.nx, grid.hx)
         By, Dy, Sy = _bounded_1d_blocks(grid.ny, grid.hy)
         A = (

@@ -109,7 +109,7 @@ def test_criterion_02_energy_budget_identity():
         params = Params(eps=eps, dt=dt0 * factor / 4.0, T=T)
         res = simulate_path(grid, params, u0, d0, S, h, WienerDriver(42, 8),
                             checkpoint_every=10**9, normals_table=table,
-                            n_steps=table.shape[0], track_budget=True)
+                            track_budget=True)
         resids.append(abs(energy_budget_residual(res.series, params)))
         dissipated = (params.mu * res.series.columns["int_diss_u"][-1]
                       + params.lam * params.gamma * res.series.columns["int_diss_d"][-1])

@@ -107,6 +107,17 @@ class TestSimulate:
         cfg = TINY + "sim.dt = 1.0\n"
         assert main(["simulate", write_cfg(tmp_path, cfg)]) == 2
 
+    def test_velocity_blowup_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # the velocity overflows first: a blow-up (exit 2), not a validation
+        # error from the projection's input check
+        out = out_env(tmp_path, monkeypatch)
+        cfg = ("sim.grid = 16x16\nsim.dt = 0.05\nsim.dt_override = true\nsim.T = 50\n"
+               "init.u = taylor-green:1,5\nnoise.xi1 = 0\nnoise.xi2 = 0\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["simulate", write_cfg(tmp_path, cfg)]) == 2
+        assert "blew up" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_periodic_proj_tol_enforced(self, tmp_path, monkeypatch, capsys):
         # the spectral projection cannot reach 1e-30; the checkpoint check
         # turns that into a numerical failure before anything is written

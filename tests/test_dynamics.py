@@ -25,7 +25,7 @@ from selflow.initial import (
     taylor_green,
 )
 from selflow.noise import MagneticField, NoiseOperatorS, WienerDriver, coarsen_normals
-from selflow.pathrun import simulate_path
+from selflow.pathrun import record_columns, simulate_path
 from selflow.projection import leray_project
 from conftest import fit_order, subunit_director, taylor_green_rate
 
@@ -267,8 +267,8 @@ class TestStepCoupled:
             table = coarsen_normals(fine, factor) if factor > 1 else fine
             p = Params(eps=0.5, xi1=1.0, xi2=1.0, dt=dt0 * factor / 4, T=0.02)
             res = simulate_path(grid32, p, u0, d0, S, h, WienerDriver(7, 4),
-                                checkpoint_every=10**9, n_steps=table.shape[0],
-                                track_budget=False, normals_table=table)
+                                checkpoint_every=10**9, track_budget=False,
+                                normals_table=table)
             states[factor] = res.state
         err_coarse = ops.norm_l2(states[4].u - states[1].u, grid32) + ops.norm_l2(
             states[4].d - states[1].d, grid32)
@@ -344,6 +344,56 @@ class TestBoundedModes:
         assert np.array_equal(d[:, 0, :], d0[:, 0, :])
         assert np.array_equal(d[:, :, -1], d0[:, :, -1])
         assert not np.allclose(d[:, 5:-5, 5:-5], d0[:, 5:-5, 5:-5])
+
+    def test_bare_step_keeps_dirichlet_wall(self):
+        # the step pins the wall itself; a direct caller supplies nothing
+        grid = Grid(16, 16, bc_velocity="noslip", bc_director="dirichlet")
+        d0 = smooth_unit_director(grid, 0.3)
+        dt = stability_dt(0.5, grid, 1.0, 1.0)
+        params = Params(eps=0.5, xi1=0.0, xi2=1.0, dt=dt, T=dt)
+        S = NoiseOperatorS(grid, n_modes=2, sigma0=0.0)
+        h = MagneticField.constant(grid, (0, 0, 0.5))
+        state = SimState.initial(grid, np.zeros((2, 16, 16)), d0)
+        step_coupled(state, params, S, h, WienerDriver(4, 2).normal_table(1)[0])
+        assert not np.array_equal(state.d, d0)
+        for wall in (np.s_[:, 0, :], np.s_[:, -1, :], np.s_[:, :, 0], np.s_[:, :, -1]):
+            assert np.array_equal(state.d[wall], d0[wall])
+
+
+def _two_lane_state(grid: Grid) -> SimState:
+    """Two paths with different smooth, divergence-free velocities and
+    directors."""
+    X, Y = grid.meshgrid()
+    if grid.periodic:
+        u = taylor_green(grid, 1, 0.2)
+    else:
+        u = np.stack([0.2 * np.sin(np.pi * X) * np.sin(np.pi * Y),
+                      0.4 * X * (1 - X) * Y * (1 - Y)])
+    u = leray_project(np.stack([u, -0.5 * u[::-1]]), grid)
+    d = np.stack([smooth_unit_director(grid, 0.3), smooth_unit_director(grid, 0.5)])
+    return SimState.initial(grid, u, d)
+
+
+class TestBudgetLedgers:
+    @pytest.mark.parametrize("bc", ["periodic", "bounded"])
+    def test_step_ledgers_advance_by_record_integrands(self, bc):
+        # one budget step adds dt times the record's integrand at the start
+        # state to each running time integral, per path
+        grid = (Grid(16, 16) if bc == "periodic"
+                else Grid(16, 16, bc_velocity="noslip", bc_director="neumann"))
+        params = Params(eps=0.5, dt=1e-4, T=1e-4)
+        S = NoiseOperatorS(grid, n_modes=4, sigma0=0.3)
+        h = MagneticField.wave(grid, (0.2, 0.2, 0.5))
+        state = _two_lane_state(grid)
+        rec = record_columns(state, params, S, h)
+        normals = np.stack([WienerDriver(s, 4).normal_table(1)[0] for s in (1, 2)])
+        step_coupled(state, params, S, h, normals, track_budget=True)
+        led = state.ledgers
+        for ledger, column in (("int_diss_u", "dissipation_u"), ("int_diss_d", "dissipation_d"),
+                               ("int_hs", "hs"), ("int_strat", "strat_drift")):
+            want = params.dt * rec[column]
+            assert want.shape == (2,) and np.all(want != 0.0)
+            np.testing.assert_allclose(getattr(led, ledger), want, rtol=1e-14, atol=0.0)
 
 
 class TestTransportCancellation:

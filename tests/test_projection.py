@@ -1,9 +1,15 @@
 """Leray projection: exactness, idempotence, a conjugate-gradient oracle,
 failure modes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import selflow
 from selflow import operators as ops
 from selflow.grids import Grid
 from selflow.projection import (
@@ -230,3 +236,14 @@ class TestBoundedBatch:
         u = leray_project(v, grid)
         assert 1 <= counting.solves <= 4
         assert np.max(interior_divergence_max(u, grid)) <= 1e-10
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # only the bounded solve needs scipy.sparse, and it imports it itself
+    src = str(Path(selflow.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, selflow; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
