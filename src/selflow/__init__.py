@@ -16,7 +16,6 @@ from .dynamics import (
     stability_dt,
     step_coupled,
     strat_correction,
-    ericksen_stress_div,
 )
 from .noise import MagneticField, NoiseOperatorS, WienerDriver, k2_norm, split_seed
 from .projection import ProjectionError, leray_project

@@ -40,7 +40,6 @@ from .dynamics import BlowUpError, StabilityError
 from .ensemble import coupled_sweep, default_sweep_test_functions, run_ensemble, run_path
 from .fields import SnapshotError, read_snapshot, write_snapshot, Field
 from .grids import GridError
-from .pathrun import RECORD_FIELDS
 from .projection import ProjectionError
 
 EXIT_OK = 0
@@ -98,13 +97,9 @@ def _write_manifest(run_dir: Path, cfg: RunConfig, seeds: list[int], extra: dict
 
 
 def _write_series_csv(path: Path, series, extra_cols: dict | None = None) -> None:
-    cols = dict(series.columns)
-    if extra_cols:
-        cols.update(extra_cols)
-    names = [n for n in RECORD_FIELDS if n in cols]
-    names += [n for n in cols if n not in names]
-    data = np.column_stack([cols[n] for n in names])
-    np.savetxt(path, data, delimiter=",", header=",".join(names), comments="")
+    cols = {**series.columns, **(extra_cols or {})}
+    np.savetxt(path, np.column_stack(list(cols.values())), delimiter=",",
+               header=",".join(cols), comments="")
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -116,7 +111,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         if cfg.track_budget:
             extra["budget_residual"] = budget_residual_series(result.series, build_params(cfg, grid))
         _write_series_csv(run_dir / "energy.csv", result.series, extra)
-        write_snapshot(run_dir / "u_final.fld", Field(grid, result.state.u, "periodic" if grid.periodic else "noslip"))
+        write_snapshot(run_dir / "u_final.fld", Field(grid, result.state.u, grid.bc_velocity))
         write_snapshot(run_dir / "d_final.fld", Field(grid, result.state.d, grid.bc_director))
         if result.weak_tracker is not None:
             ru = result.weak_tracker.residual_u(result.state.u)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import STRESS_FORMS, Params, stability_dt
+from .dynamics import Params, stability_dt
 from .fields import read_snapshot
 from .grids import Grid
 from .initial import (
@@ -75,7 +75,6 @@ class RunConfig:
     dt: object = "auto"
     dt_override: bool = False
     T: float = 0.5
-    stress_form: str = "reduced"
     init_u: str = "zero"
     init_d: str = "const:0,0,1"
     seed: int = 0
@@ -86,7 +85,6 @@ class RunConfig:
     xi2: float = 1.0
     h_spec: str = "const:0,0,0.5"
     proj_tol: float = 1e-10
-    proj_maxiter: int = 0
     out_dir: str = "runs"
     checkpoint_every: int = 50
     mode: str = "simulate"
@@ -117,7 +115,6 @@ SCHEMA = {
     "sim.dt": ("dt", _parse_dt),
     "sim.dt_override": ("dt_override", _parse_bool),
     "sim.T": ("T", float),
-    "sim.stress_form": ("stress_form", str),
     "init.u": ("init_u", str),
     "init.d": ("init_d", str),
     "noise.seed": ("seed", int),
@@ -128,7 +125,6 @@ SCHEMA = {
     "noise.xi2": ("xi2", float),
     "field.h": ("h_spec", str),
     "proj.tol": ("proj_tol", float),
-    "proj.maxiter": ("proj_maxiter", int),
     "out.dir": ("out_dir", str),
     "out.checkpoint_every": ("checkpoint_every", int),
     "run.mode": ("mode", str),
@@ -200,17 +196,12 @@ def validate(cfg: RunConfig) -> list[tuple[str, str]]:
         out.append(("bc", f"sim.bc: must be one of {BC_MODES}"))
     if cfg.mode not in RUN_MODES:
         out.append(("mode", f"run.mode: must be one of {RUN_MODES}"))
-    if cfg.proj_maxiter < 0:
-        out.append(("proj_maxiter",
-                    "proj.maxiter: must be nonnegative (kept for old configs; it bounds nothing)"))
     if cfg.modes < 1:
         out.append(("modes", "noise.modes: must be >= 1"))
     if cfg.paths < 1:
         out.append(("paths", "ensemble.paths: must be >= 1"))
     if cfg.checkpoint_every < 1:
         out.append(("checkpoint_every", "out.checkpoint_every: must be >= 1"))
-    if cfg.stress_form not in STRESS_FORMS:
-        out.append(("stress_form", f"sim.stress_form: must be one of {STRESS_FORMS}"))
     try:
         parse_eps_list(cfg.sweep_eps)
     except ValueError as exc:
@@ -301,7 +292,6 @@ def build_params(cfg: RunConfig, grid: Grid, umax: float = 0.0) -> Params:
         xi2=cfg.xi2,
         dt=dt,
         T=cfg.T,
-        stress_form=cfg.stress_form,
         proj_tol=cfg.proj_tol,
         dt_override=cfg.dt_override,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as ops
-from .dynamics import Params, ericksen_tensor, gl_force, penalty_density, strat_correction
+from .dynamics import Params, gl_force, penalty_density, strat_correction
 from .fields import TestFunction
 from .grids import Grid
 from .noise import MagneticField, NoiseOperatorS
@@ -27,6 +27,7 @@ __all__ = [
     "budget_residual_series",
     "triple_product_defects",
     "sphere_generator_drift",
+    "ericksen_tensor",
     "traceless_stress",
     "stress_pairing",
     "WeakFormTracker",
@@ -72,6 +73,12 @@ def energy_budget_residual(series: PathSeries, params: Params, i_a: int = 0, i_b
     return float(res[i_b] - res[i_a])
 
 
+def _plus_dissipated(x, int_diss_u, int_diss_d, params: Params):
+    """x + mu * int ||grad u||^2 + lam*gamma * int ||lap d - f||^2, summed
+    left to right: an energy term plus the energy dissipated up to then."""
+    return x + params.mu * int_diss_u + params.lam * params.gamma * int_diss_d
+
+
 def budget_residual_series(series: PathSeries, params: Params) -> np.ndarray:
     """Budget residual (see :func:`energy_budget_residual`) from t = 0 to
     each checkpoint."""
@@ -81,9 +88,7 @@ def budget_residual_series(series: PathSeries, params: Params) -> np.ndarray:
         return c[name] - c[name][0]
 
     return (
-        dacc("total")
-        + params.mu * dacc("int_diss_u")
-        + params.lam * params.gamma * dacc("int_diss_d")
+        _plus_dissipated(dacc("total"), dacc("int_diss_u"), dacc("int_diss_d"), params)
         - dacc("int_hs")
         - params.lam * params.xi2**2 * dacc("int_strat")
         - dacc("ledger1")
@@ -114,6 +119,12 @@ def sphere_generator_drift(d: np.ndarray, h: np.ndarray, xi2: float = 1.0) -> np
 # ---------------------------------------------------------------------------
 # stress pairings
 # ---------------------------------------------------------------------------
+
+def ericksen_tensor(d: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
+    """Elastic stress tensor sigma_ij = <d_i d, d_j d>, shape (..., 2, 2, nx, ny)."""
+    g = ops.gradient(d, grid, bc)  # (..., 3, 2, nx, ny)
+    return np.sum(g[..., :, :, None, :, :] * g[..., :, None, :, :, :], axis=-5)
+
 
 def traceless_stress(d: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
     """Traceless elastic stress, shape (..., 2, 2, nx, ny):
@@ -618,8 +629,7 @@ def gronwall_bound_check(
     def path_quantity(s: PathSeries, i_end: int) -> float:
         c = s.columns
         sup = float(np.max(c["total"][: i_end + 1]))
-        diss = params.mu * c["int_diss_u"][i_end] + params.lam * params.gamma * c["int_diss_d"][i_end]
-        return sup + float(diss)
+        return float(_plus_dissipated(sup, c["int_diss_u"][i_end], c["int_diss_d"][i_end], params))
 
     x_half = np.array([path_quantity(s, i_half) for s in series_list])
     x_full = np.array([path_quantity(s, len(t) - 1) for s in series_list])

@@ -12,13 +12,14 @@ in Ito form with its drift correction made explicit.
 Discrete forms are chosen so the step-by-step energy budget closes without
 spatial leakage in periodic mode: velocity self-advection is the
 skew-symmetric form (its kinetic pairing vanishes identically), the director
-is advected with plain central (u.grad)d, and the default stress force is
-the reduced form sum_c (lap d_c) grad d_c whose pairing with u cancels the
-director advection term exactly; the two forms of the stress differ by a
-discrete near-gradient that the projection absorbs.  The assembled tensor
-divergence remains available as ``stress_form='divergence'``.  Bounded
-grids leave the budget a spatial floor (their projection is not orthogonal
-in the quadrature inner product), larger with a pinned ``dirichlet`` wall.
+is advected with plain central (u.grad)d, and the stress force is the
+reduced form sum_c (lap d_c) grad d_c, whose pairing with u cancels the
+director advection term exactly.  It equals the Ericksen tensor divergence
+div(grad d . grad d) up to a gradient, which the projection removes; the
+tensor itself lives with its diagnostic users in :mod:`selflow.diagnostics`.
+Bounded grids leave the budget a spatial floor (their projection is not
+orthogonal in the quadrature inner product), larger with a pinned
+``dirichlet`` wall.
 
 Running ledgers accumulate the discrete stochastic integrals and the
 left-endpoint time integrals that the energy-budget diagnostic consumes,
@@ -35,8 +36,6 @@ from . import operators as ops
 from .grids import Grid
 from .noise import MagneticField, NoiseOperatorS
 from .projection import PROJ_TOL, interior_divergence_max, leray_project
-
-STRESS_FORMS = ("reduced", "divergence")
 
 
 class BlowUpError(RuntimeError):
@@ -64,7 +63,6 @@ class Params:
     xi2: float = 1.0
     dt: float = 1e-4
     T: float = 0.5
-    stress_form: str = "reduced"
     proj_tol: float = PROJ_TOL
     dt_override: bool = False
 
@@ -79,8 +77,6 @@ class Params:
                 raise ValueError(f"{name} must be nonnegative")
         if self.dt <= 0 or self.T <= 0:
             raise ValueError("dt and T must be positive")
-        if self.stress_form not in STRESS_FORMS:
-            raise ValueError(f"stress_form must be one of {STRESS_FORMS}")
 
 
 def stability_dt(eps: float, grid: Grid, mu: float, gamma: float, umax: float = 0.0) -> float:
@@ -138,12 +134,6 @@ class SimState:
         grid.check_values(d0)
         return cls(grid, 0.0, u0.copy(), d0.copy())
 
-    def bc_u(self) -> str:
-        return "periodic" if self.grid.periodic else "none"
-
-    def bc_d(self) -> str:
-        return self.grid.bc_director
-
 
 def gl_force(d: np.ndarray, eps: float) -> np.ndarray:
     """Relaxation force (|d|^2 - 1) d / eps^2 (gradient of the penalty)."""
@@ -186,23 +176,6 @@ def budget_integrands(u: np.ndarray, d: np.ndarray, tau: np.ndarray, dxh: np.nda
     return ops.dirichlet_form_vec(u, u, grid), ops.pair_vec(tau, tau, grid), hs, strat
 
 
-def ericksen_tensor(d: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
-    """Elastic stress tensor sigma_ij = <d_i d, d_j d>, shape (..., 2, 2, nx, ny)."""
-    g = ops.gradient(d, grid, bc)  # (..., 3, 2, nx, ny)
-    return np.sum(g[..., :, :, None, :, :] * g[..., :, None, :, :, :], axis=-5)
-
-
-def ericksen_stress_div(d: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
-    """Divergence of the elastic stress tensor, (div sigma)_j = d_i sigma_ij."""
-    sig = ericksen_tensor(d, grid, bc)
-    cols = [
-        ops.deriv(sig[..., 0, j, :, :], grid, 0, bc)
-        + ops.deriv(sig[..., 1, j, :, :], grid, 1, bc)
-        for j in range(2)
-    ]
-    return np.stack(cols, axis=-3)
-
-
 def step_coupled(
     state: SimState,
     params: Params,
@@ -225,7 +198,7 @@ def step_coupled(
     """
     grid, dt = state.grid, params.dt
     u, d = state.u, state.d
-    bc_u, bc_d = state.bc_u(), state.bc_d()
+    bc_u, bc_d = grid.bc_velocity, grid.bc_director
 
     root = np.sqrt(dt)
     dB = root * normals[..., :S.n_modes]
@@ -241,14 +214,11 @@ def step_coupled(
     # time-n velocity pieces
     adv_u = ops.advect_skew(u, u, grid, bc_u)
     lap_u = ops.laplacian(u, grid, bc_u)
-    if params.stress_form == "reduced":
-        # sum over c of lap_d[c] grad d[c], added in component order as a
-        # sum over that axis adds
-        sforce = lap_d[..., 0:1, :, :] * g_d[..., 0, :, :, :]
-        for c in (1, 2):
-            sforce += lap_d[..., c:c + 1, :, :] * g_d[..., c, :, :, :]
-    else:
-        sforce = ericksen_stress_div(d, grid, bc_d)
+    # reduced stress force: sum over c of lap_d[c] grad d[c], added in
+    # component order as a sum over that axis adds
+    sforce = lap_d[..., 0:1, :, :] * g_d[..., 0, :, :, :]
+    for c in (1, 2):
+        sforce += lap_d[..., c:c + 1, :, :] * g_d[..., c, :, :, :]
     # done with; freed before the ledgers so the peak memory of a many-lane
     # step stays lower
     del lap_d, g_d

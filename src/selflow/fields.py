@@ -83,9 +83,8 @@ def solenoidal_test_function(grid: Grid, kx: int = 1, ky: int = 1, name: str = "
             -ax * np.cos(ax * X) * np.sin(ay * Y),
         ]
     )
-    bc = "periodic" if grid.periodic else "noslip"
     u = leray_project(phi, grid)
-    return TestFunction(Field(grid, u, bc), name=name or f"stream_{kx}{ky}")
+    return TestFunction(Field(grid, u, grid.bc_velocity), name=name or f"stream_{kx}{ky}")
 
 
 def director_test_function(grid: Grid, kx: int = 1, ky: int = 1, component: int = 0,

@@ -176,19 +176,6 @@ def _weighted_sum(prod: np.ndarray, grid: Grid, axes: tuple) -> np.ndarray:
     return np.sum(prod * grid.quad_weights(), axis=axes)
 
 
-def inner(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
-    """L2 inner product over the domain, summing vector components."""
-    return float(_weighted_sum(a * b, grid, None))
-
-
-def norm_l2(a: np.ndarray, grid: Grid) -> float:
-    return float(np.sqrt(max(inner(a, a, grid), 0.0)))
-
-
-def norm_linf(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a)))
-
-
 def _forward_links(a: np.ndarray, grid: Grid, axis: int, periodic: bool) -> np.ndarray:
     h = _step(grid, axis)
     ax = -2 + axis

@@ -33,26 +33,6 @@ from .projection import ProjectionError, interior_divergence_max
 # rows of standard normals drawn from each driver at a time
 RNG_CHUNK = 256
 
-RECORD_FIELDS = (
-    "t",
-    "kinetic",
-    "dirichlet",
-    "penalty",
-    "total",
-    "dissipation_u",
-    "dissipation_d",
-    "hs",
-    "strat_drift",
-    "ledger1",
-    "ledger2",
-    "int_diss_u",
-    "int_diss_d",
-    "int_hs",
-    "int_strat",
-    "max_abs_d",
-    "dev_norm",
-)
-
 
 def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
                    h: MagneticField) -> dict:
@@ -69,7 +49,7 @@ def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
     kinetic = 0.5 * ops.pair_vec(u, u, grid)
     dirichlet = 0.5 * ops.dirichlet_form_vec(d, d, grid)
     pen = ops.pair_scalar(penalty_density(d, params.eps), 1.0, grid)
-    _, _, tau, dxh, dxhxh = director_terms(d, h.values, grid, state.bc_d(), params.eps)
+    _, _, tau, dxh, dxhxh = director_terms(d, h.values, grid, grid.bc_director, params.eps)
     diss_u, diss_d, hs, strat = budget_integrands(u, d, tau, dxh, dxhxh, grid, S, params.xi1)
     dev_sq = ops.dot3(d, d) - 1.0
     led = state.ledgers

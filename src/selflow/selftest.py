@@ -41,11 +41,12 @@ def run_all(verbose: bool = True) -> int:
     f = np.sin(2 * np.pi * X) * np.cos(2 * np.pi * Y)
     g = np.cos(4 * np.pi * X) * np.sin(2 * np.pi * Y)
     gf = ops.gradient(f, grid, "periodic")
-    ibp = ops.inner(gf[0], g, grid) + ops.inner(f, ops.deriv(g, grid, 0, "periodic"), grid)
+    ibp = ops.pair_scalar(gf[0], g, grid) + ops.pair_scalar(
+        f, ops.deriv(g, grid, 0, "periodic"), grid)
     failures += not _check("integration by parts (periodic)", abs(ibp) < 1e-12,
                            f"defect {ibp:.2e}", verbose)
 
-    lap_sym = ops.inner(ops.laplacian(f, grid, "periodic"), g, grid) - ops.inner(
+    lap_sym = ops.pair_scalar(ops.laplacian(f, grid, "periodic"), g, grid) - ops.pair_scalar(
         f, ops.laplacian(g, grid, "periodic"), grid)
     failures += not _check("laplacian symmetry", abs(lap_sym) < 1e-10,
                            f"defect {lap_sym:.2e}", verbose)
@@ -54,21 +55,22 @@ def run_all(verbose: bool = True) -> int:
     q = np.sin(2 * np.pi * X + 1.0) * np.cos(2 * np.pi * Y)
     gq = ops.gradient(q, grid, "periodic")
     u = leray_project(gq, grid)
-    failures += not _check("projector annihilates gradients",
-                           ops.norm_linf(u) < 1e-12, f"|u| {ops.norm_linf(u):.2e}", verbose)
+    sup = np.max(np.abs(u))
+    failures += not _check("projector annihilates gradients", sup < 1e-12,
+                           f"|u| {sup:.2e}", verbose)
     v = rng.standard_normal((2, 32, 32))
     u1 = leray_project(v, grid)
     u2 = leray_project(u1, grid)
-    drift = ops.norm_linf(u2 - u1)
+    drift = np.max(np.abs(u2 - u1))
     failures += not _check("projector idempotence", drift < 2e-10,
                            f"drift {drift:.2e}", verbose)
-    div = ops.norm_linf(ops.divergence(u1, grid, "periodic"))
+    div = np.max(np.abs(ops.divergence(u1, grid, "periodic")))
     failures += not _check("projected divergence", div < 1e-10, f"|div| {div:.2e}", verbose)
 
     # skew advection does no work
     adv = ops.advect_skew(u1, u1, grid, "periodic")
-    pairing = abs(ops.inner(adv, u1, grid))
-    bound = 1e-12 * (1.0 + ops.norm_l2(u1, grid) ** 3)
+    pairing = abs(ops.pair_vec(adv, u1, grid))
+    bound = 1e-12 * (1.0 + np.sqrt(ops.pair_vec(u1, u1, grid)) ** 3)
     failures += not _check("skew advection pairing", pairing <= bound,
                            f"{pairing:.2e} <= {bound:.2e}", verbose)
 
@@ -76,12 +78,12 @@ def run_all(verbose: bool = True) -> int:
     d = rng.uniform(-1, 1, (3, 8, 8))
     hv = rng.uniform(-1, 1, (3, 8, 8))
     t1, t2 = triple_product_defects(d, hv)
-    worst = max(ops.norm_linf(t1), ops.norm_linf(t2))
+    worst = max(np.max(np.abs(t1)), np.max(np.abs(t2)))
     failures += not _check("triple products", worst < 1e-14, f"defect {worst:.2e}", verbose)
-    gen = ops.norm_linf(sphere_generator_drift(d, hv))
+    gen = np.max(np.abs(sphere_generator_drift(d, hv)))
     failures += not _check("sphere generator drift", gen < 1e-13, f"{gen:.2e}", verbose)
     fd = gl_force(d, 0.7)
-    para = ops.norm_linf(ops.dot3(fd, ops.cross(d, hv)))
+    para = np.max(np.abs(ops.dot3(fd, ops.cross(d, hv))))
     failures += not _check("penalty force parallel to d", para < 1e-13, f"{para:.2e}", verbose)
 
     # penalty density vs force consistency at a point
@@ -95,12 +97,13 @@ def run_all(verbose: bool = True) -> int:
     w = rng.standard_normal((2, 32, 32))
     uw = leray_project(w, grid)
     out = leray_project(S1.mix_increments(uw, [1.0]), grid)
-    err = ops.norm_l2(out - 0.5 * uw, grid)
+    rest = out - 0.5 * uw
+    err = np.sqrt(ops.pair_vec(rest, rest, grid))
     failures += not _check("single-mode noise", err < 1e-10, f"err {err:.2e}", verbose)
     S = NoiseOperatorS(grid, n_modes=6, sigma0=0.7)
     C = S.linear_growth_constant()
     ok = all(
-        S.hs_norm_sq(rng.standard_normal((2, 32, 32))) <= C * (1 + ops.norm_l2(w, grid) ** 2)
+        S.hs_norm_sq(rng.standard_normal((2, 32, 32))) <= C * (1 + ops.pair_vec(w, w, grid))
         for w in [rng.standard_normal((2, 32, 32)) for _ in range(5)]
     )
     failures += not _check("hs linear growth", ok, f"C = {C:.3f}", verbose)

@@ -377,12 +377,11 @@ _TINY = dict(line.split(" = ") for line in TINY.strip().splitlines())
 _POSITIVE = ["sim.lx", "sim.ly", "sim.eps", "sim.mu", "sim.lambda", "sim.gamma", "sim.T",
              "noise.sigma0", "noise.q", "proj.tol"]
 _NUMERIC = _POSITIVE + ["noise.seed", "noise.modes", "noise.xi1", "noise.xi2",
-                        "proj.maxiter", "ensemble.paths", "out.checkpoint_every"]
+                        "ensemble.paths", "out.checkpoint_every"]
 # the words each key accepts that the fuzz alphabet can spell
 _VALID_WORDS = {
     "sim.bc": {"periodic", "bounded"},
     "run.mode": {"simulate", "ensemble", "sweep", "diagnose", "selftest"},
-    "sim.stress_form": {"reduced", "divergence"},
     "track.budget": {"true", "false", "yes", "no", "on", "off"},
     "init.d": {"const", "vortex"},
     "field.h": {"const", "wave"},
@@ -412,8 +411,8 @@ def _fault():
         st.tuples(st.sampled_from(_NUMERIC), _words.filter(lambda w: not _is_float(w))),
         st.tuples(st.sampled_from(_POSITIVE),
                   st.floats(max_value=0.0, allow_nan=False).map(repr)),
-        st.tuples(st.sampled_from(["proj.maxiter", "noise.modes", "ensemble.paths",
-                                   "out.checkpoint_every"]), st.integers(max_value=-1).map(str)),
+        st.tuples(st.sampled_from(["noise.modes", "ensemble.paths", "out.checkpoint_every"]),
+                  st.integers(max_value=-1).map(str)),
         st.sampled_from(sorted(_VALID_WORDS)).flatmap(
             lambda k: st.tuples(st.just(k), _words.filter(lambda w: w not in _VALID_WORDS[k]))),
         st.sampled_from(BAD_SPECS),

@@ -1,9 +1,13 @@
 """Config parsing, validation, canonical round-trip, and builders."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from selflow.config import (
+    SCHEMA,
     ConfigError,
     RunConfig,
     build_grid,
@@ -58,10 +62,12 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config("sweep.eps = 0.1,0.2\n")
 
-    def test_negative_proj_maxiter_names_key_and_line(self):
+    @pytest.mark.parametrize("key, value", [("sim.stress_form", "reduced"), ("proj.maxiter", "0")],
+                             ids=["sim.stress_form", "proj.maxiter"])
+    def test_removed_key_names_key_and_line(self, key, value):
         with pytest.raises(ConfigError) as err:
-            parse_config("sim.T = 1.0\nproj.maxiter = -1\n")
-        assert any("proj.maxiter" in msg and ln == 2 for ln, msg in err.value.problems)
+            parse_config(f"sim.T = 1.0\n{key} = {value}\n")
+        assert err.value.problems == [(2, f"unknown key {key!r}")]
 
     @pytest.mark.parametrize("key", ["init.u", "init.d", "field.h"])
     @pytest.mark.parametrize("spec", ["file", "file:"])
@@ -97,6 +103,16 @@ track.budget = false
         a = parse_config("sim.eps = 0.2\n")
         b = parse_config("sim.eps = 0.25\n")
         assert config_hash(a) != config_hash(b)
+
+    def test_readme_key_table_is_the_schema_and_its_defaults(self):
+        # every `key = value` pair of the README's fenced key table (the
+        # block after "Configuration is flat"), comments dropped
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Configuration is flat", 1)[1].split("```")[1]
+        pairs = [pair for line in block.splitlines()
+                 for pair in re.findall(r"(\S+) = (\S+)", line.split("#", 1)[0])]
+        assert sorted(key for key, _ in pairs) == sorted(SCHEMA)
+        assert parse_config("".join(f"{k} = {v}\n" for k, v in pairs)) == RunConfig()
 
 
 class TestBuilders:

@@ -9,14 +9,13 @@ from selflow.dynamics import (
     Params,
     SimState,
     StabilityError,
-    ericksen_stress_div,
-    ericksen_tensor,
     gl_force,
     penalty_density,
     stability_dt,
     step_coupled,
     strat_correction,
 )
+from selflow.diagnostics import ericksen_tensor
 from selflow.fields import solenoidal_test_function
 from selflow.grids import Grid
 from selflow.initial import (
@@ -95,10 +94,18 @@ class TestStratCorrection:
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * (1 + np.max(np.abs(rhs)))
 
 
+def _stress_div(d, grid, bc):
+    """Reference divergence of the Ericksen tensor of an unbatched director,
+    (div sigma)_j = d_i sigma_ij."""
+    sig = ericksen_tensor(d, grid, bc)
+    return np.stack([ops.deriv(sig[0, j], grid, 0, bc) + ops.deriv(sig[1, j], grid, 1, bc)
+                     for j in range(2)])
+
+
 class TestEricksenStress:
     def test_constant_director_zero(self, grid32):
         d = constant_director(grid32, (0.4, -0.3, 0.8))
-        assert np.max(np.abs(ericksen_stress_div(d, grid32, "periodic"))) == 0.0
+        assert np.max(np.abs(_stress_div(d, grid32, "periodic"))) == 0.0
 
     def test_planar_wave_tensor(self, grid32):
         X, _ = grid32.meshgrid()
@@ -109,7 +116,7 @@ class TestEricksenStress:
         assert np.allclose(sig[0, 0], k_eff**2, rtol=1e-12)
         assert np.max(np.abs(sig[0, 1])) <= 1e-12
         assert np.max(np.abs(sig[1, 1])) <= 1e-12
-        div = ericksen_stress_div(d, grid32, "periodic")
+        div = _stress_div(d, grid32, "periodic")
         assert np.max(np.abs(div)) <= 1e-10  # constant tensor
 
     def test_adjoint_consistency(self, rng):
@@ -126,28 +133,27 @@ class TestEricksenStress:
                 ]
             )
             phi = solenoidal_test_function(grid, 1, 1).field.values
-            div = ericksen_stress_div(d, grid, "periodic")
+            div = _stress_div(d, grid, "periodic")
             sig = ericksen_tensor(d, grid, "periodic")
             gphi = ops.gradient(phi, grid, "periodic")
-            lhs = ops.inner(div, phi, grid)
+            lhs = ops.pair_vec(div, phi, grid)
             rhs = -float(np.sum(sig * gphi * grid.quad_weights()))
             errs.append(abs(lhs - rhs))
         assert errs[0] <= 1e-10 or errs[1] < errs[0] / 2
 
     def test_reduced_equals_divergence_up_to_gradient(self, grid32):
-        # the two stress forms differ by a near-gradient: after projection
-        # they agree to O(h^2).  From rest with dt = lam = 1 and no noise,
-        # one step gives u+ = -P(stress force).
+        # the stepper's reduced stress force and the tensor divergence
+        # differ by a near-gradient: after projection they agree to O(h^2).
+        # From rest with dt = lam = 1 and no noise, one step gives
+        # u+ = P(-reduced force).
         S = NoiseOperatorS(grid32, n_modes=1, sigma0=0.0)
         h = MagneticField.constant(grid32, (0.0, 0.0, 0.0))
         d = smooth_unit_director(grid32, 0.5)
-        outs = []
-        for form in ("reduced", "divergence"):
-            params = Params(eps=0.5, xi1=0.0, xi2=0.0, dt=1.0, T=1.0, stress_form=form)
-            state = SimState.initial(grid32, np.zeros((2, 32, 32)), d)
-            step_coupled(state, params, S, h, np.zeros(2))
-            outs.append(state.u)
-        assert ops.norm_l2(outs[0] - outs[1], grid32) <= 30 * grid32.hx**2
+        params = Params(eps=0.5, xi1=0.0, xi2=0.0, dt=1.0, T=1.0)
+        state = SimState.initial(grid32, np.zeros((2, 32, 32)), d)
+        step_coupled(state, params, S, h, np.zeros(2))
+        rest = state.u - leray_project(-_stress_div(d, grid32, "periodic"), grid32)
+        assert np.sqrt(ops.pair_vec(rest, rest, grid32)) <= 30 * grid32.hx**2
 
 
 def _setup(grid, eps=0.2, xi1=1.0, xi2=1.0, dt=None, T=0.01, sigma0=0.3, h3=0.5):
@@ -215,10 +221,10 @@ class TestStepVelocity:
         rate = taylor_green_rate(grid, 1, mu)
         T = 1.2 / rate
         n = int(round(T / dt))
-        e0 = 0.5 * ops.inner(u0, u0, grid)
+        e0 = 0.5 * ops.pair_vec(u0, u0, grid)
         for _ in range(n):
             step_coupled(state, params, S, h, np.zeros(2))
-        e1 = 0.5 * ops.inner(state.u, state.u, grid)
+        e1 = 0.5 * ops.pair_vec(state.u, state.u, grid)
         expected = e0 * np.exp(-rate * n * dt)
         assert abs(e1 - expected) / expected <= 0.02
 
@@ -228,7 +234,7 @@ class TestStepVelocity:
         state = _step_from(grid32, params, S, h, u0, smooth_unit_director(grid32),
                            rng.standard_normal(5) * 0.01 / np.sqrt(params.dt))
         div = ops.divergence(state.u, grid32, "periodic")
-        assert ops.norm_linf(div) <= 1e-10
+        assert np.max(np.abs(div)) <= 1e-10
 
 
 class TestStepCoupled:
@@ -270,10 +276,12 @@ class TestStepCoupled:
                                 checkpoint_every=10**9, track_budget=False,
                                 normals_table=table)
             states[factor] = res.state
-        err_coarse = ops.norm_l2(states[4].u - states[1].u, grid32) + ops.norm_l2(
-            states[4].d - states[1].d, grid32)
-        err_mid = ops.norm_l2(states[2].u - states[1].u, grid32) + ops.norm_l2(
-            states[2].d - states[1].d, grid32)
+        errs = {}
+        for factor in (4, 2):
+            du, dd = states[factor].u - states[1].u, states[factor].d - states[1].d
+            errs[factor] = (np.sqrt(ops.pair_vec(du, du, grid32))
+                            + np.sqrt(ops.pair_vec(dd, dd, grid32)))
+        err_coarse, err_mid = errs[4], errs[2]
         assert err_mid < err_coarse
         order = np.log2(err_coarse / err_mid) - 0.0
         assert order >= 0.5
@@ -430,7 +438,7 @@ class TestTransportCancellation:
                            (vals, np.stack([d1, d2_mixed, d3]))):
                 g = ops.gradient(d, grid, "periodic")
                 adv = u[0:1] * g[:, 0] + u[1:2] * g[:, 1]  # as in step_coupled
-                pair = ops.inner(adv, gl_force(d, 0.5), grid)
+                pair = ops.pair_vec(adv, gl_force(d, 0.5), grid)
                 out.append(abs(pair))
             hs.append(grid.hx)
         assert max(controls) < 1e-15

@@ -30,9 +30,9 @@ class TestField:
         lap = ops.laplacian(f, grid32, "periodic")
         # exact against the forward-link Dirichlet form, O(h^2) against the
         # central-gradient energy
-        exact = ops.inner(lap, f, grid32) + ops.dirichlet_form_vec(f[None], f[None], grid32)
+        exact = ops.pair_scalar(lap, f, grid32) + ops.dirichlet_form_vec(f[None], f[None], grid32)
         assert abs(exact) <= 1e-10
-        central = ops.inner(lap, f, grid32) + ops.inner(g, g, grid32)
+        central = ops.pair_scalar(lap, f, grid32) + ops.pair_vec(g, g, grid32)
         assert abs(central) <= 250 * grid32.hx**2
 
 

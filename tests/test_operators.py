@@ -96,23 +96,23 @@ class TestLaplacian:
 class TestQuadrature:
     def test_norm_positive_definite(self, grid32, rng):
         f = rng.standard_normal((32, 32))
-        assert ops.inner(f, f, grid32) >= 0
-        assert ops.norm_l2(np.zeros((32, 32)), grid32) == 0.0
+        assert ops.pair_scalar(f, f, grid32) >= 0
+        assert ops.pair_scalar(np.zeros((32, 32)), np.zeros((32, 32)), grid32) == 0.0
 
     def test_unit_constant(self, grid32):
         one = np.ones((32, 32))
-        assert abs(ops.inner(one, one, grid32) - 1.0) <= 1e-12
+        assert abs(ops.pair_scalar(one, one, grid32) - 1.0) <= 1e-12
 
     def test_unit_constant_trapezoid(self, grid_bounded):
         one = np.ones((32, 32))
-        assert abs(ops.inner(one, one, grid_bounded) - 1.0) <= 1e-12
+        assert abs(ops.pair_scalar(one, one, grid_bounded) - 1.0) <= 1e-12
 
     def test_sine_norm_half(self):
         for n in (32, 64):
             grid = Grid(n, n)
             X, _ = grid.meshgrid()
             f = np.sin(2 * np.pi * X)
-            err = abs(ops.inner(f, f, grid) - 0.5)
+            err = abs(ops.pair_scalar(f, f, grid) - 0.5)
             assert err <= 1e-12  # rectangle rule is exact for this mode
 
 
@@ -121,10 +121,10 @@ class TestDiscreteIdentities:
         f = rng.standard_normal((32, 32))
         g = rng.standard_normal((2, 32, 32))
         lhs = sum(
-            ops.inner(ops.gradient(f, grid32, "periodic")[j], g[j], grid32)
+            ops.pair_scalar(ops.gradient(f, grid32, "periodic")[j], g[j], grid32)
             for j in range(2)
         )
-        rhs = -ops.inner(f, ops.divergence(g, grid32, "periodic"), grid32)
+        rhs = -ops.pair_scalar(f, ops.divergence(g, grid32, "periodic"), grid32)
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
     def test_integration_by_parts_bounded_smooth(self, grid_bounded):
@@ -132,17 +132,17 @@ class TestDiscreteIdentities:
         f = np.sin(np.pi * X) * np.sin(np.pi * Y)
         g = np.stack([X * (1 - X) * Y * (1 - Y), (X * (1 - X) * Y * (1 - Y)) ** 2])
         lhs = sum(
-            ops.inner(ops.gradient(f, grid_bounded, "none")[j], g[j], grid_bounded)
+            ops.pair_scalar(ops.gradient(f, grid_bounded, "none")[j], g[j], grid_bounded)
             for j in range(2)
         )
-        rhs = -ops.inner(f, ops.divergence(g, grid_bounded, "none"), grid_bounded)
+        rhs = -ops.pair_scalar(f, ops.divergence(g, grid_bounded, "none"), grid_bounded)
         assert abs(lhs - rhs) <= 50 * grid_bounded.hx**2
 
     def test_laplacian_symmetry(self, grid32, rng):
         f = rng.standard_normal((32, 32))
         g = rng.standard_normal((32, 32))
-        lhs = ops.inner(ops.laplacian(f, grid32, "periodic"), g, grid32)
-        rhs = ops.inner(f, ops.laplacian(g, grid32, "periodic"), grid32)
+        lhs = ops.pair_scalar(ops.laplacian(f, grid32, "periodic"), g, grid32)
+        rhs = ops.pair_scalar(f, ops.laplacian(g, grid32, "periodic"), grid32)
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
     @pytest.mark.parametrize("mode", ["periodic", "neumann", "zero-boundary"])
@@ -161,7 +161,7 @@ class TestDiscreteIdentities:
                     a[0, :] = a[-1, :] = a[:, 0] = a[:, -1] = 0.0
             else:
                 bc = "neumann"
-        lhs = ops.inner(ops.laplacian(f, grid, bc), g, grid)
+        lhs = ops.pair_scalar(ops.laplacian(f, grid, bc), g, grid)
         rhs = -ops.dirichlet_form_vec(f[None], g[None], grid)
         assert abs(lhs - rhs) <= 1e-11 * (1 + abs(lhs))
 
@@ -198,7 +198,7 @@ class TestDiscreteIdentities:
             return out
 
         f, g = smooth(), smooth()
-        lhs = ops.inner(ops.laplacian(f, grid, bc), g, grid)
+        lhs = ops.pair_vec(ops.laplacian(f, grid, bc), g, grid)
         rhs = -ops.dirichlet_form_vec(f, g, grid)
         assert abs(lhs - rhs) <= 1e-11 * (1 + abs(lhs))
 
@@ -206,15 +206,15 @@ class TestDiscreteIdentities:
         from selflow.projection import leray_project
 
         u = leray_project(rng.standard_normal((2, 32, 32)), grid32)
-        pairing = ops.inner(ops.advect_skew(u, u, grid32, "periodic"), u, grid32)
-        assert abs(pairing) <= 1e-12 * (1 + ops.norm_l2(u, grid32) ** 3)
+        pairing = ops.pair_vec(ops.advect_skew(u, u, grid32, "periodic"), u, grid32)
+        assert abs(pairing) <= 1e-12 * (1 + np.sqrt(ops.pair_vec(u, u, grid32)) ** 3)
 
     def test_skew_advection_antisymmetric_trilinear(self, grid32, rng):
         u = rng.standard_normal((2, 32, 32))
         f = rng.standard_normal((3, 32, 32))
         g = rng.standard_normal((3, 32, 32))
-        afg = ops.inner(ops.advect_skew(u, f, grid32, "periodic"), g, grid32)
-        agf = ops.inner(ops.advect_skew(u, g, grid32, "periodic"), f, grid32)
+        afg = ops.pair_vec(ops.advect_skew(u, f, grid32, "periodic"), g, grid32)
+        agf = ops.pair_vec(ops.advect_skew(u, g, grid32, "periodic"), f, grid32)
         assert abs(afg + agf) <= 1e-11 * (1 + abs(afg))
 
 

@@ -38,7 +38,7 @@ def cg_project(v, grid, tol):
     z = r.copy()
     rs = np.vdot(r, r).real
     for _ in range(60 * max(grid.nx, grid.ny)):
-        if ops.norm_linf(r) <= tol:
+        if np.max(np.abs(r)) <= tol:
             break
         az = -_wide_laplacian_periodic(z, grid)
         alpha = rs / np.vdot(z, az).real
@@ -48,7 +48,7 @@ def cg_project(v, grid, tol):
         z = r + (rs_new / rs) * z
         rs = rs_new
     else:
-        raise AssertionError(f"pressure CG did not converge ({ops.norm_linf(r):.3e})")
+        raise AssertionError(f"pressure CG did not converge ({np.max(np.abs(r)):.3e})")
     return v - ops.gradient(p, grid, "periodic")
 
 
@@ -68,7 +68,7 @@ class TestPeriodic:
     def test_random_divergence_below_tolerance(self, grid32, rng):
         v = rng.standard_normal((2, 32, 32))
         u = leray_project(v, grid32)
-        assert ops.norm_linf(ops.divergence(u, grid32, "periodic")) <= 1e-10
+        assert np.max(np.abs(ops.divergence(u, grid32, "periodic"))) <= 1e-10
 
     def test_fft_and_cg_agree(self, grid32, rng):
         v = rng.standard_normal((2, 32, 32))
@@ -120,7 +120,7 @@ class TestSolenoidalNormSq:
     @parseval_grids
     def test_matches_explicit_projection(self, grid, rng):
         v = rng.standard_normal((3, 2, grid.nx, grid.ny))
-        assert ops.norm_linf(ops.divergence(v, grid, "periodic")) > 1.0
+        assert np.max(np.abs(ops.divergence(v, grid, "periodic"))) > 1.0
         pv = leray_project(v, grid)
         explicit = ops.pair_vec(pv, pv, grid)
         batched = solenoidal_norm_sq(v, grid)
