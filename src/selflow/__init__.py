@@ -17,7 +17,7 @@ from .dynamics import (
     step_coupled,
     strat_correction,
 )
-from .noise import MagneticField, NoiseOperatorS, WienerDriver, k2_norm, split_seed
+from .noise import MagneticField, NoiseOperatorS, WienerDriver, split_seed
 from .projection import ProjectionError, leray_project
 from .pathrun import PathResult, PathSeries, simulate_path
 from .diagnostics import (

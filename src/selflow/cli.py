@@ -1,7 +1,7 @@
 """Command-line driver: config parsing, run orchestration, artifact output.
 
 Subcommands: ``simulate``, ``ensemble``, ``sweep`` (each take a config
-file), ``diagnose`` (takes a director snapshot), ``selftest``.  Exit codes:
+file) and ``diagnose`` (takes a director snapshot).  Exit codes:
 0 success, 1 validation error, 2 numerical failure, 3 I/O error.  All
 randomness flows from config seeds; nothing is drawn from the environment.
 The SELFLOW_OUT environment variable overrides out.dir.
@@ -212,14 +212,6 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK if did_something else EXIT_VALIDATION
 
 
-def cmd_selftest() -> int:
-    """Invariant suite on small fixtures; prints one line per check."""
-    from . import selftest
-
-    failures = selftest.run_all(verbose=True)
-    return EXIT_OK if failures == 0 else EXIT_NUMERICAL
-
-
 def _thread_count(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -256,7 +248,6 @@ def main(argv: list[str] | None = None) -> int:
     p_diag.add_argument("--pohozaev", action="store_true")
     p_diag.add_argument("--defects", action="store_true")
     p_diag.add_argument("--pairings", action="store_true")
-    sub.add_parser("selftest")
 
     try:
         args = parser.parse_args(argv)
@@ -265,8 +256,6 @@ def main(argv: list[str] | None = None) -> int:
 
     t0 = time.monotonic()
     try:
-        if args.command == "selftest":
-            return cmd_selftest()
         if args.command == "diagnose":
             return cmd_diagnose(args)
         cfg = _load_config(args.config)

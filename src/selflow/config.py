@@ -26,7 +26,7 @@ from .initial import (
 )
 from .noise import MagneticField, NoiseOperatorS
 
-RUN_MODES = ("simulate", "ensemble", "sweep", "diagnose", "selftest")
+RUN_MODES = ("simulate", "ensemble", "sweep", "diagnose")
 BC_MODES = ("periodic", "bounded", "bounded-dirichlet")
 
 

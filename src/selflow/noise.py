@@ -250,13 +250,3 @@ class NoiseOperatorS:
         w = self.grid.quad_weights()
         add_part = float(np.sum(wsq * np.sum(self.additive**2 * w, axis=(-3, -2, -1))))
         return 2.0 * max(shape_part, add_part, 1e-300)
-
-
-def k2_norm(coeffs) -> float:
-    """Norm of a coefficient sequence in the enlarged space K2:
-    sqrt(sum_i c_i^2 / i^2), i starting at 1."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.size == 0:
-        return 0.0
-    i = np.arange(1, c.size + 1, dtype=float)
-    return float(np.sqrt(np.sum((c / i) ** 2)))

@@ -19,7 +19,11 @@ Usage (from the repo root)::
 
 ``--case NAME`` (repeatable) runs, diffs and, with ``--write``, replaces
 only the named cases; every other directory under ``data/`` is left as it
-is.  Without it, ``--write`` re-records the whole of ``data/``.
+is.  Without it, ``--write`` re-records the whole of ``data/``.  Either
+way ``--write`` leaves a case's directory untouched, and prints
+``unchanged``, when every column agrees within ``REL_TOL`` and every
+file's ``#`` comment lines are the same, so last-digit noise between
+hosts is never committed.
 
 A change that rewrites the goldens says so, with the diff summary and the
 reason.
@@ -188,6 +192,19 @@ def columns(path: Path) -> dict[str, list]:
     return cols
 
 
+def comment_lines(path: Path) -> list[str]:
+    """The ``#`` lines of a text artifact, which ``columns`` skips."""
+    if path.suffix == ".fld":
+        return []
+    return [ln for ln in path.read_text(encoding="utf-8").splitlines()
+            if ln.startswith("#")]
+
+
+def same_comments(golden: Path, got: Path) -> bool:
+    return all(comment_lines(golden / name) == comment_lines(got / name)
+               for name in file_set(golden) & file_set(got))
+
+
 def _is_int(cell) -> bool:
     return isinstance(cell, str) and cell.lstrip("+-").isdigit()
 
@@ -246,6 +263,7 @@ def main_cli(argv: list[str] | None = None) -> int:
         for case in cases:
             run_case(case, out)
         worst_all = 0.0
+        kept = set()
         for case in cases:
             if not (GOLDEN_DIR / case).exists():
                 print(f"{case}: no committed golden")
@@ -258,10 +276,19 @@ def main_cli(argv: list[str] | None = None) -> int:
             for name, col, dev in report:
                 if dev > REL_TOL:
                     print(f"  over tolerance: {name}: {col}: {dev:.3e}")
+            if worst[2] <= REL_TOL and same_comments(GOLDEN_DIR / case, out / case):
+                kept.add(case)
         if args.write:
-            if not args.case:
-                shutil.rmtree(GOLDEN_DIR, ignore_errors=True)
+            if not args.case and GOLDEN_DIR.exists():
+                for stale in set(GOLDEN_DIR.iterdir()) - {GOLDEN_DIR / c for c in cases}:
+                    if stale.is_dir():
+                        shutil.rmtree(stale)
+                    else:
+                        stale.unlink()
             for case in cases:
+                if case in kept:
+                    print(f"{case}: unchanged")
+                    continue
                 shutil.rmtree(GOLDEN_DIR / case, ignore_errors=True)
                 shutil.copytree(out / case, GOLDEN_DIR / case)
                 print(f"wrote {GOLDEN_DIR / case}")

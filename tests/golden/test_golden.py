@@ -6,7 +6,7 @@ import shutil
 import pytest
 
 import make_golden
-from make_golden import ALL_CASES, GOLDEN_DIR, REL_TOL, compare, run_case
+from make_golden import ALL_CASES, GOLDEN_DIR, REL_TOL, comment_lines, compare, run_case
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +49,26 @@ def test_write_one_case_leaves_the_others(tmp_path, monkeypatch, capsys):
     assert compare(GOLDEN_DIR / "simulate_periodic_nyquist", target)[0][2] <= REL_TOL
     assert {p: p.read_bytes() for p in data.rglob("*")
             if p.is_file() and target not in p.parents} == kept
+
+
+def test_write_leaves_unchanged_cases_alone(tmp_path, monkeypatch, capsys):
+    """``--write`` on an unmodified copy changes no byte; a case whose only
+    change is a comment line is still re-recorded."""
+    data = tmp_path / "data"
+    shutil.copytree(GOLDEN_DIR, data)
+    monkeypatch.setattr(make_golden, "GOLDEN_DIR", data)
+    before = {p: p.read_bytes() for p in data.rglob("*") if p.is_file()}
+
+    assert make_golden.main_cli(["--write"]) == 0
+    assert capsys.readouterr().out.count(": unchanged") == len(ALL_CASES)
+    assert {p: p.read_bytes() for p in data.rglob("*") if p.is_file()} == before
+
+    weak = data / "simulate_periodic" / "weak.csv"
+    weak.write_text(weak.read_text(encoding="utf-8").replace("# ", "# edited ", 1),
+                    encoding="utf-8")
+    assert make_golden.main_cli(["--case", "simulate_periodic", "--write"]) == 0
+    assert "wrote" in capsys.readouterr().out
+    assert comment_lines(weak) == comment_lines(GOLDEN_DIR / "simulate_periodic" / "weak.csv")
 
 
 def test_unknown_case_is_refused():

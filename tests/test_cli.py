@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: subcommands, exit codes, artifacts."""
 
 import os
+import re
 import struct
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -362,12 +364,19 @@ class TestDiagnose:
         assert err.startswith("i/o error:") and "Traceback" not in err
 
 
-class TestSelftest:
-    def test_exit_zero(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 10
+class TestSubcommands:
+    def test_selftest_is_not_a_subcommand(self, capsys):
+        assert main(["selftest"]) == 1
+        assert "invalid choice: 'selftest'" in capsys.readouterr().err
+
+    def test_readme_cli_block_is_the_parser(self, capsys):
+        # the `selflow <name>` rows of the README's fenced CLI block
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+        rows = re.findall(r"^selflow (\S+)", block, flags=re.MULTILINE)
+        assert main(["--help"]) == 0
+        (choices,) = re.findall(r"\{([\w,]+)\}", capsys.readouterr().out.split("\n\n")[0])
+        assert rows == choices.split(",")
 
 
 # one fault per fuzzed config, applied to TINY: a bad value replaces the
@@ -381,7 +390,7 @@ _NUMERIC = _POSITIVE + ["noise.seed", "noise.modes", "noise.xi1", "noise.xi2",
 # the words each key accepts that the fuzz alphabet can spell
 _VALID_WORDS = {
     "sim.bc": {"periodic", "bounded"},
-    "run.mode": {"simulate", "ensemble", "sweep", "diagnose", "selftest"},
+    "run.mode": {"simulate", "ensemble", "sweep", "diagnose"},
     "track.budget": {"true", "false", "yes", "no", "on", "off"},
     "init.d": {"const", "vortex"},
     "field.h": {"const", "wave"},

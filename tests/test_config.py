@@ -34,6 +34,11 @@ class TestParse:
             parse_config("sim.T = 1.0\nsim.eps = -1\n")
         assert any("sim.eps" in msg and ln == 2 for ln, msg in err.value.problems)
 
+    def test_selftest_mode_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("run.mode = selftest\n")
+        assert any("run.mode" in msg for _, msg in err.value.problems)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config("sim.nonsense = 3\n")

@@ -1,5 +1,4 @@
-"""Wiener drivers, the noise operator, the magnetic field, and the mode-space
-norm."""
+"""Wiener drivers, the noise operator and the magnetic field."""
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from selflow.noise import (
     NoiseOperatorS,
     WienerDriver,
     coarsen_normals,
-    k2_norm,
     split_seed,
 )
 from selflow.grids import Grid
@@ -226,20 +224,6 @@ class TestDirectorNoise:
         out = ops.cross(d, h) * 0.7
         assert np.max(np.abs(ops.dot3(out, d))) <= 1e-13
 
-
-class TestK2Norm:
-    def test_first_basis_vector(self):
-        assert k2_norm([1, 0, 0, 0]) == 1.0
-
-    def test_ith_basis_vector(self):
-        for i in (2, 5, 9):
-            coeffs = np.zeros(10)
-            coeffs[i - 1] = 1.0
-            assert abs(k2_norm(coeffs) - 1.0 / i) <= 1e-15
-
-    def test_zero_sequence(self):
-        assert k2_norm([]) == 0.0
-        assert k2_norm([0.0, 0.0]) == 0.0
 
 class TestMagneticField:
     def test_constant_bounded(self, grid32):

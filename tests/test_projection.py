@@ -63,7 +63,7 @@ class TestPeriodic:
         X, Y = grid32.meshgrid()
         q = np.sin(2 * np.pi * X + 0.3) * np.cos(4 * np.pi * Y)
         u = leray_project(ops.gradient(q, grid32, "periodic"), grid32)
-        assert np.max(np.abs(u)) <= 1e-10
+        assert np.max(np.abs(u)) <= 1e-12
 
     def test_random_divergence_below_tolerance(self, grid32, rng):
         v = rng.standard_normal((2, 32, 32))
