@@ -44,7 +44,9 @@ from pathlib import Path
 import numpy as np
 
 from selflow.cli import main
-from selflow.fields import read_snapshot
+from selflow.fields import Field, read_snapshot, write_snapshot
+from selflow.grids import Grid
+from selflow.initial import vortex_director
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 REL_TOL = 1e-12
@@ -119,26 +121,48 @@ track.budget = true
 out.checkpoint_every = 5
 """),
 }
-DIAGNOSE_ARGS = ["--pohozaev", "--defects", "--pairings"]
-ALL_CASES = tuple(CASES) + ("diagnose",)
+
+
+def _periodic_snapshot(out: Path) -> Path:
+    """The d_final snapshot of ``simulate_periodic``, run first when ``out``
+    does not hold it yet."""
+    snap = out / "simulate_periodic" / "d_final.fld"
+    if not snap.exists():
+        run_case("simulate_periodic", out)
+    return snap
+
+
+def _bounded_vortex_snapshot(out: Path) -> Path:
+    """An off-center vortex on a bounded 32x32 grid: its defect scan has a
+    hit, so the printed centers and energies are covered."""
+    grid = Grid(32, 32, bc_velocity="noslip", bc_director="neumann")
+    snap = out / "bounded_vortex.fld"
+    write_snapshot(snap, Field(grid, vortex_director(grid, 0.4, 0.55, 2 * grid.hx), "neumann"))
+    return snap
+
+
+# diagnose case -> (snapshot builder, flags)
+DIAGNOSE_CASES = {
+    "diagnose": (_periodic_snapshot, ["--pohozaev", "--defects", "--pairings"]),
+    "diagnose_bounded_vortex": (_bounded_vortex_snapshot, ["--defects"]),
+}
+ALL_CASES = tuple(CASES) + tuple(DIAGNOSE_CASES)
 
 _NUM = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
 
 def run_case(case: str, out: Path) -> Path:
     """Run ``case`` under ``out`` and return the directory of its artifacts.
-    ``diagnose`` reads the d_final snapshot of ``simulate_periodic``, which
-    it runs first when ``out`` does not hold it yet."""
-    if case == "diagnose":
-        snap = out / "simulate_periodic" / "d_final.fld"
-        if not snap.exists():
-            run_case("simulate_periodic", out)
+    A diagnose case prints its report on the snapshot its builder makes."""
+    if case in DIAGNOSE_CASES:
+        build, flags = DIAGNOSE_CASES[case]
+        snap = build(out)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = main(["diagnose", str(snap)] + DIAGNOSE_ARGS)
+            code = main(["diagnose", str(snap)] + flags)
         if code != 0:
-            raise RuntimeError(f"diagnose exited {code}")
-        run_dir = out / "diagnose"
+            raise RuntimeError(f"{case}: diagnose exited {code}")
+        run_dir = out / case
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "stdout.txt").write_text(buf.getvalue(), encoding="utf-8")
         return run_dir
