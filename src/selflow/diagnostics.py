@@ -449,35 +449,74 @@ def local_energy(
     return float(np.sum(e * grid.quad_weights() * mask))
 
 
-# centers per evaluation chunk of the defect scan: bounds the unpacked masks
-# and their product with the energy to a few hundred kB on 64^2
-_SCAN_CHUNK = 8
+# nodes per verify chunk of the defect scan: bounds the candidates' masks
+# and their product with the energy to about 1 MB
+_VERIFY_NODES = 2**17
 
 
-def _scan_masks(grid: Grid, r: float, stride: int) -> tuple[list[tuple[float, float]], np.ndarray]:
-    """Scan centers of the defect lattice and their ball masks, cached on the
-    grid per (r, stride).
+def _ball_energy_bound(e_w: np.ndarray, grid: Grid, r: float) -> np.ndarray:
+    """Upper bound, at every node, on the weighted energy of the ball of
+    radius r centered there: the circular convolution of ``e_w`` >= 0 with
+    the disk kernel K of lattice offsets min(k, n - k) h whose length is at
+    most r + 1e-9 max(lx, ly).
 
-    Centers are every stride-th node in row-major order; bounded grids keep
-    only those whose ball fits inside the domain.  Row c of the packed array
-    is ``np.packbits`` of the node mask ``_wrapped_dist_sq <= r**2`` of
-    center c (one bit per node, 0.5 MB for 1024 centers on 64^2).  Masks
-    are built one center at a time to keep the transient memory flat.
+    A node of the ball at lattice offset (a, b) from its center falls on
+    kernel index (a mod nx, b mod ny), whose offset is no longer, so the
+    kernel holds it.  On bounded grids the circular sum also counts nodes
+    across the opposite wall, which only adds nonnegative terms.  The
+    inflation covers the rounding of the node coordinates (about 1e-16 l)
+    in the exact predicate.  A non-finite e_w gives a NaN bound, quietly.
     """
-    key = ("defect_scan", r, stride)
-    if key not in grid._cache:
-        xs, ys = grid.x, grid.y
-        scan = [
-            (float(xs[i]), float(ys[j]))
-            for i in range(0, grid.nx, stride)
-            for j in range(0, grid.ny, stride)
-            if grid.periodic or grid.contains_ball(xs[i], ys[j], r, margin_cells=0)
-        ]
-        packed = np.empty((len(scan), (grid.nx * grid.ny + 7) // 8), dtype=np.uint8)
-        for c, (x0, y0) in enumerate(scan):
-            packed[c] = np.packbits(_wrapped_dist_sq(grid, x0, y0) <= r**2)
-        grid._cache[key] = (scan, packed)
-    return grid._cache[key]
+    ox = np.minimum(np.arange(grid.nx), grid.nx - np.arange(grid.nx)) * grid.hx
+    oy = np.minimum(np.arange(grid.ny), grid.ny - np.arange(grid.ny)) * grid.hy
+    rk = r + 1e-9 * max(grid.lx, grid.ly)
+    kernel = (ox[:, None] ** 2 + oy[None, :] ** 2 <= rk * rk).astype(float)
+    with np.errstate(invalid="ignore"):
+        return np.fft.irfft2(np.fft.rfft2(e_w) * np.fft.rfft2(kernel), s=e_w.shape)
+
+
+def _bound_margin(e_w: np.ndarray) -> float:
+    """Rounding margin of :func:`_ball_energy_bound`: 1e-9 sum(e_w), plus
+    the smallest normal float, as the FFT does not keep subnormal values."""
+    return 1e-9 * float(np.sum(e_w)) + np.finfo(float).tiny
+
+
+def _window(centers: np.ndarray, n: int, half: int, periodic: bool) -> np.ndarray:
+    """Node indices along one axis, shape (len(centers), width), of a window
+    around each center holding every node within ``half`` cells of it (all
+    n nodes when the window would wrap onto itself)."""
+    if 2 * half + 1 >= n:
+        return np.broadcast_to(np.arange(n), (len(centers), n))
+    idx = centers[:, None] + np.arange(-half, half + 1)
+    return idx % n if periodic else np.clip(idx, 0, n - 1)
+
+
+def _exact_ball_energies(e_w: np.ndarray, grid: Grid, r: float,
+                         ci: np.ndarray, cj: np.ndarray) -> np.ndarray:
+    """sum(e_w * mask) of each center (x[ci], y[cj]), mask the predicate
+    ``_wrapped_dist_sq <= r**2``, evaluated on a window around the center
+    and written into a zeroed full-size row.
+
+    Each row sum is the same pairwise summation over the same full-length
+    array as np.sum(e_w * mask), so energies, threshold tests and tie order
+    match the per-center definition bit for bit.  A sum over the in-ball
+    nodes only would reorder exact ties of symmetric fields.
+    """
+    xs, ys = grid.x, grid.y
+    wi = _window(ci, grid.nx, int(r / grid.hx) + 1, grid.periodic)
+    wj = _window(cj, grid.ny, int(r / grid.hy) + 1, grid.periodic)
+    flat = e_w.ravel()
+    out = np.empty(len(ci))
+    step = max(1, _VERIFY_NODES // flat.size)
+    for c in range(0, len(ci), step):
+        sl = slice(c, c + step)
+        dx, dy = _min_image(grid, xs[wi[sl]] - xs[ci[sl], None], ys[wj[sl]] - ys[cj[sl], None])
+        m = len(dx)
+        masks = np.zeros((m, grid.nx, grid.ny), dtype=bool)
+        masks[np.arange(m)[:, None, None], wi[sl, :, None], wj[sl, None, :]] = (
+            dx[:, :, None] ** 2 + dy[:, None, :] ** 2 <= r**2)
+        out[sl] = np.sum(flat * masks.reshape(m, -1), axis=1)
+    return out
 
 
 @dataclass
@@ -505,46 +544,68 @@ def defect_detect(
     bc: str | None = None,
     stride: int = 2,
 ) -> DefectReport:
-    """Scan a coarse lattice of centers, flag local energies above the
-    threshold, and merge overlapping hits by greedy non-maximum suppression
-    (deterministic; larger thresholds give subsets).  On periodic grids r
-    may reach half the shorter period."""
+    """Scan a coarse lattice of centers (every stride-th node; on bounded
+    grids only those whose ball fits inside the domain), flag local
+    energies above the threshold, and merge overlapping hits by greedy
+    non-maximum suppression (deterministic; larger thresholds give
+    subsets).  On periodic grids r may reach half the shorter period; on
+    bounded grids a radius that no scan center holds is a GeometryError.
+
+    Bound, then verify.  The weighted energy density e_w is nonnegative, so
+    one FFT convolution with a slightly inflated disk kernel bounds the
+    energy of every ball from above (:func:`_ball_energy_bound`).  A center
+    whose bound plus the rounding margin 1e-9 sum(e_w) (at least the
+    smallest normal float) is at most ``delta0_sq`` cannot be a hit and is
+    skipped; the margin covers the FFT's rounding error, measured below
+    1e-15 sum(e_w) per entry up to 128^2 at half a period, and the
+    subnormal values the FFT drops.  Every other center (a NaN bound
+    included) is summed exactly by :func:`_exact_ball_energies`, so the
+    result is the per-center definition's bit for bit.  The scan keeps no
+    state between calls.
+    """
     _check_radius(r, grid)
     if bc is None:
         bc = grid.bc_director
+    ci, cj = (a.ravel() for a in np.meshgrid(np.arange(0, grid.nx, stride),
+                                             np.arange(0, grid.ny, stride), indexing="ij"))
+    if not grid.periodic:
+        held = grid.contains_ball(grid.x[ci], grid.y[cj], r, margin_cells=0)
+        ci, cj = ci[held], cj[held]
+        if not ci.size:
+            raise GeometryError(f"no scan center (stride {stride}) holds a ball of "
+                                f"radius {r!r} inside the bounded domain")
     e_w = _energy_density(d, grid, eps, bc) * grid.quad_weights()
-    scan, packed = _scan_masks(grid, r, stride)
+    bound = _ball_energy_bound(e_w, grid, r)[ci, cj]
+    cand = np.flatnonzero(~(bound + _bound_margin(e_w) <= delta0_sq))
+    energies = _exact_ball_energies(e_w, grid, r, ci[cand], cj[cand])
 
-    # Each row sum is the same pairwise summation over the same full-length
-    # array as np.sum(e_w * mask), so energies, threshold tests and tie order
-    # match the per-center definition bit for bit.  A sum over the in-ball
-    # nodes only would reorder exact ties of symmetric fields.
-    flat = e_w.ravel()
-    energies = np.empty(len(scan))
-    for c in range(0, len(scan), _SCAN_CHUNK):
-        masks = np.unpackbits(packed[c:c + _SCAN_CHUNK], axis=1, count=flat.size).view(bool)
-        energies[c:c + _SCAN_CHUNK] = np.sum(flat * masks, axis=1)
-
-    hits = [(float(energies[c]), *scan[c]) for c in np.flatnonzero(energies > delta0_sq)]
-    hits.sort(key=lambda t: (-t[0], t[1], t[2]))
+    # greedy suppression: the strongest hit left (ties by x, then y) is a
+    # center, and every hit within 2r of it is dropped
+    hit = energies > delta0_sq
+    e, x, y = energies[hit], grid.x[ci[cand][hit]], grid.y[cj[cand][hit]]
+    order = np.lexsort((y, x, -e))
+    e, x, y = e[order], x[order], y[order]
+    alive = np.ones(e.size, dtype=bool)
     centers: list[tuple[float, float, float]] = []
-    for energy, x0, y0 in hits:
-        clash = False
-        for cx, cy, _ in centers:
-            dx, dy = _min_image(grid, x0 - cx, y0 - cy)
-            if dx * dx + dy * dy <= (2.0 * r) ** 2:
-                clash = True
-                break
-        if not clash:
-            centers.append((x0, y0, energy))
+    for k in range(e.size):
+        if alive[k]:
+            centers.append((float(x[k]), float(y[k]), float(e[k])))
+            dx, dy = _min_image(grid, x - x[k], y - y[k])
+            alive &= dx * dx + dy * dy > (2.0 * r) ** 2
     return DefectReport(r=r, delta0_sq=delta0_sq, centers=centers)
 
 
 def default_defect_radius(grid: Grid) -> float:
     """Default defect-scan radius: 8h, capped on periodic grids at half the
-    shorter period (the largest ball that does not overlap itself)."""
+    shorter period (the largest ball that does not overlap itself), and on
+    bounded grids at the largest radius whose ball some center of the
+    default scan (stride 2) holds inside the domain."""
     r = 8.0 * max(grid.hx, grid.hy)
-    return min(r, _half_period(grid)) if grid.periodic else r
+    if grid.periodic:
+        return min(r, _half_period(grid))
+    xs, ys = grid.x[::2], grid.y[::2]
+    return min(r, float(np.max(np.minimum(xs, grid.lx - xs))),
+               float(np.max(np.minimum(ys, grid.ly - ys))))
 
 
 def default_defect_threshold(grid: Grid, eps: float, r: float | None = None) -> float:

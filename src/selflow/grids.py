@@ -109,12 +109,13 @@ class Grid:
 
     def contains_ball(self, x0: float, y0: float, r: float, margin_cells: int = 1) -> bool:
         """True if the closed ball B_r(x0, y0) sits inside the domain with a
-        margin of ``margin_cells`` grid cells on every side."""
+        margin of ``margin_cells`` grid cells on every side; elementwise
+        for arrays of centers."""
         mx = margin_cells * self.hx
         my = margin_cells * self.hy
         return (
-            x0 - r >= mx
-            and x0 + r <= self.lx - mx
-            and y0 - r >= my
-            and y0 + r <= self.ly - my
+            (x0 - r >= mx)
+            & (x0 + r <= self.lx - mx)
+            & (y0 - r >= my)
+            & (y0 + r <= self.ly - my)
         )

@@ -339,6 +339,26 @@ class TestDiagnose:
         assert main(["diagnose", periodic_snap(12), "--defects"]) == 0
         assert "(r = 0.5," in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [[], ["--threshold", "0.1"]],
+                             ids=["default-threshold", "given-threshold"])
+    def test_bounded_ball_no_scan_center_holds_rejected(self, vortex_snap, capsys, extra):
+        # r = 0.6 exceeds half the unit square: no scan center holds the ball
+        assert main(["diagnose", vortex_snap, "--defects", "--radius", "0.6"] + extra) == 1
+        captured = capsys.readouterr()
+        assert "no scan center" in captured.err
+        assert "defects:" not in captured.out
+
+    def test_default_defect_radius_capped_on_small_bounded_grid(self, tmp_path, capsys):
+        # 8h = 8/15 on a bounded 16^2 grid; the scan node 8/15 holds 7/15
+        grid = Grid(16, 16, bc_velocity="noslip", bc_director="neumann")
+        snap = tmp_path / "bounded16.fld"
+        write_snapshot(snap, Field(grid, vortex_director(grid, 0.5, 0.5, 2 * grid.hx), "neumann"))
+        assert main(["diagnose", str(snap), "--defects"]) == 0
+        out = capsys.readouterr().out
+        r = float(out.split("(r = ")[1].split(",")[0])
+        assert r == pytest.approx(7 / 15, rel=1e-15)
+        assert "defects: count = 1" in out
+
     def test_velocity_snapshot_rejected(self, tmp_path):
         grid = Grid(16, 16)
         snap = tmp_path / "u.fld"

@@ -392,12 +392,37 @@ class TestPeriodicRadius:
         (Grid(12, 12), 0.5),
         (Grid(12, 24, ly=2.0), 0.5),
         (Grid(40, 10, lx=1.3, ly=0.35), 0.175),
-        (Grid(8, 8, bc_velocity="noslip", bc_director="neumann"), 8 / 7),
+        # 8h = 8/7 exceeds the domain; the scan node 4/7 holds a ball of 3/7
+        (Grid(8, 8, bc_velocity="noslip", bc_director="neumann"), 3 / 7),
     ], ids=["32", "12", "12x24", "40x10", "bounded8"])
     def test_default_radius(self, grid, r):
         assert default_defect_radius(grid) == pytest.approx(r, rel=1e-15)
         if grid.periodic:
             default_defect_threshold(grid, 0.2)  # the default ball is accepted
+
+
+class TestBoundedRadius:
+    """On bounded grids the scan refuses a ball that no scan center holds,
+    and the default radius is one that some scan center holds."""
+
+    def test_ball_no_center_holds_rejected(self, grid_bounded):
+        d = vortex_director(grid_bounded, 0.5, 0.5, 2 * grid_bounded.hx)
+        with pytest.raises(GeometryError, match="no scan center"):
+            defect_detect(d, grid_bounded, 0.2, 0.6, 0.1)
+
+    @pytest.mark.parametrize("nx", [4, 5, 6, 7, 8, 13, 16, 17, 33])
+    @pytest.mark.parametrize("ny, ly, bc", [(4, 1.0, "neumann"), (9, 0.7, "dirichlet"),
+                                            (16, 1.0, "neumann"), (21, 2.3, "dirichlet")])
+    def test_default_radius_is_held(self, nx, ny, ly, bc):
+        grid = Grid(nx, ny, lx=1.3, ly=ly, bc_velocity="noslip", bc_director=bc)
+        r = default_defect_radius(grid)
+        assert 0.0 < r <= 8.0 * max(grid.hx, grid.hy)
+        d = vortex_director(grid, 0.5 * grid.lx, 0.5 * grid.ly, 2 * grid.hx)
+        rep = defect_detect(d, grid, 0.2, r, -1.0)
+        assert rep.count >= 1  # a negative threshold makes every scan center a hit
+        # no larger ball fits around a scan center
+        with pytest.raises(GeometryError):
+            defect_detect(d, grid, 0.2, r * (1.0 + 1e-12), -1.0)
 
 
 class TestDefects:
@@ -482,20 +507,28 @@ def per_center_defect_detect(d, grid, eps, r, delta0_sq, bc=None, stride=2):
 
 def mean_ball_energy(d, grid, eps, r):
     """Total relaxation energy times the ball's area fraction: the average
-    local energy over scan centers, so fractions of it give mixed hit sets."""
+    local energy over scan centers, so fractions of it give mixed hit sets
+    (non-finite nodes left out)."""
     from selflow.diagnostics import _energy_density
 
-    e = _energy_density(d, grid, eps, grid.bc_director)
-    return float(np.sum(e * grid.quad_weights())) * np.pi * r**2 / grid.area
+    e = _energy_density(d, grid, eps, grid.bc_director) * grid.quad_weights()
+    return float(np.sum(e[np.isfinite(e)])) * np.pi * r**2 / grid.area
 
 
 def scan_fields(grid):
-    # the noisy director is off the sphere, so the penalty term counts too
+    # the noisy director is off the sphere, so the penalty term counts too;
+    # one NaN node makes every ball's exact energy NaN (NaN * 0 = NaN), and
+    # an infinite one leaves inf on the balls that hold every inf node
     rng = np.random.default_rng(7)
+    nan, inf = smooth_unit_director(grid, 0.4), smooth_unit_director(grid, 0.4)
+    nan[1, grid.nx // 3, grid.ny // 2] = np.nan
+    inf[1, grid.nx // 3, grid.ny // 2] = np.inf
     return {
         "smooth": smooth_unit_director(grid, 0.4),
         "vortex": vortex_director(grid, 0.37 * grid.lx, 0.61 * grid.ly, 2 * grid.hx),
         "noisy": smooth_unit_director(grid, 0.4) + 0.3 * rng.standard_normal((3, grid.nx, grid.ny)),
+        "nan": nan,
+        "inf": inf,
     }
 
 
@@ -503,20 +536,27 @@ SCAN_GRIDS = {
     "periodic64": Grid(64, 64),
     "periodic48x40": Grid(48, 40, ly=1.3),
     "periodic33x31": Grid(33, 31, lx=1.7),
+    # 8h is half the period: the verify window must reach the +-n/2 node
+    "periodic16": Grid(16, 16),
     "bounded32": Grid(32, 32, bc_velocity="noslip", bc_director="neumann"),
     "bounded41x37": Grid(41, 37, bc_velocity="noslip", bc_director="neumann"),
+    # lx != ly; 8h does not fit, so the default radius is capped
+    "dirichlet25x20": Grid(25, 20, lx=1.3, ly=0.9, bc_velocity="noslip",
+                           bc_director="dirichlet"),
 }
 
 
+# inf * 0 in the exact sums of the "inf" scan field, in the scan as in the reference
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 class TestDefectScanEquivalence:
-    """The cached, vectorized scan reproduces the per-center definition
-    bit for bit: counts, centers, energies and the suppression order."""
+    """The bound-then-verify scan reproduces the per-center definition bit
+    for bit: counts, centers, energies and the suppression order."""
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(SCAN_GRIDS))
     def test_equals_per_center_scan(self, name, stride):
         grid = SCAN_GRIDS[name]
-        r = 8 * max(grid.hx, grid.hy)
+        r = default_defect_radius(grid)
         for d in scan_fields(grid).values():
             base = mean_ball_energy(d, grid, 0.2, r)
             for q in (0.5, 0.8, 1.0):
@@ -524,6 +564,28 @@ class TestDefectScanEquivalence:
                 rep = defect_detect(d, grid, 0.2, r, thr, stride=stride)
                 assert rep.centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=stride)
                 assert rep.r == r and rep.delta0_sq == thr
+
+    @pytest.mark.parametrize("cells", [5.0, 3.3])
+    @pytest.mark.parametrize("name", sorted(SCAN_GRIDS))
+    def test_equals_per_center_scan_at_smaller_radii(self, name, cells):
+        grid = SCAN_GRIDS[name]
+        r = cells * max(grid.hx, grid.hy)
+        for d in scan_fields(grid).values():
+            base = mean_ball_energy(d, grid, 0.2, r)
+            for q in (0.5, 1.0):
+                rep = defect_detect(d, grid, 0.2, r, q * base)
+                assert rep.centers == per_center_defect_detect(d, grid, 0.2, r, q * base)
+
+    @pytest.mark.parametrize("thr", [-1.0, 0.0])
+    @pytest.mark.parametrize("name", sorted(SCAN_GRIDS))
+    def test_equals_per_center_scan_at_thresholds_up_to_zero(self, name, thr):
+        # -1: every center is a hit; 0: the zero energy of a constant director is none
+        grid = SCAN_GRIDS[name]
+        r = default_defect_radius(grid)
+        fields = dict(scan_fields(grid), constant=constant_director(grid, (0, 0, 1)))
+        for d in fields.values():
+            rep = defect_detect(d, grid, 0.2, r, thr, stride=3)
+            assert rep.centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=3)
 
     def test_symmetric_ties_keep_their_order(self):
         # exact energy ties of the symmetric smooth director: a sum over the
@@ -565,27 +627,138 @@ class TestDefectScanEquivalence:
         rep = defect_detect(d, grid, 0.2, r, thr, stride=stride)
         assert rep.centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=stride)
 
-    def test_masks_built_once_per_grid_radius_and_stride(self, monkeypatch):
+    @settings(max_examples=20, deadline=None)
+    @given(
+        x0=st.floats(0.05, 0.95),
+        y0=st.floats(0.05, 0.95),
+        core=st.floats(0.01, 0.2),
+        q=st.floats(0.2, 3.0),
+        stride=st.integers(1, 3),
+        kind=st.sampled_from(["periodic", "neumann", "dirichlet"]),
+    )
+    def test_random_vortex(self, x0, y0, core, q, stride, kind):
+        # hit-heavy: many centers pass the bound and are verified exactly
+        grid = (Grid(20, 18, lx=1.2) if kind == "periodic" else
+                Grid(20, 18, lx=1.2, bc_velocity="noslip", bc_director=kind))
+        d = vortex_director(grid, x0 * grid.lx, y0 * grid.ly, core)
+        r = 4 * max(grid.hx, grid.hy)
+        thr = q * mean_ball_energy(d, grid, 0.2, r)
+        rep = defect_detect(d, grid, 0.2, r, thr, stride=stride)
+        assert rep.centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=stride)
+
+
+BOUND_GRIDS = [
+    Grid(16, 16),
+    Grid(20, 14, lx=1.3, ly=0.9),
+    Grid(17, 16, bc_velocity="noslip", bc_director="neumann"),
+    Grid(20, 14, lx=1.3, ly=0.9, bc_velocity="noslip", bc_director="dirichlet"),
+]
+
+
+class TestBallEnergyBound:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        grid=st.sampled_from(BOUND_GRIDS),
+        cells=st.sampled_from([8.0, 5.0, 3.3, None]),
+    )
+    def test_bound_holds_at_every_node(self, data, grid, cells):
+        # None: half the shorter side (the half period on periodic grids)
+        from selflow.diagnostics import _ball_energy_bound, _bound_margin, _wrapped_dist_sq
+
+        e_w = data.draw(arrays(np.float64, (grid.nx, grid.ny), elements=st.floats(0.0, 1e3)))
+        r = 0.5 * min(grid.lx, grid.ly) if cells is None else cells * max(grid.hx, grid.hy)
+        bound = _ball_energy_bound(e_w, grid, r) + _bound_margin(e_w)
+        for i, x0 in enumerate(grid.x):
+            for j, y0 in enumerate(grid.y):
+                exact = np.sum(e_w * (_wrapped_dist_sq(grid, x0, y0) <= r**2))
+                assert exact <= bound[i, j]
+
+    @pytest.mark.parametrize("grid", BOUND_GRIDS, ids=["periodic", "periodic-lxly",
+                                                       "bounded", "dirichlet-lxly"])
+    def test_bound_holds_for_subnormal_energy(self, grid):
+        # the FFT drops a lone subnormal value; the margin's floor keeps the bound
+        from selflow.diagnostics import _ball_energy_bound, _bound_margin, _wrapped_dist_sq
+
+        e_w = np.zeros((grid.nx, grid.ny))
+        e_w[grid.nx // 2, grid.ny // 3] = 5e-324
+        r = 3.3 * max(grid.hx, grid.hy)
+        bound = _ball_energy_bound(e_w, grid, r) + _bound_margin(e_w)
+        for i, x0 in enumerate(grid.x):
+            for j, y0 in enumerate(grid.y):
+                assert np.sum(e_w * (_wrapped_dist_sq(grid, x0, y0) <= r**2)) <= bound[i, j]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), grid=st.sampled_from(BOUND_GRIDS))
+    def test_bound_is_tight_off_the_walls(self, data, grid):
+        # the circular sum counts the ball's nodes alone on periodic grids,
+        # and on bounded grids when e_w vanishes within r of the walls; at
+        # 3.3 cells no lattice distance ties with r, so the bound is then the
+        # exact energy up to rounding.  A kernel shifted by one node fails.
+        from selflow.diagnostics import _ball_energy_bound, _bound_margin, _wrapped_dist_sq
+
+        e_w = data.draw(arrays(np.float64, (grid.nx, grid.ny), elements=st.floats(0.0, 1e3)))
+        r = 3.3 * max(grid.hx, grid.hy)
+        if not grid.periodic:
+            k = int(r / min(grid.hx, grid.hy)) + 1
+            e_w[:k], e_w[-k:], e_w[:, :k], e_w[:, -k:] = 0.0, 0.0, 0.0, 0.0
+        margin = _bound_margin(e_w)
+        bound = _ball_energy_bound(e_w, grid, r)
+        for i, x0 in enumerate(grid.x):
+            for j, y0 in enumerate(grid.y):
+                exact = np.sum(e_w * (_wrapped_dist_sq(grid, x0, y0) <= r**2))
+                assert abs(bound[i, j] - exact) <= margin
+
+
+class TestDefectScanCost:
+    """The scan sums exactly only the centers its bound cannot rule out, and
+    keeps no state between calls."""
+
+    @staticmethod
+    def _verified(monkeypatch):
         import selflow.diagnostics as dg
 
-        builds = []
-        real = dg._wrapped_dist_sq
+        seen = []
+        real = dg._exact_ball_energies
 
-        def counting(grid, x0, y0):
-            builds.append((x0, y0))
-            return real(grid, x0, y0)
+        def counting(e_w, grid, r, ci, cj):
+            seen.extend(zip(ci.tolist(), cj.tolist()))
+            return real(e_w, grid, r, ci, cj)
 
-        monkeypatch.setattr(dg, "_wrapped_dist_sq", counting)
+        monkeypatch.setattr(dg, "_exact_ball_energies", counting)
+        return seen
+
+    @pytest.mark.parametrize("name", ["periodic48x40", "bounded32"])
+    def test_threshold_above_every_bound_builds_no_mask(self, monkeypatch, name):
+        from selflow.diagnostics import _energy_density
+
+        grid = SCAN_GRIDS[name]
+        seen = self._verified(monkeypatch)
+        d = scan_fields(grid)["vortex"]
+        # no ball holds more than the whole energy
+        total = np.sum(_energy_density(d, grid, 0.2, grid.bc_director) * grid.quad_weights())
+        assert defect_detect(d, grid, 0.2, default_defect_radius(grid), 1.01 * total).count == 0
+        assert seen == []
+
+    @pytest.mark.parametrize("name", ["periodic48x40", "bounded32"])
+    def test_negative_threshold_verifies_each_center_once(self, monkeypatch, name):
+        grid = SCAN_GRIDS[name]
+        seen = self._verified(monkeypatch)
+        r = default_defect_radius(grid)
+        rep = defect_detect(scan_fields(grid)["smooth"], grid, 0.2, r, -1.0)
+        centers = [(i, j) for i in range(0, grid.nx, 2) for j in range(0, grid.ny, 2)
+                   if grid.periodic or grid.contains_ball(grid.x[i], grid.y[j], r, 0)]
+        assert sorted(seen) == centers
+        assert rep.count > 0
+
+    def test_scan_writes_nothing_to_the_grid_cache(self):
         grid = Grid(32, 32)
-        d = smooth_unit_director(grid, 0.4)
-        r = 8 * grid.hx
-        first = defect_detect(d, grid, 0.2, r, 0.0, stride=2)
-        assert len(builds) == 16 * 16
-        again = defect_detect(smooth_unit_director(grid, 0.2), grid, 0.1, r, 0.0, stride=2)
-        assert len(builds) == 16 * 16
-        assert first.count > 0 and again.count > 0
-        defect_detect(d, grid, 0.2, r, 0.0, stride=3)
-        assert len(builds) == 16 * 16 + 11 * 11
+        grid.quad_weights()
+        before = dict(grid._cache)
+        for name in ("smooth", "vortex", "noisy"):
+            defect_detect(scan_fields(grid)[name], grid, 0.2, default_defect_radius(grid), 0.0)
+        assert grid._cache.keys() == before.keys()
+        assert all(grid._cache[k] is v for k, v in before.items())
 
 
 class TestEpsilonSweep:
