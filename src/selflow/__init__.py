@@ -23,7 +23,6 @@ from .pathrun import PathResult, PathSeries, simulate_path
 from .diagnostics import (
     DefectReport,
     PohozaevReport,
-    SweepResult,
     WeakFormTracker,
     defect_detect,
     energy_budget_residual,
@@ -32,7 +31,7 @@ from .diagnostics import (
     pohozaev_residual,
     stress_pairing,
 )
-from .ensemble import EnsembleStats, coupled_sweep, run_ensemble, run_path
+from .ensemble import EnsembleStats, SweepResult, coupled_sweep, run_ensemble, run_path
 from .config import ConfigError, RunConfig, canonical_dump, parse_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -96,8 +96,7 @@ def _write_manifest(run_dir: Path, cfg: RunConfig, seeds: list[int], extra: dict
     (run_dir / "config.cfg").write_text(canonical_dump(cfg), encoding="utf-8")
 
 
-def _write_series_csv(path: Path, series, extra_cols: dict | None = None) -> None:
-    cols = {**series.columns, **(extra_cols or {})}
+def _write_columns_csv(path: Path, cols: dict) -> None:
     np.savetxt(path, np.column_stack(list(cols.values())), delimiter=",",
                header=",".join(cols), comments="")
 
@@ -110,7 +109,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         extra = {}
         if cfg.track_budget:
             extra["budget_residual"] = budget_residual_series(result.series, build_params(cfg, grid))
-        _write_series_csv(run_dir / "energy.csv", result.series, extra)
+        _write_columns_csv(run_dir / "energy.csv", {**result.series.columns, **extra})
         write_snapshot(run_dir / "u_final.fld", Field(grid, result.state.u, grid.bc_velocity))
         write_snapshot(run_dir / "d_final.fld", Field(grid, result.state.d, grid.bc_director))
         if result.weak_tracker is not None:
@@ -143,8 +142,9 @@ def cmd_ensemble(cfg: RunConfig, threads: int) -> int:
                    delimiter=",", header=",".join(header), comments="")
         paths_dir = run_dir / "paths"
         paths_dir.mkdir(exist_ok=True)
-        for i, series in enumerate(result.series):
-            _write_series_csv(paths_dir / f"path_{i:03d}.csv", series)
+        for i in range(cfg.paths):
+            _write_columns_csv(paths_dir / f"path_{i:03d}.csv",
+                               {name: col[i] for name, col in result.series.columns.items()})
         m1, ci1 = stats.ledger_ci("ledger1")
         m2, ci2 = stats.ledger_ci("ledger2")
         print(f"ensemble: {cfg.paths} paths, ledger1 = {m1:.3e} (3se {ci1:.3e}), "
@@ -156,25 +156,24 @@ def cmd_sweep(cfg: RunConfig, threads: int) -> int:
     result = coupled_sweep(cfg, threads)
     with _run_dir(cfg, "sweep") as run_dir:
         _write_manifest(run_dir, cfg, result.seeds, {"eps_list": cfg.sweep_eps})
-        first = result.per_path[0]
         with open(run_dir / "sweep.csv", "w", encoding="utf-8") as fh:
             head = "path,eps,t,penalty,dev_norm,defect_count," + ",".join(
                 f"pairing_{n}" for n in result.phi_names
             )
             fh.write(head + "\n")
-            for p, sweep in enumerate(result.per_path):
-                for a, eps in enumerate(sweep.eps_list):
-                    for c, t in enumerate(sweep.times):
-                        row = [p, eps, t, sweep.penalty[a, c], sweep.dev_norm[a, c],
-                               sweep.defect_count[a, c]] + list(sweep.pairings[a, c])
+            for p in range(cfg.paths):
+                for a, eps in enumerate(result.eps_list):
+                    for c, t in enumerate(result.times):
+                        row = [p, eps, t, result.penalty[p, a, c], result.dev_norm[p, a, c],
+                               result.defect_count[p, a, c]] + list(result.pairings[p, a, c])
                         fh.write(",".join(repr(float(v)) for v in row) + "\n")
         with open(run_dir / "cauchy.csv", "w", encoding="utf-8") as fh:
             fh.write("eps_hi,eps_lo," + ",".join(result.phi_names) + "\n")
             for gap in range(result.cauchy_mean.shape[0]):
                 row = result.eps_list[gap:gap + 2] + list(result.cauchy_mean[gap])
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        print(f"sweep: eps {result.eps_list}, sup penalty per eps "
-              f"{[float(s) for s in first.sup_penalty]}")
+        print(f"sweep: eps {result.eps_list}, sup penalty per eps "  # of path 0
+              f"{[float(s) for s in result.penalty[0].max(axis=1)]}")
     return EXIT_OK
 
 
@@ -183,6 +182,8 @@ def cmd_diagnose(args) -> int:
     if f.k != 3:
         print("diagnose: snapshot must hold a 3-component director", file=sys.stderr)
         return EXIT_VALIDATION
+    if not np.all(np.isfinite(f.values)):
+        raise ValueError("diagnose: snapshot holds non-finite values")
     grid = f.grid
     eps = args.eps
     did_something = False

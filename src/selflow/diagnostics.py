@@ -1,10 +1,10 @@
 """Verifiable identities: energy budget, pointwise algebra, multiplier
 (Pohozaev-type) residuals, defect detection, stress pairings, weak-form
-residuals, and the per-path record of the coupled relaxation-parameter
-sweep.
+residuals, and the expectation-level growth check on an ensemble's
+checkpoint table.
 
 All diagnostics are pure functions of their inputs; runs, ensembles and
-the sweep itself are orchestrated in :mod:`selflow.ensemble`.
+the sweep, with its record, are orchestrated in :mod:`selflow.ensemble`.
 """
 
 from __future__ import annotations
@@ -22,27 +22,6 @@ from .noise import MagneticField, NoiseOperatorS
 # simulate_path is unused here; perfbench's tracer test still looks up this alias
 from .pathrun import PathSeries, simulate_path  # noqa: F401
 
-__all__ = [
-    "energy_budget_residual",
-    "budget_residual_series",
-    "triple_product_defects",
-    "sphere_generator_drift",
-    "ericksen_tensor",
-    "traceless_stress",
-    "stress_pairing",
-    "WeakFormTracker",
-    "PohozaevReport",
-    "pohozaev_residual",
-    "GeometryError",
-    "local_energy",
-    "DefectReport",
-    "defect_detect",
-    "default_defect_threshold",
-    "SweepResult",
-    "GronwallReport",
-    "gronwall_bound_check",
-]
-
 
 class GeometryError(ValueError):
     """Ball not contained in the domain with the required margin."""
@@ -52,8 +31,22 @@ class GeometryError(ValueError):
 # energy budget
 # ---------------------------------------------------------------------------
 
-def energy_budget_residual(series: PathSeries, params: Params, i_a: int = 0, i_b: int = -1) -> float:
-    """Defect of the stochastic energy identity over [t_a, t_b].
+def energy_budget_residual(series: PathSeries, params: Params) -> float:
+    """Defect of the stochastic energy identity over [0, T] of one path: the
+    last entry of :func:`budget_residual_series` less its first."""
+    res = budget_residual_series(series, params)
+    return float(res[-1] - res[0])
+
+
+def _plus_dissipated(x, int_diss_u, int_diss_d, params: Params):
+    """x + mu * int ||grad u||^2 + lam*gamma * int ||lap d - f||^2, summed
+    left to right: an energy term plus the energy dissipated up to then."""
+    return x + params.mu * int_diss_u + params.lam * params.gamma * int_diss_d
+
+
+def budget_residual_series(series: PathSeries, params: Params) -> np.ndarray:
+    """Defect of the stochastic energy identity over [t_a, t_b], with t_a = 0
+    and t_b each checkpoint of one path.
 
     residual = [E(t_b) - E(t_a)]
              + mu * int ||grad u||^2 + lam*gamma * int ||lap d - f||^2
@@ -66,22 +59,8 @@ def energy_budget_residual(series: PathSeries, params: Params, i_a: int = 0, i_b
     quadratic variation of the noise.  The ledger2 coefficient follows from
     the chain rule applied to the discrete energy (ledger2 carries a factor
     gamma by its definition); signs are fixed by requiring the zero-noise
-    reduction to balance exactly.  Read from :func:`budget_residual_series`:
-    the residual over [t_a, t_b] is the difference of those from t = 0.
+    reduction to balance exactly.
     """
-    res = budget_residual_series(series, params)
-    return float(res[i_b] - res[i_a])
-
-
-def _plus_dissipated(x, int_diss_u, int_diss_d, params: Params):
-    """x + mu * int ||grad u||^2 + lam*gamma * int ||lap d - f||^2, summed
-    left to right: an energy term plus the energy dissipated up to then."""
-    return x + params.mu * int_diss_u + params.lam * params.gamma * int_diss_d
-
-
-def budget_residual_series(series: PathSeries, params: Params) -> np.ndarray:
-    """Budget residual (see :func:`energy_budget_residual`) from t = 0 to
-    each checkpoint."""
     c = series.columns
 
     def dacc(name):
@@ -624,31 +603,6 @@ def default_defect_threshold(grid: Grid, eps: float, r: float | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# coupled relaxation-parameter sweep record
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SweepResult:
-    """Per-eps, per-checkpoint observables of a shared-noise sweep, plus the
-    Cauchy differences of the stress pairings between consecutive eps."""
-
-    eps_list: list[float]
-    times: np.ndarray
-    phi_names: list[str]
-    penalty: np.ndarray        # (n_eps, n_check)
-    dev_norm: np.ndarray       # (n_eps, n_check)  || |d|^2 - 1 ||
-    defect_count: np.ndarray   # (n_eps, n_check)
-    pairings: np.ndarray       # (n_eps, n_check, n_phi)
-    sup_penalty: np.ndarray    # (n_eps,)
-
-    def cauchy(self, i_check: int = -1) -> np.ndarray:
-        """|pairing(eps_k) - pairing(eps_{k+1})| at one checkpoint,
-        shape (n_eps - 1, n_phi)."""
-        p = self.pairings[:, i_check, :]
-        return np.abs(np.diff(p, axis=0))
-
-
-# ---------------------------------------------------------------------------
 # expectation-level growth check
 # ---------------------------------------------------------------------------
 
@@ -668,9 +622,10 @@ class GronwallReport:
 
 
 def gronwall_bound_check(
-    series_list: list[PathSeries], params: Params, S: NoiseOperatorS, h: MagneticField
+    series: PathSeries, params: Params, S: NoiseOperatorS, h: MagneticField
 ) -> GronwallReport:
-    """Sample-level check of the exponential-in-time energy bound.
+    """Sample-level check of the exponential-in-time energy bound on an
+    ensemble's (paths, n_checkpoints) table.
 
     Per path X(T) = sup_{t<=T} total + mu*int||grad u||^2 + lam*gamma*int
     ||lap d - f||^2 must stay finite; the growth comparison between T/2 and
@@ -680,22 +635,18 @@ def gronwall_bound_check(
     bound).  The p = 2 sample moment is checked finite and stable under
     halving the path count.
     """
-    M = len(series_list)
+    c = series.columns
+    M = c["total"].shape[0]
     if M < 2:
         raise ValueError("need at least 2 paths")
-    t = series_list[0].columns["t"]
+    t = c["t"][0]
     i_half = int(np.searchsorted(t, t[-1] / 2.0))
     i_half = min(max(i_half, 1), len(t) - 1)
 
-    def path_quantity(s: PathSeries, i_end: int) -> float:
-        c = s.columns
-        sup = float(np.max(c["total"][: i_end + 1]))
-        return float(_plus_dissipated(sup, c["int_diss_u"][i_end], c["int_diss_d"][i_end], params))
-
-    x_half = np.array([path_quantity(s, i_half) for s in series_list])
-    x_full = np.array([path_quantity(s, len(t) - 1) for s in series_list])
-    sup_half = np.array([float(np.max(s.columns["total"][: i_half + 1])) for s in series_list])
-    sup_full = np.array([float(np.max(s.columns["total"])) for s in series_list])
+    sup_half = np.max(c["total"][:, : i_half + 1], axis=1)
+    sup_full = np.max(c["total"], axis=1)
+    x_half = _plus_dissipated(sup_half, c["int_diss_u"][:, i_half], c["int_diss_d"][:, i_half], params)
+    x_full = _plus_dissipated(sup_full, c["int_diss_u"][:, -1], c["int_diss_d"][:, -1], params)
     m_half, m_full = float(x_half.mean()), float(x_full.mean())
     se_half = float(x_half.std(ddof=1) / np.sqrt(M))
     se_full = float(x_full.std(ddof=1) / np.sqrt(M))

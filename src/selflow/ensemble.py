@@ -4,10 +4,12 @@ coupled relaxation-parameter sweep averaged over paths.
 A :class:`RunConfig` describes the whole run: ``ensemble.paths`` paths,
 seeded from ``noise.seed``, recorded every ``out.checkpoint_every`` steps.
 Path i reads the stream of ``split_seed(noise.seed, i)``.  Ensembles and
-sweeps run their paths through one grouped lane runner; results are
-collected into arrays indexed by path, then reduced in index order, so the
-statistics are bit-identical no matter in which order (or on how many
-threads) the paths actually executed.
+sweeps run their paths through one grouped lane runner, which joins the
+groups' batched checkpoint tables into one (paths, n_checkpoints) table in
+path-index order; statistics reduce over its path axis, so they are
+bit-identical no matter in which order (or on how many threads) the paths
+actually executed.  A sweep's record is one :class:`SweepResult` holding
+every path's observables at every eps.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .config import (
     parse_eps_list,
 )
 from .diagnostics import (
-    SweepResult,
     WeakFormTracker,
     default_defect_radius,
     default_defect_threshold,
@@ -64,15 +65,33 @@ class EnsembleStats:
     sup_total_mean: float
     sup_total_se: float
 
-    def ledger_ci(self, name: str, i: int = -1, z: float = 3.0) -> tuple[float, float]:
-        """(sample mean, z * standard error) of a ledger at checkpoint i."""
-        return float(self.mean[name][i]), float(z * self.se[name][i])
+    def ledger_ci(self, name: str) -> tuple[float, float]:
+        """(sample mean, 3 standard errors) of a ledger at the last checkpoint."""
+        return float(self.mean[name][-1]), float(3.0 * self.se[name][-1])
 
 
 @dataclass
 class EnsembleResult:
     stats: EnsembleStats
-    series: list[PathSeries]
+    series: PathSeries  # columns (paths, n_checkpoints)
+    seeds: list[int]
+
+
+@dataclass
+class SweepResult:
+    """Coupled relaxation-parameter sweep: each path's observables at every
+    eps and checkpoint, and the Cauchy differences of the stress pairings
+    between consecutive eps at the last checkpoint, averaged over paths."""
+
+    eps_list: list[float]
+    times: np.ndarray          # (n_check,)
+    phi_names: list[str]
+    penalty: np.ndarray        # (paths, n_eps, n_check)
+    dev_norm: np.ndarray       # (paths, n_eps, n_check)  || |d|^2 - 1 ||
+    defect_count: np.ndarray   # (paths, n_eps, n_check)
+    pairings: np.ndarray       # (paths, n_eps, n_check, n_phi)
+    cauchy_mean: np.ndarray    # (n_eps - 1, n_phi)
+    cauchy_se: np.ndarray      # (n_eps - 1, n_phi)
     seeds: list[int]
 
 
@@ -121,34 +140,33 @@ def lane_width(grid) -> int:
 
 def _run_lanes(config: RunConfig, grid, params, u0, d0, S, h, threads: int, *,
                order: list[int] | None = None, batch_size: int | None = None,
-               checkpoint_hook=None) -> tuple[list[PathSeries], list[int]]:
+               checkpoint_hook=None) -> tuple[PathSeries, list[int]]:
     """(series, seeds) of every path of ``config``, each run as one lane of
-    :func:`simulate_batch`.
+    :func:`simulate_batch`; the series columns are (paths, n_checkpoints).
 
     Paths are grouped into index-contiguous batches of ``batch_size`` paths
     (by default :func:`lane_width` of the grid) that advance in lockstep
     (vectorized over a leading path axis), up to ``threads`` batches at a
     time; every lane is bit-identical to a lone path with its seed, whatever
     the batch size.  ``order`` permutes only the execution order of those
-    work units (a reproducibility probe); results are stored by path index,
-    so the output does not depend on it.
+    work units (a reproducibility probe); the groups' tables are joined in
+    path-index order, so the output does not depend on it.
     """
     n = config.paths
     if batch_size is None:
         batch_size = lane_width(grid)
     seeds = [split_seed(config.seed, i) for i in range(n)]
-    series: list[PathSeries | None] = [None] * n
     starts = range(0, n, batch_size)
+    groups: list[PathSeries | None] = [None] * len(starts)
 
     def work(g: int) -> None:
         idx = range(starts[g], min(starts[g] + batch_size, n))
-        batch = simulate_batch(
+        groups[g] = simulate_batch(
             grid, params, u0, d0, S, h, [WienerDriver(seeds[i], S.n_modes) for i in idx],
             checkpoint_every=config.checkpoint_every,
             track_budget=config.track_budget,
             checkpoint_hook=checkpoint_hook,
-        )
-        series[idx.start:idx.stop] = [res.series for res in batch]
+        ).series
 
     group_order = list(range(len(starts))) if order is None else list(order)
     if threads > 1:
@@ -157,14 +175,16 @@ def _run_lanes(config: RunConfig, grid, params, u0, d0, S, h, threads: int, *,
     else:
         for g in group_order:
             work(g)
-    return series, seeds
+    columns = {name: np.concatenate([grp.columns[name] for grp in groups])
+               for name in groups[0].columns}
+    return PathSeries(columns), seeds
 
 
 def run_ensemble(config: RunConfig, threads: int = 1, *,
                  order: list[int] | None = None,
                  batch_size: int | None = None) -> EnsembleResult:
     """The ``ensemble.paths`` paths of ``config``, merged into EnsembleStats.
-    Path i's checkpoint columns are bit-identical to those of
+    Row i of every checkpoint column is bit-identical to the column of
     :func:`run_path` with seed ``result.seeds[i]`` (see :func:`_run_lanes`
     for the grouping, ``threads`` and ``order``)."""
     grid, u0, d0, params, S, h = _build(config)
@@ -173,22 +193,24 @@ def run_ensemble(config: RunConfig, threads: int = 1, *,
     return EnsembleResult(stats=reduce_stats(series), series=series, seeds=seeds)
 
 
-def reduce_stats(series: list[PathSeries]) -> EnsembleStats:
-    times = series[0].columns["t"]
-    n = len(series)
+def reduce_stats(series: PathSeries) -> EnsembleStats:
+    """Per-checkpoint statistics over the path axis of a (paths,
+    n_checkpoints) table."""
+    c = series.columns
+    n = c["t"].shape[0]
     mean, var, se, mn, mx = {}, {}, {}, {}, {}
     for name in STAT_FIELDS:
-        stack = np.stack([s.columns[name] for s in series])  # (M, n_check)
-        mean[name] = stack.mean(axis=0)
-        v = stack.var(axis=0, ddof=1) if n > 1 else np.zeros(stack.shape[1])
+        table = c[name]
+        mean[name] = table.mean(axis=0)
+        v = table.var(axis=0, ddof=1) if n > 1 else np.zeros(table.shape[1])
         var[name] = v
         se[name] = np.sqrt(v / n)
-        mn[name] = stack.min(axis=0)
-        mx[name] = stack.max(axis=0)
-    sups = np.array([s.sup_total() for s in series])
+        mn[name] = table.min(axis=0)
+        mx[name] = table.max(axis=0)
+    sups = series.sup_total()
     sup_se = float(sups.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return EnsembleStats(
-        times=times,
+        times=c["t"][0],
         n_paths=n,
         mean=mean,
         var=var,
@@ -200,19 +222,7 @@ def reduce_stats(series: list[PathSeries]) -> EnsembleStats:
     )
 
 
-@dataclass
-class CoupledSweepResult:
-    """Cauchy differences of the stress pairings, averaged over paths."""
-
-    eps_list: list[float]
-    phi_names: list[str]
-    per_path: list[SweepResult]
-    cauchy_mean: np.ndarray  # (n_eps-1, n_phi)
-    cauchy_se: np.ndarray
-    seeds: list[int]
-
-
-def coupled_sweep(config: RunConfig, threads: int = 1) -> CoupledSweepResult:
+def coupled_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     """Coupled relaxation-parameter sweep over ``sweep.eps`` with the pairing
     Cauchy differences averaged across paths.
 
@@ -233,7 +243,7 @@ def coupled_sweep(config: RunConfig, threads: int = 1) -> CoupledSweepResult:
     defect_r = default_defect_radius(grid)
     delta0_sq = default_defect_threshold(grid, eps_list[0], defect_r)
 
-    runs = []  # runs[a][p]: series of path p at eps_list[a]
+    runs = []  # runs[a]: the (paths, n_check) columns at eps_list[a]
     for eps in eps_list:
         def hook(state, eps=eps):
             row = {f"pairing_{tf.name}": stress_pairing(state.d, grid, grid.bc_director, tf)
@@ -244,32 +254,28 @@ def coupled_sweep(config: RunConfig, threads: int = 1) -> CoupledSweepResult:
 
         series, seeds = _run_lanes(config, grid, replace(params, eps=eps), u0, d0, S, h,
                                    threads, checkpoint_hook=hook)
-        runs.append(series)
+        runs.append(series.columns)
 
-    def across_eps(p: int, name: str) -> np.ndarray:  # (n_eps, n_check)
-        return np.stack([run[p].columns[name] for run in runs])
+    def by_eps(name: str) -> np.ndarray:  # (paths, n_eps, n_check)
+        return np.stack([cols[name] for cols in runs], axis=1)
 
-    per_path = [
-        SweepResult(
-            eps_list=eps_list,
-            times=runs[0][p].columns["t"],
-            phi_names=names,
-            penalty=across_eps(p, "penalty"),
-            dev_norm=across_eps(p, "dev_norm"),
-            defect_count=across_eps(p, "defect_count"),
-            pairings=np.stack([across_eps(p, f"pairing_{n}") for n in names], axis=-1),
-            sup_penalty=across_eps(p, "penalty").max(axis=1),
-        )
-        for p in range(config.paths)
-    ]
-    if len(eps_list) < 2:
-        empty = np.zeros((0, len(phis)))
-        return CoupledSweepResult(eps_list, names, per_path, empty, empty, seeds)
-    stack = np.stack([r.cauchy() for r in per_path])  # (M, n_eps-1, n_phi)
-    mean = stack.mean(axis=0)
+    pairings = np.stack([by_eps(f"pairing_{n}") for n in names], axis=-1)
+    gaps = np.abs(np.diff(pairings[:, :, -1, :], axis=1))  # (paths, n_eps-1, n_phi)
+    mean = gaps.mean(axis=0)
     se = (
-        stack.std(axis=0, ddof=1) / np.sqrt(config.paths)
+        gaps.std(axis=0, ddof=1) / np.sqrt(config.paths)
         if config.paths > 1
         else np.zeros_like(mean)
     )
-    return CoupledSweepResult(eps_list, names, per_path, mean, se, seeds)
+    return SweepResult(
+        eps_list=eps_list,
+        times=runs[0]["t"][0],
+        phi_names=names,
+        penalty=by_eps("penalty"),
+        dev_norm=by_eps("dev_norm"),
+        defect_count=by_eps("defect_count"),
+        pairings=pairings,
+        cauchy_mean=mean,
+        cauchy_se=se,
+        seeds=seeds,
+    )

@@ -2,11 +2,13 @@
 
 One runner, :func:`simulate_batch`, advances any number of independent
 paths in lockstep as one leading-axis array state, which is how ensembles
-stay affordable in pure numpy; :func:`simulate_path` is its one-lane case.
-Everything downstream (budget residuals, ensembles, sweeps) consumes the
-:class:`PathSeries` produced here.  The checkpoint record and the stepper's
-ledgers take the energy-budget terms from the same helpers,
-:func:`~selflow.dynamics.director_terms` and
+stay affordable in pure numpy.  It returns one batched result: a
+:class:`PathSeries` whose columns are (lanes, n_checkpoints) tables, and
+the final state and monitors with their path axis.  Ensembles and sweeps
+read those tables as they are; :func:`simulate_path` is the one-lane case
+and the one place a lane is split off (:meth:`PathResult.lane`).  The
+checkpoint record and the stepper's ledgers take the energy-budget terms
+from the same helpers, :func:`~selflow.dynamics.director_terms` and
 :func:`~selflow.dynamics.budget_integrands`.
 """
 
@@ -100,22 +102,36 @@ class InvariantSink:
 
 @dataclass
 class PathSeries:
-    """Checkpoint table for one path: one array per record field, plus any
-    extra columns contributed by a checkpoint hook."""
+    """Checkpoint table: one array per record field, plus any extra columns
+    contributed by a checkpoint hook.  A column is (n_checkpoints,) for one
+    path and a C-contiguous (paths, n_checkpoints) array for a batch."""
 
     columns: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def sup_total(self) -> float:
-        return float(np.max(self.columns["total"]))
+    def sup_total(self) -> np.ndarray:
+        """Sup of the total energy over the checkpoints, per path."""
+        return np.max(self.columns["total"], axis=-1)
 
 
 @dataclass
 class PathResult:
+    """A run's checkpoint table, final state and monitors, batched over its
+    lanes by :func:`simulate_batch`."""
+
     series: PathSeries
     state: SimState
-    seed: int
     invariants: InvariantSink | None = None
     weak_tracker: object | None = None
+
+    def lane(self, i: int) -> "PathResult":
+        """Path ``i`` alone: 1-D columns (views of row i), its state and its
+        monitors."""
+        return PathResult(
+            PathSeries({name: col[i] for name, col in self.series.columns.items()}),
+            _lane_state(self.state, i),
+            None if self.invariants is None else self.invariants.lane(i),
+            None if self.weak_tracker is None else self.weak_tracker.lane(i),
+        )
 
 
 def _normal_rows(drivers: list[WienerDriver], n_steps: int):
@@ -146,9 +162,11 @@ def simulate_batch(
     weak_tracker=None,
     normals_table: np.ndarray | None = None,
     checkpoint_hook=None,
-) -> list[PathResult]:
+) -> PathResult:
     """Advance len(drivers) independent paths from (u0, d0) in lockstep as
-    one batched state (leading path axis) and collect checkpoint records.
+    one batched state (leading path axis) and collect checkpoint records
+    into (lanes, n_checkpoints) columns; the state, invariant sink and
+    ``weak_tracker`` of the result keep their path axis.
 
     Each path reads its own driver stream, RNG_CHUNK rows at a time, and no
     kernel mixes lanes, so lane m is bit-identical to a lone run with
@@ -157,9 +175,10 @@ def simulate_batch(
     round(T / dt) steps.  ``weak_tracker`` accumulates per lane, and
     ``checkpoint_hook(state)`` is called at every checkpoint with the
     batched state; its dict of per-lane values becomes extra columns.
-    Raises the stepper's stability / blow-up errors, and
-    :class:`ProjectionError` with the worst lane's value when a checkpoint
-    after step 0 finds a divergence above ``params.proj_tol``.
+    Values shared by all lanes (the clock, untracked ledgers) are repeated
+    on every lane's row.  Raises the stepper's stability / blow-up errors,
+    and :class:`ProjectionError` with the worst lane's value when a
+    checkpoint after step 0 finds a divergence above ``params.proj_tol``.
     """
     if normals_table is None:
         n_steps = max(1, int(round(params.T / params.dt)))
@@ -198,15 +217,10 @@ def simulate_batch(
         if (step + 1) % checkpoint_every == 0 or step + 1 == n_steps:
             emit()
 
-    out = []
-    for lane, drv in enumerate(drivers):
-        columns = {name: np.array([_at(row[name], lane) for row in rows]) for name in rows[0]}
-        out.append(PathResult(
-            PathSeries(columns), _lane_state(state, lane), drv.seed,
-            None if sink is None else sink.lane(lane),
-            None if weak_tracker is None else weak_tracker.lane(lane),
-        ))
-    return out
+    columns = {name: np.stack([np.broadcast_to(np.asarray(row[name], dtype=float), (m,))
+                               for row in rows], axis=1)
+               for name in rows[0]}
+    return PathResult(PathSeries(columns), state, sink, weak_tracker)
 
 
 def simulate_path(
@@ -221,10 +235,10 @@ def simulate_path(
     normals_table: np.ndarray | None = None,
     **options,
 ) -> PathResult:
-    """One path: a one-lane :func:`simulate_batch`, unwrapped.  A
+    """One path: lane 0 of a one-lane :func:`simulate_batch`.  A
     ``normals_table`` is (n_steps, N+1); the other options are the batch
     runner's."""
     if normals_table is not None:
         normals_table = normals_table[:, None, :]
     return simulate_batch(grid, params, u0, d0, S, h, [driver],
-                          normals_table=normals_table, **options)[0]
+                          normals_table=normals_table, **options).lane(0)

@@ -150,10 +150,10 @@ def test_criterion_04_sphere_conservation_in_law():
     M = 64
     # the M paths run as the lanes of one batch; each lane is bit-identical
     # to a lone path on its driver
-    lanes = simulate_batch(grid, params, np.zeros((2, 4, 4)), d0, S, h,
+    batch = simulate_batch(grid, params, np.zeros((2, 4, 4)), d0, S, h,
                            [WienerDriver(7000 + p, 1) for p in range(M)],
                            checkpoint_every=10**9, track_budget=False)
-    finals = np.array([float(ops.dot3(r.state.d, r.state.d)[0, 0]) - 1.0 for r in lanes])
+    finals = ops.dot3(batch.state.d, batch.state.d)[:, 0, 0] - 1.0
     se = finals.std(ddof=1) / np.sqrt(M)
     tol = max(3.0 * se, 2.0 * dt * T * (params.xi2 * h.max_abs) ** 4)
     assert abs(finals.mean()) <= tol
@@ -236,11 +236,10 @@ def shared_sweep():
 
 
 def test_criterion_08_penalty_eps_scaling(shared_sweep):
-    sweep = shared_sweep.per_path[0]
-    sup_pen = sweep.sup_penalty
+    sup_pen = shared_sweep.penalty[0].max(axis=1)
     # one constant bounds sup_t int F_eps across the whole family
     assert np.max(sup_pen) <= 1.2 * sup_pen[0]
-    dev = sweep.dev_norm[:, -1]
+    dev = shared_sweep.dev_norm[0, :, -1]
     r1, r2 = dev[0] / dev[1], dev[1] / dev[2]
     assert r1 >= 1.5 and r2 >= 1.5
     report(8, f"sup penalty {[float(round(v, 5)) for v in sup_pen]} within 20% of "
@@ -248,10 +247,10 @@ def test_criterion_08_penalty_eps_scaling(shared_sweep):
 
 
 def test_criterion_09_stress_pairing_cauchy(shared_sweep):
-    sweep = shared_sweep.per_path[0]
-    cauchy = sweep.cauchy()  # (2 gaps, 3 test functions)
+    # (2 gaps, 3 test functions); the mean over the one path is its gaps
+    cauchy = shared_sweep.cauchy_mean
     decreasing = int(np.sum(cauchy[0] > cauchy[1]))
-    fired = sweep.defect_count[:, -1]
+    fired = shared_sweep.defect_count[0, :, -1]
     caveat = " (concentration caveat: defects detected)" if fired.any() else ""
     assert decreasing >= 2
     report(9, f"pairing Cauchy gaps {np.round(cauchy[0], 6)} -> "
@@ -297,9 +296,9 @@ def test_criterion_12_reproducibility(ensemble_64paths):
         assert np.array_equal(first.stats.mean[name], second.stats.mean[name])
         assert np.array_equal(first.stats.var[name], second.stats.var[name])
         assert np.array_equal(first.stats.min[name], second.stats.min[name])
-    for a, b in zip(first.series, second.series):
-        for k in a.columns:
-            assert np.array_equal(a.columns[k], b.columns[k])
+    assert first.series.columns.keys() == second.series.columns.keys()
+    for k, col in first.series.columns.items():
+        assert np.array_equal(col, second.series.columns[k])
     assert first.stats.sup_total_mean == second.stats.sup_total_mean
     report(12, "identical config rerun with shuffled path execution order on "
                "two threads is bit-identical across every statistic and path series")

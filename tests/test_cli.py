@@ -16,6 +16,7 @@ from selflow.config import SCHEMA
 from selflow.fields import MAGIC, Field, write_snapshot
 from selflow.grids import Grid
 from selflow.initial import constant_director, vortex_director
+from selflow.noise import split_seed
 
 TINY = """
 sim.grid = 16x16
@@ -168,6 +169,25 @@ class TestEnsemble:
         assert len(paths) == 4
         manifest = (run / "manifest.txt").read_text()
         assert "paths = 4" in manifest
+
+    def test_path_tables_are_lone_simulate_tables(self, tmp_path, monkeypatch):
+        # path i of an ensemble seeded 9 is the lone run seeded split_seed(9, i):
+        # its paths/path_00i.csv is that run's energy.csv less budget_residual
+        out = out_env(tmp_path, monkeypatch)
+        ens = TINY.replace("noise.seed = 5", "noise.seed = 9") + "ensemble.paths = 3\n"
+        assert main(["ensemble", write_cfg(tmp_path, ens, "ens.cfg")]) == 0
+        (run,) = out.iterdir()
+        for i in (0, 2):
+            sim = TINY.replace("noise.seed = 5", f"noise.seed = {split_seed(9, i)}")
+            sim_out = tmp_path / f"sim{i}"
+            monkeypatch.setenv("SELFLOW_OUT", str(sim_out))
+            assert main(["simulate", write_cfg(tmp_path, sim, f"sim{i}.cfg")]) == 0
+            (sim_run,) = sim_out.iterdir()
+            energy = [line.split(",") for line in
+                      (sim_run / "energy.csv").read_text().splitlines()]
+            drop = energy[0].index("budget_residual")
+            expected = [",".join(row[:drop] + row[drop + 1:]) for row in energy]
+            assert (run / "paths" / f"path_00{i}.csv").read_text().splitlines() == expected
 
 
 class TestSweep:
@@ -358,6 +378,21 @@ class TestDiagnose:
         r = float(out.split("(r = ")[1].split(",")[0])
         assert r == pytest.approx(7 / 15, rel=1e-15)
         assert "defects: count = 1" in out
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--pohozaev", "--defects", "--pairings"])
+    def test_non_finite_snapshot_rejected(self, tmp_path, capsys, flag, bad):
+        # one bad node would give nan rows or an empty defect set; the
+        # snapshot is refused before any diagnostic runs
+        grid = Grid(32, 32, bc_velocity="noslip", bc_director="neumann")
+        d = vortex_director(grid, 0.5, 0.55, 2 * grid.hx)
+        d[0, 10, 12] = bad
+        snap = tmp_path / "bad.fld"
+        write_snapshot(snap, Field(grid, d, "neumann"))
+        assert main(["diagnose", str(snap), flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation error:") and "non-finite" in captured.err
 
     def test_velocity_snapshot_rejected(self, tmp_path):
         grid = Grid(16, 16)

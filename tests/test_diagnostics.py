@@ -37,7 +37,7 @@ from selflow.initial import (
     vortex_director,
 )
 from selflow.noise import MagneticField, NoiseOperatorS, WienerDriver
-from selflow.pathrun import simulate_path
+from selflow.pathrun import simulate_batch, simulate_path
 from conftest import fit_order
 
 
@@ -767,7 +767,7 @@ class TestEpsilonSweep:
                         sigma0=0.3, h_spec="const:0,0,0.5", init_u="taylor-green:1,0.2",
                         init_d="unit-smooth:0.4", track_budget=False, paths=1, seed=seed,
                         checkpoint_every=50, sweep_eps=",".join(map(str, eps_list)))
-        return coupled_sweep(cfg).per_path[0]
+        return coupled_sweep(cfg)
 
     def test_deterministic_same_seed(self):
         r1 = self._sweep(seed=4)
@@ -777,9 +777,11 @@ class TestEpsilonSweep:
 
     def test_shapes_and_cauchy(self):
         r = self._sweep(eps_list=(0.4, 0.2, 0.1))
-        assert r.pairings.shape[0] == 3
-        assert r.cauchy().shape == (2, 3)
-        assert r.sup_penalty.shape == (3,)
+        n_check = r.times.shape[0]
+        assert r.pairings.shape == (1, 3, n_check, 3)
+        for name in ("penalty", "dev_norm", "defect_count"):
+            assert getattr(r, name).shape == (1, 3, n_check), name
+        assert r.cauchy_mean.shape == r.cauchy_se.shape == (2, 3)
 
     def test_eps_list_must_decrease(self):
         with pytest.raises(ValueError):
@@ -790,8 +792,8 @@ class TestEpsilonSweep:
         # of the definition of F_eps, checked on the sweep output
         r = self._sweep(eps_list=(0.3, 0.15), T=0.02)
         for a, eps in enumerate(r.eps_list):
-            bound = 2.0 * eps * np.sqrt(max(r.sup_penalty[a], 0.0))
-            assert r.dev_norm[a, -1] <= bound * (1 + 1e-9) + 1e-12
+            bound = 2.0 * eps * np.sqrt(max(r.penalty[0, a].max(), 0.0))
+            assert r.dev_norm[0, a, -1] <= bound * (1 + 1e-9) + 1e-12
 
 
 class TestGronwall:
@@ -800,12 +802,11 @@ class TestGronwall:
         h = MagneticField.constant(grid32, (0, 0, 0.5))
         dt = stability_dt(0.5, grid32, 1, 1)
         params = Params(eps=0.5, dt=dt, T=0.02)
-        series = []
-        for p in range(8):
-            res = _run(grid32, params, S, h, seed=100 + p,
-                       checkpoint_every=20)
-            series.append(res.series)
-        rep = gronwall_bound_check(series, params, S, h)
+        batch = simulate_batch(grid32, params, taylor_green(grid32, 1, 0.2),
+                               smooth_unit_director(grid32, 0.4), S, h,
+                               [WienerDriver(100 + p, S.n_modes) for p in range(8)],
+                               checkpoint_every=20)
+        rep = gronwall_bound_check(batch.series, params, S, h)
         assert rep.growth_ok
         assert np.isfinite(rep.second_moment)
         assert rep.second_moment_stable

@@ -127,11 +127,13 @@ class TestRunEnsemble:
         for cfg, batch_sizes in cases:
             singles = [run_path(cfg, split_seed(21, i)).series for i in range(cfg.paths)]
             for batch_size in batch_sizes:
-                batched = run_ensemble(cfg, batch_size=batch_size)
-                for lane, single in zip(batched.series, singles, strict=True):
-                    assert lane.columns.keys() == single.columns.keys()
-                    for k in single.columns:
-                        assert np.array_equal(lane.columns[k], single.columns[k]), \
+                table = run_ensemble(cfg, batch_size=batch_size).series.columns
+                assert table.keys() == singles[0].columns.keys()
+                for k, col in table.items():
+                    assert col.shape == (cfg.paths, singles[0].columns[k].size), k
+                    assert col.flags.c_contiguous, k
+                    for lane, single in zip(col, singles, strict=True):
+                        assert np.array_equal(lane, single.columns[k]), \
                             (cfg.grid, cfg.bc, batch_size, k)
 
     def test_default_flags_lane_equals_run_path(self):
@@ -140,17 +142,17 @@ class TestRunEnsemble:
         cfg = RunConfig(grid="16x16", T=0.005, paths=2, seed=11, init_u="taylor-green:1,0.2")
         res = run_ensemble(cfg)
         assert res.seeds == [split_seed(11, i) for i in range(2)]
-        for lane, seed in zip(res.series, res.seeds):
+        table = res.series.columns
+        for i, seed in enumerate(res.seeds):
             single = run_path(cfg, seed).series
-            assert lane.columns.keys() == single.columns.keys()
+            assert table.keys() == single.columns.keys()
             for k in single.columns:
-                assert np.array_equal(lane.columns[k], single.columns[k]), k
-        assert res.series[0].columns["int_hs"][-1] > 0.0
+                assert np.array_equal(table[k][i], single.columns[k]), k
+        assert table["int_hs"][0, -1] > 0.0
 
     def test_sup_monotone_in_time(self):
         res = run_ensemble(small_config(T=0.02, paths=4, seed=2, checkpoint_every=10))
-        for s in res.series:
-            tot = s.columns["total"]
+        for tot in res.series.columns["total"]:
             running = np.maximum.accumulate(tot)
             assert running[-1] >= running[len(tot) // 2]
 
@@ -170,12 +172,14 @@ def test_batch_lanes_equal_lone_paths(lanes, bounded, budget, seed):
     opts = dict(checkpoint_every=3, track_budget=budget)
     batch = simulate_batch(grid, params, u0, d0, S, h,
                            [WienerDriver(s, 4) for s in seeds], **opts)
-    for s, res in zip(seeds, batch):
+    for i, s in enumerate(seeds):
         lone = simulate_path(grid, params, u0, d0, S, h, WienerDriver(s, 4), **opts)
         for k, col in lone.series.columns.items():
-            assert np.array_equal(res.series.columns[k], col), k
-        assert np.array_equal(res.state.u, lone.state.u)
-        assert np.array_equal(res.state.d, lone.state.d)
+            assert batch.series.columns[k].shape == (lanes, col.size), k
+            assert batch.series.columns[k].flags.c_contiguous, k
+            assert np.array_equal(batch.series.columns[k][i], col), k
+        assert np.array_equal(batch.state.u[i], lone.state.u)
+        assert np.array_equal(batch.state.d[i], lone.state.d)
 
 
 class TestCoupledSweep:
@@ -199,8 +203,11 @@ class TestCoupledSweep:
         phis = default_sweep_test_functions(grid)
         r = 8.0 * max(grid.hx, grid.hy)
         threshold = default_defect_threshold(grid, eps_list[0], r)
-        assert len(res.per_path) == n_paths
-        for p, sweep in enumerate(res.per_path):
+        assert res.eps_list == eps_list
+        assert res.phi_names == [tf.name for tf in phis]
+        assert res.penalty.shape[0] == n_paths
+        gaps = []
+        for p in range(n_paths):
             penalty, dev, counts, pairings = [], [], [], []
             for eps in eps_list:
                 rows = []
@@ -220,16 +227,15 @@ class TestCoupledSweep:
                 counts.append(rows[:, -1])
                 penalty.append(lone.series.columns["penalty"])
                 dev.append(lone.series.columns["dev_norm"])
-            assert sweep.eps_list == eps_list
-            assert sweep.phi_names == [tf.name for tf in phis]
-            assert np.array_equal(sweep.times, lone.series.columns["t"])
-            assert np.array_equal(sweep.penalty, np.array(penalty))
-            assert np.array_equal(sweep.dev_norm, np.array(dev))
-            assert np.array_equal(sweep.defect_count, np.array(counts))
-            assert np.array_equal(sweep.pairings, np.array(pairings))
-            assert np.array_equal(sweep.sup_penalty, np.array(penalty).max(axis=1))
-            assert sweep.defect_count[-1].max() > 0
-        cauchy = np.stack([sweep.cauchy() for sweep in res.per_path])
+            assert np.array_equal(res.times, lone.series.columns["t"])
+            assert np.array_equal(res.penalty[p], np.array(penalty))
+            assert np.array_equal(res.dev_norm[p], np.array(dev))
+            assert np.array_equal(res.defect_count[p], np.array(counts))
+            assert np.array_equal(res.pairings[p], np.array(pairings))
+            assert res.defect_count[p, -1].max() > 0
+            # last-checkpoint gaps between consecutive eps
+            gaps.append(np.abs(np.diff(np.array(pairings)[:, -1, :], axis=0)))
+        cauchy = np.stack(gaps)
         assert np.array_equal(res.cauchy_mean, cauchy.mean(axis=0))
         se = (cauchy.std(axis=0, ddof=1) / np.sqrt(n_paths) if n_paths > 1
               else np.zeros_like(res.cauchy_mean))
@@ -255,9 +261,8 @@ class TestCoupledSweep:
         assert on.seeds == off.seeds == [split_seed(11, p) for p in range(2)]
         assert np.array_equal(on.cauchy_mean, off.cauchy_mean)
         assert np.array_equal(on.cauchy_se, off.cauchy_se)
-        for a, b in zip(on.per_path, off.per_path):
-            for name in ("times", "penalty", "dev_norm", "defect_count", "pairings"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        for name in ("times", "penalty", "dev_norm", "defect_count", "pairings"):
+            assert np.array_equal(getattr(on, name), getattr(off, name)), name
 
     def test_single_eps_empty_cauchy(self):
         cfg = small_config(T=0.005, paths=1, seed=13, checkpoint_every=20, sweep_eps="0.3")
