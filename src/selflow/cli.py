@@ -29,6 +29,7 @@ from .config import (
     parse_config,
 )
 from .diagnostics import (
+    MULTIPLIERS,
     budget_residual_series,
     default_defect_radius,
     default_defect_threshold,
@@ -102,7 +103,7 @@ def _write_columns_csv(path: Path, cols: dict) -> None:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    result = run_path(cfg, cfg.seed)
+    result = run_path(cfg)
     with _run_dir(cfg, "simulate") as run_dir:
         _write_manifest(run_dir, cfg, [cfg.seed])
         grid = result.state.grid
@@ -120,8 +121,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
                 fh.write("test_function,residual\n")
                 for name, val in {**ru, **rd}.items():
                     fh.write(f"{name},{float(val)!r}\n")
-        if result.invariants is not None:
-            inv = result.invariants
+        if cfg.track_invariants:
+            inv = result.state.ledgers
             with open(run_dir / "invariants.csv", "w", encoding="utf-8") as fh:
                 fh.write("max_divergence,max_adv_ratio\n")
                 fh.write(f"{inv.max_divergence!r},{inv.max_adv_ratio!r}\n")
@@ -133,13 +134,12 @@ def cmd_ensemble(cfg: RunConfig, threads: int) -> int:
     with _run_dir(cfg, "ensemble") as run_dir:
         _write_manifest(run_dir, cfg, result.seeds, {"paths": cfg.paths})
         stats = result.stats
-        names = sorted(stats.mean)
-        header = ["t"] + [f"{n}_{s}" for n in names for s in ("mean", "se", "min", "max")]
-        cols = [stats.times]
-        for n in names:
-            cols += [stats.mean[n], stats.se[n], stats.min[n], stats.max[n]]
-        np.savetxt(run_dir / "ensemble.csv", np.column_stack(cols),
-                   delimiter=",", header=",".join(header), comments="")
+        cols = {"t": stats.times}
+        for n in sorted(stats.mean):
+            for s, table in (("mean", stats.mean), ("se", stats.se),
+                             ("min", stats.min), ("max", stats.max)):
+                cols[f"{n}_{s}"] = table[n]
+        _write_columns_csv(run_dir / "ensemble.csv", cols)
         paths_dir = run_dir / "paths"
         paths_dir.mkdir(exist_ok=True)
         for i in range(cfg.paths):
@@ -180,8 +180,7 @@ def cmd_sweep(cfg: RunConfig, threads: int) -> int:
 def cmd_diagnose(args) -> int:
     f = read_snapshot(args.snapshot, args.lx, args.ly)
     if f.k != 3:
-        print("diagnose: snapshot must hold a 3-component director", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("diagnose: snapshot must hold a 3-component director")
     if not np.all(np.isfinite(f.values)):
         raise ValueError("diagnose: snapshot holds non-finite values")
     grid = f.grid
@@ -193,7 +192,7 @@ def cmd_diagnose(args) -> int:
         r = 0.25 * min(grid.lx, grid.ly) if args.radius is None else args.radius
         print("pohozaev: choice,boundary_kinetic,bulk_stress,bulk_div,"
               "boundary_energy,rhs,residual")
-        for choice in ("radial", "x1", "shear"):
+        for choice in MULTIPLIERS:
             rep = pohozaev_residual(f.values, grid, eps, (x0, y0), r, choice, bc=f.bc)
             print(f"pohozaev: {choice},{rep.boundary_kinetic!r},{rep.bulk_stress!r},"
                   f"{rep.bulk_div!r},{rep.boundary_energy!r},{rep.rhs!r},{rep.residual!r}")

@@ -27,7 +27,8 @@ from .initial import (
 from .noise import MagneticField, NoiseOperatorS
 
 RUN_MODES = ("simulate", "ensemble", "sweep", "diagnose")
-BC_MODES = ("periodic", "bounded", "bounded-dirichlet")
+# sim.bc -> the grid's director closure (the velocity closure follows)
+BC_MODES = {"periodic": "periodic", "bounded": "neumann", "bounded-dirichlet": "dirichlet"}
 
 
 class ConfigError(ValueError):
@@ -193,7 +194,7 @@ def validate(cfg: RunConfig) -> list[tuple[str, str]]:
     if cfg.dt != "auto" and (not isinstance(cfg.dt, float) or cfg.dt <= 0):
         out.append(("dt", "sim.dt: must be positive or 'auto'"))
     if cfg.bc not in BC_MODES:
-        out.append(("bc", f"sim.bc: must be one of {BC_MODES}"))
+        out.append(("bc", f"sim.bc: must be one of {tuple(BC_MODES)}"))
     if cfg.mode not in RUN_MODES:
         out.append(("mode", f"run.mode: must be one of {RUN_MODES}"))
     if cfg.modes < 1:
@@ -267,15 +268,26 @@ def config_hash(cfg: RunConfig) -> str:
 # builders
 # ---------------------------------------------------------------------------
 
+# spec attribute -> the component count of its file: snapshot
+_FILE_COMPONENTS = {"init_u": 2, "init_d": 3, "h_spec": 3}
+
+
+def _read_spec_file(cfg: RunConfig, grid: Grid, attr: str, path: str) -> np.ndarray:
+    """Values of the ``file:`` snapshot of spec ``attr``; raises
+    :class:`ConfigError` naming the key unless the snapshot holds the spec's
+    component count on the grid's node counts and layout (periodic or not)."""
+    f = read_snapshot(path, cfg.lx, cfg.ly)
+    got = (f.k, f.grid.nx, f.grid.ny, f.grid.periodic)
+    want = (_FILE_COMPONENTS[attr], grid.nx, grid.ny, grid.periodic)
+    if got != want:
+        raise ConfigError([(0, f"{_ATTR_TO_KEY[attr]}: snapshot {path} has (components, nx, "
+                               f"ny, periodic) = {got}, the config needs {want}")])
+    return f.values
+
+
 def build_grid(cfg: RunConfig) -> Grid:
     nx, ny = cfg.nx_ny()
-    if cfg.bc == "periodic":
-        bcv, bcd = "periodic", "periodic"
-    elif cfg.bc == "bounded":
-        bcv, bcd = "noslip", "neumann"
-    else:
-        bcv, bcd = "noslip", "dirichlet"
-    return Grid(nx, ny, cfg.lx, cfg.ly, bc_velocity=bcv, bc_director=bcd)
+    return Grid(nx, ny, cfg.lx, cfg.ly, bc_director=BC_MODES[cfg.bc])
 
 
 def build_params(cfg: RunConfig, grid: Grid, umax: float = 0.0) -> Params:
@@ -304,7 +316,7 @@ def build_initial_u(cfg: RunConfig, grid: Grid) -> np.ndarray:
     if kind == "taylor-green":
         k, amp = args + [1, 0.1][len(args):]
         return taylor_green(grid, k=k, amp=amp)
-    return read_snapshot(args[0], cfg.lx, cfg.ly).values
+    return _read_spec_file(cfg, grid, "init_u", args[0])
 
 
 def build_initial_d(cfg: RunConfig, grid: Grid) -> np.ndarray:
@@ -318,7 +330,7 @@ def build_initial_d(cfg: RunConfig, grid: Grid) -> np.ndarray:
         return smooth_unit_director(grid, amp=args[0] if args else 0.4)
     if kind == "unit-mixed":
         return mixed_unit_director(grid, amp=args[0] if args else 0.4)
-    return read_snapshot(args[0], cfg.lx, cfg.ly).values
+    return _read_spec_file(cfg, grid, "init_d", args[0])
 
 
 def build_magnetic_field(cfg: RunConfig, grid: Grid) -> MagneticField:
@@ -327,7 +339,7 @@ def build_magnetic_field(cfg: RunConfig, grid: Grid) -> MagneticField:
         return MagneticField.constant(grid, tuple(args) or (0.0, 0.0, 0.5))
     if kind == "wave":
         return MagneticField.wave(grid, tuple(args) or (0.2, 0.2, 0.5))
-    return MagneticField(grid, read_snapshot(args[0], cfg.lx, cfg.ly).values)
+    return MagneticField(grid, _read_spec_file(cfg, grid, "h_spec", args[0]))
 
 
 def build_noise_operator(cfg: RunConfig, grid: Grid) -> NoiseOperatorS:

@@ -220,7 +220,13 @@ class WeakFormTracker:
 # multiplier (Pohozaev) residuals
 # ---------------------------------------------------------------------------
 
-X_CHOICES = ("radial", "x1", "shear")
+# Pohozaev multiplier choice -> (X at the offsets (dx, dy) from the ball's
+# center, grad X with rows the components of X)
+MULTIPLIERS = {
+    "radial": (lambda dx, dy: (dx, dy), np.eye(2)),
+    "x1": (lambda dx, dy: (dx, np.zeros_like(dy)), np.array([[1.0, 0.0], [0.0, 0.0]])),
+    "shear": (lambda dx, dy: (np.zeros_like(dx), dx), np.array([[0.0, 0.0], [1.0, 0.0]])),
+}
 
 
 def _check_radius(r: float, grid: Grid | None = None) -> None:
@@ -313,17 +319,6 @@ class PohozaevReport:
     residual: float
 
 
-def _x_field(choice: str, px: np.ndarray, py: np.ndarray, center) -> tuple[np.ndarray, np.ndarray]:
-    x0, y0 = center
-    if choice == "radial":
-        return px - x0, py - y0
-    if choice == "x1":
-        return px - x0, np.zeros_like(py)
-    if choice == "shear":
-        return np.zeros_like(px), px - x0
-    raise ValueError(f"X choice must be one of {X_CHOICES}")
-
-
 def pohozaev_residual(
     d: np.ndarray,
     grid: Grid,
@@ -332,18 +327,22 @@ def pohozaev_residual(
     r: float,
     choice: str = "radial",
     bc: str | None = None,
-    n_theta: int | None = None,
 ) -> PohozaevReport:
-    """Evaluate the multiplier identity on B_r(center) for one X choice.
+    """Evaluate the multiplier identity on B_r(center) for one X choice of
+    :data:`MULTIPLIERS`.
 
     Bulk integrals use cell inclusion with area fractions on the cut cells;
     the circle integrals use the midpoint rule with bilinearly interpolated
     fields.  The elliptic residual tau = lap d - f_eps(d) is built from the
     same discrete operators as everything else, so the report's residual is
     pure discretization defect, decaying at first order or better under
-    refinement.
+    refinement.  The circle carries one midpoint per grid spacing, and at
+    least 64.
     """
     _check_radius(r)
+    if choice not in MULTIPLIERS:
+        raise ValueError(f"X choice must be one of {tuple(MULTIPLIERS)}")
+    x_field, grad_x = MULTIPLIERS[choice]
     if bc is None:
         bc = grid.bc_director
     x0, y0 = center
@@ -357,27 +356,24 @@ def pohozaev_residual(
     w = grid.quad_weights() * _ball_weights(grid, (x0, y0), r)
 
     X, Y = grid.meshgrid()
-    Xf1, Xf2 = _x_field(choice, X, Y, center)
+    Xf1, Xf2 = x_field(X - x0, Y - y0)
     xdotgrad = Xf1 * g[:, 0] + Xf2 * g[:, 1]  # (3, nx, ny)
 
     sigma = ericksen_tensor(d, grid, bc)
-    grad_x = {"radial": np.eye(2), "x1": np.array([[1.0, 0.0], [0.0, 0.0]]),
-              "shear": np.array([[0.0, 0.0], [1.0, 0.0]])}[choice]
     div_x = float(np.trace(grad_x))
 
     bulk_stress = -float(np.sum(sigma * grad_x[:, :, None, None] * w))
     bulk_div = div_x * float(np.sum(e_density * w))
     rhs = float(np.sum(ops.dot3(xdotgrad, tau) * w))
 
-    if n_theta is None:
-        n_theta = max(64, int(np.ceil(2.0 * np.pi * r / min(grid.hx, grid.hy))))
+    n_theta = max(64, int(np.ceil(2.0 * np.pi * r / min(grid.hx, grid.hy))))
     theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
     px = x0 + r * np.cos(theta)
     py = y0 + r * np.sin(theta)
     nu1, nu2 = np.cos(theta), np.sin(theta)
     g_c = _bilinear(g, grid, px, py)  # (3, 2, n_theta)
     e_c = _bilinear(e_density, grid, px, py)
-    Xc1, Xc2 = _x_field(choice, px, py, center)
+    Xc1, Xc2 = x_field(px - x0, py - y0)
     xg = Xc1 * g_c[:, 0] + Xc2 * g_c[:, 1]
     ng = nu1 * g_c[:, 0] + nu2 * g_c[:, 1]
     darc = r * (2.0 * np.pi / n_theta)

@@ -23,7 +23,8 @@ orthogonal in the quadrature inner product), larger with a pinned
 
 Running ledgers accumulate the discrete stochastic integrals and the
 left-endpoint time integrals that the energy-budget diagnostic consumes,
-from the integrands the checkpoint record uses (:func:`budget_integrands`).
+from the integrands the checkpoint record uses (:func:`budget_integrands`),
+and, when asked, the running maxima of the per-step invariant monitors.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def check_stability(params: Params, grid: Grid, umax: float = 0.0) -> None:
 
 @dataclass
 class Ledgers:
-    """Running stochastic integrals and left-endpoint budget integrals."""
+    """Running stochastic and left-endpoint budget integrals, and monitor maxima."""
 
     noise_u: float = 0.0       # sum <u_n, xi1 S(u_n) dW1>
     noise_d: float = 0.0       # sum <d_n x h, gamma (lap d_n - f_eps)> dW2
@@ -113,6 +114,8 @@ class Ledgers:
     int_diss_d: float = 0.0    # sum dt ||lap d_n - f_eps(d_n)||^2
     int_hs: float = 0.0        # sum dt * 0.5 xi1^2 ||S(u_n)||_HS^2
     int_strat: float = 0.0     # sum dt * 0.5 (<grad d, grad((dxh)xh)> + ||grad(dxh)||^2)
+    max_divergence: float = 0.0  # max |div u_{n+1}|_inf over the controlled nodes
+    max_adv_ratio: float = 0.0   # max |<adv(u_n, u_n), u_n>| / (1 + ||u_n||^3)
 
 
 @dataclass
@@ -185,16 +188,17 @@ def step_coupled(
     *,
     track_budget: bool = False,
     weak_tracker=None,
-    invariant_sink=None,
+    track_invariants: bool = False,
 ) -> SimState:
     """Advance the coupled state by one step (mutates and returns ``state``).
 
     Both updates read the time-n fields.  ``normals`` holds this step's N+1
     standard normals (N velocity modes, then the director motion), one row
     per path.  State arrays may carry a leading path axis, in which case the
-    ledgers accumulate per path.  ``weak_tracker`` and ``invariant_sink``
-    receive the per-step pairings when supplied.  A ``dirichlet`` director
-    wall keeps its time-n values, which are those of the initial director.
+    ledgers accumulate per path.  ``weak_tracker`` receives the per-step
+    pairings when supplied; ``track_invariants`` updates the monitor maxima
+    in the ledgers.  A ``dirichlet`` director wall keeps its time-n values,
+    which are those of the initial director.
     """
     grid, dt = state.grid, params.dt
     u, d = state.u, state.d
@@ -244,9 +248,9 @@ def step_coupled(
         led.int_strat = led.int_strat + dt * 0.5 * strat
     if weak_tracker is not None:
         weak_tracker.accumulate(u, d, noise_u, dxh, dxhxh, f, dt, dW2)
-    if invariant_sink is not None:
-        invariant_sink.record_advection(ops.pair_vec(adv_u, u, grid),
-                                        np.sqrt(ops.pair_vec(u, u, grid)))
+    if track_invariants:
+        ratio = np.abs(ops.pair_vec(adv_u, u, grid)) / (1.0 + np.sqrt(ops.pair_vec(u, u, grid))**3)
+        led.max_adv_ratio = np.maximum(led.max_adv_ratio, ratio)
 
     # updates, built in place on the spent time-n terms with the operations
     # and order of d + dt * (-adv_d + gamma tau + 0.5 xi2^2 dxhxh) and
@@ -273,8 +277,8 @@ def step_coupled(
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d_new))):
         raise BlowUpError(state.step, state.t)
     u_new = leray_project(v, grid, tol=params.proj_tol)
-    if invariant_sink is not None:
-        invariant_sink.record_divergence(interior_divergence_max(u_new, grid))
+    if track_invariants:
+        led.max_divergence = np.maximum(led.max_divergence, interior_divergence_max(u_new, grid))
 
     state.u, state.d = u_new, d_new
     state.t += dt

@@ -51,19 +51,13 @@ LANE_NODES = 16384
 
 @dataclass
 class EnsembleStats:
-    """Per-checkpoint sample statistics of the tracked scalars, plus path
-    suprema (sup over checkpoints, an under-estimate of the continuous-time
-    sup at coarse checkpointing)."""
+    """Per-checkpoint sample statistics of the tracked scalars."""
 
     times: np.ndarray
-    n_paths: int
     mean: dict[str, np.ndarray]
-    var: dict[str, np.ndarray]
     se: dict[str, np.ndarray]
     min: dict[str, np.ndarray]
     max: dict[str, np.ndarray]
-    sup_total_mean: float
-    sup_total_se: float
 
     def ledger_ci(self, name: str) -> tuple[float, float]:
         """(sample mean, 3 standard errors) of a ledger at the last checkpoint."""
@@ -104,11 +98,11 @@ def _build(config: RunConfig):
     return grid, u0, d0, params, build_noise_operator(config, grid), build_magnetic_field(config, grid)
 
 
-def run_path(config: RunConfig, seed: int) -> PathResult:
-    """One path, fully determined by (config, seed)."""
+def run_path(config: RunConfig) -> PathResult:
+    """The one path of ``config``, reading the stream of ``noise.seed``."""
     grid, u0, d0, params, S, h = _build(config)
     return simulate_path(
-        grid, params, u0, d0, S, h, WienerDriver(seed, config.modes),
+        grid, params, u0, d0, S, h, WienerDriver(config.seed, config.modes),
         checkpoint_every=config.checkpoint_every,
         track_budget=config.track_budget,
         track_invariants=config.track_invariants,
@@ -185,7 +179,7 @@ def run_ensemble(config: RunConfig, threads: int = 1, *,
                  batch_size: int | None = None) -> EnsembleResult:
     """The ``ensemble.paths`` paths of ``config``, merged into EnsembleStats.
     Row i of every checkpoint column is bit-identical to the column of
-    :func:`run_path` with seed ``result.seeds[i]`` (see :func:`_run_lanes`
+    :func:`run_path` with ``noise.seed = result.seeds[i]`` (see :func:`_run_lanes`
     for the grouping, ``threads`` and ``order``)."""
     grid, u0, d0, params, S, h = _build(config)
     series, seeds = _run_lanes(config, grid, params, u0, d0, S, h, threads,
@@ -198,28 +192,15 @@ def reduce_stats(series: PathSeries) -> EnsembleStats:
     n_checkpoints) table."""
     c = series.columns
     n = c["t"].shape[0]
-    mean, var, se, mn, mx = {}, {}, {}, {}, {}
+    mean, se, mn, mx = {}, {}, {}, {}
     for name in STAT_FIELDS:
         table = c[name]
         mean[name] = table.mean(axis=0)
         v = table.var(axis=0, ddof=1) if n > 1 else np.zeros(table.shape[1])
-        var[name] = v
         se[name] = np.sqrt(v / n)
         mn[name] = table.min(axis=0)
         mx[name] = table.max(axis=0)
-    sups = series.sup_total()
-    sup_se = float(sups.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return EnsembleStats(
-        times=c["t"][0],
-        n_paths=n,
-        mean=mean,
-        var=var,
-        se=se,
-        min=mn,
-        max=mx,
-        sup_total_mean=float(sups.mean()),
-        sup_total_se=sup_se,
-    )
+    return EnsembleStats(times=c["t"][0], mean=mean, se=se, min=mn, max=mx)
 
 
 def coupled_sweep(config: RunConfig, threads: int = 1) -> SweepResult:

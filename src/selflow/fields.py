@@ -109,7 +109,9 @@ def write_snapshot(path, f: Field) -> None:
 
 def read_snapshot(path, lx: float = 1.0, ly: float = 1.0) -> Field:
     """Read a snapshot; the grid is reconstructed from the header and the
-    given physical lengths (the format stores only counts and bc)."""
+    given physical lengths (the format stores only counts and bc).  A
+    ``periodic`` or ``dirichlet`` snapshot gets a grid with that director
+    closure; every other bounded one gets a ``neumann`` grid."""
     with open(path, "rb") as fh:
         magic = fh.read(16)
         if magic != MAGIC:
@@ -132,10 +134,5 @@ def read_snapshot(path, lx: float = 1.0, ly: float = 1.0) -> Field:
         raw = fh.read(size)
     vals = np.frombuffer(raw, dtype="<f8").reshape(k, nx, ny).astype(float)
     bc = _BC_NAMES[bc_code]
-    periodic = bc == "periodic"
-    grid = Grid(
-        nx, ny, lx, ly,
-        bc_velocity="periodic" if periodic else "noslip",
-        bc_director="periodic" if periodic else "neumann",
-    )
+    grid = Grid(nx, ny, lx, ly, bc if bc in ("periodic", "dirichlet") else "neumann")
     return Field(grid, vals[0] if k == 1 else vals, bc)

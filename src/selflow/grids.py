@@ -1,5 +1,8 @@
 """Rectangular 2-D grids: geometry, boundary-condition modes, quadrature weights.
 
+A grid stores one boundary closure, the director's; the velocity closure
+follows from it (periodic with a periodic director, no-slip otherwise).
+
 Array layout convention used across the package: scalar samples have shape
 (nx, ny) with axis -2 the x direction and axis -1 the y direction; vector
 fields stack components in front, shape (k, nx, ny).
@@ -11,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-VELOCITY_BCS = ("periodic", "noslip")
 DIRECTOR_BCS = ("periodic", "neumann", "dirichlet")
 
 
@@ -24,15 +26,14 @@ class Grid:
     """Uniform rectangular grid on [0, lx] x [0, ly].
 
     Periodic grids place nodes at i*h for i < n (no duplicated seam node,
-    h = l/n); bounded grids include both endpoints (h = l/(n-1)).
-    Periodic mode applies to velocity and director together or not at all.
+    h = l/n); bounded grids include both endpoints (h = l/(n-1)), with a
+    no-slip velocity and a ``neumann`` or ``dirichlet`` director wall.
     """
 
     nx: int
     ny: int
     lx: float = 1.0
     ly: float = 1.0
-    bc_velocity: str = "periodic"
     bc_director: str = "periodic"
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -41,16 +42,16 @@ class Grid:
             raise GridError(f"grid must be at least 4x4, got {self.nx}x{self.ny}")
         if self.lx <= 0 or self.ly <= 0:
             raise GridError("domain lengths must be positive")
-        if self.bc_velocity not in VELOCITY_BCS:
-            raise GridError(f"bc_velocity must be one of {VELOCITY_BCS}")
         if self.bc_director not in DIRECTOR_BCS:
             raise GridError(f"bc_director must be one of {DIRECTOR_BCS}")
-        if (self.bc_velocity == "periodic") != (self.bc_director == "periodic"):
-            raise GridError("periodic mode applies to both fields or neither")
 
     @property
     def periodic(self) -> bool:
-        return self.bc_velocity == "periodic"
+        return self.bc_director == "periodic"
+
+    @property
+    def bc_velocity(self) -> str:
+        return "periodic" if self.periodic else "noslip"
 
     @property
     def hx(self) -> float:
@@ -88,10 +89,6 @@ class Grid:
                 w = np.outer(wx, wy)
             self._cache[key] = w
         return self._cache[key]
-
-    @property
-    def area(self) -> float:
-        return self.lx * self.ly
 
     def check_values(self, values: np.ndarray) -> int:
         """Return the leading component count k of ``values`` (1 for scalars,

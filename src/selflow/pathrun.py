@@ -4,11 +4,12 @@ One runner, :func:`simulate_batch`, advances any number of independent
 paths in lockstep as one leading-axis array state, which is how ensembles
 stay affordable in pure numpy.  It returns one batched result: a
 :class:`PathSeries` whose columns are (lanes, n_checkpoints) tables, and
-the final state and monitors with their path axis.  Ensembles and sweeps
-read those tables as they are; :func:`simulate_path` is the one-lane case
-and the one place a lane is split off (:meth:`PathResult.lane`).  The
-checkpoint record and the stepper's ledgers take the energy-budget terms
-from the same helpers, :func:`~selflow.dynamics.director_terms` and
+the final state, whose ledgers also hold the invariant monitors, with its
+path axis.  Ensembles and sweeps read those tables as they are;
+:func:`simulate_path` is the one-lane case and the one place a lane is
+split off (:meth:`PathResult.lane`).  The checkpoint record and the
+stepper's ledgers take the energy-budget terms from the same helpers,
+:func:`~selflow.dynamics.director_terms` and
 :func:`~selflow.dynamics.budget_integrands`.
 """
 
@@ -76,30 +77,6 @@ def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
     }
 
 
-def _at(value, lane: int) -> float:
-    """Lane ``lane`` of a per-path value, or the value shared by all paths."""
-    return float(value[lane]) if np.ndim(value) else float(value)
-
-
-@dataclass
-class InvariantSink:
-    """Per-step monitors, per path: worst divergence and advection-pairing
-    defect."""
-
-    max_divergence: float | np.ndarray = 0.0
-    max_adv_ratio: float | np.ndarray = 0.0
-
-    def record_advection(self, pairing, u_norm) -> None:
-        self.max_adv_ratio = np.maximum(self.max_adv_ratio,
-                                        np.abs(pairing) / (1.0 + u_norm**3))
-
-    def record_divergence(self, div_inf) -> None:
-        self.max_divergence = np.maximum(self.max_divergence, div_inf)
-
-    def lane(self, i: int) -> "InvariantSink":
-        return InvariantSink(_at(self.max_divergence, i), _at(self.max_adv_ratio, i))
-
-
 @dataclass
 class PathSeries:
     """Checkpoint table: one array per record field, plus any extra columns
@@ -108,28 +85,22 @@ class PathSeries:
 
     columns: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def sup_total(self) -> np.ndarray:
-        """Sup of the total energy over the checkpoints, per path."""
-        return np.max(self.columns["total"], axis=-1)
-
 
 @dataclass
 class PathResult:
-    """A run's checkpoint table, final state and monitors, batched over its
-    lanes by :func:`simulate_batch`."""
+    """A run's checkpoint table, final state (with its ledgers) and weak-form
+    tracker, batched over its lanes by :func:`simulate_batch`."""
 
     series: PathSeries
     state: SimState
-    invariants: InvariantSink | None = None
     weak_tracker: object | None = None
 
     def lane(self, i: int) -> "PathResult":
         """Path ``i`` alone: 1-D columns (views of row i), its state and its
-        monitors."""
+        weak-form tracker."""
         return PathResult(
             PathSeries({name: col[i] for name, col in self.series.columns.items()}),
             _lane_state(self.state, i),
-            None if self.invariants is None else self.invariants.lane(i),
             None if self.weak_tracker is None else self.weak_tracker.lane(i),
         )
 
@@ -143,7 +114,9 @@ def _normal_rows(drivers: list[WienerDriver], n_steps: int):
 
 
 def _lane_state(state: SimState, i: int) -> SimState:
-    led = Ledgers(**{k: _at(v, i) for k, v in vars(state.ledgers).items()})
+    # a per-path ledger's lane i, or the value shared by all paths
+    led = Ledgers(**{k: float(v[i]) if np.ndim(v) else float(v)
+                     for k, v in vars(state.ledgers).items()})
     return SimState(state.grid, state.t, state.u[i], state.d[i], state.step, led)
 
 
@@ -165,8 +138,9 @@ def simulate_batch(
 ) -> PathResult:
     """Advance len(drivers) independent paths from (u0, d0) in lockstep as
     one batched state (leading path axis) and collect checkpoint records
-    into (lanes, n_checkpoints) columns; the state, invariant sink and
-    ``weak_tracker`` of the result keep their path axis.
+    into (lanes, n_checkpoints) columns; the state and ``weak_tracker`` of
+    the result keep their path axis.  ``track_invariants`` has the stepper
+    keep the invariant-monitor maxima in the state's ledgers.
 
     Each path reads its own driver stream, RNG_CHUNK rows at a time, and no
     kernel mixes lanes, so lane m is bit-identical to a lone run with
@@ -191,7 +165,6 @@ def simulate_batch(
                              np.broadcast_to(d0, (m,) + d0.shape))
     if weak_tracker is not None:
         weak_tracker.initialize(state.u, state.d)
-    sink = InvariantSink() if track_invariants else None
 
     rows: list[dict] = []
 
@@ -212,7 +185,7 @@ def simulate_batch(
             state, params, S, h, normals,
             track_budget=track_budget,
             weak_tracker=weak_tracker,
-            invariant_sink=sink,
+            track_invariants=track_invariants,
         )
         if (step + 1) % checkpoint_every == 0 or step + 1 == n_steps:
             emit()
@@ -220,7 +193,7 @@ def simulate_batch(
     columns = {name: np.stack([np.broadcast_to(np.asarray(row[name], dtype=float), (m,))
                                for row in rows], axis=1)
                for name in rows[0]}
-    return PathResult(PathSeries(columns), state, sink, weak_tracker)
+    return PathResult(PathSeries(columns), state, weak_tracker)
 
 
 def simulate_path(

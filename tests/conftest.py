@@ -13,7 +13,7 @@ def grid32():
 
 @pytest.fixture
 def grid_bounded():
-    return Grid(32, 32, bc_velocity="noslip", bc_director="neumann")
+    return Grid(32, 32, bc_director="neumann")
 
 
 @pytest.fixture

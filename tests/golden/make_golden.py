@@ -135,7 +135,7 @@ def _periodic_snapshot(out: Path) -> Path:
 def _bounded_vortex_snapshot(out: Path) -> Path:
     """An off-center vortex on a bounded 32x32 grid: its defect scan has a
     hit, so the printed centers and energies are covered."""
-    grid = Grid(32, 32, bc_velocity="noslip", bc_director="neumann")
+    grid = Grid(32, 32, bc_director="neumann")
     snap = out / "bounded_vortex.fld"
     write_snapshot(snap, Field(grid, vortex_director(grid, 0.4, 0.55, 2 * grid.hx), "neumann"))
     return snap

@@ -152,6 +152,27 @@ class TestSimulate:
         assert 0.0 <= div <= 1e-10
         assert np.isfinite(adv)
 
+    @pytest.mark.parametrize("key, values, bc", [
+        ("field.h", np.zeros((16, 16)), "periodic"),
+        ("field.h", np.zeros((2, 16, 16)), "periodic"),
+        ("field.h", np.zeros((3, 8, 8)), "periodic"),
+        ("init.d", np.zeros((2, 16, 16)), "periodic"),
+        ("init.d", constant_director(Grid(16, 16), (0, 0, 1)), "neumann"),
+        ("init.u", np.zeros((3, 16, 16)), "periodic"),
+    ])
+    def test_mismatched_file_spec_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                  key, values, bc):
+        out = out_env(tmp_path, monkeypatch)
+        grid = Grid(*values.shape[-2:], bc_director="periodic" if bc == "periodic" else "neumann")
+        snap = tmp_path / "x.fld"
+        write_snapshot(snap, Field(grid, values, bc))
+        text = "".join(line + "\n" for line in TINY.splitlines() if not line.startswith(key))
+        assert main(["simulate", write_cfg(tmp_path, text + f"{key} = file:{snap}\n")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: snapshot {snap} has ")
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_no_invariants_artifact_by_default(self, tmp_path, monkeypatch):
         out = out_env(tmp_path, monkeypatch)
         assert main(["simulate", write_cfg(tmp_path, TINY)]) == 0
@@ -267,7 +288,7 @@ class TestThreads:
 
 class TestDiagnose:
     def test_constant_director_all_zero_report(self, tmp_path, capsys):
-        grid = Grid(32, 32, bc_velocity="noslip", bc_director="neumann")
+        grid = Grid(32, 32, bc_director="neumann")
         snap = tmp_path / "const.fld"
         write_snapshot(snap, Field(grid, constant_director(grid, (0, 0, 1)), "neumann"))
         assert main(["diagnose", str(snap), "--pohozaev"]) == 0
@@ -279,7 +300,7 @@ class TestDiagnose:
             assert abs(residual) <= 1e-12
 
     def test_defects_on_vortex(self, tmp_path, capsys):
-        grid = Grid(64, 64, bc_velocity="noslip", bc_director="neumann")
+        grid = Grid(64, 64, bc_director="neumann")
         snap = tmp_path / "vortex.fld"
         d = vortex_director(grid, 0.5, 0.5, 2 * grid.hx)
         write_snapshot(snap, Field(grid, d, "neumann"))
@@ -303,7 +324,7 @@ class TestDiagnose:
 
     @pytest.fixture
     def vortex_snap(self, tmp_path):
-        grid = Grid(32, 32, bc_velocity="noslip", bc_director="neumann")
+        grid = Grid(32, 32, bc_director="neumann")
         snap = tmp_path / "vortex.fld"
         write_snapshot(snap, Field(grid, vortex_director(grid, 0.5, 0.5, 2 * grid.hx),
                                    "neumann"))
@@ -370,7 +391,7 @@ class TestDiagnose:
 
     def test_default_defect_radius_capped_on_small_bounded_grid(self, tmp_path, capsys):
         # 8h = 8/15 on a bounded 16^2 grid; the scan node 8/15 holds 7/15
-        grid = Grid(16, 16, bc_velocity="noslip", bc_director="neumann")
+        grid = Grid(16, 16, bc_director="neumann")
         snap = tmp_path / "bounded16.fld"
         write_snapshot(snap, Field(grid, vortex_director(grid, 0.5, 0.5, 2 * grid.hx), "neumann"))
         assert main(["diagnose", str(snap), "--defects"]) == 0
@@ -384,7 +405,7 @@ class TestDiagnose:
     def test_non_finite_snapshot_rejected(self, tmp_path, capsys, flag, bad):
         # one bad node would give nan rows or an empty defect set; the
         # snapshot is refused before any diagnostic runs
-        grid = Grid(32, 32, bc_velocity="noslip", bc_director="neumann")
+        grid = Grid(32, 32, bc_director="neumann")
         d = vortex_director(grid, 0.5, 0.55, 2 * grid.hx)
         d[0, 10, 12] = bad
         snap = tmp_path / "bad.fld"
@@ -394,11 +415,14 @@ class TestDiagnose:
         assert captured.out == ""
         assert captured.err.startswith("validation error:") and "non-finite" in captured.err
 
-    def test_velocity_snapshot_rejected(self, tmp_path):
+    def test_velocity_snapshot_rejected(self, tmp_path, capsys):
         grid = Grid(16, 16)
         snap = tmp_path / "u.fld"
         write_snapshot(snap, Field(grid, np.zeros((2, 16, 16)), "periodic"))
         assert main(["diagnose", str(snap)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: diagnose: snapshot must hold a "
+                              "3-component director")
 
     def test_oversized_header_is_io_error(self, tmp_path, capsys):
         # the header declares a 3 x 2^20 x 2^20 payload the file does not hold

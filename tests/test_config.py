@@ -18,6 +18,7 @@ from selflow.config import (
     config_hash,
     parse_config,
 )
+from selflow.grids import Grid
 
 
 class TestParse:
@@ -126,7 +127,13 @@ class TestBuilders:
         assert (g.nx, g.ny) == (16, 24)
         assert g.bc_velocity == "noslip" and g.bc_director == "neumann"
         g2 = build_grid(parse_config("sim.bc = bounded-dirichlet\n"))
-        assert g2.bc_director == "dirichlet"
+        assert g2.bc_velocity == "noslip" and g2.bc_director == "dirichlet"
+        g3 = build_grid(parse_config("sim.bc = periodic\n"))
+        assert g3.bc_velocity == "periodic" and g3.bc_director == "periodic"
+        # the velocity closure follows the one stored closure, the director's
+        for director, velocity in (("periodic", "periodic"), ("neumann", "noslip"),
+                                   ("dirichlet", "noslip")):
+            assert Grid(8, 8, bc_director=director).bc_velocity == velocity
 
     def test_initials(self):
         cfg = parse_config("init.u = taylor-green:2,0.3\ninit.d = const:0,1,0\n")

@@ -213,7 +213,7 @@ class TestStressPairing:
     def test_batched_equals_per_lane(self, rng, bounded):
         # the sweep pairs every lane of a batch at once; each lane must be
         # the one-director value bit for bit
-        grid = (Grid(32, 32, bc_velocity="noslip", bc_director="neumann") if bounded
+        grid = (Grid(32, 32, bc_director="neumann") if bounded
                 else Grid(33, 31, lx=1.7))
         d = rng.standard_normal((5, 3, grid.nx, grid.ny))
         for phi in (solenoidal_test_function(grid, 1, 1), solenoidal_test_function(grid, 2, 1)):
@@ -323,7 +323,7 @@ class TestPohozaev:
     def test_refinement_order_at_least_one(self, choice):
         resids, hs = [], []
         for n in (32, 64, 128):
-            grid = Grid(n, n, bc_velocity="noslip", bc_director="neumann")
+            grid = Grid(n, n, bc_director="neumann")
             d = self.cross_director(grid)
             rep = pohozaev_residual(d, grid, 0.4, (0.5, 0.5), 0.25, choice,
                                     bc="neumann")
@@ -332,9 +332,14 @@ class TestPohozaev:
         assert resids[2] < resids[0]
         assert fit_order(resids, hs) >= 1.0
 
+    def test_unknown_choice_rejected(self, grid_bounded):
+        d = constant_director(grid_bounded, (0.6, 0.0, 0.8))
+        with pytest.raises(ValueError, match="X choice must be one of"):
+            pohozaev_residual(d, grid_bounded, 0.5, (0.5, 0.5), 0.2, "twist")
+
     def test_planar_wave_x1_bulk_value(self):
         # X = (x1, 0): bulk terms reduce to 0.5 int(|d2 d|^2 - |d1 d|^2) + int F
-        grid = Grid(96, 96, bc_velocity="noslip", bc_director="neumann")
+        grid = Grid(96, 96, bc_director="neumann")
         X, _ = grid.meshgrid()
         k = 2 * np.pi
         d = np.stack([np.cos(k * X), np.sin(k * X), np.zeros_like(X)])
@@ -347,7 +352,7 @@ class TestPohozaev:
     def test_smooth_director_relative_residual_small(self):
         # one grid, no refinement: the residual is a small share of the
         # identity's largest terms
-        grid = Grid(48, 48, bc_velocity="noslip", bc_director="neumann")
+        grid = Grid(48, 48, bc_director="neumann")
         rep = pohozaev_residual(smooth_test_director(grid), grid, 0.5, (0.5, 0.5),
                                 0.25, "radial", bc="neumann")
         assert abs(rep.residual) < 0.2 * (abs(rep.rhs) + abs(rep.bulk_div))
@@ -393,7 +398,7 @@ class TestPeriodicRadius:
         (Grid(12, 24, ly=2.0), 0.5),
         (Grid(40, 10, lx=1.3, ly=0.35), 0.175),
         # 8h = 8/7 exceeds the domain; the scan node 4/7 holds a ball of 3/7
-        (Grid(8, 8, bc_velocity="noslip", bc_director="neumann"), 3 / 7),
+        (Grid(8, 8, bc_director="neumann"), 3 / 7),
     ], ids=["32", "12", "12x24", "40x10", "bounded8"])
     def test_default_radius(self, grid, r):
         assert default_defect_radius(grid) == pytest.approx(r, rel=1e-15)
@@ -414,7 +419,7 @@ class TestBoundedRadius:
     @pytest.mark.parametrize("ny, ly, bc", [(4, 1.0, "neumann"), (9, 0.7, "dirichlet"),
                                             (16, 1.0, "neumann"), (21, 2.3, "dirichlet")])
     def test_default_radius_is_held(self, nx, ny, ly, bc):
-        grid = Grid(nx, ny, lx=1.3, ly=ly, bc_velocity="noslip", bc_director=bc)
+        grid = Grid(nx, ny, lx=1.3, ly=ly, bc_director=bc)
         r = default_defect_radius(grid)
         assert 0.0 < r <= 8.0 * max(grid.hx, grid.hy)
         d = vortex_director(grid, 0.5 * grid.lx, 0.5 * grid.ly, 2 * grid.hx)
@@ -434,7 +439,7 @@ class TestDefects:
         assert rep.count == 0
 
     def test_vortex_detected_at_core(self):
-        grid = Grid(64, 64, bc_velocity="noslip", bc_director="neumann")
+        grid = Grid(64, 64, bc_director="neumann")
         core = 2 * grid.hx
         d = vortex_director(grid, 0.5, 0.5, core)
         r = 8 * grid.hx
@@ -449,7 +454,7 @@ class TestDefects:
         assert near >= 5 * far
 
     def test_threshold_monotonicity(self):
-        grid = Grid(64, 64, bc_velocity="noslip", bc_director="neumann")
+        grid = Grid(64, 64, bc_director="neumann")
         d = vortex_director(grid, 0.4, 0.6, 2 * grid.hx)
         r = 8 * grid.hx
         lo = defect_detect(d, grid, 0.2, r, 1e-4, bc="neumann")
@@ -512,7 +517,7 @@ def mean_ball_energy(d, grid, eps, r):
     from selflow.diagnostics import _energy_density
 
     e = _energy_density(d, grid, eps, grid.bc_director) * grid.quad_weights()
-    return float(np.sum(e[np.isfinite(e)])) * np.pi * r**2 / grid.area
+    return float(np.sum(e[np.isfinite(e)])) * np.pi * r**2 / (grid.lx * grid.ly)
 
 
 def scan_fields(grid):
@@ -538,11 +543,10 @@ SCAN_GRIDS = {
     "periodic33x31": Grid(33, 31, lx=1.7),
     # 8h is half the period: the verify window must reach the +-n/2 node
     "periodic16": Grid(16, 16),
-    "bounded32": Grid(32, 32, bc_velocity="noslip", bc_director="neumann"),
-    "bounded41x37": Grid(41, 37, bc_velocity="noslip", bc_director="neumann"),
+    "bounded32": Grid(32, 32, bc_director="neumann"),
+    "bounded41x37": Grid(41, 37, bc_director="neumann"),
     # lx != ly; 8h does not fit, so the default radius is capped
-    "dirichlet25x20": Grid(25, 20, lx=1.3, ly=0.9, bc_velocity="noslip",
-                           bc_director="dirichlet"),
+    "dirichlet25x20": Grid(25, 20, lx=1.3, ly=0.9, bc_director="dirichlet"),
 }
 
 
@@ -613,7 +617,7 @@ class TestDefectScanEquivalence:
         bounded=st.booleans(),
     )
     def test_random_smooth_director(self, coeffs, q, stride, bounded):
-        grid = (Grid(20, 18, bc_velocity="noslip", bc_director="neumann") if bounded
+        grid = (Grid(20, 18, bc_director="neumann") if bounded
                 else Grid(20, 18, lx=1.2))
         X, Y = grid.meshgrid()
         k = 2 * np.pi * np.arange(3)
@@ -639,7 +643,7 @@ class TestDefectScanEquivalence:
     def test_random_vortex(self, x0, y0, core, q, stride, kind):
         # hit-heavy: many centers pass the bound and are verified exactly
         grid = (Grid(20, 18, lx=1.2) if kind == "periodic" else
-                Grid(20, 18, lx=1.2, bc_velocity="noslip", bc_director=kind))
+                Grid(20, 18, lx=1.2, bc_director=kind))
         d = vortex_director(grid, x0 * grid.lx, y0 * grid.ly, core)
         r = 4 * max(grid.hx, grid.hy)
         thr = q * mean_ball_energy(d, grid, 0.2, r)
@@ -650,8 +654,8 @@ class TestDefectScanEquivalence:
 BOUND_GRIDS = [
     Grid(16, 16),
     Grid(20, 14, lx=1.3, ly=0.9),
-    Grid(17, 16, bc_velocity="noslip", bc_director="neumann"),
-    Grid(20, 14, lx=1.3, ly=0.9, bc_velocity="noslip", bc_director="dirichlet"),
+    Grid(17, 16, bc_director="neumann"),
+    Grid(20, 14, lx=1.3, ly=0.9, bc_director="dirichlet"),
 ]
 
 

@@ -303,7 +303,7 @@ class TestBoundedModes:
         from selflow.projection import interior_divergence_max
         from selflow.initial import smooth_unit_director as sud
 
-        grid = Grid(24, 24, bc_velocity="noslip", bc_director="neumann")
+        grid = Grid(24, 24, bc_director="neumann")
         X, Y = grid.meshgrid()
         u0 = np.stack([np.sin(np.pi * X) * np.sin(np.pi * Y) * 0.2,
                        (X * (1 - X) * Y * (1 - Y)) * 0.4])
@@ -323,7 +323,7 @@ class TestBoundedModes:
 
     def test_bounded_invariant_monitors(self):
         # the per-step divergence monitor reads the interior of every lane
-        grid = Grid(16, 16, bc_velocity="noslip", bc_director="neumann")
+        grid = Grid(16, 16, bc_director="neumann")
         dt = stability_dt(0.5, grid, 1.0, 1.0)
         params = Params(eps=0.5, dt=dt, T=20 * dt)
         S = NoiseOperatorS(grid, n_modes=4, sigma0=0.3)
@@ -332,14 +332,14 @@ class TestBoundedModes:
                             smooth_unit_director(grid, 0.3), S, h,
                             WienerDriver(3, 4), checkpoint_every=10,
                             track_invariants=True)
-        assert 0.0 < res.invariants.max_divergence <= 1e-10
-        assert np.isfinite(res.invariants.max_adv_ratio)
+        assert 0.0 < res.state.ledgers.max_divergence <= 1e-10
+        assert np.isfinite(res.state.ledgers.max_adv_ratio)
 
     def test_dirichlet_director_pinned(self):
         from selflow.pathrun import simulate_path
         from selflow.initial import smooth_unit_director as sud
 
-        grid = Grid(16, 16, bc_velocity="noslip", bc_director="dirichlet")
+        grid = Grid(16, 16, bc_director="dirichlet")
         d0 = sud(grid, 0.3)
         dt = stability_dt(0.5, grid, 1.0, 1.0)
         params = Params(eps=0.5, xi1=0.0, xi2=1.0, dt=dt, T=30 * dt)
@@ -355,7 +355,7 @@ class TestBoundedModes:
 
     def test_bare_step_keeps_dirichlet_wall(self):
         # the step pins the wall itself; a direct caller supplies nothing
-        grid = Grid(16, 16, bc_velocity="noslip", bc_director="dirichlet")
+        grid = Grid(16, 16, bc_director="dirichlet")
         d0 = smooth_unit_director(grid, 0.3)
         dt = stability_dt(0.5, grid, 1.0, 1.0)
         params = Params(eps=0.5, xi1=0.0, xi2=1.0, dt=dt, T=dt)
@@ -388,7 +388,7 @@ class TestBudgetLedgers:
         # one budget step adds dt times the record's integrand at the start
         # state to each running time integral, per path
         grid = (Grid(16, 16) if bc == "periodic"
-                else Grid(16, 16, bc_velocity="noslip", bc_director="neumann"))
+                else Grid(16, 16, bc_director="neumann"))
         params = Params(eps=0.5, dt=1e-4, T=1e-4)
         S = NoiseOperatorS(grid, n_modes=4, sigma0=0.3)
         h = MagneticField.wave(grid, (0.2, 0.2, 0.5))

@@ -66,15 +66,15 @@ class TestLaneWidth:
 class TestRunPath:
     def test_deterministic_in_seed(self):
         cfg = small_config()
-        a = run_path(cfg, 42).series
-        b = run_path(cfg, 42).series
+        a = run_path(replace(cfg, seed=42)).series
+        b = run_path(replace(cfg, seed=42)).series
         for k in a.columns:
             assert np.array_equal(a.columns[k], b.columns[k])
 
     def test_zero_noise_paths_identical(self):
         cfg = small_config(xi1=0.0, xi2=0.0)
-        a = run_path(cfg, 1).series
-        b = run_path(cfg, 2).series
+        a = run_path(replace(cfg, seed=1)).series
+        b = run_path(replace(cfg, seed=2)).series
         assert np.array_equal(a.columns["total"], b.columns["total"])
 
     def test_stability_refused(self):
@@ -82,14 +82,14 @@ class TestRunPath:
         from selflow.dynamics import StabilityError
 
         with pytest.raises(StabilityError):
-            run_path(cfg, 0)
+            run_path(cfg)
 
 
 class TestRunEnsemble:
     def test_zero_noise_zero_variance(self):
         cfg = small_config(xi1=0.0, xi2=0.0, paths=4, seed=5, checkpoint_every=20)
         res = run_ensemble(cfg)
-        assert np.max(res.stats.var["total"]) == 0.0
+        assert np.max(res.stats.se["total"]) == 0.0
 
     def test_ledger_means_near_zero(self):
         cfg = small_config(T=0.02, paths=24, seed=7, checkpoint_every=40)
@@ -125,7 +125,8 @@ class TestRunEnsemble:
         cases.append((small_config(grid="64x64", dt=1e-5, T=2e-5, track_budget=True,
                                    paths=6, seed=21, checkpoint_every=1), (None, 1, 6)))
         for cfg, batch_sizes in cases:
-            singles = [run_path(cfg, split_seed(21, i)).series for i in range(cfg.paths)]
+            singles = [run_path(replace(cfg, seed=split_seed(21, i))).series
+                       for i in range(cfg.paths)]
             for batch_size in batch_sizes:
                 table = run_ensemble(cfg, batch_size=batch_size).series.columns
                 assert table.keys() == singles[0].columns.keys()
@@ -144,7 +145,7 @@ class TestRunEnsemble:
         assert res.seeds == [split_seed(11, i) for i in range(2)]
         table = res.series.columns
         for i, seed in enumerate(res.seeds):
-            single = run_path(cfg, seed).series
+            single = run_path(replace(cfg, seed=seed)).series
             assert table.keys() == single.columns.keys()
             for k in single.columns:
                 assert np.array_equal(table[k][i], single.columns[k]), k
@@ -161,7 +162,7 @@ class TestRunEnsemble:
 @given(lanes=st.integers(1, 6), bounded=st.booleans(), budget=st.booleans(),
        seed=st.integers(0, 2**31))
 def test_batch_lanes_equal_lone_paths(lanes, bounded, budget, seed):
-    grid = Grid(16, 16, bc_velocity="noslip", bc_director="neumann") if bounded else Grid(16, 16)
+    grid = Grid(16, 16, bc_director="neumann") if bounded else Grid(16, 16)
     dt = stability_dt(0.3, grid, 1.0, 1.0)
     params = Params(eps=0.3, dt=dt, T=6 * dt)
     S = NoiseOperatorS(grid, n_modes=4, sigma0=0.3)

@@ -7,7 +7,7 @@ import pytest
 
 from selflow import fields as fl
 from selflow import operators as ops
-from selflow.grids import GridError
+from selflow.grids import Grid, GridError
 
 
 def write_header(path, k, nx, ny, payload=b"\x00" * 64):
@@ -90,6 +90,14 @@ class TestSnapshot:
         assert g.bc == "neumann"
         assert np.array_equal(g.values, vals)
         assert not g.grid.periodic
+
+    def test_dirichlet_snapshot_keeps_its_closure(self, tmp_path):
+        grid = Grid(16, 12, bc_director="dirichlet")
+        path = tmp_path / "d.fld"
+        fl.write_snapshot(path, fl.Field(grid, np.ones((3, 16, 12)), "dirichlet"))
+        g = fl.read_snapshot(path)
+        assert (g.grid.bc_director, g.grid.bc_velocity) == ("dirichlet", "noslip")
+        assert g.grid == grid
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.fld"

@@ -17,7 +17,7 @@ class TestGradient:
         assert np.max(np.abs(g)) == 0.0
 
     def test_linear_exact_interior(self):
-        grid = Grid(16, 16, bc_velocity="noslip", bc_director="neumann")
+        grid = Grid(16, 16, bc_director="neumann")
         X, Y = grid.meshgrid()
         f = 2.0 * X + 3.0 * Y
         g = ops.gradient(f, grid, "none")
@@ -56,7 +56,7 @@ class TestDivergence:
         assert np.max(np.abs(ops.divergence(v, grid32, "periodic"))) == 0.0
 
     def test_linear_exact(self):
-        grid = Grid(16, 16, bc_velocity="noslip", bc_director="neumann")
+        grid = Grid(16, 16, bc_director="neumann")
         X, Y = grid.meshgrid()
         v = np.stack([X, -Y])
         div = ops.divergence(v, grid, "none")
@@ -75,7 +75,7 @@ class TestLaplacian:
         assert np.max(np.abs(lap)) == 0.0
 
     def test_quadratic_exact_interior(self):
-        grid = Grid(16, 16, bc_velocity="noslip", bc_director="neumann")
+        grid = Grid(16, 16, bc_director="neumann")
         X, _ = grid.meshgrid()
         lap = ops.laplacian(X**2, grid, "none")
         assert np.allclose(lap[1:-1, 1:-1], 2.0, atol=1e-10)
@@ -152,7 +152,7 @@ class TestDiscreteIdentities:
             f = rng.standard_normal((24, 20))
             g = rng.standard_normal((24, 20))
         else:
-            grid = Grid(24, 20, bc_velocity="noslip", bc_director="neumann")
+            grid = Grid(24, 20, bc_director="neumann")
             f = rng.standard_normal((24, 20))
             g = rng.standard_normal((24, 20))
             if mode == "zero-boundary":
@@ -178,7 +178,7 @@ class TestDiscreteIdentities:
         if mode == "periodic":
             grid, bc = Grid(nx, ny, lx=lx), "periodic"
         else:
-            grid = Grid(nx, ny, lx=lx, bc_velocity="noslip", bc_director="neumann")
+            grid = Grid(nx, ny, lx=lx, bc_director="neumann")
             bc = "neumann" if mode == "neumann" else "none"
         X, Y = grid.meshgrid()
 
@@ -254,9 +254,9 @@ class TestPeriodicStencilsMatchRoll:
         assert np.array_equal(ops.laplacian(a, ODD, "periodic"), lap)
 
 
-BOUNDED = [Grid(4, 4, lx=0.7, ly=1.1, bc_velocity="noslip", bc_director="neumann"),
-           Grid(24, 20, lx=1.3, ly=0.9, bc_velocity="noslip", bc_director="neumann"),
-           Grid(25, 31, lx=0.8, ly=1.7, bc_velocity="noslip", bc_director="dirichlet")]
+BOUNDED = [Grid(4, 4, lx=0.7, ly=1.1, bc_director="neumann"),
+           Grid(24, 20, lx=1.3, ly=0.9, bc_director="neumann"),
+           Grid(25, 31, lx=0.8, ly=1.7, bc_director="dirichlet")]
 BOUNDED_BCS = ["none", "noslip", "dirichlet", "neumann"]
 
 

@@ -173,8 +173,8 @@ class TestBounded:
 
 bounded_grids = pytest.mark.parametrize(
     "grid",
-    [Grid(32, 32, bc_velocity="noslip", bc_director="neumann"),
-     Grid(24, 20, bc_velocity="noslip", bc_director="dirichlet")],
+    [Grid(32, 32, bc_director="neumann"),
+     Grid(24, 20, bc_director="dirichlet")],
     ids=["noslip-neumann-32x32", "noslip-dirichlet-24x20"])
 
 
@@ -227,7 +227,7 @@ class TestBoundedBatch:
 
     def test_one_solve_per_refinement_round(self, rng):
         # a per-lane loop would make at least one solve per lane (8 here)
-        grid = Grid(32, 32, bc_velocity="noslip", bc_director="neumann")
+        grid = Grid(32, 32, bc_director="neumann")
         v = rng.standard_normal((8, 2, 32, 32))
         leray_project(v[0], grid)
         A, At, lu = grid._cache["leray_bounded"]
