@@ -5,7 +5,7 @@ identities at finite relaxation parameter."""
 __version__ = "0.1.0"
 
 from .grids import Grid, GridError
-from .fields import Field, TestFunction, read_snapshot, write_snapshot
+from .fields import TestFunction, read_snapshot, write_snapshot
 from .dynamics import (
     BlowUpError,
     Params,
@@ -17,7 +17,7 @@ from .dynamics import (
     step_coupled,
     strat_correction,
 )
-from .noise import MagneticField, NoiseOperatorS, WienerDriver, split_seed
+from .noise import NoiseOperatorS, WienerDriver, split_seed
 from .projection import ProjectionError, leray_project
 from .pathrun import PathResult, PathSeries, simulate_path
 from .diagnostics import (

@@ -39,7 +39,7 @@ from .diagnostics import (
 )
 from .dynamics import BlowUpError, StabilityError
 from .ensemble import coupled_sweep, default_sweep_test_functions, run_ensemble, run_path
-from .fields import SnapshotError, read_snapshot, write_snapshot, Field
+from .fields import SnapshotError, read_snapshot, write_snapshot
 from .grids import GridError
 from .projection import ProjectionError
 
@@ -111,8 +111,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         if cfg.track_budget:
             extra["budget_residual"] = budget_residual_series(result.series, build_params(cfg, grid))
         _write_columns_csv(run_dir / "energy.csv", {**result.series.columns, **extra})
-        write_snapshot(run_dir / "u_final.fld", Field(grid, result.state.u, grid.bc_velocity))
-        write_snapshot(run_dir / "d_final.fld", Field(grid, result.state.d, grid.bc_director))
+        write_snapshot(run_dir / "u_final.fld", grid, result.state.u)
+        write_snapshot(run_dir / "d_final.fld", grid, result.state.d)
         if result.weak_tracker is not None:
             ru = result.weak_tracker.residual_u(result.state.u)
             rd = result.weak_tracker.residual_d(result.state.d)
@@ -178,12 +178,11 @@ def cmd_sweep(cfg: RunConfig, threads: int) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    f = read_snapshot(args.snapshot, args.lx, args.ly)
-    if f.k != 3:
+    grid, d = read_snapshot(args.snapshot, args.lx, args.ly)
+    if d.shape != (3, grid.nx, grid.ny):
         raise ValueError("diagnose: snapshot must hold a 3-component director")
-    if not np.all(np.isfinite(f.values)):
+    if not np.all(np.isfinite(d)):
         raise ValueError("diagnose: snapshot holds non-finite values")
-    grid = f.grid
     eps = args.eps
     did_something = False
     if args.pohozaev or not (args.defects or args.pairings):
@@ -193,21 +192,21 @@ def cmd_diagnose(args) -> int:
         print("pohozaev: choice,boundary_kinetic,bulk_stress,bulk_div,"
               "boundary_energy,rhs,residual")
         for choice in MULTIPLIERS:
-            rep = pohozaev_residual(f.values, grid, eps, (x0, y0), r, choice, bc=f.bc)
+            rep = pohozaev_residual(d, grid, eps, (x0, y0), r, choice)
             print(f"pohozaev: {choice},{rep.boundary_kinetic!r},{rep.bulk_stress!r},"
                   f"{rep.bulk_div!r},{rep.boundary_energy!r},{rep.rhs!r},{rep.residual!r}")
     if args.defects:
         did_something = True
         r = default_defect_radius(grid) if args.radius is None else args.radius
         thr = default_defect_threshold(grid, eps, r) if args.threshold is None else args.threshold
-        rep = defect_detect(f.values, grid, eps, r, thr, bc=f.bc)
+        rep = defect_detect(d, grid, eps, r, thr)
         print(f"defects: count = {rep.count} (r = {r!r}, delta0_sq = {thr!r})")
         for x, y, energy in rep.centers:
             print(f"defects: center,{x!r},{y!r},{energy!r}")
     if args.pairings:
         did_something = True
         for tf in default_sweep_test_functions(grid):
-            val = stress_pairing(f.values, grid, f.bc, tf)
+            val = stress_pairing(d, grid, tf)
             print(f"pairings: {tf.name},{val!r}")
     return EXIT_OK if did_something else EXIT_VALIDATION
 
@@ -217,6 +216,13 @@ def _thread_count(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
+
+
+def _positive_number(text: str) -> float:
+    x = float(text)
+    if not 0.0 < x < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return x
 
 
 def _energy_threshold(text: str) -> float:
@@ -240,9 +246,9 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("config")
     p_diag = sub.add_parser("diagnose")
     p_diag.add_argument("snapshot")
-    p_diag.add_argument("--eps", type=float, default=0.2)
-    p_diag.add_argument("--lx", type=float, default=1.0)
-    p_diag.add_argument("--ly", type=float, default=1.0)
+    p_diag.add_argument("--eps", type=_positive_number, default=0.2)
+    p_diag.add_argument("--lx", type=_positive_number, default=1.0)
+    p_diag.add_argument("--ly", type=_positive_number, default=1.0)
     p_diag.add_argument("--radius", type=float, default=None)
     p_diag.add_argument("--threshold", type=_energy_threshold, default=None)
     p_diag.add_argument("--pohozaev", action="store_true")

@@ -22,9 +22,10 @@ from .initial import (
     smooth_unit_director,
     taylor_green,
     vortex_director,
+    wave_field,
     zero_velocity,
 )
-from .noise import MagneticField, NoiseOperatorS
+from .noise import NoiseOperatorS
 
 RUN_MODES = ("simulate", "ensemble", "sweep", "diagnose")
 # sim.bc -> the grid's director closure (the velocity closure follows)
@@ -49,10 +50,19 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _finite(s: str) -> float:
+    """The parser of every real number in a config: NaN and infinities
+    raise ValueError, as a non-number does."""
+    x = float(s)
+    if not np.isfinite(x):
+        raise ValueError(f"{s.strip()!r} is not a finite number")
+    return x
+
+
 def _parse_dt(s: str):
     if s.strip().lower() == "auto":
         return "auto"
-    return float(s)
+    return _finite(s)
 
 
 def _fmt(v) -> str:
@@ -106,26 +116,26 @@ class RunConfig:
 # key -> (attribute, parser)
 SCHEMA = {
     "sim.grid": ("grid", str),
-    "sim.lx": ("lx", float),
-    "sim.ly": ("ly", float),
+    "sim.lx": ("lx", _finite),
+    "sim.ly": ("ly", _finite),
     "sim.bc": ("bc", str),
-    "sim.eps": ("eps", float),
-    "sim.mu": ("mu", float),
-    "sim.lambda": ("lam", float),
-    "sim.gamma": ("gamma", float),
+    "sim.eps": ("eps", _finite),
+    "sim.mu": ("mu", _finite),
+    "sim.lambda": ("lam", _finite),
+    "sim.gamma": ("gamma", _finite),
     "sim.dt": ("dt", _parse_dt),
     "sim.dt_override": ("dt_override", _parse_bool),
-    "sim.T": ("T", float),
+    "sim.T": ("T", _finite),
     "init.u": ("init_u", str),
     "init.d": ("init_d", str),
     "noise.seed": ("seed", int),
     "noise.modes": ("modes", int),
-    "noise.sigma0": ("sigma0", float),
-    "noise.q": ("q", float),
-    "noise.xi1": ("xi1", float),
-    "noise.xi2": ("xi2", float),
+    "noise.sigma0": ("sigma0", _finite),
+    "noise.q": ("q", _finite),
+    "noise.xi1": ("xi1", _finite),
+    "noise.xi2": ("xi2", _finite),
     "field.h": ("h_spec", str),
-    "proj.tol": ("proj_tol", float),
+    "proj.tol": ("proj_tol", _finite),
     "out.dir": ("out_dir", str),
     "out.checkpoint_every": ("checkpoint_every", int),
     "run.mode": ("mode", str),
@@ -217,8 +227,8 @@ def validate(cfg: RunConfig) -> list[tuple[str, str]]:
 
 def parse_eps_list(text: str) -> list[float]:
     """The relaxation parameters of ``sweep.eps``: a comma-separated, strictly
-    decreasing list of positive numbers; raises ValueError otherwise."""
-    eps = [float(tok) for tok in text.split(",") if tok.strip()]
+    decreasing list of finite positive numbers; raises ValueError otherwise."""
+    eps = [_finite(tok) for tok in text.split(",") if tok.strip()]
     if not eps or not eps[-1] > 0 or any(not a > b for a, b in zip(eps, eps[1:])):
         raise ValueError(f"must be a strictly decreasing list of positive numbers, got {text!r}")
     return eps
@@ -227,11 +237,12 @@ def parse_eps_list(text: str) -> list[float]:
 # spec attribute -> form -> converters of its arguments and the argument
 # counts it accepts (0 = builder defaults); the file form takes a path
 SPEC_FORMS = {
-    "init_u": {"zero": ((), (0,)), "taylor-green": ((int, float), (0, 1, 2)), "file": None},
-    "init_d": {"const": ((float,) * 3, (0, 3)), "vortex": ((float,) * 3, (0, 1, 2, 3)),
-               "unit-smooth": ((float,), (0, 1)), "unit-mixed": ((float,), (0, 1)),
+    "init_u": {"zero": ((), (0,)), "taylor-green": ((int, _finite), (0, 1, 2)), "file": None},
+    "init_d": {"const": ((_finite,) * 3, (0, 3)), "vortex": ((_finite,) * 3, (0, 1, 2, 3)),
+               "unit-smooth": ((_finite,), (0, 1)), "unit-mixed": ((_finite,), (0, 1)),
                "file": None},
-    "h_spec": {"const": ((float,) * 3, (0, 3)), "wave": ((float,) * 3, (0, 3)), "file": None},
+    "h_spec": {"const": ((_finite,) * 3, (0, 3)), "wave": ((_finite,) * 3, (0, 3)),
+               "file": None},
 }
 
 
@@ -276,13 +287,13 @@ def _read_spec_file(cfg: RunConfig, grid: Grid, attr: str, path: str) -> np.ndar
     """Values of the ``file:`` snapshot of spec ``attr``; raises
     :class:`ConfigError` naming the key unless the snapshot holds the spec's
     component count on the grid's node counts and layout (periodic or not)."""
-    f = read_snapshot(path, cfg.lx, cfg.ly)
-    got = (f.k, f.grid.nx, f.grid.ny, f.grid.periodic)
+    snap, values = read_snapshot(path, cfg.lx, cfg.ly)
+    got = (snap.check_values(values), snap.nx, snap.ny, snap.periodic)
     want = (_FILE_COMPONENTS[attr], grid.nx, grid.ny, grid.periodic)
     if got != want:
         raise ConfigError([(0, f"{_ATTR_TO_KEY[attr]}: snapshot {path} has (components, nx, "
                                f"ny, periodic) = {got}, the config needs {want}")])
-    return f.values
+    return values
 
 
 def build_grid(cfg: RunConfig) -> Grid:
@@ -333,13 +344,14 @@ def build_initial_d(cfg: RunConfig, grid: Grid) -> np.ndarray:
     return _read_spec_file(cfg, grid, "init_d", args[0])
 
 
-def build_magnetic_field(cfg: RunConfig, grid: Grid) -> MagneticField:
+def build_magnetic_field(cfg: RunConfig, grid: Grid) -> np.ndarray:
+    """The magnetic field h of ``field.h``, a (3, nx, ny) array."""
     kind, args = spec_args(cfg, "h_spec")
     if kind == "const":
-        return MagneticField.constant(grid, tuple(args) or (0.0, 0.0, 0.5))
+        return constant_director(grid, tuple(args) or (0.0, 0.0, 0.5))
     if kind == "wave":
-        return MagneticField.wave(grid, tuple(args) or (0.2, 0.2, 0.5))
-    return MagneticField(grid, _read_spec_file(cfg, grid, "h_spec", args[0]))
+        return wave_field(grid, tuple(args) or (0.2, 0.2, 0.5))
+    return _read_spec_file(cfg, grid, "h_spec", args[0])
 
 
 def build_noise_operator(cfg: RunConfig, grid: Grid) -> NoiseOperatorS:

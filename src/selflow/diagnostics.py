@@ -18,7 +18,7 @@ from . import operators as ops
 from .dynamics import Params, gl_force, penalty_density, strat_correction
 from .fields import TestFunction
 from .grids import Grid
-from .noise import MagneticField, NoiseOperatorS
+from .noise import NoiseOperatorS
 # simulate_path is unused here; perfbench's tracer test still looks up this alias
 from .pathrun import PathSeries, simulate_path  # noqa: F401
 
@@ -99,13 +99,14 @@ def sphere_generator_drift(d: np.ndarray, h: np.ndarray, xi2: float = 1.0) -> np
 # stress pairings
 # ---------------------------------------------------------------------------
 
-def ericksen_tensor(d: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
-    """Elastic stress tensor sigma_ij = <d_i d, d_j d>, shape (..., 2, 2, nx, ny)."""
-    g = ops.gradient(d, grid, bc)  # (..., 3, 2, nx, ny)
+def ericksen_tensor(d: np.ndarray, grid: Grid) -> np.ndarray:
+    """Elastic stress tensor sigma_ij = <d_i d, d_j d>, shape (..., 2, 2, nx, ny),
+    with the grid's director closure."""
+    g = ops.gradient(d, grid, grid.bc_director)  # (..., 3, 2, nx, ny)
     return np.sum(g[..., :, :, None, :, :] * g[..., :, None, :, :, :], axis=-5)
 
 
-def traceless_stress(d: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
+def traceless_stress(d: np.ndarray, grid: Grid) -> np.ndarray:
     """Traceless elastic stress, shape (..., 2, 2, nx, ny):
 
         0.5 * [[|d1 d|^2 - |d2 d|^2,  2 <d1 d, d2 d>],
@@ -114,7 +115,7 @@ def traceless_stress(d: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
     built from the Ericksen tensor sigma.  The (1,1) entry is stored as the
     negation of the (0,0) entry, so the pointwise trace is exactly zero.
     """
-    sig = ericksen_tensor(d, grid, bc)
+    sig = ericksen_tensor(d, grid)
     t00 = 0.5 * (sig[..., 0, 0, :, :] - sig[..., 1, 1, :, :])
     t01 = sig[..., 0, 1, :, :]
     return np.stack([np.stack([t00, t01], axis=-3), np.stack([t01, -t00], axis=-3)], axis=-4)
@@ -125,12 +126,11 @@ def _pair_tensor(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sum(a * b * w, axis=(-4, -3, -2, -1))
 
 
-def stress_pairing(d: np.ndarray, grid: Grid, bc_d: str, phi: TestFunction):
+def stress_pairing(d: np.ndarray, grid: Grid, phi: TestFunction):
     """<traceless stress(d), grad phi> by quadrature: a float for one
     director, one value per path when ``d`` carries leading path axes."""
-    T = traceless_stress(d, grid, bc_d)
-    pf = phi.field
-    gphi = ops.gradient(pf.values, grid, pf.bc)  # (2, 2, nx, ny), [i, j] = d_j phi_i
+    T = traceless_stress(d, grid)
+    gphi = ops.gradient(phi.values, grid, phi.bc)  # (2, 2, nx, ny), [i, j] = d_j phi_i
     pairing = _pair_tensor(T, gphi, grid.quad_weights())
     return float(pairing) if pairing.ndim == 0 else pairing
 
@@ -155,13 +155,14 @@ class WeakFormTracker:
         self.params = params
         self.u_tests = list(u_tests)
         self.d_tests = list(d_tests)
-        self._u_pre = [self._precompute(tf.field) for tf in self.u_tests]
-        self._d_pre = [self._precompute(tf.field) for tf in self.d_tests]
+        self._u_pre = [self._precompute(tf) for tf in self.u_tests]
+        self._d_pre = [self._precompute(tf) for tf in self.d_tests]
         self._w = grid.quad_weights()
 
-    def _precompute(self, f):
-        """(values, gradient, Laplacian) of one static test field."""
-        return f.values, ops.gradient(f.values, self.grid, f.bc), ops.laplacian(f.values, self.grid, f.bc)
+    def _precompute(self, tf: TestFunction):
+        """(values, gradient, Laplacian) of one static test function."""
+        return (tf.values, ops.gradient(tf.values, self.grid, tf.bc),
+                ops.laplacian(tf.values, self.grid, tf.bc))
 
     def initialize(self, u0: np.ndarray, d0: np.ndarray) -> None:
         """Start from (u0, d0); a leading path axis makes every pairing and
@@ -186,7 +187,7 @@ class WeakFormTracker:
         g = self.grid
         if self.u_tests:
             # the traceless stress of the current d, shared across tests
-            T = traceless_stress(d, g, g.bc_director)
+            T = traceless_stress(d, g)
         uu = u[..., :, None, :, :] * u[..., None, :, :, :]
         for k, (phi, gphi, lphi) in enumerate(self._u_pre):
             adv = _pair_tensor(uu, gphi, w)
@@ -326,7 +327,6 @@ def pohozaev_residual(
     center: tuple[float, float],
     r: float,
     choice: str = "radial",
-    bc: str | None = None,
 ) -> PohozaevReport:
     """Evaluate the multiplier identity on B_r(center) for one X choice of
     :data:`MULTIPLIERS`.
@@ -336,19 +336,18 @@ def pohozaev_residual(
     fields.  The elliptic residual tau = lap d - f_eps(d) is built from the
     same discrete operators as everything else, so the report's residual is
     pure discretization defect, decaying at first order or better under
-    refinement.  The circle carries one midpoint per grid spacing, and at
-    least 64.
+    refinement.  The stencils are those of the grid's director closure.
+    The circle carries one midpoint per grid spacing, and at least 64.
     """
     _check_radius(r)
     if choice not in MULTIPLIERS:
         raise ValueError(f"X choice must be one of {tuple(MULTIPLIERS)}")
     x_field, grad_x = MULTIPLIERS[choice]
-    if bc is None:
-        bc = grid.bc_director
     x0, y0 = center
     if not grid.contains_ball(x0, y0, r, margin_cells=1):
         raise GeometryError(f"ball B_{r}({x0}, {y0}) not inside the domain with margin")
 
+    bc = grid.bc_director
     g = ops.gradient(d, grid, bc)  # (3, 2, nx, ny)
     e_density = _energy_density(d, grid, eps, bc)
     tau = ops.laplacian(d, grid, bc) - gl_force(d, eps)
@@ -359,7 +358,7 @@ def pohozaev_residual(
     Xf1, Xf2 = x_field(X - x0, Y - y0)
     xdotgrad = Xf1 * g[:, 0] + Xf2 * g[:, 1]  # (3, nx, ny)
 
-    sigma = ericksen_tensor(d, grid, bc)
+    sigma = ericksen_tensor(d, grid)
     div_x = float(np.trace(grad_x))
 
     bulk_stress = -float(np.sum(sigma * grad_x[:, :, None, None] * w))
@@ -409,17 +408,17 @@ def _wrapped_dist_sq(grid: Grid, x0: float, y0: float) -> np.ndarray:
     return dx**2 + dy**2
 
 
-def local_energy(
-    d: np.ndarray, grid: Grid, eps: float, center: tuple[float, float], r: float,
-    bc: str | None = None,
-) -> float:
+def local_energy(d: np.ndarray, grid: Grid, eps: float, center: tuple[float, float],
+                 r: float) -> float:
     """Relaxation energy 0.5 |grad d|^2 + F_eps integrated over the discrete
     ball (cell-center inclusion; periodic distance on the torus, where r
     may reach half the shorter period)."""
+    return _ball_energy(_energy_density(d, grid, eps, grid.bc_director), grid, center, r)
+
+
+def _ball_energy(e: np.ndarray, grid: Grid, center: tuple[float, float], r: float) -> float:
+    """The energy density ``e`` integrated over the discrete ball B_r(center)."""
     _check_radius(r, grid)
-    if bc is None:
-        bc = grid.bc_director
-    e = _energy_density(d, grid, eps, bc)
     mask = _wrapped_dist_sq(grid, *center) <= r**2
     return float(np.sum(e * grid.quad_weights() * mask))
 
@@ -516,7 +515,6 @@ def defect_detect(
     eps: float,
     r: float,
     delta0_sq: float,
-    bc: str | None = None,
     stride: int = 2,
 ) -> DefectReport:
     """Scan a coarse lattice of centers (every stride-th node; on bounded
@@ -539,8 +537,6 @@ def defect_detect(
     state between calls.
     """
     _check_radius(r, grid)
-    if bc is None:
-        bc = grid.bc_director
     ci, cj = (a.ravel() for a in np.meshgrid(np.arange(0, grid.nx, stride),
                                              np.arange(0, grid.ny, stride), indexing="ij"))
     if not grid.periodic:
@@ -549,7 +545,7 @@ def defect_detect(
         if not ci.size:
             raise GeometryError(f"no scan center (stride {stride}) holds a ball of "
                                 f"radius {r!r} inside the bounded domain")
-    e_w = _energy_density(d, grid, eps, bc) * grid.quad_weights()
+    e_w = _energy_density(d, grid, eps, grid.bc_director) * grid.quad_weights()
     bound = _ball_energy_bound(e_w, grid, r)[ci, cj]
     cand = np.flatnonzero(~(bound + _bound_margin(e_w) <= delta0_sq))
     energies = _exact_ball_energies(e_w, grid, r, ci[cand], cj[cand])
@@ -586,8 +582,12 @@ def default_defect_radius(grid: Grid) -> float:
 def default_defect_threshold(grid: Grid, eps: float, r: float | None = None) -> float:
     """Default concentration threshold: 0.3 times the local energy of an
     isolated synthetic vortex (core two cells wide) on a ball of radius r,
-    :func:`default_defect_radius` when it is None.  The threshold scale is
-    a calibration choice, config-overridable."""
+    :func:`default_defect_radius` when it is None.  The vortex is not
+    periodic, so its energy takes Neumann stencils on every grid: periodic
+    stencils would count its jump across the seam, which the ball reaches
+    on small periodic grids.  The factor 0.3 is a calibration choice; only
+    ``diagnose --threshold`` overrides the threshold (no config key sets
+    it)."""
     from .initial import vortex_director
 
     h = max(grid.hx, grid.hy)
@@ -595,7 +595,7 @@ def default_defect_threshold(grid: Grid, eps: float, r: float | None = None) -> 
         r = default_defect_radius(grid)
     x0, y0 = 0.5 * grid.lx, 0.5 * grid.ly
     ref = vortex_director(grid, x0, y0, core=2.0 * h)
-    return 0.3 * local_energy(ref, grid, eps, (x0, y0), r, bc="neumann")
+    return 0.3 * _ball_energy(_energy_density(ref, grid, eps, "neumann"), grid, (x0, y0), r)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +618,7 @@ class GronwallReport:
 
 
 def gronwall_bound_check(
-    series: PathSeries, params: Params, S: NoiseOperatorS, h: MagneticField
+    series: PathSeries, params: Params, S: NoiseOperatorS, h: np.ndarray
 ) -> GronwallReport:
     """Sample-level check of the exponential-in-time energy bound on an
     ensemble's (paths, n_checkpoints) table.
@@ -647,7 +647,8 @@ def gronwall_bound_check(
     se_half = float(x_half.std(ddof=1) / np.sqrt(M))
     se_full = float(x_full.std(ddof=1) / np.sqrt(M))
 
-    c_rate = 0.5 * params.xi1**2 * S.linear_growth_constant() + 2.0 * params.lam * params.xi2**2 * h.max_abs**2 + 1.0
+    h_max = float(np.max(np.linalg.norm(h, axis=0)))
+    c_rate = 0.5 * params.xi1**2 * S.linear_growth_constant() + 2.0 * params.lam * params.xi2**2 * h_max**2 + 1.0
     dt_gap = float(t[-1] - t[i_half])
     ms_half, ms_full = float(sup_half.mean()), float(sup_full.mean())
     slack = 3.0 * (

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import operators as ops
 from .grids import Grid
-from .noise import MagneticField, NoiseOperatorS
+from .noise import NoiseOperatorS
 from .projection import PROJ_TOL, interior_divergence_max, leray_project
 
 
@@ -68,16 +68,13 @@ class Params:
     dt_override: bool = False
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        for name in ("mu", "lam", "gamma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        # written as `not lo < x < inf` so that NaN is refused too
+        for name in ("eps", "mu", "lam", "gamma", "dt", "T"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("xi1", "xi2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.dt <= 0 or self.T <= 0:
-            raise ValueError("dt and T must be positive")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 def stability_dt(eps: float, grid: Grid, mu: float, gamma: float, umax: float = 0.0) -> float:
@@ -160,10 +157,10 @@ def strat_correction(d: np.ndarray, h: np.ndarray, xi2: float = 1.0) -> np.ndarr
     return 0.5 * xi2**2 * ops.cross(ops.cross(d, h), h)
 
 
-def director_terms(d: np.ndarray, h: np.ndarray, grid: Grid, bc: str, eps: float):
+def director_terms(d: np.ndarray, h: np.ndarray, grid: Grid, eps: float):
     """Time-n director terms (lap d, f_eps(d), tau = lap d - f_eps(d),
-    d x h, (d x h) x h)."""
-    lap_d = ops.laplacian(d, grid, bc)
+    d x h, (d x h) x h), with the grid's director closure."""
+    lap_d = ops.laplacian(d, grid, grid.bc_director)
     f = gl_force(d, eps)
     dxh = ops.cross(d, h)
     return lap_d, f, lap_d - f, dxh, ops.cross(dxh, h)
@@ -183,7 +180,7 @@ def step_coupled(
     state: SimState,
     params: Params,
     S: NoiseOperatorS,
-    h: MagneticField,
+    h: np.ndarray,
     normals: np.ndarray,
     *,
     track_budget: bool = False,
@@ -210,7 +207,7 @@ def step_coupled(
 
     # time-n director pieces; the central gradient of d is shared between
     # the advection term and the reduced stress force
-    lap_d, f, tau, dxh, dxhxh = director_terms(d, h.values, grid, bc_d, params.eps)
+    lap_d, f, tau, dxh, dxhxh = director_terms(d, h, grid, params.eps)
     g_d = ops.gradient(d, grid, bc_d)  # (..., 3, 2, nx, ny)
     adv_d = u[..., 0:1, :, :] * g_d[..., 0, :, :]
     adv_d += u[..., 1:2, :, :] * g_d[..., 1, :, :]

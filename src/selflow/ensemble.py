@@ -227,7 +227,7 @@ def coupled_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     runs = []  # runs[a]: the (paths, n_check) columns at eps_list[a]
     for eps in eps_list:
         def hook(state, eps=eps):
-            row = {f"pairing_{tf.name}": stress_pairing(state.d, grid, grid.bc_director, tf)
+            row = {f"pairing_{tf.name}": stress_pairing(state.d, grid, tf)
                    for tf in phis}
             row["defect_count"] = np.array(
                 [float(defect_detect(d, grid, eps, defect_r, delta0_sq).count) for d in state.d])

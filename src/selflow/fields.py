@@ -1,4 +1,4 @@
-"""Grid-attached field records, test functions, and snapshot serialization.
+"""Test functions and snapshot serialization.
 
 The binary snapshot layout is: a 16-byte magic block (the ASCII bytes
 ``SELFLOW-FLD\\0`` zero-padded to 16), little-endian uint32 {k, nx, ny},
@@ -28,26 +28,6 @@ class SnapshotError(IOError):
 
 
 @dataclass
-class Field:
-    """Values sampled on a grid with a boundary-condition mode: the record
-    that snapshots and test functions carry.
-
-    ``values`` has shape (nx, ny) for scalars and (k, nx, ny) for k-vectors.
-    ``bc`` names the boundary closure the values are meant for.
-    """
-
-    grid: Grid
-    values: np.ndarray
-    bc: str = "periodic"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.k = self.grid.check_values(self.values)
-        if self.bc not in _BC_CODES:
-            raise GridError(f"unknown boundary mode {self.bc!r}")
-
-
-@dataclass
 class TestFunction:
     """Static test function for weak-form pairings.
 
@@ -57,18 +37,31 @@ class TestFunction:
     controls).  Director test functions have k = 3.
     """
 
-    field: Field
+    grid: Grid
+    values: np.ndarray
     name: str = ""
 
     def __post_init__(self):
-        if self.field.k == 2:
-            worst = interior_divergence_max(self.field.values, self.field.grid)
+        self.values = np.asarray(self.values, dtype=float)
+        k = self.grid.check_values(self.values)
+        if k == 2:
+            worst = interior_divergence_max(self.values, self.grid)
             if worst > 10 * PROJ_TOL:
                 raise GridError(
                     f"velocity test function is not divergence-free (|div|_inf = {worst:.2e})"
                 )
-        elif self.field.k != 3:
+        elif k != 3:
             raise GridError("test functions are 2-vectors (velocity) or 3-vectors (director)")
+
+    @property
+    def bc(self) -> str:
+        """Stencil closure: the grid's velocity closure for a velocity test; for
+        a director test periodic, or Neumann on any bounded grid, a pinned
+        wall included (:func:`director_test_function` builds cosine modes
+        with zero normal derivative at the walls)."""
+        if len(self.values) == 2:
+            return self.grid.bc_velocity
+        return "periodic" if self.grid.periodic else "neumann"
 
 
 def solenoidal_test_function(grid: Grid, kx: int = 1, ky: int = 1, name: str = "") -> TestFunction:
@@ -83,8 +76,7 @@ def solenoidal_test_function(grid: Grid, kx: int = 1, ky: int = 1, name: str = "
             -ax * np.cos(ax * X) * np.sin(ay * Y),
         ]
     )
-    u = leray_project(phi, grid)
-    return TestFunction(Field(grid, u, grid.bc_velocity), name=name or f"stream_{kx}{ky}")
+    return TestFunction(grid, leray_project(phi, grid), name or f"stream_{kx}{ky}")
 
 
 def director_test_function(grid: Grid, kx: int = 1, ky: int = 1, component: int = 0,
@@ -93,25 +85,29 @@ def director_test_function(grid: Grid, kx: int = 1, ky: int = 1, component: int 
     ax, ay = 2.0 * np.pi * kx / grid.lx, 2.0 * np.pi * ky / grid.ly
     psi = np.zeros((3, grid.nx, grid.ny))
     psi[component] = np.cos(ax * X) * np.cos(ay * Y)
-    bc = "periodic" if grid.periodic else "neumann"
-    return TestFunction(Field(grid, psi, bc), name=name or f"dir_{component}_{kx}{ky}")
+    return TestFunction(grid, psi, name or f"dir_{component}_{kx}{ky}")
 
 
-def write_snapshot(path, f: Field) -> None:
-    vals = f.values if f.values.ndim == 3 else f.values[None, :, :]
-    k = vals.shape[0]
+def write_snapshot(path, grid: Grid, values: np.ndarray) -> None:
+    """Write ``values`` sampled on ``grid``, tagged with the grid's closure
+    for the field kind: the velocity closure for 2 components, the director
+    closure otherwise."""
+    k = grid.check_values(values)
+    bc = grid.bc_velocity if k == 2 else grid.bc_director
+    payload = np.ascontiguousarray(values, dtype="<f8").reshape(k, grid.nx, grid.ny)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<III", k, f.grid.nx, f.grid.ny))
-        fh.write(struct.pack("<B", _BC_CODES[f.bc]))
-        fh.write(np.ascontiguousarray(vals, dtype="<f8").tobytes())
+        fh.write(struct.pack("<III", k, grid.nx, grid.ny))
+        fh.write(struct.pack("<B", _BC_CODES[bc]))
+        fh.write(payload.tobytes())
 
 
-def read_snapshot(path, lx: float = 1.0, ly: float = 1.0) -> Field:
-    """Read a snapshot; the grid is reconstructed from the header and the
-    given physical lengths (the format stores only counts and bc).  A
-    ``periodic`` or ``dirichlet`` snapshot gets a grid with that director
-    closure; every other bounded one gets a ``neumann`` grid."""
+def read_snapshot(path, lx: float = 1.0, ly: float = 1.0) -> tuple[Grid, np.ndarray]:
+    """Read a snapshot as (grid, values); the grid is reconstructed from the
+    header and the given physical lengths (the format stores only counts and
+    bc).  A ``periodic`` or ``dirichlet`` snapshot gets a grid with that
+    director closure; every other bounded one gets a ``neumann`` grid.
+    Values are (nx, ny) for one component and (k, nx, ny) otherwise."""
     with open(path, "rb") as fh:
         magic = fh.read(16)
         if magic != MAGIC:
@@ -135,4 +131,4 @@ def read_snapshot(path, lx: float = 1.0, ly: float = 1.0) -> Field:
     vals = np.frombuffer(raw, dtype="<f8").reshape(k, nx, ny).astype(float)
     bc = _BC_NAMES[bc_code]
     grid = Grid(nx, ny, lx, ly, bc if bc in ("periodic", "dirichlet") else "neumann")
-    return Field(grid, vals[0] if k == 1 else vals, bc)
+    return grid, vals[0] if k == 1 else vals

@@ -40,8 +40,8 @@ class Grid:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise GridError(f"grid must be at least 4x4, got {self.nx}x{self.ny}")
-        if self.lx <= 0 or self.ly <= 0:
-            raise GridError("domain lengths must be positive")
+        if not (0 < self.lx < np.inf and 0 < self.ly < np.inf):
+            raise GridError(f"domain lengths must be positive and finite, got {self.lx!r}, {self.ly!r}")
         if self.bc_director not in DIRECTOR_BCS:
             raise GridError(f"bc_director must be one of {DIRECTOR_BCS}")
 

@@ -1,4 +1,5 @@
-"""Initial data builders: velocities, directors, and synthetic fixtures."""
+"""Initial data builders: velocities, directors, the magnetic field h (a
+(3, nx, ny) array like a director), and synthetic fixtures."""
 
 from __future__ import annotations
 
@@ -32,9 +33,26 @@ def taylor_green(grid: Grid, k: int = 1, amp: float = 0.1) -> np.ndarray:
 
 
 def constant_director(grid: Grid, vec) -> np.ndarray:
+    """The constant 3-vector field ``vec``: a director, or a constant h."""
     d = np.empty((3, grid.nx, grid.ny))
     d[0], d[1], d[2] = vec
     return d
+
+
+def wave_field(grid: Grid, amps) -> np.ndarray:
+    """Smooth non-constant magnetic field h: a spatially varying h makes the
+    director-noise ledger a genuine (non-degenerate) martingale, since with
+    constant h the integral of <d x h, lap d> vanishes identically."""
+    X, Y = grid.meshgrid()
+    ax, ay = 2.0 * np.pi / grid.lx, 2.0 * np.pi / grid.ly
+    a, b, c = amps
+    return np.stack(
+        [
+            a * np.cos(ax * X) * np.cos(ay * Y),
+            b * np.sin(ax * X + 0.5),
+            c * (1.0 + 0.5 * np.sin(ax * X) * np.sin(ay * Y)),
+        ]
+    )
 
 
 def smooth_unit_director(grid: Grid, amp: float = 0.4) -> np.ndarray:

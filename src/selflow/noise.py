@@ -1,5 +1,4 @@
-"""Seeded Wiener drivers, the Hilbert-Schmidt noise operator, and the
-magnetic field.
+"""Seeded Wiener drivers and the Hilbert-Schmidt noise operator.
 
 The velocity noise is a truncated cylindrical Wiener process: N independent
 Brownian modes B_i acting through a diagonal operator
@@ -14,8 +13,6 @@ choices; that is what makes coupled eps-sweeps meaningful.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,43 +69,6 @@ def coarsen_normals(table: np.ndarray, factor: int) -> np.ndarray:
         raise ValueError("table length must be divisible by the coarsening factor")
     out = table.reshape(n // factor, factor, table.shape[1]).sum(axis=1)
     return out / np.sqrt(factor)
-
-
-@dataclass
-class MagneticField:
-    """External field h acting on the director, bounded with bounded first
-    differences (a discrete stand-in for H^2 regularity)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    @classmethod
-    def constant(cls, grid: Grid, h: tuple[float, float, float]) -> "MagneticField":
-        vals = np.zeros((3, grid.nx, grid.ny))
-        vals[0], vals[1], vals[2] = h
-        return cls(grid, vals)
-
-    @classmethod
-    def wave(cls, grid: Grid, amps: tuple[float, float, float]) -> "MagneticField":
-        """Smooth non-constant field: a spatially varying h makes the
-        director-noise ledger a genuine (non-degenerate) martingale, since
-        with constant h the integral of <d x h, lap d> vanishes identically.
-        """
-        X, Y = grid.meshgrid()
-        ax, ay = 2.0 * np.pi / grid.lx, 2.0 * np.pi / grid.ly
-        a, b, c = amps
-        vals = np.stack(
-            [
-                a * np.cos(ax * X) * np.cos(ay * Y),
-                b * np.sin(ax * X + 0.5),
-                c * (1.0 + 0.5 * np.sin(ax * X) * np.sin(ay * Y)),
-            ]
-        )
-        return cls(grid, vals)
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.linalg.norm(self.values, axis=0)))
 
 
 def default_mode_shapes(grid: Grid, n_modes: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .dynamics import (
     penalty_density,
     step_coupled,
 )
-from .noise import MagneticField, NoiseOperatorS, WienerDriver
+from .noise import NoiseOperatorS, WienerDriver
 from .projection import ProjectionError, interior_divergence_max
 
 # rows of standard normals drawn from each driver at a time
@@ -38,7 +38,7 @@ RNG_CHUNK = 256
 
 
 def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
-                   h: MagneticField) -> dict:
+                   h: np.ndarray) -> dict:
     """Every energy-identity term at the current state; batch-transparent
     (per-path values when the state carries a leading path axis, and the
     clock and untouched ledgers shared as scalars).
@@ -52,7 +52,7 @@ def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
     kinetic = 0.5 * ops.pair_vec(u, u, grid)
     dirichlet = 0.5 * ops.dirichlet_form_vec(d, d, grid)
     pen = ops.pair_scalar(penalty_density(d, params.eps), 1.0, grid)
-    _, _, tau, dxh, dxhxh = director_terms(d, h.values, grid, grid.bc_director, params.eps)
+    _, _, tau, dxh, dxhxh = director_terms(d, h, grid, params.eps)
     diss_u, diss_d, hs, strat = budget_integrands(u, d, tau, dxh, dxhxh, grid, S, params.xi1)
     dev_sq = ops.dot3(d, d) - 1.0
     led = state.ledgers
@@ -126,7 +126,7 @@ def simulate_batch(
     u0: np.ndarray,
     d0: np.ndarray,
     S: NoiseOperatorS,
-    h: MagneticField,
+    h: np.ndarray,
     drivers: list[WienerDriver],
     *,
     checkpoint_every: int = 50,
@@ -202,7 +202,7 @@ def simulate_path(
     u0: np.ndarray,
     d0: np.ndarray,
     S: NoiseOperatorS,
-    h: MagneticField,
+    h: np.ndarray,
     driver: WienerDriver,
     *,
     normals_table: np.ndarray | None = None,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from selflow.grids import Grid
-from selflow.initial import smooth_unit_director
-from selflow.noise import MagneticField, NoiseOperatorS
+from selflow.initial import constant_director, smooth_unit_director
+from selflow.noise import NoiseOperatorS
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ def noise32(grid32):
 
 @pytest.fixture
 def h_const(grid32):
-    return MagneticField.constant(grid32, (0.0, 0.0, 0.5))
+    return constant_director(grid32, (0.0, 0.0, 0.5))
 
 
 def fit_order(errors, hs):

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from selflow.cli import main
-from selflow.fields import Field, read_snapshot, write_snapshot
+from selflow.fields import read_snapshot, write_snapshot
 from selflow.grids import Grid
 from selflow.initial import vortex_director
 
@@ -137,7 +137,7 @@ def _bounded_vortex_snapshot(out: Path) -> Path:
     hit, so the printed centers and energies are covered."""
     grid = Grid(32, 32, bc_director="neumann")
     snap = out / "bounded_vortex.fld"
-    write_snapshot(snap, Field(grid, vortex_director(grid, 0.4, 0.55, 2 * grid.hx), "neumann"))
+    write_snapshot(snap, grid, vortex_director(grid, 0.4, 0.55, 2 * grid.hx))
     return snap
 
 
@@ -198,7 +198,7 @@ def file_set(root: Path) -> set[str]:
 def columns(path: Path) -> dict[str, list]:
     """The cells of one artifact, by column (see the module docstring)."""
     if path.suffix == ".fld":
-        vals = read_snapshot(path).values
+        vals = read_snapshot(path)[1]
         vals = vals.reshape(-1, vals.shape[-2] * vals.shape[-1])
         return {f"component {i}": list(v) for i, v in enumerate(vals)}
     lines = [ln for ln in path.read_text(encoding="utf-8").splitlines()

@@ -30,7 +30,7 @@ from selflow.initial import (
     taylor_green,
     vortex_director,
 )
-from selflow.noise import MagneticField, NoiseOperatorS, WienerDriver, coarsen_normals
+from selflow.noise import NoiseOperatorS, WienerDriver, coarsen_normals
 from selflow.pathrun import simulate_batch, simulate_path
 from conftest import fit_order, subunit_director
 
@@ -51,7 +51,7 @@ def deterministic_run_64():
     dt = stability_dt(eps, grid, 1.0, 1.0)
     params = Params(eps=eps, xi1=0.0, xi2=0.0, dt=dt, T=0.04)
     S = NoiseOperatorS(grid, n_modes=4, sigma0=0.3)
-    h = MagneticField.constant(grid, (0.0, 0.0, 0.5))
+    h = constant_director(grid, (0.0, 0.0, 0.5))
     u0 = taylor_green(grid, 1, 0.2)
     d0 = smooth_unit_director(grid, 0.4)
     t0 = time.monotonic()
@@ -97,7 +97,7 @@ def test_criterion_02_energy_budget_identity():
     dt0 = stability_dt(eps, grid, 1.0, 1.0)
     n0 = int(round(T / dt0))
     S = NoiseOperatorS(grid, n_modes=8, sigma0=0.3)
-    h = MagneticField.constant(grid, (0.0, 0.0, 0.5))
+    h = constant_director(grid, (0.0, 0.0, 0.5))
     u0 = taylor_green(grid, 1, 0.2)
     d0 = smooth_unit_director(grid, 0.4)
     fine = WienerDriver(42, 8).normal_table(4 * n0)
@@ -142,7 +142,7 @@ def test_criterion_04_sphere_conservation_in_law():
 
     # ensemble bias of |d(T)|^2 - 1 for constant unit data
     grid = Grid(4, 4)
-    h = MagneticField.constant(grid, (0.0, 0.0, 1.0))
+    h = constant_director(grid, (0.0, 0.0, 1.0))
     S = NoiseOperatorS(grid, n_modes=1, sigma0=0.0)
     d0 = constant_director(grid, (0.6, 0.0, 0.8))
     dt, T = 1e-3, 0.5
@@ -155,7 +155,7 @@ def test_criterion_04_sphere_conservation_in_law():
                            checkpoint_every=10**9, track_budget=False)
     finals = ops.dot3(batch.state.d, batch.state.d)[:, 0, 0] - 1.0
     se = finals.std(ddof=1) / np.sqrt(M)
-    tol = max(3.0 * se, 2.0 * dt * T * (params.xi2 * h.max_abs) ** 4)
+    tol = max(3.0 * se, 2.0 * dt * T * (params.xi2 * np.max(np.linalg.norm(h, axis=0))) ** 4)
     assert abs(finals.mean()) <= tol
     report(4, f"generator drift {gen:.1e} <= 1e-14; ensemble bias "
               f"{finals.mean():+.2e} <= {tol:.2e}")
@@ -177,7 +177,7 @@ def test_criterion_06_maximum_principle_monitor():
     dt = stability_dt(eps, grid, 1.0, 1.0)
     params = Params(eps=eps, xi1=0.0, xi2=0.0, dt=dt, T=0.1)
     S = NoiseOperatorS(grid, n_modes=2, sigma0=0.0)
-    h = MagneticField.constant(grid, (0.0, 0.0, 0.0))
+    h = constant_director(grid, (0.0, 0.0, 0.0))
     d0 = subunit_director(grid, scale=0.9, amp=0.4)
     assert np.max(np.sqrt(ops.dot3(d0, d0))) <= 1.0
     res = simulate_path(grid, params, taylor_green(grid, 1, 0.2), d0, S, h,
@@ -208,7 +208,7 @@ def test_criterion_07_pohozaev_refinement():
         for n in (32, 64, 128):
             grid = Grid(n, n, bc_director="neumann")
             rep = pohozaev_residual(cross_director(grid), grid, 0.4,
-                                    (0.5, 0.5), 0.25, choice, bc="neumann")
+                                    (0.5, 0.5), 0.25, choice)
             resids.append(abs(rep.residual))
             hs.append(grid.hx)
         order = fit_order(resids, hs)
@@ -265,13 +265,13 @@ def test_criterion_10_defect_detection():
     r = 8.0 * grid.hx
 
     vortex = vortex_director(grid, 0.5, 0.5, core)
-    rep = defect_detect(vortex, grid, eps, r, thr, bc="neumann")
+    rep = defect_detect(vortex, grid, eps, r, thr)
     assert rep.count == 1
     x, y, _ = rep.centers[0]
     assert np.hypot(x - 0.5, y - 0.5) <= 2.0 * grid.hx
 
     uniform = smooth_unit_director(grid, 0.05)
-    rep0 = defect_detect(uniform, grid, eps, r, thr, bc="neumann")
+    rep0 = defect_detect(uniform, grid, eps, r, thr)
     assert rep0.count == 0
     report(10, f"vortex: 1 center at ({x:.4f}, {y:.4f}) within 2h of core; "
                f"uniform: empty set (threshold {thr:.4f})")

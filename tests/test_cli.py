@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from selflow.cli import main
 from selflow.config import SCHEMA
-from selflow.fields import MAGIC, Field, write_snapshot
+from selflow.fields import MAGIC, write_snapshot
 from selflow.grids import Grid
 from selflow.initial import constant_director, vortex_director
 from selflow.noise import split_seed
@@ -74,7 +74,7 @@ class TestSimulate:
     def test_failed_write_leaves_no_run_dir(self, tmp_path, monkeypatch, capsys):
         import selflow.cli as cli
 
-        def refuse(path, field):
+        def refuse(path, grid, values):
             raise OSError(f"cannot write {path}")
 
         out = out_env(tmp_path, monkeypatch)
@@ -165,11 +165,24 @@ class TestSimulate:
         out = out_env(tmp_path, monkeypatch)
         grid = Grid(*values.shape[-2:], bc_director="periodic" if bc == "periodic" else "neumann")
         snap = tmp_path / "x.fld"
-        write_snapshot(snap, Field(grid, values, bc))
+        write_snapshot(snap, grid, values)
         text = "".join(line + "\n" for line in TINY.splitlines() if not line.startswith(key))
         assert main(["simulate", write_cfg(tmp_path, text + f"{key} = file:{snap}\n")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: snapshot {snap} has ")
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("line", ["sim.T = inf", "sim.lx = inf", "sim.dt = nan",
+                                      "sim.mu = inf", "noise.xi1 = nan", "proj.tol = inf"])
+    def test_non_finite_number_is_config_error(self, tmp_path, monkeypatch, capsys, line):
+        out = out_env(tmp_path, monkeypatch)
+        key = line.split()[0]
+        text = "".join(ln + "\n" for ln in TINY.splitlines() if not ln.startswith(key))
+        assert main(["simulate", write_cfg(tmp_path, text + line + "\n")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"config error: line {len(text.splitlines()) + 1}: {key}: "
+                       f"{line.split()[-1]!r} is not a finite number\n")
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
@@ -290,7 +303,7 @@ class TestDiagnose:
     def test_constant_director_all_zero_report(self, tmp_path, capsys):
         grid = Grid(32, 32, bc_director="neumann")
         snap = tmp_path / "const.fld"
-        write_snapshot(snap, Field(grid, constant_director(grid, (0, 0, 1)), "neumann"))
+        write_snapshot(snap, grid, constant_director(grid, (0, 0, 1)))
         assert main(["diagnose", str(snap), "--pohozaev"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines()
                  if l.startswith("pohozaev:") and not l.startswith("pohozaev: choice")]
@@ -303,7 +316,7 @@ class TestDiagnose:
         grid = Grid(64, 64, bc_director="neumann")
         snap = tmp_path / "vortex.fld"
         d = vortex_director(grid, 0.5, 0.5, 2 * grid.hx)
-        write_snapshot(snap, Field(grid, d, "neumann"))
+        write_snapshot(snap, grid, d)
         assert main(["diagnose", str(snap), "--defects"]) == 0
         out = capsys.readouterr().out
         assert "defects: count = 1" in out
@@ -317,7 +330,7 @@ class TestDiagnose:
     def test_pairings(self, tmp_path, capsys):
         grid = Grid(32, 32)
         snap = tmp_path / "d.fld"
-        write_snapshot(snap, Field(grid, constant_director(grid, (1, 0, 0)), "periodic"))
+        write_snapshot(snap, grid, constant_director(grid, (1, 0, 0)))
         assert main(["diagnose", str(snap), "--pairings"]) == 0
         out = capsys.readouterr().out
         assert out.count("pairings:") == 3
@@ -326,8 +339,7 @@ class TestDiagnose:
     def vortex_snap(self, tmp_path):
         grid = Grid(32, 32, bc_director="neumann")
         snap = tmp_path / "vortex.fld"
-        write_snapshot(snap, Field(grid, vortex_director(grid, 0.5, 0.5, 2 * grid.hx),
-                                   "neumann"))
+        write_snapshot(snap, grid, vortex_director(grid, 0.5, 0.5, 2 * grid.hx))
         return str(snap)
 
     @pytest.mark.parametrize("flags", [
@@ -361,8 +373,7 @@ class TestDiagnose:
         def make(n):
             grid = Grid(n, n)
             snap = tmp_path / f"periodic{n}.fld"
-            write_snapshot(snap, Field(grid, vortex_director(grid, 0.5, 0.5, 2 * grid.hx),
-                                       "periodic"))
+            write_snapshot(snap, grid, vortex_director(grid, 0.5, 0.5, 2 * grid.hx))
             return str(snap)
         return make
 
@@ -393,7 +404,7 @@ class TestDiagnose:
         # 8h = 8/15 on a bounded 16^2 grid; the scan node 8/15 holds 7/15
         grid = Grid(16, 16, bc_director="neumann")
         snap = tmp_path / "bounded16.fld"
-        write_snapshot(snap, Field(grid, vortex_director(grid, 0.5, 0.5, 2 * grid.hx), "neumann"))
+        write_snapshot(snap, grid, vortex_director(grid, 0.5, 0.5, 2 * grid.hx))
         assert main(["diagnose", str(snap), "--defects"]) == 0
         out = capsys.readouterr().out
         r = float(out.split("(r = ")[1].split(",")[0])
@@ -409,16 +420,25 @@ class TestDiagnose:
         d = vortex_director(grid, 0.5, 0.55, 2 * grid.hx)
         d[0, 10, 12] = bad
         snap = tmp_path / "bad.fld"
-        write_snapshot(snap, Field(grid, d, "neumann"))
+        write_snapshot(snap, grid, d)
         assert main(["diagnose", str(snap), flag]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("validation error:") and "non-finite" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--eps", "--lx", "--ly"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_non_finite_or_nonpositive_number_rejected(self, vortex_snap, capsys, flag, value):
+        # refused while parsing, as --threshold is, before any diagnostic runs
+        assert main(["diagnose", vortex_snap, "--defects", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a finite number > 0" in captured.err
+
     def test_velocity_snapshot_rejected(self, tmp_path, capsys):
         grid = Grid(16, 16)
         snap = tmp_path / "u.fld"
-        write_snapshot(snap, Field(grid, np.zeros((2, 16, 16)), "periodic"))
+        write_snapshot(snap, grid, np.zeros((2, 16, 16)))
         assert main(["diagnose", str(snap)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("validation error: diagnose: snapshot must hold a "
@@ -544,7 +564,7 @@ def test_fuzzed_snapshot_never_raises(tmp_path_factory, fault):
     root = tmp_path_factory.mktemp("snap")
     grid = Grid(8, 6)
     snap = root / "d.fld"
-    write_snapshot(snap, Field(grid, vortex_director(grid, 0.5, 0.5, 0.2), "periodic"))
+    write_snapshot(snap, grid, vortex_director(grid, 0.5, 0.5, 0.2))
     data = bytearray(snap.read_bytes())
     assert len(data) == _SNAP_LEN
     kind, pos, flip = fault

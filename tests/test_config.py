@@ -18,7 +18,12 @@ from selflow.config import (
     config_hash,
     parse_config,
 )
-from selflow.grids import Grid
+from selflow.dynamics import Params
+from selflow.grids import Grid, GridError
+
+# the keys whose value is one float (sim.dt also takes 'auto')
+FLOAT_KEYS = [key for key, (attr, _) in SCHEMA.items()
+              if isinstance(getattr(RunConfig(), attr), float)] + ["sim.dt"]
 
 
 class TestParse:
@@ -81,6 +86,41 @@ class TestParse:
         with pytest.raises(ConfigError) as err:
             parse_config(f"sim.T = 1.0\n{key} = {spec}\n")
         assert err.value.problems == [(2, f"{key}: file form needs a path (file:PATH)")]
+
+
+class TestNonFinite:
+    """NaN and infinities are refused wherever a number enters."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_float_key_names_key_and_line(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"sim.grid = 8x8\n{key} = {value}\n")
+        assert err.value.problems == [(2, f"{key}: {value!r} is not a finite number")]
+
+    @pytest.mark.parametrize("key, value, bad", [
+        ("init.u", "taylor-green:1,inf", "inf"), ("init.d", "const:0,nan,1", "nan"),
+        ("init.d", "vortex:inf", "inf"), ("init.d", "unit-smooth:nan", "nan"),
+        ("field.h", "const:0,0,inf", "inf"), ("field.h", "wave:nan,0.2,0.5", "nan"),
+        ("sweep.eps", "inf,0.1", "inf"),
+    ])
+    def test_spec_argument_names_key_and_line(self, key, value, bad):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"sim.grid = 8x8\n{key} = {value}\n")
+        assert err.value.problems == [(2, f"{key}: {bad!r} is not a finite number")]
+
+    @pytest.mark.parametrize("length", [np.nan, np.inf, 0.0, -1.0])
+    def test_grid_refuses_bad_lengths(self, length):
+        with pytest.raises(GridError, match="positive and finite"):
+            Grid(8, 8, lx=length)
+        with pytest.raises(GridError, match="positive and finite"):
+            Grid(8, 8, ly=length, bc_director="neumann")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["eps", "mu", "lam", "gamma", "xi1", "xi2", "dt", "T"])
+    def test_params_refuse_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be .* and finite"):
+            Params(**{name: value})
 
 
 class TestCanonical:
@@ -153,17 +193,18 @@ class TestBuilders:
     def test_magnetic_field(self):
         cfg = parse_config("field.h = const:0,0,0.9\n")
         h = build_magnetic_field(cfg, build_grid(cfg))
-        assert h.max_abs == pytest.approx(0.9)
+        assert h.shape == (3, 64, 64)
+        assert np.max(np.linalg.norm(h, axis=0)) == pytest.approx(0.9)
 
     def test_file_init_roundtrip(self, tmp_path):
-        from selflow.fields import Field, write_snapshot
+        from selflow.fields import write_snapshot
 
         cfg0 = parse_config("sim.grid = 16x16\n")
         grid = build_grid(cfg0)
         rng = np.random.default_rng(0)
         d = rng.standard_normal((3, 16, 16))
         path = tmp_path / "d0.fld"
-        write_snapshot(path, Field(grid, d, "periodic"))
+        write_snapshot(path, grid, d)
         cfg = parse_config(f"sim.grid = 16x16\ninit.d = file:{path}\n")
         d0 = build_initial_d(cfg, build_grid(cfg))
         assert np.array_equal(d0, d)

@@ -36,7 +36,7 @@ from selflow.initial import (
     taylor_green,
     vortex_director,
 )
-from selflow.noise import MagneticField, NoiseOperatorS, WienerDriver
+from selflow.noise import NoiseOperatorS, WienerDriver
 from selflow.pathrun import simulate_batch, simulate_path
 from conftest import fit_order
 
@@ -133,7 +133,7 @@ class TestEnergyBudget:
     def test_budget_closes_with_nonunit_constants(self, grid32):
         # gamma, lam, xi2 != 1 exercise the coefficient bookkeeping
         S = NoiseOperatorS(grid32, n_modes=4, sigma0=0.2)
-        h = MagneticField.constant(grid32, (0.1, 0.0, 0.4))
+        h = constant_director(grid32, (0.1, 0.0, 0.4))
         resids = []
         for k in (1, 4):
             dt = stability_dt(0.5, grid32, 0.8, 1.3) / k
@@ -177,21 +177,20 @@ class TestPointwiseIdentities:
 class TestStressPairing:
     def test_traceless_exactly(self, grid32, rng):
         d = rng.standard_normal((3, 32, 32))
-        T = traceless_stress(d, grid32, "periodic")
+        T = traceless_stress(d, grid32)
         trace = T[0, 0] + T[1, 1]
         assert np.max(np.abs(trace)) == 0.0
 
     def test_constant_director_zero(self, grid32):
         phi = solenoidal_test_function(grid32)
-        val = stress_pairing(constant_director(grid32, (1, 0, 0)), grid32,
-                             "periodic", phi)
+        val = stress_pairing(constant_director(grid32, (1, 0, 0)), grid32, phi)
         assert val == 0.0
 
     def test_planar_wave_tensor_value(self, grid32):
         X, _ = grid32.meshgrid()
         k = 2 * np.pi
         d = np.stack([np.cos(k * X), np.sin(k * X), np.zeros_like(X)])
-        T = traceless_stress(d, grid32, "periodic")
+        T = traceless_stress(d, grid32)
         k_eff = np.sin(k * grid32.hx) / grid32.hx
         assert np.allclose(T[0, 0], 0.5 * k_eff**2, rtol=1e-12)
         assert np.allclose(T[1, 1], -0.5 * k_eff**2, rtol=1e-12)
@@ -200,9 +199,9 @@ class TestStressPairing:
     def test_pairing_matches_direct_quadrature(self, grid32, rng):
         d = smooth_test_director(grid32)
         phi = solenoidal_test_function(grid32, 2, 1)
-        val = stress_pairing(d, grid32, "periodic", phi)
-        T = traceless_stress(d, grid32, "periodic")
-        gphi = ops.gradient(phi.field.values, grid32, "periodic")
+        val = stress_pairing(d, grid32, phi)
+        T = traceless_stress(d, grid32)
+        gphi = ops.gradient(phi.values, grid32, "periodic")
         direct = float(
             np.sum((T[0, 0] * gphi[0, 0] + T[0, 1] * (gphi[0, 1] + gphi[1, 0])
                     + T[1, 1] * gphi[1, 1]) * grid32.quad_weights())
@@ -217,8 +216,8 @@ class TestStressPairing:
                 else Grid(33, 31, lx=1.7))
         d = rng.standard_normal((5, 3, grid.nx, grid.ny))
         for phi in (solenoidal_test_function(grid, 1, 1), solenoidal_test_function(grid, 2, 1)):
-            batched = stress_pairing(d, grid, grid.bc_director, phi)
-            lanes = [stress_pairing(lane, grid, grid.bc_director, phi) for lane in d]
+            batched = stress_pairing(d, grid, phi)
+            lanes = [stress_pairing(lane, grid, phi) for lane in d]
             assert batched.shape == (5,)
             assert all(type(v) is float for v in lanes)
             assert np.array_equal(batched, lanes)
@@ -238,7 +237,7 @@ class TestWeakResiduals:
         tracker = self._tracker(grid32, params)
         res = simulate_path(grid32, params, np.zeros((2, 32, 32)),
                             np.zeros((3, 32, 32)),
-                            S, MagneticField.constant(grid32, (0, 0, 0)),
+                            S, constant_director(grid32, (0, 0, 0)),
                             WienerDriver(0, 4), weak_tracker=tracker,
                             track_budget=False)
         ru = tracker.residual_u(res.state.u)["phi"]
@@ -254,7 +253,7 @@ class TestWeakResiduals:
         for n in (16, 32, 64):
             grid = Grid(n, n)
             S = NoiseOperatorS(grid, n_modes=2, sigma0=0.0)
-            h = MagneticField.constant(grid, (0, 0, 0.5))
+            h = constant_director(grid, (0, 0, 0.5))
             dt = stability_dt(0.5, grid, 1, 1)
             params = Params(eps=0.5, xi1=0.0, xi2=0.0, dt=dt, T=0.02)
             tracker = self._tracker(grid, params)
@@ -272,7 +271,7 @@ class TestWeakResiduals:
         # ensemble mean of the weak residual within 3 SE of the
         # deterministic-run residual
         S = NoiseOperatorS(grid32, n_modes=4, sigma0=0.25)
-        h = MagneticField.constant(grid32, (0, 0, 0.5))
+        h = constant_director(grid32, (0, 0, 0.5))
         dt = stability_dt(0.5, grid32, 1, 1)
         base = Params(eps=0.5, dt=dt, T=0.01)
         det = Params(eps=0.5, xi1=0.0, xi2=0.0, dt=dt, T=0.01)
@@ -298,8 +297,7 @@ class TestWeakResiduals:
 class TestPohozaev:
     def test_constant_director_all_terms_zero(self, grid_bounded):
         d = constant_director(grid_bounded, (0.6, 0.0, 0.8))
-        rep = pohozaev_residual(d, grid_bounded, 0.5, (0.5, 0.5), 0.2, "radial",
-                                bc="neumann")
+        rep = pohozaev_residual(d, grid_bounded, 0.5, (0.5, 0.5), 0.2, "radial")
         for term in (rep.boundary_kinetic, rep.bulk_stress, rep.bulk_div,
                      rep.boundary_energy, rep.rhs, rep.residual):
             assert abs(term) <= 1e-13
@@ -325,8 +323,7 @@ class TestPohozaev:
         for n in (32, 64, 128):
             grid = Grid(n, n, bc_director="neumann")
             d = self.cross_director(grid)
-            rep = pohozaev_residual(d, grid, 0.4, (0.5, 0.5), 0.25, choice,
-                                    bc="neumann")
+            rep = pohozaev_residual(d, grid, 0.4, (0.5, 0.5), 0.25, choice)
             resids.append(abs(rep.residual))
             hs.append(grid.hx)
         assert resids[2] < resids[0]
@@ -338,13 +335,14 @@ class TestPohozaev:
             pohozaev_residual(d, grid_bounded, 0.5, (0.5, 0.5), 0.2, "twist")
 
     def test_planar_wave_x1_bulk_value(self):
-        # X = (x1, 0): bulk terms reduce to 0.5 int(|d2 d|^2 - |d1 d|^2) + int F
-        grid = Grid(96, 96, bc_director="neumann")
+        # X = (x1, 0): bulk terms reduce to 0.5 int(|d2 d|^2 - |d1 d|^2) + int F;
+        # a pinned wall takes one-sided stencils at every wall
+        grid = Grid(96, 96, bc_director="dirichlet")
         X, _ = grid.meshgrid()
         k = 2 * np.pi
         d = np.stack([np.cos(k * X), np.sin(k * X), np.zeros_like(X)])
         r = 0.25
-        rep = pohozaev_residual(d, grid, 0.5, (0.5, 0.5), r, "x1", bc="none")
+        rep = pohozaev_residual(d, grid, 0.5, (0.5, 0.5), r, "x1")
         area = np.pi * r**2
         expect = -0.5 * k**2 * area
         assert abs((rep.bulk_stress + rep.bulk_div) - expect) <= 0.05 * abs(expect)
@@ -354,7 +352,7 @@ class TestPohozaev:
         # identity's largest terms
         grid = Grid(48, 48, bc_director="neumann")
         rep = pohozaev_residual(smooth_test_director(grid), grid, 0.5, (0.5, 0.5),
-                                0.25, "radial", bc="neumann")
+                                0.25, "radial")
         assert abs(rep.residual) < 0.2 * (abs(rep.rhs) + abs(rep.bulk_div))
 
     def test_ball_outside_domain_rejected(self, grid_bounded):
@@ -434,8 +432,7 @@ class TestDefects:
     def test_uniform_director_empty(self, grid_bounded):
         d = constant_director(grid_bounded, (0, 0, 1))
         thr = default_defect_threshold(grid_bounded, 0.2)
-        rep = defect_detect(d, grid_bounded, 0.2, 8 * grid_bounded.hx, thr,
-                            bc="neumann")
+        rep = defect_detect(d, grid_bounded, 0.2, 8 * grid_bounded.hx, thr)
         assert rep.count == 0
 
     def test_vortex_detected_at_core(self):
@@ -444,41 +441,38 @@ class TestDefects:
         d = vortex_director(grid, 0.5, 0.5, core)
         r = 8 * grid.hx
         thr = default_defect_threshold(grid, 0.2)
-        rep = defect_detect(d, grid, 0.2, r, thr, bc="neumann")
+        rep = defect_detect(d, grid, 0.2, r, thr)
         assert rep.count == 1
         x, y, _ = rep.centers[0]
         assert np.hypot(x - 0.5, y - 0.5) <= 2 * grid.hx
         # local energy contrast between core and far field
-        near = local_energy(d, grid, 0.2, (0.5, 0.5), r, bc="neumann")
-        far = local_energy(d, grid, 0.2, (0.5 + 4 * r, 0.5), r, bc="neumann")
+        near = local_energy(d, grid, 0.2, (0.5, 0.5), r)
+        far = local_energy(d, grid, 0.2, (0.5 + 4 * r, 0.5), r)
         assert near >= 5 * far
 
     def test_threshold_monotonicity(self):
         grid = Grid(64, 64, bc_director="neumann")
         d = vortex_director(grid, 0.4, 0.6, 2 * grid.hx)
         r = 8 * grid.hx
-        lo = defect_detect(d, grid, 0.2, r, 1e-4, bc="neumann")
-        hi = defect_detect(d, grid, 0.2, r, 1e-1, bc="neumann")
+        lo = defect_detect(d, grid, 0.2, r, 1e-4)
+        hi = defect_detect(d, grid, 0.2, r, 1e-1)
         lo_centers = {(x, y) for x, y, _ in lo.centers}
         hi_centers = {(x, y) for x, y, _ in hi.centers}
         assert hi_centers <= lo_centers
 
     def test_threshold_above_total_energy_empty(self, grid_bounded):
         d = vortex_director(grid_bounded, 0.5, 0.5, 2 * grid_bounded.hx)
-        total = local_energy(d, grid_bounded, 0.2, (0.5, 0.5), 0.45, bc="neumann")
-        rep = defect_detect(d, grid_bounded, 0.2, 8 * grid_bounded.hx,
-                            10 * total, bc="neumann")
+        total = local_energy(d, grid_bounded, 0.2, (0.5, 0.5), 0.45)
+        rep = defect_detect(d, grid_bounded, 0.2, 8 * grid_bounded.hx, 10 * total)
         assert rep.count == 0
 
 
-def per_center_defect_detect(d, grid, eps, r, delta0_sq, bc=None, stride=2):
+def per_center_defect_detect(d, grid, eps, r, delta0_sq, stride=2):
     """Reference: the per-center scan that defined defect_detect, one
     distance field, mask and full-grid sum per center."""
     from selflow.diagnostics import _energy_density, _wrapped_dist_sq
 
-    if bc is None:
-        bc = grid.bc_director
-    e_w = _energy_density(d, grid, eps, bc) * grid.quad_weights()
+    e_w = _energy_density(d, grid, eps, grid.bc_director) * grid.quad_weights()
     xs = grid.x
     ys = grid.y
 
@@ -803,7 +797,7 @@ class TestEpsilonSweep:
 class TestGronwall:
     def test_two_horizon_growth(self, grid32):
         S = NoiseOperatorS(grid32, n_modes=4, sigma0=0.3)
-        h = MagneticField.constant(grid32, (0, 0, 0.5))
+        h = constant_director(grid32, (0, 0, 0.5))
         dt = stability_dt(0.5, grid32, 1, 1)
         params = Params(eps=0.5, dt=dt, T=0.02)
         batch = simulate_batch(grid32, params, taylor_green(grid32, 1, 0.2),
@@ -817,7 +811,7 @@ class TestGronwall:
 
     def test_zero_noise_no_growth(self, grid32):
         S = NoiseOperatorS(grid32, n_modes=2, sigma0=0.0)
-        h = MagneticField.constant(grid32, (0, 0, 0))
+        h = constant_director(grid32, (0, 0, 0))
         dt = stability_dt(0.5, grid32, 1, 1)
         params = Params(eps=0.5, xi1=0.0, xi2=0.0, dt=dt, T=0.02)
         res = _run(grid32, params, S, h, seed=1, checkpoint_every=20)

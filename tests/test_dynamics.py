@@ -22,8 +22,9 @@ from selflow.initial import (
     constant_director,
     smooth_unit_director,
     taylor_green,
+    wave_field,
 )
-from selflow.noise import MagneticField, NoiseOperatorS, WienerDriver, coarsen_normals
+from selflow.noise import NoiseOperatorS, WienerDriver, coarsen_normals
 from selflow.pathrun import record_columns, simulate_path
 from selflow.projection import leray_project
 from conftest import fit_order, subunit_director, taylor_green_rate
@@ -97,7 +98,7 @@ class TestStratCorrection:
 def _stress_div(d, grid, bc):
     """Reference divergence of the Ericksen tensor of an unbatched director,
     (div sigma)_j = d_i sigma_ij."""
-    sig = ericksen_tensor(d, grid, bc)
+    sig = ericksen_tensor(d, grid)
     return np.stack([ops.deriv(sig[0, j], grid, 0, bc) + ops.deriv(sig[1, j], grid, 1, bc)
                      for j in range(2)])
 
@@ -111,7 +112,7 @@ class TestEricksenStress:
         X, _ = grid32.meshgrid()
         k = 2 * np.pi
         d = np.stack([np.cos(k * X), np.sin(k * X), np.zeros_like(X)])
-        sig = ericksen_tensor(d, grid32, "periodic")
+        sig = ericksen_tensor(d, grid32)
         k_eff = np.sin(k * grid32.hx) / grid32.hx  # central-difference symbol
         assert np.allclose(sig[0, 0], k_eff**2, rtol=1e-12)
         assert np.max(np.abs(sig[0, 1])) <= 1e-12
@@ -132,9 +133,9 @@ class TestEricksenStress:
                     0.8 + 0.1 * np.sin(2 * np.pi * Y),
                 ]
             )
-            phi = solenoidal_test_function(grid, 1, 1).field.values
+            phi = solenoidal_test_function(grid, 1, 1).values
             div = _stress_div(d, grid, "periodic")
-            sig = ericksen_tensor(d, grid, "periodic")
+            sig = ericksen_tensor(d, grid)
             gphi = ops.gradient(phi, grid, "periodic")
             lhs = ops.pair_vec(div, phi, grid)
             rhs = -float(np.sum(sig * gphi * grid.quad_weights()))
@@ -147,7 +148,7 @@ class TestEricksenStress:
         # From rest with dt = lam = 1 and no noise, one step gives
         # u+ = P(-reduced force).
         S = NoiseOperatorS(grid32, n_modes=1, sigma0=0.0)
-        h = MagneticField.constant(grid32, (0.0, 0.0, 0.0))
+        h = constant_director(grid32, (0.0, 0.0, 0.0))
         d = smooth_unit_director(grid32, 0.5)
         params = Params(eps=0.5, xi1=0.0, xi2=0.0, dt=1.0, T=1.0)
         state = SimState.initial(grid32, np.zeros((2, 32, 32)), d)
@@ -161,7 +162,7 @@ def _setup(grid, eps=0.2, xi1=1.0, xi2=1.0, dt=None, T=0.01, sigma0=0.3, h3=0.5)
         dt = stability_dt(eps, grid, 1.0, 1.0)
     params = Params(eps=eps, xi1=xi1, xi2=xi2, dt=dt, T=T)
     S = NoiseOperatorS(grid, n_modes=4, sigma0=sigma0)
-    h = MagneticField.constant(grid, (0.0, 0.0, h3))
+    h = constant_director(grid, (0.0, 0.0, h3))
     return params, S, h
 
 
@@ -184,7 +185,7 @@ class TestStepDirector:
         # single explicit step: d = (2,0,0), eps=1, gamma=1, dt=0.01 -> 1.94
         params = Params(eps=1.0, xi1=0.0, xi2=0.0, dt=0.01, T=1.0)
         S = NoiseOperatorS(grid32, n_modes=1, sigma0=0.0)
-        h = MagneticField.constant(grid32, (0.0, 0.0, 0.0))
+        h = constant_director(grid32, (0.0, 0.0, 0.0))
         state = _step_from(grid32, params, S, h, np.zeros((2, 32, 32)),
                            constant_director(grid32, (2.0, 0.0, 0.0)))
         assert np.allclose(state.d[0], 1.94, atol=1e-12)
@@ -195,8 +196,8 @@ class TestStepDirector:
         from selflow.diagnostics import sphere_generator_drift
 
         d = constant_director(grid32, (0.36, 0.48, 0.8))
-        h = MagneticField.constant(grid32, (0.0, 0.0, 1.0))
-        drift = sphere_generator_drift(d, h.values, xi2=1.0)
+        h = constant_director(grid32, (0.0, 0.0, 1.0))
+        drift = sphere_generator_drift(d, h, xi2=1.0)
         assert np.max(np.abs(drift)) <= 1e-15
 
 
@@ -216,7 +217,7 @@ class TestStepVelocity:
         dt = stability_dt(0.5, grid, mu, 1.0)
         params = Params(eps=0.5, mu=mu, xi1=0.0, xi2=0.0, dt=dt, T=1.0)
         S = NoiseOperatorS(grid, n_modes=1, sigma0=0.0)
-        h = MagneticField.constant(grid, (0, 0, 0))
+        h = constant_director(grid, (0, 0, 0))
         state = SimState.initial(grid, u0, d0)
         rate = taylor_green_rate(grid, 1, mu)
         T = 1.2 / rate
@@ -289,7 +290,7 @@ class TestStepCoupled:
     def test_blowup_detected(self, grid32):
         params = Params(eps=0.2, xi1=0.0, xi2=0.0, dt=0.5, T=1.0, dt_override=True)
         S = NoiseOperatorS(grid32, n_modes=2, sigma0=0.0)
-        h = MagneticField.constant(grid32, (0, 0, 0))
+        h = constant_director(grid32, (0, 0, 0))
         state = SimState.initial(grid32, taylor_green(grid32, 1, 1.0),
                                  smooth_unit_director(grid32))
         with pytest.raises(BlowUpError), np.errstate(over="ignore", invalid="ignore"):
@@ -311,7 +312,7 @@ class TestBoundedModes:
         dt = stability_dt(0.5, grid, 1.0, 1.0)
         params = Params(eps=0.5, xi1=0.0, xi2=0.0, dt=dt, T=50 * dt)
         S = NoiseOperatorS(grid, n_modes=2, sigma0=0.0)
-        h = MagneticField.constant(grid, (0, 0, 0))
+        h = constant_director(grid, (0, 0, 0))
         res = simulate_path(grid, params, u0, sud(grid, 0.3), S, h,
                             WienerDriver(0, 2), checkpoint_every=10,
                             track_budget=False)
@@ -327,7 +328,7 @@ class TestBoundedModes:
         dt = stability_dt(0.5, grid, 1.0, 1.0)
         params = Params(eps=0.5, dt=dt, T=20 * dt)
         S = NoiseOperatorS(grid, n_modes=4, sigma0=0.3)
-        h = MagneticField.constant(grid, (0, 0, 0.5))
+        h = constant_director(grid, (0, 0, 0.5))
         res = simulate_path(grid, params, np.zeros((2, 16, 16)),
                             smooth_unit_director(grid, 0.3), S, h,
                             WienerDriver(3, 4), checkpoint_every=10,
@@ -344,7 +345,7 @@ class TestBoundedModes:
         dt = stability_dt(0.5, grid, 1.0, 1.0)
         params = Params(eps=0.5, xi1=0.0, xi2=1.0, dt=dt, T=30 * dt)
         S = NoiseOperatorS(grid, n_modes=2, sigma0=0.0)
-        h = MagneticField.constant(grid, (0, 0, 0.5))
+        h = constant_director(grid, (0, 0, 0.5))
         res = simulate_path(grid, params, np.zeros((2, 16, 16)), d0, S, h,
                             WienerDriver(4, 2), checkpoint_every=10,
                             track_budget=False)
@@ -360,7 +361,7 @@ class TestBoundedModes:
         dt = stability_dt(0.5, grid, 1.0, 1.0)
         params = Params(eps=0.5, xi1=0.0, xi2=1.0, dt=dt, T=dt)
         S = NoiseOperatorS(grid, n_modes=2, sigma0=0.0)
-        h = MagneticField.constant(grid, (0, 0, 0.5))
+        h = constant_director(grid, (0, 0, 0.5))
         state = SimState.initial(grid, np.zeros((2, 16, 16)), d0)
         step_coupled(state, params, S, h, WienerDriver(4, 2).normal_table(1)[0])
         assert not np.array_equal(state.d, d0)
@@ -391,7 +392,7 @@ class TestBudgetLedgers:
                 else Grid(16, 16, bc_director="neumann"))
         params = Params(eps=0.5, dt=1e-4, T=1e-4)
         S = NoiseOperatorS(grid, n_modes=4, sigma0=0.3)
-        h = MagneticField.wave(grid, (0.2, 0.2, 0.5))
+        h = wave_field(grid, (0.2, 0.2, 0.5))
         state = _two_lane_state(grid)
         rec = record_columns(state, params, S, h)
         normals = np.stack([WienerDriver(s, 4).normal_table(1)[0] for s in (1, 2)])
@@ -485,7 +486,7 @@ class TestMaximumPrinciple:
         dt = stability_dt(eps, grid32, 1.0, 1.0)
         params = Params(eps=eps, xi1=0.0, xi2=0.0, dt=dt, T=0.05)
         S = NoiseOperatorS(grid32, n_modes=2, sigma0=0.0)
-        h = MagneticField.constant(grid32, (0, 0, 0))
+        h = constant_director(grid32, (0, 0, 0))
         res = simulate_path(grid32, params, taylor_green(grid32, 1, 0.2),
                             subunit_director(grid32), S, h, WienerDriver(0, 2),
                             checkpoint_every=20, track_budget=False)

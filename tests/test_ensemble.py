@@ -28,8 +28,8 @@ from selflow.ensemble import (
     run_path,
 )
 from selflow.grids import Grid
-from selflow.initial import smooth_unit_director, taylor_green
-from selflow.noise import MagneticField, NoiseOperatorS, WienerDriver, split_seed
+from selflow.initial import smooth_unit_director, taylor_green, wave_field
+from selflow.noise import NoiseOperatorS, WienerDriver, split_seed
 from selflow.pathrun import simulate_batch, simulate_path
 from selflow.projection import leray_project
 
@@ -166,7 +166,7 @@ def test_batch_lanes_equal_lone_paths(lanes, bounded, budget, seed):
     dt = stability_dt(0.3, grid, 1.0, 1.0)
     params = Params(eps=0.3, dt=dt, T=6 * dt)
     S = NoiseOperatorS(grid, n_modes=4, sigma0=0.3)
-    h = MagneticField.wave(grid, (0.2, 0.2, 0.5))
+    h = wave_field(grid, (0.2, 0.2, 0.5))
     u0 = leray_project(taylor_green(grid, 1, 0.2), grid)
     d0 = smooth_unit_director(grid, 0.4)
     seeds = [split_seed(seed, i) for i in range(lanes)]
@@ -215,7 +215,7 @@ class TestCoupledSweep:
 
                 def observe(state, eps=eps):
                     d = state.d[0]
-                    rows.append([stress_pairing(d, grid, grid.bc_director, tf) for tf in phis]
+                    rows.append([stress_pairing(d, grid, tf) for tf in phis]
                                 + [float(defect_detect(d, grid, eps, r, threshold).count)])
                     return {}
 

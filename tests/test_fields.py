@@ -1,4 +1,4 @@
-"""Field records, test functions, and snapshot serialization."""
+"""Test functions and snapshot serialization."""
 
 import struct
 
@@ -16,11 +16,16 @@ def write_header(path, k, nx, ny, payload=b"\x00" * 64):
 
 
 class TestField:
-    def test_shape_validation(self, grid32):
+    def test_shape_validation(self, grid32, tmp_path):
+        # the snapshot writer and test functions take values of the grid's shape
+        path = tmp_path / "x.fld"
         with pytest.raises(GridError):
-            fl.Field(grid32, np.zeros((2, 16, 16)))
+            fl.write_snapshot(path, grid32, np.zeros((2, 16, 16)))
         with pytest.raises(GridError):
-            fl.Field(grid32, np.zeros((5, 32, 32)))
+            fl.write_snapshot(path, grid32, np.zeros((5, 32, 32)))
+        with pytest.raises(GridError):
+            fl.TestFunction(grid32, np.zeros((3, 16, 16)))
+        assert not path.exists()
 
     def test_ops_roundtrip(self, grid32):
         X, Y = grid32.meshgrid()
@@ -39,37 +44,45 @@ class TestField:
 class TestTestFunction:
     def test_divergence_free_enforced(self, grid32):
         X, Y = grid32.meshgrid()
-        bad = fl.Field(grid32, np.stack([X * 0 + np.sin(2 * np.pi * X), Y * 0]))
         with pytest.raises(GridError):
-            fl.TestFunction(bad)
+            fl.TestFunction(grid32, np.stack([X * 0 + np.sin(2 * np.pi * X), Y * 0]))
 
     def test_bounded_checks_interior_divergence(self, grid_bounded):
         # wall rows use one-sided stencils the bounded projection does not
         # control; the interior divergence is what must vanish
         tf = fl.solenoidal_test_function(grid_bounded, 1, 1)
-        wall = np.max(np.abs(ops.divergence(tf.field.values, grid_bounded, tf.field.bc)))
+        wall = np.max(np.abs(ops.divergence(tf.values, grid_bounded, tf.bc)))
         assert wall > 1.0
         X, Y = grid_bounded.meshgrid()
-        bad = fl.Field(grid_bounded, np.stack([np.sin(np.pi * X) * np.sin(np.pi * Y), 0 * Y]),
-                       "noslip")
         with pytest.raises(GridError):
-            fl.TestFunction(bad)
+            fl.TestFunction(grid_bounded,
+                            np.stack([np.sin(np.pi * X) * np.sin(np.pi * Y), 0 * Y]))
 
     def test_solenoidal_factory(self, grid32):
         tf = fl.solenoidal_test_function(grid32, 1, 2)
-        div = ops.divergence(tf.field.values, grid32, tf.field.bc)
+        div = ops.divergence(tf.values, grid32, tf.bc)
         assert np.max(np.abs(div)) <= 1e-10
 
     def test_director_test_function_shape(self, grid32):
         tf = fl.director_test_function(grid32, component=2)
-        assert tf.field.values.shape == (3, 32, 32)
+        assert tf.values.shape == (3, 32, 32)
+
+    @pytest.mark.parametrize("bc_director, velocity_bc, director_bc", [
+        ("periodic", "periodic", "periodic"),
+        ("neumann", "noslip", "neumann"),
+        ("dirichlet", "noslip", "neumann"),
+    ])
+    def test_stencil_closure_follows_the_grid(self, bc_director, velocity_bc, director_bc):
+        # a director test takes Neumann stencils on a pinned wall too
+        grid = Grid(16, 12, lx=1.0, ly=0.8, bc_director=bc_director)
+        assert fl.solenoidal_test_function(grid).bc == velocity_bc
+        assert fl.director_test_function(grid).bc == director_bc
 
 
 class TestSnapshot:
     def test_header_layout(self, grid32, tmp_path):
-        f = fl.Field(grid32, np.arange(3 * 32 * 32, dtype=float).reshape(3, 32, 32))
         path = tmp_path / "d.fld"
-        fl.write_snapshot(path, f)
+        fl.write_snapshot(path, grid32, np.arange(3 * 32 * 32, dtype=float).reshape(3, 32, 32))
         raw = path.read_bytes()
         assert raw[:16] == b"SELFLOW-FLD\x00\x00\x00\x00\x00"
         k, nx, ny = struct.unpack("<III", raw[16:28])
@@ -83,21 +96,39 @@ class TestSnapshot:
 
     def test_roundtrip(self, grid_bounded, tmp_path, rng):
         vals = rng.standard_normal((3, 32, 32))
-        f = fl.Field(grid_bounded, vals, "neumann")
         path = tmp_path / "snap.fld"
-        fl.write_snapshot(path, f)
-        g = fl.read_snapshot(path)
-        assert g.bc == "neumann"
-        assert np.array_equal(g.values, vals)
-        assert not g.grid.periodic
+        fl.write_snapshot(path, grid_bounded, vals)
+        grid, values = fl.read_snapshot(path)
+        assert grid == grid_bounded
+        assert np.array_equal(values, vals)
 
     def test_dirichlet_snapshot_keeps_its_closure(self, tmp_path):
         grid = Grid(16, 12, bc_director="dirichlet")
         path = tmp_path / "d.fld"
-        fl.write_snapshot(path, fl.Field(grid, np.ones((3, 16, 12)), "dirichlet"))
-        g = fl.read_snapshot(path)
-        assert (g.grid.bc_director, g.grid.bc_velocity) == ("dirichlet", "noslip")
-        assert g.grid == grid
+        fl.write_snapshot(path, grid, np.ones((3, 16, 12)))
+        snap, _ = fl.read_snapshot(path)
+        assert (snap.bc_director, snap.bc_velocity) == ("dirichlet", "noslip")
+        assert snap == grid
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("bc_director", ["periodic", "neumann", "dirichlet"])
+    def test_roundtrip_keeps_grid_and_closure(self, tmp_path, rng, bc_director, k):
+        # the header carries the grid's closure for the field kind, so the
+        # grid read back is the one written, spacing included; a velocity
+        # records only its no-slip wall, so a pinned-wall grid's velocity is
+        # read back onto the neumann grid of the same geometry
+        grid = Grid(16, 12, lx=1.0, ly=0.8, bc_director=bc_director)
+        vals = rng.standard_normal((k, 16, 12) if k > 1 else (16, 12))
+        path = tmp_path / "f.fld"
+        fl.write_snapshot(path, grid, vals)
+        (code,) = struct.unpack("<B", path.read_bytes()[28:29])
+        closure = grid.bc_velocity if k == 2 else grid.bc_director
+        assert fl._BC_NAMES[code] == closure
+        snap, values = fl.read_snapshot(path, lx=1.0, ly=0.8)
+        read_as = "neumann" if (k, bc_director) == (2, "dirichlet") else bc_director
+        assert snap == Grid(16, 12, lx=1.0, ly=0.8, bc_director=read_as)
+        assert (snap.hx, snap.hy) == (grid.hx, grid.hy)
+        assert values.shape == vals.shape and np.array_equal(values, vals)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.fld"
@@ -106,9 +137,8 @@ class TestSnapshot:
             fl.read_snapshot(path)
 
     def test_truncated_rejected(self, grid32, tmp_path):
-        f = fl.Field(grid32, np.zeros((32, 32)))
         path = tmp_path / "t.fld"
-        fl.write_snapshot(path, f)
+        fl.write_snapshot(path, grid32, np.zeros((32, 32)))
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(fl.SnapshotError):
             fl.read_snapshot(path)

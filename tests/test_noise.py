@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from selflow import operators as ops
+from selflow.initial import constant_director
 from selflow.noise import (
-    MagneticField,
     NoiseOperatorS,
     WienerDriver,
     coarsen_normals,
@@ -225,7 +225,7 @@ class TestDirectorNoise:
         assert np.max(np.abs(ops.dot3(out, d))) <= 1e-13
 
 
-class TestMagneticField:
+class TestFieldH:
     def test_constant_bounded(self, grid32):
-        h = MagneticField.constant(grid32, (0, 0, 0.7))
-        assert h.max_abs == pytest.approx(0.7)
+        h = constant_director(grid32, (0, 0, 0.7))
+        assert np.max(np.linalg.norm(h, axis=0)) == pytest.approx(0.7)
