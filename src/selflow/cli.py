@@ -178,7 +178,7 @@ def cmd_sweep(cfg: RunConfig, threads: int) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    grid, d = read_snapshot(args.snapshot, args.lx, args.ly)
+    grid, d = read_snapshot(args.snapshot)
     if d.shape != (3, grid.nx, grid.ny):
         raise ValueError("diagnose: snapshot must hold a 3-component director")
     if not np.all(np.isfinite(d)):
@@ -247,8 +247,6 @@ def main(argv: list[str] | None = None) -> int:
     p_diag = sub.add_parser("diagnose")
     p_diag.add_argument("snapshot")
     p_diag.add_argument("--eps", type=_positive_number, default=0.2)
-    p_diag.add_argument("--lx", type=_positive_number, default=1.0)
-    p_diag.add_argument("--ly", type=_positive_number, default=1.0)
     p_diag.add_argument("--radius", type=float, default=None)
     p_diag.add_argument("--threshold", type=_energy_threshold, default=None)
     p_diag.add_argument("--pohozaev", action="store_true")

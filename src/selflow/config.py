@@ -283,16 +283,17 @@ def config_hash(cfg: RunConfig) -> str:
 _FILE_COMPONENTS = {"init_u": 2, "init_d": 3, "h_spec": 3}
 
 
-def _read_spec_file(cfg: RunConfig, grid: Grid, attr: str, path: str) -> np.ndarray:
+def _read_spec_file(grid: Grid, attr: str, path: str) -> np.ndarray:
     """Values of the ``file:`` snapshot of spec ``attr``; raises
     :class:`ConfigError` naming the key unless the snapshot holds the spec's
-    component count on the grid's node counts and layout (periodic or not)."""
-    snap, values = read_snapshot(path, cfg.lx, cfg.ly)
-    got = (snap.check_values(values), snap.nx, snap.ny, snap.periodic)
-    want = (_FILE_COMPONENTS[attr], grid.nx, grid.ny, grid.periodic)
+    component count on the grid's node counts, lengths and layout (periodic
+    or not)."""
+    snap, values = read_snapshot(path)
+    got = (snap.check_values(values), snap.nx, snap.ny, snap.lx, snap.ly, snap.periodic)
+    want = (_FILE_COMPONENTS[attr], grid.nx, grid.ny, grid.lx, grid.ly, grid.periodic)
     if got != want:
         raise ConfigError([(0, f"{_ATTR_TO_KEY[attr]}: snapshot {path} has (components, nx, "
-                               f"ny, periodic) = {got}, the config needs {want}")])
+                               f"ny, lx, ly, periodic) = {got}, the config needs {want}")])
     return values
 
 
@@ -327,7 +328,7 @@ def build_initial_u(cfg: RunConfig, grid: Grid) -> np.ndarray:
     if kind == "taylor-green":
         k, amp = args + [1, 0.1][len(args):]
         return taylor_green(grid, k=k, amp=amp)
-    return _read_spec_file(cfg, grid, "init_u", args[0])
+    return _read_spec_file(grid, "init_u", args[0])
 
 
 def build_initial_d(cfg: RunConfig, grid: Grid) -> np.ndarray:
@@ -341,7 +342,7 @@ def build_initial_d(cfg: RunConfig, grid: Grid) -> np.ndarray:
         return smooth_unit_director(grid, amp=args[0] if args else 0.4)
     if kind == "unit-mixed":
         return mixed_unit_director(grid, amp=args[0] if args else 0.4)
-    return _read_spec_file(cfg, grid, "init_d", args[0])
+    return _read_spec_file(grid, "init_d", args[0])
 
 
 def build_magnetic_field(cfg: RunConfig, grid: Grid) -> np.ndarray:
@@ -351,7 +352,7 @@ def build_magnetic_field(cfg: RunConfig, grid: Grid) -> np.ndarray:
         return constant_director(grid, tuple(args) or (0.0, 0.0, 0.5))
     if kind == "wave":
         return wave_field(grid, tuple(args) or (0.2, 0.2, 0.5))
-    return _read_spec_file(cfg, grid, "h_spec", args[0])
+    return _read_spec_file(grid, "h_spec", args[0])
 
 
 def build_noise_operator(cfg: RunConfig, grid: Grid) -> NoiseOperatorS:

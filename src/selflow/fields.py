@@ -1,9 +1,11 @@
 """Test functions and snapshot serialization.
 
 The binary snapshot layout is: a 16-byte magic block (the ASCII bytes
-``SELFLOW-FLD\\0`` zero-padded to 16), little-endian uint32 {k, nx, ny},
-one uint8 boundary-mode code, then k*nx*ny float64 values in row-major
-order (component plane, then x row, then y).
+``SELFLOW-FLD2\\0`` zero-padded to 16), little-endian uint32 {k, nx, ny},
+one uint8 director-closure code (the index in ``grids.DIRECTOR_BCS``),
+float64 {lx, ly}, then k*nx*ny float64 values in row-major order
+(component plane, then x row, then y).  A snapshot records the whole grid
+it was written on, so reading it back needs no geometry from the caller.
 """
 
 from __future__ import annotations
@@ -14,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, GridError
+from .grids import DIRECTOR_BCS, Grid, GridError
 from .projection import PROJ_TOL, interior_divergence_max, leray_project
 
-MAGIC = b"SELFLOW-FLD\x00".ljust(16, b"\x00")
-
-_BC_CODES = {"periodic": 0, "neumann": 1, "dirichlet": 2, "noslip": 3, "none": 4}
-_BC_NAMES = {v: k for k, v in _BC_CODES.items()}
+MAGIC = b"SELFLOW-FLD2\x00".ljust(16, b"\x00")
+_HEADER = struct.Struct("<IIIBdd")  # k, nx, ny, closure code, lx, ly
 
 
 class SnapshotError(IOError):
@@ -89,39 +89,34 @@ def director_test_function(grid: Grid, kx: int = 1, ky: int = 1, component: int 
 
 
 def write_snapshot(path, grid: Grid, values: np.ndarray) -> None:
-    """Write ``values`` sampled on ``grid``, tagged with the grid's closure
-    for the field kind: the velocity closure for 2 components, the director
-    closure otherwise."""
+    """Write ``values`` sampled on ``grid``, with the grid in the header."""
     k = grid.check_values(values)
-    bc = grid.bc_velocity if k == 2 else grid.bc_director
     payload = np.ascontiguousarray(values, dtype="<f8").reshape(k, grid.nx, grid.ny)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<III", k, grid.nx, grid.ny))
-        fh.write(struct.pack("<B", _BC_CODES[bc]))
+        fh.write(_HEADER.pack(k, grid.nx, grid.ny, DIRECTOR_BCS.index(grid.bc_director),
+                              grid.lx, grid.ly))
         fh.write(payload.tobytes())
 
 
-def read_snapshot(path, lx: float = 1.0, ly: float = 1.0) -> tuple[Grid, np.ndarray]:
-    """Read a snapshot as (grid, values); the grid is reconstructed from the
-    header and the given physical lengths (the format stores only counts and
-    bc).  A ``periodic`` or ``dirichlet`` snapshot gets a grid with that
-    director closure; every other bounded one gets a ``neumann`` grid.
+def read_snapshot(path) -> tuple[Grid, np.ndarray]:
+    """Read a snapshot as (grid, values), the grid exactly as it was written.
     Values are (nx, ny) for one component and (k, nx, ny) otherwise."""
     with open(path, "rb") as fh:
-        magic = fh.read(16)
-        if magic != MAGIC:
+        if fh.read(16) != MAGIC:
             raise SnapshotError(f"bad magic in {path}")
-        header = fh.read(13)
-        if len(header) != 13:
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
             raise SnapshotError("truncated snapshot header")
-        k, nx, ny, bc_code = struct.unpack("<IIIB", header)
-        if bc_code not in _BC_NAMES:
-            raise SnapshotError(f"unknown bc code {bc_code}")
+        k, nx, ny, code, lx, ly = _HEADER.unpack(header)
         if k not in (1, 2, 3):
             raise SnapshotError(f"snapshot holds {k} components, expected 1, 2 or 3")
-        if nx < 4 or ny < 4:
-            raise SnapshotError(f"snapshot grid {nx}x{ny} is below 4x4")
+        if code >= len(DIRECTOR_BCS):
+            raise SnapshotError(f"unknown closure code {code}")
+        try:
+            grid = Grid(nx, ny, lx, ly, DIRECTOR_BCS[code])
+        except GridError as exc:
+            raise SnapshotError(f"snapshot grid: {exc}") from None
         # checked before reading, so a crafted header cannot force the
         # allocation of a payload the file does not hold
         size = 8 * k * nx * ny
@@ -129,6 +124,4 @@ def read_snapshot(path, lx: float = 1.0, ly: float = 1.0) -> tuple[Grid, np.ndar
             raise SnapshotError("truncated snapshot payload")
         raw = fh.read(size)
     vals = np.frombuffer(raw, dtype="<f8").reshape(k, nx, ny).astype(float)
-    bc = _BC_NAMES[bc_code]
-    grid = Grid(nx, ny, lx, ly, bc if bc in ("periodic", "dirichlet") else "neumann")
     return grid, vals[0] if k == 1 else vals

@@ -16,6 +16,11 @@ import numpy as np
 
 DIRECTOR_BCS = ("periodic", "neumann", "dirichlet")
 
+# Spacings h for which h**4 and h**-4 are normal floats: the bounded
+# projection's Gram matrix holds h**-4 terms, the quadrature h**2 ones.
+_H_MIN = float(np.finfo(float).tiny) ** 0.25
+_H_MAX = 1.0 / _H_MIN
+
 
 class GridError(ValueError):
     """Invalid grid geometry or mismatched grid/field combination."""
@@ -44,6 +49,9 @@ class Grid:
             raise GridError(f"domain lengths must be positive and finite, got {self.lx!r}, {self.ly!r}")
         if self.bc_director not in DIRECTOR_BCS:
             raise GridError(f"bc_director must be one of {DIRECTOR_BCS}")
+        if not (_H_MIN < self.hx < _H_MAX and _H_MIN < self.hy < _H_MAX):
+            raise GridError(f"grid spacing {self.hx!r} x {self.hy!r} is outside "
+                            f"({_H_MIN:.1e}, {_H_MAX:.1e})")
 
     @property
     def periodic(self) -> bool:

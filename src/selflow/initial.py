@@ -102,20 +102,3 @@ def vortex_director(grid: Grid, x0: float, y0: float, core: float) -> np.ndarray
     dx, dy = X - x0, Y - y0
     denom = np.sqrt(dx**2 + dy**2 + core**2)
     return np.stack([dx / denom, dy / denom, np.full_like(dx, core) / denom])
-
-
-def smooth_test_director(grid: Grid, amps=(0.8, 0.6, 0.5)) -> np.ndarray:
-    """Generic smooth non-unit director used by identity checks; every term
-    of the elliptic identities is active (penalty included)."""
-    X, Y = grid.meshgrid()
-    if grid.periodic:
-        ax, ay = 2.0 * np.pi / grid.lx, 2.0 * np.pi / grid.ly
-    else:
-        ax, ay = np.pi / grid.lx, np.pi / grid.ly
-    return np.stack(
-        [
-            amps[0] * np.sin(ax * X) * np.cos(ay * Y),
-            amps[1] * np.cos(ax * X) * np.sin(ay * Y),
-            0.5 + amps[2] * np.sin(ax * X) * np.sin(ay * Y),
-        ]
-    )

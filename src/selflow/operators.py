@@ -5,7 +5,7 @@ on the field's boundary mode:
 
 * ``periodic``  -- wrap-around stencils,
 * ``neumann``   -- reflected ghost values (zero normal derivative),
-* ``dirichlet`` / ``noslip`` / ``none`` -- one-sided second-order stencils.
+* ``dirichlet`` / ``noslip`` -- one-sided second-order stencils.
 
 All operators take the array, the grid and a bc string, and act on every
 leading axis at once: arrays are (nx, ny) scalars or (..., k, nx, ny)
@@ -16,7 +16,7 @@ arithmetic of numpy's ``gradient(a, h, edge_order=2)`` without calling it:
 the same central quotient inside and the same three-point sums
 (-1.5/h) a0 + (2/h) a1 + (-0.5/h) a2 at the edges, bit for bit.
 ``interior_divergence`` is the bounded divergence at the interior nodes
-alone, bit for bit the inner rows of ``divergence(v, grid, "none")``.  The
+alone, bit for bit the inner rows of ``divergence(v, grid, "noslip")``.  The
 quadrature forms use the grid's rule, a constant hx*hy weight on periodic
 grids.
 """
@@ -27,7 +27,7 @@ import numpy as np
 
 from .grids import Grid, GridError
 
-_BOUNDED = ("none", "dirichlet", "noslip", "neumann")
+_BOUNDED = ("dirichlet", "noslip", "neumann")
 
 
 def _step(grid: Grid, axis: int) -> float:
@@ -150,7 +150,7 @@ def divergence(v: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
 
 def interior_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Central divergence of v (..., 2, nx, ny) at the interior nodes,
-    (..., nx-2, ny-2): divergence(v, grid, "none")[..., 1:-1, 1:-1] bit
+    (..., nx-2, ny-2): divergence(v, grid, "noslip")[..., 1:-1, 1:-1] bit
     for bit, without the wall rows."""
     v0, v1 = v[..., 0, :, :], v[..., 1, :, :]
     out = v0[..., 2:, 1:-1] - v0[..., :-2, 1:-1]

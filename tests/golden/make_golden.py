@@ -6,7 +6,8 @@ same set of files and every column agrees to within ``REL_TOL`` of that
 column's largest magnitude (integers and text must match exactly):
 
 - a ``.csv`` column is a header name;
-- a ``.fld`` column is a snapshot component;
+- a ``.fld`` column is a snapshot component, and one text column holds the
+  grid its header records (nx, ny, lx, ly, closure);
 - in any other text file (manifest, config, ``diagnose`` stdout) each line's
   text must match with its numbers blanked, and the n-th number of the
   lines sharing a tag (the text before the first ':' or '=') is a column.
@@ -198,9 +199,12 @@ def file_set(root: Path) -> set[str]:
 def columns(path: Path) -> dict[str, list]:
     """The cells of one artifact, by column (see the module docstring)."""
     if path.suffix == ".fld":
-        vals = read_snapshot(path)[1]
-        vals = vals.reshape(-1, vals.shape[-2] * vals.shape[-1])
-        return {f"component {i}": list(v) for i, v in enumerate(vals)}
+        grid, vals = read_snapshot(path)
+        vals = vals.reshape(-1, grid.nx * grid.ny)
+        cols = {f"component {i}": list(v) for i, v in enumerate(vals)}
+        cols["grid"] = [f"nx={grid.nx} ny={grid.ny} lx={grid.lx!r} ly={grid.ly!r} "
+                        f"closure={grid.bc_director}"]
+        return cols
     lines = [ln for ln in path.read_text(encoding="utf-8").splitlines()
              if not ln.startswith("#")]
     if path.suffix == ".csv":

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from selflow.cli import main
 from selflow.config import SCHEMA
+from selflow.diagnostics import default_defect_radius
 from selflow.fields import MAGIC, write_snapshot
 from selflow.grids import Grid
 from selflow.initial import constant_director, vortex_director
@@ -159,11 +160,15 @@ class TestSimulate:
         ("init.d", np.zeros((2, 16, 16)), "periodic"),
         ("init.d", constant_director(Grid(16, 16), (0, 0, 1)), "neumann"),
         ("init.u", np.zeros((3, 16, 16)), "periodic"),
+        # right counts and layout, but the 1.2 x 0.9 domain of another run
+        pytest.param("init.d", constant_director(Grid(16, 16), (0, 0, 1)),
+                     Grid(16, 16, lx=1.2, ly=0.9), id="init.d-lengths"),
     ])
     def test_mismatched_file_spec_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                   key, values, bc):
         out = out_env(tmp_path, monkeypatch)
-        grid = Grid(*values.shape[-2:], bc_director="periodic" if bc == "periodic" else "neumann")
+        grid = bc if isinstance(bc, Grid) else Grid(
+            *values.shape[-2:], bc_director="periodic" if bc == "periodic" else "neumann")
         snap = tmp_path / "x.fld"
         write_snapshot(snap, grid, values)
         text = "".join(line + "\n" for line in TINY.splitlines() if not line.startswith(key))
@@ -426,7 +431,7 @@ class TestDiagnose:
         assert captured.out == ""
         assert captured.err.startswith("validation error:") and "non-finite" in captured.err
 
-    @pytest.mark.parametrize("flag", ["--eps", "--lx", "--ly"])
+    @pytest.mark.parametrize("flag", ["--eps"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_non_finite_or_nonpositive_number_rejected(self, vortex_snap, capsys, flag, value):
         # refused while parsing, as --threshold is, before any diagnostic runs
@@ -434,6 +439,39 @@ class TestDiagnose:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be a finite number > 0" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--lx", "--ly"])
+    def test_length_flags_are_gone(self, vortex_snap, capsys, flag):
+        # the snapshot records its lengths; none can be given again
+        assert main(["diagnose", vortex_snap, "--defects", flag, "1.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+
+    def test_defects_use_the_recorded_lengths(self, tmp_path, capsys):
+        # a vortex at (0.63, 0.47) on a pinned-wall 1.2 x 0.9 domain is found
+        # there with no flags, with the scan radius of that grid (0.417); a
+        # unit-square reading put it at (0.52, 0.53) with r = 0.421
+        grid = Grid(24, 20, lx=1.2, ly=0.9, bc_director="dirichlet")
+        snap = tmp_path / "d.fld"
+        write_snapshot(snap, grid, vortex_director(grid, 0.63, 0.47, 2 * grid.hx))
+        assert main(["diagnose", str(snap), "--defects"]) == 0
+        out = capsys.readouterr().out
+        assert "defects: count = 1 (r = " in out
+        assert float(out.split("(r = ")[1].split(",")[0]) == default_defect_radius(grid)
+        (line,) = [l for l in out.splitlines() if l.startswith("defects: center,")]
+        x, y, _ = (float(v) for v in line.split(",")[1:])
+        assert abs(x - 0.63) <= grid.hx and abs(y - 0.47) <= grid.hy
+
+    def test_old_format_is_io_error(self, tmp_path, capsys):
+        # the earlier layout (payload at byte 29) held no lengths; it is
+        # refused, not read as a unit square
+        snap = tmp_path / "old.fld"
+        snap.write_bytes(b"SELFLOW-FLD\x00".ljust(16, b"\x00")
+                         + struct.pack("<IIIB", 3, 16, 16, 1) + bytes(8 * 3 * 16 * 16))
+        assert main(["diagnose", str(snap)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error:") and "Traceback" not in captured.err
 
     def test_velocity_snapshot_rejected(self, tmp_path, capsys):
         grid = Grid(16, 16)
@@ -447,7 +485,8 @@ class TestDiagnose:
     def test_oversized_header_is_io_error(self, tmp_path, capsys):
         # the header declares a 3 x 2^20 x 2^20 payload the file does not hold
         snap = tmp_path / "huge.fld"
-        snap.write_bytes(MAGIC + struct.pack("<IIIB", 3, 2**20, 2**20, 0) + bytes(64))
+        snap.write_bytes(MAGIC + struct.pack("<IIIBdd", 3, 2**20, 2**20, 0, 1.0, 1.0)
+                         + bytes(64))
         assert main(["diagnose", str(snap)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("i/o error:") and "Traceback" not in err
@@ -457,7 +496,8 @@ class TestDiagnose:
     def test_tiny_grid_header_is_io_error(self, tmp_path, capsys):
         # a 2 x 2 grid with its full payload: the header is what is wrong
         snap = tmp_path / "tiny.fld"
-        snap.write_bytes(MAGIC + struct.pack("<IIIB", 3, 2, 2, 0) + bytes(8 * 3 * 2 * 2))
+        snap.write_bytes(MAGIC + struct.pack("<IIIBdd", 3, 2, 2, 0, 1.0, 1.0)
+                         + bytes(8 * 3 * 2 * 2))
         assert main(["diagnose", str(snap)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("i/o error:") and "Traceback" not in err
@@ -548,13 +588,13 @@ def test_fuzzed_config_exits_1_and_writes_nothing(tmp_path_factory, lines, comma
     assert not (root / "out").exists()
 
 
-# a valid 3 x 8 x 6 periodic director snapshot is MAGIC, the 13-byte header
-# (k, nx, ny, bc code) and 8 * 3 * 8 * 6 payload bytes
-_SNAP_LEN = 16 + 13 + 8 * 3 * 8 * 6
+# a valid 3 x 8 x 6 periodic director snapshot is MAGIC, the 29-byte header
+# (k, nx, ny, closure code, lx, ly) and 8 * 3 * 8 * 6 payload bytes
+_SNAP_LEN = 16 + 29 + 8 * 3 * 8 * 6
 _snapshot_faults = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, _SNAP_LEN - 1), st.just(0)),
     st.tuples(st.just("magic"), st.integers(0, 15), st.integers(1, 255)),
-    st.tuples(st.just("header"), st.integers(16, 28), st.integers(1, 255)),
+    st.tuples(st.just("header"), st.integers(16, 44), st.integers(1, 255)),
 )
 
 

@@ -116,6 +116,16 @@ class TestNonFinite:
         with pytest.raises(GridError, match="positive and finite"):
             Grid(8, 8, ly=length, bc_director="neumann")
 
+    @pytest.mark.parametrize("length", [1e-300, 1e-80, 1e80, 1e300])
+    def test_grid_refuses_unrepresentable_spacing(self, length):
+        # the operators form h**2 and the bounded projection h**-4; before
+        # this check such lengths crashed with OverflowError or a singular LU
+        with pytest.raises(GridError, match="grid spacing"):
+            Grid(8, 8, lx=length)
+        with pytest.raises(GridError, match="grid spacing"):
+            Grid(8, 8, ly=length, bc_director="neumann")
+        Grid(8, 8, lx=1e-60, ly=1e60)  # far out, but representable
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["eps", "mu", "lam", "gamma", "xi1", "xi2", "dt", "T"])
     def test_params_refuse_non_finite(self, name, value):

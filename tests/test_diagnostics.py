@@ -31,7 +31,6 @@ from selflow.fields import director_test_function, solenoidal_test_function
 from selflow.grids import Grid
 from selflow.initial import (
     constant_director,
-    smooth_test_director,
     smooth_unit_director,
     taylor_green,
     vortex_director,
@@ -46,6 +45,23 @@ def _run(grid, params, S, h, seed=0, u_amp=0.2, d_amp=0.4, budget=True, **kw):
     d0 = smooth_unit_director(grid, d_amp)
     return simulate_path(grid, params, u0, d0, S, h, WienerDriver(seed, S.n_modes),
                          track_budget=budget, **kw)
+
+
+def smooth_test_director(grid, amps=(0.8, 0.6, 0.5)):
+    """Generic smooth non-unit director used by identity checks; every term
+    of the elliptic identities is active (penalty included)."""
+    X, Y = grid.meshgrid()
+    if grid.periodic:
+        ax, ay = 2.0 * np.pi / grid.lx, 2.0 * np.pi / grid.ly
+    else:
+        ax, ay = np.pi / grid.lx, np.pi / grid.ly
+    return np.stack(
+        [
+            amps[0] * np.sin(ax * X) * np.cos(ay * Y),
+            amps[1] * np.cos(ax * X) * np.sin(ay * Y),
+            0.5 + amps[2] * np.sin(ax * X) * np.sin(ay * Y),
+        ]
+    )
 
 
 def asym_velocity(grid, amp=0.2):

@@ -7,12 +7,13 @@ import pytest
 
 from selflow import fields as fl
 from selflow import operators as ops
-from selflow.grids import Grid, GridError
+from selflow.grids import DIRECTOR_BCS, Grid, GridError
 
 
-def write_header(path, k, nx, ny, payload=b"\x00" * 64):
-    """A periodic snapshot header declaring (k, nx, ny), then ``payload``."""
-    path.write_bytes(fl.MAGIC + struct.pack("<IIIB", k, nx, ny, 0) + payload)
+def write_header(path, k, nx, ny, payload=b"\x00" * 64, code=0, lx=1.0, ly=1.0):
+    """A snapshot header declaring (k, nx, ny, closure code, lx, ly), then
+    ``payload``; by default a periodic unit square."""
+    path.write_bytes(fl.MAGIC + struct.pack("<IIIBdd", k, nx, ny, code, lx, ly) + payload)
 
 
 class TestField:
@@ -80,19 +81,20 @@ class TestTestFunction:
 
 
 class TestSnapshot:
-    def test_header_layout(self, grid32, tmp_path):
+    def test_header_layout(self, tmp_path):
+        grid = Grid(32, 24, lx=1.2, ly=0.9, bc_director="dirichlet")
         path = tmp_path / "d.fld"
-        fl.write_snapshot(path, grid32, np.arange(3 * 32 * 32, dtype=float).reshape(3, 32, 32))
+        fl.write_snapshot(path, grid, np.arange(3 * 32 * 24, dtype=float).reshape(3, 32, 24))
         raw = path.read_bytes()
-        assert raw[:16] == b"SELFLOW-FLD\x00\x00\x00\x00\x00"
+        assert raw[:16] == b"SELFLOW-FLD2\x00\x00\x00\x00"
         k, nx, ny = struct.unpack("<III", raw[16:28])
-        assert (k, nx, ny) == (3, 32, 32)
-        (bc_code,) = struct.unpack("<B", raw[28:29])
-        assert bc_code == 0  # periodic
-        assert len(raw) == 29 + 8 * 3 * 32 * 32
+        assert (k, nx, ny) == (3, 32, 24)
+        (code,) = struct.unpack("<B", raw[28:29])
+        assert code == 2  # DIRECTOR_BCS.index("dirichlet")
+        assert struct.unpack("<dd", raw[29:45]) == (1.2, 0.9)
+        assert len(raw) == 45 + 8 * 3 * 32 * 24
         # row-major float64 payload
-        first = struct.unpack("<d", raw[29:37])[0]
-        assert first == 0.0
+        assert struct.unpack("<dd", raw[45:61]) == (0.0, 1.0)
 
     def test_roundtrip(self, grid_bounded, tmp_path, rng):
         vals = rng.standard_normal((3, 32, 32))
@@ -111,24 +113,36 @@ class TestSnapshot:
         assert snap == grid
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("bc_director", ["periodic", "neumann", "dirichlet"])
+    @pytest.mark.parametrize("bc_director", DIRECTOR_BCS)
     def test_roundtrip_keeps_grid_and_closure(self, tmp_path, rng, bc_director, k):
-        # the header carries the grid's closure for the field kind, so the
-        # grid read back is the one written, spacing included; a velocity
-        # records only its no-slip wall, so a pinned-wall grid's velocity is
-        # read back onto the neumann grid of the same geometry
+        # the header records the whole grid, so the grid read back is the
+        # one written, lengths and director closure included, whatever the
+        # field kind: a pinned-wall grid's velocity reads back as dirichlet
         grid = Grid(16, 12, lx=1.0, ly=0.8, bc_director=bc_director)
         vals = rng.standard_normal((k, 16, 12) if k > 1 else (16, 12))
         path = tmp_path / "f.fld"
         fl.write_snapshot(path, grid, vals)
         (code,) = struct.unpack("<B", path.read_bytes()[28:29])
-        closure = grid.bc_velocity if k == 2 else grid.bc_director
-        assert fl._BC_NAMES[code] == closure
-        snap, values = fl.read_snapshot(path, lx=1.0, ly=0.8)
-        read_as = "neumann" if (k, bc_director) == (2, "dirichlet") else bc_director
-        assert snap == Grid(16, 12, lx=1.0, ly=0.8, bc_director=read_as)
+        assert DIRECTOR_BCS[code] == bc_director
+        snap, values = fl.read_snapshot(path)
+        assert snap == grid
         assert (snap.hx, snap.hy) == (grid.hx, grid.hy)
         assert values.shape == vals.shape and np.array_equal(values, vals)
+
+    @pytest.mark.parametrize("lx, ly", [(0.0, 1.0), (1.0, -0.5), (np.nan, 1.0),
+                                        (1.0, np.inf), (1e300, 1.0), (1.0, 1e-300)])
+    def test_bad_lengths_rejected(self, tmp_path, lx, ly):
+        path = tmp_path / "l.fld"
+        write_header(path, 3, 8, 8, bytes(8 * 3 * 8 * 8), lx=lx, ly=ly)
+        with pytest.raises(fl.SnapshotError, match="snapshot grid"):
+            fl.read_snapshot(path)
+
+    @pytest.mark.parametrize("code", [3, 4, 255])
+    def test_unknown_closure_code_rejected(self, tmp_path, code):
+        path = tmp_path / "c.fld"
+        write_header(path, 3, 8, 8, bytes(8 * 3 * 8 * 8), code=code)
+        with pytest.raises(fl.SnapshotError, match="closure code"):
+            fl.read_snapshot(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.fld"
@@ -162,7 +176,7 @@ class TestSnapshot:
     def test_grid_below_minimum_rejected(self, tmp_path, nx, ny):
         path = tmp_path / "g.fld"
         write_header(path, 3, nx, ny)
-        with pytest.raises(fl.SnapshotError, match="below 4x4"):
+        with pytest.raises(fl.SnapshotError, match="at least 4x4"):
             fl.read_snapshot(path)
 
     def test_truncated_header_rejected(self, tmp_path):

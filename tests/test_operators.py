@@ -20,7 +20,7 @@ class TestGradient:
         grid = Grid(16, 16, bc_director="neumann")
         X, Y = grid.meshgrid()
         f = 2.0 * X + 3.0 * Y
-        g = ops.gradient(f, grid, "none")
+        g = ops.gradient(f, grid, "noslip")
         assert np.allclose(g[0], 2.0, atol=1e-12)
         assert np.allclose(g[1], 3.0, atol=1e-12)
 
@@ -59,7 +59,7 @@ class TestDivergence:
         grid = Grid(16, 16, bc_director="neumann")
         X, Y = grid.meshgrid()
         v = np.stack([X, -Y])
-        div = ops.divergence(v, grid, "none")
+        div = ops.divergence(v, grid, "noslip")
         assert np.max(np.abs(div)) < 1e-12
 
     def test_orthogonal_sines_cancel(self, grid32):
@@ -77,7 +77,7 @@ class TestLaplacian:
     def test_quadratic_exact_interior(self):
         grid = Grid(16, 16, bc_director="neumann")
         X, _ = grid.meshgrid()
-        lap = ops.laplacian(X**2, grid, "none")
+        lap = ops.laplacian(X**2, grid, "noslip")
         assert np.allclose(lap[1:-1, 1:-1], 2.0, atol=1e-10)
 
     def test_sine_second_order(self):
@@ -132,10 +132,10 @@ class TestDiscreteIdentities:
         f = np.sin(np.pi * X) * np.sin(np.pi * Y)
         g = np.stack([X * (1 - X) * Y * (1 - Y), (X * (1 - X) * Y * (1 - Y)) ** 2])
         lhs = sum(
-            ops.pair_scalar(ops.gradient(f, grid_bounded, "none")[j], g[j], grid_bounded)
+            ops.pair_scalar(ops.gradient(f, grid_bounded, "noslip")[j], g[j], grid_bounded)
             for j in range(2)
         )
-        rhs = -ops.pair_scalar(f, ops.divergence(g, grid_bounded, "none"), grid_bounded)
+        rhs = -ops.pair_scalar(f, ops.divergence(g, grid_bounded, "noslip"), grid_bounded)
         assert abs(lhs - rhs) <= 50 * grid_bounded.hx**2
 
     def test_laplacian_symmetry(self, grid32, rng):
@@ -156,7 +156,7 @@ class TestDiscreteIdentities:
             f = rng.standard_normal((24, 20))
             g = rng.standard_normal((24, 20))
             if mode == "zero-boundary":
-                bc = "none"
+                bc = "noslip"
                 for a in (f, g):
                     a[0, :] = a[-1, :] = a[:, 0] = a[:, -1] = 0.0
             else:
@@ -179,7 +179,7 @@ class TestDiscreteIdentities:
             grid, bc = Grid(nx, ny, lx=lx), "periodic"
         else:
             grid = Grid(nx, ny, lx=lx, bc_director="neumann")
-            bc = "neumann" if mode == "neumann" else "none"
+            bc = "neumann" if mode == "neumann" else "noslip"
         X, Y = grid.meshgrid()
 
         def smooth():
@@ -257,7 +257,7 @@ class TestPeriodicStencilsMatchRoll:
 BOUNDED = [Grid(4, 4, lx=0.7, ly=1.1, bc_director="neumann"),
            Grid(24, 20, lx=1.3, ly=0.9, bc_director="neumann"),
            Grid(25, 31, lx=0.8, ly=1.7, bc_director="dirichlet")]
-BOUNDED_BCS = ["none", "noslip", "dirichlet", "neumann"]
+BOUNDED_BCS = ["noslip", "dirichlet", "neumann"]
 
 
 def _slice_second_diff(a, grid, axis, bc):
@@ -315,14 +315,16 @@ class TestBoundedStencilsMatchGradient:
         u = rng.standard_normal(lead + (2, grid.nx, grid.ny, 2 if strided else 1))[..., 0]
         got = ops.interior_divergence(u, grid)
         assert got.shape == lead + (grid.nx - 2, grid.ny - 2)
-        assert np.array_equal(got, ops.divergence(u, grid, "none")[..., 1:-1, 1:-1])
+        assert np.array_equal(got, ops.divergence(u, grid, "noslip")[..., 1:-1, 1:-1])
 
     def test_unknown_mode_raises(self):
+        # "none" is no closure name either: noslip gives its one-sided stencils
         a = np.zeros((BOUNDED[1].nx, BOUNDED[1].ny))
-        with pytest.raises(GridError):
-            ops.deriv(a, BOUNDED[1], 0, "reflect")
-        with pytest.raises(GridError):
-            ops.laplacian(a, BOUNDED[1], "reflect")
+        for mode in ("reflect", "none"):
+            with pytest.raises(GridError):
+                ops.deriv(a, BOUNDED[1], 0, mode)
+            with pytest.raises(GridError):
+                ops.laplacian(a, BOUNDED[1], mode)
 
 
 class TestPeriodicLedgerForms:
