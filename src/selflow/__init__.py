@@ -21,13 +21,11 @@ from .noise import NoiseOperatorS, WienerDriver, split_seed
 from .projection import ProjectionError, leray_project
 from .pathrun import PathResult, PathSeries, simulate_path
 from .diagnostics import (
-    DefectReport,
     PohozaevReport,
     WeakFormTracker,
     defect_detect,
     energy_budget_residual,
     gronwall_bound_check,
-    local_energy,
     pohozaev_residual,
     stress_pairing,
 )

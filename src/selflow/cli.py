@@ -199,9 +199,9 @@ def cmd_diagnose(args) -> int:
         did_something = True
         r = default_defect_radius(grid) if args.radius is None else args.radius
         thr = default_defect_threshold(grid, eps, r) if args.threshold is None else args.threshold
-        rep = defect_detect(d, grid, eps, r, thr)
-        print(f"defects: count = {rep.count} (r = {r!r}, delta0_sq = {thr!r})")
-        for x, y, energy in rep.centers:
+        centers = defect_detect(d, grid, eps, r, thr)
+        print(f"defects: count = {len(centers)} (r = {r!r}, delta0_sq = {thr!r})")
+        for x, y, energy in centers:
             print(f"defects: center,{x!r},{y!r},{energy!r}")
     if args.pairings:
         did_something = True

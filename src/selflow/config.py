@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import Params, stability_dt
 from .fields import read_snapshot
-from .grids import Grid
+from .grids import Grid, GridError
 from .initial import (
     constant_director,
     mixed_unit_director,
@@ -57,6 +57,13 @@ def _finite(s: str) -> float:
     if not np.isfinite(x):
         raise ValueError(f"{s.strip()!r} is not a finite number")
     return x
+
+
+def _wavenumber(s: str) -> int:
+    k = int(s)
+    if k < 1:
+        raise ValueError(f"wavenumber must be >= 1, got {k}")
+    return k
 
 
 def _parse_dt(s: str):
@@ -201,6 +208,8 @@ def validate(cfg: RunConfig) -> list[tuple[str, str]]:
     for attr, key in (("xi1", "noise.xi1"), ("xi2", "noise.xi2")):
         if getattr(cfg, attr) < 0:
             out.append((attr, f"{key}: must be nonnegative"))
+    if not 0 <= cfg.seed < 2**64:
+        out.append(("seed", "noise.seed: must be in [0, 2**64)"))
     if cfg.dt != "auto" and (not isinstance(cfg.dt, float) or cfg.dt <= 0):
         out.append(("dt", "sim.dt: must be positive or 'auto'"))
     if cfg.bc not in BC_MODES:
@@ -213,6 +222,20 @@ def validate(cfg: RunConfig) -> list[tuple[str, str]]:
         out.append(("paths", "ensemble.paths: must be >= 1"))
     if cfg.checkpoint_every < 1:
         out.append(("checkpoint_every", "out.checkpoint_every: must be >= 1"))
+    flagged = {attr for attr, _ in out}
+    # the energy and the noise bounds square these
+    for attr in ("eps", "sigma0", "xi1", "xi2"):
+        x = getattr(cfg, attr)
+        if attr not in flagged and not np.isfinite(x * x):
+            out.append((attr, f"{_ATTR_TO_KEY[attr]}: {x!r} is too large (its square overflows)"))
+    # a square grid of one axis's node count and length has that axis's
+    # spacing, so a spacing the Grid refuses is reported under its length
+    if not flagged & {"grid", "lx", "ly", "bc"}:
+        for attr, n in (("lx", nx), ("ly", ny)):
+            try:
+                Grid(n, n, getattr(cfg, attr), getattr(cfg, attr), BC_MODES[cfg.bc])
+            except GridError as exc:
+                out.append((attr, f"{_ATTR_TO_KEY[attr]}: {exc}"))
     try:
         parse_eps_list(cfg.sweep_eps)
     except ValueError as exc:
@@ -237,7 +260,7 @@ def parse_eps_list(text: str) -> list[float]:
 # spec attribute -> form -> converters of its arguments and the argument
 # counts it accepts (0 = builder defaults); the file form takes a path
 SPEC_FORMS = {
-    "init_u": {"zero": ((), (0,)), "taylor-green": ((int, _finite), (0, 1, 2)), "file": None},
+    "init_u": {"zero": ((), (0,)), "taylor-green": ((_wavenumber, _finite), (0, 1, 2)), "file": None},
     "init_d": {"const": ((_finite,) * 3, (0, 3)), "vortex": ((_finite,) * 3, (0, 1, 2, 3)),
                "unit-smooth": ((_finite,), (0, 1)), "unit-mixed": ((_finite,), (0, 1)),
                "file": None},

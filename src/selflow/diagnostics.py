@@ -10,7 +10,7 @@ the sweep, with its record, are orchestrated in :mod:`selflow.ensemble`.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -309,9 +309,6 @@ class PohozaevReport:
     rhs              =  int_B <X.grad d, lap d - f_eps(d)>.
     """
 
-    center: tuple[float, float]
-    r: float
-    choice: str
     boundary_kinetic: float
     bulk_stress: float
     bulk_div: float
@@ -381,9 +378,6 @@ def pohozaev_residual(
 
     residual = boundary_kinetic + bulk_stress + bulk_div + boundary_energy - rhs
     return PohozaevReport(
-        center=(x0, y0),
-        r=r,
-        choice=choice,
         boundary_kinetic=boundary_kinetic,
         bulk_stress=bulk_stress,
         bulk_div=bulk_div,
@@ -406,14 +400,6 @@ def _wrapped_dist_sq(grid: Grid, x0: float, y0: float) -> np.ndarray:
     X, Y = grid.meshgrid()
     dx, dy = _min_image(grid, X - x0, Y - y0)
     return dx**2 + dy**2
-
-
-def local_energy(d: np.ndarray, grid: Grid, eps: float, center: tuple[float, float],
-                 r: float) -> float:
-    """Relaxation energy 0.5 |grad d|^2 + F_eps integrated over the discrete
-    ball (cell-center inclusion; periodic distance on the torus, where r
-    may reach half the shorter period)."""
-    return _ball_energy(_energy_density(d, grid, eps, grid.bc_director), grid, center, r)
 
 
 def _ball_energy(e: np.ndarray, grid: Grid, center: tuple[float, float], r: float) -> float:
@@ -493,22 +479,6 @@ def _exact_ball_energies(e_w: np.ndarray, grid: Grid, r: float,
     return out
 
 
-@dataclass
-class DefectReport:
-    """Candidate concentration set: scan centers whose local energy on a
-    ball of radius r exceeds the threshold, merged over overlaps.  At fixed
-    relaxation parameter the set is a finite-eps proxy for the limit
-    concentration set, not the limit object itself."""
-
-    r: float
-    delta0_sq: float
-    centers: list[tuple[float, float, float]] = field(default_factory=list)  # (x, y, energy)
-
-    @property
-    def count(self) -> int:
-        return len(self.centers)
-
-
 def defect_detect(
     d: np.ndarray,
     grid: Grid,
@@ -516,8 +486,13 @@ def defect_detect(
     r: float,
     delta0_sq: float,
     stride: int = 2,
-) -> DefectReport:
-    """Scan a coarse lattice of centers (every stride-th node; on bounded
+) -> list[tuple[float, float, float]]:
+    """Candidate concentration set: the (x, y, energy) of the scan centers
+    whose local energy on a ball of radius r exceeds ``delta0_sq``, merged
+    over overlaps.  At fixed relaxation parameter the set is a finite-eps
+    proxy for the limit concentration set, not the limit object itself.
+
+    Scan a coarse lattice of centers (every stride-th node; on bounded
     grids only those whose ball fits inside the domain), flag local
     energies above the threshold, and merge overlapping hits by greedy
     non-maximum suppression (deterministic; larger thresholds give
@@ -563,7 +538,7 @@ def defect_detect(
             centers.append((float(x[k]), float(y[k]), float(e[k])))
             dx, dy = _min_image(grid, x - x[k], y - y[k])
             alive &= dx * dx + dy * dy > (2.0 * r) ** 2
-    return DefectReport(r=r, delta0_sq=delta0_sq, centers=centers)
+    return centers
 
 
 def default_defect_radius(grid: Grid) -> float:
@@ -604,16 +579,8 @@ def default_defect_threshold(grid: Grid, eps: float, r: float | None = None) -> 
 
 @dataclass
 class GronwallReport:
-    t_half: float
-    t_full: float
-    mean_half: float
-    mean_full: float
-    se_half: float
-    se_full: float
-    growth_rate_bound: float
     growth_ok: bool
     second_moment: float
-    second_moment_half_sample: float
     second_moment_stable: bool
 
 
@@ -641,11 +608,7 @@ def gronwall_bound_check(
 
     sup_half = np.max(c["total"][:, : i_half + 1], axis=1)
     sup_full = np.max(c["total"], axis=1)
-    x_half = _plus_dissipated(sup_half, c["int_diss_u"][:, i_half], c["int_diss_d"][:, i_half], params)
     x_full = _plus_dissipated(sup_full, c["int_diss_u"][:, -1], c["int_diss_d"][:, -1], params)
-    m_half, m_full = float(x_half.mean()), float(x_full.mean())
-    se_half = float(x_half.std(ddof=1) / np.sqrt(M))
-    se_full = float(x_full.std(ddof=1) / np.sqrt(M))
 
     h_max = float(np.max(np.linalg.norm(h, axis=0)))
     c_rate = 0.5 * params.xi1**2 * S.linear_growth_constant() + 2.0 * params.lam * params.xi2**2 * h_max**2 + 1.0
@@ -656,23 +619,11 @@ def gronwall_bound_check(
         + float(sup_half.std(ddof=1) / np.sqrt(M)) / max(ms_half, 1e-300)
     )
     growth_ok = bool(
-        np.isfinite(m_full)
+        np.isfinite(x_full.mean())
         and np.log(max(ms_full, 1e-300) / max(ms_half, 1e-300)) <= c_rate * dt_gap + slack
     )
 
     m2 = float(np.mean(x_full**2))
     m2_half_sample = float(np.mean(x_full[: M // 2] ** 2))
     m2_stable = bool(0.5 <= (m2_half_sample + 1e-300) / (m2 + 1e-300) <= 2.0)
-    return GronwallReport(
-        t_half=float(t[i_half]),
-        t_full=float(t[-1]),
-        mean_half=m_half,
-        mean_full=m_full,
-        se_half=se_half,
-        se_full=se_full,
-        growth_rate_bound=c_rate,
-        growth_ok=growth_ok,
-        second_moment=m2,
-        second_moment_half_sample=m2_half_sample,
-        second_moment_stable=m2_stable,
-    )
+    return GronwallReport(growth_ok=growth_ok, second_moment=m2, second_moment_stable=m2_stable)

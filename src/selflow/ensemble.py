@@ -230,7 +230,7 @@ def coupled_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
             row = {f"pairing_{tf.name}": stress_pairing(state.d, grid, tf)
                    for tf in phis}
             row["defect_count"] = np.array(
-                [float(defect_detect(d, grid, eps, defect_r, delta0_sq).count) for d in state.d])
+                [float(len(defect_detect(d, grid, eps, defect_r, delta0_sq))) for d in state.d])
             return row
 
         series, seeds = _run_lanes(config, grid, replace(params, eps=eps), u0, d0, S, h,

@@ -3,13 +3,13 @@
 The velocity noise is a truncated cylindrical Wiener process: N independent
 Brownian modes B_i acting through a diagonal operator
 
-    S(u)(e_i) = sigma0 * i^{-q} * P(psi_i u + g_i),
+    S(u)(e_i) = sigma0 * i^{-q} * P(psi_i u),
 
-with P the Leray projection, psi_i smooth scalar shapes and g_i optional
-divergence-free additive seeds.  The director noise uses one extra scalar
-Brownian motion.  The driver is counter-based (Philox) and keyed only by
-(seed, n_modes), so increment streams are bit-identical across eps and grid
-choices; that is what makes coupled eps-sweeps meaningful.
+with P the Leray projection and psi_i smooth scalar shapes.  The director
+noise uses one extra scalar Brownian motion.  The driver is counter-based
+(Philox) and keyed only by (seed, n_modes), so increment streams are
+bit-identical across eps and grid choices; that is what makes coupled
+eps-sweeps meaningful.
 """
 
 from __future__ import annotations
@@ -90,15 +90,6 @@ def default_mode_shapes(grid: Grid, n_modes: int) -> np.ndarray:
     return np.cos(ax[:, None, None] * X) * np.cos(ay[:, None, None] * Y)
 
 
-def _mode_sum(wts: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_i wts[..., i] * stack[i], accumulated in index order."""
-    w = wts.reshape(wts.shape[:-1] + (1,) * (stack.ndim - 1) + wts.shape[-1:])
-    out = w[..., 0] * stack[0]
-    for i in range(1, len(stack)):
-        out += w[..., i] * stack[i]
-    return out
-
-
 class NoiseOperatorS:
     """Diagonal Hilbert-Schmidt noise operator, immutable and shareable.
 
@@ -107,7 +98,7 @@ class NoiseOperatorS:
 
         sum_i ||S(u)(e_i)||^2 <= C (1 + ||u||^2)
 
-    with C = 2 sigma0^2 max(sum i^{-2q} |psi_i|_inf^2, sum i^{-2q} ||g_i||^2).
+    with C = 2 sigma0^2 sum i^{-2q} |psi_i|_inf^2.
     """
 
     def __init__(
@@ -117,7 +108,6 @@ class NoiseOperatorS:
         sigma0: float = 1.0,
         q: float = 1.5,
         shapes: np.ndarray | None = None,
-        additive: np.ndarray | None = None,
         proj_tol: float = PROJ_TOL,
     ):
         if n_modes < 1:
@@ -126,31 +116,18 @@ class NoiseOperatorS:
             raise ValueError("sigma0 must be nonnegative")
         self.grid = grid
         self.n_modes = int(n_modes)
-        self.sigma0 = float(sigma0)
-        self.q = float(q)
         self.proj_tol = proj_tol
         self.shapes = default_mode_shapes(grid, n_modes) if shapes is None else np.asarray(shapes, float)
         if self.shapes.shape != (n_modes, grid.nx, grid.ny):
             raise ValueError("shapes must have shape (N, nx, ny)")
-        if additive is None:
-            additive = np.zeros((n_modes, 2, grid.nx, grid.ny))
-        self.additive = np.asarray(additive, float)
-        if self.additive.shape != (n_modes, 2, grid.nx, grid.ny):
-            raise ValueError("additive seeds must have shape (N, 2, nx, ny)")
-        self._has_additive = bool(np.any(self.additive))
-        self.decay = self.sigma0 * np.arange(1, n_modes + 1, dtype=float) ** (-self.q)
+        self.decay = float(sigma0) * np.arange(1, n_modes + 1, dtype=float) ** (-float(q))
         if grid.periodic:
-            # sum_i decay_i^2 ||psi_i u + g_i||^2 = hx hy (sum W |u|^2
-            # + 2 sum G . u) + c, with the mode sums folded once here
-            wsq = self.decay**2
-            self._fold_w = np.sum(wsq[:, None, None] * self.shapes**2, axis=0)
-            self._fold_g = np.sum(
-                wsq[:, None, None, None] * self.shapes[:, None] * self.additive, axis=0)
-            self._fold_c = grid.hx * grid.hy * float(
-                np.sum(wsq * np.sum(self.additive**2, axis=(-3, -2, -1))))
+            # sum_i decay_i^2 ||psi_i u||^2 = hx hy sum W |u|^2, with the
+            # mode sum W folded once here
+            self._fold_w = np.sum(self.decay[:, None, None] ** 2 * self.shapes**2, axis=0)
 
     def mix_increments(self, u: np.ndarray, dB: np.ndarray) -> np.ndarray:
-        """Mode sum sum_i dB_i sigma0 i^{-q} (psi_i u + g_i) BEFORE projection.
+        """Mode sum sum_i dB_i sigma0 i^{-q} psi_i u BEFORE projection.
 
         By linearity, projecting this once equals summing the projected
         modes; the coupled stepper folds it into its own projection.
@@ -162,37 +139,31 @@ class NoiseOperatorS:
         dB = np.asarray(dB)
         if dB.shape[-1] != self.n_modes:
             raise ValueError(f"expected {self.n_modes} increments, got {dB.shape[-1]}")
-        wts = self.decay * dB
-        mix = _mode_sum(wts, self.shapes)[..., None, :, :] * u
-        if self._has_additive:
-            mix = mix + _mode_sum(wts, self.additive)
-        return mix
+        wts = (self.decay * dB)[..., None, None, :]
+        mix = wts[..., 0] * self.shapes[0]
+        for i in range(1, self.n_modes):
+            mix += wts[..., i] * self.shapes[i]
+        return mix[..., None, :, :] * u
 
     def hs_norm_sq(self, u: np.ndarray):
         """Squared Hilbert-Schmidt norm sum_i ||S(u)(e_i)||^2.
 
         Accepts a batched velocity (..., 2, nx, ny) and returns per-path
         values with the leading axes preserved.  Periodic grids take the
-        full norm of the unprojected modes from the folded mode sums, then
+        full norm of the unprojected modes from the folded mode sum, then
         subtract each mode's gradient part by Parseval
         (:func:`gradient_norm_sq`), clamping the total at 0; no projected
         field is built.  Bounded grids project each mode.
         """
         grid = self.grid
         if grid.periodic:
-            axes = (-3, -2, -1)
             sq = u * u
             sq *= self._fold_w
-            full = np.sum(sq, axis=axes)
-            if self._has_additive:
-                full = full + 2.0 * np.sum(self._fold_g * u, axis=axes)
-            total = grid.hx * grid.hy * full + self._fold_c
+            total = grid.hx * grid.hy * np.sum(sq, axis=(-3, -2, -1))
         else:
             total = 0.0
         for i in range(self.n_modes):
             v = self.shapes[i] * u
-            if self._has_additive:
-                v += self.additive[i]
             if grid.periodic:
                 total = total - self.decay[i] ** 2 * gradient_norm_sq(v, grid)
             else:
@@ -205,8 +176,5 @@ class NoiseOperatorS:
 
     def linear_growth_constant(self) -> float:
         """C with hs_norm_sq(u) <= C (1 + ||u||^2) for every u."""
-        wsq = self.decay**2
-        shape_part = float(np.sum(wsq * np.max(np.abs(self.shapes), axis=(-2, -1)) ** 2))
-        w = self.grid.quad_weights()
-        add_part = float(np.sum(wsq * np.sum(self.additive**2 * w, axis=(-3, -2, -1))))
-        return 2.0 * max(shape_part, add_part, 1e-300)
+        shape_part = float(np.sum(self.decay**2 * np.max(np.abs(self.shapes), axis=(-2, -1)) ** 2))
+        return 2.0 * max(shape_part, 1e-300)

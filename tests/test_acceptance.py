@@ -265,14 +265,13 @@ def test_criterion_10_defect_detection():
     r = 8.0 * grid.hx
 
     vortex = vortex_director(grid, 0.5, 0.5, core)
-    rep = defect_detect(vortex, grid, eps, r, thr)
-    assert rep.count == 1
-    x, y, _ = rep.centers[0]
+    centers = defect_detect(vortex, grid, eps, r, thr)
+    assert len(centers) == 1
+    x, y, _ = centers[0]
     assert np.hypot(x - 0.5, y - 0.5) <= 2.0 * grid.hx
 
     uniform = smooth_unit_director(grid, 0.05)
-    rep0 = defect_detect(uniform, grid, eps, r, thr)
-    assert rep0.count == 0
+    assert len(defect_detect(uniform, grid, eps, r, thr)) == 0
     report(10, f"vortex: 1 center at ({x:.4f}, {y:.4f}) within 2h of core; "
                f"uniform: empty set (threshold {thr:.4f})")
 

@@ -191,6 +191,28 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command, line", [("simulate", line) for line in [
+        "init.u = taylor-green:0", "init.u = taylor-green:-1,0.2",
+        # finite values whose square overflows
+        "sim.eps = 1e300", "noise.xi1 = 1e200", "noise.xi2 = 1e300", "noise.sigma0 = 1e160",
+        # lengths whose grid spacing the Grid refuses
+        "sim.lx = 1e300", "sim.lx = 1e-160", "sim.ly = 1e-160",
+    ]] + [
+        # seeds beyond 64 bits: ensemble used to mask them, simulate to fail in numpy
+        (command, f"noise.seed = {seed}") for command in ("simulate", "ensemble")
+        for seed in (-1, 2**64)
+    ])
+    def test_value_that_crashed_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                command, line):
+        out = out_env(tmp_path, monkeypatch)
+        key = line.split()[0]
+        text = "".join(ln + "\n" for ln in TINY.splitlines() if not ln.startswith(key))
+        assert main([command, write_cfg(tmp_path, text + line + "\n")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {len(text.splitlines()) + 1}: {key}: ")
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_no_invariants_artifact_by_default(self, tmp_path, monkeypatch):
         out = out_env(tmp_path, monkeypatch)
         assert main(["simulate", write_cfg(tmp_path, TINY)]) == 0

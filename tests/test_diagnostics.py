@@ -17,7 +17,6 @@ from selflow.diagnostics import (
     defect_detect,
     energy_budget_residual,
     gronwall_bound_check,
-    local_energy,
     pohozaev_residual,
     sphere_generator_drift,
     stress_pairing,
@@ -64,6 +63,15 @@ def smooth_test_director(grid, amps=(0.8, 0.6, 0.5)):
     )
 
 
+def local_energy(d, grid, eps, center, r):
+    """Relaxation energy 0.5 |grad d|^2 + F_eps integrated over the discrete
+    ball (cell-center inclusion; periodic distance on the torus, where r
+    may reach half the shorter period)."""
+    from selflow.diagnostics import _ball_energy, _energy_density
+
+    return _ball_energy(_energy_density(d, grid, eps, grid.bc_director), grid, center, r)
+
+
 def asym_velocity(grid, amp=0.2):
     """Multi-mode velocity with no lattice parity; projected."""
     from selflow.projection import leray_project
@@ -106,7 +114,7 @@ class TestEnergyRecord:
         assert rec["dissipation_d"] <= 1e-12
         # d || e3, h || e3: the whole stochastic-drift block vanishes
         assert abs(rec["strat_drift"]) <= 1e-14
-        assert rec["hs"] == 0.0  # u = 0 and additive seeds are zero
+        assert rec["hs"] == 0.0  # u = 0
 
     def test_planar_wave_dirichlet_energy(self):
         for n in (32, 64):
@@ -437,8 +445,8 @@ class TestBoundedRadius:
         r = default_defect_radius(grid)
         assert 0.0 < r <= 8.0 * max(grid.hx, grid.hy)
         d = vortex_director(grid, 0.5 * grid.lx, 0.5 * grid.ly, 2 * grid.hx)
-        rep = defect_detect(d, grid, 0.2, r, -1.0)
-        assert rep.count >= 1  # a negative threshold makes every scan center a hit
+        centers = defect_detect(d, grid, 0.2, r, -1.0)
+        assert len(centers) >= 1  # a negative threshold makes every scan center a hit
         # no larger ball fits around a scan center
         with pytest.raises(GeometryError):
             defect_detect(d, grid, 0.2, r * (1.0 + 1e-12), -1.0)
@@ -448,8 +456,8 @@ class TestDefects:
     def test_uniform_director_empty(self, grid_bounded):
         d = constant_director(grid_bounded, (0, 0, 1))
         thr = default_defect_threshold(grid_bounded, 0.2)
-        rep = defect_detect(d, grid_bounded, 0.2, 8 * grid_bounded.hx, thr)
-        assert rep.count == 0
+        centers = defect_detect(d, grid_bounded, 0.2, 8 * grid_bounded.hx, thr)
+        assert len(centers) == 0
 
     def test_vortex_detected_at_core(self):
         grid = Grid(64, 64, bc_director="neumann")
@@ -457,9 +465,9 @@ class TestDefects:
         d = vortex_director(grid, 0.5, 0.5, core)
         r = 8 * grid.hx
         thr = default_defect_threshold(grid, 0.2)
-        rep = defect_detect(d, grid, 0.2, r, thr)
-        assert rep.count == 1
-        x, y, _ = rep.centers[0]
+        centers = defect_detect(d, grid, 0.2, r, thr)
+        assert len(centers) == 1
+        x, y, _ = centers[0]
         assert np.hypot(x - 0.5, y - 0.5) <= 2 * grid.hx
         # local energy contrast between core and far field
         near = local_energy(d, grid, 0.2, (0.5, 0.5), r)
@@ -472,15 +480,15 @@ class TestDefects:
         r = 8 * grid.hx
         lo = defect_detect(d, grid, 0.2, r, 1e-4)
         hi = defect_detect(d, grid, 0.2, r, 1e-1)
-        lo_centers = {(x, y) for x, y, _ in lo.centers}
-        hi_centers = {(x, y) for x, y, _ in hi.centers}
+        lo_centers = {(x, y) for x, y, _ in lo}
+        hi_centers = {(x, y) for x, y, _ in hi}
         assert hi_centers <= lo_centers
 
     def test_threshold_above_total_energy_empty(self, grid_bounded):
         d = vortex_director(grid_bounded, 0.5, 0.5, 2 * grid_bounded.hx)
         total = local_energy(d, grid_bounded, 0.2, (0.5, 0.5), 0.45)
-        rep = defect_detect(d, grid_bounded, 0.2, 8 * grid_bounded.hx, 10 * total)
-        assert rep.count == 0
+        centers = defect_detect(d, grid_bounded, 0.2, 8 * grid_bounded.hx, 10 * total)
+        assert len(centers) == 0
 
 
 def per_center_defect_detect(d, grid, eps, r, delta0_sq, stride=2):
@@ -575,9 +583,8 @@ class TestDefectScanEquivalence:
             base = mean_ball_energy(d, grid, 0.2, r)
             for q in (0.5, 0.8, 1.0):
                 thr = q * base
-                rep = defect_detect(d, grid, 0.2, r, thr, stride=stride)
-                assert rep.centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=stride)
-                assert rep.r == r and rep.delta0_sq == thr
+                centers = defect_detect(d, grid, 0.2, r, thr, stride=stride)
+                assert centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=stride)
 
     @pytest.mark.parametrize("cells", [5.0, 3.3])
     @pytest.mark.parametrize("name", sorted(SCAN_GRIDS))
@@ -587,8 +594,8 @@ class TestDefectScanEquivalence:
         for d in scan_fields(grid).values():
             base = mean_ball_energy(d, grid, 0.2, r)
             for q in (0.5, 1.0):
-                rep = defect_detect(d, grid, 0.2, r, q * base)
-                assert rep.centers == per_center_defect_detect(d, grid, 0.2, r, q * base)
+                centers = defect_detect(d, grid, 0.2, r, q * base)
+                assert centers == per_center_defect_detect(d, grid, 0.2, r, q * base)
 
     @pytest.mark.parametrize("thr", [-1.0, 0.0])
     @pytest.mark.parametrize("name", sorted(SCAN_GRIDS))
@@ -598,8 +605,8 @@ class TestDefectScanEquivalence:
         r = default_defect_radius(grid)
         fields = dict(scan_fields(grid), constant=constant_director(grid, (0, 0, 1)))
         for d in fields.values():
-            rep = defect_detect(d, grid, 0.2, r, thr, stride=3)
-            assert rep.centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=3)
+            centers = defect_detect(d, grid, 0.2, r, thr, stride=3)
+            assert centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=3)
 
     def test_symmetric_ties_keep_their_order(self):
         # exact energy ties of the symmetric smooth director: a sum over the
@@ -608,16 +615,16 @@ class TestDefectScanEquivalence:
         r = 8 * max(grid.hx, grid.hy)
         d = smooth_unit_director(grid, 0.4)
         thr = 0.8 * mean_ball_energy(d, grid, 0.2, r)
-        rep = defect_detect(d, grid, 0.2, r, thr, stride=3)
-        assert rep.count == 4
-        assert rep.centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=3)
+        centers = defect_detect(d, grid, 0.2, r, thr, stride=3)
+        assert len(centers) == 4
+        assert centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=3)
 
     def test_centers_are_plain_floats(self):
         grid = SCAN_GRIDS["periodic48x40"]
         d = scan_fields(grid)["vortex"]
-        rep = defect_detect(d, grid, 0.2, 8 * grid.hy, 0.0)
-        assert rep.count > 0
-        assert all(type(v) is float for c in rep.centers for v in c)
+        centers = defect_detect(d, grid, 0.2, 8 * grid.hy, 0.0)
+        assert len(centers) > 0
+        assert all(type(v) is float for c in centers for v in c)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -638,8 +645,8 @@ class TestDefectScanEquivalence:
         d = np.stack([v1 / norm, v2 / norm, 1.0 / norm])
         r = 4 * max(grid.hx, grid.hy)
         thr = q * mean_ball_energy(d, grid, 0.2, r)
-        rep = defect_detect(d, grid, 0.2, r, thr, stride=stride)
-        assert rep.centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=stride)
+        centers = defect_detect(d, grid, 0.2, r, thr, stride=stride)
+        assert centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=stride)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -657,8 +664,8 @@ class TestDefectScanEquivalence:
         d = vortex_director(grid, x0 * grid.lx, y0 * grid.ly, core)
         r = 4 * max(grid.hx, grid.hy)
         thr = q * mean_ball_energy(d, grid, 0.2, r)
-        rep = defect_detect(d, grid, 0.2, r, thr, stride=stride)
-        assert rep.centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=stride)
+        centers = defect_detect(d, grid, 0.2, r, thr, stride=stride)
+        assert centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=stride)
 
 
 BOUND_GRIDS = [
@@ -751,7 +758,7 @@ class TestDefectScanCost:
         d = scan_fields(grid)["vortex"]
         # no ball holds more than the whole energy
         total = np.sum(_energy_density(d, grid, 0.2, grid.bc_director) * grid.quad_weights())
-        assert defect_detect(d, grid, 0.2, default_defect_radius(grid), 1.01 * total).count == 0
+        assert len(defect_detect(d, grid, 0.2, default_defect_radius(grid), 1.01 * total)) == 0
         assert seen == []
 
     @pytest.mark.parametrize("name", ["periodic48x40", "bounded32"])
@@ -759,11 +766,11 @@ class TestDefectScanCost:
         grid = SCAN_GRIDS[name]
         seen = self._verified(monkeypatch)
         r = default_defect_radius(grid)
-        rep = defect_detect(scan_fields(grid)["smooth"], grid, 0.2, r, -1.0)
+        found = defect_detect(scan_fields(grid)["smooth"], grid, 0.2, r, -1.0)
         centers = [(i, j) for i in range(0, grid.nx, 2) for j in range(0, grid.ny, 2)
                    if grid.periodic or grid.contains_ball(grid.x[i], grid.y[j], r, 0)]
         assert sorted(seen) == centers
-        assert rep.count > 0
+        assert len(found) > 0
 
     def test_scan_writes_nothing_to_the_grid_cache(self):
         grid = Grid(32, 32)

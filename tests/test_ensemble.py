@@ -216,7 +216,7 @@ class TestCoupledSweep:
                 def observe(state, eps=eps):
                     d = state.d[0]
                     rows.append([stress_pairing(d, grid, tf) for tf in phis]
-                                + [float(defect_detect(d, grid, eps, r, threshold).count)])
+                                + [float(len(defect_detect(d, grid, eps, r, threshold)))])
                     return {}
 
                 lone = simulate_path(grid, replace(params, eps=eps), u0, d0, S, h,

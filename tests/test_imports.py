@@ -63,3 +63,27 @@ def test_no_unused_import_under_src():
             found |= unused_imports(path)
     stale = sorted(item for item in found if item[:2] not in ALLOWED)
     assert stale == [], f"unused imports (module, name, line): {stale}"
+
+
+# selflow names that perfbench/ reads: the budget check (checks.py), the
+# tracer's simulate_path aliases (test_perfbench.py) and the set-up probe
+# (setup_probe.py).  Removing one breaks the benchmark harness.
+PERFBENCH_PINS = {
+    "pathrun": ("PathSeries", "simulate_path"),
+    "diagnostics": ("energy_budget_residual", "simulate_path"),
+    "ensemble": ("simulate_path",),
+    "config": ("parse_config", "build_grid", "build_initial_u", "build_initial_d",
+               "build_params", "build_noise_operator", "build_magnetic_field"),
+}
+
+
+def test_perfbench_pinned_names_exist():
+    import importlib
+
+    mods = {name: importlib.import_module(f"selflow.{name}") for name in PERFBENCH_PINS}
+    missing = [f"{mod}.{name}" for mod, names in PERFBENCH_PINS.items()
+               for name in names if not hasattr(mods[mod], name)]
+    assert missing == [], f"names perfbench reads are gone: {missing}"
+    # the aliases are the runner itself, so the tracer wraps one function
+    for mod in ("diagnostics", "ensemble"):
+        assert mods[mod].simulate_path is mods["pathrun"].simulate_path

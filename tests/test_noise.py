@@ -130,18 +130,16 @@ class TestNoiseOperator:
         assert np.allclose(batched, singles, rtol=1e-12)
 
     @pytest.mark.parametrize("bounded", [False, True], ids=["periodic", "bounded"])
-    @pytest.mark.parametrize("seeded", [False, True], ids=["multiplicative", "additive"])
-    def test_hs_matches_explicit_projection(self, grid32, grid_bounded, rng, bounded, seeded):
+    def test_hs_matches_explicit_projection(self, grid32, grid_bounded, rng, bounded):
         grid = grid_bounded if bounded else grid32
         n = 8
-        additive = rng.standard_normal((n, 2, 32, 32)) if seeded else None
-        S = NoiseOperatorS(grid, n_modes=n, sigma0=0.3, additive=additive)
+        S = NoiseOperatorS(grid, n_modes=n, sigma0=0.3)
         u = rng.standard_normal((4, 2, 32, 32))
 
         def explicit(ul):
             total = 0.0
             for i in range(n):
-                v = S.decay[i] * (S.shapes[i] * ul + S.additive[i])
+                v = S.decay[i] * (S.shapes[i] * ul)
                 pv = leray_project(v, grid)
                 total = total + ops.pair_vec(pv, pv, grid)
             return total
@@ -165,36 +163,16 @@ class TestNoiseOperator:
             want += ops.pair_vec(pv, pv, grid32)
         assert abs(S.hs_norm_sq(u) - want) <= 1e-12 * want
 
-    def test_additive_seeds(self, grid32, rng):
-        # with additive seeds the operator is affine: at u = 0 the output is
-        # the weighted projected seed sum and the HS norm is positive
-        g = np.zeros((2, 2, 32, 32))
-        raw = rng.standard_normal((2, 32, 32))
-        g[0] = leray_project(raw, grid32)
-        S = NoiseOperatorS(grid32, n_modes=2, sigma0=0.5, shapes=np.ones((2, 32, 32)),
-                           additive=g)
-        out = applied(S, np.zeros((2, 32, 32)), np.array([2.0, 0.0]))
-        rest = out - 0.5 * 2.0 * g[0]
-        assert np.sqrt(ops.pair_vec(rest, rest, grid32)) <= 1e-10
-        hs0 = S.hs_norm_sq(np.zeros((2, 32, 32)))
-        assert hs0 > 0
-        C = S.linear_growth_constant()
-        assert hs0 <= C
-
-    @pytest.mark.parametrize("seeded", [False, True], ids=["multiplicative", "additive"])
-    def test_hs_folded_norm_on_odd_grid(self, rng, seeded):
+    def test_hs_folded_norm_on_odd_grid(self, rng):
         # non-square, non-power-of-two cells; reference: each mode projected
         # and weighed with the quadrature-weight array
         grid = Grid(48, 40, lx=1.3, ly=0.7)
         n = 8
-        additive = None
-        if seeded:
-            additive = leray_project(rng.standard_normal((n, 2, 48, 40)), grid)
-        S = NoiseOperatorS(grid, n_modes=n, sigma0=0.3, additive=additive)
+        S = NoiseOperatorS(grid, n_modes=n, sigma0=0.3)
         u = rng.standard_normal((5, 2, 48, 40))
         want = 0.0
         for i in range(n):
-            pv = leray_project(S.decay[i] * (S.shapes[i] * u + S.additive[i]), grid)
+            pv = leray_project(S.decay[i] * (S.shapes[i] * u), grid)
             want = want + np.sum(pv * pv * grid.quad_weights(), axis=(-3, -2, -1))
         got = S.hs_norm_sq(u)
         worst = float(np.max(np.abs(got - want) / want))
