@@ -63,6 +63,11 @@ def _wavenumber(s: str) -> int:
     k = int(s)
     if k < 1:
         raise ValueError(f"wavenumber must be >= 1, got {k}")
+    try:
+        float(k)  # the initial field scales its float
+    except OverflowError:
+        raise ValueError(f"wavenumber of {len(str(k))} digits is too large "
+                         "(its float is not finite)") from None
     return k
 
 

@@ -166,14 +166,29 @@ def director_terms(d: np.ndarray, h: np.ndarray, grid: Grid, eps: float):
     return lap_d, f, lap_d - f, dxh, ops.cross(dxh, h)
 
 
-def budget_integrands(u: np.ndarray, d: np.ndarray, tau: np.ndarray, dxh: np.ndarray,
-                      dxhxh: np.ndarray, grid: Grid, S: NoiseOperatorS, xi1: float):
+def budget_integrands(u: np.ndarray, lap_u: np.ndarray, d: np.ndarray, lap_d: np.ndarray,
+                      tau: np.ndarray, dxh: np.ndarray, dxhxh: np.ndarray, grid: Grid,
+                      S: NoiseOperatorS, xi1: float):
     """The four unscaled energy-budget integrands at one state, per path:
     ||grad u||^2, ||tau||^2, ||S(u)||_HS^2 (0.0 when xi1 = 0, where no
-    noise term needs it) and <grad d, grad((d x h) x h)> + ||grad(d x h)||^2."""
+    noise term needs it) and <grad d, grad((d x h) x h)> + ||grad(d x h)||^2.
+
+    Summation by parts is exact on periodic grids, so there the Dirichlet
+    forms of u and of (d, (d x h) x h) are -<lap u, u> and
+    -<lap d, (d x h) x h>, read off the Laplacians the caller holds.
+    Bounded grids keep the forward-link forms and read neither ``lap_u``
+    nor ``lap_d``: there the identity needs zero wall values or a neumann
+    closure, and a file velocity or a dirichlet director wall has
+    neither."""
     hs = S.hs_norm_sq(u) if xi1 != 0.0 else 0.0
-    strat = ops.dirichlet_form_vec(d, dxhxh, grid) + ops.dirichlet_form_vec(dxh, dxh, grid)
-    return ops.dirichlet_form_vec(u, u, grid), ops.pair_vec(tau, tau, grid), hs, strat
+    if grid.periodic:
+        diss_u = -ops.pair_vec(lap_u, u, grid)
+        strat = -ops.pair_vec(lap_d, dxhxh, grid)
+    else:
+        diss_u = ops.dirichlet_form_vec(u, u, grid)
+        strat = ops.dirichlet_form_vec(d, dxhxh, grid)
+    strat = strat + ops.dirichlet_form_vec(dxh, dxh, grid)
+    return diss_u, ops.pair_vec(tau, tau, grid), hs, strat
 
 
 def step_coupled(
@@ -221,7 +236,9 @@ def step_coupled(
     for c in (1, 2):
         sforce += lap_d[..., c:c + 1, :, :] * g_d[..., c, :, :, :]
     # done with; freed before the ledgers so the peak memory of a many-lane
-    # step stays lower
+    # step stays lower, but for lap_d on periodic budget steps, whose
+    # ledgers read it and free it
+    ledger_lap_d = lap_d if track_budget and grid.periodic else None
     del lap_d, g_d
     if params.xi1 != 0.0:
         # unprojected mode mix; folded into the step projection below.
@@ -238,11 +255,13 @@ def step_coupled(
     if params.xi2 != 0.0:
         led.noise_d = led.noise_d + params.gamma * ops.pair_vec(dxh, tau, grid) * dW2
     if track_budget:
-        diss_u, diss_d, hs, strat = budget_integrands(u, d, tau, dxh, dxhxh, grid, S, params.xi1)
+        diss_u, diss_d, hs, strat = budget_integrands(u, lap_u, d, ledger_lap_d, tau, dxh,
+                                                      dxhxh, grid, S, params.xi1)
         led.int_diss_u = led.int_diss_u + dt * diss_u
         led.int_diss_d = led.int_diss_d + dt * diss_d
         led.int_hs = led.int_hs + dt * 0.5 * params.xi1**2 * hs
         led.int_strat = led.int_strat + dt * 0.5 * strat
+        del ledger_lap_d
     if weak_tracker is not None:
         weak_tracker.accumulate(u, d, noise_u, dxh, dxhxh, f, dt, dW2)
     if track_invariants:

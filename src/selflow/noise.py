@@ -18,7 +18,7 @@ import numpy as np
 
 from . import operators as ops
 from .grids import Grid
-from .projection import PROJ_TOL, gradient_norm_sq, leray_project
+from .projection import PROJ_TOL, leray_project, spectral_table
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
@@ -125,6 +125,11 @@ class NoiseOperatorS:
             # sum_i decay_i^2 ||psi_i u||^2 = hx hy sum W |u|^2, with the
             # mode sum W folded once here
             self._fold_w = np.sum(self.decay[:, None, None] ** 2 * self.shapes**2, axis=0)
+            # the shapes with the central divergence's 1/(2h) divisors folded
+            # in, one array when the cells are square
+            self._shapes_dx = self.shapes / (2.0 * grid.hx)
+            self._shapes_dy = (self._shapes_dx if grid.hy == grid.hx
+                               else self.shapes / (2.0 * grid.hy))
 
     def mix_increments(self, u: np.ndarray, dB: np.ndarray) -> np.ndarray:
         """Mode sum sum_i dB_i sigma0 i^{-q} psi_i u BEFORE projection.
@@ -151,27 +156,42 @@ class NoiseOperatorS:
         Accepts a batched velocity (..., 2, nx, ny) and returns per-path
         values with the leading axes preserved.  Periodic grids take the
         full norm of the unprojected modes from the folded mode sum, then
-        subtract each mode's gradient part by Parseval
-        (:func:`gradient_norm_sq`), clamping the total at 0; no projected
-        field is built.  Bounded grids project each mode.
+        subtract each mode's gradient part by Parseval, clamping the total
+        at 0; no projected field is built.  Per mode that is one central
+        divergence of psi_i u, built from the pre-scaled shapes, and one
+        forward transform, all in buffers allocated once per call (the
+        weights are :func:`~selflow.projection.spectral_table`'s).  Bounded
+        grids project each mode.
         """
         grid = self.grid
-        if grid.periodic:
-            sq = u * u
-            sq *= self._fold_w
-            total = grid.hx * grid.hy * np.sum(sq, axis=(-3, -2, -1))
-        else:
+        if not grid.periodic:
             total = 0.0
-        for i in range(self.n_modes):
-            v = self.shapes[i] * u
-            if grid.periodic:
-                total = total - self.decay[i] ** 2 * gradient_norm_sq(v, grid)
-            else:
+            for i in range(self.n_modes):
+                v = self.shapes[i] * u
                 v *= self.decay[i]
                 proj = leray_project(v, grid, tol=self.proj_tol)
                 total = total + ops.pair_vec(proj, proj, grid)
-        if grid.periodic:
-            total = np.maximum(total, 0.0)
+            return float(total) if u.ndim == 3 else total
+        sq = u * u
+        sq *= self._fold_w
+        total = grid.hx * grid.hy * np.sum(sq, axis=(-3, -2, -1))
+        weights = spectral_table(grid)[3]
+        # sq is spent: its components hold each mode's two products, and
+        # the x one then takes the y difference
+        px, py = sq[..., 0, :, :], sq[..., 1, :, :]
+        div = np.empty(px.shape)
+        spec = np.empty(px.shape[:-1] + (grid.ny // 2 + 1,), complex)
+        flat = spec.view(np.float64)  # real and imaginary parts side by side
+        for i in range(self.n_modes):
+            np.multiply(self._shapes_dx[i], u[..., 0, :, :], out=px)
+            np.multiply(self._shapes_dy[i], u[..., 1, :, :], out=py)
+            ops.central_difference(px, 0, out=div)
+            div += ops.central_difference(py, 1, out=px)
+            np.fft.rfft2(div, axes=(-2, -1), out=spec)
+            np.square(flat, out=flat)
+            flat *= weights
+            total -= self.decay[i] ** 2 * np.sum(flat, axis=(-2, -1))
+        total = np.maximum(total, 0.0)
         return float(total) if u.ndim == 3 else total
 
     def linear_growth_constant(self) -> float:

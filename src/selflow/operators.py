@@ -39,11 +39,12 @@ def _at(ax: int, idx) -> tuple:
     return (Ellipsis, idx) if ax == -1 else (Ellipsis, idx, slice(None))
 
 
-def _periodic_stencil(a: np.ndarray, ax: int, combine, divisor: float,
+def _periodic_stencil(a: np.ndarray, ax: int, combine, divisor: float | None,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Array whose entries along ``ax`` are combine(out, a[i+1], a[i],
-    a[i-1]) / divisor with wrap-around neighbours, written into ``out`` (a
-    new array when it is None); ``combine`` writes into its first argument.
+    a[i-1]) / divisor (undivided when ``divisor`` is None) with wrap-around
+    neighbours, written into ``out`` (a new array when it is None);
+    ``combine`` writes into its first argument.
 
     The bulk is one pass over the merged space axes (a view of ``a`` when
     they are contiguous, as on every array the package builds), where
@@ -58,7 +59,8 @@ def _periodic_stencil(a: np.ndarray, ax: int, combine, divisor: float,
     combine(mo[..., k:-k], ma[..., 2 * k:], ma[..., k:-k], ma[..., :-2 * k])
     for o, p, c, m in ((0, 1, 0, -1), (-1, 0, -1, -2)):
         combine(out[_at(ax, o)], a[_at(ax, p)], a[_at(ax, c)], a[_at(ax, m)])
-    out /= divisor
+    if divisor is not None:
+        out /= divisor
     return out
 
 
@@ -107,6 +109,13 @@ def deriv(a: np.ndarray, grid: Grid, axis: int, bc: str,
         for i, c in zip(nodes[1:], coefs[1:]):
             edge += (c / h) * a[_at(ax, i)]
     return out
+
+
+def central_difference(a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Periodic a[i+1] - a[i-1] along ``axis`` (0 = x, 1 = y), written into
+    ``out``: the numerator of ``deriv(a, grid, axis, "periodic")``, for
+    callers that fold the 1/(2h) divisor into their factors."""
+    return _periodic_stencil(a, -2 + axis, _central, None, out)
 
 
 def _second_diff(a: np.ndarray, grid: Grid, axis: int, bc: str) -> np.ndarray:

@@ -52,8 +52,10 @@ def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
     kinetic = 0.5 * ops.pair_vec(u, u, grid)
     dirichlet = 0.5 * ops.dirichlet_form_vec(d, d, grid)
     pen = ops.pair_scalar(penalty_density(d, params.eps), 1.0, grid)
-    _, _, tau, dxh, dxhxh = director_terms(d, h, grid, params.eps)
-    diss_u, diss_d, hs, strat = budget_integrands(u, d, tau, dxh, dxhxh, grid, S, params.xi1)
+    lap_d, _, tau, dxh, dxhxh = director_terms(d, h, grid, params.eps)
+    lap_u = ops.laplacian(u, grid, grid.bc_velocity)
+    diss_u, diss_d, hs, strat = budget_integrands(u, lap_u, d, lap_d, tau, dxh, dxhxh,
+                                                  grid, S, params.xi1)
     dev_sq = ops.dot3(d, d) - 1.0
     led = state.ledgers
     return {

@@ -9,13 +9,13 @@ O(h^2) divergence floor.
 
 :func:`leray_project` returns u alone; no caller needs the pressure.
 Periodic grids solve the system directly and exactly in Fourier space with
-modified wavenumbers, and :func:`gradient_norm_sq` evaluates
-||(I - P) v||^2 by Parseval without building P v.  Bounded (no-slip) grids
-solve the interior system with a homogeneous-Neumann pressure closure as a
-minimum-norm solve through the factorized Gram matrix A A^T, with
-iterative refinement, over all leading axes of the field at once; only the
-interior divergence is controllable there because the boundary rows use
-one-sided stencils.
+modified wavenumbers; the Parseval weights of :func:`spectral_table` let
+the noise operator's Hilbert-Schmidt norm evaluate ||(I - P) v||^2 without
+building P v.  Bounded (no-slip) grids solve the interior system with a
+homogeneous-Neumann pressure closure as a minimum-norm solve through the
+factorized Gram matrix A A^T, with iterative refinement, over all leading
+axes of the field at once; only the interior divergence is controllable
+there because the boundary rows use one-sided stencils.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class ProjectionError(RuntimeError):
         self.achieved = achieved
 
 
-def _spectral_table(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def spectral_table(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(s1, s2, 1/|s|^2, w) on the rfft2 half spectrum, lined up with the
     float view of a spectrum: s1 keeps its (nx, 1) column, the others are
     repeated for the real and the imaginary part.
@@ -46,6 +46,11 @@ def _spectral_table(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     hx hy / (nx ny) / |s|^2, doubled on every column but 0 and the y-Nyquist
     column (whose conjugate partners rfft2 omits).  1/|s|^2 and w are 0
     where |s| = 0 (modes P leaves alone).
+
+    The gradient part (I - P) v has transform s (s . v^)/|s|^2 and the
+    central divergence of v has transform i s . v^, so by Parseval
+    ||(I - P) v||^2 is the sum of w times the squared float view of
+    rfft2(div_h v).
     """
     key = "spectral"
     if key not in grid._cache:
@@ -74,7 +79,7 @@ def _project_periodic_fft(v: np.ndarray, grid: Grid) -> np.ndarray:
     temporaries.  With q = (s . v^)/|s|^2 the correction is v^ - s q, so
     each real and imaginary part is corrected by s times the same part of
     q."""
-    s1, s2, inv, _ = _spectral_table(grid)
+    s1, s2, inv, _ = spectral_table(grid)
     vhat = np.fft.rfft2(v, axes=(-2, -1))
     flat = vhat.view(np.float64)  # real and imaginary parts side by side
     v0, v1 = flat[..., 0, :, :], flat[..., 1, :, :]
@@ -87,24 +92,6 @@ def _project_periodic_fft(v: np.ndarray, grid: Grid) -> np.ndarray:
     np.multiply(s2, q, out=tmp)
     v1 -= tmp
     return np.fft.irfft2(vhat, s=(grid.nx, grid.ny), axes=(-2, -1))
-
-
-def gradient_norm_sq(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """||(I - P) v||^2 per lane for v of shape (..., 2, nx, ny) on a
-    periodic grid: the norm of the gradient part of v.
-
-    The complement of P is the gradient part s (s . v^)/|s|^2, and the
-    central divergence of v has transform i s . v^, so by Parseval the
-    norm is sum_k |div_h v^(k)|^2 / |s|^2: one forward transform of a
-    scalar field, squared in place on its float view.
-    """
-    if not grid.periodic:
-        raise ValueError("gradient_norm_sq needs a periodic grid")
-    dhat = np.fft.rfft2(divergence(v, grid, "periodic"), axes=(-2, -1))
-    sq = dhat.view(np.float64)
-    np.square(sq, out=sq)
-    sq *= _spectral_table(grid)[3]
-    return np.sum(sq, axis=(-2, -1))
 
 
 def _bounded_1d_blocks(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

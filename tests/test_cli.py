@@ -201,6 +201,10 @@ class TestSimulate:
         # seeds beyond 64 bits: ensemble used to mask them, simulate to fail in numpy
         (command, f"noise.seed = {seed}") for command in ("simulate", "ensemble")
         for seed in (-1, 2**64)
+    ] + [
+        # a 401-digit wavenumber, whose float overflows
+        pytest.param("simulate", "init.u = taylor-green:1" + "0" * 400,
+                     id="simulate-init.u = taylor-green:10**400"),
     ])
     def test_value_that_crashed_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                 command, line):

@@ -9,6 +9,8 @@ from selflow.dynamics import (
     Params,
     SimState,
     StabilityError,
+    budget_integrands,
+    director_terms,
     gl_force,
     penalty_density,
     stability_dt,
@@ -403,6 +405,57 @@ class TestBudgetLedgers:
             want = params.dt * rec[column]
             assert want.shape == (2,) and np.all(want != 0.0)
             np.testing.assert_allclose(getattr(led, ledger), want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("grid", [Grid(64, 64), Grid(32, 32, bc_director="neumann")],
+                             ids=["periodic-64", "bounded-32"])
+    def test_ledgers_never_feed_back_into_state(self, grid, rng):
+        # the ledgers only read the state: 20 steps of 4 lanes end
+        # bit-identical with and without them, so no buffer of theirs
+        # aliases u or d
+        params = Params(eps=0.2, dt=0.5 * stability_dt(0.2, grid, 1.0, 1.0), T=1.0)
+        S = NoiseOperatorS(grid, n_modes=8, sigma0=0.3)
+        h = wave_field(grid, (0.2, 0.2, 0.5))
+        u0 = leray_project(0.2 * rng.standard_normal((4, 2, grid.nx, grid.ny)), grid)
+        d0 = np.stack([smooth_unit_director(grid, a) for a in (0.2, 0.3, 0.4, 0.5)])
+        normals = np.stack([WienerDriver(s, 8).normal_table(20) for s in range(4)], axis=1)
+        runs = []
+        for track in (True, False):
+            state = SimState.initial(grid, u0, d0)
+            for row in normals:
+                step_coupled(state, params, S, h, row, track_budget=track)
+            runs.append(state)
+        on, off = runs
+        assert np.all(on.ledgers.int_hs > 0.0) and off.ledgers.int_hs == 0.0
+        assert np.array_equal(on.u, off.u) and np.array_equal(on.d, off.d)
+
+    @pytest.mark.parametrize("grid", [Grid(64, 64), Grid(24, 20, lx=1.3, ly=0.9),
+                                      Grid(24, 20, bc_director="neumann")],
+                             ids=["periodic-64", "periodic-24x20", "bounded-24x20"])
+    def test_ledger_integrands_equal_the_dirichlet_forms(self, grid, rng):
+        # on rough states the periodic integrands, read off the Laplacians,
+        # match the forward-link forms to rounding of the forms' terms (the
+        # two Stratonovich terms nearly cancel, so their sum is no scale);
+        # bounded grids evaluate the forms themselves
+        shape = (3, grid.nx, grid.ny)
+        d = rng.standard_normal((3,) + shape)
+        d /= np.sqrt(np.sum(d * d, axis=-3, keepdims=True))
+        u = leray_project(rng.standard_normal((3, 2, grid.nx, grid.ny)), grid)
+        h = wave_field(grid, (0.2, 0.2, 0.5))
+        S = NoiseOperatorS(grid, n_modes=8, sigma0=0.3)
+        lap_d, _, tau, dxh, dxhxh = director_terms(d, h, grid, 0.2)
+        lap_u = ops.laplacian(u, grid, grid.bc_velocity)
+        diss_u, _, _, strat = budget_integrands(u, lap_u, d, lap_d, tau, dxh, dxhxh,
+                                                grid, S, 1.0)
+        form_u = ops.dirichlet_form_vec(u, u, grid)
+        form_dw = ops.dirichlet_form_vec(d, dxhxh, grid)
+        form_dxh = ops.dirichlet_form_vec(dxh, dxh, grid)
+        if grid.periodic:
+            assert np.max(np.abs(diss_u - form_u) / form_u) <= 1e-13
+            scale = np.abs(form_dw) + form_dxh
+            assert np.max(np.abs(strat - (form_dw + form_dxh)) / scale) <= 1e-13
+        else:
+            assert np.array_equal(diss_u, form_u)
+            assert np.array_equal(strat, form_dw + form_dxh)
 
 
 class TestTransportCancellation:

@@ -12,9 +12,9 @@ import pytest
 import selflow
 from selflow import operators as ops
 from selflow.grids import Grid
+from selflow.noise import NoiseOperatorS
 from selflow.projection import (
     ProjectionError,
-    gradient_norm_sq,
     interior_divergence_max,
     leray_project,
 )
@@ -86,7 +86,7 @@ class TestPeriodic:
         grid = Grid(24, 20)
         v = rng.standard_normal((2, 24, 20))
         leray_project(v, grid)
-        gradient_norm_sq(v, grid)
+        solenoidal_norm_sq(v, grid)
         assert list(grid._cache) == ["spectral"]
 
     def test_nonfinite_rejected(self, grid32):
@@ -110,8 +110,10 @@ parseval_grids = pytest.mark.parametrize(
 
 
 def solenoidal_norm_sq(v, grid):
-    """||P v||^2 as the full norm minus the gradient part (Parseval)."""
-    return ops.pair_vec(v, v, grid) - gradient_norm_sq(v, grid)
+    """||P v||^2 as the full norm minus the gradient part (Parseval): the
+    Hilbert-Schmidt norm of one unit-weight mode of constant shape 1."""
+    S = NoiseOperatorS(grid, n_modes=1, sigma0=1.0, shapes=np.ones((1, grid.nx, grid.ny)))
+    return S.hs_norm_sq(v)
 
 
 class TestSolenoidalNormSq:
@@ -138,10 +140,6 @@ class TestSolenoidalNormSq:
         vals = solenoidal_norm_sq(v, grid)
         full = ops.pair_vec(v, v, grid)
         assert np.all(np.abs(vals) <= 1e-12 * full)
-
-    def test_bounded_grid_rejected(self, grid_bounded):
-        with pytest.raises(ValueError):
-            gradient_norm_sq(np.zeros((2, 32, 32)), grid_bounded)
 
 
 class TestBounded:
