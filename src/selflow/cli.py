@@ -238,8 +238,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="cap (N >= 1) on lane groups run in parallel by "
                              "ensemble and sweep; the group width comes from the "
                              "grid, and results depend on neither N nor the width; "
-                             "bounded grids gain no speed from N > 1 (timings "
-                             "in the README)")
+                             "bounded grids gain no speed from N > 1, since the "
+                             "per-call dispatch of their small-array steps holds "
+                             "the GIL (timings in the README)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("simulate", "ensemble", "sweep"):
         p = sub.add_parser(name)

@@ -173,20 +173,23 @@ def budget_integrands(u: np.ndarray, lap_u: np.ndarray, d: np.ndarray, lap_d: np
     ||grad u||^2, ||tau||^2, ||S(u)||_HS^2 (0.0 when xi1 = 0, where no
     noise term needs it) and <grad d, grad((d x h) x h)> + ||grad(d x h)||^2.
 
-    Summation by parts is exact on periodic grids, so there the Dirichlet
-    forms of u and of (d, (d x h) x h) are -<lap u, u> and
-    -<lap d, (d x h) x h>, read off the Laplacians the caller holds.
-    Bounded grids keep the forward-link forms and read neither ``lap_u``
-    nor ``lap_d``: there the identity needs zero wall values or a neumann
-    closure, and a file velocity or a dirichlet director wall has
-    neither."""
+    Summation by parts is exact on periodic grids and under a neumann
+    closure, so there the Dirichlet form of (d, (d x h) x h) is read off
+    the Laplacian the caller holds, as -<lap d, (d x h) x h>; periodic
+    grids read ||grad u||^2 = -<lap u, u> the same way.  Elsewhere the
+    identity needs zero wall values, which a dirichlet director wall and a
+    file velocity need not have: a dirichlet wall keeps the forward-link
+    form of the Stratonovich term and reads no ``lap_d``, and bounded grids
+    keep that of ||grad u||^2 and read no ``lap_u``."""
     hs = S.hs_norm_sq(u) if xi1 != 0.0 else 0.0
     if grid.periodic:
         diss_u = -ops.pair_vec(lap_u, u, grid)
-        strat = -ops.pair_vec(lap_d, dxhxh, grid)
     else:
         diss_u = ops.dirichlet_form_vec(u, u, grid)
+    if grid.bc_director == "dirichlet":
         strat = ops.dirichlet_form_vec(d, dxhxh, grid)
+    else:
+        strat = -ops.pair_vec(lap_d, dxhxh, grid)
     strat = strat + ops.dirichlet_form_vec(dxh, dxh, grid)
     return diss_u, ops.pair_vec(tau, tau, grid), hs, strat
 
@@ -236,9 +239,9 @@ def step_coupled(
     for c in (1, 2):
         sforce += lap_d[..., c:c + 1, :, :] * g_d[..., c, :, :, :]
     # done with; freed before the ledgers so the peak memory of a many-lane
-    # step stays lower, but for lap_d on periodic budget steps, whose
-    # ledgers read it and free it
-    ledger_lap_d = lap_d if track_budget and grid.periodic else None
+    # step stays lower, but for lap_d on budget steps off a dirichlet wall,
+    # whose ledgers read it and free it
+    ledger_lap_d = lap_d if track_budget and bc_d != "dirichlet" else None
     del lap_d, g_d
     if params.xi1 != 0.0:
         # unprojected mode mix; folded into the step projection below.

@@ -165,12 +165,19 @@ class NoiseOperatorS:
         """
         grid = self.grid
         if not grid.periodic:
+            # the projection copies its input, so one buffer serves every
+            # mode; each projected mode is squared, weighted and summed in
+            # place, the arithmetic of pair_vec(proj, proj)
             total = 0.0
+            v = np.empty(u.shape)
+            weights = grid.quad_weights()
             for i in range(self.n_modes):
-                v = self.shapes[i] * u
+                np.multiply(self.shapes[i], u, out=v)
                 v *= self.decay[i]
                 proj = leray_project(v, grid, tol=self.proj_tol)
-                total = total + ops.pair_vec(proj, proj, grid)
+                np.square(proj, out=proj)
+                proj *= weights
+                total = total + np.sum(proj, axis=(-3, -2, -1))
             return float(total) if u.ndim == 3 else total
         sq = u * u
         sq *= self._fold_w

@@ -194,16 +194,18 @@ def _forward_links(a: np.ndarray, grid: Grid, axis: int, periodic: bool) -> np.n
 
 
 def _link_weights(grid: Grid, axis: int) -> np.ndarray:
-    # bounded grids: transverse trapezoid weight x longitudinal h
-    n_long = (grid.nx if axis == 0 else grid.ny) - 1
-    n_tr = grid.ny if axis == 0 else grid.nx
-    w_tr = np.full(n_tr, grid.hy if axis == 0 else grid.hx)
-    w_tr[0] *= 0.5
-    w_tr[-1] *= 0.5
-    h = _step(grid, axis)
-    if axis == 0:
-        return np.outer(np.full(n_long, h), w_tr)
-    return np.outer(w_tr, np.full(n_long, h))
+    # bounded grids: transverse trapezoid weight x longitudinal h, cached
+    key = ("link_weights", axis)
+    if key not in grid._cache:
+        n_long = (grid.nx if axis == 0 else grid.ny) - 1
+        n_tr = grid.ny if axis == 0 else grid.nx
+        w_tr = np.full(n_tr, grid.hy if axis == 0 else grid.hx)
+        w_tr[0] *= 0.5
+        w_tr[-1] *= 0.5
+        h = _step(grid, axis)
+        grid._cache[key] = (np.outer(np.full(n_long, h), w_tr) if axis == 0
+                            else np.outer(w_tr, np.full(n_long, h)))
+    return grid._cache[key]
 
 
 def dirichlet_form_vec(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:

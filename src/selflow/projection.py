@@ -13,9 +13,12 @@ modified wavenumbers; the Parseval weights of :func:`spectral_table` let
 the noise operator's Hilbert-Schmidt norm evaluate ||(I - P) v||^2 without
 building P v.  Bounded (no-slip) grids solve the interior system with a
 homogeneous-Neumann pressure closure as a minimum-norm solve through the
-factorized Gram matrix A A^T, with iterative refinement, over all leading
-axes of the field at once; only the interior divergence is controllable
-there because the boundary rows use one-sided stencils.
+factorized Gram matrix A A^T, over all leading axes of the field at once;
+only the interior divergence is controllable there because the boundary
+rows use one-sided stencils.  Iterative refinement works on the corrected
+field: each round corrects the lanes still refining and takes their
+interior divergence, which is both the next round's residual and, after
+the last round, the divergence the tolerance check measures.
 """
 
 from __future__ import annotations
@@ -120,12 +123,13 @@ def _bounded_1d_blocks(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _bounded_solver(grid: Grid):
-    """Cached pieces of the bounded projection.
+    """Cached pieces of the bounded projection: (A^T, LU of A A^T).
 
     The map A takes pressures on all nodes to the central divergence (at
     interior nodes) of the interior-supported correction grad p.  A is onto,
-    so the minimum-norm pressure solves A A^T y = b exactly; A A^T is SPD
-    and factorized once per grid.
+    so the minimum-norm pressure is A^T y with A A^T y = b; A A^T is SPD
+    and factorized once per grid.  A itself is not kept: the refinement
+    measures its residual on the corrected field.
     """
     key = "leray_bounded"
     if key not in grid._cache:
@@ -137,9 +141,8 @@ def _bounded_solver(grid: Grid):
             sp.kron(sp.csr_matrix(Dx @ Bx), sp.csr_matrix(Sy))
             + sp.kron(sp.csr_matrix(Sx), sp.csr_matrix(Dy @ By))
         ).tocsr()
-        gram = (A @ A.T).tocsc()
-        lu = spla.splu(gram)
-        grid._cache[key] = (A, A.T, lu)
+        lu = spla.splu((A @ A.T).tocsc())
+        grid._cache[key] = (A.T, lu)
     return grid._cache[key]
 
 
@@ -152,36 +155,53 @@ def interior_divergence_max(u: np.ndarray, grid: Grid):
 
 
 def _project_bounded(v: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
-    """Project every leading axis of v (..., 2, nx, ny) in one pass: one
-    batched divergence, then each refinement round is one multi-column
-    Gram solve; a column stops refining exactly when it would alone."""
-    A, At, lu = _bounded_solver(grid)
+    """Project every leading axis of v (..., 2, nx, ny) in one pass.
+
+    Each refinement round makes one multi-column Gram solve for the
+    residual of the columns still refining, applies the pressure
+    correction to those lanes, and takes their interior divergence on the
+    corrected field.  That divergence is the next round's residual and,
+    after the last round, the achieved divergence that ``tol`` checks.  A
+    column stops refining exactly when it would alone.
+    """
+    At, lu = _bounded_solver(grid)
     nx, ny = grid.nx, grid.ny
     u = v.reshape(-1, 2, nx, ny).copy()
     u[..., 0, :] = u[..., -1, :] = 0.0
     u[..., :, 0] = u[..., :, -1] = 0.0
-    # (n_interior, k), Fortran order: one column per lane
-    b0 = interior_divergence(u, grid).reshape(u.shape[0], -1).T
-
+    k = u.shape[0]
+    # one row per lane: its interior divergence, so r[cols].T holds the
+    # Gram right-hand sides in Fortran order, one column per lane
+    r = interior_divergence(u, grid).reshape(k, -1)
+    res = np.max(np.abs(r), axis=1)
     # minimum-norm pressure via the Gram factorization, with iterative
     # refinement to wash out the squared conditioning of A A^T
-    p_flat = np.zeros((nx * ny, u.shape[0]), order="F")
-    r = b0.copy(order="F")
     for _ in range(4):
-        active = np.max(np.abs(r), axis=0) > 0.01 * tol
+        active = res > 0.01 * tol
         if not active.any():
             break
-        # a plain slice while every column refines (views, no gathered copies)
-        cols = slice(None) if active.all() else np.flatnonzero(active)
-        p_flat[:, cols] += At @ lu.solve(r[:, cols])
-        r[:, cols] = b0[:, cols] - A @ p_flat[:, cols]
-
-    p = p_flat.T.reshape(-1, nx, ny)
-    u[:, 0, 1:-1, 1:-1] -= (p[:, 2:, 1:-1] - p[:, :-2, 1:-1]) / (2.0 * grid.hx)
-    u[:, 1, 1:-1, 1:-1] -= (p[:, 1:-1, 2:] - p[:, 1:-1, :-2]) / (2.0 * grid.hy)
-    achieved = interior_divergence_max(u, grid)
-    if np.any(achieved > tol):
-        raise ProjectionError("bounded pressure solve stalled", float(np.max(achieved)))
+        if active.all():
+            # a plain slice while every column refines: views, no gathers
+            cols, lanes = slice(None), u
+        else:
+            cols = np.flatnonzero(active)
+            lanes = u[cols]
+        # the (nx ny, m) pressures as (nx, ny, m): one lane per column, the
+        # layout the product returns, read without a transposed copy
+        p = (At @ lu.solve(r[cols].T)).reshape(nx, ny, -1)
+        gx = p[2:, 1:-1] - p[:-2, 1:-1]
+        gx /= 2.0 * grid.hx
+        lanes[:, 0, 1:-1, 1:-1] -= gx.transpose(2, 0, 1)
+        gy = p[1:-1, 2:] - p[1:-1, :-2]
+        gy /= 2.0 * grid.hy
+        lanes[:, 1, 1:-1, 1:-1] -= gy.transpose(2, 0, 1)
+        div = interior_divergence(lanes, grid).reshape(len(lanes), -1)
+        r[cols] = div
+        res[cols] = np.max(np.abs(div), axis=1)
+        if lanes is not u:
+            u[cols] = lanes
+    if np.any(res > tol):
+        raise ProjectionError("bounded pressure solve stalled", float(np.max(res)))
     return u.reshape(v.shape)
 
 

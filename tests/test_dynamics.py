@@ -429,13 +429,16 @@ class TestBudgetLedgers:
         assert np.array_equal(on.u, off.u) and np.array_equal(on.d, off.d)
 
     @pytest.mark.parametrize("grid", [Grid(64, 64), Grid(24, 20, lx=1.3, ly=0.9),
-                                      Grid(24, 20, bc_director="neumann")],
-                             ids=["periodic-64", "periodic-24x20", "bounded-24x20"])
+                                      Grid(24, 20, bc_director="neumann"),
+                                      Grid(24, 20, bc_director="dirichlet")],
+                             ids=["periodic-64", "periodic-24x20", "bounded-24x20",
+                                  "bounded-dirichlet"])
     def test_ledger_integrands_equal_the_dirichlet_forms(self, grid, rng):
-        # on rough states the periodic integrands, read off the Laplacians,
+        # on rough states the integrands read off the Laplacians (both on
+        # periodic grids, the Stratonovich one under a neumann closure)
         # match the forward-link forms to rounding of the forms' terms (the
         # two Stratonovich terms nearly cancel, so their sum is no scale);
-        # bounded grids evaluate the forms themselves
+        # the other bounded integrands are the forms themselves
         shape = (3, grid.nx, grid.ny)
         d = rng.standard_normal((3,) + shape)
         d /= np.sqrt(np.sum(d * d, axis=-3, keepdims=True))
@@ -451,11 +454,13 @@ class TestBudgetLedgers:
         form_dxh = ops.dirichlet_form_vec(dxh, dxh, grid)
         if grid.periodic:
             assert np.max(np.abs(diss_u - form_u) / form_u) <= 1e-13
-            scale = np.abs(form_dw) + form_dxh
-            assert np.max(np.abs(strat - (form_dw + form_dxh)) / scale) <= 1e-13
         else:
             assert np.array_equal(diss_u, form_u)
+        if grid.bc_director == "dirichlet":
             assert np.array_equal(strat, form_dw + form_dxh)
+        else:
+            scale = np.abs(form_dw) + form_dxh
+            assert np.max(np.abs(strat - (form_dw + form_dxh)) / scale) <= 1e-13
 
 
 class TestTransportCancellation:

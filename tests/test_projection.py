@@ -169,11 +169,15 @@ class TestBounded:
         assert np.argmax(per_lane) == 0
 
 
+# even, non-square, and odd x odd grids of both director walls
 bounded_grids = pytest.mark.parametrize(
     "grid",
     [Grid(32, 32, bc_director="neumann"),
-     Grid(24, 20, bc_director="dirichlet")],
-    ids=["noslip-neumann-32x32", "noslip-dirichlet-24x20"])
+     Grid(24, 20, bc_director="dirichlet"),
+     Grid(33, 31, bc_director="neumann"),
+     Grid(25, 25, bc_director="dirichlet")],
+    ids=["noslip-neumann-32x32", "noslip-dirichlet-24x20",
+         "noslip-neumann-33x31", "noslip-dirichlet-25x25"])
 
 
 class _CountingLU:
@@ -188,6 +192,15 @@ class _CountingLU:
         return self.lu.solve(rhs)
 
 
+def _count_solves(grid):
+    """Put a counting stand-in for the grid's factorization in its cache."""
+    leray_project(np.zeros((2, grid.nx, grid.ny)), grid)
+    At, lu = grid._cache["leray_bounded"]
+    counting = _CountingLU(lu)
+    grid._cache["leray_bounded"] = (At, counting)
+    return counting
+
+
 class TestBoundedBatch:
     """All leading axes of a bounded field go through one pass."""
 
@@ -198,8 +211,29 @@ class TestBoundedBatch:
         v *= rng.uniform(0.1, 10.0, size=lead + (1, 1, 1))
         ub = leray_project(v, grid)
         assert ub.shape == v.shape
+        assert np.max(interior_divergence_max(ub, grid)) <= 1e-10
         for idx in np.ndindex(*lead):
             assert np.array_equal(ub[idx], leray_project(v[idx], grid))
+
+    @bounded_grids
+    def test_second_round_lane_equals_single_lanes(self, grid, rng):
+        # the large lane refines more than once, the small ones stop after
+        # one round, so every later round gathers its column alone
+        v = rng.standard_normal((3, 2, grid.nx, grid.ny))
+        v *= np.array([1e-3, 1e2, 1e-3])[:, None, None, None]
+        counting = _count_solves(grid)
+        lone, solves = [], []
+        for m in range(3):
+            counting.solves = 0
+            lone.append(leray_project(v[m], grid))
+            solves.append(counting.solves)
+        assert solves[0] == solves[2] == 1 and solves[1] >= 2
+        counting.solves = 0
+        ub = leray_project(v, grid)
+        assert counting.solves == solves[1]
+        for m in range(3):
+            assert np.array_equal(ub[m], lone[m])
+            assert interior_divergence_max(ub[m], grid) <= 1e-10
 
     @bounded_grids
     def test_quiet_lane_equals_single_lanes(self, grid, rng):
@@ -227,13 +261,20 @@ class TestBoundedBatch:
         # a per-lane loop would make at least one solve per lane (8 here)
         grid = Grid(32, 32, bc_director="neumann")
         v = rng.standard_normal((8, 2, 32, 32))
-        leray_project(v[0], grid)
-        A, At, lu = grid._cache["leray_bounded"]
-        counting = _CountingLU(lu)
-        grid._cache["leray_bounded"] = (A, At, counting)
+        counting = _count_solves(grid)
         u = leray_project(v, grid)
         assert 1 <= counting.solves <= 4
         assert np.max(interior_divergence_max(u, grid)) <= 1e-10
+
+    def test_hs_norm_makes_one_solve_per_mode(self, rng):
+        # each mode's projection of a small divergence-free u settles in
+        # one round: the bounded Hilbert-Schmidt ledger makes n_modes solves
+        grid = Grid(32, 32, bc_director="neumann")
+        u = leray_project(0.1 * rng.standard_normal((8, 2, 32, 32)), grid)
+        S = NoiseOperatorS(grid, n_modes=8, sigma0=1.0)
+        counting = _count_solves(grid)
+        S.hs_norm_sq(u)
+        assert counting.solves == S.n_modes
 
 
 def test_import_leaves_scipy_sparse_unloaded():
