@@ -15,7 +15,6 @@ from .dynamics import (
     penalty_density,
     stability_dt,
     step_coupled,
-    strat_correction,
 )
 from .noise import NoiseOperatorS, WienerDriver, split_seed
 from .projection import ProjectionError, leray_project
@@ -25,7 +24,6 @@ from .diagnostics import (
     WeakFormTracker,
     defect_detect,
     energy_budget_residual,
-    gronwall_bound_check,
     pohozaev_residual,
     stress_pairing,
 )

@@ -204,15 +204,12 @@ def validate(cfg: RunConfig) -> list[tuple[str, str]]:
             out.append(("grid", "sim.grid: grid must be at least 4x4"))
     except ConfigError:
         out.append(("grid", f"sim.grid: must look like '64x64', got {cfg.grid!r}"))
-    for attr, key in (("lx", "sim.lx"), ("ly", "sim.ly"), ("eps", "sim.eps"),
-                      ("mu", "sim.mu"), ("lam", "sim.lambda"), ("gamma", "sim.gamma"),
-                      ("T", "sim.T"), ("sigma0", "noise.sigma0"), ("q", "noise.q"),
-                      ("proj_tol", "proj.tol")):
+    for attr in ("lx", "ly", "eps", "mu", "lam", "gamma", "T", "sigma0", "q", "proj_tol"):
         if not (isinstance(getattr(cfg, attr), (int, float)) and getattr(cfg, attr) > 0):
-            out.append((attr, f"{key}: must be positive"))
-    for attr, key in (("xi1", "noise.xi1"), ("xi2", "noise.xi2")):
+            out.append((attr, f"{_ATTR_TO_KEY[attr]}: must be positive"))
+    for attr in ("xi1", "xi2"):
         if getattr(cfg, attr) < 0:
-            out.append((attr, f"{key}: must be nonnegative"))
+            out.append((attr, f"{_ATTR_TO_KEY[attr]}: must be nonnegative"))
     if not 0 <= cfg.seed < 2**64:
         out.append(("seed", "noise.seed: must be in [0, 2**64)"))
     if cfg.dt != "auto" and (not isinstance(cfg.dt, float) or cfg.dt <= 0):
@@ -247,9 +244,17 @@ def validate(cfg: RunConfig) -> list[tuple[str, str]]:
         out.append(("sweep_eps", f"sweep.eps: {exc}"))
     for attr in SPEC_FORMS:
         try:
-            spec_args(cfg, attr)
+            kind, args = spec_args(cfg, attr)
         except ValueError as exc:
             out.append((attr, f"{_ATTR_TO_KEY[attr]}: {exc}"))
+            continue
+        # the Taylor-Green field's wavenumbers 2 pi k / l, as it computes them
+        if kind == "taylor-green" and args and not {a for a, _ in out} & {"lx", "ly"}:
+            k = args[0]
+            if not all(np.isfinite(2.0 * np.pi * k / length) for length in (cfg.lx, cfg.ly)):
+                out.append((attr, f"{_ATTR_TO_KEY[attr]}: wavenumber of {len(str(k))} digits is "
+                                  "too large for the domain (2 pi k / sim.lx or sim.ly is not "
+                                  "finite)"))
     return out
 
 

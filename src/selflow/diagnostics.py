@@ -1,7 +1,5 @@
-"""Verifiable identities: energy budget, pointwise algebra, multiplier
-(Pohozaev-type) residuals, defect detection, stress pairings, weak-form
-residuals, and the expectation-level growth check on an ensemble's
-checkpoint table.
+"""Verifiable identities: energy budget, multiplier (Pohozaev-type)
+residuals, defect detection, stress pairings and weak-form residuals.
 
 All diagnostics are pure functions of their inputs; runs, ensembles and
 the sweep, with its record, are orchestrated in :mod:`selflow.ensemble`.
@@ -15,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .dynamics import Params, gl_force, penalty_density, strat_correction
+from .dynamics import Params, gl_force, penalty_density
 from .fields import TestFunction
 from .grids import Grid
-from .noise import NoiseOperatorS
 # simulate_path is unused here; perfbench's tracer test still looks up this alias
 from .pathrun import PathSeries, simulate_path  # noqa: F401
 
@@ -31,22 +28,18 @@ class GeometryError(ValueError):
 # energy budget
 # ---------------------------------------------------------------------------
 
-def energy_budget_residual(series: PathSeries, params: Params) -> float:
-    """Defect of the stochastic energy identity over [0, T] of one path: the
-    last entry of :func:`budget_residual_series` less its first."""
+def energy_budget_residual(series: PathSeries, params: Params):
+    """Defect of the stochastic energy identity over [0, T]: the last entry
+    of :func:`budget_residual_series` less its first, a float for one path
+    and one value per path for a (paths, n_checkpoints) table."""
     res = budget_residual_series(series, params)
-    return float(res[-1] - res[0])
-
-
-def _plus_dissipated(x, int_diss_u, int_diss_d, params: Params):
-    """x + mu * int ||grad u||^2 + lam*gamma * int ||lap d - f||^2, summed
-    left to right: an energy term plus the energy dissipated up to then."""
-    return x + params.mu * int_diss_u + params.lam * params.gamma * int_diss_d
+    out = res[..., -1] - res[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def budget_residual_series(series: PathSeries, params: Params) -> np.ndarray:
     """Defect of the stochastic energy identity over [t_a, t_b], with t_a = 0
-    and t_b each checkpoint of one path.
+    and t_b each checkpoint, per path on a (paths, n_checkpoints) table.
 
     residual = [E(t_b) - E(t_a)]
              + mu * int ||grad u||^2 + lam*gamma * int ||lap d - f||^2
@@ -64,35 +57,17 @@ def budget_residual_series(series: PathSeries, params: Params) -> np.ndarray:
     c = series.columns
 
     def dacc(name):
-        return c[name] - c[name][0]
+        return c[name] - c[name][..., :1]
 
     return (
-        _plus_dissipated(dacc("total"), dacc("int_diss_u"), dacc("int_diss_d"), params)
+        dacc("total")
+        + params.mu * dacc("int_diss_u")
+        + params.lam * params.gamma * dacc("int_diss_d")
         - dacc("int_hs")
         - params.lam * params.xi2**2 * dacc("int_strat")
         - dacc("ledger1")
         + (params.lam * params.xi2 / params.gamma) * dacc("ledger2")
     )
-
-
-# ---------------------------------------------------------------------------
-# pointwise algebra
-# ---------------------------------------------------------------------------
-
-def triple_product_defects(d: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise defects of <(d x h) x h, d> = -|d x h|^2 and <d x h, d> = 0."""
-    dxh = ops.cross(d, h)
-    first = ops.dot3(ops.cross(dxh, h), d) + ops.dot3(dxh, dxh)
-    second = ops.dot3(dxh, d)
-    return first, second
-
-
-def sphere_generator_drift(d: np.ndarray, h: np.ndarray, xi2: float = 1.0) -> np.ndarray:
-    """Pointwise drift of |d|^2/2 for spatially constant d with u = 0:
-    <d, strat correction> + 0.5 xi2^2 |d x h|^2.  Identically zero by the
-    vector triple product."""
-    dxh = ops.cross(d, h)
-    return ops.dot3(d, strat_correction(d, h, xi2)) + 0.5 * xi2**2 * ops.dot3(dxh, dxh)
 
 
 # ---------------------------------------------------------------------------
@@ -571,59 +546,3 @@ def default_defect_threshold(grid: Grid, eps: float, r: float | None = None) -> 
     x0, y0 = 0.5 * grid.lx, 0.5 * grid.ly
     ref = vortex_director(grid, x0, y0, core=2.0 * h)
     return 0.3 * _ball_energy(_energy_density(ref, grid, eps, "neumann"), grid, (x0, y0), r)
-
-
-# ---------------------------------------------------------------------------
-# expectation-level growth check
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GronwallReport:
-    growth_ok: bool
-    second_moment: float
-    second_moment_stable: bool
-
-
-def gronwall_bound_check(
-    series: PathSeries, params: Params, S: NoiseOperatorS, h: np.ndarray
-) -> GronwallReport:
-    """Sample-level check of the exponential-in-time energy bound on an
-    ensemble's (paths, n_checkpoints) table.
-
-    Per path X(T) = sup_{t<=T} total + mu*int||grad u||^2 + lam*gamma*int
-    ||lap d - f||^2 must stay finite; the growth comparison between T/2 and
-    T applies to the sup-energy alone (the dissipation integral grows even
-    without noise), against the rate C computed from the noise constants
-    (linear-growth constant of the noise operator and the magnetic field
-    bound).  The p = 2 sample moment is checked finite and stable under
-    halving the path count.
-    """
-    c = series.columns
-    M = c["total"].shape[0]
-    if M < 2:
-        raise ValueError("need at least 2 paths")
-    t = c["t"][0]
-    i_half = int(np.searchsorted(t, t[-1] / 2.0))
-    i_half = min(max(i_half, 1), len(t) - 1)
-
-    sup_half = np.max(c["total"][:, : i_half + 1], axis=1)
-    sup_full = np.max(c["total"], axis=1)
-    x_full = _plus_dissipated(sup_full, c["int_diss_u"][:, -1], c["int_diss_d"][:, -1], params)
-
-    h_max = float(np.max(np.linalg.norm(h, axis=0)))
-    c_rate = 0.5 * params.xi1**2 * S.linear_growth_constant() + 2.0 * params.lam * params.xi2**2 * h_max**2 + 1.0
-    dt_gap = float(t[-1] - t[i_half])
-    ms_half, ms_full = float(sup_half.mean()), float(sup_full.mean())
-    slack = 3.0 * (
-        float(sup_full.std(ddof=1) / np.sqrt(M)) / max(ms_full, 1e-300)
-        + float(sup_half.std(ddof=1) / np.sqrt(M)) / max(ms_half, 1e-300)
-    )
-    growth_ok = bool(
-        np.isfinite(x_full.mean())
-        and np.log(max(ms_full, 1e-300) / max(ms_half, 1e-300)) <= c_rate * dt_gap + slack
-    )
-
-    m2 = float(np.mean(x_full**2))
-    m2_half_sample = float(np.mean(x_full[: M // 2] ** 2))
-    m2_stable = bool(0.5 <= (m2_half_sample + 1e-300) / (m2 + 1e-300) <= 2.0)
-    return GronwallReport(growth_ok=growth_ok, second_moment=m2, second_moment_stable=m2_stable)

@@ -152,11 +152,6 @@ def penalty_density(d: np.ndarray, eps: float) -> np.ndarray:
     return (1.0 - ops.dot3(d, d)) ** 2 / (4.0 * eps**2)
 
 
-def strat_correction(d: np.ndarray, h: np.ndarray, xi2: float = 1.0) -> np.ndarray:
-    """Ito drift of the Stratonovich director noise: 0.5 xi2^2 ((d x h) x h)."""
-    return 0.5 * xi2**2 * ops.cross(ops.cross(d, h), h)
-
-
 def director_terms(d: np.ndarray, h: np.ndarray, grid: Grid, eps: float):
     """Time-n director terms (lap d, f_eps(d), tau = lap d - f_eps(d),
     d x h, (d x h) x h), with the grid's director closure."""

@@ -200,8 +200,3 @@ class NoiseOperatorS:
             total -= self.decay[i] ** 2 * np.sum(flat, axis=(-2, -1))
         total = np.maximum(total, 0.0)
         return float(total) if u.ndim == 3 else total
-
-    def linear_growth_constant(self) -> float:
-        """C with hs_norm_sq(u) <= C (1 + ||u||^2) for every u."""
-        shape_part = float(np.sum(self.decay**2 * np.max(np.abs(self.shapes), axis=(-2, -1)) ** 2))
-        return 2.0 * max(shape_part, 1e-300)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from selflow import operators as ops
+from selflow.dynamics import director_terms
 from selflow.grids import Grid
 from selflow.initial import constant_director, smooth_unit_director
 from selflow.noise import NoiseOperatorS
@@ -49,3 +51,25 @@ def subunit_director(grid: Grid, scale: float = 0.9, amp: float = 0.4) -> np.nda
     """Smooth director with |d| <= scale < 1 everywhere (maximum-principle
     fixture)."""
     return scale * smooth_unit_director(grid, amp=amp)
+
+
+def cross_terms(d: np.ndarray, h: np.ndarray):
+    """(d x h, (d x h) x h) as the stepper builds them: the last two terms of
+    :func:`~selflow.dynamics.director_terms` on a periodic grid of d's shape."""
+    *_, dxh, dxhxh = director_terms(d, h, Grid(*d.shape[-2:]), 1.0)
+    return dxh, dxhxh
+
+
+def triple_product_defects(d: np.ndarray, h: np.ndarray):
+    """Pointwise defects of <(d x h) x h, d> = -|d x h|^2 and <d x h, d> = 0."""
+    dxh, dxhxh = cross_terms(d, h)
+    return ops.dot3(dxhxh, d) + ops.dot3(dxh, dxh), ops.dot3(dxh, d)
+
+
+def sphere_generator_drift(d: np.ndarray, h: np.ndarray, xi2: float = 1.0) -> np.ndarray:
+    """Pointwise drift of |d|^2/2 for spatially constant d with u = 0:
+    <d, 0.5 xi2^2 (d x h) x h> + 0.5 xi2^2 |d x h|^2, the step's Ito drift
+    paired with d plus the noise's quadratic variation.  Identically zero by
+    the vector triple product."""
+    dxh, dxhxh = cross_terms(d, h)
+    return ops.dot3(d, 0.5 * xi2**2 * dxhxh) + 0.5 * xi2**2 * ops.dot3(dxh, dxh)

@@ -18,8 +18,6 @@ from selflow.diagnostics import (
     defect_detect,
     energy_budget_residual,
     pohozaev_residual,
-    sphere_generator_drift,
-    triple_product_defects,
 )
 from selflow.dynamics import Params, stability_dt
 from selflow.ensemble import coupled_sweep, lane_width, run_ensemble
@@ -32,7 +30,12 @@ from selflow.initial import (
 )
 from selflow.noise import NoiseOperatorS, WienerDriver, coarsen_normals
 from selflow.pathrun import simulate_batch, simulate_path
-from conftest import fit_order, subunit_director
+from conftest import (
+    fit_order,
+    sphere_generator_drift,
+    subunit_director,
+    triple_product_defects,
+)
 
 
 def report(criterion: int, detail: str) -> None:

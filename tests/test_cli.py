@@ -205,12 +205,19 @@ class TestSimulate:
         # a 401-digit wavenumber, whose float overflows
         pytest.param("simulate", "init.u = taylor-green:1" + "0" * 400,
                      id="simulate-init.u = taylor-green:10**400"),
+    ] + [
+        # a finite wavenumber whose 2 pi k / l overflows on a short domain; the
+        # lines before the last one set the domain
+        pytest.param("simulate", f"sim.{axis} = 1e-10\ninit.u = taylor-green:1" + "0" * 305,
+                     id=f"simulate-sim.{axis} = 1e-10-init.u = taylor-green:10**305")
+        for axis in ("lx", "ly")
     ])
     def test_value_that_crashed_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                 command, line):
         out = out_env(tmp_path, monkeypatch)
+        *before, line = line.split("\n")
         key = line.split()[0]
-        text = "".join(ln + "\n" for ln in TINY.splitlines() if not ln.startswith(key))
+        text = "".join(ln + "\n" for ln in TINY.splitlines() + before if not ln.startswith(key))
         assert main([command, write_cfg(tmp_path, text + line + "\n")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: line {len(text.splitlines()) + 1}: {key}: ")

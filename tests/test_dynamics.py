@@ -15,7 +15,6 @@ from selflow.dynamics import (
     penalty_density,
     stability_dt,
     step_coupled,
-    strat_correction,
 )
 from selflow.diagnostics import ericksen_tensor
 from selflow.fields import solenoidal_test_function
@@ -29,7 +28,13 @@ from selflow.initial import (
 from selflow.noise import NoiseOperatorS, WienerDriver, coarsen_normals
 from selflow.pathrun import record_columns, simulate_path
 from selflow.projection import leray_project
-from conftest import fit_order, subunit_director, taylor_green_rate
+from conftest import (
+    cross_terms,
+    fit_order,
+    sphere_generator_drift,
+    subunit_director,
+    taylor_green_rate,
+)
 
 
 class TestGlForce:
@@ -74,17 +79,23 @@ class TestPenalty:
             assert np.max(np.abs(fd - force[c])) / denom <= 1e-6
 
 
+def ito_drift(d, h, xi2=1.0):
+    """The step's Ito drift 0.5 xi2^2 (d x h) x h of the Stratonovich
+    director noise, from the (d x h) x h of director_terms."""
+    return 0.5 * xi2**2 * cross_terms(d, h)[1]
+
+
 class TestStratCorrection:
     def test_parallel_vanishes(self, rng):
         d = rng.standard_normal((3, 6, 6))
-        assert np.max(np.abs(strat_correction(d, 3.0 * d))) <= 1e-12
+        assert np.max(np.abs(ito_drift(d, 3.0 * d))) <= 1e-12
 
     def test_triple_product_value(self):
         d = np.zeros((3, 4, 4))
         d[0] = 1.0
         h = np.zeros((3, 4, 4))
         h[2] = 1.0
-        out = strat_correction(d, h, xi2=1.0)
+        out = ito_drift(d, h, xi2=1.0)
         assert np.allclose(out[0], -0.5) and np.allclose(out[1:], 0.0)
 
     def test_pairing_with_director(self, rng):
@@ -92,7 +103,7 @@ class TestStratCorrection:
         h = rng.standard_normal((3, 6, 6))
         xi2 = 1.3
         dxh = ops.cross(d, h)
-        lhs = ops.dot3(strat_correction(d, h, xi2), d)
+        lhs = ops.dot3(ito_drift(d, h, xi2), d)
         rhs = -0.5 * xi2**2 * ops.dot3(dxh, dxh)
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * (1 + np.max(np.abs(rhs)))
 
@@ -195,8 +206,6 @@ class TestStepDirector:
 
     def test_generator_drift_of_sphere_functional(self, grid32):
         # drift of |d|^2/2 for constant unit d, u = 0, xi2 = 1: exact zero
-        from selflow.diagnostics import sphere_generator_drift
-
         d = constant_director(grid32, (0.36, 0.48, 0.8))
         h = constant_director(grid32, (0.0, 0.0, 1.0))
         drift = sphere_generator_drift(d, h, xi2=1.0)
