@@ -9,7 +9,7 @@ its hash names the output directory, so run artifacts are diffable.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .initial import (
     zero_velocity,
 )
 from .noise import NoiseOperatorS
+from .projection import PROJ_TOL
 
 RUN_MODES = ("simulate", "ensemble", "sweep", "diagnose")
 # sim.bc -> the grid's director closure (the velocity closure follows)
@@ -107,7 +108,7 @@ class RunConfig:
     xi1: float = 1.0
     xi2: float = 1.0
     h_spec: str = "const:0,0,0.5"
-    proj_tol: float = 1e-10
+    proj_tol: float = PROJ_TOL
     out_dir: str = "runs"
     checkpoint_every: int = 50
     mode: str = "simulate"
@@ -248,13 +249,19 @@ def validate(cfg: RunConfig) -> list[tuple[str, str]]:
         except ValueError as exc:
             out.append((attr, f"{_ATTR_TO_KEY[attr]}: {exc}"))
             continue
-        # the Taylor-Green field's wavenumbers 2 pi k / l, as it computes them
+        # the Taylor-Green field's 2 pi k / l and amp ax / ay as it computes
+        # them, and its energy bound (Python floats overflow to inf silently)
         if kind == "taylor-green" and args and not {a for a, _ in out} & {"lx", "ly"}:
-            k = args[0]
-            if not all(np.isfinite(2.0 * np.pi * k / length) for length in (cfg.lx, cfg.ly)):
+            k, amp = args[0], args[1] if len(args) > 1 else 0.0  # no amp: a small default
+            ax, ay = 2.0 * np.pi * k / cfg.lx, 2.0 * np.pi * k / cfg.ly
+            a2 = amp * (ax / ay)
+            if not (np.isfinite(ax) and np.isfinite(ay)):
                 out.append((attr, f"{_ATTR_TO_KEY[attr]}: wavenumber of {len(str(k))} digits is "
                                   "too large for the domain (2 pi k / sim.lx or sim.ly is not "
                                   "finite)"))
+            elif not np.isfinite(0.5 * (amp * amp + a2 * a2) * cfg.lx * cfg.ly):
+                out.append((attr, f"{_ATTR_TO_KEY[attr]}: amplitude {amp!r} is too large (its "
+                                  "field or kinetic energy is not finite)"))
     return out
 
 
@@ -268,14 +275,15 @@ def parse_eps_list(text: str) -> list[float]:
 
 
 # spec attribute -> form -> converters of its arguments and the argument
-# counts it accepts (0 = builder defaults); the file form takes a path
+# counts it accepts (0 = builder defaults); the file form takes a path, and
+# its entry is the component count of the snapshot
 SPEC_FORMS = {
-    "init_u": {"zero": ((), (0,)), "taylor-green": ((_wavenumber, _finite), (0, 1, 2)), "file": None},
+    "init_u": {"zero": ((), (0,)), "taylor-green": ((_wavenumber, _finite), (0, 1, 2)), "file": 2},
     "init_d": {"const": ((_finite,) * 3, (0, 3)), "vortex": ((_finite,) * 3, (0, 1, 2, 3)),
                "unit-smooth": ((_finite,), (0, 1)), "unit-mixed": ((_finite,), (0, 1)),
-               "file": None},
+               "file": 3},
     "h_spec": {"const": ((_finite,) * 3, (0, 3)), "wave": ((_finite,) * 3, (0, 3)),
-               "file": None},
+               "file": 3},
 }
 
 
@@ -287,7 +295,7 @@ def spec_args(cfg: RunConfig, attr: str) -> tuple[str, list]:
     forms = SPEC_FORMS[attr]
     if kind not in forms:
         raise ValueError(f"unknown form {kind!r} (allowed: {tuple(forms)})")
-    if forms[kind] is None:
+    if kind == "file":
         if not rest:
             raise ValueError("file form needs a path (file:PATH)")
         return kind, [rest]
@@ -312,10 +320,6 @@ def config_hash(cfg: RunConfig) -> str:
 # builders
 # ---------------------------------------------------------------------------
 
-# spec attribute -> the component count of its file: snapshot
-_FILE_COMPONENTS = {"init_u": 2, "init_d": 3, "h_spec": 3}
-
-
 def _read_spec_file(grid: Grid, attr: str, path: str) -> np.ndarray:
     """Values of the ``file:`` snapshot of spec ``attr``; raises
     :class:`ConfigError` naming the key unless the snapshot holds the spec's
@@ -323,7 +327,7 @@ def _read_spec_file(grid: Grid, attr: str, path: str) -> np.ndarray:
     or not)."""
     snap, values = read_snapshot(path)
     got = (snap.check_values(values), snap.nx, snap.ny, snap.lx, snap.ly, snap.periodic)
-    want = (_FILE_COMPONENTS[attr], grid.nx, grid.ny, grid.lx, grid.ly, grid.periodic)
+    want = (SPEC_FORMS[attr]["file"], grid.nx, grid.ny, grid.lx, grid.ly, grid.periodic)
     if got != want:
         raise ConfigError([(0, f"{_ATTR_TO_KEY[attr]}: snapshot {path} has (components, nx, "
                                f"ny, lx, ly, periodic) = {got}, the config needs {want}")])
@@ -340,18 +344,8 @@ def build_params(cfg: RunConfig, grid: Grid, umax: float = 0.0) -> Params:
         dt = stability_dt(cfg.eps, grid, cfg.mu, cfg.gamma, umax)
     else:
         dt = float(cfg.dt)
-    return Params(
-        eps=cfg.eps,
-        mu=cfg.mu,
-        lam=cfg.lam,
-        gamma=cfg.gamma,
-        xi1=cfg.xi1,
-        xi2=cfg.xi2,
-        dt=dt,
-        T=cfg.T,
-        proj_tol=cfg.proj_tol,
-        dt_override=cfg.dt_override,
-    )
+    shared = {f.name: getattr(cfg, f.name) for f in fields(Params) if f.name != "dt"}
+    return Params(dt=dt, **shared)
 
 
 def build_initial_u(cfg: RunConfig, grid: Grid) -> np.ndarray:
@@ -359,8 +353,7 @@ def build_initial_u(cfg: RunConfig, grid: Grid) -> np.ndarray:
     if kind == "zero":
         return zero_velocity(grid)
     if kind == "taylor-green":
-        k, amp = args + [1, 0.1][len(args):]
-        return taylor_green(grid, k=k, amp=amp)
+        return taylor_green(grid, *args)
     return _read_spec_file(grid, "init_u", args[0])
 
 
@@ -372,9 +365,9 @@ def build_initial_d(cfg: RunConfig, grid: Grid) -> np.ndarray:
         defaults = [0.5 * grid.lx, 0.5 * grid.ly, 3.0 * max(grid.hx, grid.hy)]
         return vortex_director(grid, *(args + defaults[len(args):]))
     if kind == "unit-smooth":
-        return smooth_unit_director(grid, amp=args[0] if args else 0.4)
+        return smooth_unit_director(grid, *args)
     if kind == "unit-mixed":
-        return mixed_unit_director(grid, amp=args[0] if args else 0.4)
+        return mixed_unit_director(grid, *args)
     return _read_spec_file(grid, "init_d", args[0])
 
 
@@ -389,5 +382,4 @@ def build_magnetic_field(cfg: RunConfig, grid: Grid) -> np.ndarray:
 
 
 def build_noise_operator(cfg: RunConfig, grid: Grid) -> NoiseOperatorS:
-    return NoiseOperatorS(grid, n_modes=cfg.modes, sigma0=cfg.sigma0, q=cfg.q,
-                          proj_tol=cfg.proj_tol)
+    return NoiseOperatorS(grid, n_modes=cfg.modes, sigma0=cfg.sigma0, q=cfg.q)

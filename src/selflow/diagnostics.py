@@ -227,7 +227,7 @@ def _min_image(grid: Grid, dx, dy):
     return dx, dy
 
 
-def _ball_weights(grid: Grid, center, r: float, sub: int = 8) -> np.ndarray:
+def _ball_weights(grid: Grid, center, r: float) -> np.ndarray:
     """Inclusion weights of the ball B_r(center) on node-centered cells.
 
     Cells well inside / outside get weight 1 / 0; cells cut by the circle
@@ -235,6 +235,7 @@ def _ball_weights(grid: Grid, center, r: float, sub: int = 8) -> np.ndarray:
     inclusion makes the multiplier residual oscillate at O(h) with grid
     alignment; the area fractions restore a clean decay.
     """
+    sub = 8
     x0, y0 = center
     X, Y = grid.meshgrid()
     dx, dy = _min_image(grid, X - x0, Y - y0)
@@ -384,6 +385,9 @@ def _ball_energy(e: np.ndarray, grid: Grid, center: tuple[float, float], r: floa
     return float(np.sum(e * grid.quad_weights() * mask))
 
 
+# lattice step, in nodes along each axis, of the defect scan's centers
+SCAN_STRIDE = 2
+
 # nodes per verify chunk of the defect scan: bounds the candidates' masks
 # and their product with the energy to about 1 MB
 _VERIFY_NODES = 2**17
@@ -460,15 +464,14 @@ def defect_detect(
     eps: float,
     r: float,
     delta0_sq: float,
-    stride: int = 2,
 ) -> list[tuple[float, float, float]]:
     """Candidate concentration set: the (x, y, energy) of the scan centers
     whose local energy on a ball of radius r exceeds ``delta0_sq``, merged
     over overlaps.  At fixed relaxation parameter the set is a finite-eps
     proxy for the limit concentration set, not the limit object itself.
 
-    Scan a coarse lattice of centers (every stride-th node; on bounded
-    grids only those whose ball fits inside the domain), flag local
+    Scan a coarse lattice of centers (every SCAN_STRIDE-th node; on
+    bounded grids only those whose ball fits inside the domain), flag local
     energies above the threshold, and merge overlapping hits by greedy
     non-maximum suppression (deterministic; larger thresholds give
     subsets).  On periodic grids r may reach half the shorter period; on
@@ -487,13 +490,13 @@ def defect_detect(
     state between calls.
     """
     _check_radius(r, grid)
-    ci, cj = (a.ravel() for a in np.meshgrid(np.arange(0, grid.nx, stride),
-                                             np.arange(0, grid.ny, stride), indexing="ij"))
+    ci, cj = (a.ravel() for a in np.meshgrid(np.arange(0, grid.nx, SCAN_STRIDE),
+                                             np.arange(0, grid.ny, SCAN_STRIDE), indexing="ij"))
     if not grid.periodic:
         held = grid.contains_ball(grid.x[ci], grid.y[cj], r, margin_cells=0)
         ci, cj = ci[held], cj[held]
         if not ci.size:
-            raise GeometryError(f"no scan center (stride {stride}) holds a ball of "
+            raise GeometryError(f"no scan center (stride {SCAN_STRIDE}) holds a ball of "
                                 f"radius {r!r} inside the bounded domain")
     e_w = _energy_density(d, grid, eps, grid.bc_director) * grid.quad_weights()
     bound = _ball_energy_bound(e_w, grid, r)[ci, cj]
@@ -519,30 +522,27 @@ def defect_detect(
 def default_defect_radius(grid: Grid) -> float:
     """Default defect-scan radius: 8h, capped on periodic grids at half the
     shorter period (the largest ball that does not overlap itself), and on
-    bounded grids at the largest radius whose ball some center of the
-    default scan (stride 2) holds inside the domain."""
+    bounded grids at the largest radius whose ball some center of the scan
+    (every SCAN_STRIDE-th node) holds inside the domain."""
     r = 8.0 * max(grid.hx, grid.hy)
     if grid.periodic:
         return min(r, _half_period(grid))
-    xs, ys = grid.x[::2], grid.y[::2]
+    xs, ys = grid.x[::SCAN_STRIDE], grid.y[::SCAN_STRIDE]
     return min(r, float(np.max(np.minimum(xs, grid.lx - xs))),
                float(np.max(np.minimum(ys, grid.ly - ys))))
 
 
-def default_defect_threshold(grid: Grid, eps: float, r: float | None = None) -> float:
+def default_defect_threshold(grid: Grid, eps: float, r: float) -> float:
     """Default concentration threshold: 0.3 times the local energy of an
-    isolated synthetic vortex (core two cells wide) on a ball of radius r,
-    :func:`default_defect_radius` when it is None.  The vortex is not
-    periodic, so its energy takes Neumann stencils on every grid: periodic
-    stencils would count its jump across the seam, which the ball reaches
-    on small periodic grids.  The factor 0.3 is a calibration choice; only
-    ``diagnose --threshold`` overrides the threshold (no config key sets
-    it)."""
+    isolated synthetic vortex (core two cells wide) on a ball of radius r.
+    The vortex is not periodic, so its energy takes Neumann stencils on
+    every grid: periodic stencils would count its jump across the seam,
+    which the ball reaches on small periodic grids.  The factor 0.3 is a
+    calibration choice; only ``diagnose --threshold`` overrides the
+    threshold (no config key sets it)."""
     from .initial import vortex_director
 
     h = max(grid.hx, grid.hy)
-    if r is None:
-        r = default_defect_radius(grid)
     x0, y0 = 0.5 * grid.lx, 0.5 * grid.ly
     ref = vortex_director(grid, x0, y0, core=2.0 * h)
     return 0.3 * _ball_energy(_energy_density(ref, grid, eps, "neumann"), grid, (x0, y0), r)

@@ -163,10 +163,11 @@ def director_terms(d: np.ndarray, h: np.ndarray, grid: Grid, eps: float):
 
 def budget_integrands(u: np.ndarray, lap_u: np.ndarray, d: np.ndarray, lap_d: np.ndarray,
                       tau: np.ndarray, dxh: np.ndarray, dxhxh: np.ndarray, grid: Grid,
-                      S: NoiseOperatorS, xi1: float):
+                      S: NoiseOperatorS, params: Params):
     """The four unscaled energy-budget integrands at one state, per path:
     ||grad u||^2, ||tau||^2, ||S(u)||_HS^2 (0.0 when xi1 = 0, where no
-    noise term needs it) and <grad d, grad((d x h) x h)> + ||grad(d x h)||^2.
+    noise term needs it; bounded grids project its modes to proj_tol) and
+    <grad d, grad((d x h) x h)> + ||grad(d x h)||^2.
 
     Summation by parts is exact on periodic grids and under a neumann
     closure, so there the Dirichlet form of (d, (d x h) x h) is read off
@@ -176,7 +177,7 @@ def budget_integrands(u: np.ndarray, lap_u: np.ndarray, d: np.ndarray, lap_d: np
     file velocity need not have: a dirichlet wall keeps the forward-link
     form of the Stratonovich term and reads no ``lap_d``, and bounded grids
     keep that of ||grad u||^2 and read no ``lap_u``."""
-    hs = S.hs_norm_sq(u) if xi1 != 0.0 else 0.0
+    hs = S.hs_norm_sq(u, params.proj_tol) if params.xi1 != 0.0 else 0.0
     if grid.periodic:
         diss_u = -ops.pair_vec(lap_u, u, grid)
     else:
@@ -254,7 +255,7 @@ def step_coupled(
         led.noise_d = led.noise_d + params.gamma * ops.pair_vec(dxh, tau, grid) * dW2
     if track_budget:
         diss_u, diss_d, hs, strat = budget_integrands(u, lap_u, d, ledger_lap_d, tau, dxh,
-                                                      dxhxh, grid, S, params.xi1)
+                                                      dxhxh, grid, S, params)
         led.int_diss_u = led.int_diss_u + dt * diss_u
         led.int_diss_d = led.int_diss_d + dt * diss_d
         led.int_hs = led.int_hs + dt * 0.5 * params.xi1**2 * hs

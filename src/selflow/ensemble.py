@@ -111,8 +111,7 @@ def run_path(config: RunConfig) -> PathResult:
 
 
 def default_weak_tracker(grid, params) -> WeakFormTracker:
-    u_tests = [solenoidal_test_function(grid, 1, 1, name="phi11"),
-               solenoidal_test_function(grid, 2, 1, name="phi21")]
+    u_tests = default_sweep_test_functions(grid)[:2]  # phi11, phi21
     d_tests = [director_test_function(grid, 1, 1, component=0, name="psi0"),
                director_test_function(grid, 1, 1, component=2, name="psi2")]
     return WeakFormTracker(grid, params, u_tests, d_tests)
@@ -133,28 +132,26 @@ def lane_width(grid) -> int:
 
 
 def _run_lanes(config: RunConfig, grid, params, u0, d0, S, h, threads: int, *,
-               order: list[int] | None = None, batch_size: int | None = None,
+               order: list[int] | None = None,
                checkpoint_hook=None) -> tuple[PathSeries, list[int]]:
     """(series, seeds) of every path of ``config``, each run as one lane of
     :func:`simulate_batch`; the series columns are (paths, n_checkpoints).
 
-    Paths are grouped into index-contiguous batches of ``batch_size`` paths
-    (by default :func:`lane_width` of the grid) that advance in lockstep
-    (vectorized over a leading path axis), up to ``threads`` batches at a
-    time; every lane is bit-identical to a lone path with its seed, whatever
-    the batch size.  ``order`` permutes only the execution order of those
-    work units (a reproducibility probe); the groups' tables are joined in
-    path-index order, so the output does not depend on it.
+    Paths are grouped into index-contiguous batches of :func:`lane_width`
+    paths that advance in lockstep (vectorized over a leading path axis), up
+    to ``threads`` batches at a time; every lane is bit-identical to a lone
+    path with its seed, whatever the batch size.  ``order`` permutes only
+    the execution order of those work units (a reproducibility probe); the
+    groups' tables are joined in path-index order, so the output does not
+    depend on it.
     """
-    n = config.paths
-    if batch_size is None:
-        batch_size = lane_width(grid)
+    n, width = config.paths, lane_width(grid)
     seeds = [split_seed(config.seed, i) for i in range(n)]
-    starts = range(0, n, batch_size)
+    starts = range(0, n, width)
     groups: list[PathSeries | None] = [None] * len(starts)
 
     def work(g: int) -> None:
-        idx = range(starts[g], min(starts[g] + batch_size, n))
+        idx = range(starts[g], min(starts[g] + width, n))
         groups[g] = simulate_batch(
             grid, params, u0, d0, S, h, [WienerDriver(seeds[i], S.n_modes) for i in idx],
             checkpoint_every=config.checkpoint_every,
@@ -175,15 +172,13 @@ def _run_lanes(config: RunConfig, grid, params, u0, d0, S, h, threads: int, *,
 
 
 def run_ensemble(config: RunConfig, threads: int = 1, *,
-                 order: list[int] | None = None,
-                 batch_size: int | None = None) -> EnsembleResult:
+                 order: list[int] | None = None) -> EnsembleResult:
     """The ``ensemble.paths`` paths of ``config``, merged into EnsembleStats.
     Row i of every checkpoint column is bit-identical to the column of
     :func:`run_path` with ``noise.seed = result.seeds[i]`` (see :func:`_run_lanes`
     for the grouping, ``threads`` and ``order``)."""
     grid, u0, d0, params, S, h = _build(config)
-    series, seeds = _run_lanes(config, grid, params, u0, d0, S, h, threads,
-                               order=order, batch_size=batch_size)
+    series, seeds = _run_lanes(config, grid, params, u0, d0, S, h, threads, order=order)
     return EnsembleResult(stats=reduce_stats(series), series=series, seeds=seeds)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import DIRECTOR_BCS, Grid, GridError
-from .projection import PROJ_TOL, interior_divergence_max, leray_project
+from .projection import PROJ_TOL, divergence_bound, interior_divergence_max, leray_project
 
 MAGIC = b"SELFLOW-FLD2\x00".ljust(16, b"\x00")
 _HEADER = struct.Struct("<IIIBdd")  # k, nx, ny, closure code, lx, ly
@@ -31,10 +31,11 @@ class SnapshotError(IOError):
 class TestFunction:
     """Static test function for weak-form pairings.
 
-    Velocity test functions (k = 2) must be discretely divergence-free; this
-    is checked at construction, at every node on periodic grids and at the
-    interior nodes on bounded ones (the nodes the bounded projection
-    controls).  Director test functions have k = 3.
+    Velocity test functions (k = 2) must be discretely divergence-free to the
+    :func:`~selflow.projection.divergence_bound` of the default tolerance,
+    at every node on periodic grids and at the interior nodes on bounded
+    ones (the nodes the bounded projection controls).  Director test
+    functions have k = 3.
     """
 
     grid: Grid
@@ -46,7 +47,7 @@ class TestFunction:
         k = self.grid.check_values(self.values)
         if k == 2:
             worst = interior_divergence_max(self.values, self.grid)
-            if worst > 10 * PROJ_TOL:
+            if worst > divergence_bound(self.values, self.grid, PROJ_TOL):
                 raise GridError(
                     f"velocity test function is not divergence-free (|div|_inf = {worst:.2e})"
                 )

@@ -108,7 +108,6 @@ class NoiseOperatorS:
         sigma0: float = 1.0,
         q: float = 1.5,
         shapes: np.ndarray | None = None,
-        proj_tol: float = PROJ_TOL,
     ):
         if n_modes < 1:
             raise ValueError("n_modes must be >= 1")
@@ -116,7 +115,6 @@ class NoiseOperatorS:
             raise ValueError("sigma0 must be nonnegative")
         self.grid = grid
         self.n_modes = int(n_modes)
-        self.proj_tol = proj_tol
         self.shapes = default_mode_shapes(grid, n_modes) if shapes is None else np.asarray(shapes, float)
         if self.shapes.shape != (n_modes, grid.nx, grid.ny):
             raise ValueError("shapes must have shape (N, nx, ny)")
@@ -150,7 +148,7 @@ class NoiseOperatorS:
             mix += wts[..., i] * self.shapes[i]
         return mix[..., None, :, :] * u
 
-    def hs_norm_sq(self, u: np.ndarray):
+    def hs_norm_sq(self, u: np.ndarray, tol: float = PROJ_TOL):
         """Squared Hilbert-Schmidt norm sum_i ||S(u)(e_i)||^2.
 
         Accepts a batched velocity (..., 2, nx, ny) and returns per-path
@@ -161,7 +159,7 @@ class NoiseOperatorS:
         divergence of psi_i u, built from the pre-scaled shapes, and one
         forward transform, all in buffers allocated once per call (the
         weights are :func:`~selflow.projection.spectral_table`'s).  Bounded
-        grids project each mode.
+        grids project each mode to the projection tolerance ``tol``.
         """
         grid = self.grid
         if not grid.periodic:
@@ -174,7 +172,7 @@ class NoiseOperatorS:
             for i in range(self.n_modes):
                 np.multiply(self.shapes[i], u, out=v)
                 v *= self.decay[i]
-                proj = leray_project(v, grid, tol=self.proj_tol)
+                proj = leray_project(v, grid, tol=tol)
                 np.square(proj, out=proj)
                 proj *= weights
                 total = total + np.sum(proj, axis=(-3, -2, -1))

@@ -31,7 +31,7 @@ from .dynamics import (
     step_coupled,
 )
 from .noise import NoiseOperatorS, WienerDriver
-from .projection import ProjectionError, interior_divergence_max
+from .projection import ProjectionError, divergence_bound, interior_divergence_max
 
 # rows of standard normals drawn from each driver at a time
 RNG_CHUNK = 256
@@ -55,7 +55,7 @@ def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
     lap_d, _, tau, dxh, dxhxh = director_terms(d, h, grid, params.eps)
     lap_u = ops.laplacian(u, grid, grid.bc_velocity)
     diss_u, diss_d, hs, strat = budget_integrands(u, lap_u, d, lap_d, tau, dxh, dxhxh,
-                                                  grid, S, params.xi1)
+                                                  grid, S, params)
     dev_sq = ops.dot3(d, d) - 1.0
     led = state.ledgers
     return {
@@ -153,8 +153,8 @@ def simulate_batch(
     batched state; its dict of per-lane values becomes extra columns.
     Values shared by all lanes (the clock, untracked ledgers) are repeated
     on every lane's row.  Raises the stepper's stability / blow-up errors,
-    and :class:`ProjectionError` with the worst lane's value when a
-    checkpoint after step 0 finds a divergence above ``params.proj_tol``.
+    and :class:`ProjectionError` with the worst lane's value when a checkpoint
+    after step 0 finds a divergence above its ``divergence_bound(proj_tol)``.
     """
     if normals_table is None:
         n_steps = max(1, int(round(params.T / params.dt)))
@@ -172,11 +172,11 @@ def simulate_batch(
 
     def emit():
         if state.step:
-            worst = float(np.max(interior_divergence_max(state.u, grid)))
-            if worst > params.proj_tol:
+            div = interior_divergence_max(state.u, grid)
+            if np.any(div > divergence_bound(state.u, grid, params.proj_tol)):
                 raise ProjectionError(
                     f"divergence exceeds proj.tol = {params.proj_tol:.3e} at step {state.step}",
-                    worst)
+                    float(np.max(div)))
         rows.append(record_columns(state, params, S, h))
         if checkpoint_hook is not None:
             rows[-1].update(checkpoint_hook(state))

@@ -29,6 +29,10 @@ from .grids import Grid
 from .operators import divergence, interior_divergence
 
 PROJ_TOL = 1e-10
+# |v|_inf (1/hx + 1/hy) above which the divergence bound grows with it: the
+# rounding floor of a central divergence is about 1e-16 of that product, a
+# hundredth of the bound at the default proj.tol
+DIV_SCALE = 1e4
 
 
 class ProjectionError(RuntimeError):
@@ -154,6 +158,15 @@ def interior_divergence_max(u: np.ndarray, grid: Grid):
     return np.max(np.abs(d), axis=(-2, -1))
 
 
+def divergence_bound(v: np.ndarray, grid: Grid, tol: float):
+    """Largest divergence a projected field of the size of v (..., 2, nx, ny)
+    may keep, per path: tol * max(1, |v|_inf (1/hx + 1/hy) / DIV_SCALE), so
+    unit-scale fields keep the absolute ``tol``."""
+    axes = (-3, -2, -1)
+    vmax = np.maximum(np.max(v, axis=axes), -np.min(v, axis=axes))
+    return tol * np.maximum(1.0, vmax * ((1.0 / grid.hx + 1.0 / grid.hy) / DIV_SCALE))
+
+
 def _project_bounded(v: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
     """Project every leading axis of v (..., 2, nx, ny) in one pass.
 
@@ -161,8 +174,8 @@ def _project_bounded(v: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
     residual of the columns still refining, applies the pressure
     correction to those lanes, and takes their interior divergence on the
     corrected field.  That divergence is the next round's residual and,
-    after the last round, the achieved divergence that ``tol`` checks.  A
-    column stops refining exactly when it would alone.
+    after the last round, the achieved divergence checked against the lane's
+    :func:`divergence_bound`.  A column stops refining exactly when it would alone.
     """
     At, lu = _bounded_solver(grid)
     nx, ny = grid.nx, grid.ny
@@ -170,6 +183,7 @@ def _project_bounded(v: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
     u[..., 0, :] = u[..., -1, :] = 0.0
     u[..., :, 0] = u[..., :, -1] = 0.0
     k = u.shape[0]
+    bound = divergence_bound(u, grid, tol)
     # one row per lane: its interior divergence, so r[cols].T holds the
     # Gram right-hand sides in Fortran order, one column per lane
     r = interior_divergence(u, grid).reshape(k, -1)
@@ -177,7 +191,7 @@ def _project_bounded(v: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
     # minimum-norm pressure via the Gram factorization, with iterative
     # refinement to wash out the squared conditioning of A A^T
     for _ in range(4):
-        active = res > 0.01 * tol
+        active = res > 0.01 * bound
         if not active.any():
             break
         if active.all():
@@ -200,7 +214,7 @@ def _project_bounded(v: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
         res[cols] = np.max(np.abs(div), axis=1)
         if lanes is not u:
             u[cols] = lanes
-    if np.any(res > tol):
+    if np.any(res > bound):
         raise ProjectionError("bounded pressure solve stalled", float(np.max(res)))
     return u.reshape(v.shape)
 
@@ -210,10 +224,10 @@ def leray_project(v: np.ndarray, grid: Grid, tol: float = PROJ_TOL) -> np.ndarra
 
     v has shape (..., 2, nx, ny); every leading axis is projected on its
     own and kept in u, on periodic and bounded grids alike.  The periodic
-    solve is direct and exact; ``tol`` bounds the interior divergence that
-    the bounded solve must reach.  Raises :class:`ProjectionError` with the
-    achieved residual if it cannot; on a batch it carries the worst lane's
-    residual.
+    solve is direct and exact; the bounded solve must bring each path's
+    interior divergence within :func:`divergence_bound` of ``tol``.  Raises
+    :class:`ProjectionError` with the achieved residual if it cannot; on a
+    batch it carries the worst lane's residual.
     """
     if not np.all(np.isfinite(v)):
         raise ValueError("leray_project: input contains non-finite values")

@@ -14,6 +14,7 @@ import pytest
 from selflow import operators as ops
 from selflow.config import RunConfig, build_grid
 from selflow.diagnostics import (
+    default_defect_radius,
     default_defect_threshold,
     defect_detect,
     energy_budget_residual,
@@ -264,8 +265,8 @@ def test_criterion_10_defect_detection():
     grid = Grid(64, 64, bc_director="neumann")
     core = 2.0 * grid.hx
     eps = 0.2
-    thr = default_defect_threshold(grid, eps)
-    r = 8.0 * grid.hx
+    r = 8.0 * grid.hx  # the default radius here
+    thr = default_defect_threshold(grid, eps, default_defect_radius(grid))
 
     vortex = vortex_director(grid, 0.5, 0.5, core)
     centers = defect_detect(vortex, grid, eps, r, thr)

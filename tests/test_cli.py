@@ -3,6 +3,7 @@
 import os
 import re
 import struct
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -131,6 +132,16 @@ class TestSimulate:
         assert err.startswith("numerical failure:") and "proj.tol" in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("bc", ["bounded", "bounded-dirichlet"])
+    def test_bounded_proj_tol_enforced(self, tmp_path, monkeypatch, capsys, bc):
+        # the bounded solve cannot reach 1e-30 either; it raises itself
+        out = out_env(tmp_path, monkeypatch)
+        cfg = TINY + f"sim.bc = {bc}\nproj.tol = 1e-30\n"
+        assert main(["simulate", write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: bounded pressure solve stalled")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_weak_tracking_artifact(self, tmp_path, monkeypatch):
         out = out_env(tmp_path, monkeypatch)
         code = main(["simulate", write_cfg(tmp_path, TINY + "track.weak = true\n")])
@@ -211,6 +222,13 @@ class TestSimulate:
         pytest.param("simulate", f"sim.{axis} = 1e-10\ninit.u = taylor-green:1" + "0" * 305,
                      id=f"simulate-sim.{axis} = 1e-10-init.u = taylor-green:10**305")
         for axis in ("lx", "ly")
+    ] + [
+        # an amplitude whose field (amp ax / ay = 2e308 here) or kinetic
+        # energy overflows; numpy used to warn, then fail in the projection
+        # or blow up at step 0
+        pytest.param("simulate", "sim.ly = 2\ninit.u = taylor-green:1,1e308",
+                     id="simulate-sim.ly = 2-init.u = taylor-green:1,1e308"),
+        ("simulate", "init.u = taylor-green:1,1e200"),
     ])
     def test_value_that_crashed_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                 command, line):
@@ -218,7 +236,9 @@ class TestSimulate:
         *before, line = line.split("\n")
         key = line.split()[0]
         text = "".join(ln + "\n" for ln in TINY.splitlines() + before if not ln.startswith(key))
-        assert main([command, write_cfg(tmp_path, text + line + "\n")]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy warns
+            assert main([command, write_cfg(tmp_path, text + line + "\n")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: line {len(text.splitlines()) + 1}: {key}: ")
         assert "Traceback" not in err
@@ -463,6 +483,21 @@ class TestDiagnose:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("validation error:") and "non-finite" in captured.err
+
+    def test_eps_flag_is_used(self, tmp_path, capsys):
+        # off the sphere the energy density holds (1 - |d|^2)^2 / (4 eps^2),
+        # so halving eps quadruples the Pohozaev bulk term of a constant d
+        grid = Grid(32, 32, bc_director="neumann")
+        snap = tmp_path / "half.fld"
+        write_snapshot(snap, grid, constant_director(grid, (0, 0, 0.5)))
+        bulk = {}
+        for eps in ("0.2", "0.1"):
+            assert main(["diagnose", str(snap), "--pohozaev", "--eps", eps]) == 0
+            radial = [ln for ln in capsys.readouterr().out.splitlines()
+                      if ln.startswith("pohozaev: radial,")]
+            bulk[eps] = float(radial[0].split(",")[3])
+        assert bulk["0.2"] > 0.0
+        assert bulk["0.1"] == pytest.approx(4.0 * bulk["0.2"], rel=1e-12)
 
     @pytest.mark.parametrize("flag", ["--eps"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])

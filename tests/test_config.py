@@ -20,6 +20,7 @@ from selflow.config import (
 )
 from selflow.dynamics import Params
 from selflow.grids import Grid, GridError
+from selflow.initial import mixed_unit_director
 
 # the keys whose value is one float (sim.dt also takes 'auto')
 FLOAT_KEYS = [key for key, (attr, _) in SCHEMA.items()
@@ -79,6 +80,17 @@ class TestParse:
         with pytest.raises(ConfigError) as err:
             parse_config(f"sim.T = 1.0\n{key} = {value}\n")
         assert err.value.problems == [(2, f"unknown key {key!r}")]
+
+    @pytest.mark.parametrize("line, problem", [
+        ("sim.grid = 3x3", "sim.grid: grid must be at least 4x4"),
+        ("noise.xi2 = -1", "noise.xi2: must be nonnegative"),
+        ("sim.dt = -1", "sim.dt: must be positive or 'auto'"),
+        ("sim.dt = 0", "sim.dt: must be positive or 'auto'"),
+    ])
+    def test_out_of_range_value_names_key_and_line(self, line, problem):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"sim.T = 1.0\n{line}\n")
+        assert err.value.problems == [(2, problem)]
 
     @pytest.mark.parametrize("key", ["init.u", "init.d", "field.h"])
     @pytest.mark.parametrize("spec", ["file", "file:"])
@@ -192,6 +204,16 @@ class TestBuilders:
         d0 = build_initial_d(cfg, grid)
         assert u0.shape == (2, 64, 64)
         assert np.allclose(d0[1], 1.0) and np.allclose(d0[0], 0.0)
+
+    @pytest.mark.parametrize("bc", ["periodic", "bounded", "bounded-dirichlet"])
+    def test_unit_mixed_director(self, bc):
+        # the builder's default amplitude, on the modes of the grid's closure
+        cfg = parse_config(f"sim.grid = 16x12\nsim.bc = {bc}\ninit.d = unit-mixed\n")
+        grid = build_grid(cfg)
+        d0 = build_initial_d(cfg, grid)
+        assert np.array_equal(d0, mixed_unit_director(grid, 0.4))
+        assert np.allclose(np.sqrt((d0**2).sum(axis=0)), 1.0, atol=1e-14)
+        assert np.ptp(d0[0]) > 0.1  # not the constant vertical director
 
     def test_vortex_director(self):
         cfg = parse_config("sim.bc = bounded\ninit.d = vortex:0.5,0.5,0.1\n")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from selflow import diagnostics
 from selflow import operators as ops
 from selflow.diagnostics import (
     GeometryError,
@@ -442,7 +443,7 @@ class TestPeriodicRadius:
     def test_default_radius(self, grid, r):
         assert default_defect_radius(grid) == pytest.approx(r, rel=1e-15)
         if grid.periodic:
-            default_defect_threshold(grid, 0.2)  # the default ball is accepted
+            default_defect_threshold(grid, 0.2, default_defect_radius(grid))  # accepted
 
 
 class TestBoundedRadius:
@@ -472,7 +473,7 @@ class TestBoundedRadius:
 class TestDefects:
     def test_uniform_director_empty(self, grid_bounded):
         d = constant_director(grid_bounded, (0, 0, 1))
-        thr = default_defect_threshold(grid_bounded, 0.2)
+        thr = default_defect_threshold(grid_bounded, 0.2, default_defect_radius(grid_bounded))
         centers = defect_detect(d, grid_bounded, 0.2, 8 * grid_bounded.hx, thr)
         assert len(centers) == 0
 
@@ -481,7 +482,7 @@ class TestDefects:
         core = 2 * grid.hx
         d = vortex_director(grid, 0.5, 0.5, core)
         r = 8 * grid.hx
-        thr = default_defect_threshold(grid, 0.2)
+        thr = default_defect_threshold(grid, 0.2, default_defect_radius(grid))
         centers = defect_detect(d, grid, 0.2, r, thr)
         assert len(centers) == 1
         x, y, _ = centers[0]
@@ -545,6 +546,13 @@ def per_center_defect_detect(d, grid, eps, r, delta0_sq, stride=2):
     return centers
 
 
+def scan_at_stride(stride, *args):
+    """defect_detect(*args) on the lattice of every stride-th node."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagnostics, "SCAN_STRIDE", stride)
+        return defect_detect(*args)
+
+
 def mean_ball_energy(d, grid, eps, r):
     """Total relaxation energy times the ball's area fraction: the average
     local energy over scan centers, so fractions of it give mixed hit sets
@@ -600,7 +608,7 @@ class TestDefectScanEquivalence:
             base = mean_ball_energy(d, grid, 0.2, r)
             for q in (0.5, 0.8, 1.0):
                 thr = q * base
-                centers = defect_detect(d, grid, 0.2, r, thr, stride=stride)
+                centers = scan_at_stride(stride, d, grid, 0.2, r, thr)
                 assert centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=stride)
 
     @pytest.mark.parametrize("cells", [5.0, 3.3])
@@ -622,7 +630,7 @@ class TestDefectScanEquivalence:
         r = default_defect_radius(grid)
         fields = dict(scan_fields(grid), constant=constant_director(grid, (0, 0, 1)))
         for d in fields.values():
-            centers = defect_detect(d, grid, 0.2, r, thr, stride=3)
+            centers = scan_at_stride(3, d, grid, 0.2, r, thr)
             assert centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=3)
 
     def test_symmetric_ties_keep_their_order(self):
@@ -632,7 +640,7 @@ class TestDefectScanEquivalence:
         r = 8 * max(grid.hx, grid.hy)
         d = smooth_unit_director(grid, 0.4)
         thr = 0.8 * mean_ball_energy(d, grid, 0.2, r)
-        centers = defect_detect(d, grid, 0.2, r, thr, stride=3)
+        centers = scan_at_stride(3, d, grid, 0.2, r, thr)
         assert len(centers) == 4
         assert centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=3)
 
@@ -662,7 +670,7 @@ class TestDefectScanEquivalence:
         d = np.stack([v1 / norm, v2 / norm, 1.0 / norm])
         r = 4 * max(grid.hx, grid.hy)
         thr = q * mean_ball_energy(d, grid, 0.2, r)
-        centers = defect_detect(d, grid, 0.2, r, thr, stride=stride)
+        centers = scan_at_stride(stride, d, grid, 0.2, r, thr)
         assert centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=stride)
 
     @settings(max_examples=20, deadline=None)
@@ -681,7 +689,7 @@ class TestDefectScanEquivalence:
         d = vortex_director(grid, x0 * grid.lx, y0 * grid.ly, core)
         r = 4 * max(grid.hx, grid.hy)
         thr = q * mean_ball_energy(d, grid, 0.2, r)
-        centers = defect_detect(d, grid, 0.2, r, thr, stride=stride)
+        centers = scan_at_stride(stride, d, grid, 0.2, r, thr)
         assert centers == per_center_defect_detect(d, grid, 0.2, r, thr, stride=stride)
 
 

@@ -457,7 +457,7 @@ class TestBudgetLedgers:
         lap_d, _, tau, dxh, dxhxh = director_terms(d, h, grid, 0.2)
         lap_u = ops.laplacian(u, grid, grid.bc_velocity)
         diss_u, _, _, strat = budget_integrands(u, lap_u, d, lap_d, tau, dxh, dxhxh,
-                                                grid, S, 1.0)
+                                                grid, S, Params(xi1=1.0))
         form_u = ops.dirichlet_form_vec(u, u, grid)
         form_dw = ops.dirichlet_form_vec(d, dxhxh, grid)
         form_dxh = ops.dirichlet_form_vec(dxh, dxh, grid)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selflow import ensemble
 from selflow.config import (
     ConfigError,
     RunConfig,
@@ -108,27 +109,33 @@ class TestRunEnsemble:
         ratio = se[32] / se[8]
         assert 0.7 * 0.5 <= ratio <= 1.4 * 0.5
 
-    def test_bit_identical_rerun_and_shuffle(self):
+    def test_bit_identical_rerun_and_shuffle(self, monkeypatch):
         cfg = small_config(T=0.01, paths=8, seed=21, checkpoint_every=20)
-        a = run_ensemble(cfg, batch_size=4)
-        b = run_ensemble(cfg, order=[1, 0], batch_size=4)
+        monkeypatch.setattr(ensemble, "LANE_NODES", 4 * 16 * 16)  # two groups of 4 paths
+        a = run_ensemble(cfg)
+        b = run_ensemble(cfg, order=[1, 0])
         for k in a.stats.mean:
             assert np.array_equal(a.stats.mean[k], b.stats.mean[k])
             assert np.array_equal(a.stats.max[k], b.stats.max[k])
 
-    def test_batched_matches_per_path(self):
+    def test_batched_matches_per_path(self, monkeypatch):
         # every lane equals its lone path bit for bit, whatever the batch
-        # (None: the width derived from the grid, 4 lanes at 64^2)
+        # (None: the width derived from the grid, 4 lanes at 64^2; another
+        # width is set through the grid nodes per lane group)
         cases = [(small_config(T=0.01, bc=bc, track_budget=True, paths=5, seed=21,
                                checkpoint_every=20), (1, 3, 5))
                  for bc in ("periodic", "bounded")]
         cases.append((small_config(grid="64x64", dt=1e-5, T=2e-5, track_budget=True,
                                    paths=6, seed=21, checkpoint_every=1), (None, 1, 6)))
+        default_nodes = ensemble.LANE_NODES
         for cfg, batch_sizes in cases:
             singles = [run_path(replace(cfg, seed=split_seed(21, i))).series
                        for i in range(cfg.paths)]
+            nx, ny = cfg.nx_ny()
             for batch_size in batch_sizes:
-                table = run_ensemble(cfg, batch_size=batch_size).series.columns
+                monkeypatch.setattr(ensemble, "LANE_NODES",
+                                    default_nodes if batch_size is None else batch_size * nx * ny)
+                table = run_ensemble(cfg).series.columns
                 assert table.keys() == singles[0].columns.keys()
                 for k, col in table.items():
                     assert col.shape == (cfg.paths, singles[0].columns[k].size), k

@@ -1,6 +1,7 @@
-"""Every import under src/selflow is used, and every public function or
-class is read by the package or the benchmark harness: a stale import or
-API that only tests call fails tier-1.
+"""Every import under src/selflow is used, every public function or class
+is read by the package or the benchmark harness, and every defaulted
+parameter of the public API is passed by one of them: a stale import, API
+that only tests call or a parameter that only tests set fails tier-1.
 
 No linter ships with the toolchain, so this parses each module with ``ast``.
 The package ``__init__`` is skipped; its imports are the public API.
@@ -136,3 +137,91 @@ def test_finder_flags_an_unread_public_name(tmp_path):
 def test_no_public_name_only_tests_read():
     unread = sorted(unread_public_names(SRC, PERFBENCH) - UNREAD_ALLOWED)
     assert unread == [], f"public names nothing but tests reads (module, name): {unread}"
+
+
+# (callee, parameter) defaulted parameters that no call under src/selflow or
+# perfbench/ passes, kept on purpose, each with its reason; a method is named
+# by its class for __init__ and by itself otherwise, as calls name it
+UNPASSED_ALLOWED = {
+    ("run_ensemble", "order"): "criterion 12's execution-order probe",
+    ("NoiseOperatorS", "shapes"): "tests substitute constant shapes",
+    ("simulate_path", "normals_table"): "criterion 2's coarsened table, and ROADMAP "
+                                        "direction 5 (the refined eps sweep)",
+}
+
+
+def _defaulted(fn: ast.FunctionDef, skip: int) -> list[tuple[str, int | None]]:
+    """(name, position) of each defaulted parameter of ``fn``, the position
+    counted after the first ``skip`` (self) and None for keyword-only ones."""
+    a = fn.args
+    positional = [arg.arg for arg in a.posonlyargs + a.args][skip:]
+    out = [(name, i) for i, name in enumerate(positional)
+           if i >= len(positional) - len(a.defaults)]
+    return out + [(arg.arg, None) for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                  if default is not None]
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter: by keyword, by position, or
+    through a ``*args`` (from its position on) or ``**kwargs``."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    starred = [i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)]
+    return position < len(call.args) or bool(starred) and position >= starred[0]
+
+
+def unpassed_defaults(src: Path, harness: Path) -> set[tuple[str, str]]:
+    """(callee, parameter) of each defaulted parameter of a public
+    module-level function, public class's __init__ or public method of the
+    modules in ``src`` that no call under ``src`` or ``harness`` passes.
+    Calls are matched to definitions by name."""
+    src_trees, harness_trees = ([ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+                                for paths in (sorted(src.glob("*.py")),
+                                              sorted(harness.rglob("*.py"))))
+    params = []  # (callee, name, position)
+    for tree in src_trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                params += [(node.name, *p) for p in _defaulted(node, 0)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and (fn.name == "__init__"
+                                                            or not fn.name.startswith("_")):
+                        callee = node.name if fn.name == "__init__" else fn.name
+                        params += [(callee, *p) for p in _defaulted(fn, 1)]
+    calls = [node for tree in src_trees + harness_trees for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+
+    def callee(call: ast.Call) -> str | None:
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    return {(fn, name) for fn, name, position in params
+            if not any(callee(c) == fn and _passes(c, name, position) for c in calls)}
+
+
+def test_finder_flags_an_unpassed_default(tmp_path):
+    src, harness = tmp_path / "src", tmp_path / "harness"
+    src.mkdir()
+    harness.mkdir()
+    (src / "a.py").write_text(
+        "def f(x, by_pos=1, by_kw=2, unset=3, *, kw_only=4, kw_unset=5):\n    pass\n\n\n"
+        "def g(x, star=1, *, spread=2):\n    pass\n\n\n"
+        "def _private(x=1):\n    pass\n\n\n"
+        "class C:\n    def __init__(self, shape=None):\n        pass\n\n"
+        "    def m(self, tol=1.0):\n        pass\n\n    def _hidden(self, y=0):\n        pass\n\n\n"
+        "def caller(args, opts):\n    f(0, 1, by_kw=2, kw_only=4)\n    g(0, *args, **opts)\n"
+        "    C().m(2.0)\n")
+    (harness / "run.py").write_text("import a\n\na.C(shape=3)\n")
+    assert unpassed_defaults(src, harness) == {("f", "unset"), ("f", "kw_unset")}
+    (harness / "run.py").write_text("import a\n\na.C()\na.f(0, 1, 2, 3, kw_unset=5)\n")
+    assert unpassed_defaults(src, harness) == {("C", "shape")}
+
+
+def test_every_default_is_passed_by_the_package_or_the_harness():
+    found = unpassed_defaults(SRC, PERFBENCH)
+    unpassed = sorted(found - set(UNPASSED_ALLOWED))
+    assert unpassed == [], f"defaulted parameters only tests pass (callee, name): {unpassed}"
+    stale = sorted(set(UNPASSED_ALLOWED) - found)
+    assert stale == [], f"allowed entries that are passed now or gone: {stale}"

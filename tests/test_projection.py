@@ -11,10 +11,16 @@ import pytest
 
 import selflow
 from selflow import operators as ops
+from selflow.dynamics import Params, stability_dt
 from selflow.grids import Grid
-from selflow.noise import NoiseOperatorS
+from selflow.initial import smooth_unit_director, wave_field
+from selflow.noise import NoiseOperatorS, WienerDriver
+from selflow.pathrun import simulate_batch
 from selflow.projection import (
+    DIV_SCALE,
+    PROJ_TOL,
     ProjectionError,
+    divergence_bound,
     interior_divergence_max,
     leray_project,
 )
@@ -275,6 +281,50 @@ class TestBoundedBatch:
         counting = _count_solves(grid)
         S.hs_norm_sq(u)
         assert counting.solves == S.n_modes
+
+
+SCALE_GRIDS = {
+    "periodic": Grid(64, 64),
+    "neumann": Grid(32, 32, bc_director="neumann"),
+    "dirichlet": Grid(24, 20, lx=1.3, ly=0.9, bc_director="dirichlet"),
+}
+
+
+class TestScaleRelativeBound:
+    """One divergence rule, proj.tol scaled by |v|_inf (1/hx + 1/hy) /
+    DIV_SCALE above 1: the rounding floor of a central divergence grows
+    with the field over h, so large fields project and step, while
+    unit-scale ones keep the absolute tolerance."""
+
+    def test_unit_scale_fields_keep_the_absolute_tolerance(self, rng):
+        for grid in SCALE_GRIDS.values():
+            v = rng.standard_normal((3, 2, grid.nx, grid.ny))
+            assert np.array_equal(divergence_bound(v, grid, 1e-10), np.full(3, 1e-10))
+
+    def test_bound_is_per_lane(self, rng):
+        grid = SCALE_GRIDS["periodic"]
+        v = rng.standard_normal((2, 2, 64, 64))
+        v[1] *= 1e6
+        vmax = np.max(np.abs(v[1]))
+        bound = divergence_bound(v, grid, 1e-10)
+        assert bound[0] == 1e-10
+        assert bound[1] == pytest.approx(1e-10 * vmax * 128.0 / DIV_SCALE, rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("name", sorted(SCALE_GRIDS))
+    def test_scaled_fields_project_and_step(self, name, scale, rng):
+        grid = SCALE_GRIDS[name]
+        u0 = leray_project(scale * rng.standard_normal((2, grid.nx, grid.ny)), grid)
+        assert interior_divergence_max(u0, grid) <= divergence_bound(u0, grid, PROJ_TOL)
+        dt = stability_dt(0.2, grid, 1.0, 1.0, float(np.max(np.abs(u0))))
+        # two noisy steps with the budget on (its bounded HS norm projects
+        # every mode of u), each checked at a checkpoint
+        res = simulate_batch(grid, Params(dt=dt, T=2 * dt), u0, smooth_unit_director(grid),
+                             NoiseOperatorS(grid, n_modes=4), wave_field(grid, (0.2, 0.2, 0.5)),
+                             [WienerDriver(7, 4)], checkpoint_every=1, track_invariants=True)
+        assert res.state.step == 2
+        assert res.state.ledgers.max_divergence[0] <= divergence_bound(res.state.u, grid,
+                                                                       PROJ_TOL)[0]
 
 
 def test_import_leaves_scipy_sparse_unloaded():
