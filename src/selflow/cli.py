@@ -203,9 +203,8 @@ def cmd_diagnose(args) -> int:
         for x, y, energy in centers:
             print(f"defects: center,{x!r},{y!r},{energy!r}")
     if args.pairings:
-        for tf in default_sweep_test_functions(grid):
-            val = stress_pairing(d, grid, tf)
-            print(f"pairings: {tf.name},{val!r}")
+        for name, val in stress_pairing(d, grid, default_sweep_test_functions(grid)).items():
+            print(f"pairings: {name},{val!r}")
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ its hash names the output directory, so run artifacts are diffable.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .projection import PROJ_TOL
 RUN_MODES = ("simulate", "ensemble", "sweep", "diagnose")
 # sim.bc -> the grid's director closure (the velocity closure follows)
 BC_MODES = {"periodic": "periodic", "bounded": "neumann", "bounded-dirichlet": "dirichlet"}
+# most steps a run may take; a dt far below the time scale would otherwise
+# run for ages without a word
+MAX_STEPS = 10**9
 
 
 class ConfigError(ValueError):
@@ -117,6 +120,8 @@ class RunConfig:
     track_budget: bool = True
     track_weak: bool = False
     track_invariants: bool = False
+    # line of each key in the parsed text, for the problems builders find
+    lines: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def nx_ny(self) -> tuple[int, int]:
         try:
@@ -193,6 +198,7 @@ def parse_config(text: str) -> RunConfig:
     problems.extend((seen.get(_ATTR_TO_KEY[attr], 0), msg) for attr, msg in validate(cfg))
     if problems:
         raise ConfigError(sorted(problems))
+    cfg.lines = seen
     return cfg
 
 
@@ -340,10 +346,19 @@ def build_grid(cfg: RunConfig) -> Grid:
 
 
 def build_params(cfg: RunConfig, grid: Grid, umax: float = 0.0) -> Params:
+    """The run's parameters; raises :class:`ConfigError` under ``sim.T``
+    when round(sim.T / dt) is above MAX_STEPS."""
     if cfg.dt == "auto":
         dt = stability_dt(cfg.eps, grid, cfg.mu, cfg.gamma, umax)
     else:
         dt = float(cfg.dt)
+    # compared as a float, whose round() would raise once it overflows;
+    # MAX_STEPS is even, so round(steps) > MAX_STEPS exactly above this
+    steps = cfg.T / dt
+    if not steps <= MAX_STEPS + 0.5:
+        raise ConfigError([(cfg.lines.get("sim.T", 0),
+                            f"sim.T: {cfg.T!r} takes {steps:.3e} steps of dt = {dt:.3e}, "
+                            f"more than the {MAX_STEPS} a run may take")])
     shared = {f.name: getattr(cfg, f.name) for f in fields(Params) if f.name != "dt"}
     return Params(dt=dt, **shared)
 

@@ -101,13 +101,19 @@ def _pair_tensor(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sum(a * b * w, axis=(-4, -3, -2, -1))
 
 
-def stress_pairing(d: np.ndarray, grid: Grid, phi: TestFunction):
-    """<traceless stress(d), grad phi> by quadrature: a float for one
-    director, one value per path when ``d`` carries leading path axes."""
+def stress_pairing(d: np.ndarray, grid: Grid, phis: list[TestFunction]) -> dict:
+    """<traceless stress(d), grad phi> by quadrature for each test function,
+    keyed by its name: a float for one director, one value per path when
+    ``d`` carries leading path axes.  The stress is built once for all of
+    them."""
     T = traceless_stress(d, grid)
-    gphi = ops.gradient(phi.values, grid, phi.bc)  # (2, 2, nx, ny), [i, j] = d_j phi_i
-    pairing = _pair_tensor(T, gphi, grid.quad_weights())
-    return float(pairing) if pairing.ndim == 0 else pairing
+    w = grid.quad_weights()
+    out = {}
+    for phi in phis:
+        gphi = ops.gradient(phi.values, grid, phi.bc)  # (2, 2, nx, ny), [i, j] = d_j phi_i
+        pairing = _pair_tensor(T, gphi, w)
+        out[phi.name] = float(pairing) if pairing.ndim == 0 else pairing
+    return out
 
 
 # ---------------------------------------------------------------------------

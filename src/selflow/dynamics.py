@@ -198,6 +198,7 @@ def step_coupled(
     normals: np.ndarray,
     *,
     track_budget: bool = False,
+    track_noise: bool = True,
     weak_tracker=None,
     track_invariants: bool = False,
 ) -> SimState:
@@ -206,10 +207,11 @@ def step_coupled(
     Both updates read the time-n fields.  ``normals`` holds this step's N+1
     standard normals (N velocity modes, then the director motion), one row
     per path.  State arrays may carry a leading path axis, in which case the
-    ledgers accumulate per path.  ``weak_tracker`` receives the per-step
-    pairings when supplied; ``track_invariants`` updates the monitor maxima
-    in the ledgers.  A ``dirichlet`` director wall keeps its time-n values,
-    which are those of the initial director.
+    ledgers accumulate per path.  ``track_noise`` updates the two noise
+    ledgers and ``track_budget`` the four time integrals.  ``weak_tracker``
+    receives the per-step pairings when supplied; ``track_invariants``
+    updates the monitor maxima in the ledgers.  A ``dirichlet`` director
+    wall keeps its time-n values, which are those of the initial director.
     """
     grid, dt = state.grid, params.dt
     u, d = state.u, state.d
@@ -222,6 +224,8 @@ def step_coupled(
     # time-n director pieces; the central gradient of d is shared between
     # the advection term and the reduced stress force
     lap_d, f, tau, dxh, dxhxh = director_terms(d, h, grid, params.eps)
+    if weak_tracker is None:
+        f = None  # read by the weak tracker alone; freed for the step's peak memory
     g_d = ops.gradient(d, grid, bc_d)  # (..., 3, 2, nx, ny)
     adv_d = u[..., 0:1, :, :] * g_d[..., 0, :, :]
     adv_d += u[..., 1:2, :, :] * g_d[..., 1, :, :]
@@ -249,9 +253,9 @@ def step_coupled(
 
     # ledgers, all pairings against time-n fields
     led = state.ledgers
-    if noise_u is not None:
+    if track_noise and noise_u is not None:
         led.noise_u = led.noise_u + ops.pair_vec(u, noise_u, grid)
-    if params.xi2 != 0.0:
+    if track_noise and params.xi2 != 0.0:
         led.noise_d = led.noise_d + params.gamma * ops.pair_vec(dxh, tau, grid) * dW2
     if track_budget:
         diss_u, diss_d, hs, strat = budget_integrands(u, lap_u, d, ledger_lap_d, tau, dxh,

@@ -38,7 +38,7 @@ from .diagnostics import (
 )
 from .fields import TestFunction, director_test_function, solenoidal_test_function
 from .noise import WienerDriver, split_seed
-from .pathrun import PathResult, PathSeries, simulate_batch, simulate_path
+from .pathrun import PathResult, PathSeries, simulate_batch, simulate_path, sphere_columns
 
 STAT_FIELDS = ("kinetic", "dirichlet", "penalty", "total", "ledger1", "ledger2",
                "dev_norm", "max_abs_d")
@@ -206,13 +206,15 @@ def coupled_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     :func:`_run_lanes`); a path reads the same Wiener stream (same seed and
     dt) at every eps, so its realizations are coupled.  The grid, dt and
     initial data are built at the smallest eps, so an automatic dt is
-    stable for every eps.  No sweep output reads a ledger, so the paths
-    step with the budget off whatever ``track.budget`` says.  Every
-    checkpoint records the stress pairings, penalty mass, sphere deviation
-    and defect count of each path.
+    stable for every eps.  No sweep output reads a ledger or the energy
+    record: the checkpoint hook is the whole row, so the paths keep no
+    ledgers whatever ``track.budget`` says, and the record is not built.
+    Every checkpoint records the stress pairings (one traceless stress for
+    all test functions), penalty mass, sphere deviation and defect count
+    of each path.
     """
     eps_list = parse_eps_list(config.sweep_eps)
-    config = replace(config, eps=eps_list[-1], track_budget=False)
+    config = replace(config, eps=eps_list[-1])
     grid, u0, d0, params, S, h = _build(config)
     phis = default_sweep_test_functions(grid)
     names = [tf.name for tf in phis]
@@ -222,8 +224,9 @@ def coupled_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     runs = []  # runs[a]: the (paths, n_check) columns at eps_list[a]
     for eps in eps_list:
         def hook(state, eps=eps):
-            row = {f"pairing_{tf.name}": stress_pairing(state.d, grid, tf)
-                   for tf in phis}
+            row = {"t": state.t, **sphere_columns(state.d, grid, eps)}
+            for name, value in stress_pairing(state.d, grid, phis).items():
+                row[f"pairing_{name}"] = value
             row["defect_count"] = np.array(
                 [float(len(defect_detect(d, grid, eps, defect_r, delta0_sq))) for d in state.d])
             return row

@@ -10,7 +10,9 @@ path axis.  Ensembles and sweeps read those tables as they are;
 split off (:meth:`PathResult.lane`).  The checkpoint record and the
 stepper's ledgers take the energy-budget terms from the same helpers,
 :func:`~selflow.dynamics.director_terms` and
-:func:`~selflow.dynamics.budget_integrands`.
+:func:`~selflow.dynamics.budget_integrands`; a checkpoint hook's row takes
+the penalty mass and sphere deviation from :func:`sphere_columns`, as the
+record does.
 """
 
 from __future__ import annotations
@@ -37,6 +39,17 @@ from .projection import ProjectionError, divergence_bound, interior_divergence_m
 RNG_CHUNK = 256
 
 
+def sphere_columns(d: np.ndarray, grid, eps: float) -> dict:
+    """Penalty mass int (1 - |d|^2)^2 / (4 eps^2) and sphere deviation
+    || |d|^2 - 1 || of a director, one value per path when ``d`` carries a
+    leading path axis."""
+    dev_sq = ops.dot3(d, d) - 1.0
+    return {
+        "penalty": ops.pair_scalar(penalty_density(d, eps), 1.0, grid),
+        "dev_norm": np.sqrt(np.maximum(ops.pair_scalar(dev_sq, dev_sq, grid), 0.0)),
+    }
+
+
 def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
                    h: np.ndarray) -> dict:
     """Every energy-identity term at the current state; batch-transparent
@@ -51,12 +64,12 @@ def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
     grid, u, d = state.grid, state.u, state.d
     kinetic = 0.5 * ops.pair_vec(u, u, grid)
     dirichlet = 0.5 * ops.dirichlet_form_vec(d, d, grid)
-    pen = ops.pair_scalar(penalty_density(d, params.eps), 1.0, grid)
+    sphere = sphere_columns(d, grid, params.eps)
+    pen = sphere["penalty"]
     lap_d, _, tau, dxh, dxhxh = director_terms(d, h, grid, params.eps)
     lap_u = ops.laplacian(u, grid, grid.bc_velocity)
     diss_u, diss_d, hs, strat = budget_integrands(u, lap_u, d, lap_d, tau, dxh, dxhxh,
                                                   grid, S, params)
-    dev_sq = ops.dot3(d, d) - 1.0
     led = state.ledgers
     return {
         "t": state.t,
@@ -75,15 +88,15 @@ def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
         "int_hs": led.int_hs,
         "int_strat": led.int_strat,
         "max_abs_d": np.sqrt(np.max(ops.dot3(d, d), axis=(-2, -1))),
-        "dev_norm": np.sqrt(np.maximum(ops.pair_scalar(dev_sq, dev_sq, grid), 0.0)),
+        "dev_norm": sphere["dev_norm"],
     }
 
 
 @dataclass
 class PathSeries:
-    """Checkpoint table: one array per record field, plus any extra columns
-    contributed by a checkpoint hook.  A column is (n_checkpoints,) for one
-    path and a C-contiguous (paths, n_checkpoints) array for a batch."""
+    """Checkpoint table: one array per record field, or per field of a
+    checkpoint hook's row.  A column is (n_checkpoints,) for one path and a
+    C-contiguous (paths, n_checkpoints) array for a batch."""
 
     columns: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -148,13 +161,16 @@ def simulate_batch(
     kernel mixes lanes, so lane m is bit-identical to a lone run with
     drivers[m].  ``normals_table`` (n_steps, len(drivers), N+1) replaces
     the drivers' streams, one step per row; without it the run takes
-    round(T / dt) steps.  ``weak_tracker`` accumulates per lane, and
-    ``checkpoint_hook(state)`` is called at every checkpoint with the
-    batched state; its dict of per-lane values becomes extra columns.
-    Values shared by all lanes (the clock, untracked ledgers) are repeated
-    on every lane's row.  Raises the stepper's stability / blow-up errors,
-    and :class:`ProjectionError` with the worst lane's value when a checkpoint
-    after step 0 finds a divergence above its ``divergence_bound(proj_tol)``.
+    round(T / dt) steps.  ``weak_tracker`` accumulates per lane.  A
+    checkpoint row is :func:`record_columns`, or, when ``checkpoint_hook``
+    is given, the dict of per-lane values that ``checkpoint_hook(state)``
+    returns for the batched state.  Only the record reads the noise and
+    budget ledgers, so with a hook the steps keep none (they stay 0)
+    whatever ``track_budget`` says.  Values shared by all lanes (the clock,
+    untracked ledgers) are repeated on every lane's row.  Raises the
+    stepper's stability / blow-up errors, and :class:`ProjectionError` with
+    the worst lane's value when a checkpoint after step 0 finds a divergence
+    above its ``divergence_bound(proj_tol)``.
     """
     if normals_table is None:
         n_steps = max(1, int(round(params.T / params.dt)))
@@ -177,15 +193,15 @@ def simulate_batch(
                 raise ProjectionError(
                     f"divergence exceeds proj.tol = {params.proj_tol:.3e} at step {state.step}",
                     float(np.max(div)))
-        rows.append(record_columns(state, params, S, h))
-        if checkpoint_hook is not None:
-            rows[-1].update(checkpoint_hook(state))
+        rows.append(record_columns(state, params, S, h) if checkpoint_hook is None
+                    else checkpoint_hook(state))
 
     emit()
     for step, normals in enumerate(normals_rows):
         step_coupled(
             state, params, S, h, normals,
-            track_budget=track_budget,
+            track_budget=track_budget and checkpoint_hook is None,
+            track_noise=checkpoint_hook is None,
             weak_tracker=weak_tracker,
             track_invariants=track_invariants,
         )

@@ -229,6 +229,12 @@ class TestSimulate:
         pytest.param("simulate", "sim.ly = 2\ninit.u = taylor-green:1,1e308",
                      id="simulate-sim.ly = 2-init.u = taylor-green:1,1e308"),
         ("simulate", "init.u = taylor-green:1,1e200"),
+    ] + [
+        # a domain so short that the automatic dt (about 5e-144) asks for
+        # about 4e140 steps; the run used to go on silently until killed
+        pytest.param("simulate", f"{bc}sim.lx = 1e-70\nsim.T = 0.002",
+                     id=f"simulate-{bc.strip()}-sim.lx = 1e-70-sim.T = 0.002")
+        for bc in ("sim.bc = periodic\n", "sim.bc = bounded\n")
     ])
     def test_value_that_crashed_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                 command, line):

@@ -123,6 +123,31 @@ class TestEnergyRecord:
             val = 0.5 * ops.dirichlet_form_vec(d, d, grid)
             assert abs(val - 2 * np.pi**2) <= 30 * grid.hx**2 * 4 * np.pi**2
 
+    @pytest.mark.parametrize("grid", [Grid(33, 31, lx=1.7), Grid(32, 32, bc_director="neumann"),
+                                      Grid(24, 20, bc_director="dirichlet")],
+                             ids=["periodic", "neumann", "dirichlet"])
+    def test_sphere_columns_are_the_records(self, rng, grid):
+        # a sweep row takes penalty and dev_norm from sphere_columns; they
+        # are the record's columns bit for bit, per lane and batched
+        from selflow.dynamics import SimState
+        from selflow.pathrun import record_columns, sphere_columns
+
+        S = NoiseOperatorS(grid, n_modes=4, sigma0=0.3)
+        h = constant_director(grid, (0.0, 0.0, 0.5))
+        u = taylor_green(grid, 1, 0.2)
+        d = smooth_unit_director(grid, 0.4) + 0.1 * rng.standard_normal((4, 3, grid.nx, grid.ny))
+        params = Params(eps=0.3, dt=1e-4, T=1.0)
+        rec = record_columns(SimState.initial(grid, np.stack([u] * 4), d), params, S, h)
+        sphere = sphere_columns(d, grid, params.eps)
+        assert list(sphere) == ["penalty", "dev_norm"]
+        for name, col in sphere.items():
+            assert col.shape == (4,)
+            assert np.array_equal(col, rec[name]), name
+            for m in range(4):
+                lone = record_columns(SimState.initial(grid, u, d[m]), params, S, h)
+                assert np.array_equal(sphere_columns(d[m], grid, params.eps)[name], lone[name])
+                assert np.array_equal(col[m], lone[name]), name
+
     def test_penalty_of_zero_director(self, grid32, noise32, h_const):
         from selflow.dynamics import SimState
         from selflow.pathrun import record_columns
@@ -225,7 +250,7 @@ class TestStressPairing:
 
     def test_constant_director_zero(self, grid32):
         phi = solenoidal_test_function(grid32)
-        val = stress_pairing(constant_director(grid32, (1, 0, 0)), grid32, phi)
+        val = stress_pairing(constant_director(grid32, (1, 0, 0)), grid32, [phi])[phi.name]
         assert val == 0.0
 
     def test_planar_wave_tensor_value(self, grid32):
@@ -241,7 +266,7 @@ class TestStressPairing:
     def test_pairing_matches_direct_quadrature(self, grid32, rng):
         d = smooth_test_director(grid32)
         phi = solenoidal_test_function(grid32, 2, 1)
-        val = stress_pairing(d, grid32, phi)
+        val = stress_pairing(d, grid32, [phi])[phi.name]
         T = traceless_stress(d, grid32)
         gphi = ops.gradient(phi.values, grid32, "periodic")
         direct = float(
@@ -257,12 +282,31 @@ class TestStressPairing:
         grid = (Grid(32, 32, bc_director="neumann") if bounded
                 else Grid(33, 31, lx=1.7))
         d = rng.standard_normal((5, 3, grid.nx, grid.ny))
-        for phi in (solenoidal_test_function(grid, 1, 1), solenoidal_test_function(grid, 2, 1)):
-            batched = stress_pairing(d, grid, phi)
-            lanes = [stress_pairing(lane, grid, phi) for lane in d]
-            assert batched.shape == (5,)
-            assert all(type(v) is float for v in lanes)
-            assert np.array_equal(batched, lanes)
+        phis = [solenoidal_test_function(grid, 1, 1), solenoidal_test_function(grid, 2, 1)]
+        batched = stress_pairing(d, grid, phis)
+        lanes = [stress_pairing(lane, grid, phis) for lane in d]
+        assert list(batched) == [phi.name for phi in phis]
+        for phi in phis:
+            assert batched[phi.name].shape == (5,)
+            assert all(type(lane[phi.name]) is float for lane in lanes)
+            assert np.array_equal(batched[phi.name], [lane[phi.name] for lane in lanes])
+
+    @pytest.mark.parametrize("grid", [Grid(33, 31, lx=1.7), Grid(32, 32, bc_director="neumann"),
+                                      Grid(24, 20, bc_director="dirichlet")],
+                             ids=["periodic", "neumann", "dirichlet"])
+    def test_one_stress_equals_one_build_per_test_function(self, rng, grid):
+        # one traceless stress shared by all test functions gives, bit for
+        # bit, the pairing that rebuilds the stress for every test function
+        d = rng.standard_normal((3, 3, grid.nx, grid.ny))
+        phis = [solenoidal_test_function(grid, 1, 1), solenoidal_test_function(grid, 2, 1),
+                solenoidal_test_function(grid, 1, 2)]
+        got = stress_pairing(d, grid, phis)
+        assert list(got) == [phi.name for phi in phis]
+        for phi in phis:
+            gphi = ops.gradient(phi.values, grid, phi.bc)
+            lone = np.sum(traceless_stress(d, grid) * gphi * grid.quad_weights(),
+                          axis=(-4, -3, -2, -1))
+            assert np.array_equal(got[phi.name], lone)
 
 
 class TestWeakResiduals:

@@ -31,7 +31,7 @@ from selflow.ensemble import (
 from selflow.grids import Grid
 from selflow.initial import smooth_unit_director, taylor_green, wave_field
 from selflow.noise import NoiseOperatorS, WienerDriver, split_seed
-from selflow.pathrun import simulate_batch, simulate_path
+from selflow.pathrun import record_columns, simulate_batch, simulate_path
 from selflow.projection import leray_project
 
 
@@ -221,10 +221,13 @@ class TestCoupledSweep:
                 rows = []
 
                 def observe(state, eps=eps):
+                    # the hook is the whole row: t, penalty and dev_norm
+                    # come from the full energy record of the lone state
                     d = state.d[0]
-                    rows.append([stress_pairing(d, grid, tf) for tf in phis]
+                    rows.append(list(stress_pairing(d, grid, phis).values())
                                 + [float(len(defect_detect(d, grid, eps, r, threshold)))])
-                    return {}
+                    rec = record_columns(state, replace(params, eps=eps), S, h)
+                    return {name: rec[name] for name in ("t", "penalty", "dev_norm")}
 
                 lone = simulate_path(grid, replace(params, eps=eps), u0, d0, S, h,
                                      WienerDriver(split_seed(13, p), cfg.modes),
@@ -271,6 +274,35 @@ class TestCoupledSweep:
         assert np.array_equal(on.cauchy_se, off.cauchy_se)
         for name in ("times", "penalty", "dev_norm", "defect_count", "pairings"):
             assert np.array_equal(getattr(on, name), getattr(off, name)), name
+
+    def test_steps_keep_no_noise_ledger_and_build_no_record(self, monkeypatch):
+        # no sweep output reads a noise ledger or an energy-record column:
+        # the sweep's steps leave both noise ledgers at 0, and neither the
+        # record nor the HS norm it reads is computed, whatever track.budget
+        # says.  The ensemble of the same config keeps its ledgers (control)
+        import selflow.pathrun as pathrun
+
+        noise = []
+        real = pathrun.step_coupled
+
+        def spy(state, *args, **kw):
+            real(state, *args, **kw)
+            noise.append(np.abs(np.stack([state.ledgers.noise_u, state.ledgers.noise_d])).max())
+            return state
+
+        def refuse(*args, **kw):
+            raise AssertionError("computed by a sweep")
+
+        cfg = small_config(T=0.005, paths=3, sweep_eps="0.3,0.1", checkpoint_every=4,
+                           track_budget=True)
+        monkeypatch.setattr(pathrun, "step_coupled", spy)
+        run_ensemble(cfg)
+        assert noise and min(noise) > 0.0
+        noise.clear()
+        monkeypatch.setattr(pathrun, "record_columns", refuse)
+        monkeypatch.setattr(NoiseOperatorS, "hs_norm_sq", refuse)
+        coupled_sweep(cfg)
+        assert noise and max(noise) == 0.0
 
     def test_single_eps_empty_cauchy(self):
         cfg = small_config(T=0.005, paths=1, seed=13, checkpoint_every=20, sweep_eps="0.3")
