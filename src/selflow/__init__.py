@@ -27,7 +27,7 @@ from .diagnostics import (
     pohozaev_residual,
     stress_pairing,
 )
-from .ensemble import EnsembleStats, SweepResult, coupled_sweep, run_ensemble, run_path
+from .ensemble import SweepResult, coupled_sweep, run_ensemble, run_path
 from .config import ConfigError, RunConfig, canonical_dump, parse_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

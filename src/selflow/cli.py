@@ -113,6 +113,13 @@ def _write_rows(path: Path, header: list[str], rows, comment: str = "") -> None:
             fh.write(",".join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n")
 
 
+def _write_table(path: Path, cols: dict) -> None:
+    """A CSV table of named columns broadcast to one shape: one row per
+    element, in C order, written as :func:`_write_rows` writes numbers."""
+    flat = [np.ravel(col) for col in np.broadcast_arrays(*cols.values())]
+    _write_rows(path, list(cols), zip(*flat))
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     result = run_path(cfg)
     with _run_dir(cfg, "simulate") as run_dir:
@@ -141,22 +148,16 @@ def cmd_ensemble(cfg: RunConfig, threads: int) -> int:
     result = run_ensemble(cfg, threads)
     with _run_dir(cfg, "ensemble") as run_dir:
         _write_manifest(run_dir, cfg, result.seeds, {"paths": cfg.paths})
-        stats = result.stats
-        cols = {"t": stats.times}
-        for n in sorted(stats.mean):
-            for s, table in (("mean", stats.mean), ("se", stats.se),
-                             ("min", stats.min), ("max", stats.max)):
-                cols[f"{n}_{s}"] = table[n]
-        _write_columns_csv(run_dir / "ensemble.csv", cols)
+        _write_columns_csv(run_dir / "ensemble.csv", result.stats.columns)
         paths_dir = run_dir / "paths"
         paths_dir.mkdir(exist_ok=True)
         for i in range(cfg.paths):
             _write_columns_csv(paths_dir / f"path_{i:03d}.csv",
                                {name: col[i] for name, col in result.series.columns.items()})
-        m1, ci1 = stats.ledger_ci("ledger1")
-        m2, ci2 = stats.ledger_ci("ledger2")
-        print(f"ensemble: {cfg.paths} paths, ledger1 = {m1:.3e} (3se {ci1:.3e}), "
-              f"ledger2 = {m2:.3e} (3se {ci2:.3e})")
+        stats = result.stats.columns  # each ledger's mean and 3 se at the last checkpoint
+        print(f"ensemble: {cfg.paths} paths, " + ", ".join(
+            f"{n} = {stats[f'{n}_mean'][-1]:.3e} (3se {3.0 * stats[f'{n}_se'][-1]:.3e})"
+            for n in ("ledger1", "ledger2")))
     return EXIT_OK
 
 
@@ -164,18 +165,12 @@ def cmd_sweep(cfg: RunConfig, threads: int) -> int:
     result = coupled_sweep(cfg, threads)
     with _run_dir(cfg, "sweep") as run_dir:
         _write_manifest(run_dir, cfg, result.seeds, {"eps_list": cfg.sweep_eps})
-        _write_rows(run_dir / "sweep.csv",
-                    ["path", "eps", "t", "penalty", "dev_norm", "defect_count"]
-                    + [f"pairing_{n}" for n in result.phi_names],
-                    ([p, eps, t, result.penalty[p, a, c], result.dev_norm[p, a, c],
-                      result.defect_count[p, a, c]] + list(result.pairings[p, a, c])
-                     for p in range(cfg.paths) for a, eps in enumerate(result.eps_list)
-                     for c, t in enumerate(result.times)))
-        _write_rows(run_dir / "cauchy.csv", ["eps_hi", "eps_lo"] + result.phi_names,
-                    (result.eps_list[gap:gap + 2] + list(result.cauchy_mean[gap])
-                     for gap in range(result.cauchy_mean.shape[0])))
+        index = {"path": np.arange(cfg.paths)[:, None, None],
+                 "eps": np.array(result.eps_list)[:, None]}
+        _write_table(run_dir / "sweep.csv", {**index, **result.series.columns})
+        _write_table(run_dir / "cauchy.csv", result.cauchy.columns)
         print(f"sweep: eps {result.eps_list}, sup penalty per eps "  # of path 0
-              f"{[float(s) for s in result.penalty[0].max(axis=1)]}")
+              f"{[float(s) for s in result.series.columns['penalty'][0].max(axis=1)]}")
     return EXIT_OK
 
 

@@ -34,6 +34,12 @@ BC_MODES = {"periodic": "periodic", "bounded": "neumann", "bounded-dirichlet": "
 # most steps a run may take; a dt far below the time scale would otherwise
 # run for ages without a word
 MAX_STEPS = 10**9
+# most noise-mode values (noise.modes x nx x ny) a run may hold: the noise
+# operator builds its mode shapes and their scaled copies as a few float64
+# arrays of that size (512 MiB each at this bound), and a count far above
+# it failed in numpy's allocation with a traceback.  2048 times the largest
+# grid-and-modes config of the tests and benchmark (8 modes on 64x64)
+MAX_MODE_NODES = 2**26
 
 
 class ConfigError(ValueError):
@@ -232,6 +238,10 @@ def validate(cfg: RunConfig) -> list[tuple[str, str]]:
     if cfg.checkpoint_every < 1:
         out.append(("checkpoint_every", "out.checkpoint_every: must be >= 1"))
     flagged = {attr for attr, _ in out}
+    if not flagged & {"grid", "modes"} and cfg.modes * nx * ny > MAX_MODE_NODES:
+        out.append(("modes", f"noise.modes: {cfg.modes} modes on the {nx}x{ny} grid are "
+                             f"{cfg.modes * nx * ny} mode values, more than the "
+                             f"{MAX_MODE_NODES} a run may hold"))
     # the energy and the noise bounds square these
     for attr in ("eps", "sigma0", "xi1", "xi2"):
         x = getattr(cfg, attr)
@@ -326,17 +336,19 @@ def config_hash(cfg: RunConfig) -> str:
 # builders
 # ---------------------------------------------------------------------------
 
-def _read_spec_file(grid: Grid, attr: str, path: str) -> np.ndarray:
+def _read_spec_file(cfg: RunConfig, grid: Grid, attr: str, path: str) -> np.ndarray:
     """Values of the ``file:`` snapshot of spec ``attr``; raises
-    :class:`ConfigError` naming the key unless the snapshot holds the spec's
-    component count on the grid's node counts, lengths and layout (periodic
-    or not)."""
+    :class:`ConfigError` naming the key and its line unless the snapshot
+    holds the spec's component count on the grid's node counts, lengths and
+    layout (periodic or not)."""
     snap, values = read_snapshot(path)
     got = (snap.check_values(values), snap.nx, snap.ny, snap.lx, snap.ly, snap.periodic)
     want = (SPEC_FORMS[attr]["file"], grid.nx, grid.ny, grid.lx, grid.ly, grid.periodic)
     if got != want:
-        raise ConfigError([(0, f"{_ATTR_TO_KEY[attr]}: snapshot {path} has (components, nx, "
-                               f"ny, lx, ly, periodic) = {got}, the config needs {want}")])
+        key = _ATTR_TO_KEY[attr]
+        raise ConfigError([(cfg.lines.get(key, 0), f"{key}: snapshot {path} has (components, "
+                                                  f"nx, ny, lx, ly, periodic) = {got}, the "
+                                                  f"config needs {want}")])
     return values
 
 
@@ -369,7 +381,7 @@ def build_initial_u(cfg: RunConfig, grid: Grid) -> np.ndarray:
         return zero_velocity(grid)
     if kind == "taylor-green":
         return taylor_green(grid, *args)
-    return _read_spec_file(grid, "init_u", args[0])
+    return _read_spec_file(cfg, grid, "init_u", args[0])
 
 
 def build_initial_d(cfg: RunConfig, grid: Grid) -> np.ndarray:
@@ -383,7 +395,7 @@ def build_initial_d(cfg: RunConfig, grid: Grid) -> np.ndarray:
         return smooth_unit_director(grid, *args)
     if kind == "unit-mixed":
         return mixed_unit_director(grid, *args)
-    return _read_spec_file(grid, "init_d", args[0])
+    return _read_spec_file(cfg, grid, "init_d", args[0])
 
 
 def build_magnetic_field(cfg: RunConfig, grid: Grid) -> np.ndarray:
@@ -393,7 +405,7 @@ def build_magnetic_field(cfg: RunConfig, grid: Grid) -> np.ndarray:
         return constant_director(grid, tuple(args) or (0.0, 0.0, 0.5))
     if kind == "wave":
         return wave_field(grid, tuple(args) or (0.2, 0.2, 0.5))
-    return _read_spec_file(grid, "h_spec", args[0])
+    return _read_spec_file(cfg, grid, "h_spec", args[0])
 
 
 def build_noise_operator(cfg: RunConfig, grid: Grid) -> NoiseOperatorS:

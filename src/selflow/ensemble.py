@@ -8,8 +8,9 @@ sweeps run their paths through one grouped lane runner, which joins the
 groups' batched checkpoint tables into one (paths, n_checkpoints) table in
 path-index order; statistics reduce over its path axis, so they are
 bit-identical no matter in which order (or on how many threads) the paths
-actually executed.  A sweep's record is one :class:`SweepResult` holding
-every path's observables at every eps.
+actually executed.  Each runner returns the tables its command writes, as
+:class:`PathSeries` columns: an ensemble its statistics, a sweep every
+path's checkpoint row at every eps and the Cauchy gaps between them.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from .fields import TestFunction, director_test_function, solenoidal_test_functi
 from .noise import WienerDriver, split_seed
 from .pathrun import PathResult, PathSeries, simulate_batch, simulate_path, sphere_columns
 
-STAT_FIELDS = ("kinetic", "dirichlet", "penalty", "total", "ledger1", "ledger2",
-               "dev_norm", "max_abs_d")
+# the record columns an ensemble reduces, in ensemble.csv order
+STAT_FIELDS = ("dev_norm", "dirichlet", "kinetic", "ledger1", "ledger2", "max_abs_d",
+               "penalty", "total")
 
 # Grid nodes per lane group.  A step's temporaries scale with lanes x nodes;
 # at 16384 nodes a director-sized (3-component) temporary is about 0.4 MB,
@@ -50,42 +52,21 @@ LANE_NODES = 16384
 
 
 @dataclass
-class EnsembleStats:
-    """Per-checkpoint sample statistics of the tracked scalars."""
-
-    times: np.ndarray
-    mean: dict[str, np.ndarray]
-    se: dict[str, np.ndarray]
-    min: dict[str, np.ndarray]
-    max: dict[str, np.ndarray]
-
-    def ledger_ci(self, name: str) -> tuple[float, float]:
-        """(sample mean, 3 standard errors) of a ledger at the last checkpoint."""
-        return float(self.mean[name][-1]), float(3.0 * self.se[name][-1])
-
-
-@dataclass
 class EnsembleResult:
-    stats: EnsembleStats
+    stats: PathSeries   # the ensemble.csv table (see reduce_stats)
     series: PathSeries  # columns (paths, n_checkpoints)
     seeds: list[int]
 
 
 @dataclass
 class SweepResult:
-    """Coupled relaxation-parameter sweep: each path's observables at every
-    eps and checkpoint, and the Cauchy differences of the stress pairings
-    between consecutive eps at the last checkpoint, averaged over paths."""
+    """Coupled relaxation-parameter sweep: each path's checkpoint row at
+    every eps, and the Cauchy differences of the stress pairings between
+    consecutive eps at the last checkpoint, averaged over paths."""
 
     eps_list: list[float]
-    times: np.ndarray          # (n_check,)
-    phi_names: list[str]
-    penalty: np.ndarray        # (paths, n_eps, n_check)
-    dev_norm: np.ndarray       # (paths, n_eps, n_check)  || |d|^2 - 1 ||
-    defect_count: np.ndarray   # (paths, n_eps, n_check)
-    pairings: np.ndarray       # (paths, n_eps, n_check, n_phi)
-    cauchy_mean: np.ndarray    # (n_eps - 1, n_phi)
-    cauchy_se: np.ndarray      # (n_eps - 1, n_phi)
+    series: PathSeries  # the hook's columns (paths, n_eps, n_check)
+    cauchy: PathSeries  # eps_hi, eps_lo, then one (n_eps - 1,) column per test function
     seeds: list[int]
 
 
@@ -173,29 +154,31 @@ def _run_lanes(config: RunConfig, grid, params, u0, d0, S, h, threads: int, *,
 
 def run_ensemble(config: RunConfig, threads: int = 1, *,
                  order: list[int] | None = None) -> EnsembleResult:
-    """The ``ensemble.paths`` paths of ``config``, merged into EnsembleStats.
-    Row i of every checkpoint column is bit-identical to the column of
-    :func:`run_path` with ``noise.seed = result.seeds[i]`` (see :func:`_run_lanes`
-    for the grouping, ``threads`` and ``order``)."""
+    """The ``ensemble.paths`` paths of ``config`` and their statistics
+    (:func:`reduce_stats`).  Row i of every checkpoint column is
+    bit-identical to the column of :func:`run_path` with ``noise.seed =
+    result.seeds[i]`` (see :func:`_run_lanes` for the grouping, ``threads``
+    and ``order``)."""
     grid, u0, d0, params, S, h = _build(config)
     series, seeds = _run_lanes(config, grid, params, u0, d0, S, h, threads, order=order)
     return EnsembleResult(stats=reduce_stats(series), series=series, seeds=seeds)
 
 
-def reduce_stats(series: PathSeries) -> EnsembleStats:
-    """Per-checkpoint statistics over the path axis of a (paths,
-    n_checkpoints) table."""
+def reduce_stats(series: PathSeries) -> PathSeries:
+    """The ``ensemble.csv`` table of a (paths, n_checkpoints) table: ``t``,
+    then the sample mean, standard error, min and max over the path axis of
+    each STAT_FIELDS column, per checkpoint."""
     c = series.columns
     n = c["t"].shape[0]
-    mean, se, mn, mx = {}, {}, {}, {}
+    stats = {"t": c["t"][0]}
     for name in STAT_FIELDS:
         table = c[name]
-        mean[name] = table.mean(axis=0)
         v = table.var(axis=0, ddof=1) if n > 1 else np.zeros(table.shape[1])
-        se[name] = np.sqrt(v / n)
-        mn[name] = table.min(axis=0)
-        mx[name] = table.max(axis=0)
-    return EnsembleStats(times=c["t"][0], mean=mean, se=se, min=mn, max=mx)
+        stats[f"{name}_mean"] = table.mean(axis=0)
+        stats[f"{name}_se"] = np.sqrt(v / n)
+        stats[f"{name}_min"] = table.min(axis=0)
+        stats[f"{name}_max"] = table.max(axis=0)
+    return PathSeries(stats)
 
 
 def coupled_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
@@ -209,9 +192,9 @@ def coupled_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     stable for every eps.  No sweep output reads a ledger or the energy
     record: the checkpoint hook is the whole row, so the paths keep no
     ledgers whatever ``track.budget`` says, and the record is not built.
-    Every checkpoint records the stress pairings (one traceless stress for
-    all test functions), penalty mass, sphere deviation and defect count
-    of each path.
+    Every checkpoint records, per path and in ``sweep.csv`` order, the
+    clock, penalty mass, sphere deviation, defect count and stress
+    pairings (one traceless stress for all test functions).
     """
     eps_list = parse_eps_list(config.sweep_eps)
     config = replace(config, eps=eps_list[-1])
@@ -225,36 +208,20 @@ def coupled_sweep(config: RunConfig, threads: int = 1) -> SweepResult:
     for eps in eps_list:
         def hook(state, eps=eps):
             row = {"t": state.t, **sphere_columns(state.d, grid, eps)}
-            for name, value in stress_pairing(state.d, grid, phis).items():
-                row[f"pairing_{name}"] = value
             row["defect_count"] = np.array(
                 [float(len(defect_detect(d, grid, eps, defect_r, delta0_sq))) for d in state.d])
+            for name, value in stress_pairing(state.d, grid, phis).items():
+                row[f"pairing_{name}"] = value
             return row
 
         series, seeds = _run_lanes(config, grid, replace(params, eps=eps), u0, d0, S, h,
                                    threads, checkpoint_hook=hook)
         runs.append(series.columns)
 
-    def by_eps(name: str) -> np.ndarray:  # (paths, n_eps, n_check)
-        return np.stack([cols[name] for cols in runs], axis=1)
-
-    pairings = np.stack([by_eps(f"pairing_{n}") for n in names], axis=-1)
-    gaps = np.abs(np.diff(pairings[:, :, -1, :], axis=1))  # (paths, n_eps-1, n_phi)
-    mean = gaps.mean(axis=0)
-    se = (
-        gaps.std(axis=0, ddof=1) / np.sqrt(config.paths)
-        if config.paths > 1
-        else np.zeros_like(mean)
-    )
-    return SweepResult(
-        eps_list=eps_list,
-        times=runs[0]["t"][0],
-        phi_names=names,
-        penalty=by_eps("penalty"),
-        dev_norm=by_eps("dev_norm"),
-        defect_count=by_eps("defect_count"),
-        pairings=pairings,
-        cauchy_mean=mean,
-        cauchy_se=se,
-        seeds=seeds,
-    )
+    series = PathSeries({name: np.stack([cols[name] for cols in runs], axis=1)
+                         for name in runs[0]})
+    last = np.stack([series.columns[f"pairing_{n}"][:, :, -1] for n in names], axis=-1)
+    gaps = np.abs(np.diff(last, axis=1)).mean(axis=0)  # (n_eps - 1, n_phi)
+    cauchy = PathSeries({"eps_hi": np.array(eps_list[:-1]), "eps_lo": np.array(eps_list[1:]),
+                         **dict(zip(names, gaps.T))})
+    return SweepResult(eps_list, series, cauchy, seeds)

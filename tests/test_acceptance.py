@@ -127,10 +127,10 @@ def test_criterion_02_energy_budget_identity():
 
 
 def test_criterion_03_martingale_zero_mean(ensemble_64paths):
-    result = ensemble_64paths
+    stats = ensemble_64paths.stats.columns
     lines = []
     for name in ("ledger1", "ledger2"):
-        mean, ci3 = result.stats.ledger_ci(name)
+        mean, ci3 = stats[f"{name}_mean"][-1], 3.0 * stats[f"{name}_se"][-1]
         assert abs(mean) <= ci3
         lines.append(f"{name} = {mean:+.3e} (3se {ci3:.3e})")
     report(3, "; ".join(lines))
@@ -240,10 +240,10 @@ def shared_sweep():
 
 
 def test_criterion_08_penalty_eps_scaling(shared_sweep):
-    sup_pen = shared_sweep.penalty[0].max(axis=1)
+    sup_pen = shared_sweep.series.columns["penalty"][0].max(axis=1)
     # one constant bounds sup_t int F_eps across the whole family
     assert np.max(sup_pen) <= 1.2 * sup_pen[0]
-    dev = shared_sweep.dev_norm[0, :, -1]
+    dev = shared_sweep.series.columns["dev_norm"][0, :, -1]
     r1, r2 = dev[0] / dev[1], dev[1] / dev[2]
     assert r1 >= 1.5 and r2 >= 1.5
     report(8, f"sup penalty {[float(round(v, 5)) for v in sup_pen]} within 20% of "
@@ -252,9 +252,10 @@ def test_criterion_08_penalty_eps_scaling(shared_sweep):
 
 def test_criterion_09_stress_pairing_cauchy(shared_sweep):
     # (2 gaps, 3 test functions); the mean over the one path is its gaps
-    cauchy = shared_sweep.cauchy_mean
+    cauchy = np.stack([shared_sweep.cauchy.columns[n] for n in ("phi11", "phi21", "phi12")],
+                      axis=-1)
     decreasing = int(np.sum(cauchy[0] > cauchy[1]))
-    fired = shared_sweep.defect_count[0, :, -1]
+    fired = shared_sweep.series.columns["defect_count"][0, :, -1]
     caveat = " (concentration caveat: defects detected)" if fired.any() else ""
     assert decreasing >= 2
     report(9, f"pairing Cauchy gaps {np.round(cauchy[0], 6)} -> "
@@ -295,9 +296,9 @@ def test_criterion_12_reproducibility(ensemble_64paths):
     assert lane_width(build_grid(ENSEMBLE_CFG)) == 16
     shuffled_order = [3, 1, 2, 0]
     second = run_ensemble(ENSEMBLE_CFG, threads=2, order=shuffled_order)
-    for name in first.stats.mean:
-        assert np.array_equal(first.stats.mean[name], second.stats.mean[name])
-        assert np.array_equal(first.stats.min[name], second.stats.min[name])
+    assert first.stats.columns.keys() == second.stats.columns.keys()
+    for name, col in first.stats.columns.items():
+        assert np.array_equal(col, second.stats.columns[name]), name
     assert first.series.columns.keys() == second.series.columns.keys()
     for k, col in first.series.columns.items():
         assert np.array_equal(col, second.series.columns[k])

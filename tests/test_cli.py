@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selflow.cli import main
-from selflow.config import SCHEMA
+from selflow import ensemble
+from selflow.config import SCHEMA, parse_config
 from selflow.diagnostics import default_defect_radius
+from selflow.ensemble import coupled_sweep, run_ensemble
 from selflow.fields import MAGIC, write_snapshot
 from selflow.grids import Grid
 from selflow.initial import constant_director, vortex_director
@@ -185,7 +187,20 @@ class TestSimulate:
         text = "".join(line + "\n" for line in TINY.splitlines() if not line.startswith(key))
         assert main(["simulate", write_cfg(tmp_path, text + f"{key} = file:{snap}\n")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {key}: snapshot {snap} has ")
+        line = len(text.splitlines()) + 1
+        assert err.startswith(f"config error: line {line}: {key}: snapshot {snap} has ")
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_mismatched_snapshot_names_its_line(self, tmp_path, monkeypatch, capsys):
+        # an 8x8 director snapshot given on line 3 of a 16x16 config
+        out = out_env(tmp_path, monkeypatch)
+        snap = tmp_path / "d8.fld"
+        write_snapshot(snap, Grid(8, 8), constant_director(Grid(8, 8), (0, 0, 1)))
+        text = f"sim.grid = 16x16\nsim.T = 0.002\ninit.d = file:{snap}\n"
+        assert main(["simulate", write_cfg(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 3: init.d: ")
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
@@ -235,13 +250,19 @@ class TestSimulate:
         pytest.param("simulate", f"{bc}sim.lx = 1e-70\nsim.T = 0.002",
                      id=f"simulate-{bc.strip()}-sim.lx = 1e-70-sim.T = 0.002")
         for bc in ("sim.bc = periodic\n", "sim.bc = bounded\n")
+    ] + [
+        # 10**12 modes on 8x8 died in numpy's allocation of the mode shapes
+        pytest.param("simulate", "sim.grid = 8x8\nnoise.modes = 1000000000000",
+                     id="simulate-sim.grid = 8x8-noise.modes = 10**12"),
     ])
     def test_value_that_crashed_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                 command, line):
         out = out_env(tmp_path, monkeypatch)
         *before, line = line.split("\n")
         key = line.split()[0]
-        text = "".join(ln + "\n" for ln in TINY.splitlines() + before if not ln.startswith(key))
+        keys = tuple(ln.split()[0] + " " for ln in before + [line])
+        text = "".join(ln + "\n" for ln in TINY.splitlines() if not ln.startswith(keys))
+        text += "".join(ln + "\n" for ln in before)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before numpy warns
             assert main([command, write_cfg(tmp_path, text + line + "\n")]) == 1
@@ -335,6 +356,41 @@ class TestSweep:
         sweep = (run / "sweep.csv").read_text().splitlines()
         assert len(sweep) == 1 + 2 * 3
         assert float(sweep[2].split(",")[2]) == pytest.approx(10 * 1e-4, rel=1e-12)
+
+
+class TestTables:
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_csv_columns_are_the_runner_tables(self, tmp_path, monkeypatch, extra):
+        # sweep.csv is path and eps, then the columns of coupled_sweep's
+        # series in (path, eps, checkpoint) order, and ensemble.csv is
+        # run_ensemble's stats table, value for value; a column the sweep
+        # hook adds (extra) reaches sweep.csv with no writer edit
+        if extra:
+            real = ensemble.sphere_columns
+            monkeypatch.setattr(ensemble, "sphere_columns",
+                                lambda d, grid, eps: {**real(d, grid, eps), "extra": 2.0 * eps})
+        out = out_env(tmp_path, monkeypatch)
+        text = TINY + "sweep.eps = 0.3,0.15\nensemble.paths = 2\n"
+        cfg = parse_config(text)
+        sweep, stats = coupled_sweep(cfg).series.columns, run_ensemble(cfg).stats.columns
+        assert ("extra" in sweep) == extra
+        for command in ("sweep", "ensemble"):
+            assert main([command, write_cfg(tmp_path, text)]) == 0
+        runs = {run.name.split("-")[0]: run for run in out.iterdir()}
+
+        header, *rows = (runs["sweep"] / "sweep.csv").read_text().splitlines()
+        assert header == ",".join(["path", "eps", *sweep])
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        shape = sweep["t"].shape
+        index = [np.arange(2)[:, None, None], np.array([0.3, 0.15])[:, None]]
+        for k, col in enumerate(index + list(sweep.values())):
+            assert np.array_equal(table[:, k], np.broadcast_to(col, shape).ravel()), k
+
+        header, *rows = (runs["ensemble"] / "ensemble.csv").read_text().splitlines()
+        assert header == ",".join(stats)
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        for k, col in enumerate(stats.values()):
+            assert np.array_equal(table[:, k], col), k
 
 
 class TestThreads:

@@ -92,6 +92,18 @@ class TestParse:
             parse_config(f"sim.T = 1.0\n{line}\n")
         assert err.value.problems == [(2, problem)]
 
+    def test_mode_values_bounded(self, monkeypatch):
+        # modes x nx x ny up to MAX_MODE_NODES parse, one mode more is refused
+        # under noise.modes (the bound is lowered here, so nothing is built)
+        from selflow import config
+
+        monkeypatch.setattr(config, "MAX_MODE_NODES", 5 * 8 * 6)
+        assert parse_config("sim.grid = 8x6\nnoise.modes = 5\n").modes == 5
+        with pytest.raises(ConfigError) as err:
+            parse_config("sim.grid = 8x6\nnoise.modes = 6\n")
+        assert err.value.problems == [(2, "noise.modes: 6 modes on the 8x6 grid are 288 mode "
+                                          "values, more than the 240 a run may hold")]
+
     @pytest.mark.parametrize("key", ["init.u", "init.d", "field.h"])
     @pytest.mark.parametrize("spec", ["file", "file:"])
     def test_file_form_needs_path(self, key, spec):

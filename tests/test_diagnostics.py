@@ -862,16 +862,20 @@ class TestEpsilonSweep:
     def test_deterministic_same_seed(self):
         r1 = self._sweep(seed=4)
         r2 = self._sweep(seed=4)
-        assert np.array_equal(r1.pairings, r2.pairings)
-        assert np.array_equal(r1.penalty, r2.penalty)
+        for name in ("pairing_phi11", "pairing_phi21", "pairing_phi12", "penalty"):
+            assert np.array_equal(r1.series.columns[name], r2.series.columns[name]), name
 
     def test_shapes_and_cauchy(self):
         r = self._sweep(eps_list=(0.4, 0.2, 0.1))
-        n_check = r.times.shape[0]
-        assert r.pairings.shape == (1, 3, n_check, 3)
-        for name in ("penalty", "dev_norm", "defect_count"):
-            assert getattr(r, name).shape == (1, 3, n_check), name
-        assert r.cauchy_mean.shape == r.cauchy_se.shape == (2, 3)
+        cols = r.series.columns
+        n_check = cols["t"].shape[-1]
+        assert list(cols) == ["t", "penalty", "dev_norm", "defect_count",
+                              "pairing_phi11", "pairing_phi21", "pairing_phi12"]
+        for name, col in cols.items():
+            assert col.shape == (1, 3, n_check), name
+        assert list(r.cauchy.columns) == ["eps_hi", "eps_lo", "phi11", "phi21", "phi12"]
+        for name, col in r.cauchy.columns.items():
+            assert col.shape == (2,), name
 
     def test_eps_list_must_decrease(self):
         with pytest.raises(ValueError):
@@ -882,8 +886,8 @@ class TestEpsilonSweep:
         # of the definition of F_eps, checked on the sweep output
         r = self._sweep(eps_list=(0.3, 0.15), T=0.02)
         for a, eps in enumerate(r.eps_list):
-            bound = 2.0 * eps * np.sqrt(max(r.penalty[0, a].max(), 0.0))
-            assert r.dev_norm[0, a, -1] <= bound * (1 + 1e-9) + 1e-12
+            bound = 2.0 * eps * np.sqrt(max(r.series.columns["penalty"][0, a].max(), 0.0))
+            assert r.series.columns["dev_norm"][0, a, -1] <= bound * (1 + 1e-9) + 1e-12
 
 
 class TestGronwall:

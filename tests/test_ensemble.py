@@ -90,13 +90,14 @@ class TestRunEnsemble:
     def test_zero_noise_zero_variance(self):
         cfg = small_config(xi1=0.0, xi2=0.0, paths=4, seed=5, checkpoint_every=20)
         res = run_ensemble(cfg)
-        assert np.max(res.stats.se["total"]) == 0.0
+        assert np.max(res.stats.columns["total_se"]) == 0.0
 
     def test_ledger_means_near_zero(self):
         cfg = small_config(T=0.02, paths=24, seed=7, checkpoint_every=40)
         res = run_ensemble(cfg)
+        stats = res.stats.columns
         for name in ("ledger1", "ledger2"):
-            mean, ci = res.stats.ledger_ci(name)
+            mean, ci = stats[f"{name}_mean"][-1], 3.0 * stats[f"{name}_se"][-1]
             assert abs(mean) <= ci + 1e-12
 
     def test_se_shrinks_with_more_paths(self):
@@ -105,7 +106,7 @@ class TestRunEnsemble:
         se = {}
         for m in (8, 32):
             res = run_ensemble(small_config(T=0.02, paths=m, seed=9, checkpoint_every=40))
-            se[m] = res.stats.se["ledger1"][-1]
+            se[m] = res.stats.columns["ledger1_se"][-1]
         ratio = se[32] / se[8]
         assert 0.7 * 0.5 <= ratio <= 1.4 * 0.5
 
@@ -114,9 +115,9 @@ class TestRunEnsemble:
         monkeypatch.setattr(ensemble, "LANE_NODES", 4 * 16 * 16)  # two groups of 4 paths
         a = run_ensemble(cfg)
         b = run_ensemble(cfg, order=[1, 0])
-        for k in a.stats.mean:
-            assert np.array_equal(a.stats.mean[k], b.stats.mean[k])
-            assert np.array_equal(a.stats.max[k], b.stats.max[k])
+        assert a.stats.columns.keys() == b.stats.columns.keys()
+        for k, col in a.stats.columns.items():
+            assert np.array_equal(col, b.stats.columns[k]), k
 
     def test_batched_matches_per_path(self, monkeypatch):
         # every lane equals its lone path bit for bit, whatever the batch
@@ -211,12 +212,17 @@ class TestCoupledSweep:
         phis = default_sweep_test_functions(grid)
         r = 8.0 * max(grid.hx, grid.hy)
         threshold = default_defect_threshold(grid, eps_list[0], r)
+        names = [tf.name for tf in phis]
+        cols = res.series.columns
         assert res.eps_list == eps_list
-        assert res.phi_names == [tf.name for tf in phis]
-        assert res.penalty.shape[0] == n_paths
+        assert list(cols) == (["t", "penalty", "dev_norm", "defect_count"]
+                              + [f"pairing_{n}" for n in names])
+        assert list(res.cauchy.columns) == ["eps_hi", "eps_lo", *names]
+        assert cols["penalty"].shape[0] == n_paths
+        pairing = np.stack([cols[f"pairing_{n}"] for n in names], axis=-1)
         gaps = []
         for p in range(n_paths):
-            penalty, dev, counts, pairings = [], [], [], []
+            times, penalty, dev, counts, pairings = [], [], [], [], []
             for eps in eps_list:
                 rows = []
 
@@ -236,21 +242,22 @@ class TestCoupledSweep:
                 rows = np.array(rows)
                 pairings.append(rows[:, :-1])
                 counts.append(rows[:, -1])
+                times.append(lone.series.columns["t"])
                 penalty.append(lone.series.columns["penalty"])
                 dev.append(lone.series.columns["dev_norm"])
-            assert np.array_equal(res.times, lone.series.columns["t"])
-            assert np.array_equal(res.penalty[p], np.array(penalty))
-            assert np.array_equal(res.dev_norm[p], np.array(dev))
-            assert np.array_equal(res.defect_count[p], np.array(counts))
-            assert np.array_equal(res.pairings[p], np.array(pairings))
-            assert res.defect_count[p, -1].max() > 0
+            assert np.array_equal(cols["t"][p], np.array(times))
+            assert np.array_equal(cols["penalty"][p], np.array(penalty))
+            assert np.array_equal(cols["dev_norm"][p], np.array(dev))
+            assert np.array_equal(cols["defect_count"][p], np.array(counts))
+            assert np.array_equal(pairing[p], np.array(pairings))
+            assert cols["defect_count"][p, -1].max() > 0
             # last-checkpoint gaps between consecutive eps
             gaps.append(np.abs(np.diff(np.array(pairings)[:, -1, :], axis=0)))
         cauchy = np.stack(gaps)
-        assert np.array_equal(res.cauchy_mean, cauchy.mean(axis=0))
-        se = (cauchy.std(axis=0, ddof=1) / np.sqrt(n_paths) if n_paths > 1
-              else np.zeros_like(res.cauchy_mean))
-        assert np.array_equal(res.cauchy_se, se)
+        assert np.array_equal(res.cauchy.columns["eps_hi"], eps_list[:-1])
+        assert np.array_equal(res.cauchy.columns["eps_lo"], eps_list[1:])
+        assert np.array_equal(np.stack([res.cauchy.columns[n] for n in names], axis=-1),
+                              cauchy.mean(axis=0))
 
     def test_budget_flag_ignored(self, monkeypatch):
         # no sweep output reads a ledger: the sweep steps with the budget off
@@ -270,10 +277,11 @@ class TestCoupledSweep:
         on = coupled_sweep(replace(cfg, track_budget=True))
         assert flags and not any(flags)
         assert on.seeds == off.seeds == [split_seed(11, p) for p in range(2)]
-        assert np.array_equal(on.cauchy_mean, off.cauchy_mean)
-        assert np.array_equal(on.cauchy_se, off.cauchy_se)
-        for name in ("times", "penalty", "dev_norm", "defect_count", "pairings"):
-            assert np.array_equal(getattr(on, name), getattr(off, name)), name
+        for table in ("series", "cauchy"):
+            a, b = getattr(on, table).columns, getattr(off, table).columns
+            assert a.keys() == b.keys()
+            for name, col in a.items():
+                assert np.array_equal(col, b[name]), (table, name)
 
     def test_steps_keep_no_noise_ledger_and_build_no_record(self, monkeypatch):
         # no sweep output reads a noise ledger or an energy-record column:
@@ -307,4 +315,5 @@ class TestCoupledSweep:
     def test_single_eps_empty_cauchy(self):
         cfg = small_config(T=0.005, paths=1, seed=13, checkpoint_every=20, sweep_eps="0.3")
         res = coupled_sweep(cfg)
-        assert res.cauchy_mean.shape[0] == 0
+        assert list(res.cauchy.columns) == ["eps_hi", "eps_lo", "phi11", "phi21", "phi12"]
+        assert all(col.shape == (0,) for col in res.cauchy.columns.values())

@@ -1,7 +1,8 @@
 """Every import under src/selflow is used, every public function or class
-is read by the package or the benchmark harness, and every defaulted
-parameter of the public API is passed by one of them: a stale import, API
-that only tests call or a parameter that only tests set fails tier-1.
+and every field of a public dataclass is read by the package or the
+benchmark harness, and every defaulted parameter of the public API is
+passed by one of them: a stale import, API or result field that only tests
+read, or a parameter that only tests set fails tier-1.
 
 No linter ships with the toolchain, so this parses each module with ``ast``.
 The package ``__init__`` is skipped; its imports are the public API.
@@ -225,3 +226,61 @@ def test_every_default_is_passed_by_the_package_or_the_harness():
     assert unpassed == [], f"defaulted parameters only tests pass (callee, name): {unpassed}"
     stale = sorted(set(UNPASSED_ALLOWED) - found)
     assert stale == [], f"allowed entries that are passed now or gone: {stale}"
+
+
+# (class, field) of public dataclasses that nothing under src/selflow or
+# perfbench/ reads, kept on purpose
+UNREAD_FIELDS_ALLOWED: set[tuple[str, str]] = set()
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d, "id", None) == "dataclass" or getattr(d, "attr", None) == "dataclass"
+               for d in (dec.func if isinstance(dec, ast.Call) else dec
+                         for dec in node.decorator_list))
+
+
+def unread_dataclass_fields(src: Path, harness: Path) -> set[tuple[str, str]]:
+    """(class, field) of each field of a public dataclass of the modules in
+    ``src`` that no Python file under ``src`` or ``harness`` reads, as a
+    loaded attribute (``x.field``) or as a string constant (a ``getattr``
+    name, or an attribute name in ``config.SCHEMA``)."""
+    src_trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))]
+    harness_trees = [ast.parse(path.read_text(encoding="utf-8"))
+                     for path in sorted(harness.rglob("*.py"))]
+    reads = set()
+    for node in (n for tree in src_trees + harness_trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+    return {(node.name, stmt.target.id) for tree in src_trees for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            and _is_dataclass(node)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in reads}
+
+
+def test_finder_flags_an_unread_dataclass_field(tmp_path):
+    src, harness = tmp_path / "src", tmp_path / "harness"
+    src.mkdir()
+    harness.mkdir()
+    (src / "a.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass Result:\n    read: int\n    named: str\n    unread: float\n"
+        "    written: int = 0\n\n\n"
+        "@dataclasses.dataclass(frozen=True)\nclass Frozen:\n    benched: int\n    idle: int\n\n\n"
+        "@dataclass\nclass _Private:\n    hidden: int\n\n\n"
+        "class Plain:\n    attr: int\n\n\n"
+        "def use(r):\n    r.written = 1\n    return r.read, getattr(r, 'named')\n")
+    (harness / "run.py").write_text("def bench(f):\n    return f.benched\n")
+    assert unread_dataclass_fields(src, harness) == {
+        ("Result", "unread"), ("Result", "written"), ("Frozen", "idle")}
+
+
+def test_every_dataclass_field_is_read_by_the_package_or_the_harness():
+    found = unread_dataclass_fields(SRC, PERFBENCH)
+    unread = sorted(found - UNREAD_FIELDS_ALLOWED)
+    assert unread == [], f"dataclass fields only tests read (class, field): {unread}"
+    stale = sorted(UNREAD_FIELDS_ALLOWED - found)
+    assert stale == [], f"allowed entries that are read now or gone: {stale}"
