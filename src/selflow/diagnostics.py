@@ -30,10 +30,9 @@ class GeometryError(ValueError):
 
 def energy_budget_residual(series: PathSeries, params: Params):
     """Defect of the stochastic energy identity over [0, T]: the last entry
-    of :func:`budget_residual_series` less its first, a float for one path
-    and one value per path for a (paths, n_checkpoints) table."""
-    res = budget_residual_series(series, params)
-    out = res[..., -1] - res[..., 0]
+    of :func:`budget_residual_series`, a float for one path and one value
+    per path for a (paths, n_checkpoints) table."""
+    out = budget_residual_series(series, params)[..., -1]
     return float(out) if out.ndim == 0 else out
 
 

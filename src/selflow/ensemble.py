@@ -23,11 +23,9 @@ import numpy as np
 from .config import (
     RunConfig,
     build_grid,
-    build_initial_d,
-    build_initial_u,
-    build_magnetic_field,
     build_noise_operator,
     build_params,
+    checked_field,
     parse_eps_list,
 )
 from .diagnostics import (
@@ -71,12 +69,12 @@ class SweepResult:
 
 
 def _build(config: RunConfig):
-    """(grid, u0, d0, params, S, h) of a config."""
+    """(grid, u0, d0, params, S, h) of a config, its fields checked finite."""
     grid = build_grid(config)
-    u0 = build_initial_u(config, grid)
-    d0 = build_initial_d(config, grid)
+    u0 = checked_field(config, grid, "init_u")
+    d0 = checked_field(config, grid, "init_d")
     params = build_params(config, grid, umax=float(np.max(np.abs(u0))))
-    return grid, u0, d0, params, build_noise_operator(config, grid), build_magnetic_field(config, grid)
+    return grid, u0, d0, params, build_noise_operator(config, grid), checked_field(config, grid, "h_spec")
 
 
 def run_path(config: RunConfig) -> PathResult:

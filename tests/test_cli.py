@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: subcommands, exit codes, artifacts."""
 
+import contextlib
+import io
 import os
 import re
 import struct
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from selflow.cli import main
 from selflow import ensemble
-from selflow.config import SCHEMA, parse_config
+from selflow.config import SCHEMA, SPEC_FORMS, parse_config
 from selflow.diagnostics import default_defect_radius
 from selflow.ensemble import coupled_sweep, run_ensemble
 from selflow.fields import MAGIC, write_snapshot
@@ -251,6 +253,19 @@ class TestSimulate:
                      id=f"simulate-{bc.strip()}-sim.lx = 1e-70-sim.T = 0.002")
         for bc in ("sim.bc = periodic\n", "sim.bc = bounded\n")
     ] + [
+        # initial fields that overflow while built: the vortex's core**2
+        # raised OverflowError, the others ran on an all-zero director, on
+        # one with |d|^2 = 0 at some nodes, or blew up at step 0
+        (command, "init.d = vortex:0.5,0.5,1e300") for command in ("simulate", "ensemble", "sweep")
+    ] + [
+        ("simulate", line) for line in ("init.d = vortex:1e200,0.5,0.1",
+                                        "init.d = unit-smooth:1e200", "field.h = const:1e200,0,0")
+    ] + [
+        # an automatic dt that underflows to 0 (eps^2 / 4 gamma) divided
+        # sim.T by zero
+        ("simulate", f"{line}\nsim.T = 0.002") for line in ("sim.eps = 5e-324",
+                                                            "sim.gamma = 1.7e308")
+    ] + [
         # 10**12 modes on 8x8 died in numpy's allocation of the mode shapes
         pytest.param("simulate", "sim.grid = 8x8\nnoise.modes = 1000000000000",
                      id="simulate-sim.grid = 8x8-noise.modes = 10**12"),
@@ -268,6 +283,21 @@ class TestSimulate:
             assert main([command, write_cfg(tmp_path, text + line + "\n")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: line {len(text.splitlines()) + 1}: {key}: ")
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_non_finite_snapshot_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # a director snapshot with one NaN node, on line 3; it blew up at step 0
+        out = out_env(tmp_path, monkeypatch)
+        d = constant_director(Grid(8, 8), (0.0, 0.0, 1.0))
+        d[0, 3, 4] = np.nan
+        snap = tmp_path / "nan.fld"
+        write_snapshot(snap, Grid(8, 8), d)
+        text = f"sim.grid = 8x8\nsim.T = 0.002\ninit.d = file:{snap}\n"
+        assert main(["simulate", write_cfg(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line 3: init.d: 'file:{snap}' on the 8x8 grid is "
+                              "not a finite field (its squared norm is not finite)")
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
@@ -716,6 +746,41 @@ def test_fuzzed_config_exits_1_and_writes_nothing(tmp_path_factory, lines, comma
     with mock.patch.dict(os.environ, {"SELFLOW_OUT": str(root / "out")}):
         assert main([command, cfg]) == 1, lines
     assert not (root / "out").exists()
+
+
+# spec arguments of extreme magnitude, 0 and +-5e-324 up to +-1.7e308,
+# written as floats and as integers (a wavenumber must be one)
+_extreme = st.tuples(
+    st.sampled_from([1.0, -1.0]),
+    st.sampled_from([1.7e308, 1e300, 1e160, 1e10, 1.0, 1e-10, 1e-160, 1e-300, 5e-324, 0.0]),
+).flatmap(lambda sm: st.sampled_from([repr(sm[0] * sm[1]), str(int(sm[0] * sm[1]))]))
+# every non-file form of every spec key, with the argument counts it takes
+_SPEC_KEYS = {attr: key for key, (attr, _) in SCHEMA.items() if attr in SPEC_FORMS}
+_NONFILE_FORMS = [(_SPEC_KEYS[attr], kind, entry[1]) for attr, forms in SPEC_FORMS.items()
+                  for kind, entry in forms.items() if kind != "file"]
+
+
+# 15 examples per form (one for `zero`, which takes no arguments): 106 in all
+@pytest.mark.parametrize("key, kind, counts", _NONFILE_FORMS,
+                         ids=[f"{key}-{kind}" for key, kind, _ in _NONFILE_FORMS])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_spec_exits_cleanly(tmp_path_factory, key, kind, counts, data):
+    n = data.draw(st.sampled_from(counts))
+    args = data.draw(st.lists(_extreme, min_size=n, max_size=n))
+    spec = f"{kind}:{','.join(args)}" if args else kind
+    # a fixed dt of half sim.T keeps each run to two steps (an automatic dt
+    # shrinks with the velocity, to millions of steps at large amplitudes)
+    for bc in ("periodic", "bounded"):
+        root = tmp_path_factory.mktemp("spec")
+        cfg = write_cfg(root, f"sim.grid = 8x8\nsim.T = 0.002\nsim.dt = 0.001\n"
+                              f"sim.bc = {bc}\n{key} = {spec}\n")
+        with mock.patch.dict(os.environ, {"SELFLOW_OUT": str(root / "out")}), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["simulate", cfg])
+        assert code in (0, 1, 2), (spec, bc)
+        assert "Traceback" not in err.getvalue(), (spec, bc)
+        assert code == 0 or not (root / "out").exists() or not any((root / "out").iterdir())
 
 
 # a valid 3 x 8 x 6 periodic director snapshot is MAGIC, the 29-byte header

@@ -15,6 +15,7 @@ from selflow.config import (
     build_initial_u,
     build_magnetic_field,
     canonical_dump,
+    checked_field,
     config_hash,
     parse_config,
 )
@@ -239,6 +240,16 @@ class TestBuilders:
         h = build_magnetic_field(cfg, build_grid(cfg))
         assert h.shape == (3, 64, 64)
         assert np.max(np.linalg.norm(h, axis=0)) == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("bc", ["periodic", "bounded"])
+    def test_checked_field_is_the_build(self, bc):
+        # a finite field passes the check unchanged, bit for bit
+        cfg = parse_config(f"sim.grid = 16x12\nsim.bc = {bc}\ninit.u = taylor-green:2,0.3\n"
+                           "init.d = vortex:0.4,0.5,0.1\nfield.h = wave:0.2,0.2,0.5\n")
+        grid = build_grid(cfg)
+        for attr, build in (("init_u", build_initial_u), ("init_d", build_initial_d),
+                            ("h_spec", build_magnetic_field)):
+            assert np.array_equal(checked_field(cfg, grid, attr), build(cfg, grid))
 
     def test_file_init_roundtrip(self, tmp_path):
         from selflow.fields import write_snapshot
