@@ -27,6 +27,7 @@ from .initial import (
     zero_velocity,
 )
 from .noise import NoiseOperatorS
+from .pathrun import sphere_columns
 from .projection import PROJ_TOL
 
 RUN_MODES = ("simulate", "ensemble", "sweep", "diagnose")
@@ -393,16 +394,23 @@ def build_magnetic_field(cfg: RunConfig, grid: Grid) -> np.ndarray:
 
 def checked_field(cfg: RunConfig, grid: Grid, attr: str) -> np.ndarray:
     """The initial field of spec ``attr`` on ``grid``; a build that overflows,
-    divides by zero or makes a NaN, or a field whose squared norm is not
-    finite, raises :class:`ConfigError` naming the key and its line."""
+    divides by zero or makes a NaN, a field whose squared norm is not
+    finite, or a director whose penalty mass at ``sim.eps`` (a sweep's
+    smallest eps) is not finite, raises :class:`ConfigError` naming the key
+    and its line."""
     build = {"init_u": build_initial_u, "init_d": build_initial_d,
              "h_spec": build_magnetic_field}[attr]
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             f = build(cfg, grid)
-            if np.isfinite(np.sum(f * f)):
-                return f
+            finite = np.isfinite(np.sum(f * f))
         why = "its squared norm is not finite"
+        if finite and attr == "init_d":
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                finite = np.isfinite(sphere_columns(f, grid, cfg.eps)["penalty"])
+            why = f"its penalty mass at eps = {cfg.eps!r} is not finite"
+        if finite:
+            return f
     except ArithmeticError as exc:
         why = f"its build raises {type(exc).__name__}: {exc}"
     key = _ATTR_TO_KEY[attr]

@@ -161,10 +161,11 @@ class WeakFormTracker:
         out.acc_u, out.acc_d = self.acc_u[:, i], self.acc_d[:, i]
         return out
 
-    def accumulate(self, u, d, noise_u, dxh, dxhxh, f, dt, dW2) -> None:
+    def accumulate(self, u, d, noise_u, dxh, dxhxh, dt, dW2) -> None:
         p = self.params
         w = self._w
         g = self.grid
+        f = gl_force(d, p.eps)
         if self.u_tests:
             # the traceless stress of the current d, shared across tests
             T = traceless_stress(d, g)

@@ -25,10 +25,16 @@ Running ledgers accumulate the discrete stochastic integrals and the
 left-endpoint time integrals that the energy-budget diagnostic consumes,
 from the integrands the checkpoint record uses (:func:`budget_integrands`),
 and, when asked, the running maxima of the per-step invariant monitors.
+
+A step writes every field it builds into a :class:`Workspace`, which a
+run keeps for all its steps and checkpoint records: no field-sized array
+is allocated per step, and the two time-n fields a step replaces become
+the buffers of the next step's update.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,35 +141,88 @@ class SimState:
         return cls(grid, 0.0, u0.copy(), d0.copy())
 
 
-def gl_force(d: np.ndarray, eps: float) -> np.ndarray:
+class Workspace:
+    """The buffers one lane group's steps and checkpoint records write into.
+
+    ``work(name, shape)`` is buffer ``name`` as a C-contiguous float array
+    of ``shape``, made on first use (and remade larger when a larger shape
+    is asked for) and reused by every later call.  A name holds one value
+    from its writer to its last reader within a step or a record.
+    :meth:`spare` is the flat scratch the operators carve their
+    temporaries from (:func:`~selflow.operators.carve`); between the
+    gradient of d and its last reader it holds that gradient.  ``"u"`` and
+    ``"d"`` take the step's updates: :meth:`swap` hands them the spent
+    time-n fields.
+    """
+
+    def __init__(self):
+        self._bufs: dict[str, tuple[np.ndarray, dict]] = {}
+
+    def __call__(self, name: str, shape: tuple) -> np.ndarray:
+        flat, views = self._bufs.get(name, (None, None))
+        view = None if views is None else views.get(shape)
+        if view is None:
+            size = math.prod(shape)
+            if flat is None or flat.size < size:
+                flat, views = np.empty(size), {}
+                self._bufs[name] = flat, views
+            view = views[shape] = flat[:size].reshape(shape)
+        return view
+
+    def spare(self, d: np.ndarray) -> np.ndarray:
+        """The flat scratch buffer, two directors ``d`` long: room for the
+        gradient of d, and for the temporaries of any one operator."""
+        return self("spare", (2 * d.size,))
+
+    def swap(self, name: str, spent: np.ndarray) -> None:
+        """Make the spent array ``spent`` buffer ``name``."""
+        self._bufs[name] = spent.reshape(-1), {}
+
+
+def gl_force(d: np.ndarray, eps: float, out: np.ndarray | None = None,
+             tmp: np.ndarray | None = None) -> np.ndarray:
     """Relaxation force (|d|^2 - 1) d / eps^2 (gradient of the penalty)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    q = np.sum(d * d, axis=-3, keepdims=True) - 1.0
-    out = q * d
+    sq, q, _ = ops.carve(tmp, d.shape, d.shape[:-3] + (1,) + d.shape[-2:])
+    np.multiply(d, d, out=sq)
+    np.sum(sq, axis=-3, keepdims=True, out=q)
+    q -= 1.0
+    out = np.multiply(q, d, out=out)
     out /= eps**2
     return out
 
 
-def penalty_density(d: np.ndarray, eps: float) -> np.ndarray:
+def penalty_density(d: np.ndarray, eps: float, out: np.ndarray | None = None,
+                    tmp: np.ndarray | None = None) -> np.ndarray:
     """Penalty density (1 - |d|^2)^2 / (4 eps^2), pointwise nonnegative."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return (1.0 - ops.dot3(d, d)) ** 2 / (4.0 * eps**2)
+    p = ops.dot3(d, d, out=out, tmp=tmp)
+    np.subtract(1.0, p, out=p)
+    np.square(p, out=p)
+    p /= 4.0 * eps**2
+    return p
 
 
-def director_terms(d: np.ndarray, h: np.ndarray, grid: Grid, eps: float):
-    """Time-n director terms (lap d, f_eps(d), tau = lap d - f_eps(d),
-    d x h, (d x h) x h), with the grid's director closure."""
-    lap_d = ops.laplacian(d, grid, grid.bc_director)
-    f = gl_force(d, eps)
-    dxh = ops.cross(d, h)
-    return lap_d, f, lap_d - f, dxh, ops.cross(dxh, h)
+def director_terms(d: np.ndarray, h: np.ndarray, grid: Grid, eps: float,
+                   work: Workspace | None = None):
+    """Time-n director terms (lap d, tau = lap d - f_eps(d), d x h,
+    (d x h) x h), with the grid's director closure, in the buffers of
+    ``work`` (a new workspace when it is None); f_eps(d) is built in tau's."""
+    if work is None:
+        work = Workspace()
+    spare = work.spare(d)
+    lap_d = ops.laplacian(d, grid, grid.bc_director, out=work("lap_d", d.shape), tmp=spare)
+    tau = gl_force(d, eps, out=work("tau", d.shape), tmp=spare)
+    np.subtract(lap_d, tau, out=tau)
+    dxh = ops.cross(d, h, out=work("dxh", d.shape), tmp=spare)
+    return lap_d, tau, dxh, ops.cross(dxh, h, out=work("dxhxh", d.shape), tmp=spare)
 
 
 def budget_integrands(u: np.ndarray, lap_u: np.ndarray, d: np.ndarray, lap_d: np.ndarray,
                       tau: np.ndarray, dxh: np.ndarray, dxhxh: np.ndarray, grid: Grid,
-                      S: NoiseOperatorS, params: Params):
+                      S: NoiseOperatorS, params: Params, tmp: np.ndarray | None = None):
     """The four unscaled energy-budget integrands at one state, per path:
     ||grad u||^2, ||tau||^2, ||S(u)||_HS^2 (0.0 when xi1 = 0, where no
     noise term needs it; bounded grids project its modes to proj_tol) and
@@ -176,18 +235,19 @@ def budget_integrands(u: np.ndarray, lap_u: np.ndarray, d: np.ndarray, lap_d: np
     identity needs zero wall values, which a dirichlet director wall and a
     file velocity need not have: a dirichlet wall keeps the forward-link
     form of the Stratonovich term and reads no ``lap_d``, and bounded grids
-    keep that of ||grad u||^2 and read no ``lap_u``."""
-    hs = S.hs_norm_sq(u, params.proj_tol) if params.xi1 != 0.0 else 0.0
+    keep that of ||grad u||^2 and read no ``lap_u``.  The forms' products
+    are built in the flat scratch ``tmp`` when it is given."""
+    hs = S.hs_norm_sq(u, params.proj_tol, tmp=tmp) if params.xi1 != 0.0 else 0.0
     if grid.periodic:
-        diss_u = -ops.pair_vec(lap_u, u, grid)
+        diss_u = -ops.pair_vec(lap_u, u, grid, tmp=tmp)
     else:
-        diss_u = ops.dirichlet_form_vec(u, u, grid)
+        diss_u = ops.dirichlet_form_vec(u, u, grid, tmp=tmp)
     if grid.bc_director == "dirichlet":
-        strat = ops.dirichlet_form_vec(d, dxhxh, grid)
+        strat = ops.dirichlet_form_vec(d, dxhxh, grid, tmp=tmp)
     else:
-        strat = -ops.pair_vec(lap_d, dxhxh, grid)
-    strat = strat + ops.dirichlet_form_vec(dxh, dxh, grid)
-    return diss_u, ops.pair_vec(tau, tau, grid), hs, strat
+        strat = -ops.pair_vec(lap_d, dxhxh, grid, tmp=tmp)
+    strat = strat + ops.dirichlet_form_vec(dxh, dxh, grid, tmp=tmp)
+    return diss_u, ops.pair_vec(tau, tau, grid, tmp=tmp), hs, strat
 
 
 def step_coupled(
@@ -201,6 +261,7 @@ def step_coupled(
     track_noise: bool = True,
     weak_tracker=None,
     track_invariants: bool = False,
+    work: Workspace | None = None,
 ) -> SimState:
     """Advance the coupled state by one step (mutates and returns ``state``).
 
@@ -212,93 +273,108 @@ def step_coupled(
     receives the per-step pairings when supplied; ``track_invariants``
     updates the monitor maxima in the ledgers.  A ``dirichlet`` director
     wall keeps its time-n values, which are those of the initial director.
+    Every field is built in ``work`` (a new workspace when it is None),
+    which keeps the replaced time-n arrays for the next step's update.
     """
     grid, dt = state.grid, params.dt
     u, d = state.u, state.d
     bc_u, bc_d = grid.bc_velocity, grid.bc_director
+    if work is None:
+        work = Workspace()
+    spare = work.spare(d)
 
     root = np.sqrt(dt)
     dB = root * normals[..., :S.n_modes]
     dW2 = root * normals[..., S.n_modes]
 
-    # time-n director pieces; the central gradient of d is shared between
-    # the advection term and the reduced stress force
-    lap_d, f, tau, dxh, dxhxh = director_terms(d, h, grid, params.eps)
-    if weak_tracker is None:
-        f = None  # read by the weak tracker alone; freed for the step's peak memory
-    g_d = ops.gradient(d, grid, bc_d)  # (..., 3, 2, nx, ny)
-    adv_d = u[..., 0:1, :, :] * g_d[..., 0, :, :]
-    adv_d += u[..., 1:2, :, :] * g_d[..., 1, :, :]
-
-    # time-n velocity pieces
-    adv_u = ops.advect_skew(u, u, grid, bc_u)
-    lap_u = ops.laplacian(u, grid, bc_u)
-    # reduced stress force: sum over c of lap_d[c] grad d[c], added in
-    # component order as a sum over that axis adds
-    sforce = lap_d[..., 0:1, :, :] * g_d[..., 0, :, :, :]
-    for c in (1, 2):
-        sforce += lap_d[..., c:c + 1, :, :] * g_d[..., c, :, :, :]
-    # done with; freed before the ledgers so the peak memory of a many-lane
-    # step stays lower, but for lap_d on budget steps off a dirichlet wall,
-    # whose ledgers read it and free it
-    ledger_lap_d = lap_d if track_budget and bc_d != "dirichlet" else None
-    del lap_d, g_d
+    # time-n pieces, each in its own buffer, the scratch carved from spare;
+    # adv_u and adv_d are built in the buffers of the updates
+    lap_d, tau, dxh, dxhxh = director_terms(d, h, grid, params.eps, work)
+    adv_u = ops.advect_skew(u, u, grid, bc_u, out=work("u", u.shape), tmp=spare)
+    lap_u = ops.laplacian(u, grid, bc_u, out=work("lap_u", u.shape), tmp=spare)
     if params.xi1 != 0.0:
         # unprojected mode mix; folded into the step projection below.
         # Pairings against divergence-free fields (u_n, the solenoidal test
         # functions) see the projected value up to proj_tol.
-        noise_u = params.xi1 * S.mix_increments(u, dB)
+        noise_u = S.mix_increments(u, dB, out=work("noise", u.shape), tmp=spare)
+        noise_u *= params.xi1
     else:
         noise_u = None
+    # the central gradient of d, in spare, is shared between the reduced
+    # stress force and the advection term; nothing else touches spare
+    # until the advection term is built
+    g_d = ops.gradient(d, grid, bc_d, out=work("spare", d.shape[:-2] + (2,) + d.shape[-2:]))
+    # reduced stress force: sum over c of lap_d[c] grad d[c], added in
+    # component order as a sum over that axis adds, each product made in
+    # the director update's buffer before the advection term takes it
+    adv_d = work("d", d.shape)
+    term = adv_d[..., :2, :, :]
+    sforce = np.multiply(lap_d[..., 0:1, :, :], g_d[..., 0, :, :, :], out=work("sforce", u.shape))
+    for c in (1, 2):
+        sforce += np.multiply(lap_d[..., c:c + 1, :, :], g_d[..., c, :, :, :], out=term)
+    # director advection (u.grad)d; the y products overwrite the y half of
+    # the gradient, its last read
+    np.multiply(u[..., 0:1, :, :], g_d[..., 0, :, :], out=adv_d)
+    g_dy = g_d[..., 1, :, :]
+    g_dy *= u[..., 1:2, :, :]
+    adv_d += g_dy
 
     # ledgers, all pairings against time-n fields
     led = state.ledgers
     if track_noise and noise_u is not None:
-        led.noise_u = led.noise_u + ops.pair_vec(u, noise_u, grid)
+        led.noise_u = led.noise_u + ops.pair_vec(u, noise_u, grid, tmp=spare)
     if track_noise and params.xi2 != 0.0:
-        led.noise_d = led.noise_d + params.gamma * ops.pair_vec(dxh, tau, grid) * dW2
+        led.noise_d = led.noise_d + params.gamma * ops.pair_vec(dxh, tau, grid, tmp=spare) * dW2
     if track_budget:
-        diss_u, diss_d, hs, strat = budget_integrands(u, lap_u, d, ledger_lap_d, tau, dxh,
-                                                      dxhxh, grid, S, params)
+        diss_u, diss_d, hs, strat = budget_integrands(u, lap_u, d, lap_d, tau, dxh, dxhxh,
+                                                      grid, S, params, tmp=spare)
         led.int_diss_u = led.int_diss_u + dt * diss_u
         led.int_diss_d = led.int_diss_d + dt * diss_d
         led.int_hs = led.int_hs + dt * 0.5 * params.xi1**2 * hs
         led.int_strat = led.int_strat + dt * 0.5 * strat
-        del ledger_lap_d
     if weak_tracker is not None:
-        weak_tracker.accumulate(u, d, noise_u, dxh, dxhxh, f, dt, dW2)
+        weak_tracker.accumulate(u, d, noise_u, dxh, dxhxh, dt, dW2)
     if track_invariants:
-        ratio = np.abs(ops.pair_vec(adv_u, u, grid)) / (1.0 + np.sqrt(ops.pair_vec(u, u, grid))**3)
+        ratio = (np.abs(ops.pair_vec(adv_u, u, grid, tmp=spare))
+                 / (1.0 + np.sqrt(ops.pair_vec(u, u, grid, tmp=spare))**3))
         led.max_adv_ratio = np.maximum(led.max_adv_ratio, ratio)
 
     # updates, built in place on the spent time-n terms with the operations
     # and order of d + dt * (-adv_d + gamma tau + 0.5 xi2^2 dxhxh) and
     # u + dt * (-adv_u + mu lap_u - lam sforce) + noise_u
+    term, _ = ops.carve(spare, d.shape)
     d_new = np.negative(adv_d, out=adv_d)
-    d_new += params.gamma * tau
-    d_new += 0.5 * params.xi2**2 * dxhxh
+    d_new += np.multiply(params.gamma, tau, out=term)
+    d_new += np.multiply(0.5 * params.xi2**2, dxhxh, out=term)
     d_new *= dt
     d_new += d
     if params.xi2 != 0.0:
-        d_new += params.xi2 * dxh * np.asarray(dW2)[..., None, None, None]
+        np.multiply(params.xi2, dxh, out=term)
+        term *= np.asarray(dW2)[..., None, None, None]
+        d_new += term
     if bc_d == "dirichlet":
         for wall in (np.s_[..., 0, :], np.s_[..., -1, :], np.s_[..., :, 0], np.s_[..., :, -1]):
             d_new[wall] = d[wall]
 
+    term, _ = ops.carve(spare, u.shape)
     v = np.negative(adv_u, out=adv_u)
-    v += params.mu * lap_u
-    v -= params.lam * sforce
+    v += np.multiply(params.mu, lap_u, out=term)
+    v -= np.multiply(params.lam, sforce, out=term)
     v *= dt
     v += u
     if noise_u is not None:
         v += noise_u
     # checked before the projection, which refuses non-finite input
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d_new))):
+    ok_u, ok_d, _ = ops.carve(spare, u.shape, d.shape, dtype=bool)
+    if not (np.all(np.isfinite(v, out=ok_u)) and np.all(np.isfinite(d_new, out=ok_d))):
         raise BlowUpError(state.step, state.t)
-    u_new = leray_project(v, grid, tol=params.proj_tol)
+    u_new = leray_project(v, grid, tol=params.proj_tol, out=v, tmp=spare)
     if track_invariants:
-        led.max_divergence = np.maximum(led.max_divergence, interior_divergence_max(u_new, grid))
+        led.max_divergence = np.maximum(led.max_divergence,
+                                        interior_divergence_max(u_new, grid, tmp=spare))
 
+    work.swap("u", u)
+    work.swap("d", d)
     state.u, state.d = u_new, d_new
     state.t += dt
     state.step += 1

@@ -69,11 +69,14 @@ class SweepResult:
 
 
 def _build(config: RunConfig):
-    """(grid, u0, d0, params, S, h) of a config, its fields checked finite."""
+    """(grid, u0, d0, params, S, h) of a config, its fields checked finite.
+    The params are built before d0 is checked: an eps whose square
+    underflows is refused by the step count under ``sim.T``, before its
+    penalty mass would refuse the director."""
     grid = build_grid(config)
     u0 = checked_field(config, grid, "init_u")
-    d0 = checked_field(config, grid, "init_d")
     params = build_params(config, grid, umax=float(np.max(np.abs(u0))))
+    d0 = checked_field(config, grid, "init_d")
     return grid, u0, d0, params, build_noise_operator(config, grid), checked_field(config, grid, "h_spec")
 
 

@@ -129,7 +129,8 @@ class NoiseOperatorS:
             self._shapes_dy = (self._shapes_dx if grid.hy == grid.hx
                                else self.shapes / (2.0 * grid.hy))
 
-    def mix_increments(self, u: np.ndarray, dB: np.ndarray) -> np.ndarray:
+    def mix_increments(self, u: np.ndarray, dB: np.ndarray, out: np.ndarray | None = None,
+                       tmp: np.ndarray | None = None) -> np.ndarray:
         """Mode sum sum_i dB_i sigma0 i^{-q} psi_i u BEFORE projection.
 
         By linearity, projecting this once equals summing the projected
@@ -138,17 +139,21 @@ class NoiseOperatorS:
         The modes are accumulated one at a time in index order rather than
         contracted by BLAS, whose rounding depends on the number of leading
         lanes; so each lane of a batch mixes bit-identically to a lone path.
+        The sum is written into ``out`` when it is given, and the mode sum
+        and its terms are built in the flat scratch ``tmp`` when it is given.
         """
         dB = np.asarray(dB)
         if dB.shape[-1] != self.n_modes:
             raise ValueError(f"expected {self.n_modes} increments, got {dB.shape[-1]}")
         wts = (self.decay * dB)[..., None, None, :]
-        mix = wts[..., 0] * self.shapes[0]
+        plane = dB.shape[:-1] + self.shapes.shape[1:]
+        mix, term, _ = ops.carve(tmp, plane, plane)
+        np.multiply(wts[..., 0], self.shapes[0], out=mix)
         for i in range(1, self.n_modes):
-            mix += wts[..., i] * self.shapes[i]
-        return mix[..., None, :, :] * u
+            mix += np.multiply(wts[..., i], self.shapes[i], out=term)
+        return np.multiply(mix[..., None, :, :], u, out=out)
 
-    def hs_norm_sq(self, u: np.ndarray, tol: float = PROJ_TOL):
+    def hs_norm_sq(self, u: np.ndarray, tol: float = PROJ_TOL, tmp: np.ndarray | None = None):
         """Squared Hilbert-Schmidt norm sum_i ||S(u)(e_i)||^2.
 
         Accepts a batched velocity (..., 2, nx, ny) and returns per-path
@@ -157,9 +162,10 @@ class NoiseOperatorS:
         subtract each mode's gradient part by Parseval, clamping the total
         at 0; no projected field is built.  Per mode that is one central
         divergence of psi_i u, built from the pre-scaled shapes, and one
-        forward transform, all in buffers allocated once per call (the
-        weights are :func:`~selflow.projection.spectral_table`'s).  Bounded
-        grids project each mode to the projection tolerance ``tol``.
+        forward transform, all in buffers made once per call, or carved from
+        the flat scratch ``tmp`` when it is given (the weights are
+        :func:`~selflow.projection.spectral_table`'s).  Bounded grids project
+        each mode to the projection tolerance ``tol``.
         """
         grid = self.grid
         if not grid.periodic:
@@ -167,25 +173,26 @@ class NoiseOperatorS:
             # mode; each projected mode is squared, weighted and summed in
             # place, the arithmetic of pair_vec(proj, proj)
             total = 0.0
-            v = np.empty(u.shape)
+            v, rest = ops.carve(tmp, u.shape)
             weights = grid.quad_weights()
             for i in range(self.n_modes):
                 np.multiply(self.shapes[i], u, out=v)
                 v *= self.decay[i]
-                proj = leray_project(v, grid, tol=tol)
+                proj = leray_project(v, grid, tol=tol, out=v, tmp=rest)
                 np.square(proj, out=proj)
                 proj *= weights
                 total = total + np.sum(proj, axis=(-3, -2, -1))
             return float(total) if u.ndim == 3 else total
-        sq = u * u
+        plane = u.shape[:-3] + u.shape[-2:]
+        sq, div, rest = ops.carve(tmp, u.shape, plane)
+        spec, _ = ops.carve(rest, plane[:-1] + (grid.ny // 2 + 1,), dtype=complex)
+        np.multiply(u, u, out=sq)
         sq *= self._fold_w
         total = grid.hx * grid.hy * np.sum(sq, axis=(-3, -2, -1))
         weights = spectral_table(grid)[3]
         # sq is spent: its components hold each mode's two products, and
         # the x one then takes the y difference
         px, py = sq[..., 0, :, :], sq[..., 1, :, :]
-        div = np.empty(px.shape)
-        spec = np.empty(px.shape[:-1] + (grid.ny // 2 + 1,), complex)
         flat = spec.view(np.float64)  # real and imaginary parts side by side
         for i in range(self.n_modes):
             np.multiply(self._shapes_dx[i], u[..., 0, :, :], out=px)

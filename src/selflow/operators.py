@@ -19,15 +19,42 @@ the same central quotient inside and the same three-point sums
 alone, bit for bit the inner rows of ``divergence(v, grid, "noslip")``.  The
 quadrature forms use the grid's rule, a constant hx*hy weight on periodic
 grids.
+
+Operators that return a field write it into ``out`` when it is given, and
+take the temporaries they need from the flat scratch ``tmp`` when it is
+given (:func:`carve`); a caller that passes the same buffers to every call
+allocates no field-sized array per call.  Either way the arithmetic and its
+order are the same, so the results are bit-identical.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .grids import Grid, GridError
 
 _BOUNDED = ("dirichlet", "noslip", "neumann")
+
+
+def carve(buf: np.ndarray | None, *shapes: tuple, dtype=float) -> list:
+    """C-contiguous arrays of ``shapes`` (of ``dtype``) laid end to end at
+    the start of the flat float64 scratch ``buf``, then the rest of ``buf``
+    for further scratch; new arrays and None when ``buf`` is None."""
+    if buf is None:
+        return [np.empty(shape, dtype) for shape in shapes] + [None]
+    out, at = [], 0
+    for shape in shapes:
+        count = math.prod(shape)
+        if dtype is float:
+            out.append(buf[at:at + count].reshape(shape))
+            at += count
+        else:
+            n = -(-count * np.dtype(dtype).itemsize // 8)
+            out.append(buf[at:at + n].view(dtype)[:count].reshape(shape))
+            at += n
+    return out + [buf[at:]]
 
 
 def _step(grid: Grid, axis: int) -> float:
@@ -118,16 +145,18 @@ def central_difference(a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     return _periodic_stencil(a, -2 + axis, _central, None, out)
 
 
-def _second_diff(a: np.ndarray, grid: Grid, axis: int, bc: str) -> np.ndarray:
+def _second_diff(a: np.ndarray, grid: Grid, axis: int, bc: str,
+                 out: np.ndarray | None) -> np.ndarray:
     if a.shape[-2:] != (grid.nx, grid.ny):
         raise GridError(f"field shape {a.shape} does not match grid {(grid.nx, grid.ny)}")
     h2 = _step(grid, axis) ** 2
     ax = -2 + axis
     if bc == "periodic":
-        return _periodic_stencil(a, ax, _second, h2)
+        return _periodic_stencil(a, ax, _second, h2, out)
     if bc not in _BOUNDED:
         raise GridError(f"unknown boundary mode {bc!r}")
-    out = np.empty(a.shape)
+    if out is None:
+        out = np.empty(a.shape)
     _second(out[_at(ax, slice(1, -1))], a[_at(ax, slice(2, None))],
             a[_at(ax, slice(1, -1))], a[_at(ax, slice(None, -2))])
     for o, nodes in ((0, (0, 1, 2, 3)), (-1, (-1, -2, -3, -4))):
@@ -140,57 +169,69 @@ def _second_diff(a: np.ndarray, grid: Grid, axis: int, bc: str) -> np.ndarray:
     return out
 
 
-def gradient(a: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
+def gradient(a: np.ndarray, grid: Grid, bc: str, out: np.ndarray | None = None) -> np.ndarray:
     """Gradient: (nx, ny) -> (2, nx, ny); (..., k, nx, ny) -> (..., k, 2, nx, ny)."""
-    out = np.empty(a.shape[:-2] + (2,) + a.shape[-2:])
+    if out is None:
+        out = np.empty(a.shape[:-2] + (2,) + a.shape[-2:])
     for axis in (0, 1):
         deriv(a, grid, axis, bc, out=out[..., axis, :, :])
     return out
 
 
-def divergence(v: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
+def divergence(v: np.ndarray, grid: Grid, bc: str, out: np.ndarray | None = None,
+               tmp: np.ndarray | None = None) -> np.ndarray:
     """Divergence of a 2-vector field (..., 2, nx, ny) -> (..., nx, ny)."""
     if v.ndim < 3 or v.shape[-3] != 2:
         raise GridError(f"divergence expects shape (..., 2, nx, ny), got {v.shape}")
-    out = deriv(v[..., 0, :, :], grid, 0, bc)
-    out += deriv(v[..., 1, :, :], grid, 1, bc)
+    out = deriv(v[..., 0, :, :], grid, 0, bc, out=out)
+    dy, _ = carve(tmp, out.shape)
+    out += deriv(v[..., 1, :, :], grid, 1, bc, out=dy)
     return out
 
 
-def interior_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
+def interior_divergence(v: np.ndarray, grid: Grid, out: np.ndarray | None = None,
+                        tmp: np.ndarray | None = None) -> np.ndarray:
     """Central divergence of v (..., 2, nx, ny) at the interior nodes,
     (..., nx-2, ny-2): divergence(v, grid, "noslip")[..., 1:-1, 1:-1] bit
     for bit, without the wall rows."""
     v0, v1 = v[..., 0, :, :], v[..., 1, :, :]
-    out = v0[..., 2:, 1:-1] - v0[..., :-2, 1:-1]
+    out = np.subtract(v0[..., 2:, 1:-1], v0[..., :-2, 1:-1], out=out)
     out /= 2.0 * grid.hx
-    dy = v1[..., 1:-1, 2:] - v1[..., 1:-1, :-2]
+    dy, _ = carve(tmp, out.shape)
+    np.subtract(v1[..., 1:-1, 2:], v1[..., 1:-1, :-2], out=dy)
     dy /= 2.0 * grid.hy
     out += dy
     return out
 
 
-def laplacian(a: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
+def laplacian(a: np.ndarray, grid: Grid, bc: str, out: np.ndarray | None = None,
+              tmp: np.ndarray | None = None) -> np.ndarray:
     """Five-point Laplacian, component-wise on stacked arrays."""
-    out = _second_diff(a, grid, 0, bc)
-    out += _second_diff(a, grid, 1, bc)
+    out = _second_diff(a, grid, 0, bc, out)
+    out += _second_diff(a, grid, 1, bc, carve(tmp, a.shape)[0])
     return out
 
 
 def _weighted_sum(prod: np.ndarray, grid: Grid, axes: tuple) -> np.ndarray:
     """Quadrature of ``prod`` over ``axes``: the plain sum times hx*hy on
-    periodic grids (a constant weight), the weighted sum otherwise."""
+    periodic grids (a constant weight), the weighted sum otherwise (the
+    weights are multiplied into ``prod``)."""
     if grid.periodic:
         return grid.hx * grid.hy * np.sum(prod, axis=axes)
-    return np.sum(prod * grid.quad_weights(), axis=axes)
+    prod *= grid.quad_weights()
+    return np.sum(prod, axis=axes)
 
 
-def _forward_links(a: np.ndarray, grid: Grid, axis: int, periodic: bool) -> np.ndarray:
+def _forward_links(a: np.ndarray, grid: Grid, axis: int, periodic: bool,
+                   tmp: np.ndarray | None = None) -> np.ndarray:
     h = _step(grid, axis)
     ax = -2 + axis
     if periodic:
-        return _periodic_stencil(a, ax, _forward, h)
-    return (a[_at(ax, slice(1, None))] - a[_at(ax, slice(None, -1))]) / h
+        return _periodic_stencil(a, ax, _forward, h, carve(tmp, a.shape)[0])
+    hi, lo = a[_at(ax, slice(1, None))], a[_at(ax, slice(None, -1))]
+    links = np.subtract(hi, lo, out=carve(tmp, hi.shape)[0])
+    links /= h
+    return links
 
 
 def _link_weights(grid: Grid, axis: int) -> np.ndarray:
@@ -208,7 +249,8 @@ def _link_weights(grid: Grid, axis: int) -> np.ndarray:
     return grid._cache[key]
 
 
-def dirichlet_form_vec(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
+def dirichlet_form_vec(a: np.ndarray, b: np.ndarray, grid: Grid,
+                       tmp: np.ndarray | None = None) -> np.ndarray:
     """Discrete Dirichlet form <grad a, grad b> built from forward links, of
     vector fields (..., k, nx, ny): reduced over the trailing component and
     space axes only (leading path axes survive).
@@ -223,8 +265,9 @@ def dirichlet_form_vec(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
     periodic = grid.periodic
     total = 0.0
     for axis in (0, 1):
-        la = _forward_links(a, grid, axis, periodic)
-        lb = la if b is a else _forward_links(b, grid, axis, periodic)
+        la = _forward_links(a, grid, axis, periodic, tmp)
+        lb = la if b is a else _forward_links(b, grid, axis, periodic,
+                                              None if tmp is None else tmp[la.size:])
         la *= lb
         if not periodic:
             la *= _link_weights(grid, axis)
@@ -232,49 +275,66 @@ def dirichlet_form_vec(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
     return grid.hx * grid.hy * total if periodic else total
 
 
-def pair_vec(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
+def _product(a, b, tmp: np.ndarray | None) -> np.ndarray:
+    # b broadcasts to a's shape where scratch is given; either may broadcast without it
+    return np.multiply(a, b, out=None if tmp is None else carve(tmp, a.shape)[0])
+
+
+def pair_vec(a: np.ndarray, b: np.ndarray, grid: Grid, tmp: np.ndarray | None = None) -> np.ndarray:
     """L2 pairing of vector fields (..., k, nx, ny); leading axes survive.
     Periodic grids scale each lane's plain sum by the constant hx*hy."""
-    return _weighted_sum(a * b, grid, (-3, -2, -1))
+    return _weighted_sum(_product(a, b, tmp), grid, (-3, -2, -1))
 
 
-def pair_scalar(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
+def pair_scalar(a: np.ndarray, b, grid: Grid, tmp: np.ndarray | None = None) -> np.ndarray:
     """L2 pairing of scalar fields (..., nx, ny); leading axes survive."""
-    return _weighted_sum(a * b, grid, (-2, -1))
+    return _weighted_sum(_product(a, b, tmp), grid, (-2, -1))
 
 
-def advect_skew(u: np.ndarray, f: np.ndarray, grid: Grid, bc_f: str) -> np.ndarray:
+def advect_skew(u: np.ndarray, f: np.ndarray, grid: Grid, bc_f: str,
+                out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
     """Skew-symmetric advection 0.5*[u . grad f + div(u f)] with central
-    differences; ``f`` is (..., k, nx, ny) and ``u`` is (..., 2, nx, ny).
+    differences; ``f`` is (..., k, nx, ny) and ``u`` is (..., 2, nx, ny) with
+    the same leading axes.
 
     With central differences and rectangle quadrature the associated
     trilinear form is exactly antisymmetric in periodic mode, so
-    <advect_skew(u, f), f> vanishes to rounding regardless of div u.
+    <advect_skew(u, f), f> vanishes to rounding regardless of div u.  The
+    divergence part is built first, in ``out``, and the sum is added as
+    dive + conv, which rounds as conv + dive does.
     """
     u0 = u[..., 0:1, :, :]
     u1 = u[..., 1:2, :, :]
-    conv = u0 * deriv(f, grid, 0, bc_f)
-    conv += u1 * deriv(f, grid, 1, bc_f)
-    dive = deriv(u0 * f, grid, 0, bc_f)
-    dive += deriv(u1 * f, grid, 1, bc_f)
-    conv += dive
-    conv *= 0.5
-    return conv
-
-
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise cross product of 3-vector fields (..., 3, nx, ny), each
-    component written into its slot of one result."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    tmp = np.empty(out.shape[:-3] + out.shape[-2:])
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        slot = out[..., i, :, :]
-        np.multiply(a[..., j, :, :], b[..., k, :, :], out=slot)
-        np.multiply(a[..., k, :, :], b[..., j, :, :], out=tmp)
-        slot -= tmp
+    a, b, _ = carve(tmp, f.shape, f.shape)
+    out = deriv(np.multiply(u0, f, out=a), grid, 0, bc_f, out=out)
+    out += deriv(np.multiply(u1, f, out=a), grid, 1, bc_f, out=b)
+    conv = deriv(f, grid, 0, bc_f, out=a)
+    conv *= u0
+    dy = deriv(f, grid, 1, bc_f, out=b)
+    dy *= u1
+    conv += dy
+    out += conv
+    out *= 0.5
     return out
 
 
-def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+          tmp: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise cross product of 3-vector fields (..., 3, nx, ny), each
+    component written into its slot of one result."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    if out is None:
+        out = np.empty(shape)
+    prod, _ = carve(tmp, shape[:-3] + shape[-2:])
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        slot = out[..., i, :, :]
+        np.multiply(a[..., j, :, :], b[..., k, :, :], out=slot)
+        np.multiply(a[..., k, :, :], b[..., j, :, :], out=prod)
+        slot -= prod
+    return out
+
+
+def dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+         tmp: np.ndarray | None = None) -> np.ndarray:
     """Pointwise inner product over the component axis (axis -3)."""
-    return np.sum(a * b, axis=-3)
+    return np.sum(_product(a, b, tmp), axis=-3, out=out)

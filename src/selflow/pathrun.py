@@ -12,7 +12,8 @@ stepper's ledgers take the energy-budget terms from the same helpers,
 :func:`~selflow.dynamics.director_terms` and
 :func:`~selflow.dynamics.budget_integrands`; a checkpoint hook's row takes
 the penalty mass and sphere deviation from :func:`sphere_columns`, as the
-record does.
+record does.  A run keeps one :class:`~selflow.dynamics.Workspace` for its
+steps and records, and drops it when it returns.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .dynamics import (
     Ledgers,
     Params,
     SimState,
+    Workspace,
     budget_integrands,
     check_stability,
     director_terms,
@@ -39,19 +41,24 @@ from .projection import ProjectionError, divergence_bound, interior_divergence_m
 RNG_CHUNK = 256
 
 
-def sphere_columns(d: np.ndarray, grid, eps: float) -> dict:
+def sphere_columns(d: np.ndarray, grid, eps: float, tmp: np.ndarray | None = None) -> dict:
     """Penalty mass int (1 - |d|^2)^2 / (4 eps^2) and sphere deviation
     || |d|^2 - 1 || of a director, one value per path when ``d`` carries a
-    leading path axis."""
-    dev_sq = ops.dot3(d, d) - 1.0
+    leading path axis; its fields are built in the flat scratch ``tmp``
+    when it is given."""
+    plane = d.shape[:-3] + d.shape[-2:]
+    dev_sq, pen, rest = ops.carve(tmp, plane, plane)
+    ops.dot3(d, d, out=dev_sq, tmp=rest)
+    dev_sq -= 1.0
     return {
-        "penalty": ops.pair_scalar(penalty_density(d, eps), 1.0, grid),
-        "dev_norm": np.sqrt(np.maximum(ops.pair_scalar(dev_sq, dev_sq, grid), 0.0)),
+        "penalty": ops.pair_scalar(penalty_density(d, eps, out=pen, tmp=rest), 1.0, grid,
+                                   tmp=rest),
+        "dev_norm": np.sqrt(np.maximum(ops.pair_scalar(dev_sq, dev_sq, grid, tmp=rest), 0.0)),
     }
 
 
 def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
-                   h: np.ndarray) -> dict:
+                   h: np.ndarray, work: Workspace | None = None) -> dict:
     """Every energy-identity term at the current state; batch-transparent
     (per-path values when the state carries a leading path axis, and the
     clock and untouched ledgers shared as scalars).
@@ -59,17 +66,22 @@ def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
     ``hs`` carries its 0.5 xi1^2 prefactor; ``strat_drift`` is the bare
     0.5 (<grad d, grad((d x h) x h)> + ||grad(d x h)||^2).  The int_*
     entries are the stepper's running left-endpoint time integrals, built
-    from the same integrands.
+    from the same integrands.  Its fields are built in the step's buffers of
+    ``work`` (a new workspace when it is None).
     """
     grid, u, d = state.grid, state.u, state.d
-    kinetic = 0.5 * ops.pair_vec(u, u, grid)
-    dirichlet = 0.5 * ops.dirichlet_form_vec(d, d, grid)
-    sphere = sphere_columns(d, grid, params.eps)
+    if work is None:
+        work = Workspace()
+    spare = work.spare(d)
+    kinetic = 0.5 * ops.pair_vec(u, u, grid, tmp=spare)
+    dirichlet = 0.5 * ops.dirichlet_form_vec(d, d, grid, tmp=spare)
+    sphere = sphere_columns(d, grid, params.eps, tmp=spare)
     pen = sphere["penalty"]
-    lap_d, _, tau, dxh, dxhxh = director_terms(d, h, grid, params.eps)
-    lap_u = ops.laplacian(u, grid, grid.bc_velocity)
+    lap_d, tau, dxh, dxhxh = director_terms(d, h, grid, params.eps, work)
+    lap_u = ops.laplacian(u, grid, grid.bc_velocity, out=work("lap_u", u.shape), tmp=spare)
     diss_u, diss_d, hs, strat = budget_integrands(u, lap_u, d, lap_d, tau, dxh, dxhxh,
-                                                  grid, S, params)
+                                                  grid, S, params, tmp=spare)
+    sq, rest = ops.carve(spare, d.shape[:-3] + d.shape[-2:])
     led = state.ledgers
     return {
         "t": state.t,
@@ -87,7 +99,7 @@ def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
         "int_diss_d": led.int_diss_d,
         "int_hs": led.int_hs,
         "int_strat": led.int_strat,
-        "max_abs_d": np.sqrt(np.max(ops.dot3(d, d), axis=(-2, -1))),
+        "max_abs_d": np.sqrt(np.max(ops.dot3(d, d, out=sq, tmp=rest), axis=(-2, -1))),
         "dev_norm": sphere["dev_norm"],
     }
 
@@ -170,7 +182,9 @@ def simulate_batch(
     untracked ledgers) are repeated on every lane's row.  Raises the
     stepper's stability / blow-up errors, and :class:`ProjectionError` with
     the worst lane's value when a checkpoint after step 0 finds a divergence
-    above its ``divergence_bound(proj_tol)``.
+    above its ``divergence_bound(proj_tol)``.  The steps and records write
+    their fields into one :class:`~selflow.dynamics.Workspace`, made here
+    and dropped on return, and before each ``checkpoint_hook`` call.
     """
     if normals_table is None:
         n_steps = max(1, int(round(params.T / params.dt)))
@@ -183,18 +197,25 @@ def simulate_batch(
                              np.broadcast_to(d0, (m,) + d0.shape))
     if weak_tracker is not None:
         weak_tracker.initialize(state.u, state.d)
+    work = Workspace()
 
     rows: list[dict] = []
 
     def emit():
+        nonlocal work
         if state.step:
-            div = interior_divergence_max(state.u, grid)
+            div = interior_divergence_max(state.u, grid, tmp=work.spare(state.d))
             if np.any(div > divergence_bound(state.u, grid, params.proj_tol)):
                 raise ProjectionError(
                     f"divergence exceeds proj.tol = {params.proj_tol:.3e} at step {state.step}",
                     float(np.max(div)))
-        rows.append(record_columns(state, params, S, h) if checkpoint_hook is None
-                    else checkpoint_hook(state))
+        if checkpoint_hook is None:
+            rows.append(record_columns(state, params, S, h, work))
+        else:
+            # the hook builds its fields itself: the step's buffers are
+            # dropped first, so they do not add to its peak memory
+            work = Workspace()
+            rows.append(checkpoint_hook(state))
 
     emit()
     for step, normals in enumerate(normals_rows):
@@ -204,6 +225,7 @@ def simulate_batch(
             track_noise=checkpoint_hook is None,
             weak_tracker=weak_tracker,
             track_invariants=track_invariants,
+            work=work,
         )
         if (step + 1) % checkpoint_every == 0 or step + 1 == n_steps:
             emit()

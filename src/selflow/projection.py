@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import Grid
-from .operators import divergence, interior_divergence
+from .operators import carve, divergence, interior_divergence
 
 PROJ_TOL = 1e-10
 # |v|_inf (1/hx + 1/hy) above which the divergence bound grows with it: the
@@ -81,24 +81,28 @@ def spectral_table(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return grid._cache[key]
 
 
-def _project_periodic_fft(v: np.ndarray, grid: Grid) -> np.ndarray:
+def _project_periodic_fft(v: np.ndarray, grid: Grid, out: np.ndarray | None,
+                          tmp: np.ndarray | None) -> np.ndarray:
     """Spectral solve on the float view of rfft2(v), with no complex
     temporaries.  With q = (s . v^)/|s|^2 the correction is v^ - s q, so
     each real and imaginary part is corrected by s times the same part of
-    q."""
+    q.  The inverse makes irfft2's two passes, the first in place."""
     s1, s2, inv, _ = spectral_table(grid)
-    vhat = np.fft.rfft2(v, axes=(-2, -1))
+    half = grid.ny // 2 + 1
+    vhat, rest = carve(tmp, v.shape[:-1] + (half,), dtype=complex)
+    q, t, _ = carve(rest, v.shape[:-3] + (grid.nx, 2 * half), v.shape[:-3] + (grid.nx, 2 * half))
+    np.fft.rfft2(v, axes=(-2, -1), out=vhat)
     flat = vhat.view(np.float64)  # real and imaginary parts side by side
     v0, v1 = flat[..., 0, :, :], flat[..., 1, :, :]
-    q = s1 * v0
-    tmp = s2 * v1
-    q += tmp
+    np.multiply(s1, v0, out=q)
+    q += np.multiply(s2, v1, out=t)
     q *= inv
-    np.multiply(s1, q, out=tmp)
-    v0 -= tmp
-    np.multiply(s2, q, out=tmp)
-    v1 -= tmp
-    return np.fft.irfft2(vhat, s=(grid.nx, grid.ny), axes=(-2, -1))
+    np.multiply(s1, q, out=t)
+    v0 -= t
+    np.multiply(s2, q, out=t)
+    v1 -= t
+    np.fft.ifft(vhat, axis=-2, out=vhat)
+    return np.fft.irfft(vhat, n=grid.ny, axis=-1, out=out)
 
 
 def _bounded_1d_blocks(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,12 +154,18 @@ def _bounded_solver(grid: Grid):
     return grid._cache[key]
 
 
-def interior_divergence_max(u: np.ndarray, grid: Grid):
+def interior_divergence_max(u: np.ndarray, grid: Grid, tmp: np.ndarray | None = None):
     """Largest |central divergence| of u (..., 2, nx, ny) per path, over
     every node on periodic grids and over the interior nodes otherwise
-    (the only ones the bounded projection controls)."""
-    d = divergence(u, grid, "periodic") if grid.periodic else interior_divergence(u, grid)
-    return np.max(np.abs(d), axis=(-2, -1))
+    (the only ones the bounded projection controls); its fields are built
+    in the flat scratch ``tmp`` when it is given."""
+    if grid.periodic:
+        div, rest = carve(tmp, u.shape[:-3] + (grid.nx, grid.ny))
+        d = divergence(u, grid, "periodic", out=div, tmp=rest)
+    else:
+        div, rest = carve(tmp, u.shape[:-3] + (grid.nx - 2, grid.ny - 2))
+        d = interior_divergence(u, grid, out=div, tmp=rest)
+    return np.max(np.abs(d, out=d), axis=(-2, -1))
 
 
 def divergence_bound(v: np.ndarray, grid: Grid, tol: float):
@@ -167,7 +177,7 @@ def divergence_bound(v: np.ndarray, grid: Grid, tol: float):
     return tol * np.maximum(1.0, vmax * ((1.0 / grid.hx + 1.0 / grid.hy) / DIV_SCALE))
 
 
-def _project_bounded(v: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
+def _project_bounded(v: np.ndarray, grid: Grid, tol: float, out: np.ndarray | None) -> np.ndarray:
     """Project every leading axis of v (..., 2, nx, ny) in one pass.
 
     Each refinement round makes one multi-column Gram solve for the
@@ -176,10 +186,14 @@ def _project_bounded(v: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
     corrected field.  That divergence is the next round's residual and,
     after the last round, the achieved divergence checked against the lane's
     :func:`divergence_bound`.  A column stops refining exactly when it would alone.
+    The lanes are corrected in ``out`` (which may be v).
     """
     At, lu = _bounded_solver(grid)
     nx, ny = grid.nx, grid.ny
-    u = v.reshape(-1, 2, nx, ny).copy()
+    if out is None:
+        out = np.empty(v.shape)
+    u = out.reshape(-1, 2, nx, ny)
+    np.copyto(u, v.reshape(-1, 2, nx, ny))
     u[..., 0, :] = u[..., -1, :] = 0.0
     u[..., :, 0] = u[..., :, -1] = 0.0
     k = u.shape[0]
@@ -216,10 +230,11 @@ def _project_bounded(v: np.ndarray, grid: Grid, tol: float) -> np.ndarray:
             u[cols] = lanes
     if np.any(res > bound):
         raise ProjectionError("bounded pressure solve stalled", float(np.max(res)))
-    return u.reshape(v.shape)
+    return out
 
 
-def leray_project(v: np.ndarray, grid: Grid, tol: float = PROJ_TOL) -> np.ndarray:
+def leray_project(v: np.ndarray, grid: Grid, tol: float = PROJ_TOL,
+                  out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
     """Project v onto the discretely divergence-free space: u = v - grad p.
 
     v has shape (..., 2, nx, ny); every leading axis is projected on its
@@ -227,11 +242,14 @@ def leray_project(v: np.ndarray, grid: Grid, tol: float = PROJ_TOL) -> np.ndarra
     solve is direct and exact; the bounded solve must bring each path's
     interior divergence within :func:`divergence_bound` of ``tol``.  Raises
     :class:`ProjectionError` with the achieved residual if it cannot; on a
-    batch it carries the worst lane's residual.
+    batch it carries the worst lane's residual.  The result is written into
+    ``out`` when it is given (v itself may be passed), and the periodic
+    solve's spectra are carved from the flat scratch ``tmp`` when it is
+    given.
     """
-    if not np.all(np.isfinite(v)):
+    if not np.all(np.isfinite(v, out=carve(tmp, v.shape, dtype=bool)[0])):
         raise ValueError("leray_project: input contains non-finite values")
     grid.check_values(v)
     if grid.periodic:
-        return _project_periodic_fft(v, grid)
-    return _project_bounded(v, grid, tol)
+        return _project_periodic_fft(v, grid, out, tmp)
+    return _project_bounded(v, grid, tol, out)

@@ -301,6 +301,29 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command, lines, eps", [
+        # |d|^2 = 1e200 is finite, but (1 - |d|^2)^2 overflows: simulate used
+        # to warn and exit 0 with an inf penalty and a nan budget_residual
+        (command, "init.d = const:1e100,0,0", "0.2") for command in ("simulate", "ensemble")
+    ] + [
+        # finite at sim.eps = 0.2, past the float range at the sweep's 0.05
+        ("sweep", "sweep.eps = 0.2,0.05\ninit.d = const:2e76,0,0", "0.05"),
+    ])
+    def test_overflowing_penalty_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                 command, lines, eps):
+        out = out_env(tmp_path, monkeypatch)
+        text = f"sim.grid = 8x8\nsim.eps = 0.2\nsim.T = 0.001\n{lines}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy warns
+            assert main([command, write_cfg(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        spec = lines.split(" = ")[-1]
+        assert err.startswith(f"config error: line {len(text.splitlines())}: init.d: '{spec}' "
+                              f"on the 8x8 grid is not a finite field (its penalty mass at "
+                              f"eps = {eps} is not finite)")
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_no_invariants_artifact_by_default(self, tmp_path, monkeypatch):
         out = out_env(tmp_path, monkeypatch)
         assert main(["simulate", write_cfg(tmp_path, TINY)]) == 0

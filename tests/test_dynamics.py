@@ -454,7 +454,7 @@ class TestBudgetLedgers:
         u = leray_project(rng.standard_normal((3, 2, grid.nx, grid.ny)), grid)
         h = wave_field(grid, (0.2, 0.2, 0.5))
         S = NoiseOperatorS(grid, n_modes=8, sigma0=0.3)
-        lap_d, _, tau, dxh, dxhxh = director_terms(d, h, grid, 0.2)
+        lap_d, tau, dxh, dxhxh = director_terms(d, h, grid, 0.2)
         lap_u = ops.laplacian(u, grid, grid.bc_velocity)
         diss_u, _, _, strat = budget_integrands(u, lap_u, d, lap_d, tau, dxh, dxhxh,
                                                 grid, S, Params(xi1=1.0))

@@ -1,6 +1,12 @@
-"""Ensemble orchestration: seeding, statistics, reproducibility, sweeps."""
+"""Ensemble orchestration: seeding, statistics, reproducibility, sweeps,
+and the lane group's workspace."""
 
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +30,7 @@ from selflow.dynamics import Params, stability_dt
 from selflow.ensemble import (
     coupled_sweep,
     default_sweep_test_functions,
+    default_weak_tracker,
     lane_width,
     run_ensemble,
     run_path,
@@ -189,6 +196,103 @@ def test_batch_lanes_equal_lone_paths(lanes, bounded, budget, seed):
             assert np.array_equal(batch.series.columns[k][i], col), k
         assert np.array_equal(batch.state.u[i], lone.state.u)
         assert np.array_equal(batch.state.d[i], lone.state.d)
+
+
+class TestWorkspace:
+    """Each simulate_batch call steps and records its lane group in one
+    workspace of its own, and allocates no field-sized array per step."""
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_back_to_back_runs_share_no_buffer(self, bounded):
+        grid = Grid(16, 16, bc_director="neumann") if bounded else Grid(16, 16)
+        dt = stability_dt(0.3, grid, 1.0, 1.0)
+        params = Params(eps=0.3, dt=dt, T=12 * dt)
+        S = NoiseOperatorS(grid, n_modes=4, sigma0=0.3)
+        h = wave_field(grid, (0.2, 0.2, 0.5))
+        u0 = leray_project(taylor_green(grid, 1, 0.2), grid)
+        d0 = smooth_unit_director(grid, 0.4)
+
+        def run(seed):
+            return simulate_batch(grid, params, u0, d0, S, h,
+                                  [WienerDriver(split_seed(seed, i), 4) for i in range(3)],
+                                  checkpoint_every=5, track_invariants=True,
+                                  weak_tracker=default_weak_tracker(grid, params))
+
+        def snapshot(res):
+            t = res.weak_tracker
+            return ({"u": res.state.u.copy(), "d": res.state.d.copy()},
+                    {k: v.copy() for k, v in res.series.columns.items()},
+                    {k: np.copy(v) for k, v in vars(res.state.ledgers).items()},
+                    [np.copy(a) for a in (t.acc_u, t.acc_d, *t.pair_u0, *t.pair_d0)])
+
+        first = run(1)
+        before = snapshot(first)
+        run(2)
+        after = snapshot(first)
+        lone = snapshot(run(1))
+        for got in (after, lone):
+            for want_part, got_part in zip(before, got):
+                if isinstance(want_part, dict):
+                    assert want_part.keys() == got_part.keys()
+                    for k in want_part:
+                        assert np.array_equal(want_part[k], got_part[k]), k
+                else:
+                    for a, b in zip(want_part, got_part):
+                        assert np.array_equal(a, b)
+
+    # a stand-in weak-form tracker that reads the process's minor-fault count
+    # at every step; steps 11 to 120 take the checkpoint records after steps
+    # 50 and 100 (out.checkpoint_every = 50)
+    FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from selflow.dynamics import Params, stability_dt
+from selflow.grids import Grid
+from selflow.initial import smooth_unit_director, taylor_green, wave_field
+from selflow.noise import NoiseOperatorS, WienerDriver
+from selflow.pathrun import simulate_batch
+from selflow.projection import leray_project
+
+class Faults:
+    def initialize(self, u, d):
+        self.counts = []
+
+    def accumulate(self, *args):
+        self.counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+n, lanes, bc, budget = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3], sys.argv[4] == "1"
+grid = Grid(n, n, bc_director=bc)
+dt = stability_dt(0.2, grid, 1.0, 1.0)
+probe = Faults()
+simulate_batch(grid, Params(eps=0.2, dt=dt, T=121 * dt),
+               leray_project(taylor_green(grid, 1, 0.2), grid), smooth_unit_director(grid, 0.4),
+               NoiseOperatorS(grid, 8), wave_field(grid, (0.2, 0.2, 0.5)),
+               [WienerDriver(i, 8) for i in range(lanes)], checkpoint_every=50,
+               track_budget=budget, weak_tracker=probe)
+print((probe.counts[120] - probe.counts[10]) / 110)
+"""
+
+    @pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                        reason="minor-fault counts depend on the C allocator; the bound "
+                               "holds for glibc's malloc, which returns large freed blocks "
+                               "to the OS and faults them back in on reuse")
+    @pytest.mark.parametrize("n, lanes, bc, budget", [
+        (64, 4, "periodic", False),   # the lane group of ensemble-lean
+        (64, 4, "periodic", True),    # ... and of ensemble-budget
+        (32, 16, "periodic", True),   # criterion 3's lane group
+        (32, 8, "neumann", True),     # bounded-ensemble's
+    ])
+    def test_steps_take_at_most_one_fault_each(self, n, lanes, bc, budget):
+        # a fresh interpreter, whose allocator has not been warmed by other
+        # tests; the step used to take about 100-180 faults
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", self.FAULT_PROBE, str(n), str(lanes), bc,
+                               str(int(budget))], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) <= 1.0
 
 
 class TestCoupledSweep:
