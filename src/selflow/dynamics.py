@@ -169,10 +169,13 @@ class Workspace:
             view = views[shape] = flat[:size].reshape(shape)
         return view
 
-    def spare(self, d: np.ndarray) -> np.ndarray:
-        """The flat scratch buffer, two directors ``d`` long: room for the
-        gradient of d, and for the temporaries of any one operator."""
-        return self("spare", (2 * d.size,))
+    def spare(self, d: np.ndarray, least: int = 0) -> np.ndarray:
+        """The flat scratch buffer, two directors ``d`` long, or ``least``
+        when that is longer: room for the gradient of d, and for the
+        temporaries of any one operator (the bounded Hilbert-Schmidt norm's
+        mode stack may need more, its
+        :meth:`~selflow.noise.NoiseOperatorS.hs_scratch`)."""
+        return self("spare", (max(2 * d.size, least),))
 
     def swap(self, name: str, spent: np.ndarray) -> None:
         """Make the spent array ``spent`` buffer ``name``."""
@@ -281,7 +284,7 @@ def step_coupled(
     bc_u, bc_d = grid.bc_velocity, grid.bc_director
     if work is None:
         work = Workspace()
-    spare = work.spare(d)
+    spare = work.spare(d, S.hs_scratch(u.shape) if track_budget else 0)
 
     root = np.sqrt(dt)
     dB = root * normals[..., :S.n_modes]

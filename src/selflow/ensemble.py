@@ -36,17 +36,13 @@ from .diagnostics import (
     stress_pairing,
 )
 from .fields import TestFunction, director_test_function, solenoidal_test_function
+from .grids import LANE_NODES
 from .noise import WienerDriver, split_seed
 from .pathrun import PathResult, PathSeries, simulate_batch, simulate_path, sphere_columns
 
 # the record columns an ensemble reduces, in ensemble.csv order
 STAT_FIELDS = ("dev_norm", "dirichlet", "kinetic", "ledger1", "ledger2", "max_abs_d",
                "penalty", "total")
-
-# Grid nodes per lane group.  A step's temporaries scale with lanes x nodes;
-# at 16384 nodes a director-sized (3-component) temporary is about 0.4 MB,
-# so the working set of a step stays near a 2 MiB L2 cache.
-LANE_NODES = 16384
 
 
 @dataclass

@@ -16,6 +16,12 @@ import numpy as np
 
 DIRECTOR_BCS = ("periodic", "neumann", "dirichlet")
 
+# Grid nodes per lane group.  A step's temporaries scale with lanes x nodes;
+# at 16384 nodes a director-sized (3-component) temporary is about 0.4 MB,
+# so the working set of a step stays near a 2 MiB L2 cache.  The bounded
+# Hilbert-Schmidt norm stacks its projected modes to the same budget.
+LANE_NODES = 16384
+
 # Spacings h for which h**4 and h**-4 are normal floats: the bounded
 # projection's Gram matrix holds h**-4 terms, the quadrature h**2 ones.
 _H_MIN = float(np.finfo(float).tiny) ** 0.25

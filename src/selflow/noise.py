@@ -14,11 +14,13 @@ eps-sweeps meaningful.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import operators as ops
-from .grids import Grid
-from .projection import PROJ_TOL, leray_project, spectral_table
+from .grids import LANE_NODES, Grid
+from .projection import PROJ_TOL, bounded_scratch, leray_project, spectral_table
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
@@ -153,6 +155,24 @@ class NoiseOperatorS:
             mix += np.multiply(wts[..., i], self.shapes[i], out=term)
         return np.multiply(mix[..., None, :, :], u, out=out)
 
+    def hs_batch(self, shape: tuple) -> int:
+        """Modes the bounded :meth:`hs_norm_sq` projects per call on a
+        velocity of ``shape``: as many as fit ``LANE_NODES`` grid nodes of
+        its lanes, at least 1 and at most N."""
+        nodes = math.prod(shape[:-3]) * shape[-2] * shape[-1]
+        return min(self.n_modes, max(1, LANE_NODES // nodes))
+
+    def hs_scratch(self, shape: tuple) -> int:
+        """Length of the flat scratch :meth:`hs_norm_sq` carves on a
+        velocity of ``shape``: on bounded grids the mode stack and the
+        projection's scratch for it, on periodic grids the products, one
+        divergence and its spectrum."""
+        lanes, (nx, ny) = math.prod(shape[:-3]), shape[-2:]
+        if self.grid.periodic:
+            return lanes * (3 * nx * ny + 2 * nx * (ny // 2 + 1))
+        stack = (self.hs_batch(shape),) + tuple(shape)
+        return math.prod(stack) + bounded_scratch(stack)
+
     def hs_norm_sq(self, u: np.ndarray, tol: float = PROJ_TOL, tmp: np.ndarray | None = None):
         """Squared Hilbert-Schmidt norm sum_i ||S(u)(e_i)||^2.
 
@@ -162,26 +182,35 @@ class NoiseOperatorS:
         subtract each mode's gradient part by Parseval, clamping the total
         at 0; no projected field is built.  Per mode that is one central
         divergence of psi_i u, built from the pre-scaled shapes, and one
-        forward transform, all in buffers made once per call, or carved from
-        the flat scratch ``tmp`` when it is given (the weights are
+        forward transform (the weights are
         :func:`~selflow.projection.spectral_table`'s).  Bounded grids project
-        each mode to the projection tolerance ``tol``.
+        each mode to the projection tolerance ``tol``, k = :meth:`hs_batch`
+        modes per :func:`~selflow.projection.leray_project` call: each batch
+        is one (k, ..., 2, nx, ny) stack, projected, squared, weighted and
+        summed in place, its (mode, lane) sums added in mode order, so the
+        total is bit-identical to one mode per call.  Either way the fields
+        are made once per call, or carved from the flat scratch ``tmp``
+        (:meth:`hs_scratch` long) when it is given.
         """
         grid = self.grid
         if not grid.periodic:
-            # the projection copies its input, so one buffer serves every
-            # mode; each projected mode is squared, weighted and summed in
-            # place, the arithmetic of pair_vec(proj, proj)
-            total = 0.0
-            v, rest = ops.carve(tmp, u.shape)
+            # the projection writes into its input without a copy; the
+            # square, weight and sum are the arithmetic of pair_vec(proj, proj)
+            k = self.hs_batch(u.shape)
+            stack, rest = ops.carve(tmp, (k,) + u.shape)
             weights = grid.quad_weights()
-            for i in range(self.n_modes):
-                np.multiply(self.shapes[i], u, out=v)
-                v *= self.decay[i]
-                proj = leray_project(v, grid, tol=tol, out=v, tmp=rest)
-                np.square(proj, out=proj)
-                proj *= weights
-                total = total + np.sum(proj, axis=(-3, -2, -1))
+            total = 0.0
+            for first in range(0, self.n_modes, k):
+                modes = range(first, min(first + k, self.n_modes))
+                v = stack[:len(modes)]
+                for j, i in enumerate(modes):
+                    np.multiply(self.shapes[i], u, out=v[j])
+                    v[j] *= self.decay[i]
+                leray_project(v, grid, tol=tol, out=v, tmp=rest)
+                np.square(v, out=v)
+                v *= weights
+                for part in np.sum(v, axis=(-3, -2, -1)):
+                    total = total + part
             return float(total) if u.ndim == 3 else total
         plane = u.shape[:-3] + u.shape[-2:]
         sq, div, rest = ops.carve(tmp, u.shape, plane)

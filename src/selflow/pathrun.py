@@ -24,6 +24,7 @@ import numpy as np
 
 from . import operators as ops
 from .dynamics import (
+    BlowUpError,
     Ledgers,
     Params,
     SimState,
@@ -72,7 +73,7 @@ def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
     grid, u, d = state.grid, state.u, state.d
     if work is None:
         work = Workspace()
-    spare = work.spare(d)
+    spare = work.spare(d, S.hs_scratch(u.shape))
     kinetic = 0.5 * ops.pair_vec(u, u, grid, tmp=spare)
     dirichlet = 0.5 * ops.dirichlet_form_vec(d, d, grid, tmp=spare)
     sphere = sphere_columns(d, grid, params.eps, tmp=spare)
@@ -180,7 +181,9 @@ def simulate_batch(
     budget ledgers, so with a hook the steps keep none (they stay 0)
     whatever ``track_budget`` says.  Values shared by all lanes (the clock,
     untracked ledgers) are repeated on every lane's row.  Raises the
-    stepper's stability / blow-up errors, and :class:`ProjectionError` with
+    stepper's stability / blow-up errors, :class:`BlowUpError` when a
+    checkpoint row holds a value that is not finite, and
+    :class:`ProjectionError` with
     the worst lane's value when a checkpoint after step 0 finds a divergence
     above its ``divergence_bound(proj_tol)``.  The steps and records write
     their fields into one :class:`~selflow.dynamics.Workspace`, made here
@@ -210,12 +213,16 @@ def simulate_batch(
                     f"divergence exceeds proj.tol = {params.proj_tol:.3e} at step {state.step}",
                     float(np.max(div)))
         if checkpoint_hook is None:
-            rows.append(record_columns(state, params, S, h, work))
+            row = record_columns(state, params, S, h, work)
         else:
             # the hook builds its fields itself: the step's buffers are
             # dropped first, so they do not add to its peak memory
             work = Workspace()
-            rows.append(checkpoint_hook(state))
+            row = checkpoint_hook(state)
+        # a finite state whose energy terms overflow has blown up too
+        if not all(np.all(np.isfinite(value)) for value in row.values()):
+            raise BlowUpError(state.step, state.t)
+        rows.append(row)
 
     emit()
     for step, normals in enumerate(normals_rows):

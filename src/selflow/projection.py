@@ -23,6 +23,8 @@ the last round, the divergence the tolerance check measures.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grids import Grid
@@ -177,7 +179,16 @@ def divergence_bound(v: np.ndarray, grid: Grid, tol: float):
     return tol * np.maximum(1.0, vmax * ((1.0 / grid.hx + 1.0 / grid.hy) / DIV_SCALE))
 
 
-def _project_bounded(v: np.ndarray, grid: Grid, tol: float, out: np.ndarray | None) -> np.ndarray:
+def bounded_scratch(shape: tuple) -> int:
+    """Length of the flat scratch :func:`leray_project` carves on a bounded
+    field of ``shape`` (..., 2, nx, ny): per lane, two interior fields and
+    one pressure plane (the finite-value mask of the field fits in them)."""
+    nx, ny = shape[-2:]
+    return math.prod(shape[:-3]) * (2 * (nx - 2) * (ny - 2) + nx * ny)
+
+
+def _project_bounded(v: np.ndarray, grid: Grid, tol: float, out: np.ndarray | None,
+                     tmp: np.ndarray | None) -> np.ndarray:
     """Project every leading axis of v (..., 2, nx, ny) in one pass.
 
     Each refinement round makes one multi-column Gram solve for the
@@ -186,22 +197,33 @@ def _project_bounded(v: np.ndarray, grid: Grid, tol: float, out: np.ndarray | No
     corrected field.  That divergence is the next round's residual and,
     after the last round, the achieved divergence checked against the lane's
     :func:`divergence_bound`.  A column stops refining exactly when it would alone.
-    The lanes are corrected in ``out`` (which may be v).
+    The lanes are corrected in ``out``; when ``out`` is v they are corrected
+    in place, with no copy.  The pressures are transposed to one contiguous
+    plane per lane once per round, so each lane's gradient correction
+    subtracts contiguous slices.  The residuals, the pressure planes and the
+    gradient corrections are carved from the flat scratch ``tmp`` (of
+    :func:`bounded_scratch` length) when it is given.
     """
     At, lu = _bounded_solver(grid)
     nx, ny = grid.nx, grid.ny
     if out is None:
         out = np.empty(v.shape)
     u = out.reshape(-1, 2, nx, ny)
-    np.copyto(u, v.reshape(-1, 2, nx, ny))
+    if out is not v:
+        np.copyto(u, v.reshape(-1, 2, nx, ny))
     u[..., 0, :] = u[..., -1, :] = 0.0
     u[..., :, 0] = u[..., :, -1] = 0.0
     k = u.shape[0]
     bound = divergence_bound(u, grid, tol)
-    # one row per lane: its interior divergence, so r[cols].T holds the
-    # Gram right-hand sides in Fortran order, one column per lane
-    r = interior_divergence(u, grid).reshape(k, -1)
-    res = np.max(np.abs(r), axis=1)
+    # one row of r per lane: its interior divergence, so r[cols].T holds
+    # the Gram right-hand sides in Fortran order, one column per lane; g
+    # holds one interior field per lane (scratch is its flat view, rows its
+    # rows), and planes one pressure per lane
+    inner = (k, nx - 2, ny - 2)
+    div_in, g, planes, _ = carve(tmp, inner, inner, (k, nx, ny))
+    r, scratch, rows = div_in.reshape(k, -1), g.reshape(-1), g.reshape(k, -1)
+    interior_divergence(u, grid, out=div_in, tmp=scratch)
+    res = np.max(np.abs(r, out=rows), axis=1)
     # minimum-norm pressure via the Gram factorization, with iterative
     # refinement to wash out the squared conditioning of A A^T
     for _ in range(4):
@@ -214,20 +236,22 @@ def _project_bounded(v: np.ndarray, grid: Grid, tol: float, out: np.ndarray | No
         else:
             cols = np.flatnonzero(active)
             lanes = u[cols]
-        # the (nx ny, m) pressures as (nx, ny, m): one lane per column, the
-        # layout the product returns, read without a transposed copy
-        p = (At @ lu.solve(r[cols].T)).reshape(nx, ny, -1)
-        gx = p[2:, 1:-1] - p[:-2, 1:-1]
-        gx /= 2.0 * grid.hx
-        lanes[:, 0, 1:-1, 1:-1] -= gx.transpose(2, 0, 1)
-        gy = p[1:-1, 2:] - p[1:-1, :-2]
-        gy /= 2.0 * grid.hy
-        lanes[:, 1, 1:-1, 1:-1] -= gy.transpose(2, 0, 1)
-        div = interior_divergence(lanes, grid).reshape(len(lanes), -1)
-        r[cols] = div
-        res[cols] = np.max(np.abs(div), axis=1)
-        if lanes is not u:
+        m = len(lanes)
+        p, gm = planes[:m], g[:m]
+        np.copyto(p.reshape(m, -1), (At @ lu.solve(r[cols].T)).T)
+        np.subtract(p[:, 2:, 1:-1], p[:, :-2, 1:-1], out=gm)
+        gm /= 2.0 * grid.hx
+        lanes[:, 0, 1:-1, 1:-1] -= gm
+        np.subtract(p[:, 1:-1, 2:], p[:, 1:-1, :-2], out=gm)
+        gm /= 2.0 * grid.hy
+        lanes[:, 1, 1:-1, 1:-1] -= gm
+        if lanes is u:
+            div = interior_divergence(u, grid, out=div_in, tmp=scratch).reshape(k, -1)
+        else:
+            div = interior_divergence(lanes, grid, tmp=scratch).reshape(m, -1)
+            r[cols] = div
             u[cols] = lanes
+        res[cols] = np.max(np.abs(div, out=rows[:m]), axis=1)
     if np.any(res > bound):
         raise ProjectionError("bounded pressure solve stalled", float(np.max(res)))
     return out
@@ -243,13 +267,14 @@ def leray_project(v: np.ndarray, grid: Grid, tol: float = PROJ_TOL,
     interior divergence within :func:`divergence_bound` of ``tol``.  Raises
     :class:`ProjectionError` with the achieved residual if it cannot; on a
     batch it carries the worst lane's residual.  The result is written into
-    ``out`` when it is given (v itself may be passed), and the periodic
-    solve's spectra are carved from the flat scratch ``tmp`` when it is
-    given.
+    ``out`` when it is given (v itself may be passed), and the solve's
+    temporaries (the periodic spectra; the bounded residuals and pressures,
+    :func:`bounded_scratch` long) are carved from the flat scratch ``tmp``
+    when it is given.
     """
     if not np.all(np.isfinite(v, out=carve(tmp, v.shape, dtype=bool)[0])):
         raise ValueError("leray_project: input contains non-finite values")
     grid.check_values(v)
     if grid.periodic:
         return _project_periodic_fft(v, grid, out, tmp)
-    return _project_bounded(v, grid, tol, out)
+    return _project_bounded(v, grid, tol, out, tmp)

@@ -324,6 +324,24 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command, lines", [
+        ("simulate", ""), ("ensemble", "ensemble.paths = 2\n"),
+        ("sweep", "ensemble.paths = 2\nsweep.eps = 0.2,0.1\n"),
+    ])
+    def test_overflowing_checkpoint_is_numerical_failure(self, tmp_path, monkeypatch, capsys,
+                                                         command, lines):
+        # |d| = 1e10 starts with a finite penalty mass; the forced steps grow
+        # |d| past 1e80, whose penalty overflows at the step-2 checkpoint.
+        # The commands used to exit 0 with inf penalty and total columns
+        out = out_env(tmp_path, monkeypatch)
+        text = ("sim.grid = 8x8\ninit.d = const:1e10,0,0\nsim.dt = 0.001\n"
+                f"sim.dt_override = true\nsim.T = 0.002\nout.checkpoint_every = 1\n{lines}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: solution blew up at step 2 (t = 0.002)")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_no_invariants_artifact_by_default(self, tmp_path, monkeypatch):
         out = out_env(tmp_path, monkeypatch)
         assert main(["simulate", write_cfg(tmp_path, TINY)]) == 0

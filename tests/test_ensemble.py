@@ -281,6 +281,7 @@ print((probe.counts[120] - probe.counts[10]) / 110)
         (64, 4, "periodic", True),    # ... and of ensemble-budget
         (32, 16, "periodic", True),   # criterion 3's lane group
         (32, 8, "neumann", True),     # bounded-ensemble's
+        (32, 1, "neumann", True),     # one lane: all 8 modes in one stack
     ])
     def test_steps_take_at_most_one_fault_each(self, n, lanes, bc, budget):
         # a fresh interpreter, whose allocator has not been warmed by other

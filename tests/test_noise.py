@@ -135,12 +135,20 @@ class TestNoiseOperator:
         singles = np.array([noise32.hs_norm_sq(u[m]) for m in range(4)])
         assert np.allclose(batched, singles, rtol=1e-12)
 
-    @pytest.mark.parametrize("bounded", [False, True], ids=["periodic", "bounded"])
-    def test_hs_matches_explicit_projection(self, grid32, grid_bounded, rng, bounded):
-        grid = grid_bounded if bounded else grid32
+    # (grid, lanes, modes per projection call): bounded grids stack as many
+    # modes as fit LANE_NODES grid nodes, 8 to 1 of them at 32^2, and 5 then 3
+    # on the odd 33 x 31 grid
+    @pytest.mark.parametrize("case, lanes, batch", [
+        ("periodic", 4, None),
+        ("bounded", 1, 8), ("bounded", 4, 4), ("bounded", 8, 2), ("bounded", 16, 1),
+        ("bounded-odd", 3, 5),
+    ], ids=["periodic", "bounded-1", "bounded-4", "bounded-8", "bounded-16", "bounded-odd-3"])
+    def test_hs_matches_explicit_projection(self, grid32, grid_bounded, rng, case, lanes, batch):
+        grid = {"periodic": grid32, "bounded": grid_bounded,
+                "bounded-odd": Grid(33, 31, lx=1.3, ly=0.9, bc_director="dirichlet")}[case]
         n = 8
         S = NoiseOperatorS(grid, n_modes=n, sigma0=0.3)
-        u = rng.standard_normal((4, 2, 32, 32))
+        u = rng.standard_normal((lanes, 2, grid.nx, grid.ny))
 
         def explicit(ul):
             total = 0.0
@@ -152,11 +160,21 @@ class TestNoiseOperator:
 
         want = explicit(u)
         batched = S.hs_norm_sq(u)
-        assert batched.shape == (4,)
-        assert np.max(np.abs(batched - want) / want) <= 1e-12
-        single = S.hs_norm_sq(u[1])
+        assert batched.shape == (lanes,)
+        single = S.hs_norm_sq(u[-1])
         assert isinstance(single, float)
-        assert abs(single - want[1]) <= 1e-12 * want[1]
+        if grid.periodic:
+            # the Parseval route rounds differently from the projection
+            assert np.max(np.abs(batched - want) / want) <= 1e-12
+            assert abs(single - want[-1]) <= 1e-12 * want[-1]
+            return
+        # the stacked modes are projected and summed bit for bit as one
+        # mode per call, also in a scratch exactly hs_scratch long
+        assert S.hs_batch(u.shape) == batch
+        assert np.array_equal(batched, want)
+        assert single == want[-1]
+        tmp = np.full(S.hs_scratch(u.shape), np.nan)
+        assert np.array_equal(S.hs_norm_sq(u, tmp=tmp), want)
 
     def test_hs_any_shapes(self, grid32, rng):
         # the Parseval route does not rely on the default cos.cos shapes

@@ -20,6 +20,7 @@ from selflow.projection import (
     DIV_SCALE,
     PROJ_TOL,
     ProjectionError,
+    bounded_scratch,
     divergence_bound,
     interior_divergence_max,
     leray_project,
@@ -240,6 +241,9 @@ class TestBoundedBatch:
         for m in range(3):
             assert np.array_equal(ub[m], lone[m])
             assert interior_divergence_max(ub[m], grid) <= 1e-10
+        # the same rounds in a scratch exactly bounded_scratch long
+        tmp = np.full(bounded_scratch(v.shape), np.nan)
+        assert np.array_equal(leray_project(v, grid, tmp=tmp), ub)
 
     @bounded_grids
     def test_quiet_lane_equals_single_lanes(self, grid, rng):
@@ -272,15 +276,17 @@ class TestBoundedBatch:
         assert 1 <= counting.solves <= 4
         assert np.max(interior_divergence_max(u, grid)) <= 1e-10
 
-    def test_hs_norm_makes_one_solve_per_mode(self, rng):
+    def test_hs_norm_makes_one_solve_per_mode_batch(self, rng):
         # each mode's projection of a small divergence-free u settles in
-        # one round: the bounded Hilbert-Schmidt ledger makes n_modes solves
+        # one round, and the bounded Hilbert-Schmidt ledger projects its
+        # modes 2 at a time on 8 lanes at 32^2: 4 solves for 8 modes
         grid = Grid(32, 32, bc_director="neumann")
         u = leray_project(0.1 * rng.standard_normal((8, 2, 32, 32)), grid)
         S = NoiseOperatorS(grid, n_modes=8, sigma0=1.0)
         counting = _count_solves(grid)
         S.hs_norm_sq(u)
-        assert counting.solves == S.n_modes
+        assert S.hs_batch(u.shape) == 2
+        assert counting.solves == 4
 
 
 SCALE_GRIDS = {
