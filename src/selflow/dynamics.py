@@ -29,7 +29,8 @@ and, when asked, the running maxima of the per-step invariant monitors.
 A step writes every field it builds into a :class:`Workspace`, which a
 run keeps for all its steps and checkpoint records: no field-sized array
 is allocated per step, and the two time-n fields a step replaces become
-the buffers of the next step's update.
+the buffers of the next step's update.  Every workspace buffer and the
+state's fields start on a cache line (:func:`aligned_empty`).
 """
 
 from __future__ import annotations
@@ -56,6 +57,20 @@ class BlowUpError(RuntimeError):
 
 class StabilityError(ValueError):
     """Requested dt exceeds the explicit-stepping stability bound."""
+
+
+# bytes per cache line: numpy's wide (AVX-512) loops load one line at a time
+CACHE_LINE = 64
+
+
+def aligned_empty(shape: tuple) -> np.ndarray:
+    """A new C-contiguous float array of ``shape`` whose data starts on a
+    cache line, so that no vector load of its leading elements straddles two
+    lines (the allocator's own offset follows earlier allocations)."""
+    size = math.prod(shape)
+    raw = np.empty(size + CACHE_LINE // 8)
+    skip = (-raw.ctypes.data % CACHE_LINE) // 8
+    return raw[skip:skip + size].reshape(shape)
 
 
 @dataclass
@@ -138,16 +153,20 @@ class SimState:
     def initial(cls, grid: Grid, u0: np.ndarray, d0: np.ndarray) -> "SimState":
         grid.check_values(u0)
         grid.check_values(d0)
-        return cls(grid, 0.0, u0.copy(), d0.copy())
+        u, d = aligned_empty(u0.shape), aligned_empty(d0.shape)
+        np.copyto(u, u0)
+        np.copyto(d, d0)
+        return cls(grid, 0.0, u, d)
 
 
 class Workspace:
     """The buffers one lane group's steps and checkpoint records write into.
 
     ``work(name, shape)`` is buffer ``name`` as a C-contiguous float array
-    of ``shape``, made on first use (and remade larger when a larger shape
-    is asked for) and reused by every later call.  A name holds one value
-    from its writer to its last reader within a step or a record.
+    of ``shape`` starting on a cache line, made on first use (and remade
+    larger when a larger shape is asked for) and reused by every later
+    call.  A name holds one value from its writer to its last reader within
+    a step or a record.
     :meth:`spare` is the flat scratch the operators carve their
     temporaries from (:func:`~selflow.operators.carve`); between the
     gradient of d and its last reader it holds that gradient.  ``"u"`` and
@@ -164,7 +183,7 @@ class Workspace:
         if view is None:
             size = math.prod(shape)
             if flat is None or flat.size < size:
-                flat, views = np.empty(size), {}
+                flat, views = aligned_empty((size,)), {}
                 self._bufs[name] = flat, views
             view = views[shape] = flat[:size].reshape(shape)
         return view
@@ -178,7 +197,8 @@ class Workspace:
         return self("spare", (max(2 * d.size, least),))
 
     def swap(self, name: str, spent: np.ndarray) -> None:
-        """Make the spent array ``spent`` buffer ``name``."""
+        """Make the spent array ``spent`` buffer ``name``; the state's fields
+        are aligned as the buffers are, so every buffer stays aligned."""
         self._bufs[name] = spent.reshape(-1), {}
 
 

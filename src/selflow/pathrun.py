@@ -212,14 +212,16 @@ def simulate_batch(
                 raise ProjectionError(
                     f"divergence exceeds proj.tol = {params.proj_tol:.3e} at step {state.step}",
                     float(np.max(div)))
-        if checkpoint_hook is None:
-            row = record_columns(state, params, S, h, work)
-        else:
-            # the hook builds its fields itself: the step's buffers are
-            # dropped first, so they do not add to its peak memory
-            work = Workspace()
-            row = checkpoint_hook(state)
-        # a finite state whose energy terms overflow has blown up too
+        # a finite state whose energy terms overflow has blown up too: the
+        # check below reports it, so the overflow itself is not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            if checkpoint_hook is None:
+                row = record_columns(state, params, S, h, work)
+            else:
+                # the hook builds its fields itself: the step's buffers are
+                # dropped first, so they do not add to its peak memory
+                work = Workspace()
+                row = checkpoint_hook(state)
         if not all(np.all(np.isfinite(value)) for value in row.values()):
             raise BlowUpError(state.step, state.t)
         rows.append(row)

@@ -332,12 +332,15 @@ class TestSimulate:
                                                          command, lines):
         # |d| = 1e10 starts with a finite penalty mass; the forced steps grow
         # |d| past 1e80, whose penalty overflows at the step-2 checkpoint.
-        # The commands used to exit 0 with inf penalty and total columns
+        # The commands used to exit 0 with inf penalty and total columns, and
+        # then to warn of numpy's overflow before reporting the failure
         out = out_env(tmp_path, monkeypatch)
         text = ("sim.grid = 8x8\ninit.d = const:1e10,0,0\nsim.dt = 0.001\n"
                 f"sim.dt_override = true\nsim.T = 0.002\nout.checkpoint_every = 1\n{lines}")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main([command, write_cfg(tmp_path, text)]) == 2
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: solution blew up at step 2 (t = 0.002)")
         assert not out.exists() or not any(out.iterdir())

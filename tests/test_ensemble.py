@@ -26,7 +26,7 @@ from selflow.config import (
     parse_config,
 )
 from selflow.diagnostics import default_defect_threshold, defect_detect, stress_pairing
-from selflow.dynamics import Params, stability_dt
+from selflow.dynamics import Params, SimState, Workspace, stability_dt, step_coupled
 from selflow.ensemble import (
     coupled_sweep,
     default_sweep_test_functions,
@@ -240,13 +240,47 @@ class TestWorkspace:
                     for a, b in zip(want_part, got_part):
                         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n, lanes, bc", [
+        (64, 4, "periodic"),   # the lane group of the 64-squared ensembles
+        (32, 8, "neumann"),    # bounded-ensemble's
+    ])
+    def test_buffers_are_cache_line_aligned(self, n, lanes, bc):
+        # numpy's wide loops load a cache line at a time, so a buffer that
+        # starts off a line makes every load straddle two; the allocator's
+        # own offsets follow earlier allocations.  Steps 1 and 2 hand the
+        # workspace the initial fields and then its own buffers back
+        grid = Grid(n, n, bc_director=bc)
+        dt = stability_dt(0.2, grid, 1.0, 1.0)
+        params = Params(eps=0.2, dt=dt, T=3 * dt)
+        S = NoiseOperatorS(grid, 8)
+        h = wave_field(grid, (0.2, 0.2, 0.5))
+        u0 = leray_project(taylor_green(grid, 1, 0.2), grid)
+        state = SimState.initial(grid, np.stack([u0] * lanes),
+                                 np.stack([smooth_unit_director(grid, 0.4)] * lanes))
+        work = Workspace()
+        normals = np.random.default_rng(5).standard_normal((3, lanes, S.n_modes + 1))
+
+        def offsets():
+            arrays = [state.u, state.d]
+            for flat, views in work._bufs.values():
+                arrays += [flat, *views.values()]
+            return {a.ctypes.data % 64 for a in arrays}
+
+        assert offsets() == {0}
+        for step in range(3):
+            step_coupled(state, params, S, h, normals[step], track_budget=True, work=work)
+            assert offsets() == {0}, step + 1
+        record_columns(state, params, S, h, work)
+        assert offsets() == {0}
+        assert {"u", "d", "spare", "tau", "lap_d", "dxh", "dxhxh"} <= work._bufs.keys()
+
     # a stand-in weak-form tracker that reads the process's minor-fault count
     # at every step; steps 11 to 120 take the checkpoint records after steps
     # 50 and 100 (out.checkpoint_every = 50)
     FAULT_PROBE = """
 import resource, sys
 import numpy as np
-from selflow.dynamics import Params, stability_dt
+from selflow.dynamics import Params, SimState, Workspace, stability_dt, step_coupled
 from selflow.grids import Grid
 from selflow.initial import smooth_unit_director, taylor_green, wave_field
 from selflow.noise import NoiseOperatorS, WienerDriver
