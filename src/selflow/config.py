@@ -42,6 +42,12 @@ MAX_STEPS = 10**9
 # it failed in numpy's allocation with a traceback.  2048 times the largest
 # grid-and-modes config of the tests and benchmark (8 modes on 64x64)
 MAX_MODE_NODES = 2**26
+# most paths an ensemble or sweep may run: the runner builds every path's
+# seed and its rows of the (paths, checkpoints) tables up front, so a count
+# far above it (ensemble.paths = 10**12) used up the memory instead of
+# being refused.  65536 times the largest ensemble of the tests and
+# benchmark (16 paths)
+MAX_PATHS = 2**20
 
 
 class ConfigError(ValueError):
@@ -233,6 +239,9 @@ def validate(cfg: RunConfig) -> list[tuple[str, str]]:
         out.append(("modes", "noise.modes: must be >= 1"))
     if cfg.paths < 1:
         out.append(("paths", "ensemble.paths: must be >= 1"))
+    elif cfg.paths > MAX_PATHS:
+        out.append(("paths", f"ensemble.paths: {cfg.paths} is more than the "
+                              f"{MAX_PATHS} paths a run may take"))
     if cfg.checkpoint_every < 1:
         out.append(("checkpoint_every", "out.checkpoint_every: must be >= 1"))
     flagged = {attr for attr, _ in out}

@@ -211,9 +211,7 @@ def gl_force(d: np.ndarray, eps: float, out: np.ndarray | None = None,
     np.multiply(d, d, out=sq)
     np.sum(sq, axis=-3, keepdims=True, out=q)
     q -= 1.0
-    out = np.multiply(q, d, out=out)
-    out /= eps**2
-    return out
+    return ops._divide(np.multiply(q, d, out=out), eps**2)
 
 
 def penalty_density(d: np.ndarray, eps: float, out: np.ndarray | None = None,
@@ -224,8 +222,7 @@ def penalty_density(d: np.ndarray, eps: float, out: np.ndarray | None = None,
     p = ops.dot3(d, d, out=out, tmp=tmp)
     np.subtract(1.0, p, out=p)
     np.square(p, out=p)
-    p /= 4.0 * eps**2
-    return p
+    return ops._divide(p, 4.0 * eps**2)
 
 
 def director_terms(d: np.ndarray, h: np.ndarray, grid: Grid, eps: float,
@@ -363,11 +360,12 @@ def step_coupled(
         led.max_adv_ratio = np.maximum(led.max_adv_ratio, ratio)
 
     # updates, built in place on the spent time-n terms with the operations
-    # and order of d + dt * (-adv_d + gamma tau + 0.5 xi2^2 dxhxh) and
-    # u + dt * (-adv_u + mu lap_u - lam sforce) + noise_u
+    # and order of d + dt * (gamma tau - adv_d + 0.5 xi2^2 dxhxh) and
+    # u + dt * (mu lap_u - adv_u - lam sforce) + noise_u; b - a is b + (-a)
+    # in IEEE arithmetic, so these are the bits of -adv_d + gamma tau and
+    # -adv_u + mu lap_u
     term, _ = ops.carve(spare, d.shape)
-    d_new = np.negative(adv_d, out=adv_d)
-    d_new += np.multiply(params.gamma, tau, out=term)
+    d_new = np.subtract(np.multiply(params.gamma, tau, out=term), adv_d, out=adv_d)
     d_new += np.multiply(0.5 * params.xi2**2, dxhxh, out=term)
     d_new *= dt
     d_new += d
@@ -380,8 +378,7 @@ def step_coupled(
             d_new[wall] = d[wall]
 
     term, _ = ops.carve(spare, u.shape)
-    v = np.negative(adv_u, out=adv_u)
-    v += np.multiply(params.mu, lap_u, out=term)
+    v = np.subtract(np.multiply(params.mu, lap_u, out=term), adv_u, out=adv_u)
     v -= np.multiply(params.lam, sforce, out=term)
     v *= dt
     v += u

@@ -25,10 +25,19 @@ take the temporaries they need from the flat scratch ``tmp`` when it is
 given (:func:`carve`); a caller that passes the same buffers to every call
 allocates no field-sized array per call.  Either way the arithmetic and its
 order are the same, so the results are bit-identical.
+
+Every in-place division by a scalar c, here and in the stepper, goes
+through :func:`_divide`, which multiplies by 1/c when c is a power of two
+whose reciprocal is finite.  That 1/c is exact, and IEEE rounds x * (1/c)
+and x / c correctly from the same real number, so the bits are those of
+the division; any other c is divided by.  On a grid whose spacings are
+powers of two (lx / nx periodic, lx / (nx - 1) bounded, e.g. 1/64) the
+stencils thus run without a division.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -55,6 +64,27 @@ def carve(buf: np.ndarray | None, *shapes: tuple, dtype=float) -> list:
             out.append(buf[at:at + n].view(dtype)[:count].reshape(shape))
             at += n
     return out + [buf[at:]]
+
+
+@functools.lru_cache(maxsize=64)
+def _reciprocal(c: float) -> float | None:
+    """1/c when it is exact (c a power of two whose reciprocal is finite),
+    else None."""
+    if abs(math.frexp(c)[0]) != 0.5:
+        return None
+    r = 1.0 / c
+    return r if math.isfinite(r) else None
+
+
+def _divide(x: np.ndarray, c: float) -> np.ndarray:
+    """``x /= c`` in place, returned, with the division's bits for every x
+    and c (see the module docstring)."""
+    r = _reciprocal(c)
+    if r is None:
+        x /= c
+    else:
+        x *= r
+    return x
 
 
 def _step(grid: Grid, axis: int) -> float:
@@ -87,7 +117,7 @@ def _periodic_stencil(a: np.ndarray, ax: int, combine, divisor: float | None,
     for o, p, c, m in ((0, 1, 0, -1), (-1, 0, -1, -2)):
         combine(out[_at(ax, o)], a[_at(ax, p)], a[_at(ax, c)], a[_at(ax, m)])
     if divisor is not None:
-        out /= divisor
+        _divide(out, divisor)
     return out
 
 
@@ -122,7 +152,7 @@ def deriv(a: np.ndarray, grid: Grid, axis: int, bc: str,
         out = np.empty(a.shape)
     inner = out[_at(ax, slice(1, -1))]
     np.subtract(a[_at(ax, slice(2, None))], a[_at(ax, slice(None, -2))], out=inner)
-    inner /= 2.0 * h
+    _divide(inner, 2.0 * h)
     if bc == "neumann":
         # reflected ghosts make the normal derivative vanish at the wall
         out[_at(ax, 0)] = 0.0
@@ -165,8 +195,7 @@ def _second_diff(a: np.ndarray, grid: Grid, axis: int, bc: str,
             out[_at(ax, o)] = 2.0 * (e1 - e0)
         else:
             out[_at(ax, o)] = 2.0 * e0 - 5.0 * e1 + 4.0 * e2 - e3
-    out /= h2
-    return out
+    return _divide(out, h2)
 
 
 def gradient(a: np.ndarray, grid: Grid, bc: str, out: np.ndarray | None = None) -> np.ndarray:
@@ -196,11 +225,10 @@ def interior_divergence(v: np.ndarray, grid: Grid, out: np.ndarray | None = None
     for bit, without the wall rows."""
     v0, v1 = v[..., 0, :, :], v[..., 1, :, :]
     out = np.subtract(v0[..., 2:, 1:-1], v0[..., :-2, 1:-1], out=out)
-    out /= 2.0 * grid.hx
+    _divide(out, 2.0 * grid.hx)
     dy, _ = carve(tmp, out.shape)
     np.subtract(v1[..., 1:-1, 2:], v1[..., 1:-1, :-2], out=dy)
-    dy /= 2.0 * grid.hy
-    out += dy
+    out += _divide(dy, 2.0 * grid.hy)
     return out
 
 
@@ -230,8 +258,7 @@ def _forward_links(a: np.ndarray, grid: Grid, axis: int, periodic: bool,
         return _periodic_stencil(a, ax, _forward, h, carve(tmp, a.shape)[0])
     hi, lo = a[_at(ax, slice(1, None))], a[_at(ax, slice(None, -1))]
     links = np.subtract(hi, lo, out=carve(tmp, hi.shape)[0])
-    links /= h
-    return links
+    return _divide(links, h)
 
 
 def _link_weights(grid: Grid, axis: int) -> np.ndarray:

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .grids import Grid
-from .operators import carve, divergence, interior_divergence
+from .operators import _divide, carve, divergence, interior_divergence
 
 PROJ_TOL = 1e-10
 # |v|_inf (1/hx + 1/hy) above which the divergence bound grows with it: the
@@ -240,11 +240,9 @@ def _project_bounded(v: np.ndarray, grid: Grid, tol: float, out: np.ndarray | No
         p, gm = planes[:m], g[:m]
         np.copyto(p.reshape(m, -1), (At @ lu.solve(r[cols].T)).T)
         np.subtract(p[:, 2:, 1:-1], p[:, :-2, 1:-1], out=gm)
-        gm /= 2.0 * grid.hx
-        lanes[:, 0, 1:-1, 1:-1] -= gm
+        lanes[:, 0, 1:-1, 1:-1] -= _divide(gm, 2.0 * grid.hx)
         np.subtract(p[:, 1:-1, 2:], p[:, 1:-1, :-2], out=gm)
-        gm /= 2.0 * grid.hy
-        lanes[:, 1, 1:-1, 1:-1] -= gm
+        lanes[:, 1, 1:-1, 1:-1] -= _divide(gm, 2.0 * grid.hy)
         if lanes is u:
             div = interior_divergence(u, grid, out=div_in, tmp=scratch).reshape(k, -1)
         else:

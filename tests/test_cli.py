@@ -269,6 +269,11 @@ class TestSimulate:
         # 10**12 modes on 8x8 died in numpy's allocation of the mode shapes
         pytest.param("simulate", "sim.grid = 8x8\nnoise.modes = 1000000000000",
                      id="simulate-sim.grid = 8x8-noise.modes = 10**12"),
+    ] + [
+        # 10**12 paths: the runner built the whole seed list before its first
+        # step, and used up the memory
+        pytest.param("ensemble", "ensemble.paths = 1000000000000",
+                     id="ensemble-ensemble.paths = 10**12"),
     ])
     def test_value_that_crashed_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                 command, line):

@@ -3,7 +3,7 @@ budget relies on."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selflow import operators as ops
@@ -221,7 +221,15 @@ class TestDiscreteIdentities:
 # non-square, non-power-of-two periodic grid: hx*hy is not a power of two,
 # so scaling a plain sum by it rounds unlike summing weighted entries
 ODD = Grid(48, 40, lx=1.3, ly=0.7)
+# power-of-two spacings (1/16 and 1/64; 4 and 2), whose stencils multiply
+# by the exact reciprocal instead of dividing (ops._divide); the coarse one
+# scales down, so subnormal results round
+POW2 = Grid(32, 16, lx=2.0, ly=0.25)
+POW2_COARSE = Grid(16, 8, lx=64.0, ly=16.0)
+PERIODIC = [ODD, POW2, POW2_COARSE]
 LEADS = [(), (3,), (5, 2)]
+# 1e-310 makes subnormal fields and 1e307 overflowing stencils
+SCALES = [1e-310, 1e-8, 1.0, 1e6, 1e307]
 
 
 def _roll_links(a, grid, axis):
@@ -233,30 +241,66 @@ class TestPeriodicStencilsMatchRoll:
     """The periodic stencils are the np.roll formulas, bit for bit."""
 
     @settings(max_examples=30, deadline=None)
-    @given(lead=st.sampled_from(LEADS), strided=st.booleans(),
-           scale=st.sampled_from([1e-8, 1.0, 1e6]), seed=st.integers(0, 2**32 - 1))
-    def test_array_equal_to_roll(self, lead, strided, scale, seed):
+    @given(grid=st.sampled_from(PERIODIC), lead=st.sampled_from(LEADS),
+           strided=st.booleans(), scale=st.sampled_from(SCALES),
+           seed=st.integers(0, 2**32 - 1))
+    @example(grid=POW2, lead=(3,), strided=False, scale=1e-310, seed=1)
+    @example(grid=POW2, lead=(5, 2), strided=True, scale=1e307, seed=2)
+    @example(grid=POW2_COARSE, lead=(3,), strided=True, scale=1e-310, seed=3)
+    def test_array_equal_to_roll(self, grid, lead, strided, scale, seed):
         rng = np.random.default_rng(seed)
-        shape = lead + (ODD.nx, ODD.ny)
+        shape = lead + (grid.nx, grid.ny)
         if strided:
-            a = scale * rng.standard_normal(lead + (2, ODD.nx, ODD.ny))[..., 0, :, :]
+            a = scale * rng.standard_normal(lead + (2, grid.nx, grid.ny))[..., 0, :, :]
         else:
             a = scale * rng.standard_normal(shape)
         lap = 0.0
-        for axis, h in ((0, ODD.hx), (1, ODD.hy)):
-            up, down = np.roll(a, -1, axis=axis - 2), np.roll(a, 1, axis=axis - 2)
-            got = ops.deriv(a, ODD, axis, "periodic")
-            assert got.shape == shape
-            assert np.array_equal(got, (up - down) / (2.0 * h))
-            assert np.array_equal(ops._forward_links(a, ODD, axis, True),
-                                  _roll_links(a, ODD, axis))
-            lap = lap + (up - 2.0 * a + down) / h**2
-        assert np.array_equal(ops.laplacian(a, ODD, "periodic"), lap)
+        with np.errstate(all="ignore"):
+            for axis, h in ((0, grid.hx), (1, grid.hy)):
+                up, down = np.roll(a, -1, axis=axis - 2), np.roll(a, 1, axis=axis - 2)
+                got = ops.deriv(a, grid, axis, "periodic")
+                assert got.shape == shape
+                assert np.array_equal(got, (up - down) / (2.0 * h), equal_nan=True)
+                assert np.array_equal(ops._forward_links(a, grid, axis, True),
+                                      _roll_links(a, grid, axis), equal_nan=True)
+                lap = lap + (up - 2.0 * a + down) / h**2
+            assert np.array_equal(ops.laplacian(a, grid, "periodic"), lap, equal_nan=True)
+
+
+class TestDivide:
+    """``ops._divide`` has the bits of ``x / c``: multiplied by the exact
+    reciprocal of a power of two, divided otherwise."""
+
+    X = np.array([0.0, -0.0, 5e-324, -5e-324, 3e-310, -2.2250738585072014e-308,
+                  2.2250738585072009e-308, 1.0, -3.7, 0.1, 1e300,
+                  1.7976931348623157e308, -1.7976931348623157e308,
+                  np.inf, -np.inf, np.nan])
+
+    @pytest.mark.parametrize("c", [2.0**-1022, 2.0**-6, 2.0**1023, 0.1, 1 / 31],
+                             ids=["2^-1022", "2^-6", "2^1023", "0.1", "1/31"])
+    def test_bits_of_division(self, c):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([self.X, rng.standard_normal(64),
+                            1e-310 * rng.standard_normal(64), 1e307 * rng.standard_normal(64)])
+        with np.errstate(all="ignore"):
+            want = x / c
+            got = ops._divide(x.copy(), c)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_branch(self):
+        assert ops._reciprocal(2.0**-6) == 64.0
+        assert ops._reciprocal(2.0**1023) == 2.0**-1023  # subnormal, still exact
+        assert ops._reciprocal(-0.5) == -2.0
+        # 1/c overflows, c is no power of two, or c is not finite
+        for c in (2.0**-1074, 0.1, 1 / 31, 3.0, 0.0, np.inf, np.nan):
+            assert ops._reciprocal(c) is None
 
 
 BOUNDED = [Grid(4, 4, lx=0.7, ly=1.1, bc_director="neumann"),
            Grid(24, 20, lx=1.3, ly=0.9, bc_director="neumann"),
-           Grid(25, 31, lx=0.8, ly=1.7, bc_director="dirichlet")]
+           Grid(25, 31, lx=0.8, ly=1.7, bc_director="dirichlet"),
+           # power-of-two spacing (1/32 both ways): the stencils multiply
+           Grid(33, 17, lx=1.0, ly=0.5, bc_director="neumann")]
 BOUNDED_BCS = ["noslip", "dirichlet", "neumann"]
 
 
@@ -282,7 +326,13 @@ class TestBoundedStencilsMatchGradient:
     @settings(max_examples=40, deadline=None)
     @given(grid=st.sampled_from(BOUNDED), bc=st.sampled_from(BOUNDED_BCS),
            lead=st.sampled_from(LEADS), strided=st.booleans(), into=st.booleans(),
-           scale=st.sampled_from([1e-8, 1.0, 1e6]), seed=st.integers(0, 2**32 - 1))
+           scale=st.sampled_from(SCALES), seed=st.integers(0, 2**32 - 1))
+    @example(grid=BOUNDED[-1], bc="noslip", lead=(3,), strided=False, into=True,
+             scale=1e-310, seed=1)
+    @example(grid=BOUNDED[-1], bc="neumann", lead=(5, 2), strided=True, into=False,
+             scale=1e307, seed=2)
+    @example(grid=BOUNDED[-1], bc="dirichlet", lead=(), strided=False, into=False,
+             scale=1.0, seed=3)
     def test_array_equal_to_gradient(self, grid, bc, lead, strided, into, scale, seed):
         rng = np.random.default_rng(seed)
         shape = lead + (grid.nx, grid.ny)
@@ -291,21 +341,22 @@ class TestBoundedStencilsMatchGradient:
         else:
             a = scale * rng.standard_normal(shape)
         lap = 0.0
-        for axis, h in ((0, grid.hx), (1, grid.hy)):
-            want = np.gradient(a, h, axis=axis - 2, edge_order=2)
-            if bc == "neumann":
-                want[ops._at(axis - 2, 0)] = 0.0
-                want[ops._at(axis - 2, -1)] = 0.0
-            if into:  # a strided slot, as gradient() passes
-                slots = np.full(lead + (2, grid.nx, grid.ny), np.nan)
-                got = ops.deriv(a, grid, axis, bc, out=slots[..., axis, :, :])
-                assert np.shares_memory(got, slots)
-            else:
-                got = ops.deriv(a, grid, axis, bc)
-            assert got.shape == shape
-            assert np.array_equal(got, want)
-            lap = lap + _slice_second_diff(a, grid, axis, bc)
-        assert np.array_equal(ops.laplacian(a, grid, bc), lap)
+        with np.errstate(all="ignore"):
+            for axis, h in ((0, grid.hx), (1, grid.hy)):
+                want = np.gradient(a, h, axis=axis - 2, edge_order=2)
+                if bc == "neumann":
+                    want[ops._at(axis - 2, 0)] = 0.0
+                    want[ops._at(axis - 2, -1)] = 0.0
+                if into:  # a strided slot, as gradient() passes
+                    slots = np.full(lead + (2, grid.nx, grid.ny), np.nan)
+                    got = ops.deriv(a, grid, axis, bc, out=slots[..., axis, :, :])
+                    assert np.shares_memory(got, slots)
+                else:
+                    got = ops.deriv(a, grid, axis, bc)
+                assert got.shape == shape
+                assert np.array_equal(got, want, equal_nan=True)
+                lap = lap + _slice_second_diff(a, grid, axis, bc)
+            assert np.array_equal(ops.laplacian(a, grid, bc), lap, equal_nan=True)
 
     @settings(max_examples=20, deadline=None)
     @given(grid=st.sampled_from(BOUNDED), lead=st.sampled_from(LEADS),
