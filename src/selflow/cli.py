@@ -97,27 +97,18 @@ def _write_manifest(run_dir: Path, cfg: RunConfig, seeds: list[int], extra: dict
     (run_dir / "config.cfg").write_text(canonical_dump(cfg), encoding="utf-8")
 
 
-def _write_columns_csv(path: Path, cols: dict) -> None:
-    np.savetxt(path, np.column_stack(list(cols.values())), delimiter=",",
-               header=",".join(cols), comments="")
-
-
-def _write_rows(path: Path, header: list[str], rows, comment: str = "") -> None:
-    """A CSV table: the ``comment`` line if any, the header, then one line per
-    row, each number written as repr(float(v)) and each string as it is."""
+def _write_table(path: Path, columns: dict, comment: str = "") -> None:
+    """A CSV table of named columns broadcast to one shape: the ``comment``
+    line if any, the header, then one row per element in C order, each
+    number written as repr(float(v)), the shortest text that reads back as
+    the same double, and each string as it is."""
+    flat = [np.ravel(col).tolist() for col in np.broadcast_arrays(*columns.values())]
     with open(path, "w", encoding="utf-8") as fh:
         if comment:
             fh.write(comment + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*flat):
             fh.write(",".join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n")
-
-
-def _write_table(path: Path, cols: dict) -> None:
-    """A CSV table of named columns broadcast to one shape: one row per
-    element, in C order, written as :func:`_write_rows` writes numbers."""
-    flat = [np.ravel(col) for col in np.broadcast_arrays(*cols.values())]
-    _write_rows(path, list(cols), zip(*flat))
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -128,19 +119,19 @@ def cmd_simulate(cfg: RunConfig) -> int:
         extra = {}
         if cfg.track_budget:
             extra["budget_residual"] = budget_residual_series(result.series, build_params(cfg, grid))
-        _write_columns_csv(run_dir / "energy.csv", {**result.series.columns, **extra})
+        _write_table(run_dir / "energy.csv", {**result.series.columns, **extra})
         write_snapshot(run_dir / "u_final.fld", grid, result.state.u)
         write_snapshot(run_dir / "d_final.fld", grid, result.state.d)
         if result.weak_tracker is not None:
-            ru = result.weak_tracker.residual_u(result.state.u)
-            rd = result.weak_tracker.residual_d(result.state.d)
-            _write_rows(run_dir / "weak.csv", ["test_function", "residual"],
-                        {**ru, **rd}.items(),
-                        "# director weak form uses -f_eps(d) for the |grad d|^2 d term at finite eps")
+            residuals = {**result.weak_tracker.residual_u(result.state.u),
+                         **result.weak_tracker.residual_d(result.state.d)}
+            _write_table(run_dir / "weak.csv",
+                         {"test_function": list(residuals), "residual": list(residuals.values())},
+                         "# director weak form uses -f_eps(d) for the |grad d|^2 d term at finite eps")
         if cfg.track_invariants:
             inv = result.state.ledgers
-            _write_rows(run_dir / "invariants.csv", ["max_divergence", "max_adv_ratio"],
-                        [(inv.max_divergence, inv.max_adv_ratio)])
+            _write_table(run_dir / "invariants.csv", {"max_divergence": inv.max_divergence,
+                                                      "max_adv_ratio": inv.max_adv_ratio})
     return EXIT_OK
 
 
@@ -148,12 +139,12 @@ def cmd_ensemble(cfg: RunConfig, threads: int) -> int:
     result = run_ensemble(cfg, threads)
     with _run_dir(cfg, "ensemble") as run_dir:
         _write_manifest(run_dir, cfg, result.seeds, {"paths": cfg.paths})
-        _write_columns_csv(run_dir / "ensemble.csv", result.stats.columns)
+        _write_table(run_dir / "ensemble.csv", result.stats.columns)
         paths_dir = run_dir / "paths"
         paths_dir.mkdir(exist_ok=True)
         for i in range(cfg.paths):
-            _write_columns_csv(paths_dir / f"path_{i:03d}.csv",
-                               {name: col[i] for name, col in result.series.columns.items()})
+            _write_table(paths_dir / f"path_{i:03d}.csv",
+                         {name: col[i] for name, col in result.series.columns.items()})
         stats = result.stats.columns  # each ledger's mean and 3 se at the last checkpoint
         print(f"ensemble: {cfg.paths} paths, " + ", ".join(
             f"{n} = {stats[f'{n}_mean'][-1]:.3e} (3se {3.0 * stats[f'{n}_se'][-1]:.3e})"

@@ -18,8 +18,9 @@ director advection term exactly.  It equals the Ericksen tensor divergence
 div(grad d . grad d) up to a gradient, which the projection removes; the
 tensor itself lives with its diagnostic users in :mod:`selflow.diagnostics`.
 Bounded grids leave the budget a spatial floor (their projection is not
-orthogonal in the quadrature inner product), larger with a pinned
-``dirichlet`` wall.
+orthogonal in the quadrature inner product).  A pinned ``dirichlet``
+director wall adds none: tau is zero on its nodes, which the step does not
+update, so the ledgers pair tau with the updated nodes only.
 
 Running ledgers accumulate the discrete stochastic integrals and the
 left-endpoint time integrals that the energy-budget diagnostic consumes,
@@ -61,6 +62,9 @@ class StabilityError(ValueError):
 
 # bytes per cache line: numpy's wide (AVX-512) loops load one line at a time
 CACHE_LINE = 64
+
+# the four wall rows of a field, which a ``dirichlet`` director wall pins
+WALLS = (np.s_[..., 0, :], np.s_[..., -1, :], np.s_[..., :, 0], np.s_[..., :, -1])
 
 
 def aligned_empty(shape: tuple) -> np.ndarray:
@@ -229,18 +233,24 @@ def director_terms(d: np.ndarray, h: np.ndarray, grid: Grid, eps: float,
                    work: Workspace | None = None):
     """Time-n director terms (lap d, tau = lap d - f_eps(d), d x h,
     (d x h) x h), with the grid's director closure, in the buffers of
-    ``work`` (a new workspace when it is None); f_eps(d) is built in tau's."""
+    ``work`` (a new workspace when it is None); f_eps(d) is built in tau's.
+    tau is zero on the nodes of a ``dirichlet`` wall."""
     if work is None:
         work = Workspace()
     spare = work.spare(d)
     lap_d = ops.laplacian(d, grid, grid.bc_director, out=work("lap_d", d.shape), tmp=spare)
     tau = gl_force(d, eps, out=work("tau", d.shape), tmp=spare)
     np.subtract(lap_d, tau, out=tau)
+    if grid.bc_director == "dirichlet":
+        # the step keeps a pinned wall's values, so the ledgers pair tau
+        # only with the nodes it updates
+        for wall in WALLS:
+            tau[wall] = 0.0
     dxh = ops.cross(d, h, out=work("dxh", d.shape), tmp=spare)
     return lap_d, tau, dxh, ops.cross(dxh, h, out=work("dxhxh", d.shape), tmp=spare)
 
 
-def budget_integrands(u: np.ndarray, lap_u: np.ndarray, d: np.ndarray, lap_d: np.ndarray,
+def budget_integrands(u: np.ndarray, lap_u: np.ndarray | None, d: np.ndarray, lap_d: np.ndarray,
                       tau: np.ndarray, dxh: np.ndarray, dxhxh: np.ndarray, grid: Grid,
                       S: NoiseOperatorS, params: Params, tmp: np.ndarray | None = None):
     """The four unscaled energy-budget integrands at one state, per path:
@@ -255,8 +265,9 @@ def budget_integrands(u: np.ndarray, lap_u: np.ndarray, d: np.ndarray, lap_d: np
     identity needs zero wall values, which a dirichlet director wall and a
     file velocity need not have: a dirichlet wall keeps the forward-link
     form of the Stratonovich term and reads no ``lap_d``, and bounded grids
-    keep that of ||grad u||^2 and read no ``lap_u``.  The forms' products
-    are built in the flat scratch ``tmp`` when it is given."""
+    keep that of ||grad u||^2 and read no ``lap_u`` (which may be None).
+    The forms' products are built in the flat scratch ``tmp`` when it is
+    given."""
     hs = S.hs_norm_sq(u, params.proj_tol, tmp=tmp) if params.xi1 != 0.0 else 0.0
     if grid.periodic:
         diss_u = -ops.pair_vec(lap_u, u, grid, tmp=tmp)
@@ -374,7 +385,7 @@ def step_coupled(
         term *= np.asarray(dW2)[..., None, None, None]
         d_new += term
     if bc_d == "dirichlet":
-        for wall in (np.s_[..., 0, :], np.s_[..., -1, :], np.s_[..., :, 0], np.s_[..., :, -1]):
+        for wall in WALLS:
             d_new[wall] = d[wall]
 
     term, _ = ops.carve(spare, u.shape)

@@ -79,7 +79,9 @@ def record_columns(state: SimState, params: Params, S: NoiseOperatorS,
     sphere = sphere_columns(d, grid, params.eps, tmp=spare)
     pen = sphere["penalty"]
     lap_d, tau, dxh, dxhxh = director_terms(d, h, grid, params.eps, work)
-    lap_u = ops.laplacian(u, grid, grid.bc_velocity, out=work("lap_u", u.shape), tmp=spare)
+    # only periodic grids read ||grad u||^2 off the Laplacian
+    lap_u = (ops.laplacian(u, grid, grid.bc_velocity, out=work("lap_u", u.shape), tmp=spare)
+             if grid.periodic else None)
     diss_u, diss_d, hs, strat = budget_integrands(u, lap_u, d, lap_d, tau, dxh, dxhxh,
                                                   grid, S, params, tmp=spare)
     sq, rest = ops.carve(spare, d.shape[:-3] + d.shape[-2:])

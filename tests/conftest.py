@@ -6,6 +6,7 @@ from selflow.dynamics import director_terms
 from selflow.grids import Grid
 from selflow.initial import constant_director, smooth_unit_director
 from selflow.noise import NoiseOperatorS
+from selflow.projection import leray_project
 
 
 @pytest.fixture
@@ -73,3 +74,26 @@ def sphere_generator_drift(d: np.ndarray, h: np.ndarray, xi2: float = 1.0) -> np
     the vector triple product."""
     dxh, dxhxh = cross_terms(d, h)
     return ops.dot3(d, 0.5 * xi2**2 * dxhxh) + 0.5 * xi2**2 * ops.dot3(dxh, dxh)
+
+
+def asym_velocity(grid, amp=0.2):
+    """Multi-mode velocity with no lattice parity; projected."""
+    X, Y = grid.meshgrid()
+    v = np.stack(
+        [
+            amp * (np.sin(2 * np.pi * Y + 0.3)
+                   + 0.4 * np.sin(4 * np.pi * X + 1.1) * np.cos(2 * np.pi * Y)),
+            amp * 0.5 * np.cos(2 * np.pi * X) * np.sin(4 * np.pi * Y + 0.2),
+        ]
+    )
+    return leray_project(v, grid)
+
+
+def asym_director(grid):
+    """Multi-mode unit director with cross-phase modes."""
+    X, Y = grid.meshgrid()
+    v1 = 0.4 * np.sin(2 * np.pi * X) * np.sin(2 * np.pi * Y) + 0.25 * np.cos(
+        4 * np.pi * X + 0.7)
+    v2 = 0.35 * np.cos(2 * np.pi * X + 0.4) * np.sin(2 * np.pi * Y)
+    nrm = np.sqrt(v1**2 + v2**2 + 1.0)
+    return np.stack([v1 / nrm, v2 / nrm, 1.0 / nrm])

@@ -5,11 +5,12 @@ workload configs (noise seeds 3 and 11) under ``--threads 1`` and ``2``,
 once with the parent tree's ``src`` on ``PYTHONPATH`` and once with this
 tree's, each in its own subprocess and fresh directory.  Both sides use
 this tree's case definitions.  Then it prints ``diff -r`` of the two
-output trees and, for every CSV that differs, the largest difference in
-each column.  Each CLI run's stdout is compared too.  Only two things are
-masked: run-directory names (a run's artifacts land under its case's
-name, and its stdout's ``wrote`` line names no directory) and the
-elapsed-time (``done in``) lines.
+output trees, CSVs aside, and, for every CSV whose bytes differ, the
+largest difference in each column whose values differ, or ``format only``
+when every cell reads as the same double.  Each CLI run's stdout is
+compared too.  Only two things are masked: run-directory names (a run's
+artifacts land under its case's name, and its stdout's ``wrote`` line
+names no directory) and the elapsed-time (``done in``) lines.
 
 Usage (from the repo root; the parent is any checkout, e.g. from
 ``git archive``)::
@@ -68,46 +69,67 @@ def run_cases(cases: list[str], out: Path, threads: int) -> None:
             (run_dir / "stdout.txt").write_text(text, encoding="utf-8")
 
 
-def _cells(path: Path) -> dict[str, list[str]]:
+def _read_csv(path: Path) -> tuple[list[str], dict[str, list[str]]]:
+    """The ``#`` comment lines of a CSV and its cells, column by column."""
     with path.open(encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
-    header, *rows = rows
-    return {name: [row[j] if j < len(row) else "" for row in rows]
-            for j, name in enumerate(header)}
+        rows = [row for row in csv.reader(fh) if row]
+    comments = [",".join(row) for row in rows if row[0].startswith("#")]
+    header, *rows = [row for row in rows if not row[0].startswith("#")]
+    return comments, {name: [row[j] if j < len(row) else "" for row in rows]
+                      for j, name in enumerate(header)}
+
+
+def _same_value(a: str, b: str) -> bool:
+    """Whether two cells hold the same text, or numbers that read as the
+    same double; compared by repr, so -0.0 differs from 0.0 and a NaN
+    equals a NaN."""
+    if a == b:
+        return True
+    try:
+        return repr(float(a)) == repr(float(b))
+    except ValueError:
+        return False
 
 
 def _column_change(want: list[str], got: list[str]) -> str | None:
-    """The largest difference between two columns, as text; None when the
-    cells are the same."""
-    if want == got:
-        return None
+    """The largest difference between two columns, as text; None when every
+    cell holds the same value."""
     if len(want) != len(got):
         return f"{len(want)} rows -> {len(got)}"
+    if all(_same_value(a, b) for a, b in zip(want, got)):
+        return None
     try:
         pairs = [(float(a), float(b)) for a, b in zip(want, got)]
     except ValueError:
         return "text differs"
     worst = max(abs(a - b) if a != b else 0.0 for a, b in pairs)
+    if not worst > 0.0:
+        return "signed zeros or NaNs differ"
     scale = max(abs(a) for a, _ in pairs)
     rel = f" ({worst / scale:.3e} relative)" if scale > 0 else ""
     return f"max |diff| {worst:.3e}{rel}"
 
 
 def csv_report(old: Path, new: Path) -> list[str]:
-    """For each CSV present in both trees whose bytes differ, one line per
-    differing column."""
+    """For each CSV whose bytes differ between the trees, one line per
+    column whose values differ, or one ``format only`` line when every cell
+    reads as the same value; a CSV in one tree only is named too."""
     lines = []
-    for path in sorted(old.rglob("*.csv")):
-        rel = path.relative_to(old)
-        other = new / rel
-        if not other.exists() or path.read_bytes() == other.read_bytes():
+    for rel in sorted({p.relative_to(root) for root in (old, new) for p in root.rglob("*.csv")}):
+        path, other = old / rel, new / rel
+        if not (path.exists() and other.exists()):
+            lines.append(f"{rel}: only in {'parent' if path.exists() else 'change'}")
             continue
-        want, got = _cells(path), _cells(other)
+        if path.read_bytes() == other.read_bytes():
+            continue
+        (want_notes, want), (got_notes, got) = _read_csv(path), _read_csv(other)
+        changes = ["comment lines differ"] if want_notes != got_notes else []
         for col in sorted(set(want) | set(got)):
             if col not in want or col not in got:
-                lines.append(f"{rel}: {col}: {'added' if col in got else 'removed'}")
+                changes.append(f"{col}: {'added' if col in got else 'removed'}")
             elif (change := _column_change(want[col], got[col])) is not None:
-                lines.append(f"{rel}: {col}: {change}")
+                changes.append(f"{col}: {change}")
+        lines += [f"{rel}: {change}" for change in changes or ["format only"]]
     return lines
 
 
@@ -151,15 +173,18 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{side} ({tree}) failed under --threads {threads}", file=sys.stderr)
                     return 2
         old, new = top / "parent", top / "change"
-        diff = subprocess.run(["diff", "-r", str(old), str(new)], capture_output=True, text=True)
+        diff = subprocess.run(["diff", "-r", "-x", "*.csv", str(old), str(new)],
+                              capture_output=True, text=True)
         n_files = sum(1 for p in new.rglob("*") if p.is_file())
         print(diff.stdout.replace(str(top), "<out>"), end="")
-        for line in csv_report(old, new):
+        report = csv_report(old, new)
+        for line in report:
             print(f"  {line}")
+        same = diff.returncode == 0 and not report
         n_cases = sum(p.is_dir() for p in (new / f"threads{THREADS[0]}").iterdir())
         print(f"{n_cases} cases x threads {THREADS}: {n_files} files, "
-              + ("identical" if diff.returncode == 0 else "DIFFERENCES"))
-        return 0 if diff.returncode == 0 else 1
+              + ("identical" if same else "DIFFERENCES"))
+        return 0 if same else 1
 
 
 if __name__ == "__main__":

@@ -20,3 +20,18 @@ def test_csv_report_names_the_changed_columns(tmp_path):
         (root / "case" / "same.csv").write_text("t\n0\n", encoding="utf-8")
     assert identity.csv_report(old, new) == [
         "case/energy.csv: b: max |diff| 2.500e-01 (1.250e-01 relative)"]
+
+
+def test_csv_report_tells_format_from_value(tmp_path):
+    # the same doubles in another number format are "format only"; a
+    # signed zero is a value change, and a NaN equals a NaN
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, row in ((old, "2.5,0.0,nan"), (new, "2.500000000000000000e+00,0.0,NaN")):
+        (root / "case").mkdir(parents=True)
+        (root / "case" / "format.csv").write_text(f"a,b,c\n{row}\n", encoding="utf-8")
+        (root / "case" / "zero.csv").write_text(f"a,b\n2.5,{row.split(',')[1]}\n",
+                                                encoding="utf-8")
+    (new / "case" / "zero.csv").write_text("a,b\n2.5,-0.0\n", encoding="utf-8")
+    assert identity.csv_report(old, new) == [
+        "case/format.csv: format only",
+        "case/zero.csv: b: signed zeros or NaNs differ"]

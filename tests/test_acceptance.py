@@ -1,9 +1,13 @@
-"""Acceptance battery: twelve property-based criteria at desk scale.
+"""Acceptance battery: fourteen property-based criteria at desk scale.
 
 Each test prints one PASS line with its measured numbers when it succeeds,
 so `pytest -v -s tests/test_acceptance.py` reads as a checklist.  Fixtures
 are shared where criteria refer to the same run (1 and 11 share the
-deterministic 64^2 run; 3 and 12 share the 64-path ensemble).
+deterministic 64^2 run; 3 and 12 share the 64-path ensemble).  Criteria
+17 and 18 refine strongly coupled deterministic flows, so that the
+advection and stress terms each leave a residual that does not converge
+when wrong; numbers 13 to 16 are kept for the stochastic and limit
+criteria still to come.
 """
 
 import time
@@ -14,6 +18,7 @@ import pytest
 from selflow import operators as ops
 from selflow.config import RunConfig, build_grid
 from selflow.diagnostics import (
+    WeakFormTracker,
     default_defect_radius,
     default_defect_threshold,
     defect_detect,
@@ -22,9 +27,11 @@ from selflow.diagnostics import (
 )
 from selflow.dynamics import Params, stability_dt
 from selflow.ensemble import coupled_sweep, lane_width, run_ensemble
+from selflow.fields import director_test_function, solenoidal_test_function
 from selflow.grids import Grid
 from selflow.initial import (
     constant_director,
+    mixed_unit_director,
     smooth_unit_director,
     taylor_green,
     vortex_director,
@@ -32,6 +39,8 @@ from selflow.initial import (
 from selflow.noise import NoiseOperatorS, WienerDriver, coarsen_normals
 from selflow.pathrun import simulate_batch, simulate_path
 from conftest import (
+    asym_director,
+    asym_velocity,
     fit_order,
     sphere_generator_drift,
     subunit_director,
@@ -304,3 +313,67 @@ def test_criterion_12_reproducibility(ensemble_64paths):
         assert np.array_equal(col, second.series.columns[k])
     report(12, "identical config rerun with shuffled path execution order on "
                "two threads is bit-identical across every statistic and path series")
+
+
+def test_criterion_17_weak_formulation_refinement():
+    # joint refinement of a strong flow: every drift term pairs with some
+    # test function, so a wrong velocity advection, director advection or
+    # stress force leaves its equation's residuals stalled or growing
+    eps, T = 0.5, 0.02
+    t0 = time.monotonic()
+    resids = []
+    for n in (16, 32, 64):
+        grid = Grid(n, n)
+        u0 = asym_velocity(grid, 1.0)
+        params = Params(eps=eps, xi1=0.0, xi2=0.0, T=T,
+                        dt=stability_dt(eps, grid, 1.0, 1.0, umax=float(np.max(np.abs(u0)))))
+        tracker = WeakFormTracker(
+            grid, params,
+            u_tests=[solenoidal_test_function(grid, kx, ky) for kx, ky in ((1, 1), (2, 1), (1, 2))],
+            d_tests=[director_test_function(grid, kx, 1, component=c)
+                     for c in range(3) for kx in (1, 2)])
+        res = simulate_path(grid, params, u0, asym_director(grid),
+                            NoiseOperatorS(grid, n_modes=2, sigma0=0.0),
+                            constant_director(grid, (0.0, 0.0, 0.5)), WienerDriver(0, 2),
+                            weak_tracker=tracker, track_budget=False)
+        lane = res.weak_tracker
+        resids.append({name: abs(r) for name, r in
+                       {**lane.residual_u(res.state.u), **lane.residual_d(res.state.d)}.items()})
+    elapsed = time.monotonic() - t0
+    ratios = {name: [coarse[name] / fine[name]
+                     for coarse, fine in zip(resids, resids[1:])] for name in resids[0]}
+    assert len(ratios) == 9
+    worst = [min(r[k] for r in ratios.values()) for k in (0, 1)]
+    assert min(worst) >= 2.5, ratios
+    report(17, f"9 weak-form residuals at 16^2/32^2/64^2, smallest ratio per halving "
+               f"{worst[0]:.2f}, {worst[1]:.2f} >= 2.5, largest final "
+               f"{max(resids[-1].values()):.2e}, runtime {elapsed:.1f}s")
+
+
+def test_criterion_18_coupled_energy_budget():
+    # a strong, slowly damped flow: the stress work and the director
+    # transport exchange energy, and only their exact cancellation leaves
+    # a first-order residual
+    grid = Grid(32, 32)
+    eps, mu, T = 0.5, 0.05, 0.05
+    u0 = taylor_green(grid, 1, 2.0)
+    d0 = mixed_unit_director(grid, 0.8)
+    S = NoiseOperatorS(grid, n_modes=2, sigma0=0.0)
+    h = constant_director(grid, (0.0, 0.0, 0.5))
+    dt0 = stability_dt(eps, grid, mu, 1.0, umax=float(np.max(np.abs(u0))))
+    t0 = time.monotonic()
+    resids = []
+    for k in (1, 2, 4, 8):
+        params = Params(eps=eps, mu=mu, xi1=0.0, xi2=0.0, dt=dt0 / k, T=T)
+        res = simulate_path(grid, params, u0, d0, S, h, WienerDriver(0, 2),
+                            checkpoint_every=10**9, track_budget=True)
+        resids.append(abs(energy_budget_residual(res.series, params)))
+        dissipated = (params.mu * res.series.columns["int_diss_u"][-1]
+                      + params.lam * params.gamma * res.series.columns["int_diss_d"][-1])
+    elapsed = time.monotonic() - t0
+    ratios = np.array(resids[:-1]) / resids[1:]
+    assert np.all((ratios > 1.9) & (ratios < 2.1)), ratios
+    report(18, f"residuals {', '.join(f'{r:.3e}' for r in resids)}, ratios "
+               f"{', '.join(f'{r:.2f}' for r in ratios)} in (1.9, 2.1), final "
+               f"{resids[-1] / dissipated:.2%} of dissipated {dissipated:.3f}, "
+               f"runtime {elapsed:.1f}s")

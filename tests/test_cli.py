@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from selflow.cli import main
 from selflow import ensemble
-from selflow.config import SCHEMA, SPEC_FORMS, parse_config
-from selflow.diagnostics import default_defect_radius
-from selflow.ensemble import coupled_sweep, run_ensemble
+from selflow.config import SCHEMA, SPEC_FORMS, build_params, parse_config
+from selflow.diagnostics import budget_residual_series, default_defect_radius
+from selflow.ensemble import coupled_sweep, run_ensemble, run_path
 from selflow.fields import MAGIC, write_snapshot
 from selflow.grids import Grid
 from selflow.initial import constant_director, vortex_director
@@ -470,6 +470,51 @@ class TestTables:
         table = np.array([[float(v) for v in row.split(",")] for row in rows])
         for k, col in enumerate(stats.values()):
             assert np.array_equal(table[:, k], col), k
+
+    def test_every_cell_is_the_repr_of_its_value(self, tmp_path, monkeypatch):
+        # every CSV the CLI writes holds each number as repr(float(v)), the
+        # shortest text that reads back as the in-memory double
+        out = out_env(tmp_path, monkeypatch)
+        text = (TINY + "sweep.eps = 0.3,0.15\nensemble.paths = 2\n"
+                "track.weak = true\ntrack.invariants = true\n")
+        cfg = parse_config(text)
+        sim = run_path(cfg)
+        grid = sim.state.grid
+        residuals = {**sim.weak_tracker.residual_u(sim.state.u),
+                     **sim.weak_tracker.residual_d(sim.state.d)}
+        ens, sweep = run_ensemble(cfg), coupled_sweep(cfg)
+        index = {"path": np.arange(2)[:, None, None], "eps": np.array(sweep.eps_list)[:, None]}
+        expected = {
+            "simulate": {
+                "energy.csv": {**sim.series.columns, "budget_residual": budget_residual_series(
+                    sim.series, build_params(cfg, grid))},
+                "weak.csv": {"test_function": list(residuals),
+                             "residual": list(residuals.values())},
+                "invariants.csv": {"max_divergence": sim.state.ledgers.max_divergence,
+                                   "max_adv_ratio": sim.state.ledgers.max_adv_ratio},
+            },
+            "ensemble": {"ensemble.csv": ens.stats.columns, **{
+                f"paths/path_{i:03d}.csv": {k: col[i] for k, col in ens.series.columns.items()}
+                for i in range(2)}},
+            "sweep": {"sweep.csv": {**index, **sweep.series.columns},
+                      "cauchy.csv": sweep.cauchy.columns},
+        }
+        for command in expected:
+            assert main([command, write_cfg(tmp_path, text)]) == 0
+        runs = {run.name.split("-")[0]: run for run in out.iterdir()}
+        for command, tables in expected.items():
+            assert sorted(p.relative_to(runs[command]).as_posix()
+                          for p in runs[command].rglob("*.csv")) == sorted(tables)
+            for rel, columns in tables.items():
+                lines = [ln for ln in (runs[command] / rel).read_text().splitlines()
+                         if not ln.startswith("#")]
+                assert lines[0] == ",".join(columns), rel
+                flat = [np.ravel(col) for col in np.broadcast_arrays(*columns.values())]
+                assert len(lines) == 1 + flat[0].size, rel
+                for line, *values in zip(lines[1:], *flat):
+                    for cell, value in zip(line.split(","), values):
+                        want = value if isinstance(value, str) else repr(float(value))
+                        assert cell == want, (rel, line)
 
 
 class TestThreads:

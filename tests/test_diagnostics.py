@@ -1,6 +1,8 @@
 """Energy budget, pointwise identities, stress pairings, weak residuals,
 multiplier residuals, defect detection, and the coupled sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,9 @@ from selflow.diagnostics import (
     stress_pairing,
     traceless_stress,
 )
-from selflow.config import RunConfig
+from selflow.config import RunConfig, build_grid, build_params, checked_field, parse_config
 from selflow.dynamics import Params, stability_dt
-from selflow.ensemble import coupled_sweep
+from selflow.ensemble import coupled_sweep, run_path
 from selflow.fields import director_test_function, solenoidal_test_function
 from selflow.grids import Grid
 from selflow.initial import (
@@ -34,7 +36,13 @@ from selflow.initial import (
 )
 from selflow.noise import NoiseOperatorS, WienerDriver
 from selflow.pathrun import simulate_batch, simulate_path
-from conftest import fit_order, sphere_generator_drift, triple_product_defects
+from conftest import (
+    asym_director,
+    asym_velocity,
+    fit_order,
+    sphere_generator_drift,
+    triple_product_defects,
+)
 
 
 def _run(grid, params, S, h, seed=0, u_amp=0.2, d_amp=0.4, budget=True, **kw):
@@ -68,32 +76,6 @@ def local_energy(d, grid, eps, center, r):
     from selflow.diagnostics import _ball_energy, _energy_density
 
     return _ball_energy(_energy_density(d, grid, eps, grid.bc_director), grid, center, r)
-
-
-def asym_velocity(grid, amp=0.2):
-    """Multi-mode velocity with no lattice parity; projected."""
-    from selflow.projection import leray_project
-
-    X, Y = grid.meshgrid()
-    v = np.stack(
-        [
-            amp * (np.sin(2 * np.pi * Y + 0.3)
-                   + 0.4 * np.sin(4 * np.pi * X + 1.1) * np.cos(2 * np.pi * Y)),
-            amp * 0.5 * np.cos(2 * np.pi * X) * np.sin(4 * np.pi * Y + 0.2),
-        ]
-    )
-    u = leray_project(v, grid)
-    return u
-
-
-def asym_director(grid):
-    """Multi-mode unit director with cross-phase modes."""
-    X, Y = grid.meshgrid()
-    v1 = 0.4 * np.sin(2 * np.pi * X) * np.sin(2 * np.pi * Y) + 0.25 * np.cos(
-        4 * np.pi * X + 0.7)
-    v2 = 0.35 * np.cos(2 * np.pi * X + 0.4) * np.sin(2 * np.pi * Y)
-    nrm = np.sqrt(v1**2 + v2**2 + 1.0)
-    return np.stack([v1 / nrm, v2 / nrm, 1.0 / nrm])
 
 
 class TestEnergyRecord:
@@ -189,6 +171,28 @@ class TestEnergyBudget:
             res = _run(grid32, params, S, h, seed=3)
             resids.append(abs(energy_budget_residual(res.series, params)))
         assert resids[1] < 0.6 * resids[0]
+
+    def test_pinned_wall_residual_linear_in_dt(self):
+        # the simulate_bounded_dirichlet golden config without noise: tau is
+        # paired at the nodes the step updates only, so the residual halves
+        # with dt (counting the pinned wall left a floor near 2.1e-2, 7% of
+        # the dissipation)
+        cfg = parse_config("sim.grid = 25x20\nsim.lx = 1.3\nsim.ly = 0.9\n"
+                           "sim.bc = bounded-dirichlet\nsim.eps = 0.3\nsim.T = 0.02\n"
+                           "noise.xi1 = 0\nnoise.xi2 = 0\nnoise.modes = 4\n"
+                           "noise.sigma0 = 0.3\ninit.u = taylor-green:1,0.2\n"
+                           "init.d = unit-smooth:0.4\nfield.h = wave:0.2,0.2,0.5\n"
+                           "out.checkpoint_every = 1000000\n")
+        grid = build_grid(cfg)
+        dt0 = build_params(cfg, grid, umax=float(np.max(np.abs(checked_field(
+            cfg, grid, "init_u"))))).dt
+        resids = []
+        for k in (1, 2, 4, 8, 16):
+            run = replace(cfg, dt=dt0 / k)
+            resids.append(abs(energy_budget_residual(run_path(run).series,
+                                                     build_params(run, grid))))
+        ratios = np.array(resids[:-1]) / resids[1:]
+        assert np.all((ratios > 1.8) & (ratios < 2.2)), ratios
 
     def test_series_column(self, grid32, h_const):
         S = NoiseOperatorS(grid32, n_modes=4, sigma0=0.3)
